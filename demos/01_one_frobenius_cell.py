@@ -10,8 +10,8 @@ roots, and the assembled quartic 1 + aT + bpT^2 + ap^3T^3 + p^6T^4.
 
 from frobcy.catalog import get_entry
 from frobcy.diffop import solve_series
-from frobcy.frobenius import (assemble_frobenius, frobenius_quartic,
-                              unit_roots, weil_verify)
+from frobcy.frobenius import (assemble_frobenius, decode_frobenius,
+                              frobenius_quartic, unit_roots, weil_verify)
 from frobcy.padic import teichmueller_residue
 from frobcy.wedge import wedge_square
 
@@ -51,10 +51,11 @@ r1, rhat = unit_roots(f0, F0, z0, p, s)
 print(f"unit roots: r1 = {r1.residue}, rhat = {rhat.residue}  "
       f"(each certified to {r1.guaranteed} digits)")
 
-# balanced lifts under the archimedean bounds |a| <= 4p^(3/2), |b| <= 6p^2
-# turn the two p-adic roots into the integer coefficients (a, b)
+# the two p-adic roots give (a, b) mod p^s; exactly one Weil-shape pair is
+# congruent to those residues, which certifies the integer coefficients
 a, b = assemble_frobenius(r1, rhat, p, at_singular_fiber=False)
-print(f"(a, b) = ({a}, {b})")
+print(f"(a, b) = ({a}, {b}), the only admissible pair of its residues "
+      f"mod {p}^{s}: {decode_frobenius(a, b, p, s)}")
 
 quartic = frobenius_quartic(a, b, p)
 print("P(T) coefficients [T^0 .. T^4]:", quartic)

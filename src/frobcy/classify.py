@@ -32,13 +32,18 @@ import os
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .congruence import OutsideUnitDisk
 from .diffop import ThetaOperator, TruncatedSeries, solve_series, symbol_roots_mod_p
-from .frobenius import assemble_frobenius, required_precision, unit_roots, weil_verify
+from .frobenius import (Uncertified, assemble_frobenius, required_precision,
+                        unit_roots, weil_verify)
+from .wedge import wedge_square
 
 FORMS_DIR_ENV = "FROBCY_FORMS_DIR"
+
+# (operator, p, s) -> residues mod p^s of its normalized solution, to degree p^s - 1
+SeriesSource = Callable[[ThetaOperator, int, int], TruncatedSeries]
 
 
 class NoFixture(LookupError):
@@ -203,6 +208,7 @@ class PointClass:
     chi: Optional[int] = None
     ap: Optional[int] = None
     form: Optional[str] = None
+    escalated: bool = False  # certified only above the row's starting precision
 
     def cell(self) -> str:
         """Compact table cell: (a,b) / (a,b)' / (a,b)* / (a,b)! / - ."""
@@ -245,7 +251,8 @@ def classify_ab(a: int, b: int, p: int, at_singular_fiber: bool) -> PointClass:
 
 def classify_point(op: ThetaOperator, p: int, z0: int, s: int,
                    f0: TruncatedSeries, F0: TruncatedSeries) -> PointClass:
-    """Classify one point given precomputed series of both factors."""
+    """Classify one point given precomputed series of both factors.  Raises
+    Uncertified when s does not yet settle (a, b) (see assemble_frobenius)."""
     fiber = z0 % p in set(symbol_roots_mod_p(op, p))
     try:
         r1, rh = unit_roots(f0, F0, z0, p, s)
@@ -261,27 +268,41 @@ def classify_point(op: ThetaOperator, p: int, z0: int, s: int,
 def classify_operator(op: ThetaOperator, p: int,
                       wedge_op: Optional[ThetaOperator] = None,
                       s: Optional[int] = None,
-                      f0: Optional[TruncatedSeries] = None,
-                      F0: Optional[TruncatedSeries] = None) -> List[PointClass]:
+                      series: Optional[SeriesSource] = None) -> List[PointClass]:
     """Classify all points z0 = 1 .. p-1 of one operator.
 
-    The working precision defaults to ``required_precision`` with split-point
-    resolution exactly when the leading symbol has roots mod p.  The two
-    series (the expensive part) are computed once and shared by all points;
-    precomputed ones may be passed in.
+    The working precision defaults to ``required_precision``, with the split
+    pairs admitted exactly when the leading symbol has roots mod p.  The two
+    series (the expensive part) come from ``series`` (default:
+    ``solve_series``) and are shared by all points.  A point whose residues
+    fit zero or several admissible pairs escalates the row: the series are
+    recomputed at s + 1 and that point is classified again (``escalated``
+    marks it), until ``box_precision``, where every balanced lift is settled.
     """
     roots = symbol_roots_mod_p(op, p)
     if s is None:
         s = required_precision(p, want_singular=bool(roots))
-    N = p**s - 1
-    if f0 is None:
-        f0 = solve_series(op, N, p=p, K=s)
-    if F0 is None:
-        if wedge_op is None:
-            from .wedge import wedge_square
-            wedge_op = wedge_square(op)
-        F0 = solve_series(wedge_op, N, p=p, K=s)
-    return [classify_point(op, p, z0, s, f0, F0) for z0 in range(1, p)]
+    series = series or _solve
+    wedge_op = wedge_op or wedge_square(op)
+    cells: Dict[int, PointClass] = {}
+    pending = list(range(1, p))
+    escalated = False
+    while pending:
+        f0, F0 = series(op, p, s), series(wedge_op, p, s)
+        retry = []
+        for z0 in pending:
+            try:
+                cells[z0] = classify_point(op, p, z0, s, f0, F0)
+            except Uncertified:
+                retry.append(z0)
+            else:
+                cells[z0].escalated = escalated
+        pending, s, escalated = retry, s + 1, True
+    return [cells[z0] for z0 in range(1, p)]
+
+
+def _solve(op: ThetaOperator, p: int, s: int) -> TruncatedSeries:
+    return solve_series(op, p**s - 1, p=p, K=s)
 
 
 # -- tabular output -----------------------------------------------------------------

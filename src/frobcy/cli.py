@@ -32,12 +32,13 @@ import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import CATALOG, catalog, get_entry, sequence_terms_via_recurrence
-from .classify import (PointClass, classify_ab, classify_operator,
-                       results_to_csv)
+from .classify import (PointClass, SeriesSource, classify_ab,
+                       classify_operator, results_to_csv)
 from .congruence import CongruenceReport, OutsideUnitDisk, check_dwork_congruence
 from .diffop import (PrecisionExhausted, ThetaOperator, TruncatedSeries,
                      solve_series, symbol_roots_mod_p)
-from .frobenius import (SingularFiber, assemble_frobenius, frobenius_quartic,
+from .frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
+                        assemble_frobenius, decode_frobenius, frobenius_quartic,
                         legendre_unit_root, required_precision, unit_roots)
 from .padic import PadicNumber, balanced_residue
 from .wedge import wedge_square
@@ -191,29 +192,20 @@ def _load_operator(spec: str) -> ThetaOperator:
     )
 
 
-def _row_series(op: ThetaOperator, p: int, use_cache: bool,
-                cache_dir: Optional[str],
-                s: Optional[int] = None
-                ) -> Tuple[int, TruncatedSeries, TruncatedSeries, ThetaOperator]:
-    """(s, f0, F0, wedge_op) at the working precision for one (op, p) row."""
-    roots = symbol_roots_mod_p(op, p)
-    if s is None:
-        s = required_precision(p, want_singular=bool(roots))
-    N = p**s - 1
-    wop = wedge_square(op)
-    if use_cache:
-        f0 = cache_series(op, p, s, N, cache_dir)
-        F0 = cache_series(wop, p, s, N, cache_dir)
-    else:
-        f0 = solve_series(op, N, p=p, K=s)
-        F0 = solve_series(wop, N, p=p, K=s)
-    return s, f0, F0, wop
+def _series_source(use_cache: bool, cache_dir: Optional[str]) -> SeriesSource:
+    """Series at precision s, through the disk cache unless ``use_cache`` is
+    false."""
+    def series(op: ThetaOperator, p: int, s: int) -> TruncatedSeries:
+        N = p**s - 1
+        if use_cache:
+            return cache_series(op, p, s, N, cache_dir)
+        return solve_series(op, N, p=p, K=s)
+    return series
 
 
 def _classified_row(op: ThetaOperator, p: int, use_cache: bool,
                     cache_dir: Optional[str]) -> List[PointClass]:
-    s, f0, F0, wop = _row_series(op, p, use_cache, cache_dir)
-    return classify_operator(op, p, wedge_op=wop, s=s, f0=f0, F0=F0)
+    return classify_operator(op, p, series=_series_source(use_cache, cache_dir))
 
 
 def _table_task(arg: Tuple[str, int, bool, Optional[str]]
@@ -315,9 +307,13 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_frob(args: argparse.Namespace) -> int:
+    """One cell at the row's working precision, escalated like a table row
+    until (a, b) is certified; an explicit --precision is used as given."""
     try:
         op = _load_operator(args.operator)
         p = _check_prime(args.prime)
+        if args.precision is not None and args.precision < 1:
+            raise ValueError(f"--precision must be >= 1, not {args.precision}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -325,31 +321,47 @@ def cmd_frob(args: argparse.Namespace) -> int:
     if z0 == 0:
         print("error: the point must be nonzero mod p", file=sys.stderr)
         return 2
-    fiber = z0 in set(symbol_roots_mod_p(op, p))
-    try:
-        s, f0, F0, _wop = _row_series(op, p, not args.no_cache, args.cache_dir,
-                                      s=args.precision)
-    except PrecisionExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    roots = symbol_roots_mod_p(op, p)
+    fiber = z0 in roots
+    s = args.precision or required_precision(p, want_singular=bool(roots))
+    series = _series_source(not args.no_cache, args.cache_dir)
+    wop = wedge_square(op)
+    escalated = False
+    while True:
+        try:
+            f0, F0 = series(op, p, s), series(wop, p, s)
+            r1, rh = unit_roots(f0, F0, z0, p, s)
+            a, b = assemble_frobenius(r1, rh, p, at_singular_fiber=fiber)
+            break
+        except OutsideUnitDisk:
+            r1 = None
+            break
+        except Uncertified as exc:
+            if args.precision is not None:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            s, escalated = s + 1, True
+        except (PrecisionExhausted, LiftOutOfBound) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     result: Dict[str, object] = {
         "operator": op.name or args.operator, "p": p, "z": z0, "precision": s,
     }
-    try:
-        r1, rh = unit_roots(f0, F0, z0, p, s)
-    except OutsideUnitDisk:
+    if r1 is None:
         result.update(status="undefined", a=None, b=None, r1=None, rh=None,
                       cell="-")
-        print(json.dumps(result, indent=1))
-        return 0
-    a, b = assemble_frobenius(r1, rh, p, at_singular_fiber=fiber)
-    pc = classify_ab(a, b, p, fiber)
-    result.update(
-        status=pc.status, a=a, b=b,
-        alpha=pc.alpha, beta=pc.beta, chi=pc.chi, ap=pc.ap, form=pc.form,
-        quartic=frobenius_quartic(a, b, p), cell=pc.cell(),
-        r1=_padic_json(r1), rh=_padic_json(rh),
-    )
+        candidates = 0
+    else:
+        pc = classify_ab(a, b, p, fiber)
+        result.update(
+            status=pc.status, a=a, b=b,
+            alpha=pc.alpha, beta=pc.beta, chi=pc.chi, ap=pc.ap, form=pc.form,
+            quartic=frobenius_quartic(a, b, p), cell=pc.cell(),
+            r1=_padic_json(r1), rh=_padic_json(rh),
+        )
+        candidates = len(decode_frobenius(a, b, p, s, fiber))
+    result["certificate"] = {"fiber": fiber, "candidates": candidates,
+                             "escalated": escalated}
     print(json.dumps(result, indent=1))
     return 0
 

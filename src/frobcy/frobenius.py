@@ -12,12 +12,30 @@ ratios via the elementary symmetric functions
     e1 = r1 + p rh/r1 + p^2 r1/rh + p^3/r1                    = -a,
     e2 = p rh + p^2 r1^2/rh + 2 p^3 + p^4 rh/r1^2 + p^5/rh    = b p,
 
-computed with pessimistic p-adic precision tracking and balanced lifts.
+computed with pessimistic p-adic precision tracking, which gives a and b
+modulo p^s.
 
-``required_precision`` returns the exact working precision that makes the
-balanced lifts unambiguous: p^s must exceed twice every coefficient bound in
-play (|a| <= 4 p^(3/2), |b| <= 6 p^2, and additionally
-|a| <= 2p^2 + 2(1+p) p^(3/2) when split points are to be recognized).
+The pair is then *decoded*: ``decode_frobenius`` lists every admissible pair
+congruent to those residues, and a cell is certified when exactly one fits.
+The admissible pairs are
+
+  * the Weil-shape pairs: x^2 - a x + (b p - 2 p^3) has two real roots in
+    [-2 p^(3/2), 2 p^(3/2)], so that P = (1 + alpha T + p^3 T^2)
+    (1 + beta T + p^3 T^2) has all reciprocal roots of modulus p^(3/2)
+    (``weil_verify``, an exact integer test);
+  * where the leading symbol vanishes at z0 mod p, also the split pairs of
+    (1 - chi p T)(1 - chi p^2 T)(1 - a_p T + p^3 T^2) with chi = +-1 and
+    a_p^2 <= 4 p^3.
+
+``required_precision`` returns the least s at which the residue map
+(a, b) -> (a mod p^s, b mod p^s) is injective on that set, so every
+geometric cell is certified there.  A decode that still finds zero or several
+pairs raises ``Uncertified`` and the caller escalates to s + 1.  The ceiling
+is ``box_precision``, the per-coefficient policy p^s > twice every bound
+(|a| <= 4 p^(3/2), |b| <= 6 p^2, and the split-quartic bounds at symbol
+roots): there the balanced lifts are unique in their boxes, and an in-box
+pair outside the admissible set is returned as it is, for the classifier to
+report as inconsistent.
 
 ``legendre_frobenius`` runs the same one-dimensional method on the Legendre
 family y^2 = x(x-1)(x-s0), whose trace satisfies |a_p| <= 2 sqrt(p).
@@ -25,9 +43,9 @@ family y^2 = x(x-1)(x-s0), whose trace satisfies |a_p| <= 2 sqrt(p).
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import isqrt
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from .congruence import OutsideUnitDisk, dwork_ratio
 from .diffop import ThetaOperator, TruncatedSeries, solve_series
@@ -39,15 +57,94 @@ class LiftOutOfBound(ArithmeticError):
     the point is not of the expected kind."""
 
 
+class Uncertified(LiftOutOfBound):
+    """The residues mod p^s fit zero or several admissible pairs, below the
+    precision at which the balanced lift alone settles the cell."""
+
+    def __init__(self, p: int, s: int, candidates: int) -> None:
+        super().__init__(f"{candidates} admissible pairs (a, b) fit the "
+                         f"residues mod p^s at p = {p}, s = {s}")
+        self.p, self.s, self.candidates = p, s, candidates
+
+
 class SingularFiber(ArithmeticError):
     """The requested fiber of the family is degenerate."""
 
 
-# -- precision policy --------------------------------------------------------------
+# -- the admissible set and the precision policy -------------------------------------
 
 
+def _weil_b_range(a: int, p: int) -> Tuple[int, int]:
+    """(lo, hi): for |a| <= 4 p^(3/2), (a, b) is Weil-shape iff lo <= b <= hi.
+
+    With c = b p - 2 p^3 and B = 2 p^(3/2), both roots of x^2 - a x + c are
+    real and in [-B, B] iff disc = a^2 - 4c >= 0, a^2 <= 16 p^3 and
+    t = B^2 + c >= |a| B, i.e. t >= 0 and t^2 >= 4 a^2 p^3.  The first
+    bounds b above, the last two below.
+    """
+    p3 = p**3
+    hi = (a * a + 8 * p3) // (4 * p)
+    sq = 4 * a * a * p3
+    t_min = isqrt(sq)
+    t_min += t_min * t_min < sq                 # ceil(sqrt(4 a^2 p^3))
+    lo = -((2 * p3 - t_min) // p)               # ceil((t_min - 2 p^3) / p)
+    return lo, hi
+
+
+@lru_cache(maxsize=None)
+def _admissible(p: int, at_singular_fiber: bool) -> Tuple[Tuple[int, int, int], ...]:
+    """The admissible set as (a, lo, hi) runs: pairs (a, lo..hi).  Weil-shape
+    runs and split points are disjoint (a split quartic carries the linear
+    coefficient p + p^2 > 2 p^(3/2))."""
+    amax = isqrt(16 * p**3)
+    runs = [(a, *_weil_b_range(a, p)) for a in range(-amax, amax + 1)]
+    runs = [r for r in runs if r[1] <= r[2]]
+    if at_singular_fiber:
+        bound = isqrt(4 * p**3)
+        for chi in (1, -1):
+            for ap in range(-bound, bound + 1):
+                b = 2 * p * p + chi * (1 + p) * ap
+                runs.append((-ap - chi * (p + p * p), b, b))
+    return tuple(runs)
+
+
+def _injective(runs: Tuple[Tuple[int, int, int], ...], m: int) -> bool:
+    """No two distinct pairs of the runs agree mod m in both coordinates."""
+    classes: dict = {}
+    for a, lo, hi in runs:
+        if hi - lo >= m:
+            return False
+        classes.setdefault(a % m, []).append((lo, hi))
+    for spans in classes.values():
+        for i, (lo1, hi1) in enumerate(spans):
+            for lo2, hi2 in spans[i + 1:]:
+                # some b2 - b1 in [lo2 - hi1, hi2 - lo1] is a multiple of m
+                if (hi2 - lo1) // m * m >= lo2 - hi1:
+                    return False
+    return True
+
+
+@lru_cache(maxsize=None)
 def required_precision(p: int, want_singular: bool = False) -> int:
-    """Minimal s such that p^s > 2 * (every applicable coefficient bound).
+    """Least s for which (a, b) -> (a mod p^s, b mod p^s) is injective on the
+    admissible set (split pairs included when ``want_singular``).
+
+    At that s every geometric cell decodes to exactly one pair.  The values
+    for p = 3, 5, 7, 11, 13, 17 are 4, 3, 3, 3, 3, 3 (Weil-shape pairs only)
+    and 4, 4, 3, 3, 3, 3 (with split pairs); s = 3 for every larger prime.
+    """
+    if p < 3:
+        raise ValueError("p must be an odd prime")
+    runs = _admissible(p, want_singular)
+    s = 1
+    while not _injective(runs, p**s):
+        s += 1
+    return s
+
+
+def box_precision(p: int, want_singular: bool = False) -> int:
+    """Minimal s such that p^s > 2 * (every applicable coefficient bound):
+    the escalation ceiling, at which each balanced lift is unique in its box.
 
     Bounds: 4 p^(3/2) and 6 p^2 always; additionally 2p^2 + 2(1+p) p^(3/2)
     when coefficients of split quartics must be distinguished.  All
@@ -90,20 +187,12 @@ def unit_roots(f0: TruncatedSeries, F0: TruncatedSeries, z0: int, p: int,
     return r1, rh
 
 
-def assemble_frobenius(r1: PadicNumber, rh: PadicNumber, p: int,
-                       at_singular_fiber: bool = False,
-                       check_bounds: bool = True) -> Tuple[int, int]:
-    """(a, b) of P(T) = 1 + aT + bpT^2 + ap^3T^3 + p^6T^4 from the unit roots.
+def _balanced_pair(r1: PadicNumber, rh: PadicNumber, p: int
+                   ) -> Tuple[int, int, int]:
+    """(a, b, s): the balanced lifts of a and b mod p^s from the unit roots.
 
     Works one digit above the certified precision s so that e2 (divisible by
-    p) still determines b mod p^s after the division.  The balanced lifts are
-    checked against their coefficient bounds (LiftOutOfBound): away from the
-    singular fibers |a| <= 4 p^(3/2) and |b| <= 6 p^2; on them the split
-    quartic allows up to |a| <= p^2 + p + 2 p^(3/2) and
-    |b| <= 2 p^2 + 2 (1+p) p^(3/2).  ``check_bounds=False`` skips the bound
-    enforcement and returns the raw symmetric-function lifts (useful for
-    evaluating degenerate root configurations that no geometric point
-    produces).
+    p) still determines b mod p^s after the division.
     """
     if r1.prime != p or rh.prime != p:
         raise ValueError("unit roots at the wrong prime")
@@ -121,13 +210,44 @@ def assemble_frobenius(r1: PadicNumber, rh: PadicNumber, p: int,
     e1 = r + pk[1] * (w / r) + pk[2] * (r / w) + pk[3] * (one / r)
     e2 = (pk[1] * w + pk[2] * (r * r / w) + PadicNumber.exact(2 * p**3, p, cap)
           + pk[4] * (w / (r * r)) + pk[5] * (one / w))
+    return -balanced_lift(e1), balanced_lift(e2 / pk[1]), s
 
-    a = -balanced_lift(e1)
-    bp = e2 / pk[1]
-    b = balanced_lift(bp)
 
+def decode_frobenius(a: int, b: int, p: int, s: int,
+                     at_singular_fiber: bool = False) -> List[Tuple[int, int]]:
+    """The candidate list: every admissible pair congruent to (a, b) mod p^s.
+    Exactly one candidate certifies the cell."""
+    m = p**s
+    return [(x, y) for x, lo, hi in _admissible(p, at_singular_fiber)
+            if (x - a) % m == 0
+            for y in range(lo + (b - lo) % m, hi + 1, m)]
+
+
+def assemble_frobenius(r1: PadicNumber, rh: PadicNumber, p: int,
+                       at_singular_fiber: bool = False,
+                       check_bounds: bool = True) -> Tuple[int, int]:
+    """(a, b) of P(T) = 1 + aT + bpT^2 + ap^3T^3 + p^6T^4 from the unit roots.
+
+    Returns the unique admissible pair that fits the residues mod p^s (split
+    pairs count only ``at_singular_fiber``).  When zero or several fit and s
+    is below ``box_precision`` it raises Uncertified, so the caller can
+    retry at s + 1.  From the box precision on, the balanced lifts are unique
+    in their coefficient boxes -- away from the singular fibers
+    |a| <= 4 p^(3/2) and |b| <= 6 p^2; on them |a| <= p^2 + p + 2 p^(3/2) and
+    |b| <= 2 p^2 + 2 (1+p) p^(3/2) -- and an in-box pair outside the
+    admissible set is returned as it is; one outside its box raises
+    LiftOutOfBound.  ``check_bounds=False`` returns the raw balanced lifts
+    (useful for evaluating degenerate root configurations that no geometric
+    point produces).
+    """
+    a, b, s = _balanced_pair(r1, rh, p)
     if not check_bounds:
         return a, b
+    found = decode_frobenius(a, b, p, s, at_singular_fiber)
+    if len(found) == 1:
+        return found[0]
+    if s < box_precision(p, at_singular_fiber):
+        raise Uncertified(p, s, len(found))
     if at_singular_fiber:
         # |a| <= p^2 + p + 2 p^(3/2), exactly
         t = abs(a) - p * p - p
@@ -152,12 +272,13 @@ def frobenius_quartic(a: int, b: int, p: int) -> List[int]:
     return [1, a, b * p, a * p**3, p**6]
 
 
-def weil_verify(a: int, b: int, p: int, rel_tol: float = 1e-6) -> bool:
-    """All complex roots of P(T) have |T| = p^(-3/2) within rel_tol."""
-    coeffs = frobenius_quartic(a, b, p)[::-1]  # descending for numpy
-    roots = np.roots(coeffs)
-    target = p ** (-1.5)
-    return bool(np.all(np.abs(np.abs(roots) - target) <= rel_tol * target))
+def weil_verify(a: int, b: int, p: int) -> bool:
+    """All complex roots of P(T) have |T| = p^(-3/2), exactly: (a, b) is a
+    Weil-shape pair (see ``_weil_b_range``)."""
+    if a * a > 16 * p**3:
+        return False
+    lo, hi = _weil_b_range(a, p)
+    return lo <= b <= hi
 
 
 def frobenius_from_operator(op: ThetaOperator, p: int, z0: int, s: int,

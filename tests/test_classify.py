@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobcy.catalog import get_entry
+from frobcy.catalog import CATALOG, get_entry
 from frobcy.classify import (
     BUILTIN_FORMS,
     CSV_COLUMNS,
@@ -333,6 +333,15 @@ class TestClassifyOperatorRows:
         assert [r.cell() for r in again] == [r.cell() for r in aa_rows[5]]
         assert [r.status for r in again] == [r.status for r in aa_rows[5]]
 
+    def test_escalation_from_one_digit_low(self, wedge_of):
+        # At s = 3 the residues of A*d at p = 5, z = 2 fit two admissible
+        # pairs, (-8, 43) and (-8, -82); the row escalates to s = 4.
+        row = classify_operator(get_entry("A*d").operator, 5,
+                                wedge_op=wedge_of("A*d"), s=3)
+        z2 = row[1]
+        assert z2.cell() == "(-8,-82)*" and z2.escalated
+        assert [r.escalated for r in row if r.z0 != 2] == [False] * 3
+
     def test_row_with_positive_chi(self, bc5):
         assert [r.cell() for r in bc5] == [
             "(-9,-4)", "(-27,32)*", "-", "(-3,32)"]
@@ -360,6 +369,21 @@ class TestClassifyOperatorRows:
         assert z2.ap == 11 and z2.form is None
         with pytest.raises(NoFixture):
             match_singular_ap(5, z2.ap)
+
+
+def test_full_catalog_reproduces_corrected_tables(wedge_of, corrected_tables):
+    """All 24 operators at p = 3 .. 17 (1200 cells) equal the stored tables
+    with every erratum applied, and no catalog cell needs escalation."""
+    cells = 0
+    for name in CATALOG:
+        op = get_entry(name).operator
+        for p in PRIMES:
+            row = classify_operator(op, p, wedge_op=wedge_of(name))
+            assert {str(r.z0): r.cell() for r in row} == \
+                corrected_tables[name][str(p)], (name, p)
+            assert not any(r.escalated for r in row), (name, p)
+            cells += len(row)
+    assert cells == 1200
 
 
 class TestResultsToCsv:

@@ -340,7 +340,9 @@ class TestCmdFrob:
         assert (got["chi"], got["ap"], got["form"]) == (-1, 24, "8/1")
         assert got["cell"] == "(32,-94)*"
         assert got["quartic"] == frobenius_quartic(32, -94, 7)
-        assert got["precision"] == 4
+        assert got["precision"] == 3
+        assert got["certificate"] == {"fiber": True, "candidates": 1,
+                                      "escalated": False}
         assert got["r1"]["prime"] == 7 and got["r1"]["residue"] % 7 != 0
 
     def test_reducible_cell(self, capsys):
@@ -359,6 +361,8 @@ class TestCmdFrob:
         assert got["status"] == "smooth"
         assert (got["a"], got["b"]) == (2, -46)
         assert got["alpha"] is None and got["chi"] is None
+        assert got["certificate"] == {"fiber": False, "candidates": 1,
+                                      "escalated": False}
 
     def test_undefined_cell(self, capsys):
         code, got, _ = self.frob(capsys, "--operator", "A*a",
@@ -366,6 +370,8 @@ class TestCmdFrob:
         assert code == 0
         assert got["status"] == "undefined"
         assert got["a"] is None and got["cell"] == "-"
+        assert got["certificate"] == {"fiber": False, "candidates": 0,
+                                      "escalated": False}
 
     def test_point_reduced_mod_p(self, capsys):
         _, base, _ = self.frob(capsys, "--operator", "A*a",
@@ -379,6 +385,34 @@ class TestCmdFrob:
                                  "--point", "1", "--precision", "5")
         assert code == 0
         assert got["precision"] == 5 and got["status"] == "undefined"
+
+    def test_zero_precision_is_usage_error(self, capsys):
+        code, out, err = run(["frob", "--operator", "A*a", "--prime", "7",
+                              "--point", "2", "--precision", "0", "--no-cache"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --precision must be >= 1, not 0\n"
+
+    def test_uncertified_explicit_precision_exits_one(self, capsys):
+        # two digits at p = 7 leave five admissible pairs; an explicit
+        # precision is never raised behind the user's back
+        code, out, err = run(["frob", "--operator", "A*a", "--prime", "7",
+                              "--point", "2", "--precision", "2", "--no-cache"],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert "5 admissible pairs" in err and "p = 7, s = 2" in err
+
+    def test_escalation_is_reported(self, capsys, monkeypatch):
+        # starting A*d at p = 5 one digit low: z = 2 fits two admissible
+        # pairs mod 5^3, so the cell is certified at s = 4
+        monkeypatch.setattr(cli, "required_precision", lambda p, want_singular: 3)
+        code, got, _ = self.frob(capsys, "--operator", "A*d",
+                                 "--prime", "5", "--point", "2")
+        assert code == 0
+        assert got["cell"] == "(-8,-82)*" and got["precision"] == 4
+        assert got["certificate"] == {"fiber": True, "candidates": 1,
+                                      "escalated": True}
 
     def test_zero_point_is_usage_error(self, capsys):
         code, _, err = run(["frob", "--operator", "A*a", "--prime", "7",

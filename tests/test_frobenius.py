@@ -1,13 +1,17 @@
 """Quartic assembly from unit roots, precision policy, archimedean checks,
 and the elliptic one-dimensional baseline."""
 
+import cmath
+from math import isqrt
+
 import pytest
 
 from frobcy.catalog import get_entry
 from frobcy.congruence import OutsideUnitDisk
 from frobcy.diffop import solve_series
-from frobcy.frobenius import (LiftOutOfBound, SingularFiber,
-                              assemble_frobenius, frobenius_from_operator,
+from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
+                              assemble_frobenius, box_precision,
+                              decode_frobenius, frobenius_from_operator,
                               frobenius_quartic, legendre_frobenius,
                               legendre_precision, legendre_trace_bruteforce,
                               legendre_unit_root, required_precision,
@@ -15,6 +19,33 @@ from frobcy.frobenius import (LiftOutOfBound, SingularFiber,
 from frobcy.padic import PadicNumber
 
 PRIMES = (3, 5, 7, 11, 13, 17)
+
+
+def weil_shape(a: int, b: int, p: int) -> bool:
+    """The Weil-shape test written out: x^2 - a x + (b p - 2 p^3) has two
+    real roots in [-2 p^(3/2), 2 p^(3/2)]."""
+    c = b * p - 2 * p**3
+    t = 4 * p**3 + c
+    return (a * a - 4 * c >= 0 and a * a <= 16 * p**3
+            and t >= 0 and t * t >= 4 * a * a * p**3)
+
+
+def admissible_pairs(p: int, with_split: bool):
+    """Every admissible pair, by filtering an envelope with ``weil_shape``:
+    alpha + beta = a and |alpha|, |beta| <= 2 p^(3/2) confine
+    alpha beta = b p - 2 p^3 to [2 |a| p^(3/2) - 4 p^3, a^2 / 4]."""
+    amax = isqrt(16 * p**3)
+    for a in range(-amax, amax + 1):
+        lo = -2 * p * p + 2 * abs(a) * isqrt(p) - 1
+        hi = 2 * p * p + a * a // (4 * p) + 1
+        for b in range(lo, hi + 1):
+            if weil_shape(a, b, p):
+                yield a, b
+    if with_split:
+        bound = isqrt(4 * p**3)
+        for chi in (1, -1):
+            for ap in range(-bound, bound + 1):
+                yield -ap - chi * (p + p * p), 2 * p * p + chi * (1 + p) * ap
 
 
 @pytest.fixture(scope="module")
@@ -36,18 +67,71 @@ def aa_series(wedge_of):
 class TestRequiredPrecision:
     def test_smooth_table(self):
         assert {p: required_precision(p) for p in PRIMES} == \
-            {3: 5, 5: 4, 7: 4, 11: 4, 13: 3, 17: 3}
+            {3: 4, 5: 3, 7: 3, 11: 3, 13: 3, 17: 3}
 
     def test_singular_table(self):
         assert {p: required_precision(p, want_singular=True) for p in PRIMES} \
+            == {3: 4, 5: 4, 7: 3, 11: 3, 13: 3, 17: 3}
+
+    def test_boundary_arithmetic(self):
+        # At a = 0 the Weil-shape b fill [-2p^2, 2p^2]: 4p^2 + 1 values, more
+        # than p^2 always and more than p^3 = 27 at p = 3.
+        for p in (3, 5, 29):
+            assert weil_shape(0, -2 * p * p, p) and weil_shape(0, 2 * p * p, p)
+            assert not weil_shape(0, 2 * p * p + 1, p)
+            assert not weil_shape(0, -2 * p * p - 1, p)
+        assert required_precision(3) == 4
+        assert required_precision(29) == required_precision(29, True) == 3
+        # At p = 5 the Weil pair (-8, 43) and the split pair (-8, -82)
+        # (chi = 1, a_p = -22) agree mod 5^3, so fiber rows need s = 4.
+        assert weil_shape(-8, 43, 5)
+        assert (-8, -82) == (22 - (5 + 25), 2 * 25 + 6 * -22)
+        assert (43 - -82) % 5**3 == 0
+        assert required_precision(5) == 3
+        assert required_precision(5, want_singular=True) == 4
+
+    @pytest.mark.parametrize("want_singular", [False, True])
+    @pytest.mark.parametrize("p", PRIMES + (19, 23))
+    def test_minimality(self, p, want_singular):
+        # exhaustive: the residue map is injective on the whole admissible set
+        # at s and not at s - 1
+        s = required_precision(p, want_singular)
+        m, m1 = p**s, p ** (s - 1)
+        count, keys, keys1 = 0, set(), set()
+        for a, b in admissible_pairs(p, want_singular):
+            count += 1
+            keys.add(a % m * m + b % m)
+            keys1.add(a % m1 * m1 + b % m1)
+        assert len(keys) == count
+        assert len(keys1) < count
+
+    def test_precision_never_exceeds_the_box(self):
+        for p in PRIMES + (19, 23, 29):
+            for fiber in (False, True):
+                assert required_precision(p, fiber) <= box_precision(p, fiber)
+
+    def test_rejects_even_or_tiny_primes(self):
+        with pytest.raises(ValueError):
+            required_precision(2)
+        with pytest.raises(ValueError):
+            box_precision(2)
+
+
+class TestBoxPrecision:
+    """The per-coefficient policy, kept as the escalation ceiling."""
+
+    def test_tables(self):
+        assert {p: box_precision(p) for p in PRIMES} == \
+            {3: 5, 5: 4, 7: 4, 11: 4, 13: 3, 17: 3}
+        assert {p: box_precision(p, want_singular=True) for p in PRIMES} \
             == {3: 5, 5: 4, 7: 4, 11: 4, 13: 4, 17: 4}
 
     def test_boundary_arithmetic(self):
         # 13^3 = 2197 > 2 * 6 * 169 = 2028, 7^3 = 343 < 2 * 294 = 588,
         # 3^4 = 81 < 2 * 54 = 108 <= 3^5
-        assert required_precision(13) == 3
-        assert required_precision(7) == 4
-        assert required_precision(3) == 5
+        assert box_precision(13) == 3
+        assert box_precision(7) == 4
+        assert box_precision(3) == 5
 
     @pytest.mark.parametrize("want_singular", [False, True])
     @pytest.mark.parametrize("p", PRIMES)
@@ -62,12 +146,8 @@ class TestRequiredPrecision:
                     return False
             return True
 
-        s = required_precision(p, want_singular)
+        s = box_precision(p, want_singular)
         assert enough(s) and not enough(s - 1)
-
-    def test_rejects_even_or_tiny_primes(self):
-        with pytest.raises(ValueError):
-            required_precision(2)
 
 
 # -- unit roots --------------------------------------------------------------------
@@ -110,6 +190,37 @@ class TestAssembleFrobenius:
         assert assemble_frobenius(r1, rh, 7, at_singular_fiber=True) == (80, 290)
         with pytest.raises(LiftOutOfBound):
             assemble_frobenius(r1, rh, 7)
+
+    def test_decoder_finds_one_candidate(self, aa_series):
+        for s in (3, 4):
+            m = 7**s
+            assert decode_frobenius(-8, 2, 7, s) == [(-8, 2)]
+            assert decode_frobenius(-8 + m, 2 - 5 * m, 7, s) == [(-8, 2)]
+        r1, rh = unit_roots(*aa_series[7, 4], 2, 7, 4)
+        cut = [PadicNumber(7, 3, x.residue, 3) for x in (r1, rh)]
+        assert assemble_frobenius(*cut, 7) == (-8, 2)
+
+    def test_low_precision_is_uncertified(self, aa_series):
+        # two digits leave five Weil-shape pairs, the true one among them
+        found = decode_frobenius(-8, 2, 7, 2)
+        assert len(found) == 5 and (-8, 2) in found
+        r1, rh = unit_roots(*aa_series[7, 4], 2, 7, 4)
+        cut = [PadicNumber(7, 2, x.residue, 2) for x in (r1, rh)]
+        with pytest.raises(Uncertified) as info:
+            assemble_frobenius(*cut, 7)
+        err = info.value
+        assert (err.p, err.s, err.candidates) == (7, 2, 5)
+        assert isinstance(err, LiftOutOfBound)
+
+    @pytest.mark.parametrize("p,s", [(3, 2), (5, 2), (7, 2), (5, 3)])
+    def test_decoder_matches_enumeration(self, p, s):
+        m = p**s
+        pairs = {fiber: list(admissible_pairs(p, fiber)) for fiber in (False, True)}
+        for a, b in [(0, 0), (3, -7), (12, 40), (-8, 43), (31, 1)]:
+            for fiber in (False, True):
+                want = sorted(x for x in pairs[fiber]
+                              if (x[0] - a) % m == 0 and (x[1] - b) % m == 0)
+                assert sorted(decode_frobenius(a, b, p, s, fiber)) == want
 
     def test_tate_type_roots_evaluate_symbolically(self):
         # r1 = rh = 1 makes the four reciprocal roots 1, p, p^2, p^3
@@ -198,6 +309,41 @@ class TestWeilVerify:
     def test_smooth_cells_at_7(self):
         for a, b in [(2, -46), (-8, 2), (10, 50)]:
             assert weil_verify(a, b, 7)
+
+    def test_boundary_pairs_are_exact(self):
+        # (0, -18) at p = 3: alpha = -beta = 2 * 3^(3/2), so each quadratic
+        # factor has a double root on |T| = p^(-3/2); one step on, it has not
+        assert weil_verify(0, -18, 3) and not weil_verify(0, -19, 3)
+        # (14, 105) at p = 7: alpha = beta = 7, a zero discriminant
+        assert weil_verify(14, 105, 7) and not weil_verify(14, 106, 7)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_the_written_out_test(self, p):
+        amax = isqrt(16 * p**3) + 2
+        for a in range(-amax, amax + 1):
+            for b in range(-6 * p * p - 2, 6 * p * p + 3):
+                assert weil_verify(a, b, p) == weil_shape(a, b, p), (a, b)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_matches_root_moduli(self, p):
+        # floating-point oracle: factor P over C into the quadratics
+        # 1 + alpha T + p^3 T^2 and measure all four roots
+        target = p ** -1.5
+        decided = 0
+        for a in range(-25 * p, 25 * p + 1, 3):
+            for b in range(-8 * p * p, 8 * p * p + 1, 3):
+                root = cmath.sqrt(a * a - 4 * (b * p - 2 * p**3))
+                dev = 0.0
+                for alpha in ((a + root) / 2, (a - root) / 2):
+                    disc = cmath.sqrt(alpha * alpha - 4 * p**3)
+                    for t in ((-alpha + disc) / (2 * p**3),
+                              (-alpha - disc) / (2 * p**3)):
+                        dev = max(dev, abs(abs(t) - target) / target)
+                if 1e-6 < dev < 1e-2:
+                    continue  # too close to the boundary to tell in floats
+                assert weil_verify(a, b, p) == (dev <= 1e-6), (a, b, dev)
+                decided += 1
+        assert decided > 1000
 
 
 # -- the elliptic baseline ----------------------------------------------------------
