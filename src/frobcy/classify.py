@@ -42,8 +42,9 @@ from .wedge import wedge_square
 
 FORMS_DIR_ENV = "FROBCY_FORMS_DIR"
 
-# (operator, p, s) -> residues mod p^s of its normalized solution, to degree p^s - 1
-SeriesSource = Callable[[ThetaOperator, int, int], TruncatedSeries]
+# (op, p, s, wedge) -> residues mod p^s, to degree p^s - 1, of the normalized
+# solution of op, or of its exterior square when wedge is true
+SeriesSource = Callable[[ThetaOperator, int, int, bool], TruncatedSeries]
 
 
 class NoFixture(LookupError):
@@ -266,7 +267,6 @@ def classify_point(op: ThetaOperator, p: int, z0: int, s: int,
 
 
 def classify_operator(op: ThetaOperator, p: int,
-                      wedge_op: Optional[ThetaOperator] = None,
                       s: Optional[int] = None,
                       series: Optional[SeriesSource] = None) -> List[PointClass]:
     """Classify all points z0 = 1 .. p-1 of one operator.
@@ -274,21 +274,23 @@ def classify_operator(op: ThetaOperator, p: int,
     The working precision defaults to ``required_precision``, with the split
     pairs admitted exactly when the leading symbol has roots mod p.  The two
     series (the expensive part) come from ``series`` (default:
-    ``solve_series``) and are shared by all points.  A point whose residues
-    fit zero or several admissible pairs escalates the row: the series are
-    recomputed at s + 1 and that point is classified again (``escalated``
-    marks it), until ``box_precision``, where every balanced lift is settled.
+    ``row_series``), which is asked for the operator's own series and for its
+    wedge's, and are shared by all points.  A point whose residues fit zero
+    or several admissible pairs escalates the row: the series are recomputed
+    at s + 1 and that point is classified again (``escalated`` marks it),
+    until ``box_precision``, where every balanced lift is settled.
     """
     roots = symbol_roots_mod_p(op, p)
     if s is None:
         s = required_precision(p, want_singular=bool(roots))
-    series = series or _solve
-    wedge_op = wedge_op or wedge_square(op)
+    series = series or row_series
     cells: Dict[int, PointClass] = {}
     pending = list(range(1, p))
     escalated = False
     while pending:
-        f0, F0 = series(op, p, s), series(wedge_op, p, s)
+        # the wedge first: a miss builds it, which rejects an unusable op
+        # before any series work
+        F0, f0 = series(op, p, s, True), series(op, p, s, False)
         retry = []
         for z0 in pending:
             try:
@@ -301,8 +303,10 @@ def classify_operator(op: ThetaOperator, p: int,
     return [cells[z0] for z0 in range(1, p)]
 
 
-def _solve(op: ThetaOperator, p: int, s: int) -> TruncatedSeries:
-    return solve_series(op, p**s - 1, p=p, K=s)
+def row_series(op: ThetaOperator, p: int, s: int, wedge: bool) -> TruncatedSeries:
+    """The uncached ``SeriesSource``: solved afresh, with the exterior square
+    taken from the ``wedge_square`` memo."""
+    return solve_series(wedge_square(op) if wedge else op, p**s - 1, p=p, K=s)
 
 
 # -- tabular output -----------------------------------------------------------------

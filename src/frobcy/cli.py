@@ -8,17 +8,23 @@ over a prime range), ``legendre`` (elliptic baseline), and ``catalog``
 (operator export).
 
 Series are memoized on disk: ``cache_series`` stores the residues
-c_0 .. c_N mod p^K keyed by a content hash of the operator JSON, written
-atomically (temp file + rename).  A damaged or mismatched file is detected
+c_0 .. c_N mod p^K with a sha256 of the coefficient list, written atomically
+(temp file + rename).  The key is a content hash of the *source* operator's
+JSON plus a role: ``op`` for the operator's own solution, ``wedge`` for the
+solution of its exterior square.  A damaged or mismatched file is detected
 (``CorruptCache``), silently recomputed, and overwritten.  The cache
 directory comes from $FROBCY_CACHE_DIR, defaulting to the platform user
 cache path; computations never depend on cache state, only their wall time
 does.
 
+Each process builds the exterior square of an operator at most once
+(``wedge_square`` is memoized), and only when the wedge series misses the
+cache or ``--no-cache`` is given; a query on a warm cache builds none.
+
 ``--jobs k`` parallelizes the table sweep over (operator, prime) tasks.
-Each task shares its two read-only series across the row's cells, and
-results are emitted in task order, so output is byte-identical to a serial
-run for every k.
+Each task shares its two read-only series across the row's cells, each
+worker keeps its own wedge memo, and results are emitted in task order, so
+output is byte-identical to a serial run for every k.
 """
 
 from __future__ import annotations
@@ -33,14 +39,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import CATALOG, catalog, get_entry, sequence_terms_via_recurrence
 from .classify import (PointClass, SeriesSource, classify_ab,
-                       classify_operator, results_to_csv)
+                       classify_operator, results_to_csv, row_series)
 from .congruence import CongruenceReport, OutsideUnitDisk, check_dwork_congruence
-from .diffop import (PrecisionExhausted, ThetaOperator, TruncatedSeries,
-                     solve_series, symbol_roots_mod_p)
+from .diffop import ThetaOperator, TruncatedSeries, solve_series, symbol_roots_mod_p
 from .frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
                         assemble_frobenius, decode_frobenius, frobenius_quartic,
                         legendre_unit_root, required_precision, unit_roots)
-from .padic import PadicNumber, balanced_residue
+from .padic import PadicNumber, PrecisionExhausted, balanced_residue
 from .wedge import wedge_square
 
 __all__ = ["CorruptCache", "cache_series", "main"]
@@ -67,20 +72,26 @@ def _operator_hash(op: ThetaOperator) -> str:
     return hashlib.sha256(op.to_json().encode("utf-8")).hexdigest()
 
 
-def _cache_path(cache_dir: str, op_hash: str, p: int, K: int, N: int) -> str:
-    key = hashlib.sha256(f"{op_hash}:{p}:{K}:{N}".encode("ascii")).hexdigest()
+def _coeffs_digest(coeffs: Sequence[int]) -> str:
+    return hashlib.sha256(",".join(map(str, coeffs)).encode("ascii")).hexdigest()
+
+
+def _cache_path(cache_dir: str, op_hash: str, role: str, p: int, K: int,
+                N: int) -> str:
+    key = hashlib.sha256(f"{op_hash}:{role}:{p}:{K}:{N}".encode("ascii")).hexdigest()
     return os.path.join(cache_dir, f"series-{key[:40]}.json")
 
 
-def _cache_load(path: str, op_hash: str, p: int, K: int, N: int) -> TruncatedSeries:
+def _cache_load(path: str, op_hash: str, role: str, p: int, K: int,
+                N: int) -> TruncatedSeries:
     """Validated reload; raises CorruptCache on any defect, FileNotFoundError
     on a clean miss."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     try:
         data = json.loads(raw)
-        if (data["operator_hash"] != op_hash or data["p"] != p
-                or data["K"] != K or data["N"] != N):
+        if (data["operator_hash"] != op_hash or data["role"] != role
+                or data["p"] != p or data["K"] != K or data["N"] != N):
             raise CorruptCache(f"header mismatch in {path}")
         coeffs = [int(c) for c in data["coeffs"]]
         if len(coeffs) != N + 1 or coeffs[0] != 1:
@@ -88,6 +99,8 @@ def _cache_load(path: str, op_hash: str, p: int, K: int, N: int) -> TruncatedSer
         pK = p**K
         if any(not 0 <= c < pK for c in coeffs):
             raise CorruptCache(f"residue out of range in {path}")
+        if _coeffs_digest(coeffs) != data["sha256"]:
+            raise CorruptCache(f"checksum mismatch in {path}")
     except CorruptCache:
         raise
     except (ValueError, KeyError, TypeError) as exc:
@@ -95,11 +108,12 @@ def _cache_load(path: str, op_hash: str, p: int, K: int, N: int) -> TruncatedSer
     return TruncatedSeries(coeffs, prime=p, cap=K, guaranteed=K)
 
 
-def _cache_store(path: str, op_hash: str, p: int, K: int, N: int,
+def _cache_store(path: str, op_hash: str, role: str, p: int, K: int, N: int,
                  series: TruncatedSeries) -> None:
     """Atomic write: temp file in the same directory, then rename."""
     payload = {
-        "operator_hash": op_hash, "p": p, "K": K, "N": N,
+        "operator_hash": op_hash, "role": role, "p": p, "K": K, "N": N,
+        "sha256": _coeffs_digest(series.coeffs),
         "coeffs": [str(c) for c in series.coeffs],
     }
     directory = os.path.dirname(path)
@@ -117,31 +131,40 @@ def _cache_store(path: str, op_hash: str, p: int, K: int, N: int,
 
 
 def cache_series(op: ThetaOperator, p: int, K: int, N: int,
-                 cache_dir: Optional[str] = None) -> TruncatedSeries:
-    """Residues c_0 .. c_N mod p^K of the normalized solution, memoized.
+                 cache_dir: Optional[str] = None,
+                 wedge: bool = False) -> TruncatedSeries:
+    """Residues c_0 .. c_N mod p^K of the normalized solution of ``op``, or
+    of its exterior square when ``wedge`` is true, memoized.
 
-    The key is a content hash of the operator JSON together with (p, K, N);
+    The key is a content hash of the JSON of ``op`` (the source operator
+    also for the wedge series), the role ``op`` / ``wedge``, and (p, K, N);
     changing any operator coefficient changes the key.  A valid cache file is
-    reloaded without recomputation; a corrupt one is silently recomputed and
-    overwritten.  If the cache directory cannot be used at all, the series is
-    simply computed and returned uncached.
+    reloaded without recomputation, and without building the exterior square;
+    a corrupt one is silently recomputed and overwritten.  If the cache
+    directory cannot be used at all, the series is simply computed and
+    returned uncached.
     """
     directory = cache_dir if cache_dir is not None else _default_cache_dir()
     op_hash = _operator_hash(op)
+    role = "wedge" if wedge else "op"
+
+    def compute() -> TruncatedSeries:
+        return solve_series(wedge_square(op) if wedge else op, N, p=p, K=K)
+
     try:
         os.makedirs(directory, exist_ok=True)
-        path = _cache_path(directory, op_hash, p, K, N)
+        path = _cache_path(directory, op_hash, role, p, K, N)
     except OSError:
-        return solve_series(op, N, p=p, K=K)
+        return compute()
     try:
-        return _cache_load(path, op_hash, p, K, N)
+        return _cache_load(path, op_hash, role, p, K, N)
     except FileNotFoundError:
         pass
     except (CorruptCache, OSError):
         pass  # silent recompute below; the fresh write replaces the bad file
-    series = solve_series(op, N, p=p, K=K)
+    series = compute()
     try:
-        _cache_store(path, op_hash, p, K, N, series)
+        _cache_store(path, op_hash, role, p, K, N, series)
     except OSError:
         pass  # caching is best-effort; the result is still correct
     return series
@@ -195,11 +218,11 @@ def _load_operator(spec: str) -> ThetaOperator:
 def _series_source(use_cache: bool, cache_dir: Optional[str]) -> SeriesSource:
     """Series at precision s, through the disk cache unless ``use_cache`` is
     false."""
-    def series(op: ThetaOperator, p: int, s: int) -> TruncatedSeries:
-        N = p**s - 1
-        if use_cache:
-            return cache_series(op, p, s, N, cache_dir)
-        return solve_series(op, N, p=p, K=s)
+    if not use_cache:
+        return row_series
+
+    def series(op: ThetaOperator, p: int, s: int, wedge: bool) -> TruncatedSeries:
+        return cache_series(op, p, s, p**s - 1, cache_dir, wedge)
     return series
 
 
@@ -325,11 +348,10 @@ def cmd_frob(args: argparse.Namespace) -> int:
     fiber = z0 in roots
     s = args.precision or required_precision(p, want_singular=bool(roots))
     series = _series_source(not args.no_cache, args.cache_dir)
-    wop = wedge_square(op)
     escalated = False
     while True:
         try:
-            f0, F0 = series(op, p, s), series(wop, p, s)
+            F0, f0 = series(op, p, s, True), series(op, p, s, False)
             r1, rh = unit_roots(f0, F0, z0, p, s)
             a, b = assemble_frobenius(r1, rh, p, at_singular_fiber=fiber)
             break

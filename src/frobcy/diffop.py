@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence
 
+from .padic import PrecisionExhausted
 from .polyrat import RatPoly, RationalFunction
 
 try:
@@ -36,10 +37,6 @@ except ImportError:  # pragma: no cover - gmpy2 is a soft dependency
 
 class NonIntegralSolution(ArithmeticError):
     """The exact series recurrence produced a non-integer coefficient."""
-
-
-class PrecisionExhausted(ArithmeticError):
-    """Modular series solving ran out of certified p-adic digits."""
 
 
 def _int_content_sign(rows: Sequence[Sequence[int]]) -> int:

@@ -45,10 +45,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .congruence import OutsideUnitDisk, dwork_ratio
-from .diffop import ThetaOperator, TruncatedSeries, solve_series
+from .diffop import TruncatedSeries
 from .padic import PadicNumber, balanced_lift, balanced_residue, teichmueller_residue
 
 
@@ -279,25 +279,6 @@ def weil_verify(a: int, b: int, p: int) -> bool:
         return False
     lo, hi = _weil_b_range(a, p)
     return lo <= b <= hi
-
-
-def frobenius_from_operator(op: ThetaOperator, p: int, z0: int, s: int,
-                            f0: Optional[TruncatedSeries] = None,
-                            F0: Optional[TruncatedSeries] = None,
-                            wedge_op: Optional[ThetaOperator] = None
-                            ) -> Tuple[int, int]:
-    """(a, b) at z0 directly from an operator (convenience; computes series
-    of length p^s when they are not supplied)."""
-    N = p**s - 1
-    if f0 is None:
-        f0 = solve_series(op, N, p=p, K=s)
-    if F0 is None:
-        if wedge_op is None:
-            from .wedge import wedge_square
-            wedge_op = wedge_square(op)
-        F0 = solve_series(wedge_op, N, p=p, K=s)
-    r1, rh = unit_roots(f0, F0, z0, p, s)
-    return assemble_frobenius(r1, rh, p)
 
 
 # -- the Legendre baseline ----------------------------------------------------------

@@ -18,7 +18,8 @@ class NotAUnit(ArithmeticError):
 
 
 class PrecisionExhausted(ArithmeticError):
-    """An operation would leave fewer than one certified p-adic digit."""
+    """An operation would leave fewer than one certified p-adic digit: p-adic
+    arithmetic here, or modular series solving in ``diffop``."""
 
 
 def _validate_prime(p: int) -> None:

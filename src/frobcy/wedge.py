@@ -9,7 +9,9 @@ exterior square carries the Leibniz action
 and eta := z * omega ^ (d/dz omega) = omega ^ theta omega generates it.
 ``wedge_square`` returns the minimal monic operator Q with Q(eta) = 0,
 computed purely by exact linear algebra over Q(z) -- the only route used;
-no closed-form product formula enters.
+no closed-form product formula enters.  It is memoized per process by the
+operator's JSON, so each operator's exterior square (and its closing
+``check_cy5``) is built at most once.
 
 ``f0_wedge_via_wronskian`` rebuilds the normalized solution of Q as
 w = f0^2 + z (f0 g' - f0' g), where f0 + (f0 log z + g) is the Frobenius
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .diffop import ThetaOperator, check_cy5, check_mum, solve_series, to_monic
 from .polyrat import (NoSolution, RatPoly, RationalFunction, poly_gcd,
@@ -118,6 +120,10 @@ class DifferentialModule:
 # -- the fifth-order companion ---------------------------------------------------
 
 
+# operator JSON -> its exterior square; only successful builds are stored
+_WEDGES: Dict[str, ThetaOperator] = {}
+
+
 def wedge_square(op: ThetaOperator) -> ThetaOperator:
     """Minimal monic operator annihilating eta = e_0 ^ e_1, order exactly 5.
 
@@ -126,7 +132,19 @@ def wedge_square(op: ThetaOperator) -> ThetaOperator:
     clearing denominators to the canonical integer form (content 1, positive
     leading constant).  Raises UnexpectedOrder when the iterates are linearly
     dependent before order 5.
+
+    The result is memoized by ``op.to_json()`` for the life of the process
+    and the same object is returned to every caller; an operator that raises
+    is not memoized.
     """
+    key = op.to_json()
+    out = _WEDGES.get(key)
+    if out is None:
+        out = _WEDGES[key] = _build_wedge(op)
+    return out
+
+
+def _build_wedge(op: ThetaOperator) -> ThetaOperator:
     if op.theta_order != 4:
         raise ValueError("wedge_square expects a fourth-order operator")
     if not check_mum(op):

@@ -50,29 +50,22 @@ def corrected_tables(appendix_tables, appendix_errata):
 
 @pytest.fixture(scope="session")
 def wedge_of():
-    """Session-cached exterior squares: ``wedge_of(name)`` computes each
-    catalog operator's order-5 companion once and reuses it everywhere."""
-    cache = {}
-
-    def get(name: str):
-        if name not in cache:
-            cache[name] = wedge_square(get_entry(name).operator)
-        return cache[name]
-
-    return get
+    """Exterior squares by catalog name: ``wedge_of(name)`` reads the
+    per-process memo of ``wedge_square``, so each catalog operator's order-5
+    companion is computed once and reused everywhere."""
+    return lambda name: wedge_square(get_entry(name).operator)
 
 
 @pytest.fixture(scope="session")
-def acceptance_tables(wedge_of, acceptance_timings):
+def acceptance_tables(acceptance_timings):
     """Computed classification rows for the four acceptance operators at all
     table primes — the expensive shared input of criteria 2 and 4."""
     t0 = time.monotonic()
     out = {}
     for name in ACCEPTANCE_OPERATORS:
         op = get_entry(name).operator
-        wop = wedge_of(name)
         for p in ACCEPTANCE_PRIMES:
-            out[name, p] = classify_operator(op, p, wedge_op=wop)
+            out[name, p] = classify_operator(op, p)
     acceptance_timings["tables"] = time.monotonic() - t0
     return out
 

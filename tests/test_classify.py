@@ -61,28 +61,24 @@ def eta_product_direct(factors, N):
 
 
 @pytest.fixture(scope="module")
-def aa_rows(wedge_of):
+def aa_rows():
     op = get_entry("A*a").operator
-    wop = wedge_of("A*a")
-    return {p: classify_operator(op, p, wedge_op=wop) for p in (3, 5, 7)}
+    return {p: classify_operator(op, p) for p in (3, 5, 7)}
 
 
 @pytest.fixture(scope="module")
-def bc5(wedge_of):
-    return classify_operator(get_entry("B*c").operator, 5,
-                             wedge_op=wedge_of("B*c"))
+def bc5():
+    return classify_operator(get_entry("B*c").operator, 5)
 
 
 @pytest.fixture(scope="module")
-def ba5(wedge_of):
-    return classify_operator(get_entry("B*a").operator, 5,
-                             wedge_op=wedge_of("B*a"))
+def ba5():
+    return classify_operator(get_entry("B*a").operator, 5)
 
 
 @pytest.fixture(scope="module")
-def dc5(wedge_of):
-    return classify_operator(get_entry("D*c").operator, 5,
-                             wedge_op=wedge_of("D*c"))
+def dc5():
+    return classify_operator(get_entry("D*c").operator, 5)
 
 
 class TestEtaProducts:
@@ -326,18 +322,15 @@ class TestClassifyOperatorRows:
         assert (z2.chi, z2.ap, z2.form) == (-1, 2, None)
         assert (z4.chi, z4.ap, z4.form) == (-1, -2, "8/1")
 
-    def test_classification_stable_at_higher_precision(self, aa_rows,
-                                                       wedge_of):
-        again = classify_operator(get_entry("A*a").operator, 5,
-                                  wedge_op=wedge_of("A*a"), s=5)
+    def test_classification_stable_at_higher_precision(self, aa_rows):
+        again = classify_operator(get_entry("A*a").operator, 5, s=5)
         assert [r.cell() for r in again] == [r.cell() for r in aa_rows[5]]
         assert [r.status for r in again] == [r.status for r in aa_rows[5]]
 
-    def test_escalation_from_one_digit_low(self, wedge_of):
+    def test_escalation_from_one_digit_low(self):
         # At s = 3 the residues of A*d at p = 5, z = 2 fit two admissible
         # pairs, (-8, 43) and (-8, -82); the row escalates to s = 4.
-        row = classify_operator(get_entry("A*d").operator, 5,
-                                wedge_op=wedge_of("A*d"), s=3)
+        row = classify_operator(get_entry("A*d").operator, 5, s=3)
         z2 = row[1]
         assert z2.cell() == "(-8,-82)*" and z2.escalated
         assert [r.escalated for r in row if r.z0 != 2] == [False] * 3
@@ -371,14 +364,14 @@ class TestClassifyOperatorRows:
             match_singular_ap(5, z2.ap)
 
 
-def test_full_catalog_reproduces_corrected_tables(wedge_of, corrected_tables):
+def test_full_catalog_reproduces_corrected_tables(corrected_tables):
     """All 24 operators at p = 3 .. 17 (1200 cells) equal the stored tables
     with every erratum applied, and no catalog cell needs escalation."""
     cells = 0
     for name in CATALOG:
         op = get_entry(name).operator
         for p in PRIMES:
-            row = classify_operator(op, p, wedge_op=wedge_of(name))
+            row = classify_operator(op, p)
             assert {str(r.z0): r.cell() for r in row} == \
                 corrected_tables[name][str(p)], (name, p)
             assert not any(r.escalated for r in row), (name, p)

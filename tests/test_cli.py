@@ -10,6 +10,7 @@ end to end in a fresh process: the installed ``frobcy`` when one is on PATH,
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -19,11 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from frobcy import cli
+from frobcy import classify, cli, wedge
 from frobcy.catalog import CATALOG, get_entry, sequence_terms_via_recurrence
 from frobcy.classify import classify_operator, results_to_csv
 from frobcy.diffop import PrecisionExhausted, ThetaOperator, solve_series
 from frobcy.frobenius import frobenius_quartic
+from frobcy.padic import PadicNumber
 from frobcy.wedge import wedge_square
 
 
@@ -111,8 +113,11 @@ class TestCacheSeries:
         path = tmp_path / os.listdir(tmp_path)[0]
         data = json.loads(path.read_text(encoding="utf-8"))
         assert data["operator_hash"] == cli._operator_hash(op)
+        assert data["role"] == "op"
         assert (data["p"], data["K"], data["N"]) == (self.P, self.K, self.N)
         assert data["coeffs"] == [str(c) for c in series.coeffs]
+        assert data["sha256"] == hashlib.sha256(
+            ",".join(data["coeffs"]).encode("ascii")).hexdigest()
 
     def test_hit_skips_recomputation(self, tmp_path, monkeypatch):
         op, series = self.fresh(tmp_path)
@@ -131,20 +136,59 @@ class TestCacheSeries:
         data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
         op2 = ThetaOperator.from_json(json.dumps(data))
         assert cli._operator_hash(op2) != cli._operator_hash(op)
-        path2 = cli._cache_path(str(tmp_path), cli._operator_hash(op2),
+        path2 = cli._cache_path(str(tmp_path), cli._operator_hash(op2), "op",
                                 self.P, self.K, self.N)
         assert not os.path.exists(path2)  # the seeded entry cannot be reused
         with pytest.raises(FileNotFoundError):
-            cli._cache_load(path2, cli._operator_hash(op2),
+            cli._cache_load(path2, cli._operator_hash(op2), "op",
                             self.P, self.K, self.N)
 
     def test_key_changes_with_parameters(self, tmp_path):
         op = get_entry("A*a").operator
         h = cli._operator_hash(op)
         d = str(tmp_path)
-        paths = {cli._cache_path(d, h, 5, 2, 24), cli._cache_path(d, h, 5, 3, 24),
-                 cli._cache_path(d, h, 5, 2, 25), cli._cache_path(d, h, 7, 2, 24)}
-        assert len(paths) == 4
+        paths = {cli._cache_path(d, h, "op", 5, 2, 24),
+                 cli._cache_path(d, h, "op", 5, 3, 24),
+                 cli._cache_path(d, h, "op", 5, 2, 25),
+                 cli._cache_path(d, h, "op", 7, 2, 24),
+                 cli._cache_path(d, h, "wedge", 5, 2, 24)}
+        assert len(paths) == 5
+
+    def test_wedge_series_keyed_by_source_operator(self, tmp_path):
+        op, own = self.fresh(tmp_path)
+        got = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path),
+                               wedge=True)
+        direct = solve_series(wedge_square(op), self.N, p=self.P, K=self.K)
+        assert got.coeffs == direct.coeffs != own.coeffs
+        h, d = cli._operator_hash(op), str(tmp_path)
+        op_path, wedge_path = (cli._cache_path(d, h, role, self.P, self.K, self.N)
+                               for role in ("op", "wedge"))
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(path) for path in (op_path, wedge_path))
+        data = json.loads(Path(wedge_path).read_text(encoding="utf-8"))
+        assert (data["operator_hash"], data["role"]) == (h, "wedge")
+        assert cli._cache_load(wedge_path, h, "wedge",
+                               self.P, self.K, self.N).coeffs == got.coeffs
+        with pytest.raises(cli.CorruptCache, match="header mismatch"):
+            cli._cache_load(wedge_path, h, "op", self.P, self.K, self.N)
+
+    def test_in_range_digit_flip_recomputed(self, tmp_path):
+        op, series = self.fresh(tmp_path)
+        h = cli._operator_hash(op)
+        path = cli._cache_path(str(tmp_path), h, "op", self.P, self.K, self.N)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        # raise the last digit of the first coefficient where that stays a
+        # residue mod p^K: every structural check still passes
+        i = next(i for i, c in enumerate(data["coeffs"][1:], 1)
+                 if c[-1] != "9" and int(c) + 1 < self.P**self.K)
+        data["coeffs"][i] = data["coeffs"][i][:-1] + str(int(data["coeffs"][i][-1]) + 1)
+        Path(path).write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(cli.CorruptCache, match="checksum mismatch"):
+            cli._cache_load(path, h, "op", self.P, self.K, self.N)
+        again = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
+        assert again.coeffs == series.coeffs
+        assert cli._cache_load(path, h, "op", self.P, self.K,
+                               self.N).coeffs == series.coeffs
 
     def test_truncated_file_recomputed_and_repaired(self, tmp_path, monkeypatch):
         op, series = self.fresh(tmp_path)
@@ -171,19 +215,22 @@ class TestCacheSeries:
 
         rewrite(operator_hash="0" * 64)
         with pytest.raises(cli.CorruptCache, match="header mismatch"):
-            cli._cache_load(path, h, self.P, self.K, self.N)
+            cli._cache_load(path, h, "op", self.P, self.K, self.N)
+        rewrite(role="wedge")
+        with pytest.raises(cli.CorruptCache, match="header mismatch"):
+            cli._cache_load(path, h, "op", self.P, self.K, self.N)
         rewrite(coeffs=good["coeffs"][:-1])
         with pytest.raises(cli.CorruptCache, match="bad coefficient array"):
-            cli._cache_load(path, h, self.P, self.K, self.N)
+            cli._cache_load(path, h, "op", self.P, self.K, self.N)
         rewrite(coeffs=good["coeffs"][:-1] + [str(self.P**self.K)])
         with pytest.raises(cli.CorruptCache, match="residue out of range"):
-            cli._cache_load(path, h, self.P, self.K, self.N)
+            cli._cache_load(path, h, "op", self.P, self.K, self.N)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{not json")
         with pytest.raises(cli.CorruptCache, match="unreadable"):
-            cli._cache_load(path, h, self.P, self.K, self.N)
+            cli._cache_load(path, h, "op", self.P, self.K, self.N)
         with pytest.raises(FileNotFoundError):
-            cli._cache_load(path + ".missing", h, self.P, self.K, self.N)
+            cli._cache_load(path + ".missing", h, "op", self.P, self.K, self.N)
 
     def test_unusable_directory_falls_back_to_compute(self, tmp_path):
         blocker = tmp_path / "file"
@@ -323,6 +370,45 @@ class TestCmdTable:
             "(6,-6)'", "(28,38)*", "-", "(32,62)*"]
 
 
+# -- one exterior square per operator ----------------------------------------------
+
+
+class TestWedgeMemo:
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_cold_table_builds_one_wedge(self, cached, capsys, tmp_path,
+                                         monkeypatch, corrected_tables):
+        monkeypatch.setattr(wedge, "_WEDGES", {})
+        closing_checks = []
+        real = wedge.check_cy5
+        monkeypatch.setattr(wedge, "check_cy5",
+                            lambda q: closing_checks.append(q) or real(q))
+        flags = ["--cache-dir", str(tmp_path)] if cached else ["--no-cache"]
+        code, out, _ = run(["table", "--operator", "A*b", "--primes", "3,5,7",
+                            "--format", "json", *flags], capsys)
+        assert code == 0 and len(closing_checks) == 1
+        assert json.loads(out)["A*b"] == {
+            str(p): corrected_tables["A*b"][str(p)] for p in (3, 5, 7)}
+
+    def test_warm_cache_builds_no_wedge(self, capsys, tmp_path, monkeypatch):
+        # smooth, fiber and undefined cells of A*a at p = 7
+        frobs = [["frob", "--operator", "A*a", "--prime", "7", "--point", z]
+                 for z in ("1", "3", "6")]
+        table = ["table", "--operator", "A*a", "--primes", "5,7",
+                 "--format", "json"]
+        cache = ["--cache-dir", str(tmp_path)]
+        cold = [run(argv + cache, capsys) for argv in [table]] + \
+               [run(argv + ["--no-cache"], capsys) for argv in frobs]
+        assert [code for code, _, _ in cold] == [0] * 4
+
+        def refuse(op):
+            raise AssertionError("a warm cache must not build a wedge")
+
+        for module in (wedge, classify, cli):
+            monkeypatch.setattr(module, "wedge_square", refuse)
+        warm = [run(argv + cache, capsys) for argv in [table] + frobs]
+        assert warm == cold
+
+
 # -- frob subcommand ------------------------------------------------------------------
 
 
@@ -413,6 +499,16 @@ class TestCmdFrob:
         assert got["cell"] == "(-8,-82)*" and got["precision"] == 4
         assert got["certificate"] == {"fiber": True, "candidates": 1,
                                       "escalated": True}
+
+    def test_padic_precision_loss_exits_one(self, capsys, monkeypatch):
+        def lossy(f0, F0, z0, p, s):
+            return PadicNumber(p, s, 1, 0), None  # no certified digit left
+
+        monkeypatch.setattr(cli, "unit_roots", lossy)
+        code, out, err = run(["frob", "--operator", "A*a", "--prime", "7",
+                              "--point", "2", "--no-cache"], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_zero_point_is_usage_error(self, capsys):
         code, _, err = run(["frob", "--operator", "A*a", "--prime", "7",

@@ -11,12 +11,12 @@ from frobcy.congruence import OutsideUnitDisk
 from frobcy.diffop import solve_series
 from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
                               assemble_frobenius, box_precision,
-                              decode_frobenius, frobenius_from_operator,
-                              frobenius_quartic, legendre_frobenius,
-                              legendre_precision, legendre_trace_bruteforce,
-                              legendre_unit_root, required_precision,
-                              unit_roots, weil_verify)
+                              decode_frobenius, frobenius_quartic,
+                              legendre_frobenius, legendre_precision,
+                              legendre_trace_bruteforce, legendre_unit_root,
+                              required_precision, unit_roots, weil_verify)
 from frobcy.padic import PadicNumber
+from frobcy.wedge import wedge_square
 
 PRIMES = (3, 5, 7, 11, 13, 17)
 
@@ -28,6 +28,16 @@ def weil_shape(a: int, b: int, p: int) -> bool:
     t = 4 * p**3 + c
     return (a * a - 4 * c >= 0 and a * a <= 16 * p**3
             and t >= 0 and t * t >= 4 * a * a * p**3)
+
+
+def frobenius_from_operator(op, p: int, z0: int, s: int):
+    """Reference (a, b) at z0 straight from an operator: both series of length
+    p^s solved afresh, then unit roots and assembly, with no series source,
+    cache or escalation in between."""
+    N = p**s - 1
+    f0 = solve_series(op, N, p=p, K=s)
+    F0 = solve_series(wedge_square(op), N, p=p, K=s)
+    return assemble_frobenius(*unit_roots(f0, F0, z0, p, s), p)
 
 
 def admissible_pairs(p: int, with_split: bool):
