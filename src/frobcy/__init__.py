@@ -9,6 +9,18 @@
 * degree-4 Frobenius polynomials from p-adic unit roots (``frobenius``)
 * splitting classification and modular-form matching (``classify``)
 * the ``frobcy`` command line (``cli``)
+
+Every exception class the package defines derives from ``FrobcyError``; the
+command line reports a ``UsageError`` with exit code 2 and any other
+``FrobcyError`` with exit code 1, each as one line.
 """
 
 __version__ = "1.0.0"
+
+
+class FrobcyError(Exception):
+    """Base of every error frobcy raises on purpose."""
+
+
+class UsageError(FrobcyError, ValueError):
+    """The request itself is invalid: a bad argument, operator file or point."""

@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
+from . import FrobcyError
 from .diffop import NonIntegralSolution, ThetaOperator, solve_series
 from .polyrat import RatPoly, rational_roots
 
@@ -293,7 +294,7 @@ def sequence_terms_via_recurrence(name: str, N: int) -> List[int]:
     return solve_series(SECOND_ORDER[name], N).coeffs
 
 
-class LengthMismatch(ValueError):
+class LengthMismatch(FrobcyError, ValueError):
     """An input sequence is shorter than the requested output length."""
 
 

@@ -32,12 +32,14 @@ import os
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import FrobcyError
 from .congruence import OutsideUnitDisk
 from .diffop import ThetaOperator, TruncatedSeries, solve_series, symbol_roots_mod_p
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
                         unit_roots, weil_verify)
+from .padic import PadicNumber
 from .wedge import wedge_square
 
 FORMS_DIR_ENV = "FROBCY_FORMS_DIR"
@@ -47,7 +49,7 @@ FORMS_DIR_ENV = "FROBCY_FORMS_DIR"
 SeriesSource = Callable[[ThetaOperator, int, int, bool], TruncatedSeries]
 
 
-class NoFixture(LookupError):
+class NoFixture(FrobcyError, LookupError):
     """No stored modular form matches the requested coefficient."""
 
 
@@ -210,6 +212,9 @@ class PointClass:
     ap: Optional[int] = None
     form: Optional[str] = None
     escalated: bool = False  # certified only above the row's starting precision
+    s: Optional[int] = None  # the precision p^s the cell was settled at
+    r1: Optional[PadicNumber] = None  # unit roots of the operator and of its
+    rh: Optional[PadicNumber] = None  # exterior square (None when undefined)
 
     def cell(self) -> str:
         """Compact table cell: (a,b) / (a,b)' / (a,b)* / (a,b)! / - ."""
@@ -251,25 +256,29 @@ def classify_ab(a: int, b: int, p: int, at_singular_fiber: bool) -> PointClass:
 
 
 def classify_point(op: ThetaOperator, p: int, z0: int, s: int,
-                   f0: TruncatedSeries, F0: TruncatedSeries) -> PointClass:
-    """Classify one point given precomputed series of both factors.  Raises
-    Uncertified when s does not yet settle (a, b) (see assemble_frobenius)."""
-    fiber = z0 % p in set(symbol_roots_mod_p(op, p))
+                   f0: TruncatedSeries, F0: TruncatedSeries,
+                   fiber: bool) -> PointClass:
+    """Classify one point at precision s given precomputed series of both
+    factors; ``fiber`` tells whether the leading symbol vanishes at z0 mod p.
+    Raises Uncertified when s does not yet settle (a, b) (see
+    assemble_frobenius)."""
     try:
         r1, rh = unit_roots(f0, F0, z0, p, s)
     except OutsideUnitDisk:
         return PointClass(operator=op.name, p=p, z0=z0, status="undefined",
-                          at_singular_fiber=fiber)
+                          at_singular_fiber=fiber, s=s)
     a, b = assemble_frobenius(r1, rh, p, at_singular_fiber=fiber)
     pc = classify_ab(a, b, p, fiber)
-    pc.operator, pc.z0 = op.name, z0
+    pc.operator, pc.z0, pc.s, pc.r1, pc.rh = op.name, z0, s, r1, rh
     return pc
 
 
 def classify_operator(op: ThetaOperator, p: int,
                       s: Optional[int] = None,
-                      series: Optional[SeriesSource] = None) -> List[PointClass]:
-    """Classify all points z0 = 1 .. p-1 of one operator.
+                      series: Optional[SeriesSource] = None,
+                      points: Optional[Sequence[int]] = None) -> List[PointClass]:
+    """Classify the points z0 in ``points`` (default: 1 .. p-1) of one
+    operator, in that order.
 
     The working precision defaults to ``required_precision``, with the split
     pairs admitted exactly when the leading symbol has roots mod p.  The two
@@ -280,12 +289,13 @@ def classify_operator(op: ThetaOperator, p: int,
     at s + 1 and that point is classified again (``escalated`` marks it),
     until ``box_precision``, where every balanced lift is settled.
     """
-    roots = symbol_roots_mod_p(op, p)
+    roots = set(symbol_roots_mod_p(op, p))
     if s is None:
         s = required_precision(p, want_singular=bool(roots))
     series = series or row_series
+    points = list(range(1, p) if points is None else points)
     cells: Dict[int, PointClass] = {}
-    pending = list(range(1, p))
+    pending = points
     escalated = False
     while pending:
         # the wedge first: a miss builds it, which rejects an unusable op
@@ -294,13 +304,14 @@ def classify_operator(op: ThetaOperator, p: int,
         retry = []
         for z0 in pending:
             try:
-                cells[z0] = classify_point(op, p, z0, s, f0, F0)
+                cells[z0] = classify_point(op, p, z0, s, f0, F0,
+                                           z0 % p in roots)
             except Uncertified:
                 retry.append(z0)
             else:
                 cells[z0].escalated = escalated
         pending, s, escalated = retry, s + 1, True
-    return [cells[z0] for z0 in range(1, p)]
+    return [cells[z0] for z0 in points]
 
 
 def row_series(op: ThetaOperator, p: int, s: int, wedge: bool) -> TruncatedSeries:

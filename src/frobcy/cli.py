@@ -25,6 +25,16 @@ cache or ``--no-cache`` is given; a query on a warm cache builds none.
 Each task shares its two read-only series across the row's cells, each
 worker keeps its own wedge memo, and results are emitted in task order, so
 output is byte-identical to a serial run for every k.
+
+Every cell goes through ``classify_operator``: a ``table`` or ``classify``
+row classifies the points 1 .. p-1, a ``frob`` query only its point, with
+the same escalation; ``frob --precision s`` classifies the point once at s.
+``classify`` is the ``table`` sweep of one operator in CSV.
+
+``main`` alone turns errors into exit codes: a ``UsageError`` (bad
+argument, operator file or point) exits 2 and any other ``FrobcyError``
+exits 1, each as one ``error: ...`` line on stderr.  A table row that fails
+is reported as data: one line naming the operator and p, exit 1.
 """
 
 from __future__ import annotations
@@ -37,15 +47,16 @@ import sys
 import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .catalog import CATALOG, catalog, get_entry, sequence_terms_via_recurrence
-from .classify import (PointClass, SeriesSource, classify_ab,
-                       classify_operator, results_to_csv, row_series)
+from . import FrobcyError, UsageError
+from .catalog import (CATALOG, SECOND_ORDER, catalog, get_entry,
+                      sequence_terms_via_recurrence)
+from .classify import (PointClass, SeriesSource, classify_operator,
+                       classify_point, results_to_csv, row_series)
 from .congruence import CongruenceReport, OutsideUnitDisk, check_dwork_congruence
 from .diffop import ThetaOperator, TruncatedSeries, solve_series, symbol_roots_mod_p
-from .frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
-                        assemble_frobenius, decode_frobenius, frobenius_quartic,
-                        legendre_unit_root, required_precision, unit_roots)
-from .padic import PadicNumber, PrecisionExhausted, balanced_residue
+from .frobenius import (decode_frobenius, frobenius_quartic, legendre_frobenius,
+                        legendre_unit_root)
+from .padic import PadicNumber, is_odd_prime
 from .wedge import wedge_square
 
 __all__ = ["CorruptCache", "cache_series", "main"]
@@ -54,7 +65,7 @@ __all__ = ["CorruptCache", "cache_series", "main"]
 # -- series cache -------------------------------------------------------------------
 
 
-class CorruptCache(Exception):
+class CorruptCache(FrobcyError):
     """A cache file failed validation (damaged, truncated, or mismatched)."""
 
 
@@ -173,46 +184,45 @@ def cache_series(op: ThetaOperator, p: int, K: int, N: int,
 # -- shared computation helpers --------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _check_prime(p: int) -> int:
-    if p < 3 or not _is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    if not is_odd_prime(p):
+        raise UsageError(f"{p} is not an odd prime")
     return p
 
 
 def _parse_primes(text: str) -> List[int]:
     """Accept '3..17' (all odd primes in the range) or '3,5,7' / '7'."""
     text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        primes = [p for p in range(max(lo, 3), hi + 1) if _is_prime(p)]
+    lo_s, is_range, hi_s = text.partition("..")
+    try:
+        if is_range:
+            lo, hi = int(lo_s), int(hi_s)
+        else:
+            listed = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise UsageError(f"not a prime range or list: {text!r}") from None
+    if is_range:
+        primes = [p for p in range(max(lo, 3), hi + 1) if is_odd_prime(p)]
         if not primes:
-            raise ValueError(f"no odd primes in range {text!r}")
+            raise UsageError(f"no odd primes in range {text!r}")
         return primes
-    return [_check_prime(int(part)) for part in text.split(",") if part.strip()]
+    return [_check_prime(p) for p in listed]
 
 
 def _load_operator(spec: str) -> ThetaOperator:
     """Catalog name, or path to a JSON operator file."""
     if spec in CATALOG:
         return get_entry(spec).operator
-    if os.path.exists(spec):
+    if not os.path.exists(spec):
+        raise UsageError(
+            f"unknown operator {spec!r}: not a catalog name and not a file")
+    try:
         with open(spec, "r", encoding="utf-8") as fh:
             return ThetaOperator.from_json(fh.read())
-    raise ValueError(
-        f"unknown operator {spec!r}: not a catalog name and not a file"
-    )
+    except KeyError as exc:
+        raise UsageError(f"operator file {spec!r} has no field {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise UsageError(f"operator file {spec!r}: {exc}") from None
 
 
 def _series_source(use_cache: bool, cache_dir: Optional[str]) -> SeriesSource:
@@ -226,18 +236,14 @@ def _series_source(use_cache: bool, cache_dir: Optional[str]) -> SeriesSource:
     return series
 
 
-def _classified_row(op: ThetaOperator, p: int, use_cache: bool,
-                    cache_dir: Optional[str]) -> List[PointClass]:
-    return classify_operator(op, p, series=_series_source(use_cache, cache_dir))
-
-
 def _table_task(arg: Tuple[str, int, bool, Optional[str]]
                 ) -> Tuple[List[PointClass], Optional[str]]:
     """Worker: one (operator, prime) row; never raises (errors are data)."""
     op_json, p, use_cache, cache_dir = arg
     op = ThetaOperator.from_json(op_json)
     try:
-        return _classified_row(op, p, use_cache, cache_dir), None
+        series = _series_source(use_cache, cache_dir)
+        return classify_operator(op, p, series=series), None
     except Exception as exc:  # noqa: BLE001 - reported as a diagnostic
         label = op.name or "operator"
         return [], f"{label} p={p}: {type(exc).__name__}: {exc}"
@@ -286,20 +292,28 @@ def cmd_table(args: argparse.Namespace) -> int:
     names = args.operator or list(CATALOG)
     if names == ["all"]:
         names = list(CATALOG)
-    try:
-        ops = [(n, _load_operator(n)) for n in names]
-        primes = _parse_primes(args.primes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return _sweep(names, args.format, args.jobs, args)
+
+
+def cmd_classify(args: argparse.Namespace) -> int:
+    """The ``table`` sweep of one operator, in CSV."""
+    return _sweep([args.operator], "csv", 1, args)
+
+
+def _sweep(names: Sequence[str], fmt: str, jobs: int,
+           args: argparse.Namespace) -> int:
+    """Classify every (operator, prime) row, emit the rows that succeed, and
+    report each failed row as one stderr line (exit 1)."""
+    ops = [(n, _load_operator(n)) for n in names]
+    primes = _parse_primes(args.primes)
     cache_dir = args.cache_dir
     use_cache = not args.no_cache
     tasks = [(op.to_json(), p, use_cache, cache_dir)
              for _n, op in ops for p in primes]
 
-    if args.jobs > 1:
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_table_task, tasks))
     else:
         outcomes = [_table_task(t) for t in tasks]
@@ -316,9 +330,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             else:
                 groups.append((name, p, rows))
 
-    if args.format == "markdown":
+    if fmt == "markdown":
         text = _markdown_tables(groups)
-    elif args.format == "json":
+    elif fmt == "json":
         text = _json_tables(groups)
     else:
         text = results_to_csv([r for _n, _p, rows in groups for r in rows])
@@ -330,71 +344,50 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_frob(args: argparse.Namespace) -> int:
-    """One cell at the row's working precision, escalated like a table row
-    until (a, b) is certified; an explicit --precision is used as given."""
-    try:
-        op = _load_operator(args.operator)
-        p = _check_prime(args.prime)
-        if args.precision is not None and args.precision < 1:
-            raise ValueError(f"--precision must be >= 1, not {args.precision}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    """One cell, certified as in its table row (``classify_operator`` on the
+    one point, escalating as needed); an explicit --precision is used as
+    given and never escalates."""
+    op = _load_operator(args.operator)
+    p = _check_prime(args.prime)
+    if args.precision is not None and args.precision < 1:
+        raise UsageError(f"--precision must be >= 1, not {args.precision}")
     z0 = args.point % p
     if z0 == 0:
-        print("error: the point must be nonzero mod p", file=sys.stderr)
-        return 2
-    roots = symbol_roots_mod_p(op, p)
-    fiber = z0 in roots
-    s = args.precision or required_precision(p, want_singular=bool(roots))
+        raise UsageError("the point must be nonzero mod p")
     series = _series_source(not args.no_cache, args.cache_dir)
-    escalated = False
-    while True:
-        try:
-            F0, f0 = series(op, p, s, True), series(op, p, s, False)
-            r1, rh = unit_roots(f0, F0, z0, p, s)
-            a, b = assemble_frobenius(r1, rh, p, at_singular_fiber=fiber)
-            break
-        except OutsideUnitDisk:
-            r1 = None
-            break
-        except Uncertified as exc:
-            if args.precision is not None:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            s, escalated = s + 1, True
-        except (PrecisionExhausted, LiftOutOfBound) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    if args.precision is None:
+        pc = classify_operator(op, p, series=series, points=[z0])[0]
+    else:
+        s = args.precision
+        F0 = series(op, p, s, True)  # the wedge first, as in a row
+        pc = classify_point(op, p, z0, s, series(op, p, s, False), F0,
+                            z0 in symbol_roots_mod_p(op, p))
     result: Dict[str, object] = {
-        "operator": op.name or args.operator, "p": p, "z": z0, "precision": s,
+        "operator": op.name or args.operator, "p": p, "z": z0,
+        "precision": pc.s,
     }
-    if r1 is None:
+    if pc.status == "undefined":
         result.update(status="undefined", a=None, b=None, r1=None, rh=None,
                       cell="-")
         candidates = 0
     else:
-        pc = classify_ab(a, b, p, fiber)
         result.update(
-            status=pc.status, a=a, b=b,
+            status=pc.status, a=pc.a, b=pc.b,
             alpha=pc.alpha, beta=pc.beta, chi=pc.chi, ap=pc.ap, form=pc.form,
-            quartic=frobenius_quartic(a, b, p), cell=pc.cell(),
-            r1=_padic_json(r1), rh=_padic_json(rh),
+            quartic=frobenius_quartic(pc.a, pc.b, p), cell=pc.cell(),
+            r1=_padic_json(pc.r1), rh=_padic_json(pc.rh),
         )
-        candidates = len(decode_frobenius(a, b, p, s, fiber))
-    result["certificate"] = {"fiber": fiber, "candidates": candidates,
-                             "escalated": escalated}
+        candidates = len(decode_frobenius(pc.a, pc.b, p, pc.s,
+                                          pc.at_singular_fiber))
+    result["certificate"] = {"fiber": pc.at_singular_fiber,
+                             "candidates": candidates,
+                             "escalated": pc.escalated}
     print(json.dumps(result, indent=1))
     return 0
 
 
 def cmd_wedge(args: argparse.Namespace) -> int:
-    try:
-        op = _load_operator(args.operator)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(wedge_square(op).to_json())
+    print(wedge_square(_load_operator(args.operator)).to_json())
     return 0
 
 
@@ -410,16 +403,16 @@ def _report_json(r: CongruenceReport) -> Dict[str, object]:
 
 def cmd_congruence(args: argparse.Namespace) -> int:
     name = args.sequence
-    try:
-        p = _check_prime(args.prime)
-        if name in CATALOG:
-            series = solve_series(get_entry(name).operator, args.nmax)
-            coeffs: Sequence[int] = series.coeffs
-        else:
-            coeffs = sequence_terms_via_recurrence(name, args.nmax)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    p = _check_prime(args.prime)
+    if args.nmax < 0:
+        raise UsageError(f"--nmax must be >= 0, not {args.nmax}")
+    if name in CATALOG:
+        coeffs: Sequence[int] = solve_series(get_entry(name).operator,
+                                             args.nmax).coeffs
+    elif name in SECOND_ORDER:
+        coeffs = sequence_terms_via_recurrence(name, args.nmax)
+    else:
+        raise UsageError(f"unknown sequence {name!r}")
     reports = [check_dwork_congruence(coeffs, p, s, args.nmax)
                for s in range(1, args.smax + 1)]
     payload = {
@@ -431,46 +424,18 @@ def cmd_congruence(args: argparse.Namespace) -> int:
     return 0 if payload["ok"] else 1
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        op = _load_operator(args.operator)
-        primes = _parse_primes(args.primes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows: List[PointClass] = []
-    for p in primes:
-        try:
-            rows.extend(_classified_row(op, p, not args.no_cache, args.cache_dir))
-        except PrecisionExhausted as exc:
-            print(f"error: p={p}: {exc}", file=sys.stderr)
-            return 1
-    _emit(results_to_csv(rows), args.output)
-    return 0
-
-
 def cmd_legendre(args: argparse.Namespace) -> int:
-    try:
-        p = _check_prime(args.prime)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    p = _check_prime(args.prime)
     result: Dict[str, object] = {"p": p, "s0": args.point % p}
     try:
         root = legendre_unit_root(p, args.point)
-    except SingularFiber as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OutsideUnitDisk:
         result.update(status="supersingular", pi=None, ap=None,
                       zeta_numerator=None)
-        print(json.dumps(result, indent=1))
-        return 0
-    ps = root.modulus
-    ap = balanced_residue((root.residue + p * pow(root.residue, -1, ps)) % ps,
-                          ps)
-    result.update(status="ordinary", pi=_padic_json(root), ap=ap,
-                  zeta_numerator=[1, -ap, p])
+    else:
+        ap = legendre_frobenius(p, args.point)
+        result.update(status="ordinary", pi=_padic_json(root), ap=ap,
+                      zeta_numerator=[1, -ap, p])
     print(json.dumps(result, indent=1))
     return 0
 
@@ -563,8 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; the one place where errors become exit codes."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FrobcyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from . import FrobcyError
 from .diffop import TruncatedSeries
 from .padic import PadicNumber, teichmueller_residue
 
 
-class OutsideUnitDisk(ArithmeticError):
+class OutsideUnitDisk(FrobcyError, ArithmeticError):
     """The (p-1)-truncation vanishes mod p at the requested point."""
 
 

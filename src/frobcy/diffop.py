@@ -9,8 +9,7 @@ solution of a MUM operator (P_0 = theta^n) is produced by the recurrence
 
     P_0(n) c_n = - sum_{i>=1} P_i(n - i) c_{n-i},
 
-either with exact big integers (primary path) or modulo p^K with pessimistic
-precision tracking.  Conversion to the monic d/dz form uses
+with exact big integers.  Conversion to the monic d/dz form uses
 
     theta^k = sum_j S(k, j) z^j D^j,
 
@@ -26,16 +25,16 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence
 
-from .padic import PrecisionExhausted
+from . import FrobcyError
 from .polyrat import RatPoly, RationalFunction
 
 try:
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a soft dependency
+except ImportError:  # pragma: no cover - gmpy2 is an optional extra
     mpz = int
 
 
-class NonIntegralSolution(ArithmeticError):
+class NonIntegralSolution(FrobcyError, ArithmeticError):
     """The exact series recurrence produced a non-integer coefficient."""
 
 
@@ -211,23 +210,16 @@ class TruncatedSeries:
 
 
 def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
-                 K: Optional[int] = None, mode: str = "exact") -> TruncatedSeries:
+                 K: Optional[int] = None) -> TruncatedSeries:
     """Normalized solution c_0 = 1 of a MUM operator, truncated at degree N.
 
-    mode="exact": big-integer recurrence; every division must be exact
+    The recurrence runs on exact big integers; every division must be exact
     (NonIntegralSolution otherwise).  When (p, K) are given, finished
     coefficients are stored reduced mod p^K while only the trailing window
     needed by the recurrence stays exact.
-
-    mode="modular": all arithmetic mod p^K with pessimistic precision
-    tracking; dividing by P_0(n) = n^order costs order * v_p(n) certified
-    digits and PrecisionExhausted is raised when fewer than one would remain.
     """
     if not check_mum(op):
         raise ValueError("series solving requires a MUM operator")
-    if mode not in ("exact", "modular"):
-        raise ValueError(f"unknown mode {mode!r}")
-    order = op.theta_order
     d = op.z_degree
     # P_i(m) evaluators over plain ints (coefficients are small)
     polys = [op.theta_poly(i) for i in range(d + 1)]
@@ -240,59 +232,27 @@ def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
 
     if N < 0:
         raise ValueError("truncation order must be >= 0")
+    if p is not None and K is None:
+        raise ValueError("storage reduction needs both p and K")
     w = max(d, 1)
-    if mode == "exact":
-        if p is not None and K is None:
-            raise ValueError("storage reduction needs both p and K")
-        reduce_mod = None if p is None else p**K
-        window = [mpz(1)] + [mpz(0)] * (w - 1)
-        out = [1]
-        for n in range(1, N + 1):
-            s = mpz(0)
-            for i in range(1, min(n, d) + 1):
-                s += peval(i, n - i) * window[(n - i) % w]
-            p0 = peval(0, n)  # = n^order for MUM
-            cn, rem = divmod(-s, p0)
-            if rem:
-                raise NonIntegralSolution(
-                    f"coefficient c_{n} is not an integer (operator {op.name or '?'})"
-                )
-            window[n % w] = cn
-            out.append(int(cn % reduce_mod) if reduce_mod else int(cn))
-        if reduce_mod:
-            return TruncatedSeries(out, p, K, K)
-        return TruncatedSeries(out)
-
-    # modular mode
-    if p is None or K is None:
-        raise ValueError("modular mode requires p and K")
-    pK = p**K
-    guaranteed = K
+    reduce_mod = None if p is None else p**K
+    window = [mpz(1)] + [mpz(0)] * (w - 1)
     out = [1]
-    window = [1] + [0] * (w - 1)
     for n in range(1, N + 1):
-        s = 0
+        s = mpz(0)
         for i in range(1, min(n, d) + 1):
-            s = (s + peval(i, n - i) * window[(n - i) % w]) % pK
-        s = (-s) % pK
-        m, v = n, 0
-        while m % p == 0:
-            m //= p
-            v += 1
-        loss = order * v
-        if loss:
-            if loss >= guaranteed:
-                raise PrecisionExhausted(
-                    f"dividing by P_0({n}) needs {loss} digits, "
-                    f"only {guaranteed} certified"
-                )
-            guaranteed -= loss
-            s //= p**loss
-        unit = pow(m, order, pK)
-        cn = s * pow(unit, -1, pK) % pK
+            s += peval(i, n - i) * window[(n - i) % w]
+        p0 = peval(0, n)  # = n^order for MUM
+        cn, rem = divmod(-s, p0)
+        if rem:
+            raise NonIntegralSolution(
+                f"coefficient c_{n} is not an integer (operator {op.name or '?'})"
+            )
         window[n % w] = cn
-        out.append(cn)
-    return TruncatedSeries(out, p, K, guaranteed)
+        out.append(int(cn % reduce_mod) if reduce_mod else int(cn))
+    if reduce_mod:
+        return TruncatedSeries(out, p, K, K)
+    return TruncatedSeries(out)
 
 
 # -- theta form <-> monic d/dz form --------------------------------------------

@@ -47,12 +47,13 @@ from functools import lru_cache
 from math import isqrt
 from typing import List, Tuple
 
+from . import FrobcyError, UsageError
 from .congruence import OutsideUnitDisk, dwork_ratio
 from .diffop import TruncatedSeries
 from .padic import PadicNumber, balanced_lift, balanced_residue, teichmueller_residue
 
 
-class LiftOutOfBound(ArithmeticError):
+class LiftOutOfBound(FrobcyError, ArithmeticError):
     """A balanced lift violates its archimedean bound: precision too low or
     the point is not of the expected kind."""
 
@@ -67,8 +68,9 @@ class Uncertified(LiftOutOfBound):
         self.p, self.s, self.candidates = p, s, candidates
 
 
-class SingularFiber(ArithmeticError):
-    """The requested fiber of the family is degenerate."""
+class SingularFiber(UsageError, ArithmeticError):
+    """The requested fiber of the family is degenerate: a bad point, so a
+    usage error."""
 
 
 # -- the admissible set and the precision policy -------------------------------------

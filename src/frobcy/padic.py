@@ -11,22 +11,22 @@ objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
+
+from . import FrobcyError
 
 
-class NotAUnit(ArithmeticError):
+class NotAUnit(FrobcyError, ArithmeticError):
     """Inversion (or unit-only division) was attempted on a non-unit."""
 
 
-class PrecisionExhausted(ArithmeticError):
-    """An operation would leave fewer than one certified p-adic digit: p-adic
-    arithmetic here, or modular series solving in ``diffop``."""
+class PrecisionExhausted(FrobcyError, ArithmeticError):
+    """An operation would leave fewer than one certified p-adic digit."""
 
 
-def _validate_prime(p: int) -> None:
-    if p == 2:
-        raise ValueError("p = 2 is not supported; an odd prime is required")
-    if p < 3 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"{p} is not an odd prime")
+def is_odd_prime(n: int) -> bool:
+    """True iff n is an odd prime (trial division)."""
+    return n >= 3 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ class PadicNumber:
     guaranteed: int
 
     def __post_init__(self) -> None:
-        _validate_prime(self.prime)
+        if not is_odd_prime(self.prime):
+            raise ValueError(f"{self.prime} is not an odd prime")
         if self.cap < 1:
             raise ValueError("precision cap must be >= 1")
         if not 1 <= self.guaranteed <= self.cap:
@@ -161,14 +162,6 @@ class PadicNumber:
                 f"certified {self.guaranteed})")
 
 
-def padic_inv(x: PadicNumber) -> PadicNumber:
-    """Multiplicative inverse of a unit; guaranteed precision is preserved."""
-    if not x.is_unit():
-        raise NotAUnit(f"residue {x.residue} is divisible by {x.prime}")
-    inv = pow(x.residue, -1, x.modulus)
-    return PadicNumber(x.prime, x.cap, inv, x.guaranteed)
-
-
 def padic_div(x: PadicNumber, y: PadicNumber) -> PadicNumber:
     """Division x/y; dividing by valuation v costs exactly v certified digits.
 
@@ -190,28 +183,11 @@ def padic_div(x: PadicNumber, y: PadicNumber) -> PadicNumber:
     return PadicNumber(x.prime, x.cap, res, min(g, x.cap))
 
 
-def teichmueller(x0: int, p: int, cap: int) -> PadicNumber:
-    """Teichmueller lift of the unit x0 mod p: the fixed point of x -> x^p.
-
-    Iterating x -> x^p mod p^cap gains at least one certified digit per step,
-    so at most ``cap`` iterations reach the unique (p-1)-st root of unity
-    congruent to x0 mod p.
-    """
-    _validate_prime(p)
-    if x0 % p == 0:
-        raise NotAUnit(f"{x0} is not a unit mod {p}")
-    m = p**cap
-    w = x0 % m
-    for _ in range(cap + 1):
-        w_next = pow(w, p, m)
-        if w_next == w:
-            break
-        w = w_next
-    return PadicNumber.exact(w, p, cap)
-
-
 def teichmueller_residue(x0: int, p: int, modulus: int) -> int:
-    """Raw-integer Teichmueller lift mod an explicit p-power modulus."""
+    """Teichmueller lift of the unit x0 mod p, as an integer mod an explicit
+    p-power modulus: the fixed point of x -> x^p, i.e. the unique (p-1)-st
+    root of unity congruent to x0 mod p.  Each iteration gains at least one
+    p-adic digit."""
     if x0 % p == 0:
         raise NotAUnit(f"{x0} is not a unit mod {p}")
     w = x0 % modulus

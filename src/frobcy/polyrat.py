@@ -16,8 +16,10 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Sequence
 
+from . import FrobcyError
 
-class NoSolution(ArithmeticError):
+
+class NoSolution(FrobcyError, ArithmeticError):
     """The linear system is inconsistent."""
 
 
@@ -427,10 +429,6 @@ class RationalFunction:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"({self.num!r})/({self.den!r})"
-
-
-def ratfun_derivative(f: RationalFunction) -> RationalFunction:
-    return f.derivative()
 
 
 def _clear_row_denominators(row: Sequence[RationalFunction], rhs: RationalFunction):

@@ -29,12 +29,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
+from . import FrobcyError
 from .diffop import ThetaOperator, check_cy5, check_mum, solve_series, to_monic
 from .polyrat import (NoSolution, RatPoly, RationalFunction, poly_gcd,
                       rational_roots, solve_linear_system)
 
 
-class UnexpectedOrder(ArithmeticError):
+class UnexpectedOrder(FrobcyError, ArithmeticError):
     """The minimal operator of eta does not have order 5.
 
     Order below 5 would mean dependent theta-iterates (kernel of the linear
@@ -42,7 +43,11 @@ class UnexpectedOrder(ArithmeticError):
     when the input lacks the order-4 self-duality."""
 
 
-class NotRationalY(ArithmeticError):
+class UnsupportedOperator(FrobcyError, ValueError):
+    """The input of ``wedge_square`` is not a fourth-order MUM operator."""
+
+
+class NotRationalY(FrobcyError, ArithmeticError):
     """exp of the required integral is not a rational function."""
 
 
@@ -130,8 +135,9 @@ def wedge_square(op: ThetaOperator) -> ThetaOperator:
     The relation is found by solving the 6x5 linear system
     [theta^0 eta ... theta^4 eta] x = theta^5 eta exactly over Q(z), then
     clearing denominators to the canonical integer form (content 1, positive
-    leading constant).  Raises UnexpectedOrder when the iterates are linearly
-    dependent before order 5.
+    leading constant).  Raises UnsupportedOperator unless ``op`` is a
+    fourth-order MUM operator, and UnexpectedOrder when the iterates are
+    linearly dependent before order 5 or span no order-5 relation.
 
     The result is memoized by ``op.to_json()`` for the life of the process
     and the same object is returned to every caller; an operator that raises
@@ -146,9 +152,9 @@ def wedge_square(op: ThetaOperator) -> ThetaOperator:
 
 def _build_wedge(op: ThetaOperator) -> ThetaOperator:
     if op.theta_order != 4:
-        raise ValueError("wedge_square expects a fourth-order operator")
+        raise UnsupportedOperator("wedge_square expects a fourth-order operator")
     if not check_mum(op):
-        raise ValueError("wedge_square expects a MUM operator")
+        raise UnsupportedOperator("wedge_square expects a MUM operator")
     module = DifferentialModule.from_operator(op)
     wmod, pairs = module.wedge_module()
     eta = [RationalFunction.zero() for _ in range(wmod.rank)]

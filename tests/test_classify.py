@@ -335,6 +335,15 @@ class TestClassifyOperatorRows:
         assert z2.cell() == "(-8,-82)*" and z2.escalated
         assert [r.escalated for r in row if r.z0 != 2] == [False] * 3
 
+    def test_points_classified_as_in_their_row(self, aa_rows):
+        # a frob query is the row restricted to its point: same cell, same
+        # precision and unit roots, in the order asked
+        row = aa_rows[7]
+        some = classify_operator(get_entry("A*a").operator, 7, points=[5, 3, 6])
+        assert some == [row[4], row[2], row[5]]
+        assert [r.s for r in some] == [3, 3, 3]
+        assert some[0].r1.guaranteed == 3 and some[2].r1 is None
+
     def test_row_with_positive_chi(self, bc5):
         assert [r.cell() for r in bc5] == [
             "(-9,-4)", "(-27,32)*", "-", "(-3,32)"]

@@ -18,14 +18,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
-from frobcy import classify, cli, wedge
+import frobcy
+from frobcy import FrobcyError, classify, cli, wedge
 from frobcy.catalog import CATALOG, get_entry, sequence_terms_via_recurrence
 from frobcy.classify import classify_operator, results_to_csv
-from frobcy.diffop import PrecisionExhausted, ThetaOperator, solve_series
+from frobcy.diffop import ThetaOperator, solve_series
 from frobcy.frobenius import frobenius_quartic
-from frobcy.padic import PadicNumber
+from frobcy.padic import PadicNumber, PrecisionExhausted
 from frobcy.wedge import wedge_square
 
 
@@ -330,10 +335,10 @@ class TestCmdTable:
         assert code == 2 and "error" in err
 
     def test_computation_failure_exits_nonzero(self, capsys, monkeypatch):
-        def blow_up(op, p, use_cache, cache_dir):
+        def blow_up(op, p, **kwargs):
             raise PrecisionExhausted("synthetic loss of certified digits")
 
-        monkeypatch.setattr(cli, "_classified_row", blow_up)
+        monkeypatch.setattr(cli, "classify_operator", blow_up)
         code, _, err = run(["table", "--operator", "A*a", "--primes", "3",
                             "--no-cache"], capsys)
         assert code == 1
@@ -492,7 +497,8 @@ class TestCmdFrob:
     def test_escalation_is_reported(self, capsys, monkeypatch):
         # starting A*d at p = 5 one digit low: z = 2 fits two admissible
         # pairs mod 5^3, so the cell is certified at s = 4
-        monkeypatch.setattr(cli, "required_precision", lambda p, want_singular: 3)
+        monkeypatch.setattr(classify, "required_precision",
+                            lambda p, want_singular: 3)
         code, got, _ = self.frob(capsys, "--operator", "A*d",
                                  "--prime", "5", "--point", "2")
         assert code == 0
@@ -504,7 +510,7 @@ class TestCmdFrob:
         def lossy(f0, F0, z0, p, s):
             return PadicNumber(p, s, 1, 0), None  # no certified digit left
 
-        monkeypatch.setattr(cli, "unit_roots", lossy)
+        monkeypatch.setattr(classify, "unit_roots", lossy)
         code, out, err = run(["frob", "--operator", "A*a", "--prime", "7",
                               "--point", "2", "--no-cache"], capsys)
         assert code == 1 and out == ""
@@ -621,10 +627,10 @@ class TestCmdClassify:
         assert target.read_text(encoding="utf-8") == cold
 
     def test_precision_failure_exits_nonzero(self, capsys, monkeypatch):
-        def blow_up(op, p, use_cache, cache_dir):
+        def blow_up(op, p, **kwargs):
             raise PrecisionExhausted("synthetic")
 
-        monkeypatch.setattr(cli, "_classified_row", blow_up)
+        monkeypatch.setattr(cli, "classify_operator", blow_up)
         code, _, err = run(["classify", "--operator", "A*a", "--primes", "3"],
                            capsys)
         assert code == 1 and "p=3" in err
@@ -661,6 +667,66 @@ class TestCmdLegendre:
         code, _, err = run(["legendre", "--prime", "15", "--point", "3"],
                            capsys)
         assert code == 2
+
+
+# -- errors: one base, one line, one exit code ---------------------------------------
+
+
+def test_every_exception_class_derives_from_frobcy_error():
+    defined = []
+    for info in pkgutil.iter_modules(frobcy.__path__):
+        module = importlib.import_module(f"frobcy.{info.name}")
+        defined += [cls for _n, cls in inspect.getmembers(module, inspect.isclass)
+                    if issubclass(cls, BaseException)
+                    and cls.__module__ == module.__name__]
+    names = {cls.__name__ for cls in defined}
+    assert {"CorruptCache", "SingularFiber", "UnexpectedOrder"} <= names
+    assert [c for c in defined if not issubclass(c, FrobcyError)] == []
+
+
+@pytest.fixture
+def bad_operators(tmp_path):
+    """Operator files without an exterior square, and one without coeffs."""
+    ops = {
+        "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
+        "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
+                                       name="nsd"),
+    }
+    paths = {}
+    for key, op in ops.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(op.to_json(), encoding="utf-8")
+    data = json.loads(ops["order2"].to_json())
+    del data["coeffs"]
+    paths["no_coeffs"] = tmp_path / "no_coeffs.json"
+    paths["no_coeffs"].write_text(json.dumps(data), encoding="utf-8")
+    return {key: str(path) for key, path in paths.items()}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ("frob --operator {order2} --prime 7 --point 2 --no-cache", 1,
+     "fourth-order operator"),
+    ("classify --operator {order2} --primes 7 --no-cache", 1,
+     "fourth-order operator"),
+    ("wedge --operator {order2}", 1, "fourth-order operator"),
+    ("frob --operator {not_self_dual} --prime 7 --point 2 --no-cache", 1,
+     "no order-5 relation"),
+    ("classify --operator {not_self_dual} --primes 7 --no-cache", 1,
+     "no order-5 relation"),
+    ("wedge --operator {not_self_dual}", 1, "no order-5 relation"),
+    ("frob --operator {no_coeffs} --prime 7 --point 2 --no-cache", 2,
+     "has no field 'coeffs'"),
+    ("table --operator {no_coeffs} --primes 7 --no-cache", 2,
+     "has no field 'coeffs'"),
+    ("congruence --sequence zz --prime 5", 2,
+     "error: unknown sequence 'zz'\n"),
+])
+def test_failure_is_one_line_with_its_exit_code(argv, code, message,
+                                                bad_operators, capsys):
+    got, _, err = run(argv.format(**bad_operators).split(), capsys)
+    assert got == code
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 # -- console entry point --------------------------------------------------------------

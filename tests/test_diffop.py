@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from frobcy.catalog import get_entry
-from frobcy.diffop import (MonicForm, NonIntegralSolution, PrecisionExhausted,
-                           ThetaOperator, TruncatedSeries, check_cy4,
-                           check_cy5, check_mum, leading_symbol, solve_series,
-                           stirling_table, symbol_roots_mod_p, to_monic)
+from frobcy.diffop import (MonicForm, NonIntegralSolution, ThetaOperator,
+                           TruncatedSeries, check_cy4, check_cy5, check_mum,
+                           leading_symbol, solve_series, stirling_table,
+                           symbol_roots_mod_p, to_monic)
 from frobcy.polyrat import RatPoly
 from frobcy.wedge import wedge_square
 
@@ -175,45 +175,6 @@ def test_exact_mode_storage_reduction_matches_full_integers():
     reduced = solve_series(AA, 60, p=7, K=3)
     assert reduced.prime == 7 and reduced.cap == 3 and reduced.guaranteed == 3
     assert reduced.coeffs == [c % 7**3 for c in full.coeffs]
-
-
-# -- modular mode ------------------------------------------------------------------
-
-
-def test_modular_mode_agrees_while_precision_lasts():
-    # Losses at n = 7, 14, ..., 49 cost 4 v_7(n) digits each; K = 30 leaves a
-    # certified tail that must agree with the exact route.
-    N, K = 48, 30
-    exact = solve_series(AA, N)
-    modular = solve_series(AA, N, p=7, K=K, mode="modular")
-    expected_guarantee = K - 4 * sum(1 for n in range(1, N + 1) if n % 7 == 0)
-    assert modular.guaranteed == expected_guarantee
-    m = 7**modular.guaranteed
-    for c_exact, c_mod in zip(exact.coeffs, modular.coeffs):
-        assert c_exact % m == c_mod % m
-
-
-def test_modular_mode_exhausts_at_small_guard():
-    # Honest worst-case tracking: each division by P0(n) with 7 | n costs
-    # four digits, so a guard of 10 cannot reach n = 500.
-    with pytest.raises(PrecisionExhausted):
-        solve_series(AA, 500, p=7, K=10, mode="modular")
-
-
-def test_modular_mode_with_generous_guard_reaches_n_500():
-    N = 500
-    loss = 0
-    for n in range(1, N + 1):
-        m = n
-        while m % 7 == 0:
-            loss += 4
-            m //= 7
-    K = loss + 4
-    modular = solve_series(AA, N, p=7, K=K, mode="modular")
-    assert modular.guaranteed == 4
-    exact = solve_series(AA, N, p=7, K=K)
-    m = 7**modular.guaranteed
-    assert [c % m for c in exact.coeffs] == [c % m for c in modular.coeffs]
 
 
 # -- truncation semantics ------------------------------------------------------------

@@ -1,23 +1,16 @@
-"""Fixed-precision p-adic arithmetic: lifts, inversion, precision tracking."""
+"""Fixed-precision p-adic arithmetic: lifts, division, precision tracking,
+and the one primality test."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from frobcy.padic import (NotAUnit, PadicNumber, PrecisionExhausted,
-                          balanced_lift, balanced_residue, padic_div,
-                          padic_inv, teichmueller, teichmueller_residue)
+                          balanced_lift, balanced_residue, is_odd_prime,
+                          padic_div, teichmueller_residue)
 
 PRIMES = (3, 5, 7, 11, 13, 17)
 
 odd_primes = st.sampled_from(PRIMES)
-
-
-@st.composite
-def padic_units(draw):
-    p = draw(odd_primes)
-    cap = draw(st.integers(1, 5))
-    r = draw(st.integers(0, p**cap - 1).filter(lambda r: r % p != 0))
-    return PadicNumber.exact(r, p, cap)
 
 
 @st.composite
@@ -27,6 +20,16 @@ def padic_triples(draw):
     m = p**cap
     return [PadicNumber.exact(draw(st.integers(0, m - 1)), p, cap)
             for _ in range(3)]
+
+
+def test_is_odd_prime_matches_a_sieve():
+    N = 500
+    composite = [False] * N
+    for q in range(2, N):
+        for m in range(2 * q, N, q):
+            composite[m] = True
+    assert [n for n in range(-3, N) if is_odd_prime(n)] == \
+        [n for n in range(3, N) if not composite[n]]
 
 
 # -- construction ------------------------------------------------------------------
@@ -60,48 +63,22 @@ def test_empty_precision_rejected():
         PadicNumber(7, 4, 1, 5)
 
 
-# -- inversion ---------------------------------------------------------------------
-
-
-def test_inverse_of_one_is_one():
-    x = PadicNumber.exact(1, 7, 4)
-    assert padic_inv(x).residue == 1
-
-
-def test_inverse_matches_extended_euclid():
-    x = PadicNumber.exact(1814, 7, 4)
-    y = padic_inv(x)
-    assert 1814 * y.residue % 2401 == 1
-    assert y.residue == pow(1814, -1, 2401)
-    assert y.guaranteed == x.guaranteed
-
-
-def test_inverse_of_nonunit_raises():
-    with pytest.raises(NotAUnit):
-        padic_inv(PadicNumber.exact(49, 7, 4))
-
-
-@given(padic_units())
-def test_inverse_is_an_involution(x):
-    assert padic_inv(padic_inv(x)).residue == x.residue
-
-
 # -- Teichmueller lifts -------------------------------------------------------------
 
 
 def test_teichmueller_fixes_one():
-    assert teichmueller(1, 7, 4).residue == 1
+    assert teichmueller_residue(1, 7, 7**4) == 1
 
 
 def test_teichmueller_of_minus_one():
-    assert teichmueller(6, 7, 4).residue == 2400
+    assert teichmueller_residue(6, 7, 7**4) == 2400
 
 
 def test_teichmueller_of_two_is_a_sixth_root():
-    w = teichmueller(2, 7, 4)
-    assert w.residue % 7 == 2
-    assert pow(w.residue, 7, 2401) == w.residue
-    assert pow(w.residue, 6, 2401) == 1
+    w = teichmueller_residue(2, 7, 7**4)
+    assert w % 7 == 2
+    assert pow(w, 7, 2401) == w
+    assert pow(w, 6, 2401) == 1
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -109,20 +86,25 @@ def test_teichmueller_fermat_root_property(p):
     for cap in range(1, 7):
         m = p**cap
         for a0 in range(1, p):
-            w = teichmueller(a0, p, cap).residue
+            w = teichmueller_residue(a0, p, m)
             assert w % p == a0
             assert pow(w, p - 1, m) == 1
 
 
 def test_teichmueller_of_zero_raises():
     with pytest.raises(NotAUnit):
-        teichmueller(0, 7, 4)
+        teichmueller_residue(0, 7, 2401)
     with pytest.raises(NotAUnit):
         teichmueller_residue(14, 7, 2401)
 
 
-def test_teichmueller_residue_agrees_with_wrapped_form():
-    assert teichmueller_residue(2, 7, 7**4) == teichmueller(2, 7, 4).residue
+def test_teichmueller_residue_matches_closed_form():
+    # the lift of x0 mod p^k is x0^(p^(k-1)) mod p^k
+    for p in PRIMES:
+        for cap in range(1, 5):
+            m = p**cap
+            for a0 in range(1, p):
+                assert teichmueller_residue(a0, p, m) == pow(a0, p ** (cap - 1), m)
 
 
 # -- balanced lifts ----------------------------------------------------------------

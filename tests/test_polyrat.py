@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frobcy.polyrat import (NoSolution, RatPoly, RationalFunction, poly_gcd,
-                            rational_roots, ratfun_derivative,
-                            solve_linear_system)
+                            rational_roots, solve_linear_system)
 
 
 def rf(num, den=None) -> RationalFunction:
@@ -117,10 +116,10 @@ def test_canonical_form_reduces_and_makes_den_monic():
 
 
 def test_derivative_quotient_rule():
-    assert ratfun_derivative(rf((3,))).is_zero()
-    assert ratfun_derivative(rf((0, 0, 1))) == rf((0, 2))
+    assert rf((3,)).derivative().is_zero()
+    assert rf((0, 0, 1)).derivative() == rf((0, 2))
     one_minus = rf((1,), (1, -1))
-    d = ratfun_derivative(one_minus)
+    d = one_minus.derivative()
     assert d == RationalFunction(RatPoly((1,)), RatPoly((1, -1)) ** 2)
 
 
