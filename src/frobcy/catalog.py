@@ -30,26 +30,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import FrobcyError
 from .diffop import NonIntegralSolution, ThetaOperator, solve_series
-from .polyrat import RatPoly, rational_roots
-
-
-def _polymul(a: List[int], b: List[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+from .polyrat import RatPoly, poly_mul, rational_roots
 
 
 # -- left factors: theta^2 - lam x P(theta), P a product of two linear terms ----
 
 # name -> (lam, P(theta) ascending, P(theta+1) ascending)
 _LEFT: Dict[str, Tuple[int, List[int], List[int]]] = {
-    "A": (4, _polymul([1, 2], [1, 2]), _polymul([3, 2], [3, 2])),    # (2t+1)^2
-    "B": (3, _polymul([1, 3], [2, 3]), _polymul([4, 3], [5, 3])),    # (3t+1)(3t+2)
-    "C": (4, _polymul([1, 4], [3, 4]), _polymul([5, 4], [7, 4])),    # (4t+1)(4t+3)
-    "D": (12, _polymul([1, 6], [5, 6]), _polymul([7, 6], [11, 6])),  # (6t+1)(6t+5)
+    "A": (4, poly_mul([1, 2], [1, 2]), poly_mul([3, 2], [3, 2])),    # (2t+1)^2
+    "B": (3, poly_mul([1, 3], [2, 3]), poly_mul([4, 3], [5, 3])),    # (3t+1)(3t+2)
+    "C": (4, poly_mul([1, 4], [3, 4]), poly_mul([5, 4], [7, 4])),    # (4t+1)(4t+3)
+    "D": (12, poly_mul([1, 6], [5, 6]), poly_mul([7, 6], [11, 6])),  # (6t+1)(6t+5)
 }
 
 # -- right factors: theta^2 - mu x m(theta) + kappa x^2 (theta+1)^2 --------------
@@ -68,7 +59,7 @@ _RIGHT: Dict[str, Tuple[int, List[int], int]] = {
     "j": (1, [372, 864, 864], 186624),
 }
 
-_SHIFTED_SQUARE = _polymul([1, 1], [1, 1])  # (theta+1)^2
+_SHIFTED_SQUARE = poly_mul([1, 1], [1, 1])  # (theta+1)^2
 
 
 def _second_order(name: str) -> ThetaOperator:
@@ -93,8 +84,8 @@ def product_operator(left: str, right: str) -> ThetaOperator:
     """Fourth-order annihilator of the Hadamard product, factored-integer form."""
     lam, pair, pair1 = _LEFT[left]
     mu, mid, kappa = _RIGHT[right]
-    row1 = [-lam * mu * c for c in _polymul(pair, mid)]
-    row2 = [kappa * lam * lam * c for c in _polymul(pair, pair1)]
+    row1 = [-lam * mu * c for c in poly_mul(pair, mid)]
+    row2 = [kappa * lam * lam * c for c in poly_mul(pair, pair1)]
     name = f"{left}*{right}"
     return ThetaOperator([[0, 0, 0, 0, 1], row1, row2], name=name,
                          aesz=_AESZ.get(name))
@@ -317,10 +308,6 @@ def hadamard_product(xs: List[int], ys: List[int],
 
 
 # -- the auxiliary quintic sequence ------------------------------------------------
-
-
-def _harmonic(n: int) -> Fraction:
-    return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
 
 def quintic_wedge_coefficients(N: int) -> List[int]:

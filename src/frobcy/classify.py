@@ -34,7 +34,7 @@ from math import isqrt
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import FrobcyError
+from . import FrobcyError, UsageError
 from .congruence import OutsideUnitDisk
 from .diffop import ThetaOperator, TruncatedSeries, solve_series, symbol_roots_mod_p
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
@@ -135,15 +135,22 @@ BUILTIN_FORMS: Dict[str, EtaProduct] = {
 
 
 def _external_forms(forms_dir: Optional[str]) -> List[Tuple[str, Dict[int, int]]]:
-    """(label, {p: a_p}) for every JSON fixture in the forms directory."""
+    """(label, {p: a_p}) for every JSON fixture in the forms directory; a
+    fixture that cannot be read is a UsageError naming the file."""
     directory = forms_dir or os.environ.get(FORMS_DIR_ENV)
     if not directory:
         return []
     out = []
     for path in sorted(Path(directory).glob("*.json")):
-        data = json.loads(path.read_text())
-        out.append((str(data["label"]),
-                    {int(k): int(v) for k, v in data["ap"].items()}))
+        try:
+            data = json.loads(path.read_text())
+            out.append((str(data["label"]),
+                        {int(k): int(v) for k, v in data["ap"].items()}))
+        except KeyError as exc:
+            raise UsageError(
+                f"form fixture {str(path)!r} has no field {exc}") from None
+        except (OSError, ValueError, TypeError, AttributeError) as exc:
+            raise UsageError(f"form fixture {str(path)!r}: {exc}") from None
     return out
 
 

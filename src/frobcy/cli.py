@@ -32,8 +32,9 @@ the same escalation; ``frob --precision s`` classifies the point once at s.
 ``classify`` is the ``table`` sweep of one operator in CSV.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
-argument, operator file or point) exits 2 and any other ``FrobcyError``
-exits 1, each as one ``error: ...`` line on stderr.  A table row that fails
+argument, operator file, point, ``--output`` path or forms fixture) exits 2
+and any other ``FrobcyError`` exits 1, each as one ``error: ...`` line on
+stderr.  A table row that fails
 is reported as data: one line naming the operator and p, exit 1.
 """
 
@@ -279,8 +280,12 @@ def _emit(text: str, output: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {output!r}: "
+                             f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -289,6 +294,8 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, not {args.jobs}")
     names = args.operator or list(CATALOG)
     if names == ["all"]:
         names = list(CATALOG)
@@ -313,7 +320,7 @@ def _sweep(names: Sequence[str], fmt: str, jobs: int,
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_table_task, tasks))
     else:
         outcomes = [_table_task(t) for t in tasks]
@@ -406,6 +413,8 @@ def cmd_congruence(args: argparse.Namespace) -> int:
     p = _check_prime(args.prime)
     if args.nmax < 0:
         raise UsageError(f"--nmax must be >= 0, not {args.nmax}")
+    if args.smax < 1:
+        raise UsageError(f"--smax must be >= 1, not {args.smax}")
     if name in CATALOG:
         coeffs: Sequence[int] = solve_series(get_entry(name).operator,
                                              args.nmax).coeffs

@@ -15,18 +15,22 @@ with exact big integers.  Conversion to the monic d/dz form uses
 
 where the S(k, j) are Stirling numbers of the second kind, generated by the
 rewriting rule theta * z^j D^j = z^(j+1) D^(j+1) + j z^j D^j.
+
+The self-duality checks ``check_cy4`` / ``check_cy5`` never leave the theta
+form: the operator is compared with its twisted adjoint as coefficient
+tables in Z[z][theta] (see ``_is_self_dual``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence
 
 from . import FrobcyError
-from .polyrat import RatPoly, RationalFunction
+from .polyrat import (IntPoly, RatPoly, RationalFunction, poly_add, poly_mul,
+                      poly_scale, poly_sub, poly_theta, poly_trim)
 
 try:
     from gmpy2 import mpz
@@ -106,6 +110,11 @@ class ThetaOperator:
         """Coefficient list of P_i(theta) (ascending)."""
         return list(self.coeffs[i]) if 0 <= i < len(self.coeffs) else [0]
 
+    def z_poly(self, k: int) -> IntPoly:
+        """q_k(z) = sum_i z^i [theta^k] P_i, so that the operator is
+        sum_k q_k(z) theta^k; trimmed integer coefficient list."""
+        return poly_trim([row[k] for row in self.coeffs])
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThetaOperator):
             return NotImplemented
@@ -147,8 +156,7 @@ def check_mum(op: ThetaOperator) -> bool:
 
 def leading_symbol(op: ThetaOperator) -> RatPoly:
     """D(z) = sum_i z^i [theta^n] P_i: zero locus = singular points."""
-    n = op.theta_order
-    return RatPoly([row[n] for row in op.coeffs])
+    return RatPoly(op.z_poly(op.theta_order))
 
 
 def symbol_roots_mod_p(op: ThetaOperator, p: int) -> List[int]:
@@ -283,7 +291,7 @@ class MonicForm:
 def to_monic(op: ThetaOperator) -> MonicForm:
     n = op.theta_order
     T = stirling_table(n)
-    q = [RatPoly([row[k] for row in op.coeffs]) for k in range(n + 1)]
+    q = [RatPoly(op.z_poly(k)) for k in range(n + 1)]
     x = RatPoly.x()
     lead = (x**n) * q[n]
     if lead.is_zero():
@@ -298,65 +306,62 @@ def to_monic(op: ThetaOperator) -> MonicForm:
     return MonicForm(n, a)
 
 
-# -- differential-operator algebra over Q(z) (for the self-duality checks) ----
+# -- self-duality over Z[z] ----------------------------------------------------
 
 
-def _dop_compose_linear(coeffs: List[RationalFunction],
-                        h: RationalFunction) -> List[RationalFunction]:
-    """(sum e_i D^i) o (D - h) expanded via D^i o h = sum binom(i,m) h^(m) D^(i-m)."""
-    out = [RationalFunction.zero()] * (len(coeffs) + 1)
-    # shift part: e_i D^(i+1)
-    for i, e in enumerate(coeffs):
-        out[i + 1] = out[i + 1] + e
-    # -e_i * (D^i o h)
-    for i, e in enumerate(coeffs):
-        if e.is_zero():
-            continue
-        hm = h
-        binom = 1
-        for m in range(i + 1):
-            out[i - m] = out[i - m] - e * (binom * hm)
-            if m < i:
-                binom = binom * (i - m) // (m + 1)
-                hm = hm.derivative()
-    return out
+def _is_self_dual(op: ThetaOperator) -> bool:
+    """T^-1 M^+ T == (-1)^n M in Z[z][theta], for M = sum_i z^i P_i(theta).
 
+    M^+ = sum_i z^i P_i(-theta - i) is the adjoint for z^+ = z, theta^+ = -theta,
+    and T is the twist with T^-1 theta T = theta + rho,
 
-def _dop_substitute(coeffs: List[RationalFunction],
-                    h: RationalFunction) -> List[RationalFunction]:
-    """Replace D by (D - h) throughout, by Horner in the Weyl algebra."""
-    acc = [coeffs[-1]]
-    for j in range(len(coeffs) - 2, -1, -1):
-        acc = _dop_compose_linear(acc, h)
-        acc[0] = acc[0] + coeffs[j]
-    return acc
+        rho = (2 q_(n-1) - n theta(Delta)) / (n Delta),   Delta = q_n.
 
+    This is the classical condition that the monic form, conjugated by
+    exp(int a_(n-1)/n) so that its D^(n-1) term vanishes, is self-adjoint
+    (n even) or anti-self-adjoint (n odd).  Only rho enters: with
+    E_k = (n Delta)^k (theta + rho)^k expanded in Z[z][theta], both sides are
+    multiplied by (n Delta)^n and compared coefficient by coefficient.
+    """
+    n = op.theta_order
+    q = [op.z_poly(k) for k in range(n + 1)]
+    n_delta = poly_scale(q[n], n)
+    n_theta_delta = poly_scale(poly_theta(q[n]), n)
+    rho_num = poly_sub(poly_scale(q[n - 1], 2), n_theta_delta)
 
-def _dop_adjoint(coeffs: List[RationalFunction]) -> List[RationalFunction]:
-    """Formal adjoint (sum c_j D^j)* = sum (-D)^j o c_j."""
-    n = len(coeffs) - 1
-    out = [RationalFunction.zero()] * (n + 1)
-    for j, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        sign = -1 if j % 2 else 1
-        cm = c
-        binom = 1
-        for m in range(j + 1):
-            out[j - m] = out[j - m] + (sign * binom) * cm
-            if m < j:
-                binom = binom * (j - m) // (m + 1)
-                cm = cm.derivative()
-    return out
+    # E[k][j] = [theta^j] E_k; E_(k+1) = (n Delta)^(k+1) (theta + rho) E_k / (n Delta)^k
+    E: List[List[IntPoly]] = [[[1]]]
+    for k in range(n):
+        shift = poly_sub(rho_num, poly_scale(n_theta_delta, k))
+        nxt: List[IntPoly] = [[] for _ in range(k + 2)]
+        for j, e in enumerate(E[k]):
+            nxt[j] = poly_add(nxt[j], poly_add(poly_mul(n_delta, poly_theta(e)),
+                                               poly_mul(shift, e)))
+            nxt[j + 1] = poly_mul(n_delta, e)
+        E.append(nxt)
 
+    # M^+ = sum_k s_k(z) x^k at x = theta, s_k = [x^k] sum_i z^i P_i(-x - i)
+    adjoint_rows = []
+    for i, row in enumerate(op.coeffs):
+        acc: IntPoly = []
+        for c in reversed(row):  # Horner in x, with theta -> -x - i
+            acc = poly_add(poly_mul(acc, [-i, -1]), [c])
+        adjoint_rows.append(acc)
+    n_delta_pow = [[1]]
+    for _ in range(n):
+        n_delta_pow.append(poly_mul(n_delta_pow[-1], n_delta))
+    weight = [poly_mul(poly_trim([row[k] if k < len(row) else 0
+                                  for row in adjoint_rows]), n_delta_pow[n - k])
+              for k in range(n + 1)]
 
-def _normalized_form(op: ThetaOperator) -> List[RationalFunction]:
-    """Monic coefficients conjugated by exp(-int a_{n-1}/n): kills D^(n-1)."""
-    mf = to_monic(op)
-    n = mf.order
-    coeffs = mf.a + [RationalFunction.one()]
-    h = mf.a[n - 1] * Fraction(1, n)
-    return _dop_substitute(coeffs, h)
+    sign = -1 if n % 2 else 1
+    for j in range(n + 1):
+        lhs: IntPoly = []
+        for k in range(j, n + 1):
+            lhs = poly_add(lhs, poly_mul(weight[k], E[k][j]))
+        if lhs != poly_scale(poly_mul(n_delta_pow[n], q[j]), sign):
+            return False
+    return True
 
 
 def check_cy4(op: ThetaOperator) -> bool:
@@ -365,28 +370,19 @@ def check_cy4(op: ThetaOperator) -> bool:
 
     Equivalently, in terms of the monic coefficients,
     a_1 = (1/2) a_2 a_3 - (1/8) a_3^3 + a_2' - (3/4) a_3 a_3' - (1/2) a_3''.
+    Decided over Z[z] by ``_is_self_dual``.
     """
     if op.theta_order != 4:
         raise ValueError("check_cy4 expects a fourth-order operator")
-    mf = to_monic(op)
-    a0, a1, a2, a3 = mf.a
-    half, eighth, threequarter = Fraction(1, 2), Fraction(1, 8), Fraction(3, 4)
-    rhs = (half * (a2 * a3) - eighth * (a3 * a3 * a3) + a2.derivative()
-           - threequarter * (a3 * a3.derivative())
-           - half * a3.derivative().derivative())
-    return (a1 - rhs).is_zero()
+    return _is_self_dual(op)
 
 
 def check_cy5(op: ThetaOperator) -> bool:
     """Self-duality for order 5 (anti-self-adjoint after conjugation):
     with D^5 + c_3 D^3 + c_2 D^2 + c_1 D + c_0, the two conditions are
     c_2 = (3/2) c_3' and c_0 = (1/2) c_1' - (1/4) c_3'''.
+    Decided over Z[z] by ``_is_self_dual``.
     """
     if op.theta_order != 5:
         raise ValueError("check_cy5 expects a fifth-order operator")
-    c = _normalized_form(op)
-    c0, c1, c2, c3 = c[0], c[1], c[2], c[3]
-    cond1 = (c2 - Fraction(3, 2) * c3.derivative()).is_zero()
-    d3c3 = c3.derivative().derivative().derivative()
-    cond2 = (c0 - Fraction(1, 2) * c1.derivative() + Fraction(1, 4) * d3c3).is_zero()
-    return cond1 and cond2
+    return _is_self_dual(op)

@@ -77,9 +77,6 @@ class PadicNumber:
             v += 1
         return v
 
-    def is_unit(self) -> bool:
-        return self.residue % self.prime != 0
-
     def _check_compatible(self, other: "PadicNumber") -> None:
         if self.prime != other.prime or self.cap != other.cap:
             raise ValueError("operands live in different rings")

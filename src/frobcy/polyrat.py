@@ -1,26 +1,98 @@
-"""Exact univariate polynomials and rational functions over Q.
+"""Exact univariate polynomials: integer coefficient lists and RatPoly over Q.
 
-Coefficients are ``fractions.Fraction`` throughout.  ``RatPoly`` stores an
-ascending coefficient tuple with trailing zeros removed (the zero polynomial
-is the empty tuple, degree -1).  ``RationalFunction`` keeps the canonical
-form: denominator monic, gcd(numerator, denominator) = 1.
+An element of Z[z] is an ``IntPoly``: a list of ints in ascending degree with
+trailing zeros removed (the zero polynomial is the empty list).  The exterior
+square and the self-duality test work in this representation only; the
+``poly_*`` functions are its ring operations, plus the Euler derivation
+theta = z d/dz.  ``solve_linear_system`` is fraction-free (Bareiss)
+elimination over Z[z] and returns Cramer numerators over one common
+denominator together with the kernel dimension of the coefficient matrix.
 
-The linear solver performs fraction-free (Bareiss) Gaussian elimination after
-clearing row denominators, returning one exact solution together with the
-kernel dimension of the coefficient matrix.
+``RatPoly`` stores an ascending tuple of ``fractions.Fraction`` coefficients
+with trailing zeros removed.  ``RationalFunction`` keeps the canonical form:
+denominator monic, gcd(numerator, denominator) = 1.  They serve the monic
+d/dz form of an operator, the horizontal sections, rational exponentials and
+rational roots of leading symbols.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
 
 from . import FrobcyError
 
 
 class NoSolution(FrobcyError, ArithmeticError):
     """The linear system is inconsistent."""
+
+
+# -- Z[z] as integer coefficient lists ----------------------------------------------
+
+IntPoly = List[int]
+
+
+def poly_trim(a: Sequence[int]) -> IntPoly:
+    out = list(a)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return poly_trim(out)
+
+
+def poly_sub(a: IntPoly, b: IntPoly) -> IntPoly:
+    return poly_add(a, [-c for c in b])
+
+
+def poly_scale(a: IntPoly, c: int) -> IntPoly:
+    return [c * x for x in a] if c else []
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
+    """Product of two coefficient lists (trimmed inputs give a trimmed
+    product; the length is len(a) + len(b) - 1)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def poly_exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b in Z[z]; ArithmeticError unless b divides a there."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    lead, db = b[-1], len(b) - 1
+    quot = [0] * max(len(rem) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[k + db], lead)
+        if r:
+            raise ArithmeticError("division was expected to be exact")
+        quot[k] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[k + j] -= c * y
+    if any(rem[:db]):
+        raise ArithmeticError("division was expected to be exact")
+    return quot
+
+
+def poly_theta(a: IntPoly) -> IntPoly:
+    """theta a = z da/dz."""
+    return poly_trim([i * c for i, c in enumerate(a)])
 
 
 def _as_fraction(x) -> Fraction:
@@ -85,9 +157,6 @@ class RatPoly:
             return self == RatPoly((other,))
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "RatPoly":
@@ -104,8 +173,6 @@ class RatPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return RatPoly(self[i] + other[i] for i in range(n))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "RatPoly":
         return RatPoly(-c for c in self.coeffs)
 
@@ -114,9 +181,6 @@ class RatPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -130,8 +194,6 @@ class RatPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return RatPoly(out)
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other: "RatPoly"):
         other = self._coerce(other)
@@ -150,9 +212,6 @@ class RatPoly:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
         return RatPoly(quot), RatPoly(rem[: other.degree if other.degree > 0 else 0])
-
-    def __floordiv__(self, other) -> "RatPoly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other) -> "RatPoly":
         return divmod(self, other)[1]
@@ -183,17 +242,6 @@ class RatPoly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def evaluate_mod(self, x: int, modulus: int) -> int:
-        """Horner evaluation mod an integer; coefficients must be p-integral."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            if c.denominator == 1:
-                cm = c.numerator % modulus
-            else:
-                cm = c.numerator * pow(c.denominator, -1, modulus) % modulus
-            acc = (acc * x + cm) % modulus
         return acc
 
     def monic(self) -> "RatPoly":
@@ -347,9 +395,6 @@ class RationalFunction:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
@@ -366,8 +411,6 @@ class RationalFunction:
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
@@ -377,16 +420,11 @@ class RationalFunction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -395,12 +433,6 @@ class RationalFunction:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
@@ -421,92 +453,62 @@ class RationalFunction:
             self.den * self.den,
         )
 
-    def evaluate(self, x) -> Fraction:
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num.evaluate(x) / d
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"({self.num!r})/({self.den!r})"
 
 
-def _clear_row_denominators(row: Sequence[RationalFunction], rhs: RationalFunction):
-    """Scale a row of rational functions to polynomial entries."""
-    den = RatPoly.one()
-    for entry in list(row) + [rhs]:
-        g = poly_gcd(den, entry.den)
-        den = den * entry.den.exact_div(g) if g.degree > 0 else den * entry.den
-    out = []
-    for entry in list(row) + [rhs]:
-        out.append(entry.num * den.exact_div(entry.den))
-    return out[:-1], out[-1]
+def solve_linear_system(matrix: Sequence[Sequence[IntPoly]],
+                        rhs: Sequence[IntPoly]):
+    """Solve A x = b over Q(z) for A, b with entries in Z[z], fraction-free.
 
-
-def solve_linear_system(matrix: Sequence[Sequence[RationalFunction]],
-                        rhs: Sequence[RationalFunction]):
-    """Solve A x = b exactly over Q(z) by fraction-free elimination.
-
-    Returns (solution, kernel_dim): ``solution`` is one solution as a list of
-    RationalFunction (free variables set to 0) and ``kernel_dim`` the dimension
-    of the null space of A.  Raises NoSolution when the system is inconsistent.
+    Entries are integer coefficient lists.  Bareiss elimination keeps every
+    entry in Z[z] by exact division through the previous pivot.  Returns
+    (numerators, denominator, kernel_dim): one solution is
+    x_j = numerators[j] / denominator (free variables set to 0), where
+    ``denominator`` is the determinant of the pivot minor and the numerators
+    are its Cramer numerators; ``kernel_dim`` is the dimension of the null
+    space of A.  Raises NoSolution when the system is inconsistent.
     """
     m = len(matrix)
     if m == 0:
         raise ValueError("empty system")
     n = len(matrix[0])
     rows = []
-    outs = []
     for i in range(m):
         if len(matrix[i]) != n:
             raise ValueError("ragged matrix")
-        row, out = _clear_row_denominators(
-            [e if isinstance(e, RationalFunction) else RationalFunction(e)
-             for e in matrix[i]],
-            rhs[i] if isinstance(rhs[i], RationalFunction) else RationalFunction(rhs[i]),
-        )
-        rows.append(row + [out])
-        outs.append(out)
+        rows.append([poly_trim(e) for e in matrix[i]] + [poly_trim(rhs[i])])
 
-    # Bareiss fraction-free elimination on the augmented polynomial matrix.
     pivot_cols = []
-    prev_pivot = RatPoly.one()
+    prev_pivot: IntPoly = [1]
     r = 0
     for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         piv = rows[r][c]
         for i in range(r + 1, m):
-            if all(rows[i][j].is_zero() for j in range(c, n + 1)):
-                continue
             fac = rows[i][c]
-            for j in range(n + 1):
-                prod = rows[i][j] * piv - fac * rows[r][j]
-                rows[i][j] = prod.exact_div(prev_pivot)
+            rows[i][c] = []
+            for j in range(c + 1, n + 1):
+                rows[i][j] = poly_exact_div(
+                    poly_sub(poly_mul(rows[i][j], piv), poly_mul(fac, rows[r][j])),
+                    prev_pivot)
         prev_pivot = piv
         pivot_cols.append(c)
         r += 1
         if r == m:
             break
-    rank = r
 
-    for i in range(rank, m):
-        if all(rows[i][j].is_zero() for j in range(n)) and not rows[i][n].is_zero():
-            raise NoSolution("inconsistent linear system")
+    # rows r.. are zero on A after elimination
+    if any(rows[i][n] for i in range(r, m)):
+        raise NoSolution("inconsistent linear system")
 
-    solution = [RationalFunction.zero()] * n
-    for i in range(rank - 1, -1, -1):
-        c = pivot_cols[i]
-        acc = RationalFunction(rows[i][n])
-        for j in range(c + 1, n):
-            if not rows[i][j].is_zero():
-                acc = acc - RationalFunction(rows[i][j]) * solution[j]
-        solution[c] = acc / RationalFunction(rows[i][c])
-    kernel_dim = n - rank
-    return solution, kernel_dim
+    numerators: List[IntPoly] = [[] for _ in range(n)]
+    for i in range(r - 1, -1, -1):
+        acc = poly_mul(prev_pivot, rows[i][n])
+        for c in pivot_cols[i + 1:]:
+            acc = poly_sub(acc, poly_mul(rows[i][c], numerators[c]))
+        numerators[pivot_cols[i]] = poly_exact_div(acc, rows[i][pivot_cols[i]])
+    return numerators, prev_pivot, n - r

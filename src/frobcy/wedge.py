@@ -7,11 +7,13 @@ exterior square carries the Leibniz action
     theta (a ^ b) = (theta a) ^ b + a ^ (theta b),
 
 and eta := z * omega ^ (d/dz omega) = omega ^ theta omega generates it.
-``wedge_square`` returns the minimal monic operator Q with Q(eta) = 0,
-computed purely by exact linear algebra over Q(z) -- the only route used;
-no closed-form product formula enters.  It is memoized per process by the
-operator's JSON, so each operator's exterior square (and its closing
-``check_cy5``) is built at most once.
+``wedge_square`` returns the minimal operator Q with Q(eta) = 0, computed
+purely by exact linear algebra over Z[z] -- the only route used; no
+closed-form product formula enters.  Module vectors are integer coefficient
+lists over powers of the leading symbol Delta, so theta^k eta = v_k / Delta^k
+with v_k in Z[z]^6, and the relation comes from fraction-free elimination.
+It is memoized per process by the operator's JSON, so each operator's
+exterior square (and its closing ``check_cy5``) is built at most once.
 
 ``f0_wedge_via_wronskian`` rebuilds the normalized solution of Q as
 w = f0^2 + z (f0 g' - f0' g), where f0 + (f0 log z + g) is the Frobenius
@@ -26,13 +28,13 @@ on truncated (Laurent) series.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from . import FrobcyError
 from .diffop import ThetaOperator, check_cy5, check_mum, solve_series, to_monic
-from .polyrat import (NoSolution, RatPoly, RationalFunction, poly_gcd,
-                      rational_roots, solve_linear_system)
+from .polyrat import (IntPoly, NoSolution, RatPoly, RationalFunction, poly_add,
+                      poly_exact_div, poly_gcd, poly_mul, poly_scale, poly_sub,
+                      poly_theta, rational_roots, solve_linear_system)
 
 
 class UnexpectedOrder(FrobcyError, ArithmeticError):
@@ -51,75 +53,64 @@ class NotRationalY(FrobcyError, ArithmeticError):
     """exp of the required integral is not a rational function."""
 
 
-# -- differential modules -------------------------------------------------------
+# -- differential modules over Z[z] ----------------------------------------------
 
 
-class DifferentialModule:
-    """Free Q(z)-module with a theta-action given column-wise.
+def _module_action(op: ThetaOperator) -> Tuple[IntPoly, List[List[IntPoly]]]:
+    """(Delta, A) for the rank-n module on omega, theta omega, ...,
+    theta^(n-1) omega, with theta(e_j) = sum_i A[j][i] e_i / Delta.
 
-    ``action[j]`` is theta(e_j) as a coefficient vector; on a general vector,
-    theta(sum v_j e_j) = sum (theta v_j) e_j + v_j * theta(e_j) with
-    theta v = z * dv/dz.
+    Delta = q_n is the leading symbol, q_k(z) = sum_i z^i [theta^k] P_i:
+    theta e_j = e_(j+1) below the top, and theta e_(n-1) = -sum_k q_k e_k / Delta.
     """
+    n = op.theta_order
+    q = [op.z_poly(k) for k in range(n + 1)]
+    action: List[List[IntPoly]] = [[[] for _ in range(n)] for _ in range(n - 1)]
+    for j in range(n - 1):
+        action[j][j + 1] = q[n]
+    action.append([poly_scale(q[k], -1) for k in range(n)])
+    return q[n], action
 
-    def __init__(self, action: List[List[RationalFunction]]):
-        self.rank = len(action)
-        for col in action:
-            if len(col) != self.rank:
-                raise ValueError("action matrix must be square")
-        self.action = action
 
-    @classmethod
-    def from_operator(cls, op: ThetaOperator) -> "DifferentialModule":
-        """Rank-n module on omega, theta omega, ..., theta^(n-1) omega."""
-        n = op.theta_order
-        qs = [RatPoly([row[k] for row in op.coeffs]) for k in range(n + 1)]
-        cols = []
-        for j in range(n - 1):
-            col = [RationalFunction.zero() for _ in range(n)]
-            col[j + 1] = RationalFunction.one()
-            cols.append(col)
-        top = [RationalFunction(-qs[k], qs[n]) for k in range(n)]
-        cols.append(top)
-        return cls(cols)
+def _wedge_action(action: List[List[IntPoly]]
+                  ) -> Tuple[List[List[IntPoly]], List[Tuple[int, int]]]:
+    """Exterior square of a module action over the same Delta, by the Leibniz
+    rule theta(e_a ^ e_b) = (theta e_a) ^ e_b + e_a ^ (theta e_b).
 
-    def apply_theta(self, vec: List[RationalFunction]) -> List[RationalFunction]:
-        z = RationalFunction(RatPoly.x())
-        out = [z * v.derivative() for v in vec]
-        for j, v in enumerate(vec):
-            if v.is_zero():
-                continue
-            for i in range(self.rank):
-                if not self.action[j][i].is_zero():
-                    out[i] = out[i] + v * self.action[j][i]
-        return out
+    Returns the rank-(n choose 2) action and its ordered basis of index pairs
+    (a, b), a < b, for e_a ^ e_b.
+    """
+    n = len(action)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    cols = []
+    for (a, b) in pairs:
+        col: List[IntPoly] = [[] for _ in pairs]
+        for i in range(n):
+            for lo, hi, coef in ((i, b, action[a][i]), (a, i, action[b][i])):
+                if lo < hi:
+                    col[index[(lo, hi)]] = poly_add(col[index[(lo, hi)]], coef)
+                elif lo > hi:
+                    col[index[(hi, lo)]] = poly_sub(col[index[(hi, lo)]], coef)
+        cols.append(col)
+    return cols, pairs
 
-    def wedge_module(self) -> Tuple["DifferentialModule", List[Tuple[int, int]]]:
-        """Exterior square with the Leibniz theta-action.
 
-        Returns the rank-(n choose 2) module and its ordered basis of index
-        pairs (a, b), a < b, for e_a ^ e_b.
-        """
-        n = self.rank
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        index = {pair: k for k, pair in enumerate(pairs)}
-        cols = []
-        for (a, b) in pairs:
-            col = [RationalFunction.zero() for _ in range(len(pairs))]
+def _theta_step(vec: List[IntPoly], m: int, delta: IntPoly,
+                action: List[List[IntPoly]]) -> List[IntPoly]:
+    """theta(vec / Delta^m) as a vector over Delta^(m+1):
 
-            def add(i: int, j: int, coef: RationalFunction) -> None:
-                if i == j or coef.is_zero():
-                    return
-                if i < j:
-                    col[index[(i, j)]] = col[index[(i, j)]] + coef
-                else:
-                    col[index[(j, i)]] = col[index[(j, i)]] - coef
-
-            for i in range(n):
-                add(i, b, self.action[a][i])   # (theta e_a) ^ e_b
-                add(a, i, self.action[b][i])   # e_a ^ (theta e_b)
-            cols.append(col)
-        return DifferentialModule(cols), pairs
+    (Delta theta v - m theta(Delta) v + sum_j v_j Delta theta(e_j)) / Delta^(m+1).
+    """
+    m_theta_delta = poly_scale(poly_theta(delta), m)
+    out = [poly_sub(poly_mul(delta, poly_theta(v)), poly_mul(m_theta_delta, v))
+           for v in vec]
+    for j, v in enumerate(vec):
+        if v:
+            for i, coef in enumerate(action[j]):
+                if coef:
+                    out[i] = poly_add(out[i], poly_mul(v, coef))
+    return out
 
 
 # -- the fifth-order companion ---------------------------------------------------
@@ -133,9 +124,11 @@ def wedge_square(op: ThetaOperator) -> ThetaOperator:
     """Minimal monic operator annihilating eta = e_0 ^ e_1, order exactly 5.
 
     The relation is found by solving the 6x5 linear system
-    [theta^0 eta ... theta^4 eta] x = theta^5 eta exactly over Q(z), then
-    clearing denominators to the canonical integer form (content 1, positive
-    leading constant).  Raises UnsupportedOperator unless ``op`` is a
+    [theta^0 eta ... theta^4 eta] x = theta^5 eta over the common
+    denominator Delta^5 by Bareiss elimination in Z[z]; the relation
+    det theta^5 - sum_k X_k theta^k is divided by the gcd of its six
+    coefficients and brought to the canonical integer form (content 1,
+    positive leading constant).  Raises UnsupportedOperator unless ``op`` is a
     fourth-order MUM operator, and UnexpectedOrder when the iterates are
     linearly dependent before order 5 or span no order-5 relation.
 
@@ -155,18 +148,25 @@ def _build_wedge(op: ThetaOperator) -> ThetaOperator:
         raise UnsupportedOperator("wedge_square expects a fourth-order operator")
     if not check_mum(op):
         raise UnsupportedOperator("wedge_square expects a MUM operator")
-    module = DifferentialModule.from_operator(op)
-    wmod, pairs = module.wedge_module()
-    eta = [RationalFunction.zero() for _ in range(wmod.rank)]
-    eta[pairs.index((0, 1))] = RationalFunction.one()
+    delta, action = _module_action(op)
+    waction, pairs = _wedge_action(action)
+    # theta^k eta = iterates[k] / Delta^k
+    eta: List[IntPoly] = [[] for _ in pairs]
+    eta[pairs.index((0, 1))] = [1]
     iterates = [eta]
-    for _ in range(5):
-        iterates.append(wmod.apply_theta(iterates[-1]))
+    for m in range(5):
+        iterates.append(_theta_step(iterates[-1], m, delta, waction))
 
-    matrix = [[iterates[k][i] for k in range(5)] for i in range(wmod.rank)]
-    rhs = [iterates[5][i] for i in range(wmod.rank)]
+    # over the common denominator Delta^5, column k holds theta^k eta
+    cols = []
+    scale: IntPoly = [1]
+    for k in range(5, -1, -1):
+        cols.append([poly_mul(scale, v) for v in iterates[k]])
+        scale = poly_mul(scale, delta)
+    cols.reverse()
+    matrix = [[cols[k][i] for k in range(5)] for i in range(len(pairs))]
     try:
-        solution, kernel_dim = solve_linear_system(matrix, rhs)
+        numerators, det, kernel_dim = solve_linear_system(matrix, cols[5])
     except NoSolution as exc:
         raise UnexpectedOrder("theta-iterates span no order-5 relation") from exc
     if kernel_dim > 0:
@@ -174,25 +174,18 @@ def _build_wedge(op: ThetaOperator) -> ThetaOperator:
             f"eta satisfies a relation of order < 5 (kernel dimension {kernel_dim})"
         )
 
-    # theta^5 eta - sum_k x_k theta^k eta = 0
-    cs = [-x for x in solution] + [RationalFunction.one()]
-    den = RatPoly.one()
-    for c in cs:
-        g = poly_gcd(den, c.den)
-        den = den * (c.den.exact_div(g) if g.degree > 0 else c.den)
-    polys = [c.num * den.exact_div(c.den) for c in cs]
-    scale = 1
-    for poly in polys:
-        for coef in poly.coeffs:
-            scale = lcm(scale, coef.denominator)
-    z_deg = max(poly.degree for poly in polys)
-
-    def as_int(q: Fraction) -> int:
-        if q.denominator != 1:
-            raise ArithmeticError("denominator clearing failed")
-        return q.numerator
-
-    rows = [[as_int(polys[k][i] * scale) for k in range(6)]
+    # det theta^5 eta - sum_k X_k theta^k eta = 0, made primitive over Q[z]
+    relation = [poly_scale(x, -1) for x in numerators] + [det]
+    g = RatPoly.zero()
+    for c in relation:
+        g = poly_gcd(g, RatPoly(c))
+        if g.degree == 0:
+            break
+    if g.degree > 0:
+        g = g.content_and_primitive()[1].integer_coeffs()
+        relation = [poly_exact_div(c, g) for c in relation]
+    z_deg = max(len(c) for c in relation) - 1
+    rows = [[c[i] if i < len(c) else 0 for c in relation]
             for i in range(z_deg + 1)]
     out = ThetaOperator(rows, name=f"wedge({op.name})" if op.name else "wedge",
                         aesz=None)

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 
@@ -686,7 +687,8 @@ def test_every_exception_class_derives_from_frobcy_error():
 
 @pytest.fixture
 def bad_operators(tmp_path):
-    """Operator files without an exterior square, and one without coeffs."""
+    """Operator files without an exterior square, one without coeffs, and an
+    --output path in a directory that does not exist."""
     ops = {
         "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
         "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
@@ -700,6 +702,7 @@ def bad_operators(tmp_path):
     del data["coeffs"]
     paths["no_coeffs"] = tmp_path / "no_coeffs.json"
     paths["no_coeffs"].write_text(json.dumps(data), encoding="utf-8")
+    paths["unwritable"] = tmp_path / "missing" / "out.txt"
     return {key: str(path) for key, path in paths.items()}
 
 
@@ -720,6 +723,14 @@ def bad_operators(tmp_path):
      "has no field 'coeffs'"),
     ("congruence --sequence zz --prime 5", 2,
      "error: unknown sequence 'zz'\n"),
+    ("table --operator A*a --primes 3 --no-cache --output {unwritable}", 2,
+     "cannot write --output"),
+    ("classify --operator A*a --primes 3 --no-cache --output {unwritable}", 2,
+     "cannot write --output"),
+    ("table --operator A*a --primes 3 --jobs 0", 2,
+     "error: --jobs must be >= 1, not 0\n"),
+    ("congruence --sequence a --prime 5 --smax 0", 2,
+     "error: --smax must be >= 1, not 0\n"),
 ])
 def test_failure_is_one_line_with_its_exit_code(argv, code, message,
                                                 bad_operators, capsys):
@@ -727,6 +738,50 @@ def test_failure_is_one_line_with_its_exit_code(argv, code, message,
     assert got == code
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("fixture, message", [
+    ("{bad", "form fixture"),
+    (json.dumps({"label": "q", "weight": 4}), "has no field 'ap'"),
+])
+def test_malformed_form_fixture_names_the_file(fixture, message, tmp_path,
+                                               monkeypatch, capsys):
+    # A*a at p = 7, z = 4 is a singular fiber whose a_p misses the built-in
+    # forms, so the fixture directory is read
+    (tmp_path / "broken.json").write_text(fixture, encoding="utf-8")
+    monkeypatch.setenv(classify.FORMS_DIR_ENV, str(tmp_path))
+    code, _, err = run("frob --operator A*a --prime 7 --point 4 --no-cache"
+                       .split(), capsys)
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: ") and "broken.json" in err and message in err
+    code, _, err = run("table --operator A*a --primes 7 --no-cache".split(),
+                       capsys)
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith("error: A*a p=7: UsageError") and "broken.json" in err
+
+
+def test_pool_never_has_more_workers_than_tasks(monkeypatch, capsys):
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    code, _, _ = run(["table", "--operator", "A*a", "--primes", "3,5",
+                      "--jobs", "8", "--no-cache"], capsys)
+    assert code == 0 and sizes == [2]
 
 
 # -- console entry point --------------------------------------------------------------
@@ -771,3 +826,19 @@ class TestConsoleScript:
     def test_missing_subcommand_is_usage_error(self):
         done = run_frobcy([])
         assert done.returncode == 2
+
+
+# -- benchmark spans ------------------------------------------------------------------
+
+
+def test_every_benchmark_span_resolves():
+    """perfbench/spans.py wraps functions by name; a renamed or deleted one
+    would make ``perfbench/run.py --trace 1`` fail, so each must exist."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYERS
+    for mod_name, fn_name in spans.LAYERS:
+        module = importlib.import_module(f"frobcy.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"

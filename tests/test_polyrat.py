@@ -1,12 +1,15 @@
-"""Exact polynomial and rational-function algebra, and the linear solver."""
+"""Exact polynomial and rational-function algebra, integer coefficient lists,
+and the fraction-free linear solver over Z[z]."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from frobcy.polyrat import (NoSolution, RatPoly, RationalFunction, poly_gcd,
-                            rational_roots, solve_linear_system)
+from frobcy.polyrat import (NoSolution, RatPoly, RationalFunction, poly_add,
+                            poly_exact_div, poly_gcd, poly_mul, poly_scale,
+                            poly_sub, poly_theta, poly_trim, rational_roots,
+                            solve_linear_system)
 
 
 def rf(num, den=None) -> RationalFunction:
@@ -61,7 +64,6 @@ def test_derivative_and_evaluate():
     p = RatPoly((5, 0, 3))          # 5 + 3z^2
     assert p.derivative() == RatPoly((0, 6))
     assert p.evaluate(Fraction(1, 2)) == Fraction(23, 4)
-    assert p.evaluate_mod(4, 7) == (5 + 3 * 16) % 7
 
 
 def test_integer_coeffs_and_content():
@@ -132,13 +134,6 @@ def test_power_including_negative():
         RationalFunction.zero() ** -1
 
 
-def test_evaluate_with_pole():
-    f = rf((1,), (0, 1))
-    assert f.evaluate(Fraction(1, 2)) == 2
-    with pytest.raises(ZeroDivisionError):
-        f.evaluate(Fraction(0))
-
-
 @given(small_polys, small_polys, small_polys)
 def test_multiply_then_divide_is_identity(a, b, g):
     f = RationalFunction(a, RatPoly((1, 2)))
@@ -155,61 +150,103 @@ def test_ratfun_add_commutes(a, b):
     assert (f - h) + h == f
 
 
-# -- linear solver -----------------------------------------------------------------
+# -- integer polynomial lists -------------------------------------------------------
+
+
+def test_integer_list_ring_operations():
+    assert poly_trim([1, 2, 0, 0]) == [1, 2] and poly_trim([0, 0]) == []
+    assert poly_mul([1, 16], [1, -128]) == [1, -112, -2048]
+    assert poly_mul([], [1, 2]) == []
+    assert poly_add([1, 2, 3], [0, 0, -3]) == [1, 2]
+    assert poly_sub([1, 2], [1, 2]) == []
+    assert poly_scale([1, -2], -3) == [-3, 6] and poly_scale([1, 2], 0) == []
+    assert poly_theta([5, 7, 0, 2]) == [0, 7, 0, 6] and poly_theta([4]) == []
+
+
+def test_integer_list_exact_division():
+    assert poly_exact_div([1, -112, -2048], [1, 16]) == [1, -128]
+    assert poly_exact_div([], [3, 1]) == []
+    with pytest.raises(ArithmeticError):
+        poly_exact_div([1, 1, 1], [1, 1])
+    with pytest.raises(ArithmeticError):
+        poly_exact_div([2, 2], [4, 4])          # quotient 1/2 is not in Z[z]
+    with pytest.raises(ZeroDivisionError):
+        poly_exact_div([1], [])
+
+
+int_polys = st.lists(st.integers(-9, 9), max_size=4).map(poly_trim)
+
+
+@given(int_polys, int_polys.filter(bool))
+def test_integer_list_product_divides_back(a, b):
+    assert poly_exact_div(poly_mul(a, b), b) == a
+    assert RatPoly(poly_mul(a, b)) == RatPoly(a) * RatPoly(b)
+
+
+# -- linear solver over Z[z] --------------------------------------------------------
+
+
+def check_solution(matrix, rhs, numerators, den):
+    """A X = den * b, row by row."""
+    for row, want in zip(matrix, rhs):
+        acc = []
+        for a, x in zip(row, numerators):
+            acc = poly_add(acc, poly_mul(a, x))
+        assert acc == poly_mul(den, poly_trim(want))
 
 
 def test_identity_system_returns_rhs():
-    one, zero = RationalFunction.one(), RationalFunction.zero()
-    matrix = [[one, zero], [zero, one]]
-    rhs = [rf((1, 2)), rf((0, 0, 3))]
-    solution, kernel = solve_linear_system(matrix, rhs)
-    assert solution == rhs
+    matrix = [[[1], []], [[], [1]]]
+    rhs = [[1, 2], [0, 0, 3]]
+    numerators, den, kernel = solve_linear_system(matrix, rhs)
+    assert den == [1]
+    assert numerators == rhs
     assert kernel == 0
 
 
 def test_singular_consistent_system_reports_kernel():
-    one = RationalFunction.one()
-    two = rf((2,))
-    solution, kernel = solve_linear_system([[one, one], [two, two]],
-                                           [rf((3,)), rf((6,))])
+    numerators, den, kernel = solve_linear_system([[[1], [1]], [[2], [2]]],
+                                                  [[3], [6]])
     assert kernel == 1
-    assert solution[0] + solution[1] == rf((3,))
+    assert poly_add(numerators[0], numerators[1]) == poly_scale(den, 3)
 
 
 def test_inconsistent_system_raises():
-    one = RationalFunction.one()
-    two = rf((2,))
     with pytest.raises(NoSolution):
-        solve_linear_system([[one, one], [two, two]], [rf((3,)), rf((7,))])
+        solve_linear_system([[[1], [1]], [[2], [2]]], [[3], [7]])
 
 
 def test_overdetermined_consistent_system():
-    one, zero = RationalFunction.one(), RationalFunction.zero()
-    matrix = [[one, zero], [zero, one], [one, one]]
-    rhs = [rf((1,)), rf((2,)), rf((3,))]
-    solution, kernel = solve_linear_system(matrix, rhs)
-    assert solution == [rf((1,)), rf((2,))]
+    matrix = [[[1], []], [[], [1]], [[1], [1]]]
+    rhs = [[1], [2], [3]]
+    numerators, den, kernel = solve_linear_system(matrix, rhs)
+    assert [RationalFunction(RatPoly(x), RatPoly(den)) for x in numerators] \
+        == [rf((1,)), rf((2,))]
     assert kernel == 0
 
 
 def test_ragged_matrix_rejected():
-    one = RationalFunction.one()
     with pytest.raises(ValueError):
-        solve_linear_system([[one, one], [one]], [one, one])
+        solve_linear_system([[[1], [1]], [[1]]], [[1], [1]])
 
 
-@given(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
-       st.lists(st.integers(-5, 5), min_size=2, max_size=2))
+def test_polynomial_entries_give_cramer_numerators():
+    # [[z, 1], [1, z]] x = [1, 0]: x = (z, -1) / (z^2 - 1)
+    matrix = [[[0, 1], [1]], [[1], [0, 1]]]
+    numerators, den, kernel = solve_linear_system(matrix, [[1], []])
+    assert kernel == 0
+    x = [RationalFunction(RatPoly(v), RatPoly(den)) for v in numerators]
+    assert x == [rf((0, 1), (-1, 0, 1)), rf((-1,), (-1, 0, 1))]
+    check_solution(matrix, [[1], []], numerators, den)
+
+
+@given(st.lists(st.lists(st.integers(-5, 5), max_size=3), min_size=6, max_size=6),
+       st.lists(st.lists(st.integers(-5, 5), max_size=3), min_size=3, max_size=3))
 def test_solution_satisfies_the_system(entries, target):
-    matrix = [[rf((entries[0],)), rf((entries[1],))],
-              [rf((entries[2],)), rf((entries[3],))]]
-    rhs = [rf((t,)) for t in target]
+    matrix = [entries[0:2], entries[2:4], entries[4:6]]
     try:
-        solution, _kernel = solve_linear_system(matrix, rhs)
+        numerators, den, _kernel = solve_linear_system(matrix, target)
     except NoSolution:
         return
-    for row, want in zip(matrix, rhs):
-        acc = RationalFunction.zero()
-        for a, x in zip(row, solution):
-            acc = acc + a * x
-        assert acc == want
+    assert den
+    check_solution(matrix, target, numerators, den)

@@ -2,16 +2,20 @@
 route to its solution, rational exponentials, and horizontal sections."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobcy.catalog import get_entry
-from frobcy.diffop import ThetaOperator, check_cy5, check_mum, solve_series, to_monic
-from frobcy.polyrat import RatPoly, RationalFunction
-from frobcy.wedge import (DifferentialModule, NotRationalY, UnexpectedOrder,
-                          _Laurent, f0_wedge_via_wronskian,
-                          rational_exp_integral, verify_horizontal_u4,
-                          verify_horizontal_u5, wedge_square)
+from frobcy.catalog import _LEFT, _RIGHT, get_entry
+from frobcy.diffop import (ThetaOperator, check_cy4, check_cy5, check_mum,
+                           solve_series, to_monic)
+from frobcy.polyrat import RatPoly, RationalFunction, poly_mul
+from frobcy.wedge import (NotRationalY, UnexpectedOrder, _Laurent,
+                          _module_action, _theta_step, _wedge_action,
+                          f0_wedge_via_wronskian, rational_exp_integral,
+                          verify_horizontal_u4, verify_horizontal_u5,
+                          wedge_square)
 
 AA = get_entry("A*a").operator
 
@@ -56,57 +60,63 @@ def ratfun(num, den=None) -> RationalFunction:
 
 
 class TestDifferentialModule:
+    """The rank-n module of an operator and its exterior square, as integer
+    columns over the leading symbol Delta: theta(e_j) = sum_i A[j][i] e_i / Delta."""
+
     def test_from_operator_shifts_the_basis(self):
-        mod = DifferentialModule.from_operator(AA)
-        assert mod.rank == 4
+        delta, action = _module_action(AA)
+        assert len(action) == 4 and delta == AA.z_poly(4)
         for j in range(3):
-            col = mod.action[j]
-            assert [c.is_zero() for c in col].count(False) == 1
-            assert col[j + 1] == RationalFunction.one()
+            col = action[j]
+            assert [bool(c) for c in col].count(True) == 1
+            assert col[j + 1] == delta
 
     def test_top_column_carries_the_operator(self):
-        mod = DifferentialModule.from_operator(AA)
-        qs = [RatPoly([row[k] for row in AA.coeffs]) for k in range(5)]
+        _, action = _module_action(AA)
         for i in range(4):
-            assert mod.action[3][i] == RationalFunction(-qs[i], qs[4])
+            assert action[3][i] == [-c for c in AA.z_poly(i)]
 
     def test_theta_of_a_function_times_basis_vector(self):
-        # theta(z e0) = z e0 + z e1
-        mod = DifferentialModule.from_operator(AA)
-        z = ratfun((0, 1))
-        vec = [z] + [RationalFunction.zero()] * 3
-        out = mod.apply_theta(vec)
-        assert out[0] == z and out[1] == z
-        assert out[2].is_zero() and out[3].is_zero()
+        # theta(z e0) = z e0 + z e1, here over Delta^1
+        delta, action = _module_action(AA)
+        out = _theta_step([[0, 1], [], [], []], 0, delta, action)
+        z_delta = [0] + delta
+        assert out[0] == z_delta and out[1] == z_delta
+        assert out[2] == [] and out[3] == []
 
-    def test_action_matrix_must_be_square(self):
-        with pytest.raises(ValueError):
-            DifferentialModule([[RationalFunction.one()],
-                                [RationalFunction.zero()]])
+    def test_theta_step_differentiates_the_denominator(self):
+        # theta(e0 / Delta) = (-theta(Delta) e0 + Delta e1) / Delta^2
+        delta, action = _module_action(AA)
+        out = _theta_step([[1], [], [], []], 1, delta, action)
+        assert out[0] == [-i * c for i, c in enumerate(delta)]
+        assert out[1] == delta and out[2] == [] and out[3] == []
+        z = ratfun((0, 1))
+        assert ratfun(out[0], poly_mul(delta, delta)) \
+            == z * ratfun((1,), delta).derivative()
 
     def test_wedge_module_rank_and_basis_order(self):
-        mod = DifferentialModule.from_operator(AA)
-        wmod, pairs = mod.wedge_module()
-        assert wmod.rank == 6
+        _, action = _module_action(AA)
+        waction, pairs = _wedge_action(action)
+        assert len(waction) == 6
         assert pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
     def test_rank2_wedge_recovers_the_wronskian_relation(self):
         # theta(e0 ^ e1) = -(q1/q2) e0 ^ e1: the order-2 analogue of the
         # construction, i.e. the classical first-order Wronskian relation
-        mod = DifferentialModule.from_operator(LEG16)
-        wmod, pairs = mod.wedge_module()
-        assert wmod.rank == 1 and pairs == [(0, 1)]
-        expected = ratfun((0, 16), (1, -16))  # 16z / (1 - 16z)
-        assert wmod.action[0][0] == expected
+        delta, action = _module_action(LEG16)
+        waction, pairs = _wedge_action(action)
+        assert len(waction) == 1 and pairs == [(0, 1)]
+        assert delta == [1, -16] and waction[0][0] == [0, 16]  # 16z / (1 - 16z)
 
     def test_rank2_wedge_matches_the_monic_trace_coefficient(self):
         # the d/dz Wronskian obeys W_hat' = -a1 W_hat, so W = z W_hat obeys
         # theta W = (1 - z a1) W: the rank-1 action must equal 1 - z a1
-        mod = DifferentialModule.from_operator(LEG16)
-        wmod, _ = mod.wedge_module()
+        delta, action = _module_action(LEG16)
+        waction, _ = _wedge_action(action)
         a1 = to_monic(LEG16).a[1]
         z = ratfun((0, 1))
-        assert wmod.action[0][0] == RationalFunction.one() - z * a1
+        assert RationalFunction(RatPoly(waction[0][0]), RatPoly(delta)) \
+            == RationalFunction.one() - z * a1
 
 
 # -- the order-5 companion ---------------------------------------------------------
@@ -157,6 +167,65 @@ class TestWedgeSquare:
         q = wedge_square(GEOMETRIC4)
         assert q.coeffs == GEOMETRIC4_WEDGE_ROWS
         assert solve_series(q, 6).coeffs == [1, 2, 3, 4, 5, 6, 7]
+
+
+# -- generated catalog-shape operators ---------------------------------------------
+
+
+def catalog_shape(lam, mu, kappa, pair, mid):
+    """theta^4 - lam mu z P(theta) m(theta) + kappa lam^2 z^2 P(theta) P(theta+1)."""
+    shifted = [sum(pair[k] * comb(k, j) for k in range(j, len(pair)))
+               for j in range(len(pair))]
+    return ThetaOperator([[0, 0, 0, 0, 1],
+                          [-lam * mu * c for c in poly_mul(pair, mid)],
+                          [kappa * lam * lam * c for c in poly_mul(pair, shifted)]])
+
+
+def monic_cy4_identity(op):
+    """The closed form in the ``check_cy4`` docstring, over Q(z):
+    a_1 = (1/2) a_2 a_3 - (1/8) a_3^3 + a_2' - (3/4) a_3 a_3' - (1/2) a_3''."""
+    a0, a1, a2, a3 = to_monic(op).a
+    rhs = ((a2 * a3) * Fraction(1, 2) - (a3 * a3 * a3) * Fraction(1, 8)
+           + a2.derivative() - (a3 * a3.derivative()) * Fraction(3, 4)
+           - a3.derivative().derivative() * Fraction(1, 2))
+    return (a1 - rhs).is_zero()
+
+
+class TestGeneratedCatalogShapes:
+    """P(theta) = (u theta + v)(u theta + u - v) and m(theta) = c + b theta (theta + 1)
+    are symmetric under theta -> -1 - theta, which makes the operator
+    self-dual; m(theta) + delta theta breaks the symmetry at order z, which no
+    choice of P can repair."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(-300, 300),
+           st.integers(1, 6), st.integers(0, 6), st.integers(1, 20),
+           st.integers(-30, 30), st.integers(-3, 3).filter(bool))
+    def test_self_duality_wedge_and_perturbation(self, lam, mu, kappa, u, v, b,
+                                                 c, delta):
+        pair = poly_mul([v, u], [u - v, u])
+        op = catalog_shape(lam, mu, kappa, pair, [c, b, b])
+        assert check_cy4(op) and monic_cy4_identity(op)
+        assert check_cy5(wedge_square(op))
+
+        bent = catalog_shape(lam, mu, kappa, pair, [c, b + delta, b])
+        assert not check_cy4(bent) and not monic_cy4_identity(bent)
+        with pytest.raises(UnexpectedOrder):
+            wedge_square(bent)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(sorted(_LEFT)), st.sampled_from(sorted(_RIGHT)),
+           st.integers(-4, 4).filter(bool))
+    def test_wedge_series_equals_the_wronskian(self, left, right, scale):
+        # integral series: Hadamard products of the catalog's second-order
+        # sequences, with z -> scale z
+        lam, pair, _ = _LEFT[left]
+        mu, mid, kappa = _RIGHT[right]
+        op = catalog_shape(scale * lam, mu, kappa, pair, mid)
+        assert check_cy4(op) == monic_cy4_identity(op) is True
+        q = wedge_square(op)
+        assert check_cy5(q)
+        assert solve_series(q, 20).coeffs == f0_wedge_via_wronskian(op, 20)
 
 
 # -- the Wronskian route to F0 -----------------------------------------------------
