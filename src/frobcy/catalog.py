@@ -9,9 +9,9 @@ fourth-order operator
     theta^4 - lam mu x P(theta) m(theta) + kappa lam^2 x^2 P(theta) P(theta+1),
 
 where theta^2 - lam x P(theta) is the left factor.  The catalog stores every
-product in this factored-integer form together with its database number, the
-rational roots of its leading symbol, and the labels of the modular forms
-attached to distinguished singular points.
+product in this factored-integer form together with its database number and
+the labels of the modular forms attached to distinguished singular points; the
+rational roots of its leading symbol are found when they are read.
 
 ``quintic_wedge_coefficients`` produces the auxiliary quintic sequence
 
@@ -29,8 +29,8 @@ from math import comb, factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import FrobcyError
-from .diffop import NonIntegralSolution, ThetaOperator, solve_series
-from .polyrat import RatPoly, poly_mul, rational_roots
+from .diffop import NonIntegralSolution, ThetaOperator, leading_symbol, solve_series
+from .polyrat import poly_mul, rational_roots
 
 
 # -- left factors: theta^2 - lam x P(theta), P a product of two linear terms ----
@@ -117,20 +117,24 @@ class CatalogEntry:
     left: str
     right: str
     operator: ThetaOperator
-    singular_points: Tuple[Fraction, ...]          # rational symbol roots
     special_points: Dict[Fraction, str] = field(default_factory=dict)
+
+    @property
+    def singular_points(self) -> Tuple[Fraction, ...]:
+        """The rational roots of the leading symbol, ascending.
+
+        Computed on each read, so that importing the catalog runs no root
+        search; only the ``catalog`` listing reads them.
+        """
+        roots, _ = rational_roots(leading_symbol(self.operator))
+        return tuple(sorted(r for r, _m in roots))
 
 
 def _build_entry(left: str, right: str) -> CatalogEntry:
-    op = product_operator(left, right)
-    n = op.theta_order
-    symbol = RatPoly([row[n] for row in op.coeffs])
-    roots, _ = rational_roots(symbol)
-    points = tuple(sorted(r for r, _m in roots))
     name = f"{left}*{right}"
     return CatalogEntry(
-        name=name, aesz=_AESZ[name], left=left, right=right, operator=op,
-        singular_points=points,
+        name=name, aesz=_AESZ[name], left=left, right=right,
+        operator=product_operator(left, right),
         special_points=dict(_SPECIAL_POINTS.get(name, {})),
     )
 

@@ -351,16 +351,3 @@ def legendre_frobenius(p: int, s0: int) -> int:
         raise LiftOutOfBound(f"|a_p| = {abs(ap)} exceeds 2 sqrt(p) at p = {p}")
     return ap
 
-
-def legendre_trace_bruteforce(p: int, s0: int) -> int:
-    """Character-sum oracle: a_p = -sum_x chi(x (x-1) (x-s0))."""
-    s0 %= p
-    if s0 in (0, 1):
-        raise SingularFiber(f"the fiber at s0 = {s0} is degenerate")
-    total = 0
-    e = (p - 1) // 2
-    for x in range(p):
-        v = x * (x - 1) % p * (x - s0) % p
-        if v:
-            total += 1 if pow(v, e, p) == 1 else -1
-    return -total

@@ -305,43 +305,51 @@ def _divisors(n: int) -> list:
     return small + large[::-1]
 
 
+def _divide_linear(c: IntPoly, a: int, b: int):
+    """c / (b z - a) in Z[z] by synthetic division from the top, or None as
+    soon as a step is not exact."""
+    q = [0] * (len(c) - 1)
+    carry = c[-1]
+    for k in range(len(c) - 2, -1, -1):
+        q[k], r = divmod(carry, b)
+        if r:
+            return None
+        carry = c[k] + a * q[k]
+    return q if carry == 0 else None
+
+
 def rational_roots(poly: RatPoly) -> tuple:
     """All rational roots with multiplicity, plus the rootless cofactor.
 
-    Returns (roots, cofactor) where roots is a list of (Fraction, multiplicity)
-    and poly == lead * prod (z - root)^mult * cofactor_monic ... (cofactor has
-    no rational roots).
+    Returns (roots, cofactor) where roots is a list of (Fraction, multiplicity),
+    the root 0 first and then the others in ascending order, and
+    poly = const * z^m0 * prod (b z - a)^m * cofactor with a cofactor in Z[z]
+    that has no rational root.
+
+    The search runs on the primitive integer coefficients c_0 .. c_n.  By
+    Gauss's lemma a/b in lowest terms (b > 0) is a root exactly when b z - a
+    divides the polynomial in Z[z]; then a | c_0 and b | c_n, and synthetic
+    division by b z - a is exact over Z.
     """
     if poly.is_zero():
         raise ValueError("zero polynomial")
-    _, prim = poly.content_and_primitive()
-    ints = prim.integer_coeffs()
-    # strip root at 0
-    v0 = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        v0 += 1
-    roots = []
-    if v0:
-        roots.append((Fraction(0), v0))
-    work = RatPoly(ints)
-    if work.degree >= 1:
-        candidates = set()
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
-                candidates.add(Fraction(num, den))
-                candidates.add(Fraction(-num, den))
-        for cand in sorted(candidates):
-            if work.degree < 1:
-                break
-            mult = 0
-            lin = RatPoly((-cand, 1))
-            while work.evaluate(cand) == 0:
-                work = work.exact_div(lin)
-                mult += 1
-            if mult:
-                roots.append((cand, mult))
-    return roots, work
+    ints = poly.content_and_primitive()[1].integer_coeffs()
+    v0 = next(i for i, c in enumerate(ints) if c)
+    ints = ints[v0:]
+    roots = [(Fraction(0), v0)] if v0 else []
+    lead = abs(ints[-1])
+    candidates = [(s * a, b) for a in _divisors(ints[0])
+                  for b in _divisors(lead) if _int_gcd(a, b) == 1
+                  for s in (-1, 1)]
+    # ascending a/b: the key a/b * lead is an integer because b | lead
+    candidates.sort(key=lambda ab: ab[0] * (lead // ab[1]))
+    for a, b in candidates:
+        mult = 0
+        while len(ints) > 1 and (quot := _divide_linear(ints, a, b)) is not None:
+            ints, mult = quot, mult + 1
+        if mult:
+            roots.append((Fraction(a, b), mult))
+    return roots, RatPoly(ints)
 
 
 class RationalFunction:

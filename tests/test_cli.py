@@ -563,6 +563,33 @@ class TestCmdCatalog:
             json.loads(get_entry("A*a").operator.to_json()))
 
 
+class TestCatalogRootsOnDemand:
+    # sha256 of `frobcy catalog` stdout when every entry's symbol roots were
+    # found at import
+    SUMMARY_SHA256 = \
+        "8f7527a5f3bb6973f8be12e8c881d7f9ff5b255248481154d0452718abb58eec"
+
+    def test_import_runs_no_root_search(self):
+        script = (
+            "import frobcy.polyrat as polyrat\n"
+            "calls = []\n"
+            "real = polyrat.rational_roots\n"
+            "polyrat.rational_roots = lambda poly: calls.append(poly) or real(poly)\n"
+            "import frobcy.cli\n"
+            "imported = len(calls)\n"
+            "frobcy.cli.get_entry('A*a').singular_points\n"
+            "print(imported, len(calls))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "1"]
+
+    def test_summary_bytes_are_unchanged(self, capsys):
+        code, out, _ = run(["catalog"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SUMMARY_SHA256
+
+
 # -- congruence subcommand ------------------------------------------------------------
 
 
@@ -787,6 +814,14 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch, capsys):
 # -- console entry point --------------------------------------------------------------
 
 
+def checkout_env():
+    """The environment with this process's ``frobcy`` first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_frobcy(args):
     """Run the ``frobcy`` command in a fresh process on the checkout under test.
 
@@ -795,11 +830,8 @@ def run_frobcy(args):
     package as this process."""
     exe = shutil.which("frobcy")
     cmd = [exe] if exe else [sys.executable, "-m", "frobcy"]
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(cmd + args, capture_output=True, text=True, env=env,
-                          timeout=120)
+    return subprocess.run(cmd + args, capture_output=True, text=True,
+                          env=checkout_env(), timeout=120)
 
 
 class TestConsoleScript:

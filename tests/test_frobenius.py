@@ -13,8 +13,8 @@ from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
                               assemble_frobenius, box_precision,
                               decode_frobenius, frobenius_quartic,
                               legendre_frobenius, legendre_precision,
-                              legendre_trace_bruteforce, legendre_unit_root,
-                              required_precision, unit_roots, weil_verify)
+                              legendre_unit_root, required_precision,
+                              unit_roots, weil_verify)
 from frobcy.padic import PadicNumber
 from frobcy.wedge import wedge_square
 
@@ -357,6 +357,20 @@ class TestWeilVerify:
 
 
 # -- the elliptic baseline ----------------------------------------------------------
+
+
+def legendre_trace_bruteforce(p: int, s0: int) -> int:
+    """Character-sum oracle: a_p = -sum_x chi(x (x-1) (x-s0))."""
+    s0 %= p
+    if s0 in (0, 1):
+        raise SingularFiber(f"the fiber at s0 = {s0} is degenerate")
+    total = 0
+    e = (p - 1) // 2
+    for x in range(p):
+        v = x * (x - 1) % p * (x - s0) % p
+        if v:
+            total += 1 if pow(v, e, p) == 1 else -1
+    return -total
 
 
 class TestLegendre:

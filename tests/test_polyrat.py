@@ -2,9 +2,10 @@
 and the fraction-free linear solver over Z[z]."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from frobcy.polyrat import (NoSolution, RatPoly, RationalFunction, poly_add,
                             poly_exact_div, poly_gcd, poly_mul, poly_scale,
@@ -94,6 +95,79 @@ def test_rational_roots_of_the_quadratic_symbol():
     roots, cofactor = rational_roots(RatPoly((1, -112, -2048)))
     assert sorted(r for r, _ in roots) == [Fraction(-1, 16), Fraction(1, 128)]
     assert cofactor.degree == 0
+
+
+def _divisors(n: int) -> list:
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def rational_roots_oracle(poly: RatPoly) -> tuple:
+    """The Fraction root search: every candidate +-d0/dn (d0 | c_0, dn | c_n)
+    in ascending order, tested by Horner evaluation and divided out by
+    z - root over Q."""
+    if poly.is_zero():
+        raise ValueError("zero polynomial")
+    _, prim = poly.content_and_primitive()
+    ints = prim.integer_coeffs()
+    # strip root at 0
+    v0 = 0
+    while ints and ints[0] == 0:
+        ints = ints[1:]
+        v0 += 1
+    roots = []
+    if v0:
+        roots.append((Fraction(0), v0))
+    work = RatPoly(ints)
+    if work.degree >= 1:
+        candidates = set()
+        for num in _divisors(ints[0]):
+            for den in _divisors(ints[-1]):
+                candidates.add(Fraction(num, den))
+                candidates.add(Fraction(-num, den))
+        for cand in sorted(candidates):
+            if work.degree < 1:
+                break
+            mult = 0
+            lin = RatPoly((-cand, 1))
+            while work.evaluate(cand) == 0:
+                work = work.exact_div(lin)
+                mult += 1
+            if mult:
+                roots.append((cand, mult))
+    return roots, work
+
+
+# (b z - a)^m with gcd(a, b) = 1; the multiplicities stay small enough
+# that the oracle's candidate set, all +-d0/dn, is quick to scan
+_linear_factors = st.lists(
+    st.tuples(st.integers(-60, 60), st.integers(1, 60), st.integers(1, 3))
+    .filter(lambda abm: gcd(abm[0], abm[1]) == 1),
+    max_size=2).filter(lambda fs: sum(m for _a, _b, m in fs) <= 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), _linear_factors,
+       st.sampled_from([(1,), (1, 0, 1), (-2, 0, 1), (1, 1, 3)]),
+       st.integers(-30, 30).filter(bool))
+def test_rational_roots_match_the_fraction_oracle(k, linear, rootless, content):
+    p = poly_mul([0] * k + [content], rootless)
+    for a, b, m in linear:
+        for _ in range(m):
+            p = poly_mul(p, [-a, b])
+    roots, cofactor = rational_roots(RatPoly(p))
+    want_roots, want_cofactor = rational_roots_oracle(RatPoly(p))
+    assert roots == want_roots
+    ratio = want_cofactor.coeffs[-1] / cofactor.coeffs[-1]
+    assert ratio and want_cofactor == cofactor * RatPoly((ratio,))
 
 
 # -- RationalFunction ---------------------------------------------------------------
