@@ -12,13 +12,6 @@ where theta^2 - lam x P(theta) is the left factor.  The catalog stores every
 product in this factored-integer form together with its database number and
 the labels of the modular forms attached to distinguished singular points; the
 rational roots of its leading symbol are found when they are read.
-
-``quintic_wedge_coefficients`` produces the auxiliary quintic sequence
-
-    A_n = sum_k (5k)!/k!^5 * (5(n-k))!/(n-k)!^5
-                * (1 + k(-5 H_k + 5 H_{n-k} + 5 H_{5k} - 5 H_{5(n-k)}))
-
-and certifies its integrality.
 """
 
 from __future__ import annotations
@@ -26,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from . import FrobcyError
 from .diffop import NonIntegralSolution, ThetaOperator, leading_symbol, solve_series
 from .polyrat import poly_mul, rational_roots
 
@@ -287,51 +279,3 @@ def sequence_terms_via_recurrence(name: str, N: int) -> List[int]:
     if name not in SECOND_ORDER:
         raise KeyError(f"unknown sequence {name!r}")
     return solve_series(SECOND_ORDER[name], N).coeffs
-
-
-class LengthMismatch(FrobcyError, ValueError):
-    """An input sequence is shorter than the requested output length."""
-
-
-def hadamard_product(xs: List[int], ys: List[int],
-                     N: Optional[int] = None) -> List[int]:
-    """Coefficientwise products x_0 y_0 .. x_N y_N.
-
-    When ``N`` is omitted the full common length is used, which then requires
-    the inputs to have equal length.
-    """
-    if N is None:
-        if len(xs) != len(ys):
-            raise LengthMismatch(
-                f"lengths {len(xs)} and {len(ys)} differ and no N was given")
-        N = len(xs) - 1
-    if len(xs) < N + 1 or len(ys) < N + 1:
-        raise LengthMismatch(
-            f"need {N + 1} terms, have {len(xs)} and {len(ys)}")
-    return [xs[n] * ys[n] for n in range(N + 1)]
-
-
-# -- the auxiliary quintic sequence ------------------------------------------------
-
-
-def quintic_wedge_coefficients(N: int) -> List[int]:
-    """A_0 .. A_N of the quintic auxiliary sequence; integrality is certified
-    term by term (NonIntegralSolution on failure)."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    top = max(5 * N, N)
-    H = [Fraction(0)] * (top + 1)
-    for i in range(1, top + 1):
-        H[i] = H[i - 1] + Fraction(1, i)
-    fact = [factorial(5 * k) // factorial(k) ** 5 for k in range(N + 1)]
-    out = []
-    for n in range(N + 1):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            weight = 1 + k * (-5 * H[k] + 5 * H[n - k] + 5 * H[5 * k]
-                              - 5 * H[5 * (n - k)])
-            acc += fact[k] * fact[n - k] * weight
-        if acc.denominator != 1:
-            raise NonIntegralSolution(f"A_{n} = {acc} is not an integer")
-        out.append(acc.numerator)
-    return out

@@ -540,10 +540,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; the one place where errors become exit codes."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except FrobcyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's closing flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ and eta := z * omega ^ (d/dz omega) = omega ^ theta omega generates it.
 ``wedge_square`` returns the minimal operator Q with Q(eta) = 0, computed
 purely by exact linear algebra over Z[z] -- the only route used; no
 closed-form product formula enters.  Module vectors are integer coefficient
-lists over powers of the leading symbol Delta, so theta^k eta = v_k / Delta^k
-with v_k in Z[z]^6, and the relation comes from fraction-free elimination.
+lists over powers of the leading symbol Delta, kept in lowest Delta-terms, so
+theta^k eta = v_k / Delta^(e_k) with v_k in Z[z]^6 (e = 0, 0, 0, 1, 2, 3 on
+the catalog), and the relation comes from fraction-free elimination on the
+v_k themselves.
 It is memoized per process by the operator's JSON, so each operator's
 exterior square (and its closing ``check_cy5``) is built at most once.
 
@@ -113,6 +115,27 @@ def _theta_step(vec: List[IntPoly], m: int, delta: IntPoly,
     return out
 
 
+def _divide_while(vec: List[IntPoly], factor: IntPoly, most: int
+                  ) -> Tuple[List[IntPoly], int]:
+    """Divide every entry of ``vec`` by ``factor`` while it divides them all,
+    at most ``most`` times; returns the quotients and the number of divisions."""
+    count = 0
+    while count < most:
+        try:
+            vec = [poly_exact_div(v, factor) for v in vec]
+        except ArithmeticError:
+            break
+        count += 1
+    return vec, count
+
+
+def _poly_pow(a: IntPoly, e: int) -> IntPoly:
+    out: IntPoly = [1]
+    for _ in range(e):
+        out = poly_mul(out, a)
+    return out
+
+
 # -- the fifth-order companion ---------------------------------------------------
 
 
@@ -123,12 +146,14 @@ _WEDGES: Dict[str, ThetaOperator] = {}
 def wedge_square(op: ThetaOperator) -> ThetaOperator:
     """Minimal monic operator annihilating eta = e_0 ^ e_1, order exactly 5.
 
-    The relation is found by solving the 6x5 linear system
-    [theta^0 eta ... theta^4 eta] x = theta^5 eta over the common
-    denominator Delta^5 by Bareiss elimination in Z[z]; the relation
-    det theta^5 - sum_k X_k theta^k is divided by the gcd of its six
-    coefficients and brought to the canonical integer form (content 1,
-    positive leading constant).  Raises UnsupportedOperator unless ``op`` is a
+    With theta^k eta = v_k / Delta^(e_k) in lowest Delta-terms, the 6x5
+    system [v_0 ... v_4] x = v_5 is solved by Bareiss elimination in Z[z];
+    scaling a column by a nonzero Delta-power changes neither the system's
+    consistency nor the dimension of its kernel.  The relation
+    det Delta^(e_5) theta^5 - sum_k X_k Delta^(e_k) theta^k is stripped of
+    its common Delta and z factors, divided by the gcd of what remains over
+    Q[z] and brought to the canonical integer form (content 1, positive
+    leading constant).  Raises UnsupportedOperator unless ``op`` is a
     fourth-order MUM operator, and UnexpectedOrder when the iterates are
     linearly dependent before order 5 or span no order-5 relation.
 
@@ -150,23 +175,19 @@ def _build_wedge(op: ThetaOperator) -> ThetaOperator:
         raise UnsupportedOperator("wedge_square expects a MUM operator")
     delta, action = _module_action(op)
     waction, pairs = _wedge_action(action)
-    # theta^k eta = iterates[k] / Delta^k
+    # theta^k eta = iterates[k] / Delta^exps[k], in lowest Delta-terms
     eta: List[IntPoly] = [[] for _ in pairs]
     eta[pairs.index((0, 1))] = [1]
-    iterates = [eta]
-    for m in range(5):
-        iterates.append(_theta_step(iterates[-1], m, delta, waction))
+    iterates, exps = [eta], [0]
+    for _ in range(5):
+        vec = _theta_step(iterates[-1], exps[-1], delta, waction)
+        vec, j = _divide_while(vec, delta, exps[-1] + 1)
+        iterates.append(vec)
+        exps.append(exps[-1] + 1 - j)
 
-    # over the common denominator Delta^5, column k holds theta^k eta
-    cols = []
-    scale: IntPoly = [1]
-    for k in range(5, -1, -1):
-        cols.append([poly_mul(scale, v) for v in iterates[k]])
-        scale = poly_mul(scale, delta)
-    cols.reverse()
-    matrix = [[cols[k][i] for k in range(5)] for i in range(len(pairs))]
+    matrix = [[iterates[k][i] for k in range(5)] for i in range(len(pairs))]
     try:
-        numerators, det, kernel_dim = solve_linear_system(matrix, cols[5])
+        numerators, det, kernel_dim = solve_linear_system(matrix, iterates[5])
     except NoSolution as exc:
         raise UnexpectedOrder("theta-iterates span no order-5 relation") from exc
     if kernel_dim > 0:
@@ -174,8 +195,14 @@ def _build_wedge(op: ThetaOperator) -> ThetaOperator:
             f"eta satisfies a relation of order < 5 (kernel dimension {kernel_dim})"
         )
 
-    # det theta^5 eta - sum_k X_k theta^k eta = 0, made primitive over Q[z]
-    relation = [poly_scale(x, -1) for x in numerators] + [det]
+    # det Delta^e5 theta^5 eta - sum_k X_k Delta^ek theta^k eta = 0: strip the
+    # common Delta and z factors exactly, then make it primitive over Q[z]
+    relation = [poly_mul(poly_scale(x, -1), _poly_pow(delta, e))
+                for x, e in zip(numerators, exps)]
+    relation.append(poly_mul(det, _poly_pow(delta, exps[5])))
+    bound = max(len(c) for c in relation)
+    relation = _divide_while(relation, delta, bound)[0]
+    relation = _divide_while(relation, [0, 1], bound)[0]
     g = RatPoly.zero()
     for c in relation:
         g = poly_gcd(g, RatPoly(c))

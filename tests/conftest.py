@@ -9,12 +9,15 @@ from __future__ import annotations
 import json
 import re
 import time
+from fractions import Fraction
 from importlib import resources
+from math import factorial
 
 import pytest
 
 from frobcy.catalog import get_entry
 from frobcy.classify import classify_operator
+from frobcy.diffop import NonIntegralSolution
 from frobcy.wedge import wedge_square
 
 ACCEPTANCE_OPERATORS = ("A*a", "B*a", "C*c", "D*g")
@@ -75,6 +78,58 @@ def acceptance_timings():
     """Wall-clock seconds of the shared expensive computations, for the
     criteria that state a runtime budget."""
     return {}
+
+
+# -- test-only oracles ---------------------------------------------------------------
+
+
+class LengthMismatch(ValueError):
+    """An input sequence is shorter than the requested output length."""
+
+
+def hadamard_product(xs, ys, N=None):
+    """Coefficientwise products x_0 y_0 .. x_N y_N.
+
+    When ``N`` is omitted the full common length is used, which then requires
+    the inputs to have equal length.
+    """
+    if N is None:
+        if len(xs) != len(ys):
+            raise LengthMismatch(
+                f"lengths {len(xs)} and {len(ys)} differ and no N was given")
+        N = len(xs) - 1
+    if len(xs) < N + 1 or len(ys) < N + 1:
+        raise LengthMismatch(
+            f"need {N + 1} terms, have {len(xs)} and {len(ys)}")
+    return [xs[n] * ys[n] for n in range(N + 1)]
+
+
+def quintic_wedge_coefficients(N):
+    """A_0 .. A_N of the auxiliary quintic sequence
+
+        A_n = sum_k (5k)!/k!^5 * (5(n-k))!/(n-k)!^5
+                    * (1 + k(-5 H_k + 5 H_{n-k} + 5 H_{5k} - 5 H_{5(n-k)})),
+
+    with integrality certified term by term (NonIntegralSolution on failure).
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    top = max(5 * N, N)
+    H = [Fraction(0)] * (top + 1)
+    for i in range(1, top + 1):
+        H[i] = H[i - 1] + Fraction(1, i)
+    fact = [factorial(5 * k) // factorial(k) ** 5 for k in range(N + 1)]
+    out = []
+    for n in range(N + 1):
+        acc = Fraction(0)
+        for k in range(n + 1):
+            weight = 1 + k * (-5 * H[k] + 5 * H[n - k] + 5 * H[5 * k]
+                              - 5 * H[5 * (n - k)])
+            acc += fact[k] * fact[n - k] * weight
+        if acc.denominator != 1:
+            raise NonIntegralSolution(f"A_{n} = {acc} is not an integer")
+        out.append(acc.numerator)
+    return out
 
 
 # -- acceptance summary -------------------------------------------------------------

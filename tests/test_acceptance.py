@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import time
 
-from frobcy.catalog import (CATALOG, get_entry, hadamard_product,
-                            quintic_wedge_coefficients, sequence_terms,
+from frobcy.catalog import (CATALOG, get_entry, sequence_terms,
                             sequence_terms_via_recurrence)
 from frobcy.classify import (BUILTIN_FORMS, classify_operator,
                              match_singular_ap, reducible_split)
@@ -23,7 +22,8 @@ from frobcy.frobenius import (assemble_frobenius, frobenius_quartic,
 from frobcy.padic import balanced_residue, teichmueller_residue
 from frobcy.wedge import verify_horizontal_u4, verify_horizontal_u5
 
-from conftest import ACCEPTANCE_OPERATORS, ACCEPTANCE_PRIMES
+from conftest import (ACCEPTANCE_OPERATORS, ACCEPTANCE_PRIMES, hadamard_product,
+                      quintic_wedge_coefficients)
 
 
 def test_criterion_1(wedge_of):

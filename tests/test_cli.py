@@ -859,6 +859,25 @@ class TestConsoleScript:
         done = run_frobcy([])
         assert done.returncode == 2
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exits_1_without_traceback(self, unbuffered):
+        # `frobcy catalog | head -1` closes the pipe while frobcy still writes;
+        # closing the read end before the child starts makes that reliable.
+        # Unbuffered, the failing write is a print inside the subcommand;
+        # buffered, it is the flush when the subcommand returns
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(checkout_env(), PYTHONUNBUFFERED=unbuffered)
+        try:
+            done = subprocess.run([sys.executable, "-m", "frobcy", "catalog"],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) <= 1
+
 
 # -- benchmark spans ------------------------------------------------------------------
 

@@ -7,10 +7,13 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcy.catalog import _LEFT, _RIGHT, get_entry
+from frobcy import wedge
+from frobcy.catalog import CATALOG, _LEFT, _RIGHT, get_entry
 from frobcy.diffop import (ThetaOperator, check_cy4, check_cy5, check_mum,
                            solve_series, to_monic)
-from frobcy.polyrat import RatPoly, RationalFunction, poly_mul
+from frobcy.polyrat import (NoSolution, RatPoly, RationalFunction,
+                            poly_exact_div, poly_gcd, poly_mul, poly_scale,
+                            solve_linear_system)
 from frobcy.wedge import (NotRationalY, UnexpectedOrder, _Laurent,
                           _module_action, _theta_step, _wedge_action,
                           f0_wedge_via_wronskian, rational_exp_integral,
@@ -169,6 +172,72 @@ class TestWedgeSquare:
         assert solve_series(q, 6).coeffs == [1, 2, 3, 4, 5, 6, 7]
 
 
+def wedge_over_delta5(op):
+    """The exterior square by the plain route: theta^k eta = v_k / Delta^k,
+    every column scaled to the common denominator Delta^5, one Bareiss solve,
+    and the relation divided by the gcd of its six coefficients over Q[z]."""
+    delta, action = _module_action(op)
+    waction, pairs = _wedge_action(action)
+    eta = [[] for _ in pairs]
+    eta[pairs.index((0, 1))] = [1]
+    iterates = [eta]
+    for m in range(5):
+        iterates.append(_theta_step(iterates[-1], m, delta, waction))
+    cols = []
+    scale = [1]
+    for k in range(5, -1, -1):
+        cols.append([poly_mul(scale, v) for v in iterates[k]])
+        scale = poly_mul(scale, delta)
+    cols.reverse()
+    matrix = [[cols[k][i] for k in range(5)] for i in range(len(pairs))]
+    try:
+        numerators, det, kernel_dim = solve_linear_system(matrix, cols[5])
+    except NoSolution as exc:
+        raise UnexpectedOrder("no order-5 relation") from exc
+    if kernel_dim > 0:
+        raise UnexpectedOrder("relation of order < 5")
+    relation = [poly_scale(x, -1) for x in numerators] + [det]
+    g = RatPoly.zero()
+    for c in relation:
+        g = poly_gcd(g, RatPoly(c))
+        if g.degree == 0:
+            break
+    if g.degree > 0:
+        g = g.content_and_primitive()[1].integer_coeffs()
+        relation = [poly_exact_div(c, g) for c in relation]
+    z_deg = max(len(c) for c in relation) - 1
+    return ThetaOperator([[c[i] if i < len(c) else 0 for c in relation]
+                          for i in range(z_deg + 1)])
+
+
+class TestDeltaOracle:
+    """``wedge_square`` solves the relation on the theta-iterates in lowest
+    Delta-terms; the Delta^5-scaled solve must give the same operator."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_wedge_equals_the_delta5_oracle(self, name, wedge_of):
+        assert wedge_of(name).coeffs == \
+            wedge_over_delta5(get_entry(name).operator).coeffs
+
+    def test_determinant_has_the_degree_of_the_wedge(self, monkeypatch):
+        # over Delta^5 the Bareiss determinant has z-degree 50 on the
+        # catalog; in lowest Delta-terms it stays near the wedge's degree 4
+        monkeypatch.setattr(wedge, "_WEDGES", {})
+        degrees = []
+        real = wedge.solve_linear_system
+
+        def counting(matrix, rhs):
+            out = real(matrix, rhs)
+            degrees.append(len(out[1]) - 1)
+            return out
+
+        monkeypatch.setattr(wedge, "solve_linear_system", counting)
+        for name in CATALOG:
+            wedge_square(get_entry(name).operator)
+        assert len(degrees) == len(CATALOG)
+        assert max(degrees) <= 8
+
+
 # -- generated catalog-shape operators ---------------------------------------------
 
 
@@ -206,12 +275,16 @@ class TestGeneratedCatalogShapes:
         pair = poly_mul([v, u], [u - v, u])
         op = catalog_shape(lam, mu, kappa, pair, [c, b, b])
         assert check_cy4(op) and monic_cy4_identity(op)
-        assert check_cy5(wedge_square(op))
+        q = wedge_square(op)
+        assert check_cy5(q)
+        assert q.coeffs == wedge_over_delta5(op).coeffs
 
         bent = catalog_shape(lam, mu, kappa, pair, [c, b + delta, b])
         assert not check_cy4(bent) and not monic_cy4_identity(bent)
         with pytest.raises(UnexpectedOrder):
             wedge_square(bent)
+        with pytest.raises(UnexpectedOrder):
+            wedge_over_delta5(bent)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(sorted(_LEFT)), st.sampled_from(sorted(_RIGHT)),
@@ -225,6 +298,7 @@ class TestGeneratedCatalogShapes:
         assert check_cy4(op) == monic_cy4_identity(op) is True
         q = wedge_square(op)
         assert check_cy5(q)
+        assert q.coeffs == wedge_over_delta5(op).coeffs
         assert solve_series(q, 20).coeffs == f0_wedge_via_wronskian(op, 20)
 
 
