@@ -21,10 +21,14 @@ Each process builds the exterior square of an operator at most once
 (``wedge_square`` is memoized), and only when the wedge series misses the
 cache or ``--no-cache`` is given; a query on a warm cache builds none.
 
-``--jobs k`` parallelizes the table sweep over (operator, prime) tasks.
-Each task shares its two read-only series across the row's cells, each
-worker keeps its own wedge memo, and results are emitted in task order, so
-output is byte-identical to a serial run for every k.
+A table sweep runs one task per operator, over all its primes.  Per role
+(the wedge first, then the operator's own series) the task loads the cache
+hits and solves every miss in one exact recurrence run to the largest N
+among them, reduced into each row's p^s as it goes; each row then
+classifies its cells from those series.  ``--jobs k`` parallelizes over
+operators, so a single operator gets no speed-up from it.  Each worker keeps
+its own wedge memo, and results are emitted in task order, so output is
+byte-identical to a serial run for every k.
 
 Every cell goes through ``classify_operator``: a ``table`` or ``classify``
 row classifies the points 1 .. p-1, a ``frob`` query only its point, with
@@ -56,7 +60,7 @@ from .classify import (PointClass, SeriesSource, classify_operator,
 from .congruence import CongruenceReport, OutsideUnitDisk, check_dwork_congruence
 from .diffop import ThetaOperator, TruncatedSeries, solve_series, symbol_roots_mod_p
 from .frobenius import (decode_frobenius, frobenius_quartic, legendre_frobenius,
-                        legendre_unit_root)
+                        legendre_unit_root, required_precision)
 from .padic import PadicNumber, is_odd_prime
 from .wedge import wedge_square
 
@@ -98,7 +102,7 @@ def _cache_load(path: str, op_hash: str, role: str, p: int, K: int,
                 N: int) -> TruncatedSeries:
     """Validated reload; raises CorruptCache on any defect, FileNotFoundError
     on a clean miss."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # json.loads decodes: bad bytes are a defect
         raw = fh.read()
     try:
         data = json.loads(raw)
@@ -132,7 +136,7 @@ def _cache_store(path: str, op_hash: str, role: str, p: int, K: int, N: int,
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -157,29 +161,56 @@ def cache_series(op: ThetaOperator, p: int, K: int, N: int,
     returned uncached.
     """
     directory = cache_dir if cache_dir is not None else _default_cache_dir()
-    op_hash = _operator_hash(op)
+    got, = _role_series(op, wedge, [(p, K, N)], directory, _operator_hash(op))
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def _role_series(op: ThetaOperator, wedge: bool,
+                 targets: Sequence[Tuple[int, int, int]],
+                 directory: Optional[str], op_hash: Optional[str]) -> list:
+    """The series of ``op``, or of its exterior square, at every (p, K, N)
+    target, as a list aligned with ``targets`` holding each series or the
+    exception that its separate computation raises.
+
+    With a cache ``directory`` the hits are loaded (see ``cache_series``);
+    the misses are solved in one exact run to the largest N among them, and
+    each result is stored under its own key.  Without one, every target is
+    solved in that one run.
+    """
     role = "wedge" if wedge else "op"
-
-    def compute() -> TruncatedSeries:
-        return solve_series(wedge_square(op) if wedge else op, N, p=p, K=K)
-
+    out: list = [None] * len(targets)
+    paths: List[Optional[str]] = [None] * len(targets)
+    if directory is not None:
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError:
+            directory = None  # unusable: solve everything, store nothing
+    if directory is not None:
+        for i, (p, K, N) in enumerate(targets):
+            paths[i] = _cache_path(directory, op_hash, role, p, K, N)
+            try:
+                out[i] = _cache_load(paths[i], op_hash, role, p, K, N)
+            except (CorruptCache, OSError):
+                pass  # a miss; a corrupt file is replaced by the fresh write
+    misses = [i for i, got in enumerate(out) if got is None]
+    if not misses:
+        return out
     try:
-        os.makedirs(directory, exist_ok=True)
-        path = _cache_path(directory, op_hash, role, p, K, N)
-    except OSError:
-        return compute()
-    try:
-        return _cache_load(path, op_hash, role, p, K, N)
-    except FileNotFoundError:
-        pass
-    except (CorruptCache, OSError):
-        pass  # silent recompute below; the fresh write replaces the bad file
-    series = compute()
-    try:
-        _cache_store(path, op_hash, role, p, K, N, series)
-    except OSError:
-        pass  # caching is best-effort; the result is still correct
-    return series
+        source = wedge_square(op) if wedge else op
+        solved = solve_series(source, max(targets[i][2] for i in misses),
+                              targets=[targets[i] for i in misses])
+    except Exception as exc:  # noqa: BLE001 - shared by every miss
+        solved = [exc] * len(misses)
+    for i, got in zip(misses, solved):
+        out[i] = got
+        if paths[i] is not None and not isinstance(got, Exception):
+            try:
+                _cache_store(paths[i], op_hash, role, *targets[i], got)
+            except OSError:
+                pass  # caching is best-effort; the result is still correct
+    return out
 
 
 # -- shared computation helpers --------------------------------------------------
@@ -237,17 +268,51 @@ def _series_source(use_cache: bool, cache_dir: Optional[str]) -> SeriesSource:
     return series
 
 
-def _table_task(arg: Tuple[str, int, bool, Optional[str]]
-                ) -> Tuple[List[PointClass], Optional[str]]:
-    """Worker: one (operator, prime) row; never raises (errors are data)."""
-    op_json, p, use_cache, cache_dir = arg
+def _table_task(arg: Tuple[str, Sequence[int], bool, Optional[str]]
+                ) -> List[Tuple[List[PointClass], Optional[str]]]:
+    """Worker: every row (one per prime) of one operator; a row's failure is
+    data, one diagnostic per row.
+
+    Each row starts at its ``required_precision``.  Per role, the wedge
+    first, the series of all rows come from one ``_role_series`` batch: one
+    exact run for the rows the cache misses.  ``classify_operator`` then
+    runs per row on a source that answers from the batch and falls back to
+    the per-series source for an escalation.
+    """
+    op_json, primes, use_cache, cache_dir = arg
     op = ThetaOperator.from_json(op_json)
-    try:
-        series = _series_source(use_cache, cache_dir)
-        return classify_operator(op, p, series=series), None
-    except Exception as exc:  # noqa: BLE001 - reported as a diagnostic
-        label = op.name or "operator"
-        return [], f"{label} p={p}: {type(exc).__name__}: {exc}"
+    directory = op_hash = None
+    if use_cache:
+        directory = cache_dir if cache_dir is not None else _default_cache_dir()
+        op_hash = _operator_hash(op)
+    start = {p: required_precision(p, want_singular=bool(symbol_roots_mod_p(op, p)))
+             for p in primes}
+    batch: Dict[Tuple[int, int, bool], object] = {}
+    for wedge in (True, False):
+        # a row whose wedge failed never asks for its own series
+        rows = [(p, s, p**s - 1) for p, s in start.items()
+                if not isinstance(batch.get((p, s, True)), Exception)]
+        got = _role_series(op, wedge, rows, directory, op_hash)
+        batch.update(((p, s, wedge), g) for (p, s, _N), g in zip(rows, got))
+    fallback = _series_source(use_cache, cache_dir)
+
+    def series(op: ThetaOperator, p: int, s: int, wedge: bool) -> TruncatedSeries:
+        got = batch.get((p, s, wedge))
+        if got is None:
+            return fallback(op, p, s, wedge)
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    outcomes = []
+    for p in primes:
+        try:
+            outcomes.append((classify_operator(op, p, s=start[p], series=series),
+                             None))
+        except Exception as exc:  # noqa: BLE001 - reported as a diagnostic
+            label = op.name or "operator"
+            outcomes.append(([], f"{label} p={p}: {type(exc).__name__}: {exc}"))
+    return outcomes
 
 
 def _padic_json(x: PadicNumber) -> Dict[str, int]:
@@ -315,8 +380,7 @@ def _sweep(names: Sequence[str], fmt: str, jobs: int,
     primes = _parse_primes(args.primes)
     cache_dir = args.cache_dir
     use_cache = not args.no_cache
-    tasks = [(op.to_json(), p, use_cache, cache_dir)
-             for _n, op in ops for p in primes]
+    tasks = [(op.to_json(), primes, use_cache, cache_dir) for _n, op in ops]
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -327,11 +391,8 @@ def _sweep(names: Sequence[str], fmt: str, jobs: int,
 
     groups: List[Tuple[str, int, List[PointClass]]] = []
     errors: List[str] = []
-    idx = 0
-    for name, _op in ops:
-        for p in primes:
-            rows, err = outcomes[idx]
-            idx += 1
+    for (name, _op), task_rows in zip(ops, outcomes):
+        for p, (rows, err) in zip(primes, task_rows):
             if err is not None:
                 errors.append(err)
             else:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import FrobcyError
 from .polyrat import (IntPoly, RatPoly, RationalFunction, poly_add, poly_mul,
@@ -217,14 +217,27 @@ class TruncatedSeries:
         return acc
 
 
+Target = Tuple[Optional[int], Optional[int], int]  # (p, K, N); p = K = None: exact
+
+
 def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
-                 K: Optional[int] = None) -> TruncatedSeries:
+                 K: Optional[int] = None, *,
+                 targets: Optional[Sequence[Target]] = None):
     """Normalized solution c_0 = 1 of a MUM operator, truncated at degree N.
 
     The recurrence runs on exact big integers; every division must be exact
     (NonIntegralSolution otherwise).  When (p, K) are given, finished
     coefficients are stored reduced mod p^K while only the trailing window
     needed by the recurrence stays exact.
+
+    ``targets`` batches one run for several truncations: a list of
+    (p, K, N_t) with N_t <= N, or (None, None, N_t) for exact coefficients.
+    The recurrence runs once and reduces each finished coefficient into every
+    target's modulus.  The result is a list aligned with ``targets``: for
+    each, its TruncatedSeries, or the NonIntegralSolution that a separate
+    call would raise (a target ending below the first non-integral
+    coefficient is still returned).  Without ``targets`` the call is the
+    one-target case (p, K, N) and raises on failure.
     """
     if not check_mum(op):
         raise ValueError("series solving requires a MUM operator")
@@ -240,27 +253,53 @@ def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
 
     if N < 0:
         raise ValueError("truncation order must be >= 0")
-    if p is not None and K is None:
-        raise ValueError("storage reduction needs both p and K")
+    batch = targets is not None
+    if not batch:
+        targets = [(p, K, N)]
+    elif p is not None or K is not None:
+        raise ValueError("a batched run takes (p, K) from its targets")
+    for tp, tK, tN in targets:
+        if tp is not None and tK is None:
+            raise ValueError("storage reduction needs both p and K")
+        if not 0 <= tN <= N:
+            raise ValueError(f"target order {tN} outside 0 .. {N}")
+    outs: List[list] = [[1] for _ in targets]
+    # (N_t, modulus or None, coefficient list), longest first, so that the
+    # targets finished before degree n are the tail
+    live = sorted(((tN, None if tp is None else tp**tK, out)
+                   for (tp, tK, tN), out in zip(targets, outs)),
+                  key=lambda t: t[0], reverse=True)
     w = max(d, 1)
-    reduce_mod = None if p is None else p**K
     window = [mpz(1)] + [mpz(0)] * (w - 1)
-    out = [1]
+    failure = None
     for n in range(1, N + 1):
+        while live and live[-1][0] < n:
+            live.pop()
+        if not live:
+            break
         s = mpz(0)
         for i in range(1, min(n, d) + 1):
             s += peval(i, n - i) * window[(n - i) % w]
         p0 = peval(0, n)  # = n^order for MUM
         cn, rem = divmod(-s, p0)
         if rem:
-            raise NonIntegralSolution(
+            failure = NonIntegralSolution(
                 f"coefficient c_{n} is not an integer (operator {op.name or '?'})"
             )
+            break
         window[n % w] = cn
-        out.append(int(cn % reduce_mod) if reduce_mod else int(cn))
-    if reduce_mod:
-        return TruncatedSeries(out, p, K, K)
-    return TruncatedSeries(out)
+        for _tN, m, out in live:
+            out.append(int(cn % m) if m else int(cn))
+    # on a failure at degree n, the targets that reach n share it
+    results = [failure if failure and tN >= n
+               else TruncatedSeries(out) if tp is None
+               else TruncatedSeries(out, tp, tK, tK)
+               for (tp, tK, tN), out in zip(targets, outs)]
+    if batch:
+        return results
+    if failure:
+        raise failure
+    return results[0]
 
 
 # -- theta form <-> monic d/dz form --------------------------------------------

@@ -235,6 +235,12 @@ class TestCacheSeries:
             fh.write("{not json")
         with pytest.raises(cli.CorruptCache, match="unreadable"):
             cli._cache_load(path, h, "op", self.P, self.K, self.N)
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe\xff")  # not UTF-8: recomputed, not a failure
+        with pytest.raises(cli.CorruptCache, match="unreadable"):
+            cli._cache_load(path, h, "op", self.P, self.K, self.N)
+        again = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
+        assert again.coeffs == series.coeffs
         with pytest.raises(FileNotFoundError):
             cli._cache_load(path + ".missing", h, "op", self.P, self.K, self.N)
 
@@ -379,6 +385,33 @@ class TestCmdTable:
 # -- one exterior square per operator ----------------------------------------------
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replaces the worker pool by an in-process one that records its size
+    and the tasks it maps."""
+    import concurrent.futures
+
+    class InlinePool:
+        sizes, tasks = [], []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            self.tasks.extend(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
 class TestWedgeMemo:
     @pytest.mark.parametrize("cached", [True, False])
     def test_cold_table_builds_one_wedge(self, cached, capsys, tmp_path,
@@ -413,6 +446,61 @@ class TestWedgeMemo:
             monkeypatch.setattr(module, "wedge_square", refuse)
         warm = [run(argv + cache, capsys) for argv in [table] + frobs]
         assert warm == cold
+
+
+# -- one task and one exact series run per operator and role ------------------------
+
+
+class TestOneRunPerRole:
+    TWO = ["table", "--operator", "A*a", "--operator", "A*b", "--format", "json"]
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Every exact series run, as (operator order, [(p, K, N), ...])."""
+        seen = []
+        real = cli.solve_series
+
+        def counted(op, N, p=None, K=None, **kwargs):
+            seen.append((op.theta_order, kwargs.get("targets", [(p, K, N)])))
+            return real(op, N, p, K, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_series", counted)
+        return seen
+
+    def test_one_task_per_operator(self, inline_pool, capsys):
+        code, _, _ = run(self.TWO + ["--primes", "3,5,7", "--jobs", "8",
+                                     "--no-cache"], capsys)
+        assert code == 0
+        assert [task[1] for task in inline_pool.tasks] == [[3, 5, 7], [3, 5, 7]]
+
+    def test_two_runs_per_operator_cold_none_warm(self, runs, capsys, tmp_path,
+                                                  corrected_tables):
+        argv = self.TWO + ["--primes", "3,5,7", "--cache-dir", str(tmp_path)]
+        code, cold, _ = run(argv, capsys)
+        assert code == 0
+        # per operator the wedge (order 5) first, then its own series, each
+        # one run for p = 3, 5, 7 at s = 4, 4, 3 (A*a has roots mod 3 and 5)
+        assert [order for order, _t in runs] == [5, 4, 5, 4]
+        assert runs[0][1] == [(3, 4, 80), (5, 4, 624), (7, 3, 342)]
+        assert len(os.listdir(tmp_path)) == 12
+        for name in ("A*a", "A*b"):
+            assert json.loads(cold)[name] == {
+                str(p): corrected_tables[name][str(p)] for p in (3, 5, 7)}
+        del runs[:]
+        code, warm, _ = run(argv, capsys)
+        assert code == 0 and warm == cold and runs == []
+
+    def test_partly_warm_cache_runs_only_the_missing_prime(self, runs, capsys,
+                                                           tmp_path):
+        cache = ["--cache-dir", str(tmp_path)]
+        run(self.TWO + ["--primes", "3,5"] + cache, capsys)
+        del runs[:]
+        code, out, _ = run(self.TWO + ["--primes", "3,5,7"] + cache, capsys)
+        assert code == 0
+        assert runs == [(5, [(7, 3, 342)]), (4, [(7, 3, 342)])] * 2
+        _, uncached, _ = run(self.TWO + ["--primes", "3,5,7", "--no-cache"],
+                             capsys)
+        assert out == uncached
 
 
 # -- frob subcommand ------------------------------------------------------------------
@@ -787,28 +875,39 @@ def test_malformed_form_fixture_names_the_file(fixture, message, tmp_path,
     assert err.startswith("error: A*a p=7: UsageError") and "broken.json" in err
 
 
-def test_pool_never_has_more_workers_than_tasks(monkeypatch, capsys):
-    import concurrent.futures
+@pytest.mark.parametrize("key, line", [
+    ("order2", "leg16 p={p}: UnsupportedOperator: wedge_square expects a "
+               "fourth-order operator"),
+    ("not_self_dual", "nsd p={p}: UnexpectedOrder: theta-iterates span no "
+                      "order-5 relation"),
+])
+def test_failing_rows_keep_one_line_per_prime(key, line, bad_operators, capsys):
+    code, out, err = run(["table", "--operator", bad_operators[key],
+                          "--primes", "3,5", "--no-cache"], capsys)
+    assert (code, out) == (1, "\n")
+    assert err == "".join(f"error: {line.format(p=p)}\n" for p in (3, 5))
 
-    sizes = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+def test_row_failure_among_succeeding_rows(tmp_path, monkeypatch, capsys):
+    # A*a at p = 3 has only undefined cells; at p = 5 and 7 it has split
+    # cells whose a_p misses the built-in forms, so their lookup reads the
+    # broken fixture
+    broken = tmp_path / "broken.json"
+    broken.write_text("{bad", encoding="utf-8")
+    monkeypatch.setenv(classify.FORMS_DIR_ENV, str(tmp_path))
+    code, out, err = run(["table", "--operator", "A*a", "--primes", "3,5,7",
+                          "--no-cache", "--format", "json"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"A*a": {"3": {"1": "-", "2": "-"}}}
+    reason = (f"UsageError: form fixture {str(broken)!r}: Expecting property "
+              "name enclosed in double quotes: line 1 column 2 (char 1)")
+    assert err == "".join(f"error: A*a p={p}: {reason}\n" for p in (5, 7))
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    code, _, _ = run(["table", "--operator", "A*a", "--primes", "3,5",
-                      "--jobs", "8", "--no-cache"], capsys)
-    assert code == 0 and sizes == [2]
+def test_pool_never_has_more_workers_than_tasks(inline_pool, capsys):
+    code, _, _ = run(["table", "--operator", "A*a", "--operator", "A*b",
+                      "--primes", "3,5", "--jobs", "8", "--no-cache"], capsys)
+    assert code == 0 and inline_pool.sizes == [2]
 
 
 # -- console entry point --------------------------------------------------------------

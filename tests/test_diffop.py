@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobcy.catalog import get_entry
+from frobcy.catalog import CATALOG, get_entry
 from frobcy.diffop import (MonicForm, NonIntegralSolution, ThetaOperator,
                            TruncatedSeries, check_cy4, check_cy5, check_mum,
                            leading_symbol, solve_series, stirling_table,
@@ -175,6 +176,63 @@ def test_exact_mode_storage_reduction_matches_full_integers():
     reduced = solve_series(AA, 60, p=7, K=3)
     assert reduced.prime == 7 and reduced.cap == 3 and reduced.guaranteed == 3
     assert reduced.coeffs == [c % 7**3 for c in full.coeffs]
+
+
+# -- one run, several truncations --------------------------------------------------
+
+
+def same_outcome(op, batched, p, K, N):
+    """``batched`` is what a separate solve_series(op, N, p, K) gives: the
+    same series, or a NonIntegralSolution with the same message."""
+    try:
+        alone = solve_series(op, N, p, K)
+    except NonIntegralSolution as exc:
+        return (isinstance(batched, NonIntegralSolution)
+                and str(batched) == str(exc))
+    return (isinstance(batched, TruncatedSeries)
+            and (batched.coeffs, batched.prime, batched.cap, batched.guaranteed)
+            == (alone.coeffs, alone.prime, alone.cap, alone.guaranteed))
+
+
+def test_batched_integrality_is_decided_per_target():
+    # c_n = (3n-2)(3n-1)/n^2 c_(n-1): 1, 2, 10, then c_3 = 560/9
+    op = ThetaOperator([[0, 0, 0, 0, 1], [-2, -13, -29, -27, -9]], name="half")
+    assert solve_series(op, 2).coeffs == [1, 2, 10]
+    message = "coefficient c_3 is not an integer (operator half)"
+    with pytest.raises(NonIntegralSolution) as alone:
+        solve_series(op, 4, 5, 1)
+    assert str(alone.value) == message
+    first, second = solve_series(op, 4, targets=[(3, 1, 2), (5, 1, 4)])
+    assert first.coeffs == [1, 2, 1] and (first.prime, first.cap) == (3, 1)
+    assert isinstance(second, NonIntegralSolution) and str(second) == message
+
+
+def test_batched_run_checks_its_targets():
+    with pytest.raises(ValueError, match="takes \\(p, K\\) from its targets"):
+        solve_series(AA, 8, 5, 1, targets=[(5, 1, 8)])
+    with pytest.raises(ValueError, match="target order 9 outside 0 .. 8"):
+        solve_series(AA, 8, targets=[(5, 1, 9)])
+    with pytest.raises(ValueError, match="needs both p and K"):
+        solve_series(AA, 8, targets=[(5, None, 8)])
+
+
+CATALOG_NAMES = sorted(CATALOG)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(CATALOG_NAMES), wedge=st.booleans(),
+       targets=st.lists(st.tuples(st.sampled_from([None, 3, 5, 7, 11]),
+                                  st.integers(1, 4), st.integers(0, 150)),
+                        min_size=1, max_size=5))
+def test_batched_run_equals_separate_calls(name, wedge, targets):
+    op = get_entry(name).operator
+    op = wedge_square(op) if wedge else op
+    targets = [(p, None if p is None else K, N) for p, K, N in targets]
+    run_to = max(N for _p, _K, N in targets)
+    batched = solve_series(op, run_to, targets=targets)
+    assert len(batched) == len(targets)
+    for got, (p, K, N) in zip(batched, targets):
+        assert same_outcome(op, got, p, K, N)
 
 
 # -- truncation semantics ------------------------------------------------------------
