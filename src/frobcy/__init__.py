@@ -1,7 +1,7 @@
 """Exact and p-adic tools for fourth-order Calabi-Yau type operators:
 
 * fixed-precision p-adic arithmetic with Teichmueller lifts (``padic``)
-* exact polynomial algebra over Z and Q, rational functions (``polyrat``)
+* exact polynomial algebra over Z[z] on integer coefficient lists (``polyrat``)
 * theta-form differential operators and series solutions (``diffop``)
 * exterior-square fifth-order companions and horizontal sections (``wedge``)
 * the catalog of 24 Hadamard-product operators and their sequences (``catalog``)

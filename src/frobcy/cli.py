@@ -238,6 +238,8 @@ def _parse_primes(text: str) -> List[int]:
         if not primes:
             raise UsageError(f"no odd primes in range {text!r}")
         return primes
+    if not listed:
+        raise UsageError(f"no primes in list {text!r}")
     return [_check_prime(p) for p in listed]
 
 

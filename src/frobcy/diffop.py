@@ -29,8 +29,8 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from . import FrobcyError
-from .polyrat import (IntPoly, RatPoly, RationalFunction, poly_add, poly_mul,
-                      poly_scale, poly_sub, poly_theta, poly_trim)
+from .polyrat import (IntPoly, poly_add, poly_mul, poly_scale, poly_sub,
+                      poly_theta, poly_trim)
 
 try:
     from gmpy2 import mpz
@@ -154,14 +154,14 @@ def check_mum(op: ThetaOperator) -> bool:
     return p0[n] == 1 and all(c == 0 for c in p0[:n])
 
 
-def leading_symbol(op: ThetaOperator) -> RatPoly:
+def leading_symbol(op: ThetaOperator) -> IntPoly:
     """D(z) = sum_i z^i [theta^n] P_i: zero locus = singular points."""
-    return RatPoly(op.z_poly(op.theta_order))
+    return op.z_poly(op.theta_order)
 
 
 def symbol_roots_mod_p(op: ThetaOperator, p: int) -> List[int]:
     """Roots of the leading symbol in F_p^* (by direct scan)."""
-    sym = [int(c) % p for c in leading_symbol(op).integer_coeffs()]
+    sym = [c % p for c in leading_symbol(op)]
     out = []
     for z0 in range(1, p):
         acc = 0
@@ -319,30 +319,25 @@ def stirling_table(n: int) -> List[List[int]]:
     return T
 
 
-@dataclass
-class MonicForm:
-    """Monic d/dz form D^n + a_{n-1} D^{n-1} + ... + a_0, a_i in Q(z)."""
+def to_monic(op: ThetaOperator) -> Tuple[List[IntPoly], IntPoly]:
+    """Monic d/dz form D^n + sum_j (nums[j] / den) D^j, as (nums, den).
 
-    order: int
-    a: List[RationalFunction]  # a[0] .. a[order-1]
-
-
-def to_monic(op: ThetaOperator) -> MonicForm:
+    The shared denominator is den = z^n Delta (Delta = q_n, the leading
+    symbol), and nums[j] = z^j sum_k S(k, j) q_k; the fractions are not
+    reduced.
+    """
     n = op.theta_order
     T = stirling_table(n)
-    q = [RatPoly(op.z_poly(k)) for k in range(n + 1)]
-    x = RatPoly.x()
-    lead = (x**n) * q[n]
-    if lead.is_zero():
+    q = [op.z_poly(k) for k in range(n + 1)]
+    if not q[n]:
         raise ValueError("degenerate operator: zero leading coefficient")
-    a = []
+    nums = []
     for j in range(n):
-        Aj = RatPoly.zero()
+        acc: IntPoly = []
         for k in range(j, n + 1):
-            if T[k][j] if j < len(T[k]) else 0:
-                Aj = Aj + q[k] * T[k][j]
-        a.append(RationalFunction((x**j) * Aj, lead))
-    return MonicForm(n, a)
+            acc = poly_add(acc, poly_scale(q[k], T[k][j]))
+        nums.append([0] * j + acc if acc else [])
+    return nums, [0] * n + q[n]
 
 
 # -- self-duality over Z[z] ----------------------------------------------------

@@ -50,7 +50,8 @@ from typing import List, Tuple
 from . import FrobcyError, UsageError
 from .congruence import OutsideUnitDisk, dwork_ratio
 from .diffop import TruncatedSeries
-from .padic import PadicNumber, balanced_lift, balanced_residue, teichmueller_residue
+from .padic import (PadicNumber, balanced_lift, balanced_residue, is_odd_prime,
+                    teichmueller_residue)
 
 
 class LiftOutOfBound(FrobcyError, ArithmeticError):
@@ -135,7 +136,7 @@ def required_precision(p: int, want_singular: bool = False) -> int:
     for p = 3, 5, 7, 11, 13, 17 are 4, 3, 3, 3, 3, 3 (Weil-shape pairs only)
     and 4, 4, 3, 3, 3, 3 (with split pairs); s = 3 for every larger prime.
     """
-    if p < 3:
+    if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     runs = _admissible(p, want_singular)
     s = 1
@@ -152,7 +153,7 @@ def box_precision(p: int, want_singular: bool = False) -> int:
     when coefficients of split quartics must be distinguished.  All
     comparisons are exact integer arithmetic (p^(3/2) enters squared).
     """
-    if p < 3:
+    if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
 
     def enough(s: int) -> bool:
@@ -226,8 +227,7 @@ def decode_frobenius(a: int, b: int, p: int, s: int,
 
 
 def assemble_frobenius(r1: PadicNumber, rh: PadicNumber, p: int,
-                       at_singular_fiber: bool = False,
-                       check_bounds: bool = True) -> Tuple[int, int]:
+                       at_singular_fiber: bool = False) -> Tuple[int, int]:
     """(a, b) of P(T) = 1 + aT + bpT^2 + ap^3T^3 + p^6T^4 from the unit roots.
 
     Returns the unique admissible pair that fits the residues mod p^s (split
@@ -238,13 +238,9 @@ def assemble_frobenius(r1: PadicNumber, rh: PadicNumber, p: int,
     |a| <= 4 p^(3/2) and |b| <= 6 p^2; on them |a| <= p^2 + p + 2 p^(3/2) and
     |b| <= 2 p^2 + 2 (1+p) p^(3/2) -- and an in-box pair outside the
     admissible set is returned as it is; one outside its box raises
-    LiftOutOfBound.  ``check_bounds=False`` returns the raw balanced lifts
-    (useful for evaluating degenerate root configurations that no geometric
-    point produces).
+    LiftOutOfBound.
     """
     a, b, s = _balanced_pair(r1, rh, p)
-    if not check_bounds:
-        return a, b
     found = decode_frobenius(a, b, p, s, at_singular_fiber)
     if len(found) == 1:
         return found[0]
@@ -319,7 +315,7 @@ def legendre_unit_root(p: int, s0: int) -> PadicNumber:
     eps = (-1)^((p-1)/2) and h the truncation ratio, certified mod p^s with
     s = legendre_precision(p).  Raises SingularFiber for s0 in {0, 1} mod p.
     """
-    if p < 3:
+    if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     s0 %= p
     if s0 in (0, 1):

@@ -34,9 +34,9 @@ from typing import Dict, List, Optional, Tuple
 
 from . import FrobcyError
 from .diffop import ThetaOperator, check_cy5, check_mum, solve_series, to_monic
-from .polyrat import (IntPoly, NoSolution, RatPoly, RationalFunction, poly_add,
-                      poly_exact_div, poly_gcd, poly_mul, poly_scale, poly_sub,
-                      poly_theta, rational_roots, solve_linear_system)
+from .polyrat import (IntPoly, NoSolution, poly_add, poly_deriv, poly_eval,
+                      poly_exact_div, poly_gcd, poly_mul, poly_pow, poly_scale,
+                      poly_sub, poly_theta, rational_roots, solve_linear_system)
 
 
 class UnexpectedOrder(FrobcyError, ArithmeticError):
@@ -129,13 +129,6 @@ def _divide_while(vec: List[IntPoly], factor: IntPoly, most: int
     return vec, count
 
 
-def _poly_pow(a: IntPoly, e: int) -> IntPoly:
-    out: IntPoly = [1]
-    for _ in range(e):
-        out = poly_mul(out, a)
-    return out
-
-
 # -- the fifth-order companion ---------------------------------------------------
 
 
@@ -151,9 +144,9 @@ def wedge_square(op: ThetaOperator) -> ThetaOperator:
     scaling a column by a nonzero Delta-power changes neither the system's
     consistency nor the dimension of its kernel.  The relation
     det Delta^(e_5) theta^5 - sum_k X_k Delta^(e_k) theta^k is stripped of
-    its common Delta and z factors, divided by the gcd of what remains over
-    Q[z] and brought to the canonical integer form (content 1, positive
-    leading constant).  Raises UnsupportedOperator unless ``op`` is a
+    its common Delta and z factors, divided by the primitive gcd of what
+    remains in Z[z] and brought to the canonical integer form (content 1,
+    positive leading constant).  Raises UnsupportedOperator unless ``op`` is a
     fourth-order MUM operator, and UnexpectedOrder when the iterates are
     linearly dependent before order 5 or span no order-5 relation.
 
@@ -196,20 +189,19 @@ def _build_wedge(op: ThetaOperator) -> ThetaOperator:
         )
 
     # det Delta^e5 theta^5 eta - sum_k X_k Delta^ek theta^k eta = 0: strip the
-    # common Delta and z factors exactly, then make it primitive over Q[z]
-    relation = [poly_mul(poly_scale(x, -1), _poly_pow(delta, e))
+    # common Delta and z factors exactly, then divide out their gcd in Z[z]
+    relation = [poly_mul(poly_scale(x, -1), poly_pow(delta, e))
                 for x, e in zip(numerators, exps)]
-    relation.append(poly_mul(det, _poly_pow(delta, exps[5])))
+    relation.append(poly_mul(det, poly_pow(delta, exps[5])))
     bound = max(len(c) for c in relation)
     relation = _divide_while(relation, delta, bound)[0]
     relation = _divide_while(relation, [0, 1], bound)[0]
-    g = RatPoly.zero()
+    g: IntPoly = []
     for c in relation:
-        g = poly_gcd(g, RatPoly(c))
-        if g.degree == 0:
+        g = poly_gcd(g, c)
+        if len(g) == 1:
             break
-    if g.degree > 0:
-        g = g.content_and_primitive()[1].integer_coeffs()
+    if len(g) > 1:
         relation = [poly_exact_div(c, g) for c in relation]
     z_deg = max(len(c) for c in relation) - 1
     rows = [[c[i] if i < len(c) else 0 for c in relation]
@@ -236,20 +228,14 @@ def f0_wedge_via_wronskian(op: ThetaOperator, N: int) -> List[Fraction]:
     polys = [op.theta_poly(i) for i in range(d + 1)]
     dpolys = [[k * pc[k] for k in range(1, len(pc))] for pc in polys]
 
-    def ev(coeffs, m):
-        acc = Fraction(0)
-        for v in reversed(coeffs):
-            acc = acc * m + v
-        return acc
-
     g = [Fraction(0)] * (N + 1)
     for n in range(1, N + 1):
         s = Fraction(0)
         for i in range(1, min(n, d) + 1):
-            s += ev(polys[i], n - i) * g[n - i]
+            s += poly_eval(polys[i], n - i) * g[n - i]
         for i in range(0, min(n, d) + 1):
-            s += ev(dpolys[i], n - i) * c[n - i]
-        g[n] = -s / ev(polys[0], n)
+            s += poly_eval(dpolys[i], n - i) * c[n - i]
+        g[n] = -s / poly_eval(polys[0], n)
 
     w = []
     for n in range(N + 1):
@@ -291,10 +277,10 @@ class _Laurent:
         return cls(0, cs, len(cs) if prec is None else prec)
 
     @classmethod
-    def from_ratfun(cls, f: RationalFunction, prec: int) -> "_Laurent":
-        if f.is_zero():
+    def from_ratfun(cls, num: IntPoly, den: IntPoly, prec: int) -> "_Laurent":
+        """Expansion of num / den at z = 0 (den nonzero)."""
+        if not num:
             return cls(0, [], prec)
-        num, den = f.num, f.den
         nv = 0
         while num[nv] == 0:
             nv += 1
@@ -305,9 +291,10 @@ class _Laurent:
         n_terms = prec - val
         if n_terms <= 0:
             return cls(val, [], prec)
-        ncs = [num[nv + i] for i in range(n_terms)]
-        dcs = [den[dv + i] for i in range(n_terms)]
-        inv0 = 1 / dcs[0]
+        pad = [0] * n_terms
+        ncs = (num[nv:] + pad)[:n_terms]
+        dcs = (den[dv:] + pad)[:n_terms]
+        inv0 = Fraction(1, dcs[0])
         out = []
         for i in range(n_terms):
             acc = ncs[i]
@@ -384,48 +371,55 @@ class _Laurent:
 # -- rational exponentials -------------------------------------------------------
 
 
-def rational_exp_integral(g: RationalFunction) -> RationalFunction:
-    """A rational Y with Y'/Y = g, up to a constant factor.
+def rational_exp_integral(num: IntPoly, den: IntPoly) -> Tuple[IntPoly, IntPoly]:
+    """(y_num, y_den) with Y = y_num / y_den and Y'/Y = num / den, up to a
+    constant factor.
 
-    Y is rational iff g is a Z-linear combination of logarithmic derivatives
-    f'/f: g must be proper with square-free denominator and integer residues.
-    Raises NotRationalY otherwise.
+    Y is rational iff g = num / den is a Z-linear combination of logarithmic
+    derivatives f'/f: g must be proper with square-free denominator and
+    integer residues.  Each rational root of the denominator gives its
+    residue directly.  The rootless cofactor carries one exponent m, read off
+    at infinity: all finite residues sum to lc(num)/lc(den) when
+    deg num = deg den - 1 (to 0 otherwise), so m is that sum minus the
+    rational residues, over the cofactor's degree.  The result is confirmed
+    by the identity (y_num' y_den - y_num y_den') den = num y_num y_den.
+    Raises NotRationalY when g is not of that form.
     """
-    if g.is_zero():
-        return RationalFunction.one()
-    num, den = g.num, g.den
-    if num.degree >= den.degree:
+    if not num:
+        return [1], [1]
+    g = poly_gcd(num, den)
+    num, den = poly_exact_div(num, g), poly_exact_div(den, g)
+    if len(num) >= len(den):
         raise NotRationalY("nonzero polynomial part in the logarithmic derivative")
-    if poly_gcd(den, den.derivative()).degree > 0:
+    dden = poly_deriv(den)
+    if len(poly_gcd(den, dden)) > 1:
         raise NotRationalY("higher-order pole in the logarithmic derivative")
     roots, cofactor = rational_roots(den)
-    dden = den.derivative()
-    result = RationalFunction.one()
-    consumed = RationalFunction.zero()
+    factors = []  # (integer factor, exponent)
+    rest = Fraction(num[-1], den[-1]) if len(num) == len(den) - 1 else Fraction(0)
     for rho, _mult in roots:
-        residue = num.evaluate(rho) / dden.evaluate(rho)
+        residue = poly_eval(num, rho) / poly_eval(dden, rho)
         if residue.denominator != 1:
             raise NotRationalY(f"non-integer residue {residue} at z = {rho}")
-        m = int(residue)
-        lin = RationalFunction(RatPoly((-rho, 1)))
-        result = result * lin**m
-        consumed = consumed + RationalFunction(RatPoly.constant(m),
-                                               RatPoly((-rho, 1)))
-    rest = g - consumed
-    if cofactor.degree > 0:
-        # rest must equal m * cofactor' / cofactor for a single integer m
-        cof = RationalFunction(cofactor)
-        ratio = rest * cof / RationalFunction(cofactor.derivative())
-        if not ratio.is_polynomial() or ratio.num.degree > 0:
-            raise NotRationalY("irrational residues on a nonlinear factor")
-        m = ratio.num[0]
+        factors.append(([-rho.numerator, rho.denominator], int(residue)))
+        rest -= residue
+    if len(cofactor) > 1:
+        m = rest / (len(cofactor) - 1)
         if m.denominator != 1:
             raise NotRationalY(f"non-integer residue {m} on a nonlinear factor")
-        result = result * cof**int(m)
-        rest = rest - RationalFunction(cofactor.derivative() * int(m), cofactor)
-    if not rest.is_zero():
+        factors.append((cofactor, int(m)))
+    y_num: IntPoly = [1]
+    y_den: IntPoly = [1]
+    for f, m in factors:
+        if m > 0:
+            y_num = poly_mul(y_num, poly_pow(f, m))
+        elif m < 0:
+            y_den = poly_mul(y_den, poly_pow(f, -m))
+    lhs = poly_mul(poly_sub(poly_mul(poly_deriv(y_num), y_den),
+                            poly_mul(y_num, poly_deriv(y_den))), den)
+    if lhs != poly_mul(poly_mul(num, y_num), y_den):
         raise NotRationalY("logarithmic derivative decomposition failed")
-    return result
+    return y_num, y_den
 
 
 # -- horizontal sections ----------------------------------------------------------
@@ -466,22 +460,20 @@ def verify_horizontal_u4(op: ThetaOperator, N: int,
     """
     if N < 5:
         raise ValueError("need N >= 5 to certify any coefficient")
-    mf = to_monic(op)
-    a3, a2, a1, a0 = mf.a[3], mf.a[2], mf.a[1], mf.a[0]
-    Y = rational_exp_integral(a3 * Fraction(1, 2))
+    nums, den = to_monic(op)
+    Y = rational_exp_integral(nums[3], poly_scale(den, 2))
     f0 = solve_series(op, N).coeffs
 
     prec = N + 1
     lprec = prec + 8  # rational factors are exact; keep some slack
     f = _series_derivatives(f0, 3, prec)
-    Ys = _Laurent.from_ratfun(Y, lprec)
-    Yp = _Laurent.from_ratfun(Y.derivative(), lprec)
-    Ypp = _Laurent.from_ratfun(Y.derivative().derivative(), lprec)
-    a3s = _Laurent.from_ratfun(a3, lprec)
-    Ya3p = _Laurent.from_ratfun((Y * a3).derivative(), lprec)
+    Ys = _Laurent.from_ratfun(*Y, lprec)
+    Yp = Ys.derivative()
+    a_series = [_Laurent.from_ratfun(a, den, lprec) for a in nums]
+    a3s = a_series[3]
 
     coef2 = Ys * a3s - Yp                       # Y a3 - Y'
-    coef1 = _Laurent.from_ratfun(a2, lprec) * Ys - Ya3p + Ypp
+    coef1 = a_series[2] * Ys - (Ys * a3s).derivative() + Yp.derivative()
 
     minus = _Laurent(0, [Fraction(-1)], lprec)
     # negative control: flip exactly one sign (the f0' term of C2)
@@ -491,8 +483,6 @@ def verify_horizontal_u4(op: ThetaOperator, N: int,
     C2 = m2 * (Ys * f[1]) + coef2 * f[0]
     C1 = Ys * f[2] + coef1 * f[0]
     C0 = minus * (Ys * f[3]) + minus * (coef2 * f[2]) + minus * (coef1 * f[1])
-
-    a_series = [_Laurent.from_ratfun(a, lprec) for a in (a0, a1, a2, a3)]
     return _check_brackets([C0, C1, C2, C3], C3, a_series, N - 4)
 
 
@@ -509,16 +499,15 @@ def verify_horizontal_u5(q: ThetaOperator, N: int,
     """
     if N < 5:
         raise ValueError("need N >= 5 to certify any coefficient")
-    mf = to_monic(q)
-    b = mf.a  # b0 .. b4
-    Y = rational_exp_integral(b[4] * Fraction(2, 5))
+    b, den = to_monic(q)  # b0 .. b4 over den
+    Y = rational_exp_integral(poly_scale(b[4], 2), poly_scale(den, 5))
     F0 = solve_series(q, N).coeffs
 
     prec = N + 1
     lprec = prec + 8
     Fs = _Laurent.from_series(F0, prec)
-    Ys = _Laurent.from_ratfun(Y, lprec)
-    bs = [_Laurent.from_ratfun(bb, lprec) for bb in b]
+    Ys = _Laurent.from_ratfun(*Y, lprec)
+    bs = [_Laurent.from_ratfun(bb, den, lprec) for bb in b]
     if _zero_b1:
         bs[1] = _Laurent(0, [], lprec)
 

@@ -9,7 +9,7 @@ from frobcy.catalog import (CATALOG, SECOND_ORDER, catalog, get_entry,
                             product_operator, sequence_term, sequence_terms,
                             sequence_terms_via_recurrence)
 from frobcy.diffop import check_mum, leading_symbol, solve_series
-from frobcy.polyrat import RatPoly, poly_gcd
+from frobcy.polyrat import poly_deriv, poly_gcd
 
 from conftest import (LengthMismatch, hadamard_product,
                       quintic_wedge_coefficients)
@@ -105,12 +105,12 @@ class TestSecondOrderOperators:
         squares = {"e": 16, "h": 27, "i": 64, "j": 432}
         for name in "abcdefghij":
             sym = leading_symbol(SECOND_ORDER[name])
-            assert sym.degree == 2
-            repeated = poly_gcd(sym, sym.derivative()).degree > 0
+            assert len(sym) == 3
+            repeated = len(poly_gcd(sym, poly_deriv(sym))) > 1
             if name in squares:
                 assert repeated
                 r = squares[name]
-                assert sym == RatPoly((1, -2 * r, r * r))
+                assert sym == [1, -2 * r, r * r]
             else:
                 assert not repeated
 

@@ -26,7 +26,7 @@ import pkgutil
 import pytest
 
 import frobcy
-from frobcy import FrobcyError, classify, cli, wedge
+from frobcy import FrobcyError, UsageError, classify, cli, wedge
 from frobcy.catalog import CATALOG, get_entry, sequence_terms_via_recurrence
 from frobcy.classify import classify_operator, results_to_csv
 from frobcy.diffop import ThetaOperator, solve_series
@@ -76,6 +76,11 @@ class TestParsePrimes:
     def test_even_prime_rejected(self):
         with pytest.raises(ValueError):
             cli._parse_primes("2")
+
+    @pytest.mark.parametrize("text", ["", ",", " , "])
+    def test_empty_list_rejected(self, text):
+        with pytest.raises(UsageError, match="no primes"):
+            cli._parse_primes(text)
 
 
 class TestLoadOperator:
@@ -844,6 +849,10 @@ def bad_operators(tmp_path):
      "cannot write --output"),
     ("table --operator A*a --primes 3 --jobs 0", 2,
      "error: --jobs must be >= 1, not 0\n"),
+    ("table --operator A*a --primes , --no-cache", 2,
+     "error: no primes in list ','\n"),
+    ("table --operator A*a --primes , --no-cache --format json", 2,
+     "error: no primes in list ','\n"),
     ("congruence --sequence a --prime 5 --smax 0", 2,
      "error: --smax must be >= 1, not 0\n"),
 ])

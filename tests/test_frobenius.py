@@ -10,7 +10,7 @@ from frobcy.catalog import get_entry
 from frobcy.congruence import OutsideUnitDisk
 from frobcy.diffop import solve_series
 from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
-                              assemble_frobenius, box_precision,
+                              _balanced_pair, assemble_frobenius, box_precision,
                               decode_frobenius, frobenius_quartic,
                               legendre_frobenius, legendre_precision,
                               legendre_unit_root, required_precision,
@@ -121,10 +121,15 @@ class TestRequiredPrecision:
                 assert required_precision(p, fiber) <= box_precision(p, fiber)
 
     def test_rejects_even_or_tiny_primes(self):
-        with pytest.raises(ValueError):
-            required_precision(2)
-        with pytest.raises(ValueError):
-            box_precision(2)
+        # and odd composites: every p that is not an odd prime
+        for p in (1, 2, 9, 15):
+            for fiber in (False, True):
+                with pytest.raises(ValueError, match="odd prime"):
+                    required_precision(p, fiber)
+                with pytest.raises(ValueError, match="odd prime"):
+                    box_precision(p, fiber)
+            with pytest.raises(ValueError, match="odd prime"):
+                legendre_unit_root(p, 2)
 
 
 class TestBoxPrecision:
@@ -236,7 +241,7 @@ class TestAssembleFrobenius:
         # r1 = rh = 1 makes the four reciprocal roots 1, p, p^2, p^3
         for p in (3, 5):
             one = PadicNumber(p, 6, 1, 6)
-            a, b = assemble_frobenius(one, one, p, check_bounds=False)
+            a, b, _s = _balanced_pair(one, one, p)
             assert a == -(1 + p + p * p + p**3)
             assert b == 1 + p + 2 * p * p + p**3 + p**4
 

@@ -2,7 +2,7 @@
 route to its solution, rational exponentials, and horizontal sections."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +11,9 @@ from frobcy import wedge
 from frobcy.catalog import CATALOG, _LEFT, _RIGHT, get_entry
 from frobcy.diffop import (ThetaOperator, check_cy4, check_cy5, check_mum,
                            solve_series, to_monic)
-from frobcy.polyrat import (NoSolution, RatPoly, RationalFunction,
-                            poly_exact_div, poly_gcd, poly_mul, poly_scale,
-                            solve_linear_system)
+from frobcy.polyrat import (NoSolution, poly_add, poly_deriv, poly_exact_div,
+                            poly_gcd, poly_mul, poly_primitive, poly_scale,
+                            poly_sub, solve_linear_system)
 from frobcy.wedge import (NotRationalY, UnexpectedOrder, _Laurent,
                           _module_action, _theta_step, _wedge_action,
                           f0_wedge_via_wronskian, rational_exp_integral,
@@ -53,10 +53,38 @@ GEOMETRIC4_WEDGE_ROWS = (
 NOT_SELF_DUAL = ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]])
 
 
-def ratfun(num, den=None) -> RationalFunction:
-    if den is None:
-        return RationalFunction(RatPoly(num))
-    return RationalFunction(RatPoly(num), RatPoly(den))
+# -- Q(z) as unreduced pairs (numerator, denominator) of integer lists -------------
+
+Z = ([0, 1], [1])
+
+
+def q_add(f, g):
+    return (poly_add(poly_mul(f[0], g[1]), poly_mul(g[0], f[1])),
+            poly_mul(f[1], g[1]))
+
+
+def q_mul(f, g):
+    return poly_mul(f[0], g[0]), poly_mul(f[1], g[1])
+
+
+def q_scale(f, c: Fraction):
+    return poly_scale(f[0], c.numerator), poly_scale(f[1], c.denominator)
+
+
+def q_deriv(f):
+    num, den = f
+    return (poly_sub(poly_mul(poly_deriv(num), den), poly_mul(num, poly_deriv(den))),
+            poly_mul(den, den))
+
+
+def q_equal(f, g) -> bool:
+    return poly_mul(f[0], g[1]) == poly_mul(g[0], f[1])
+
+
+def q_proportional(f, g) -> bool:
+    """f = c g for a nonzero rational constant c."""
+    return poly_primitive(poly_mul(f[0], g[1])) == \
+        poly_primitive(poly_mul(g[0], f[1]))
 
 
 # -- the differential module and its exterior square ------------------------------
@@ -93,9 +121,8 @@ class TestDifferentialModule:
         out = _theta_step([[1], [], [], []], 1, delta, action)
         assert out[0] == [-i * c for i, c in enumerate(delta)]
         assert out[1] == delta and out[2] == [] and out[3] == []
-        z = ratfun((0, 1))
-        assert ratfun(out[0], poly_mul(delta, delta)) \
-            == z * ratfun((1,), delta).derivative()
+        assert q_equal((out[0], poly_mul(delta, delta)),
+                       q_mul(Z, q_deriv(([1], delta))))
 
     def test_wedge_module_rank_and_basis_order(self):
         _, action = _module_action(AA)
@@ -116,10 +143,10 @@ class TestDifferentialModule:
         # theta W = (1 - z a1) W: the rank-1 action must equal 1 - z a1
         delta, action = _module_action(LEG16)
         waction, _ = _wedge_action(action)
-        a1 = to_monic(LEG16).a[1]
-        z = ratfun((0, 1))
-        assert RationalFunction(RatPoly(waction[0][0]), RatPoly(delta)) \
-            == RationalFunction.one() - z * a1
+        nums, den = to_monic(LEG16)
+        z_a1 = q_mul(Z, (nums[1], den))
+        assert q_equal((waction[0][0], delta),
+                       q_add(([1], [1]), q_scale(z_a1, Fraction(-1))))
 
 
 # -- the order-5 companion ---------------------------------------------------------
@@ -197,13 +224,10 @@ def wedge_over_delta5(op):
     if kernel_dim > 0:
         raise UnexpectedOrder("relation of order < 5")
     relation = [poly_scale(x, -1) for x in numerators] + [det]
-    g = RatPoly.zero()
+    g = []
     for c in relation:
-        g = poly_gcd(g, RatPoly(c))
-        if g.degree == 0:
-            break
-    if g.degree > 0:
-        g = g.content_and_primitive()[1].integer_coeffs()
+        g = poly_gcd(g, c)
+    if len(g) > 1:
         relation = [poly_exact_div(c, g) for c in relation]
     z_deg = max(len(c) for c in relation) - 1
     return ThetaOperator([[c[i] if i < len(c) else 0 for c in relation]
@@ -253,11 +277,16 @@ def catalog_shape(lam, mu, kappa, pair, mid):
 def monic_cy4_identity(op):
     """The closed form in the ``check_cy4`` docstring, over Q(z):
     a_1 = (1/2) a_2 a_3 - (1/8) a_3^3 + a_2' - (3/4) a_3 a_3' - (1/2) a_3''."""
-    a0, a1, a2, a3 = to_monic(op).a
-    rhs = ((a2 * a3) * Fraction(1, 2) - (a3 * a3 * a3) * Fraction(1, 8)
-           + a2.derivative() - (a3 * a3.derivative()) * Fraction(3, 4)
-           - a3.derivative().derivative() * Fraction(1, 2))
-    return (a1 - rhs).is_zero()
+    nums, den = to_monic(op)
+    a0, a1, a2, a3 = [(n, den) for n in nums]
+    d3 = q_deriv(a3)
+    terms = [(q_mul(a2, a3), Fraction(1, 2)), (q_mul(q_mul(a3, a3), a3), Fraction(-1, 8)),
+             (q_deriv(a2), Fraction(1)), (q_mul(a3, d3), Fraction(-3, 4)),
+             (q_deriv(d3), Fraction(-1, 2))]
+    rhs = ([], [1])
+    for term, c in terms:
+        rhs = q_add(rhs, q_scale(term, c))
+    return q_equal(a1, rhs)
 
 
 class TestGeneratedCatalogShapes:
@@ -338,22 +367,22 @@ class TestWronskianRoute:
 
 class TestLaurent:
     def test_from_ratfun_expands_a_geometric_series(self):
-        s = _Laurent.from_ratfun(ratfun((1,), (1, -1)), 10)
+        s = _Laurent.from_ratfun([1], [1, -1], 10)
         assert s.val == 0 and s.prec == 10
         assert all(s.coefficient(k) == 1 for k in range(10))
 
     def test_coefficient_beyond_precision_raises(self):
-        s = _Laurent.from_ratfun(ratfun((1,), (1, -1)), 10)
+        s = _Laurent.from_ratfun([1], [1, -1], 10)
         with pytest.raises(ValueError):
             s.coefficient(10)
 
     def test_negative_valuation(self):
-        s = _Laurent.from_ratfun(ratfun((1,), (0, 1)), 5)  # 1/z
+        s = _Laurent.from_ratfun([1], [0, 1], 5)  # 1/z
         assert s.val == -1
         assert s.coefficient(-1) == 1 and s.coefficient(0) == 0
 
     def test_positive_valuation(self):
-        s = _Laurent.from_ratfun(ratfun((0, 0, 1), (1, -1)), 6)  # z^2/(1-z)
+        s = _Laurent.from_ratfun([0, 0, 1], [1, -1], 6)  # z^2/(1-z)
         assert s.val == 2
         assert s.coefficient(1) == 0 and s.coefficient(2) == 1
 
@@ -407,53 +436,77 @@ class TestLaurent:
 
 class TestRationalExpIntegral:
     @staticmethod
-    def check(g):
-        y = rational_exp_integral(g)
-        assert y.derivative() / y == g
+    def check(num, den, want=None):
+        y = rational_exp_integral(num, den)
+        assert q_equal(q_deriv(y), q_mul((num, den), y))     # Y' = g Y
+        if want is not None:
+            assert q_proportional(y, want)
         return y
 
     def test_simple_pole_with_integer_residue(self):
-        y = self.check(ratfun((3,), (0, 1)))  # 3/z
-        assert y == ratfun((0, 0, 0, 1))      # z^3 up to the constant
+        self.check([3], [0, 1], ([0, 0, 0, 1], [1]))       # 3/z: z^3
 
     def test_two_poles(self):
         # 1/(z-1) + 2/(z+1)
-        g = ratfun((1,), (-1, 1)) + ratfun((2,), (1, 1))
-        self.check(g)
+        g = q_add(([1], [-1, 1]), ([2], [1, 1]))
+        self.check(*g, (poly_mul([-1, 1], poly_mul([1, 1], [1, 1])), [1]))
 
     def test_negative_exponent(self):
-        g = ratfun((-2,), (0, 1))  # -2/z
-        y = self.check(g)
-        assert y == ratfun((1,), (0, 0, 1))
+        self.check([-2], [0, 1], ([1], [0, 0, 1]))         # -2/z: 1/z^2
 
     def test_irreducible_quadratic_factor(self):
         # 4z/(z^2+1) = 2 * (z^2+1)'/(z^2+1)
-        y = self.check(ratfun((0, 4), (1, 0, 1)))
-        assert y == ratfun((1, 0, 2, 0, 1))
+        self.check([0, 4], [1, 0, 1], ([1, 0, 2, 0, 1], [1]))
 
     def test_mixed_linear_and_quadratic_factors(self):
         # (z(z^2+1))'/(z(z^2+1)) = (3z^2+1)/(z^3+z)
-        self.check(ratfun((1, 0, 3), (0, 1, 0, 1)))
+        self.check([1, 0, 3], [0, 1, 0, 1], ([0, 1, 0, 1], [1]))
+
+    def test_unreduced_input_is_reduced_first(self):
+        # (2z + 2)/(z^2 + z) = 2/z
+        self.check([2, 2], [0, 1, 1], ([0, 0, 1], [1]))
 
     def test_zero_input_gives_one(self):
-        assert rational_exp_integral(RationalFunction.zero()) \
-            == RationalFunction.one()
+        assert rational_exp_integral([], [1]) == ([1], [1])
 
     def test_half_integer_residue_raises(self):
         with pytest.raises(NotRationalY):
-            rational_exp_integral(ratfun((1,), (0, 2)))  # 1/(2z)
+            rational_exp_integral([1], [0, 2])             # 1/(2z)
 
     def test_double_pole_raises(self):
         with pytest.raises(NotRationalY):
-            rational_exp_integral(ratfun((1,), (0, 0, 1)))  # 1/z^2
+            rational_exp_integral([1], [0, 0, 1])          # 1/z^2
 
     def test_polynomial_part_raises(self):
         with pytest.raises(NotRationalY):
-            rational_exp_integral(ratfun((0, 1)))  # z
+            rational_exp_integral([0, 1], [1])             # z
 
     def test_irrational_residues_on_a_quadratic_raise(self):
         with pytest.raises(NotRationalY):
-            rational_exp_integral(ratfun((1, 1), (1, 0, 1)))  # (z+1)/(z^2+1)
+            rational_exp_integral([1, 1], [1, 0, 1])       # (z+1)/(z^2+1)
+
+    def test_two_quadratics_with_different_exponents_raise(self):
+        # 2z/(z^2+1) + 4z/(z^2+2) = ((z^2+1)(z^2+2)^2)'/(...): the rootless
+        # cofactor (z^2+1)(z^2+2) takes a single exponent
+        with pytest.raises(NotRationalY):
+            self.check(*q_add(([0, 2], [1, 0, 1]), ([0, 4], [2, 0, 1])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 9),
+                              st.integers(-3, 3))
+                    .filter(lambda abm: gcd(abm[0], abm[1]) == 1),
+                    max_size=3, unique_by=lambda abm: Fraction(abm[0], abm[1])),
+           st.integers(1, 9), st.integers(-3, 3))
+    def test_round_trip_on_products_of_powers(self, linear, c, m_quad):
+        # Y = prod (b z - a)^m * (z^2 + c)^m_quad; g = Y'/Y, unreduced
+        y = ([1], [1])
+        for f, m in [([-a, b], m) for a, b, m in linear] + [([c, 0, 1], m_quad)]:
+            for _ in range(abs(m)):
+                y = q_mul(y, (f, [1]) if m > 0 else ([1], f))
+        g = (poly_sub(poly_mul(poly_deriv(y[0]), y[1]),
+                      poly_mul(y[0], poly_deriv(y[1]))),
+             poly_mul(y[0], y[1]))
+        self.check(*g, y)
 
 
 # -- horizontal sections -----------------------------------------------------------
