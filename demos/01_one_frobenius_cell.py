@@ -46,14 +46,14 @@ Bot = F0.truncate(p ** (s - 1) - 1).evaluate_mod(pow(zhat, p, mod), mod)
 print(f"F0(zhat) = {Top},  F0^(lower)(zhat^p) = {Bot},  "
       f"ratio = {Top * pow(Bot, -1, mod) % mod}")
 
-# the library computes the same two ratios with certified precision
+# the library computes the same two ratios, as residues mod p^s
 r1, rhat = unit_roots(f0, F0, z0, p, s)
-print(f"unit roots: r1 = {r1.residue}, rhat = {rhat.residue}  "
-      f"(each certified to {r1.guaranteed} digits)")
+print(f"unit roots: r1 = {r1}, rhat = {rhat}  "
+      f"(each certified to {s} digits)")
 
 # the two p-adic roots give (a, b) mod p^s; exactly one Weil-shape pair is
 # congruent to those residues, which certifies the integer coefficients
-a, b = assemble_frobenius(r1, rhat, p, at_singular_fiber=False)
+a, b = assemble_frobenius(r1, rhat, p, s, at_singular_fiber=False)
 print(f"(a, b) = ({a}, {b}), the only admissible pair of its residues "
       f"mod {p}^{s}: {decode_frobenius(a, b, p, s)}")
 

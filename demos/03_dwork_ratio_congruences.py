@@ -9,14 +9,17 @@ expansion of n.  This script checks them for one catalog sequence, then
 corrupts a single coefficient and watches the check locate it.
 """
 
-from frobcy.catalog import sequence_terms, sequence_terms_via_recurrence
+from math import comb
+
+from frobcy.catalog import sequence_terms_via_recurrence
 from frobcy.congruence import check_dwork_congruence
 
 # the sequence named "c": terms by running the operator recurrence, and
-# independently by the closed-form binomial sum
+# independently by the closed-form binomial sum  sum_k binom(n,k)^2 binom(2k,k)
 N = 400
 coeffs = sequence_terms_via_recurrence("c", N)
-assert coeffs == sequence_terms("c", N)
+assert coeffs == [sum(comb(n, k) ** 2 * comb(2 * k, k) for k in range(n + 1))
+                  for n in range(N + 1)]
 print("sequence c, first terms:", coeffs[:6])
 
 # the congruence sweep for three primes and powers s = 1, 2, 3

@@ -1,6 +1,7 @@
 """Exact and p-adic tools for fourth-order Calabi-Yau type operators:
 
-* fixed-precision p-adic arithmetic with Teichmueller lifts (``padic``)
+* p-adic helpers on integer residues mod p^s: Teichmueller lifts, balanced
+  residues and the one prime check (``padic``)
 * exact polynomial algebra over Z[z] on integer coefficient lists (``polyrat``)
 * theta-form differential operators and series solutions (``diffop``)
 * exterior-square fifth-order companions and horizontal sections (``wedge``)

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
-from .diffop import NonIntegralSolution, ThetaOperator, leading_symbol, solve_series
+from .diffop import ThetaOperator, leading_symbol, solve_series
 from .polyrat import poly_mul, rational_roots
 
 
@@ -155,127 +154,8 @@ def get_entry(name: str) -> CatalogEntry:
 # -- the integer sequences --------------------------------------------------------
 
 
-def _central_sum(x: Fraction, y: Fraction, scale: int) -> Callable[[int], Fraction]:
-    """n -> scale^n * sum_k (-1)^k binom(-x, k) binom(-y, n-k)^2, with the
-    binomial columns built incrementally."""
-    def term(n: int) -> Fraction:
-        bx, by = Fraction(1), Fraction(1)
-        bxs, bys = [bx], [by]
-        for k in range(1, n + 1):
-            bx = bx * (-x - (k - 1)) / k
-            by = by * (-y - (k - 1)) / k
-            bxs.append(bx)
-            bys.append(by)
-        s = Fraction(0)
-        for k in range(n + 1):
-            t = bxs[k] * bys[n - k] ** 2
-            s += -t if k & 1 else t
-        return Fraction(scale) ** n * s
-    return term
-
-
-_CLOSED_FORMS: Dict[str, Callable[[int], object]] = {
-    "A": lambda n: comb(2 * n, n) ** 2,
-    "B": lambda n: factorial(3 * n) // factorial(n) ** 3,
-    "C": lambda n: factorial(4 * n) // (factorial(2 * n) * factorial(n) ** 2),
-    "D": lambda n: factorial(6 * n) // (factorial(3 * n) * factorial(2 * n)
-                                        * factorial(n)),
-    "a": lambda n: sum(comb(n, k) ** 3 for k in range(n + 1)),
-    "b": lambda n: sum(comb(n, k) ** 2 * comb(n + k, k) for k in range(n + 1)),
-    "c": lambda n: sum(comb(n, k) ** 2 * comb(2 * k, k) for k in range(n + 1)),
-    "d": lambda n: sum(comb(n, k) * comb(2 * k, k) * comb(2 * (n - k), n - k)
-                       for k in range(n + 1)),
-    "f": lambda n: sum((-1) ** k * 3 ** (n - 3 * k) * comb(n, 3 * k)
-                       * factorial(3 * k) // factorial(k) ** 3
-                       for k in range(n // 3 + 1)),
-    "g": lambda n: sum(8 ** (n - i) * (-1) ** i * comb(n, i) * comb(i, j) ** 3
-                       for i in range(n + 1) for j in range(i + 1)),
-    "e": _central_sum(Fraction(1, 2), Fraction(1, 2), 16),
-    "h": _central_sum(Fraction(2, 3), Fraction(1, 3), 27),
-    "i": _central_sum(Fraction(3, 4), Fraction(1, 4), 64),
-    "j": _central_sum(Fraction(5, 6), Fraction(1, 6), 432),
-}
-
-_CENTRAL_PARAMS: Dict[str, Tuple[Fraction, Fraction, int]] = {
-    "e": (Fraction(1, 2), Fraction(1, 2), 16),
-    "h": (Fraction(2, 3), Fraction(1, 3), 27),
-    "i": (Fraction(3, 4), Fraction(1, 4), 64),
-    "j": (Fraction(5, 6), Fraction(1, 6), 432),
-}
-
-
-def sequence_term(name: str, n: int) -> int:
-    """n-th term of a catalog sequence by its closed binomial-sum form."""
-    if name not in _CLOSED_FORMS:
-        raise KeyError(f"unknown sequence {name!r}")
-    if n < 0:
-        raise ValueError("sequence index must be >= 0")
-    value = _CLOSED_FORMS[name](n)
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise NonIntegralSolution(f"{name}({n}) = {value} is not an integer")
-        return value.numerator
-    return int(value)
-
-
-def sequence_terms(name: str, N: int) -> List[int]:
-    """Terms 0..N by the closed form.
-
-    Subexpressions that do not depend on the outer index (g's inner cube sum,
-    d's central binomials) are computed once and shared; the formulas
-    themselves are evaluated literally.
-    """
-    if name == "g":
-        inner = [sum(comb(i, j) ** 3 for j in range(i + 1)) for i in range(N + 1)]
-        pow8 = [8 ** m for m in range(N + 1)]
-        out = []
-        for n in range(N + 1):
-            bni = 1
-            acc = 0
-            for i in range(n + 1):
-                if i:
-                    bni = bni * (n - i + 1) // i
-                term = pow8[n - i] * bni * inner[i]
-                acc += -term if i & 1 else term
-            out.append(acc)
-        return out
-    if name == "d":
-        central = [comb(2 * k, k) for k in range(N + 1)]
-        out = []
-        for n in range(N + 1):
-            bnk = 1
-            acc = 0
-            for k in range(n + 1):
-                if k:
-                    bnk = bnk * (n - k + 1) // k
-                acc += bnk * central[k] * central[n - k]
-            out.append(acc)
-        return out
-    if name in _CENTRAL_PARAMS:  # share the binomial columns across terms
-        x, y, scale = _CENTRAL_PARAMS[name]
-        bxs, bys = [Fraction(1)], [Fraction(1)]
-        for k in range(1, N + 1):
-            bxs.append(bxs[-1] * (-x - (k - 1)) / k)
-            bys.append(bys[-1] * (-y - (k - 1)) / k)
-        bys2 = [b * b for b in bys]
-        out = []
-        power = Fraction(1)
-        for n in range(N + 1):
-            s = Fraction(0)
-            for k in range(n + 1):
-                t = bxs[k] * bys2[n - k]
-                s += -t if k & 1 else t
-            value = power * s
-            if value.denominator != 1:
-                raise NonIntegralSolution(f"{name}({n}) = {value} is not an integer")
-            out.append(value.numerator)
-            power *= scale
-        return out
-    return [sequence_term(name, n) for n in range(N + 1)]
-
-
 def sequence_terms_via_recurrence(name: str, N: int) -> List[int]:
-    """Terms 0..N by running the operator recurrence (independent route)."""
+    """Terms 0..N by running the operator recurrence."""
     if name not in SECOND_ORDER:
         raise KeyError(f"unknown sequence {name!r}")
     return solve_series(SECOND_ORDER[name], N).coeffs

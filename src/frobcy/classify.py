@@ -39,7 +39,6 @@ from .congruence import OutsideUnitDisk
 from .diffop import ThetaOperator, TruncatedSeries, solve_series, symbol_roots_mod_p
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
                         unit_roots, weil_verify)
-from .padic import PadicNumber
 from .wedge import wedge_square
 
 FORMS_DIR_ENV = "FROBCY_FORMS_DIR"
@@ -220,8 +219,8 @@ class PointClass:
     form: Optional[str] = None
     escalated: bool = False  # certified only above the row's starting precision
     s: Optional[int] = None  # the precision p^s the cell was settled at
-    r1: Optional[PadicNumber] = None  # unit roots of the operator and of its
-    rh: Optional[PadicNumber] = None  # exterior square (None when undefined)
+    r1: Optional[int] = None  # unit roots mod p^s of the operator and of its
+    rh: Optional[int] = None  # exterior square (None when undefined)
 
     def cell(self) -> str:
         """Compact table cell: (a,b) / (a,b)' / (a,b)* / (a,b)! / - ."""
@@ -274,7 +273,7 @@ def classify_point(op: ThetaOperator, p: int, z0: int, s: int,
     except OutsideUnitDisk:
         return PointClass(operator=op.name, p=p, z0=z0, status="undefined",
                           at_singular_fiber=fiber, s=s)
-    a, b = assemble_frobenius(r1, rh, p, at_singular_fiber=fiber)
+    a, b = assemble_frobenius(r1, rh, p, s, at_singular_fiber=fiber)
     pc = classify_ab(a, b, p, fiber)
     pc.operator, pc.z0, pc.s, pc.r1, pc.rh = op.name, z0, s, r1, rh
     return pc

@@ -60,8 +60,9 @@ from .classify import (PointClass, SeriesSource, classify_operator,
 from .congruence import CongruenceReport, OutsideUnitDisk, check_dwork_congruence
 from .diffop import ThetaOperator, TruncatedSeries, solve_series, symbol_roots_mod_p
 from .frobenius import (decode_frobenius, frobenius_quartic, legendre_frobenius,
-                        legendre_unit_root, required_precision)
-from .padic import PadicNumber, is_odd_prime
+                        legendre_precision, legendre_unit_root,
+                        required_precision)
+from .padic import is_odd_prime
 from .wedge import wedge_square
 
 __all__ = ["CorruptCache", "cache_series", "main"]
@@ -121,7 +122,7 @@ def _cache_load(path: str, op_hash: str, role: str, p: int, K: int,
         raise
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptCache(f"unreadable cache file {path}: {exc}") from None
-    return TruncatedSeries(coeffs, prime=p, cap=K, guaranteed=K)
+    return TruncatedSeries(coeffs, prime=p, cap=K)
 
 
 def _cache_store(path: str, op_hash: str, role: str, p: int, K: int, N: int,
@@ -317,8 +318,8 @@ def _table_task(arg: Tuple[str, Sequence[int], bool, Optional[str]]
     return outcomes
 
 
-def _padic_json(x: PadicNumber) -> Dict[str, int]:
-    return {"prime": x.prime, "precision": x.guaranteed, "residue": x.residue}
+def _padic_json(p: int, s: int, residue: int) -> Dict[str, int]:
+    return {"prime": p, "precision": s, "residue": residue}
 
 
 # -- emission -----------------------------------------------------------------------
@@ -445,7 +446,7 @@ def cmd_frob(args: argparse.Namespace) -> int:
             status=pc.status, a=pc.a, b=pc.b,
             alpha=pc.alpha, beta=pc.beta, chi=pc.chi, ap=pc.ap, form=pc.form,
             quartic=frobenius_quartic(pc.a, pc.b, p), cell=pc.cell(),
-            r1=_padic_json(pc.r1), rh=_padic_json(pc.rh),
+            r1=_padic_json(p, pc.s, pc.r1), rh=_padic_json(p, pc.s, pc.rh),
         )
         candidates = len(decode_frobenius(pc.a, pc.b, p, pc.s,
                                           pc.at_singular_fiber))
@@ -506,7 +507,8 @@ def cmd_legendre(args: argparse.Namespace) -> int:
                       zeta_numerator=None)
     else:
         ap = legendre_frobenius(p, args.point)
-        result.update(status="ordinary", pi=_padic_json(root), ap=ap,
+        result.update(status="ordinary",
+                      pi=_padic_json(p, legendre_precision(p), root), ap=ap,
                       zeta_numerator=[1, -ap, p])
     print(json.dumps(result, indent=1))
     return 0

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import FrobcyError
 from .diffop import TruncatedSeries
-from .padic import PadicNumber, teichmueller_residue
+from .padic import teichmueller_residue
 
 
 class OutsideUnitDisk(FrobcyError, ArithmeticError):
@@ -87,8 +87,9 @@ def check_dwork_congruence(coeffs: Sequence[int], p: int, s: int,
     return report
 
 
-def dwork_ratio(series: TruncatedSeries, z0: int, p: int, s: int) -> PadicNumber:
-    """Unit-root approximation mod p^s from truncation ratios at z0.
+def dwork_ratio(series: TruncatedSeries, z0: int, p: int, s: int) -> int:
+    """Unit-root approximation num * den^-1 mod p^s from truncation ratios
+    at z0.
 
     Evaluates the degree-(p^s - 1) truncation at the Teichmueller lift alpha
     of z0 and divides by the degree-(p^(s-1) - 1) truncation at alpha^p =
@@ -102,9 +103,9 @@ def dwork_ratio(series: TruncatedSeries, z0: int, p: int, s: int) -> PadicNumber
     if series.prime is not None:
         if series.prime != p:
             raise ValueError("series was reduced at a different prime")
-        if series.guaranteed is None or series.guaranteed < s:
+        if series.cap < s:
             raise ValueError(
-                f"series certifies only {series.guaranteed} digits, {s} needed")
+                f"series holds residues mod p^{series.cap}, {s} digits needed")
     ps = p**s
     if series.order < ps - 1:
         raise ValueError(
@@ -121,4 +122,4 @@ def dwork_ratio(series: TruncatedSeries, z0: int, p: int, s: int) -> PadicNumber
     if den % p == 0:  # cannot happen once the probe passed; guard anyway
         raise OutsideUnitDisk(
             f"denominator truncation vanishes mod {p} at z0 = {z0}")
-    return PadicNumber(p, s, num * pow(den, -1, ps) % ps, guaranteed=s)
+    return num * pow(den, -1, ps) % ps

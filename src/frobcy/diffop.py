@@ -179,15 +179,13 @@ def symbol_roots_mod_p(op: ThetaOperator, p: int) -> List[int]:
 class TruncatedSeries:
     """Power-series truncation c_0 + c_1 z + ... + c_N z^N with c_0 = 1.
 
-    ``modulus`` is None for exact integer coefficients; otherwise coefficients
-    are residues mod prime^cap of which ``guaranteed`` digits are certified
-    (series-wide minimum).
+    ``prime`` is None for exact integer coefficients; otherwise coefficients
+    are residues mod prime^cap.
     """
 
     coeffs: list
     prime: Optional[int] = None
     cap: Optional[int] = None
-    guaranteed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.coeffs or self.coeffs[0] != 1:
@@ -198,16 +196,11 @@ class TruncatedSeries:
         """Truncation order N (degree of the last kept coefficient)."""
         return len(self.coeffs) - 1
 
-    @property
-    def modulus(self) -> Optional[int]:
-        return None if self.prime is None else self.prime**self.cap
-
     def truncate(self, N: int) -> "TruncatedSeries":
         """f^(N): the truncation of degree <= N (N + 1 coefficients)."""
         if N > self.order:
             raise ValueError(f"series holds only {self.order + 1} coefficients")
-        return TruncatedSeries(self.coeffs[: N + 1], self.prime, self.cap,
-                               self.guaranteed)
+        return TruncatedSeries(self.coeffs[: N + 1], self.prime, self.cap)
 
     def evaluate_mod(self, x: int, modulus: int) -> int:
         """Horner evaluation of the truncation at an integer residue."""
@@ -293,7 +286,7 @@ def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
     # on a failure at degree n, the targets that reach n share it
     results = [failure if failure and tN >= n
                else TruncatedSeries(out) if tp is None
-               else TruncatedSeries(out, tp, tK, tK)
+               else TruncatedSeries(out, tp, tK)
                for (tp, tK, tN), out in zip(targets, outs)]
     if batch:
         return results

@@ -12,8 +12,8 @@ ratios via the elementary symmetric functions
     e1 = r1 + p rh/r1 + p^2 r1/rh + p^3/r1                    = -a,
     e2 = p rh + p^2 r1^2/rh + 2 p^3 + p^4 rh/r1^2 + p^5/rh    = b p,
 
-computed with pessimistic p-adic precision tracking, which gives a and b
-modulo p^s.
+which give a and b modulo p^s when r1 and rh are known mod p^s.  Every
+p-adic value here is a plain integer residue mod p^s, with s passed along.
 
 The pair is then *decoded*: ``decode_frobenius`` lists every admissible pair
 congruent to those residues, and a cell is certified when exactly one fits.
@@ -48,10 +48,9 @@ from math import isqrt
 from typing import List, Tuple
 
 from . import FrobcyError, UsageError
-from .congruence import OutsideUnitDisk, dwork_ratio
+from .congruence import dwork_ratio
 from .diffop import TruncatedSeries
-from .padic import (PadicNumber, balanced_lift, balanced_residue, is_odd_prime,
-                    teichmueller_residue)
+from .padic import NotAUnit, balanced_residue, is_odd_prime
 
 
 class LiftOutOfBound(FrobcyError, ArithmeticError):
@@ -181,7 +180,7 @@ def box_precision(p: int, want_singular: bool = False) -> int:
 
 
 def unit_roots(f0: TruncatedSeries, F0: TruncatedSeries, z0: int, p: int,
-               s: int) -> Tuple[PadicNumber, PadicNumber]:
+               s: int) -> Tuple[int, int]:
     """(r1, rh): unit roots mod p^s of the operator and its exterior square
     at z0, via truncation ratios.  Raises OutsideUnitDisk at non-ordinary
     points of either family."""
@@ -190,30 +189,22 @@ def unit_roots(f0: TruncatedSeries, F0: TruncatedSeries, z0: int, p: int,
     return r1, rh
 
 
-def _balanced_pair(r1: PadicNumber, rh: PadicNumber, p: int
-                   ) -> Tuple[int, int, int]:
-    """(a, b, s): the balanced lifts of a and b mod p^s from the unit roots.
+def _balanced_pair(r1: int, rh: int, p: int, s: int) -> Tuple[int, int]:
+    """(a, b): the balanced lifts of a and b mod p^s from the unit roots
+    r1, rh mod p^s.
 
-    Works one digit above the certified precision s so that e2 (divisible by
-    p) still determines b mod p^s after the division.
+    e1 is worked mod p^s and e2 mod p^(s+1): an error O(p^s) in r1 or rh
+    moves e1 by O(p^s) and e2 by O(p^(s+1)), because every term of e2 carries
+    a factor p, so e2 / p is known mod p^s.
     """
-    if r1.prime != p or rh.prime != p:
-        raise ValueError("unit roots at the wrong prime")
-    s = min(r1.guaranteed, rh.guaranteed)
-    cap = s + 1
-
-    def lift(x: PadicNumber) -> PadicNumber:
-        return PadicNumber(p, cap, x.residue % p**cap, guaranteed=min(x.guaranteed, s))
-
-    r = lift(r1)
-    w = lift(rh)
-    one = PadicNumber.exact(1, p, cap)
-    pk = [PadicNumber.exact(p**k, p, cap) for k in range(6)]
-
-    e1 = r + pk[1] * (w / r) + pk[2] * (r / w) + pk[3] * (one / r)
-    e2 = (pk[1] * w + pk[2] * (r * r / w) + PadicNumber.exact(2 * p**3, p, cap)
-          + pk[4] * (w / (r * r)) + pk[5] * (one / w))
-    return -balanced_lift(e1), balanced_lift(e2 / pk[1]), s
+    if r1 % p == 0 or rh % p == 0:
+        raise NotAUnit(f"unit roots must be units mod {p}")
+    ps, m = p**s, p ** (s + 1)
+    ir, iw = pow(r1, -1, m), pow(rh, -1, m)
+    e1 = r1 + p * rh * ir + p * p * r1 * iw + p**3 * ir
+    e2 = (p * rh + p * p * r1 * r1 * iw + 2 * p**3 + p**4 * rh * ir * ir
+          + p**5 * iw) % m
+    return -balanced_residue(e1, ps), balanced_residue(e2 // p, ps)
 
 
 def decode_frobenius(a: int, b: int, p: int, s: int,
@@ -226,9 +217,10 @@ def decode_frobenius(a: int, b: int, p: int, s: int,
             for y in range(lo + (b - lo) % m, hi + 1, m)]
 
 
-def assemble_frobenius(r1: PadicNumber, rh: PadicNumber, p: int,
+def assemble_frobenius(r1: int, rh: int, p: int, s: int,
                        at_singular_fiber: bool = False) -> Tuple[int, int]:
-    """(a, b) of P(T) = 1 + aT + bpT^2 + ap^3T^3 + p^6T^4 from the unit roots.
+    """(a, b) of P(T) = 1 + aT + bpT^2 + ap^3T^3 + p^6T^4 from the unit roots
+    r1, rh mod p^s.
 
     Returns the unique admissible pair that fits the residues mod p^s (split
     pairs count only ``at_singular_fiber``).  When zero or several fit and s
@@ -240,7 +232,7 @@ def assemble_frobenius(r1: PadicNumber, rh: PadicNumber, p: int,
     admissible set is returned as it is; one outside its box raises
     LiftOutOfBound.
     """
-    a, b, s = _balanced_pair(r1, rh, p)
+    a, b = _balanced_pair(r1, rh, p, s)
     found = decode_frobenius(a, b, p, s, at_singular_fiber)
     if len(found) == 1:
         return found[0]
@@ -303,17 +295,18 @@ def _legendre_series(p: int, s: int) -> TruncatedSeries:
         # maintain c exactly is costly; recompute via comb for clarity at these sizes
         c = comb(2 * (j + 1), j + 1)
         c = c * c % ps * pow(inv16, j + 1, ps) % ps
-    return TruncatedSeries(coeffs, prime=p, cap=s, guaranteed=s)
+    return TruncatedSeries(coeffs, prime=p, cap=s)
 
 
-def legendre_unit_root(p: int, s0: int) -> PadicNumber:
-    """Unit root pi of Frobenius on y^2 = x(x-1)(x-s0) over F_p.
+def legendre_unit_root(p: int, s0: int) -> int:
+    """Unit root pi mod p^s of Frobenius on y^2 = x(x-1)(x-s0) over F_p, with
+    s = legendre_precision(p).
 
-    The series is the normalized period sum_j binom(2j,j)^2 (s/16)^j; its
-    (p-1)/2-truncation mod p is the ordinarity test at s0 (OutsideUnitDisk on
-    failure = supersingular point).  The unit root is eps * h(s0^) with
-    eps = (-1)^((p-1)/2) and h the truncation ratio, certified mod p^s with
-    s = legendre_precision(p).  Raises SingularFiber for s0 in {0, 1} mod p.
+    The series is the normalized period sum_j binom(2j,j)^2 (s/16)^j.  The
+    unit root is eps * h(s0^) with eps = (-1)^((p-1)/2) and h its truncation
+    ratio (``dwork_ratio``), whose (p-1)-truncation mod p is the ordinarity
+    test at s0 (OutsideUnitDisk on failure = supersingular point).  Raises
+    SingularFiber for s0 in {0, 1} mod p.
     """
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
@@ -321,29 +314,17 @@ def legendre_unit_root(p: int, s0: int) -> PadicNumber:
     if s0 in (0, 1):
         raise SingularFiber(f"the fiber at s0 = {s0} is degenerate")
     s = legendre_precision(p)
-    ps = p**s
-    series = _legendre_series(p, s)
-
-    probe = series.truncate((p - 1) // 2).evaluate_mod(s0, p)
-    if probe % p == 0:
-        raise OutsideUnitDisk(f"supersingular point s0 = {s0} at p = {p}")
-
-    alpha = teichmueller_residue(s0, p, ps)
-    num = series.truncate(ps - 1).evaluate_mod(alpha, ps)
-    den = series.truncate(p ** (s - 1) - 1).evaluate_mod(alpha, ps)
-    h = num * pow(den, -1, ps) % ps
+    h = dwork_ratio(_legendre_series(p, s), s0, p, s)
     eps = 1 if (p - 1) // 2 % 2 == 0 else -1
-    return PadicNumber(p, s, eps * h % ps, s)
+    return eps * h % p**s
 
 
 def legendre_frobenius(p: int, s0: int) -> int:
     """Trace a_p of y^2 = x(x-1)(x-s0) over F_p by the unit-root method:
     a_p = balanced(pi + p/pi) with |a_p| <= 2 sqrt(p)."""
-    root = legendre_unit_root(p, s0)
-    ps = root.modulus
-    pi = root.residue
-    ap = balanced_residue((pi + p * pow(pi, -1, ps)) % ps, ps)
+    pi = legendre_unit_root(p, s0)
+    ps = p ** legendre_precision(p)
+    ap = balanced_residue(pi + p * pow(pi, -1, ps), ps)
     if ap * ap > 4 * p:
         raise LiftOutOfBound(f"|a_p| = {abs(ap)} exceeds 2 sqrt(p) at p = {p}")
     return ap
-

@@ -11,7 +11,7 @@ import re
 import time
 from fractions import Fraction
 from importlib import resources
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -130,6 +130,112 @@ def quintic_wedge_coefficients(N):
             raise NonIntegralSolution(f"A_{n} = {acc} is not an integer")
         out.append(acc.numerator)
     return out
+
+
+# -- closed forms of the catalog sequences (independent of the recurrences) ---------
+
+
+def _central_terms(a: int, b: int, q: int, scale: int, N: int):
+    """u_0 .. u_N of u_n = scale^n sum_k (x)_k/k! ((y)_(n-k)/(n-k)!)^2, i.e.
+    scale^n sum_k (-1)^k binom(-x, k) binom(-y, n-k)^2, with x = a/q and
+    y = b/q, on integers only.
+
+    The columns A_k = (a/q)_k q^(2k)/k! and B_m = (b/q)_m q^(2m)/m! are
+    integers, so u_n = scale^n sum_k A_k q^(2k) B_(n-k)^2 / q^(4n); every
+    division is checked to be exact.
+    """
+    def column(c):
+        out = [1]
+        for k in range(1, N + 1):
+            v, rem = divmod(out[-1] * (c + (k - 1) * q) * q, k)
+            if rem:
+                raise NonIntegralSolution(f"column ({c}/{q})_{k} is not integral")
+            out.append(v)
+        return out
+
+    A = [x * q ** (2 * k) for k, x in enumerate(column(a))]
+    B2 = [x * x for x in column(b)]
+    out = []
+    for n in range(N + 1):
+        acc = 0
+        for k in range(n + 1):
+            acc += A[k] * B2[n - k]
+        u, rem = divmod(scale**n * acc, q ** (4 * n))
+        if rem:
+            raise NonIntegralSolution(f"u_{n} of ({a}/{q}, {b}/{q}) is not an integer")
+        out.append(u)
+    return out
+
+
+_CENTRAL_PARAMS = {"e": (1, 1, 2, 16), "h": (2, 1, 3, 27),
+                   "i": (3, 1, 4, 64), "j": (5, 1, 6, 432)}
+
+_CLOSED_FORMS = {
+    "A": lambda n: comb(2 * n, n) ** 2,
+    "B": lambda n: factorial(3 * n) // factorial(n) ** 3,
+    "C": lambda n: factorial(4 * n) // (factorial(2 * n) * factorial(n) ** 2),
+    "D": lambda n: factorial(6 * n) // (factorial(3 * n) * factorial(2 * n)
+                                        * factorial(n)),
+    "a": lambda n: sum(comb(n, k) ** 3 for k in range(n + 1)),
+    "b": lambda n: sum(comb(n, k) ** 2 * comb(n + k, k) for k in range(n + 1)),
+    "c": lambda n: sum(comb(n, k) ** 2 * comb(2 * k, k) for k in range(n + 1)),
+    "d": lambda n: sum(comb(n, k) * comb(2 * k, k) * comb(2 * (n - k), n - k)
+                       for k in range(n + 1)),
+    "f": lambda n: sum((-1) ** k * 3 ** (n - 3 * k) * comb(n, 3 * k)
+                       * factorial(3 * k) // factorial(k) ** 3
+                       for k in range(n // 3 + 1)),
+    "g": lambda n: sum(8 ** (n - i) * (-1) ** i * comb(n, i) * comb(i, j) ** 3
+                       for i in range(n + 1) for j in range(i + 1)),
+}
+
+
+def sequence_term(name: str, n: int) -> int:
+    """n-th term of a catalog sequence by its closed binomial-sum form."""
+    if name not in _CLOSED_FORMS and name not in _CENTRAL_PARAMS:
+        raise KeyError(f"unknown sequence {name!r}")
+    if n < 0:
+        raise ValueError("sequence index must be >= 0")
+    if name in _CENTRAL_PARAMS:
+        return _central_terms(*_CENTRAL_PARAMS[name], n)[n]
+    return _CLOSED_FORMS[name](n)
+
+
+def sequence_terms(name: str, N: int):
+    """Terms 0..N by the closed form.
+
+    Subexpressions that do not depend on the outer index (g's inner cube sum,
+    d's central binomials, the columns of e, h, i, j) are computed once and
+    shared; the formulas themselves are evaluated literally.
+    """
+    if name == "g":
+        inner = [sum(comb(i, j) ** 3 for j in range(i + 1)) for i in range(N + 1)]
+        pow8 = [8 ** m for m in range(N + 1)]
+        out = []
+        for n in range(N + 1):
+            bni = 1
+            acc = 0
+            for i in range(n + 1):
+                if i:
+                    bni = bni * (n - i + 1) // i
+                term = pow8[n - i] * bni * inner[i]
+                acc += -term if i & 1 else term
+            out.append(acc)
+        return out
+    if name == "d":
+        central = [comb(2 * k, k) for k in range(N + 1)]
+        out = []
+        for n in range(N + 1):
+            bnk = 1
+            acc = 0
+            for k in range(n + 1):
+                if k:
+                    bnk = bnk * (n - k + 1) // k
+                acc += bnk * central[k] * central[n - k]
+            out.append(acc)
+        return out
+    if name in _CENTRAL_PARAMS:
+        return _central_terms(*_CENTRAL_PARAMS[name], N)
+    return [sequence_term(name, n) for n in range(N + 1)]
 
 
 # -- acceptance summary -------------------------------------------------------------

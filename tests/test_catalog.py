@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 
 from frobcy.catalog import (CATALOG, SECOND_ORDER, catalog, get_entry,
-                            product_operator, sequence_term, sequence_terms,
-                            sequence_terms_via_recurrence)
+                            product_operator, sequence_terms_via_recurrence)
 from frobcy.diffop import check_mum, leading_symbol, solve_series
 from frobcy.polyrat import poly_deriv, poly_gcd
 
 from conftest import (LengthMismatch, hadamard_product,
-                      quintic_wedge_coefficients)
+                      quintic_wedge_coefficients, sequence_term, sequence_terms)
 
 LEFT_NAMES = "ABCD"
 RIGHT_NAMES = "abcdfg"

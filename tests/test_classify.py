@@ -342,7 +342,7 @@ class TestClassifyOperatorRows:
         some = classify_operator(get_entry("A*a").operator, 7, points=[5, 3, 6])
         assert some == [row[4], row[2], row[5]]
         assert [r.s for r in some] == [3, 3, 3]
-        assert some[0].r1.guaranteed == 3 and some[2].r1 is None
+        assert 0 <= some[0].r1 < 7**3 and some[2].r1 is None
 
     def test_row_with_positive_chi(self, bc5):
         assert [r.cell() for r in bc5] == [

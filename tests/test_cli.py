@@ -30,8 +30,7 @@ from frobcy import FrobcyError, UsageError, classify, cli, wedge
 from frobcy.catalog import CATALOG, get_entry, sequence_terms_via_recurrence
 from frobcy.classify import classify_operator, results_to_csv
 from frobcy.diffop import ThetaOperator, solve_series
-from frobcy.frobenius import frobenius_quartic
-from frobcy.padic import PadicNumber, PrecisionExhausted
+from frobcy.frobenius import LiftOutOfBound, frobenius_quartic
 from frobcy.wedge import wedge_square
 
 
@@ -139,7 +138,7 @@ class TestCacheSeries:
         monkeypatch.setattr(cli, "solve_series", boom)
         again = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
         assert again.coeffs == series.coeffs
-        assert again.guaranteed == self.K
+        assert again.cap == self.K
 
     def test_key_changes_with_one_coefficient(self, tmp_path):
         op, _ = self.fresh(tmp_path)
@@ -348,13 +347,13 @@ class TestCmdTable:
 
     def test_computation_failure_exits_nonzero(self, capsys, monkeypatch):
         def blow_up(op, p, **kwargs):
-            raise PrecisionExhausted("synthetic loss of certified digits")
+            raise LiftOutOfBound("synthetic lift out of its bound")
 
         monkeypatch.setattr(cli, "classify_operator", blow_up)
         code, _, err = run(["table", "--operator", "A*a", "--primes", "3",
                             "--no-cache"], capsys)
         assert code == 1
-        assert "PrecisionExhausted" in err and "p=3" in err
+        assert "LiftOutOfBound" in err and "p=3" in err
 
     def test_jobs_output_identical_to_serial(self, capsys):
         argv = ["table", "--operator", "A*a", "--operator", "C*a",
@@ -601,8 +600,9 @@ class TestCmdFrob:
                                       "escalated": True}
 
     def test_padic_precision_loss_exits_one(self, capsys, monkeypatch):
+        # a FrobcyError raised inside the cell pipeline
         def lossy(f0, F0, z0, p, s):
-            return PadicNumber(p, s, 1, 0), None  # no certified digit left
+            raise LiftOutOfBound("synthetic lift out of its bound")
 
         monkeypatch.setattr(classify, "unit_roots", lossy)
         code, out, err = run(["frob", "--operator", "A*a", "--prime", "7",
@@ -749,7 +749,7 @@ class TestCmdClassify:
 
     def test_precision_failure_exits_nonzero(self, capsys, monkeypatch):
         def blow_up(op, p, **kwargs):
-            raise PrecisionExhausted("synthetic")
+            raise LiftOutOfBound("synthetic")
 
         monkeypatch.setattr(cli, "classify_operator", blow_up)
         code, _, err = run(["classify", "--operator", "A*a", "--primes", "3"],
@@ -807,12 +807,14 @@ def test_every_exception_class_derives_from_frobcy_error():
 
 @pytest.fixture
 def bad_operators(tmp_path):
-    """Operator files without an exterior square, one without coeffs, and an
-    --output path in a directory that does not exist."""
+    """Operator files without an exterior square, one without coeffs, one
+    whose exterior square has a non-integral series, and an --output path in
+    a directory that does not exist."""
     ops = {
         "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
         "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
                                        name="nsd"),
+        "not_mum": ThetaOperator([[0, 0, 0, 1, 1], [-1]], name="nmum"),
     }
     paths = {}
     for key, op in ops.items():
@@ -822,6 +824,11 @@ def bad_operators(tmp_path):
     del data["coeffs"]
     paths["no_coeffs"] = tmp_path / "no_coeffs.json"
     paths["no_coeffs"].write_text(json.dumps(data), encoding="utf-8")
+    # A*a with its z theta^0 coefficient raised by 1
+    data = json.loads(get_entry("A*a").operator.to_json())
+    data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
+    paths["wedge_not_integral"] = tmp_path / "wedge_not_integral.json"
+    paths["wedge_not_integral"].write_text(json.dumps(data), encoding="utf-8")
     paths["unwritable"] = tmp_path / "missing" / "out.txt"
     return {key: str(path) for key, path in paths.items()}
 
@@ -837,6 +844,19 @@ def bad_operators(tmp_path):
     ("classify --operator {not_self_dual} --primes 7 --no-cache", 1,
      "no order-5 relation"),
     ("wedge --operator {not_self_dual}", 1, "no order-5 relation"),
+    ("frob --operator {not_mum} --prime 7 --point 2 --no-cache", 1,
+     "wedge_square expects a MUM operator"),
+    ("classify --operator {not_mum} --primes 7 --no-cache", 1,
+     "wedge_square expects a MUM operator"),
+    ("table --operator {not_mum} --primes 7 --no-cache", 1,
+     "wedge_square expects a MUM operator"),
+    ("wedge --operator {not_mum}", 1, "wedge_square expects a MUM operator"),
+    ("frob --operator {wedge_not_integral} --prime 7 --point 2 --no-cache", 1,
+     "coefficient c_2 is not an integer (operator wedge(A*a))"),
+    ("classify --operator {wedge_not_integral} --primes 7 --no-cache", 1,
+     "coefficient c_2 is not an integer (operator wedge(A*a))"),
+    ("table --operator {wedge_not_integral} --primes 7 --no-cache", 1,
+     "coefficient c_2 is not an integer (operator wedge(A*a))"),
     ("frob --operator {no_coeffs} --prime 7 --point 2 --no-cache", 2,
      "has no field 'coeffs'"),
     ("table --operator {no_coeffs} --primes 7 --no-cache", 2,

@@ -173,7 +173,7 @@ def test_non_integral_solution_detected():
 def test_exact_mode_storage_reduction_matches_full_integers():
     full = solve_series(AA, 60)
     reduced = solve_series(AA, 60, p=7, K=3)
-    assert reduced.prime == 7 and reduced.cap == 3 and reduced.guaranteed == 3
+    assert reduced.prime == 7 and reduced.cap == 3
     assert reduced.coeffs == [c % 7**3 for c in full.coeffs]
 
 
@@ -189,8 +189,8 @@ def same_outcome(op, batched, p, K, N):
         return (isinstance(batched, NonIntegralSolution)
                 and str(batched) == str(exc))
     return (isinstance(batched, TruncatedSeries)
-            and (batched.coeffs, batched.prime, batched.cap, batched.guaranteed)
-            == (alone.coeffs, alone.prime, alone.cap, alone.guaranteed))
+            and (batched.coeffs, batched.prime, batched.cap)
+            == (alone.coeffs, alone.prime, alone.cap))
 
 
 def test_batched_integrality_is_decided_per_target():

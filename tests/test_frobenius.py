@@ -2,9 +2,11 @@
 and the elliptic one-dimensional baseline."""
 
 import cmath
+from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, strategies as st
 
 from frobcy.catalog import get_entry
 from frobcy.congruence import OutsideUnitDisk
@@ -15,7 +17,7 @@ from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
                               legendre_frobenius, legendre_precision,
                               legendre_unit_root, required_precision,
                               unit_roots, weil_verify)
-from frobcy.padic import PadicNumber
+from frobcy.padic import NotAUnit
 from frobcy.wedge import wedge_square
 
 PRIMES = (3, 5, 7, 11, 13, 17)
@@ -37,7 +39,7 @@ def frobenius_from_operator(op, p: int, z0: int, s: int):
     N = p**s - 1
     f0 = solve_series(op, N, p=p, K=s)
     F0 = solve_series(wedge_square(op), N, p=p, K=s)
-    return assemble_frobenius(*unit_roots(f0, F0, z0, p, s), p)
+    return assemble_frobenius(*unit_roots(f0, F0, z0, p, s), p, s)
 
 
 def admissible_pairs(p: int, with_split: bool):
@@ -171,9 +173,7 @@ class TestBoxPrecision:
 class TestUnitRoots:
     def test_worked_example(self, aa_series):
         f0, F0 = aa_series[7, 4]
-        r1, rh = unit_roots(f0, F0, 2, 7, 4)
-        assert (r1.residue, r1.modulus) == (582, 2401)
-        assert (rh.residue, rh.modulus) == (1101, 2401)
+        assert unit_roots(f0, F0, 2, 7, 4) == (582, 1101)  # mod 7^4 = 2401
 
     def test_undefined_points(self, aa_series):
         # the whole p = 3 row is undefined, and z0 = 3 at p = 5
@@ -189,22 +189,22 @@ class TestUnitRoots:
 class TestAssembleFrobenius:
     def test_worked_example(self, aa_series):
         r1, rh = unit_roots(*aa_series[7, 4], 2, 7, 4)
-        assert assemble_frobenius(r1, rh, 7) == (-8, 2)
+        assert assemble_frobenius(r1, rh, 7, 4) == (-8, 2)
 
     def test_worked_example_quartic(self):
         assert frobenius_quartic(-8, 2, 7) == [1, -8, 14, -2744, 117649]
 
     def test_starred_cell_at_5(self, aa_series):
         r1, rh = unit_roots(*aa_series[5, 4], 4, 5, 4)
-        assert assemble_frobenius(r1, rh, 5, at_singular_fiber=True) == (32, 62)
+        assert assemble_frobenius(r1, rh, 5, 4, at_singular_fiber=True) == (32, 62)
 
     def test_split_bound_needed_at_7(self, aa_series):
         # (80, 290): |a| = 80 exceeds 4 * 7^(3/2) ~ 74, but fits the split
         # bound p^2 + p + 2 p^(3/2) ~ 93
         r1, rh = unit_roots(*aa_series[7, 4], 4, 7, 4)
-        assert assemble_frobenius(r1, rh, 7, at_singular_fiber=True) == (80, 290)
+        assert assemble_frobenius(r1, rh, 7, 4, at_singular_fiber=True) == (80, 290)
         with pytest.raises(LiftOutOfBound):
-            assemble_frobenius(r1, rh, 7)
+            assemble_frobenius(r1, rh, 7, 4)
 
     def test_decoder_finds_one_candidate(self, aa_series):
         for s in (3, 4):
@@ -212,17 +212,17 @@ class TestAssembleFrobenius:
             assert decode_frobenius(-8, 2, 7, s) == [(-8, 2)]
             assert decode_frobenius(-8 + m, 2 - 5 * m, 7, s) == [(-8, 2)]
         r1, rh = unit_roots(*aa_series[7, 4], 2, 7, 4)
-        cut = [PadicNumber(7, 3, x.residue, 3) for x in (r1, rh)]
-        assert assemble_frobenius(*cut, 7) == (-8, 2)
+        cut = [x % 7**3 for x in (r1, rh)]
+        assert assemble_frobenius(*cut, 7, 3) == (-8, 2)
 
     def test_low_precision_is_uncertified(self, aa_series):
         # two digits leave five Weil-shape pairs, the true one among them
         found = decode_frobenius(-8, 2, 7, 2)
         assert len(found) == 5 and (-8, 2) in found
         r1, rh = unit_roots(*aa_series[7, 4], 2, 7, 4)
-        cut = [PadicNumber(7, 2, x.residue, 2) for x in (r1, rh)]
+        cut = [x % 7**2 for x in (r1, rh)]
         with pytest.raises(Uncertified) as info:
-            assemble_frobenius(*cut, 7)
+            assemble_frobenius(*cut, 7, 2)
         err = info.value
         assert (err.p, err.s, err.candidates) == (7, 2, 5)
         assert isinstance(err, LiftOutOfBound)
@@ -240,22 +240,41 @@ class TestAssembleFrobenius:
     def test_tate_type_roots_evaluate_symbolically(self):
         # r1 = rh = 1 makes the four reciprocal roots 1, p, p^2, p^3
         for p in (3, 5):
-            one = PadicNumber(p, 6, 1, 6)
-            a, b, _s = _balanced_pair(one, one, p)
+            a, b = _balanced_pair(1, 1, p, 6)
             assert a == -(1 + p + p * p + p**3)
             assert b == 1 + p + 2 * p * p + p**3 + p**4
 
     def test_tate_type_roots_violate_every_bound(self):
-        one = PadicNumber(3, 6, 1, 6)
         with pytest.raises(LiftOutOfBound):
-            assemble_frobenius(one, one, 3)
+            assemble_frobenius(1, 1, 3, 6)
         with pytest.raises(LiftOutOfBound):
-            assemble_frobenius(one, one, 3, at_singular_fiber=True)
+            assemble_frobenius(1, 1, 3, 6, at_singular_fiber=True)
 
-    def test_rejects_prime_mismatch(self, aa_series):
-        r1, rh = unit_roots(*aa_series[7, 4], 2, 7, 4)
-        with pytest.raises(ValueError):
-            assemble_frobenius(r1, rh, 5)
+    def test_rejects_non_unit_roots(self):
+        for r1, rh in [(7, 1), (1, 49), (0, 3)]:
+            with pytest.raises(NotAUnit):
+                assemble_frobenius(r1, rh, 7, 3)
+
+    @given(st.sampled_from(PRIMES), st.integers(1, 5), st.data())
+    def test_balanced_pair_matches_exact_evaluation(self, p, s, data):
+        # e1 = -a and e2 / p = b, evaluated exactly at arbitrary lifts
+        # r + k p^s and w + j p^s of the residues, agree with the residue
+        # computation mod p^s: the lifts change neither a nor b
+        ps = p**s
+        unit = st.integers(1, ps - 1).filter(lambda x: x % p)
+        r, w = data.draw(unit), data.draw(unit)
+        R = Fraction(r + data.draw(st.integers(-p**3, p**3)) * ps)
+        W = Fraction(w + data.draw(st.integers(-p**3, p**3)) * ps)
+        e1 = R + p * W / R + p**2 * R / W + p**3 / R
+        e2 = (p * W + p**2 * R * R / W + 2 * p**3 + p**4 * W / (R * R)
+              + p**5 / W)
+
+        def residue(x: Fraction) -> int:
+            return x.numerator * pow(x.denominator, -1, ps) % ps
+
+        a, b = _balanced_pair(r, w, p, s)
+        assert 2 * abs(a) <= ps and 2 * abs(b) <= ps
+        assert (-a % ps, b % ps) == (residue(e1), residue(e2 / p))
 
     def test_full_row_at_7(self, aa_series):
         # the printed row: (2,-46) (-8,2) (32,-94)* (80,290)* (10,50)' -
@@ -264,7 +283,7 @@ class TestAssembleFrobenius:
         for z0 in range(1, 7):
             try:
                 row[z0] = assemble_frobenius(
-                    *unit_roots(f0, F0, z0, 7, 4), 7, at_singular_fiber=True)
+                    *unit_roots(f0, F0, z0, 7, 4), 7, 4, at_singular_fiber=True)
             except OutsideUnitDisk:
                 row[z0] = None
         assert row == {1: (2, -46), 2: (-8, 2), 3: (32, -94), 4: (80, 290),
@@ -277,13 +296,13 @@ class TestAssembleFrobenius:
         for z0 in range(1, 7):
             try:
                 got_low = assemble_frobenius(
-                    *unit_roots(*low, z0, 7, 4), 7, at_singular_fiber=True)
+                    *unit_roots(*low, z0, 7, 4), 7, 4, at_singular_fiber=True)
             except OutsideUnitDisk:
                 with pytest.raises(OutsideUnitDisk):
                     unit_roots(*high, z0, 7, 5)
                 continue
             got_high = assemble_frobenius(
-                *unit_roots(*high, z0, 7, 5), 7, at_singular_fiber=True)
+                *unit_roots(*high, z0, 7, 5), 7, 5, at_singular_fiber=True)
             assert got_low == got_high
 
     def test_palindromic_coefficients(self):
@@ -384,8 +403,8 @@ class TestLegendre:
             {3: 2, 5: 2, 7: 2, 11: 2, 13: 2, 17: 1}
 
     def test_unit_root_at_7(self):
-        root = legendre_unit_root(7, 3)
-        assert (root.residue, root.modulus, root.guaranteed) == (39, 49, 2)
+        assert legendre_precision(7) == 2
+        assert legendre_unit_root(7, 3) == 39   # mod 7^2 = 49
 
     def test_trace_at_7_matches_the_point_count(self):
         assert legendre_frobenius(7, 3) == 4
@@ -416,8 +435,8 @@ class TestLegendre:
 
     def test_unit_root_reconstructs_the_trace(self):
         root = legendre_unit_root(13, 5)
-        ps = root.modulus
-        lifted = (root.residue + 13 * pow(root.residue, -1, ps)) % ps
+        ps = 13 ** legendre_precision(13)
+        lifted = (root + 13 * pow(root, -1, ps)) % ps
         lifted -= ps if lifted > ps // 2 else 0
         assert lifted == legendre_frobenius(13, 5)
 
