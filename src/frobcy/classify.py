@@ -286,18 +286,18 @@ def classify_operator(op: ThetaOperator, p: int,
     """Classify the points z0 in ``points`` (default: 1 .. p-1) of one
     operator, in that order.
 
-    The working precision defaults to ``required_precision``, with the split
-    pairs admitted exactly when the leading symbol has roots mod p.  The two
-    series (the expensive part) come from ``series`` (default:
-    ``row_series``), which is asked for the operator's own series and for its
-    wedge's, and are shared by all points.  A point whose residues fit zero
-    or several admissible pairs escalates the row: the series are recomputed
-    at s + 1 and that point is classified again (``escalated`` marks it),
-    until ``box_precision``, where every balanced lift is settled.
+    The working precision defaults to ``required_precision``, which settles
+    every point off the singular fibers.  The two series (the expensive
+    part) come from ``series`` (default: ``row_series``), which is asked for
+    the operator's own series and for its wedge's, and are shared by all
+    points.  A point whose residues fit zero or several admissible pairs
+    (split pairs count where the leading symbol vanishes mod p) escalates:
+    its series are fetched at s + 1 and it is classified again (``escalated``
+    marks it), until ``box_precision``, where every balanced lift is settled.
     """
     roots = set(symbol_roots_mod_p(op, p))
     if s is None:
-        s = required_precision(p, want_singular=bool(roots))
+        s = required_precision(p)
     series = series or row_series
     points = list(range(1, p) if points is None else points)
     cells: Dict[int, PointClass] = {}

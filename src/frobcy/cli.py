@@ -30,9 +30,10 @@ operators, so a single operator gets no speed-up from it.  Each worker keeps
 its own wedge memo, and results are emitted in task order, so output is
 byte-identical to a serial run for every k.
 
-Every cell goes through ``classify_operator``: a ``table`` or ``classify``
-row classifies the points 1 .. p-1, a ``frob`` query only its point, with
-the same escalation; ``frob --precision s`` classifies the point once at s.
+Every cell goes through ``classify_operator`` from ``required_precision``:
+a ``table`` or ``classify`` row classifies the points 1 .. p-1, a ``frob``
+query only its point, with the same per-cell escalation (through the cache);
+``frob --precision s`` classifies the point once at s.
 ``classify`` is the ``table`` sweep of one operator in CSV.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
@@ -276,11 +277,11 @@ def _table_task(arg: Tuple[str, Sequence[int], bool, Optional[str]]
     """Worker: every row (one per prime) of one operator; a row's failure is
     data, one diagnostic per row.
 
-    Each row starts at its ``required_precision``.  Per role, the wedge
+    Each row starts at ``required_precision(p)``.  Per role, the wedge
     first, the series of all rows come from one ``_role_series`` batch: one
     exact run for the rows the cache misses.  ``classify_operator`` then
     runs per row on a source that answers from the batch and falls back to
-    the per-series source for an escalation.
+    the per-series source, cache included, for an escalated cell.
     """
     op_json, primes, use_cache, cache_dir = arg
     op = ThetaOperator.from_json(op_json)
@@ -288,8 +289,7 @@ def _table_task(arg: Tuple[str, Sequence[int], bool, Optional[str]]
     if use_cache:
         directory = cache_dir if cache_dir is not None else _default_cache_dir()
         op_hash = _operator_hash(op)
-    start = {p: required_precision(p, want_singular=bool(symbol_roots_mod_p(op, p)))
-             for p in primes}
+    start = {p: required_precision(p) for p in primes}
     batch: Dict[Tuple[int, int, bool], object] = {}
     for wedge in (True, False):
         # a row whose wedge failed never asks for its own series

@@ -27,15 +27,15 @@ The admissible pairs are
     (1 - chi p T)(1 - chi p^2 T)(1 - a_p T + p^3 T^2) with chi = +-1 and
     a_p^2 <= 4 p^3.
 
-``required_precision`` returns the least s at which the residue map
-(a, b) -> (a mod p^s, b mod p^s) is injective on that set, so every
-geometric cell is certified there.  A decode that still finds zero or several
-pairs raises ``Uncertified`` and the caller escalates to s + 1.  The ceiling
-is ``box_precision``, the per-coefficient policy p^s > twice every bound
-(|a| <= 4 p^(3/2), |b| <= 6 p^2, and the split-quartic bounds at symbol
-roots): there the balanced lifts are unique in their boxes, and an in-box
-pair outside the admissible set is returned as it is, for the classifier to
-report as inconsistent.
+``required_precision``, where every row starts, is the least s at which
+(a, b) -> (a mod p^s, b mod p^s) is injective on the Weil-shape pairs.  A
+cell that fits zero or several pairs (at p = 5, s = 3 a split point can fit
+(-8, 43) and (-8, -82)) raises ``Uncertified`` and escalates to s + 1, up
+to ``box_precision``: p^s > twice every bound (|a| <= 4 p^(3/2),
+|b| <= 6 p^2, and the split-quartic bounds at symbol roots), where the
+balanced lifts are unique in their boxes, and an in-box pair outside the
+admissible set is returned as it is, for the classifier to report as
+inconsistent.
 
 ``legendre_frobenius`` runs the same one-dimensional method on the Legendre
 family y^2 = x(x-1)(x-s0), whose trace satisfies |a_p| <= 2 sqrt(p).
@@ -127,17 +127,17 @@ def _injective(runs: Tuple[Tuple[int, int, int], ...], m: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def required_precision(p: int, want_singular: bool = False) -> int:
+def required_precision(p: int) -> int:
     """Least s for which (a, b) -> (a mod p^s, b mod p^s) is injective on the
-    admissible set (split pairs included when ``want_singular``).
+    Weil-shape pairs: the starting precision of every row.
 
-    At that s every geometric cell decodes to exactly one pair.  The values
-    for p = 3, 5, 7, 11, 13, 17 are 4, 3, 3, 3, 3, 3 (Weil-shape pairs only)
-    and 4, 4, 3, 3, 3, 3 (with split pairs); s = 3 for every larger prime.
+    At that s every cell off the singular fibers decodes to exactly one
+    pair.  The values for p = 3, 5, 7, 11, 13, 17 are 4, 3, 3, 3, 3, 3, and
+    s = 3 for every larger prime.
     """
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
-    runs = _admissible(p, want_singular)
+    runs = _admissible(p, False)
     s = 1
     while not _injective(runs, p**s):
         s += 1

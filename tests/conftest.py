@@ -204,9 +204,27 @@ def sequence_terms(name: str, N: int):
     """Terms 0..N by the closed form.
 
     Subexpressions that do not depend on the outer index (g's inner cube sum,
-    d's central binomials, the columns of e, h, i, j) are computed once and
-    shared; the formulas themselves are evaluated literally.
+    the central binomials of c and d, the columns of e, h, i, j) are computed
+    once and shared, and each row's binomials binom(n, k) and binom(n + k, k)
+    are stepped along k by exact integer ratios; the formulas themselves are
+    evaluated literally.
     """
+    if name in ("a", "b", "c"):
+        central = [comb(2 * k, k) for k in range(N + 1)]
+        out = []
+        for n in range(N + 1):
+            bnk = bnkk = 1  # binom(n, k), binom(n + k, k)
+            acc = 0
+            for k in range(n + 1):
+                if k:
+                    bnk = bnk * (n - k + 1) // k
+                    bnkk = bnkk * (n + k) // k
+                if name == "a":
+                    acc += bnk**3
+                else:
+                    acc += bnk * bnk * (bnkk if name == "b" else central[k])
+            out.append(acc)
+        return out
     if name == "g":
         inner = [sum(comb(i, j) ** 3 for j in range(i + 1)) for i in range(N + 1)]
         pow8 = [8 ** m for m in range(N + 1)]

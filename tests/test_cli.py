@@ -483,9 +483,9 @@ class TestOneRunPerRole:
         code, cold, _ = run(argv, capsys)
         assert code == 0
         # per operator the wedge (order 5) first, then its own series, each
-        # one run for p = 3, 5, 7 at s = 4, 4, 3 (A*a has roots mod 3 and 5)
+        # one run for p = 3, 5, 7 at their starting s = 4, 3, 3
         assert [order for order, _t in runs] == [5, 4, 5, 4]
-        assert runs[0][1] == [(3, 4, 80), (5, 4, 624), (7, 3, 342)]
+        assert runs[0][1] == [(3, 4, 80), (5, 3, 124), (7, 3, 342)]
         assert len(os.listdir(tmp_path)) == 12
         for name in ("A*a", "A*b"):
             assert json.loads(cold)[name] == {
@@ -505,6 +505,31 @@ class TestOneRunPerRole:
         _, uncached, _ = run(self.TWO + ["--primes", "3,5,7", "--no-cache"],
                              capsys)
         assert out == uncached
+
+    def test_escalation_goes_through_the_cache(self, runs, capsys, tmp_path):
+        # A*d at p = 5 starts at s = 3, where z = 2 fits two pairs: that cell
+        # escalates, and the s = 4 series of both roles are stored too
+        cache = ["--cache-dir", str(tmp_path)]
+        table = ["table", "--operator", "A*d", "--primes", "5",
+                 "--format", "json"] + cache
+        code, cold, _ = run(table, capsys)
+        assert code == 0 and json.loads(cold)["A*d"]["5"]["2"] == "(-8,-82)*"
+        assert runs == [(5, [(5, 3, 124)]), (4, [(5, 3, 124)]),
+                        (5, [(5, 4, 624)]), (4, [(5, 4, 624)])]
+        op_hash = cli._operator_hash(get_entry("A*d").operator)
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(cli._cache_path(str(tmp_path), op_hash, role, 5,
+                                             s, 5**s - 1))
+            for role in ("op", "wedge") for s in (3, 4))
+        del runs[:]
+        code, warm, _ = run(table, capsys)
+        assert code == 0 and warm == cold and runs == []
+        code, out, _ = run(["frob", "--operator", "A*d", "--prime", "5",
+                            "--point", "2"] + cache, capsys)
+        got = json.loads(out)
+        assert code == 0 and runs == []
+        assert got["cell"] == "(-8,-82)*" and got["precision"] == 4
+        assert got["certificate"]["escalated"] is True
 
 
 # -- frob subcommand ------------------------------------------------------------------
@@ -587,11 +612,9 @@ class TestCmdFrob:
         assert err.count("\n") == 1
         assert "5 admissible pairs" in err and "p = 7, s = 2" in err
 
-    def test_escalation_is_reported(self, capsys, monkeypatch):
-        # starting A*d at p = 5 one digit low: z = 2 fits two admissible
-        # pairs mod 5^3, so the cell is certified at s = 4
-        monkeypatch.setattr(classify, "required_precision",
-                            lambda p, want_singular: 3)
+    def test_escalation_is_reported(self, capsys):
+        # A*d at p = 5 starts at s = 3, where z = 2 fits two admissible
+        # pairs, so the cell is certified at s = 4
         code, got, _ = self.frob(capsys, "--operator", "A*d",
                                  "--prime", "5", "--point", "2")
         assert code == 0

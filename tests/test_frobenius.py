@@ -12,7 +12,8 @@ from frobcy.catalog import get_entry
 from frobcy.congruence import OutsideUnitDisk
 from frobcy.diffop import solve_series
 from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
-                              _balanced_pair, assemble_frobenius, box_precision,
+                              _admissible, _balanced_pair, _injective,
+                              assemble_frobenius, box_precision,
                               decode_frobenius, frobenius_quartic,
                               legendre_frobenius, legendre_precision,
                               legendre_unit_root, required_precision,
@@ -76,14 +77,28 @@ def aa_series(wedge_of):
 # -- precision policy --------------------------------------------------------------
 
 
+def split_precision(p: int) -> int:
+    """Least s at which the admissible set with the split pairs is
+    injective mod p^s: the precision that settles every split-point cell."""
+    s = 1
+    while not _injective(_admissible(p, True), p**s):
+        s += 1
+    return s
+
+
 class TestRequiredPrecision:
     def test_smooth_table(self):
         assert {p: required_precision(p) for p in PRIMES} == \
             {3: 4, 5: 3, 7: 3, 11: 3, 13: 3, 17: 3}
 
     def test_singular_table(self):
-        assert {p: required_precision(p, want_singular=True) for p in PRIMES} \
+        # rows start at required_precision(p); only at p = 5 can a
+        # split-point cell fit two pairs there and escalate, to s = 4
+        assert {p: split_precision(p) for p in PRIMES} \
             == {3: 4, 5: 4, 7: 3, 11: 3, 13: 3, 17: 3}
+        for p in PRIMES + (19, 23, 29):
+            assert _injective(_admissible(p, True),
+                              p ** required_precision(p)) == (p != 5)
 
     def test_boundary_arithmetic(self):
         # At a = 0 the Weil-shape b fill [-2p^2, 2p^2]: 4p^2 + 1 values, more
@@ -93,24 +108,27 @@ class TestRequiredPrecision:
             assert not weil_shape(0, 2 * p * p + 1, p)
             assert not weil_shape(0, -2 * p * p - 1, p)
         assert required_precision(3) == 4
-        assert required_precision(29) == required_precision(29, True) == 3
+        assert required_precision(29) == split_precision(29) == 3
         # At p = 5 the Weil pair (-8, 43) and the split pair (-8, -82)
-        # (chi = 1, a_p = -22) agree mod 5^3, so fiber rows need s = 4.
+        # (chi = 1, a_p = -22) agree mod 5^3, so a split-point cell that
+        # lands on them escalates from s = 3 to s = 4.
         assert weil_shape(-8, 43, 5)
         assert (-8, -82) == (22 - (5 + 25), 2 * 25 + 6 * -22)
         assert (43 - -82) % 5**3 == 0
         assert required_precision(5) == 3
-        assert required_precision(5, want_singular=True) == 4
+        assert decode_frobenius(-8, 43, 5, 3, at_singular_fiber=True) == \
+            [(-8, 43), (-8, -82)]
+        assert split_precision(5) == 4
 
-    @pytest.mark.parametrize("want_singular", [False, True])
+    @pytest.mark.parametrize("with_split", [False, True])
     @pytest.mark.parametrize("p", PRIMES + (19, 23))
-    def test_minimality(self, p, want_singular):
+    def test_minimality(self, p, with_split):
         # exhaustive: the residue map is injective on the whole admissible set
         # at s and not at s - 1
-        s = required_precision(p, want_singular)
+        s = split_precision(p) if with_split else required_precision(p)
         m, m1 = p**s, p ** (s - 1)
         count, keys, keys1 = 0, set(), set()
-        for a, b in admissible_pairs(p, want_singular):
+        for a, b in admissible_pairs(p, with_split):
             count += 1
             keys.add(a % m * m + b % m)
             keys1.add(a % m1 * m1 + b % m1)
@@ -118,16 +136,19 @@ class TestRequiredPrecision:
         assert len(keys1) < count
 
     def test_precision_never_exceeds_the_box(self):
+        # escalation from the start reaches every split-point cell's
+        # certifying precision before the ceiling
         for p in PRIMES + (19, 23, 29):
-            for fiber in (False, True):
-                assert required_precision(p, fiber) <= box_precision(p, fiber)
+            assert required_precision(p) <= box_precision(p)
+            assert required_precision(p) <= split_precision(p) \
+                <= box_precision(p, True)
 
     def test_rejects_even_or_tiny_primes(self):
         # and odd composites: every p that is not an odd prime
         for p in (1, 2, 9, 15):
+            with pytest.raises(ValueError, match="odd prime"):
+                required_precision(p)
             for fiber in (False, True):
-                with pytest.raises(ValueError, match="odd prime"):
-                    required_precision(p, fiber)
                 with pytest.raises(ValueError, match="odd prime"):
                     box_precision(p, fiber)
             with pytest.raises(ValueError, match="odd prime"):
