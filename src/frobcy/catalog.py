@@ -12,6 +12,11 @@ where theta^2 - lam x P(theta) is the left factor.  The catalog stores every
 product in this factored-integer form together with its database number and
 the labels of the modular forms attached to distinguished singular points; the
 rational roots of its leading symbol are found when they are read.
+
+So a product's coefficients are c_n = A_n B_n: ``operator_series`` solves a
+catalog operator's own series mod p^K from one run of its right factor's
+recurrence (divisor n^2, one limb) and A_n stepped as a p-adic valuation and
+a unit (``left_factor_residues``); other operators run ``solve_series``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .diffop import ThetaOperator, leading_symbol, solve_series
+from .diffop import ThetaOperator, TruncatedSeries, leading_symbol, solve_series
 from .polyrat import poly_mul, rational_roots
 
 
@@ -152,6 +157,36 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 # -- the integer sequences --------------------------------------------------------
+
+
+def left_factor_residues(left: str, N: int, p: int, K: int) -> List[int]:
+    """A_0 .. A_N mod p^K of a left factor, n^2 A_n = lam P(n-1) A_(n-1),
+    stepped as A_n = p^v u with u a unit mod p^K: no digit is lost."""
+    lam, pair, _ = _LEFT[left]
+    pK, out, v, u = p**K, [1], 0, 1
+    for n in range(1, N + 1):
+        num, den = lam * (pair[0] + (n - 1) * (pair[1] + (n - 1) * pair[2])), n * n
+        while num % p == 0:
+            num, v = num // p, v + 1
+        while den % p == 0:
+            den, v = den // p, v - 1
+        u = u * num * pow(den, -1, pK) % pK
+        out.append(u * p**v % pK if v < K else 0)
+    return out
+
+
+def operator_series(op: ThetaOperator, N: int, targets) -> list:
+    """``solve_series(op, N, targets=targets)``; a catalog product (same name
+    and coefficients) with no exact target is solved through its factors."""
+    entry = CATALOG.get(op.name)
+    if entry is None or entry.operator != op or any(t[0] is None for t in targets):
+        return solve_series(op, N, targets=targets)
+    out = []
+    right = solve_series(SECOND_ORDER[entry.right], N, targets=targets)
+    for (p, K, tN), b in zip(targets, right):
+        a, pK = left_factor_residues(entry.left, tN, p, K), p**K
+        out.append(TruncatedSeries([x * y % pK for x, y in zip(a, b.coeffs)], p, K))
+    return out
 
 
 def sequence_terms_via_recurrence(name: str, N: int) -> List[int]:

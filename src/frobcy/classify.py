@@ -35,8 +35,9 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import FrobcyError, UsageError
+from .catalog import operator_series
 from .congruence import OutsideUnitDisk
-from .diffop import ThetaOperator, TruncatedSeries, solve_series, symbol_roots_mod_p
+from .diffop import ThetaOperator, TruncatedSeries, symbol_roots_mod_p
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
                         unit_roots, weil_verify)
 from .wedge import wedge_square
@@ -321,9 +322,13 @@ def classify_operator(op: ThetaOperator, p: int,
 
 
 def row_series(op: ThetaOperator, p: int, s: int, wedge: bool) -> TruncatedSeries:
-    """The uncached ``SeriesSource``: solved afresh, with the exterior square
-    taken from the ``wedge_square`` memo."""
-    return solve_series(wedge_square(op) if wedge else op, p**s - 1, p=p, K=s)
+    """The uncached ``SeriesSource``: solved afresh by ``operator_series``,
+    with the exterior square taken from the ``wedge_square`` memo."""
+    N = p**s - 1
+    got, = operator_series(wedge_square(op) if wedge else op, N, [(p, s, N)])
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 # -- tabular output -----------------------------------------------------------------

@@ -23,12 +23,14 @@ cache or ``--no-cache`` is given; a query on a warm cache builds none.
 
 A table sweep runs one task per operator, over all its primes.  Per role
 (the wedge first, then the operator's own series) the task loads the cache
-hits and solves every miss in one exact recurrence run to the largest N
-among them, reduced into each row's p^s as it goes; each row then
-classifies its cells from those series.  ``--jobs k`` parallelizes over
-operators, so a single operator gets no speed-up from it.  Each worker keeps
-its own wedge memo, and results are emitted in task order, so output is
-byte-identical to a serial run for every k.
+hits and solves every miss in one ``operator_series`` batch to the largest N
+among them, reduced into each row's p^s: one exact recurrence run, or for a
+catalog operator's own series one run of its second-order right factor times
+its left factor stepped mod p^s.  Each row then classifies from those series.
+``--jobs k`` parallelizes over operators, so a single operator gets no
+speed-up from it.  Each worker keeps its own wedge memo, and results are
+emitted in task order, so output is byte-identical to a serial run for every
+k.
 
 Every cell goes through ``classify_operator`` from ``required_precision``:
 a ``table`` or ``classify`` row classifies the points 1 .. p-1, a ``frob``
@@ -55,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import FrobcyError, UsageError
 from .catalog import (CATALOG, SECOND_ORDER, catalog, get_entry,
-                      sequence_terms_via_recurrence)
+                      operator_series, sequence_terms_via_recurrence)
 from .classify import (PointClass, SeriesSource, classify_operator,
                        classify_point, results_to_csv, row_series)
 from .congruence import CongruenceReport, OutsideUnitDisk, check_dwork_congruence
@@ -177,9 +179,10 @@ def _role_series(op: ThetaOperator, wedge: bool,
     exception that its separate computation raises.
 
     With a cache ``directory`` the hits are loaded (see ``cache_series``);
-    the misses are solved in one exact run to the largest N among them, and
-    each result is stored under its own key.  Without one, every target is
-    solved in that one run.
+    the misses are solved in one ``operator_series`` batch (one exact run, or
+    for a catalog operator's own series one run of its right factor) to the
+    largest N among them, each stored under its own key.  Without one, every
+    target is solved in that one batch.
     """
     role = "wedge" if wedge else "op"
     out: list = [None] * len(targets)
@@ -201,8 +204,8 @@ def _role_series(op: ThetaOperator, wedge: bool,
         return out
     try:
         source = wedge_square(op) if wedge else op
-        solved = solve_series(source, max(targets[i][2] for i in misses),
-                              targets=[targets[i] for i in misses])
+        solved = operator_series(source, max(targets[i][2] for i in misses),
+                                 [targets[i] for i in misses])
     except Exception as exc:  # noqa: BLE001 - shared by every miss
         solved = [exc] * len(misses)
     for i, got in zip(misses, solved):
@@ -279,7 +282,7 @@ def _table_task(arg: Tuple[str, Sequence[int], bool, Optional[str]]
 
     Each row starts at ``required_precision(p)``.  Per role, the wedge
     first, the series of all rows come from one ``_role_series`` batch: one
-    exact run for the rows the cache misses.  ``classify_operator`` then
+    run for the rows the cache misses.  ``classify_operator`` then
     runs per row on a source that answers from the batch and falls back to
     the per-series source, cache included, for an escalated cell.
     """

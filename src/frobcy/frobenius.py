@@ -48,6 +48,7 @@ from math import isqrt
 from typing import List, Tuple
 
 from . import FrobcyError, UsageError
+from .catalog import left_factor_residues
 from .congruence import dwork_ratio
 from .diffop import TruncatedSeries
 from .padic import NotAUnit, balanced_residue, is_odd_prime
@@ -283,18 +284,14 @@ def legendre_precision(p: int) -> int:
 
 
 def _legendre_series(p: int, s: int) -> TruncatedSeries:
-    """Truncation of sum_j binom(2j,j)^2 (s/16)^j mod p^s, degree p^s - 1."""
-    from math import comb
+    """Truncation of sum_j binom(2j,j)^2 (s/16)^j mod p^s, degree p^s - 1;
+    binom(2j,j)^2 is the catalog's left factor A, theta^2 - 4x (2 theta+1)^2."""
     ps = p**s
     inv16 = pow(16, -1, ps)
-    coeffs = []
-    c = 1
-    for j in range(ps):
-        coeffs.append(c % ps)
-        # binom(2(j+1), j+1) = binom(2j, j) * 2(2j+1)/(j+1); square it mod p^s:
-        # maintain c exactly is costly; recompute via comb for clarity at these sizes
-        c = comb(2 * (j + 1), j + 1)
-        c = c * c % ps * pow(inv16, j + 1, ps) % ps
+    coeffs, scale = [], 1  # scale = 16^(-j) mod p^s
+    for a in left_factor_residues("A", ps - 1, p, s):
+        coeffs.append(a * scale % ps)
+        scale = scale * inv16 % ps
     return TruncatedSeries(coeffs, prime=p, cap=s)
 
 

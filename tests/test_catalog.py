@@ -1,13 +1,18 @@
 """The operator catalog: sequences, their operators, Hadamard products, the
 24 fourth-order products, and the auxiliary quintic sequence."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from frobcy import catalog as catalog_module
 from frobcy.catalog import (CATALOG, SECOND_ORDER, catalog, get_entry,
+                            left_factor_residues, operator_series,
                             product_operator, sequence_terms_via_recurrence)
-from frobcy.diffop import check_mum, leading_symbol, solve_series
+from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_mum,
+                           leading_symbol, solve_series)
+from frobcy.frobenius import required_precision
 from frobcy.polyrat import poly_deriv, poly_gcd
 
 from conftest import (LengthMismatch, hadamard_product,
@@ -204,6 +209,83 @@ class TestHadamardProduct:
         ys = sequence_terms(entry.right, 120)
         assert solve_series(entry.operator, 120).coeffs == \
             hadamard_product(xs, ys)
+
+
+# -- the series of a catalog operator through its factors --------------------------
+
+
+def full_sweep_targets(name):
+    """The op-role targets of ``table --primes 3..17`` for one operator, plus
+    the one escalated cell's s = 4 series (A*d at p = 5)."""
+    targets = [(p, required_precision(p), p**required_precision(p) - 1)
+               for p in (3, 5, 7, 11, 13, 17)]
+    return targets + [(5, 4, 624)] if name == "A*d" else targets
+
+
+class TestOperatorSeries:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The order of the operator of every exact run the dispatch makes."""
+        seen = []
+        real = catalog_module.solve_series
+
+        def counted(op, N, *args, **kwargs):
+            seen.append(op.theta_order)
+            return real(op, N, *args, **kwargs)
+
+        monkeypatch.setattr(catalog_module, "solve_series", counted)
+        return seen
+
+    @pytest.mark.parametrize("left", LEFT_NAMES)
+    def test_left_factor_residues_match_the_exact_terms(self, left):
+        # N = 250 spans several carries of p-adic valuation for p = 3, 5, 7
+        exact = sequence_terms(left, 250)
+        for p in (3, 5, 7, 11):
+            for K in (1, 2, 4):
+                assert left_factor_residues(left, 250, p, K) == \
+                    [a % p**K for a in exact], (p, K)
+
+    def test_full_sweep_factor_route_equals_generic(self, runs):
+        for name, entry in CATALOG.items():
+            targets = full_sweep_targets(name)
+            N = max(t[2] for t in targets)
+            fast = operator_series(entry.operator, N, targets)
+            assert runs == [2], name  # one run of the right factor alone
+            del runs[:]
+            generic = solve_series(entry.operator, N, targets=targets)
+            for t, got, want in zip(targets, fast, generic):
+                assert (got.coeffs, got.prime, got.cap) == \
+                    (want.coeffs, want.prime, want.cap), (name, t)
+
+    def test_changed_coefficient_takes_the_generic_route(self, runs):
+        data = json.loads(get_entry("A*a").operator.to_json())
+        data["coeffs"][1][4] = str(int(data["coeffs"][1][4]) + 1)
+        op = ThetaOperator.from_json(json.dumps(data))
+        assert op.name == "A*a"
+        targets = [(5, 2, 24), (7, 2, 48)]
+        got = operator_series(op, 48, targets)
+        assert runs == [4]
+        # the changed operator has no integral solution: the generic run
+        # reports it, where the factors of A*a would have answered
+        assert all(isinstance(g, NonIntegralSolution) for g in got)
+        assert [repr(g) for g in got] == \
+            [repr(w) for w in solve_series(op, 48, targets=targets)]
+
+    def test_renamed_copy_takes_the_generic_route(self, runs):
+        entry = get_entry("B*c")
+        copy = ThetaOperator(entry.operator.coeffs, name="mine")
+        targets = [(7, 3, 342)]
+        got, = operator_series(copy, 342, targets)
+        assert runs == [4]
+        want, = operator_series(entry.operator, 342, targets)
+        assert runs == [4, 2]
+        assert got.coeffs == want.coeffs
+
+    def test_exact_targets_take_the_generic_route(self, runs):
+        op = get_entry("C*d").operator
+        got = operator_series(op, 30, [(None, None, 30), (5, 2, 24)])
+        assert runs == [4]
+        assert got[0].coeffs == solve_series(op, 30).coeffs
 
 
 # -- the auxiliary quintic sequence -------------------------------------------------

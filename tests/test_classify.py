@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobcy import catalog as catalog_module, cli
 from frobcy.catalog import CATALOG, get_entry
 from frobcy.classify import (
     BUILTIN_FORMS,
@@ -373,21 +374,35 @@ class TestClassifyOperatorRows:
             match_singular_ap(5, z2.ap)
 
 
-def test_full_catalog_reproduces_corrected_tables(corrected_tables):
+def test_full_catalog_reproduces_corrected_tables(corrected_tables, monkeypatch):
     """All 24 operators at p = 3 .. 17 (1200 cells) equal the stored tables
     with every erratum applied; the one catalog cell that escalates from
-    its row's start is A*d at p = 5, z = 2, settled at s = 4."""
+    its row's start is A*d at p = 5, z = 2, settled at s = 4.
+
+    The rows come from the uncached table task of each operator: one series
+    run per operator and role for all six primes, and one more per role for
+    the escalated cell."""
+    runs = []
+    real = catalog_module.solve_series
+
+    def counted(*args, **kwargs):
+        runs.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "solve_series", counted)
     cells, escalated = 0, {}
     for name in CATALOG:
-        op = get_entry(name).operator
-        for p in PRIMES:
-            row = classify_operator(op, p)
+        task = cli._table_task((get_entry(name).operator.to_json(), PRIMES,
+                                False, None))
+        for p, (row, err) in zip(PRIMES, task):
+            assert err is None, err
             assert {str(r.z0): r.cell() for r in row} == \
                 corrected_tables[name][str(p)], (name, p)
             escalated.update(((name, p, r.z0), r.s) for r in row if r.escalated)
             cells += len(row)
     assert cells == 1200
     assert escalated == {("A*d", 5, 2): 4}
+    assert len(runs) == 48 + 2
 
 
 class TestResultsToCsv:

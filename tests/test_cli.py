@@ -26,7 +26,7 @@ import pkgutil
 import pytest
 
 import frobcy
-from frobcy import FrobcyError, UsageError, classify, cli, wedge
+from frobcy import FrobcyError, UsageError, catalog, classify, cli, wedge
 from frobcy.catalog import CATALOG, get_entry, sequence_terms_via_recurrence
 from frobcy.classify import classify_operator, results_to_csv
 from frobcy.diffop import ThetaOperator, solve_series
@@ -135,10 +135,25 @@ class TestCacheSeries:
         def boom(*a, **k):
             raise AssertionError("cache hit must not recompute")
 
-        monkeypatch.setattr(cli, "solve_series", boom)
+        monkeypatch.setattr(cli, "operator_series", boom)
         again = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
         assert again.coeffs == series.coeffs
         assert again.cap == self.K
+
+    def test_factor_route_stores_the_generic_bytes(self, tmp_path):
+        # a catalog operator's own series is solved through its Hadamard
+        # factors; its file is byte for byte the generic recurrence's
+        op = get_entry("B*d").operator
+        p, K, N = 7, 3, 342
+        cli.cache_series(op, p, K, N, str(tmp_path / "factor"))
+        (tmp_path / "generic").mkdir()
+        h = cli._operator_hash(op)
+        path = Path(cli._cache_path(str(tmp_path / "generic"), h, "op", p, K, N))
+        cli._cache_store(str(path), h, "op", p, K, N,
+                         solve_series(op, N, p=p, K=K))
+        stored, = (tmp_path / "factor").iterdir()
+        assert stored.name == path.name
+        assert stored.read_bytes() == path.read_bytes()
 
     def test_key_changes_with_one_coefficient(self, tmp_path):
         op, _ = self.fresh(tmp_path)
@@ -208,7 +223,7 @@ class TestCacheSeries:
         again = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
         assert again.coeffs == series.coeffs
         # the rewritten file now validates, so a reload needs no computation
-        monkeypatch.setattr(cli, "solve_series", None)
+        monkeypatch.setattr(cli, "operator_series", None)
         third = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
         assert third.coeffs == series.coeffs
 
@@ -379,7 +394,7 @@ class TestCmdTable:
         def boom(*a, **k):
             raise AssertionError("warm run must reuse the cache")
 
-        monkeypatch.setattr(cli, "solve_series", boom)
+        monkeypatch.setattr(cli, "operator_series", boom)
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert md_cells(out, "A*a", 5) == [
@@ -460,15 +475,19 @@ class TestOneRunPerRole:
 
     @pytest.fixture
     def runs(self, monkeypatch):
-        """Every exact series run, as (operator order, [(p, K, N), ...])."""
+        """Every exact series run, as (operator order, [(p, K, N), ...]).
+
+        Both roles solve through ``catalog.operator_series``: a wedge in one
+        run of its own (order 5), a catalog operator's own series in one run
+        of its second-order right factor (order 2)."""
         seen = []
-        real = cli.solve_series
+        real = catalog.solve_series
 
         def counted(op, N, p=None, K=None, **kwargs):
             seen.append((op.theta_order, kwargs.get("targets", [(p, K, N)])))
             return real(op, N, p, K, **kwargs)
 
-        monkeypatch.setattr(cli, "solve_series", counted)
+        monkeypatch.setattr(catalog, "solve_series", counted)
         return seen
 
     def test_one_task_per_operator(self, inline_pool, capsys):
@@ -482,10 +501,11 @@ class TestOneRunPerRole:
         argv = self.TWO + ["--primes", "3,5,7", "--cache-dir", str(tmp_path)]
         code, cold, _ = run(argv, capsys)
         assert code == 0
-        # per operator the wedge (order 5) first, then its own series, each
-        # one run for p = 3, 5, 7 at their starting s = 4, 3, 3
-        assert [order for order, _t in runs] == [5, 4, 5, 4]
-        assert runs[0][1] == [(3, 4, 80), (5, 3, 124), (7, 3, 342)]
+        # per operator the wedge (order 5) first, then its own series (the
+        # right factor, order 2), each one run for p = 3, 5, 7 at their
+        # starting s = 4, 3, 3
+        assert [order for order, _t in runs] == [5, 2, 5, 2]
+        assert all(t == [(3, 4, 80), (5, 3, 124), (7, 3, 342)] for _o, t in runs)
         assert len(os.listdir(tmp_path)) == 12
         for name in ("A*a", "A*b"):
             assert json.loads(cold)[name] == {
@@ -501,7 +521,7 @@ class TestOneRunPerRole:
         del runs[:]
         code, out, _ = run(self.TWO + ["--primes", "3,5,7"] + cache, capsys)
         assert code == 0
-        assert runs == [(5, [(7, 3, 342)]), (4, [(7, 3, 342)])] * 2
+        assert runs == [(5, [(7, 3, 342)]), (2, [(7, 3, 342)])] * 2
         _, uncached, _ = run(self.TWO + ["--primes", "3,5,7", "--no-cache"],
                              capsys)
         assert out == uncached
@@ -514,8 +534,8 @@ class TestOneRunPerRole:
                  "--format", "json"] + cache
         code, cold, _ = run(table, capsys)
         assert code == 0 and json.loads(cold)["A*d"]["5"]["2"] == "(-8,-82)*"
-        assert runs == [(5, [(5, 3, 124)]), (4, [(5, 3, 124)]),
-                        (5, [(5, 4, 624)]), (4, [(5, 4, 624)])]
+        assert runs == [(5, [(5, 3, 124)]), (2, [(5, 3, 124)]),
+                        (5, [(5, 4, 624)]), (2, [(5, 4, 624)])]
         op_hash = cli._operator_hash(get_entry("A*d").operator)
         assert sorted(os.listdir(tmp_path)) == sorted(
             os.path.basename(cli._cache_path(str(tmp_path), op_hash, role, 5,
