@@ -28,10 +28,10 @@ errata = json.loads(resources.files("frobcy")
                     .joinpath("data/appendix_errata.json")
                     .read_text("utf-8"))["entries"]
 
-# A*a agrees with its stored tables everywhere
-op = get_entry("A*a").operator
-for p in (3, 5, 7):
-    rows = classify_operator(op, p)
+# A*a agrees with its stored tables everywhere: one call classifies the rows
+# of all three primes (a failed row would be its exception, not a list)
+primes = (3, 5, 7)
+for p, rows in zip(primes, classify_operator(get_entry("A*a").operator, primes)):
     cells = [r.cell() for r in rows]
     stored = [tables["A*a"][str(p)][str(z)] for z in range(1, p)]
     print(f"A*a, p = {p}: {', '.join(cells)}   "
@@ -39,7 +39,7 @@ for p in (3, 5, 7):
 
 # B*a's stored tables lost all their markers; the classifier restores them
 print()
-rows = classify_operator(get_entry("B*a").operator, 5)
+rows, = classify_operator(get_entry("B*a").operator, [5])
 for r in rows:
     stored = tables["B*a"]["5"][str(r.z0)]
     note = "" if r.cell() == stored else f"   (stored as {stored!r})"

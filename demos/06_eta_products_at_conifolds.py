@@ -23,7 +23,8 @@ for label, form in BUILTIN_FORMS.items():
 # split cells of A*a (the reduction of -1/16) and B*d (of 1/216)
 print()
 for name, p in (("A*a", 5), ("A*a", 7), ("B*d", 7)):
-    for cell in classify_operator(get_entry(name).operator, p):
+    row, = classify_operator(get_entry(name).operator, [p])
+    for cell in row:
         if cell.status != "singular":
             continue
         hit = cell.form if cell.form is not None else "(no stored form)"
@@ -32,7 +33,7 @@ for name, p in (("A*a", 5), ("A*a", 7), ("B*d", 7)):
 
 # a split whose form is not stored raises a clean lookup error
 print()
-cell = classify_operator(get_entry("D*c").operator, 5)[1]
+cell = classify_operator(get_entry("D*c").operator, [5])[0][1]
 print(f"D*c p=5 z=2 splits with a_5 = {cell.ap}, but:")
 try:
     match_singular_ap(5, cell.ap)

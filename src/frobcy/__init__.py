@@ -8,7 +8,9 @@
 * the catalog of 24 Hadamard-product operators and their sequences (``catalog``)
 * truncated-ratio congruence checks for coefficient sequences (``congruence``)
 * degree-4 Frobenius polynomials from p-adic unit roots (``frobenius``)
-* splitting classification and modular-form matching (``classify``)
+* the one series fetch, through the disk cache or solved afresh (``series``)
+* splitting classification, modular-form matching and the one row
+  pipeline (``classify``)
 * the ``frobcy`` command line (``cli``)
 
 Every exception class the package defines derives from ``FrobcyError``; the

@@ -32,21 +32,16 @@ import os
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import FrobcyError, UsageError
-from .catalog import operator_series
 from .congruence import OutsideUnitDisk
 from .diffop import ThetaOperator, TruncatedSeries, symbol_roots_mod_p
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
                         unit_roots, weil_verify)
-from .wedge import wedge_square
+from .series import cache_series
 
 FORMS_DIR_ENV = "FROBCY_FORMS_DIR"
-
-# (op, p, s, wedge) -> residues mod p^s, to degree p^s - 1, of the normalized
-# solution of op, or of its exterior square when wedge is true
-SeriesSource = Callable[[ThetaOperator, int, int, bool], TruncatedSeries]
 
 
 class NoFixture(FrobcyError, LookupError):
@@ -280,55 +275,64 @@ def classify_point(op: ThetaOperator, p: int, z0: int, s: int,
     return pc
 
 
-def classify_operator(op: ThetaOperator, p: int,
-                      s: Optional[int] = None,
-                      series: Optional[SeriesSource] = None,
-                      points: Optional[Sequence[int]] = None) -> List[PointClass]:
-    """Classify the points z0 in ``points`` (default: 1 .. p-1) of one
-    operator, in that order.
+def classify_operator(op: ThetaOperator, primes: Sequence[int],
+                      points: Optional[Sequence[int]] = None,
+                      cache_dir: Optional[str] = None) -> list:
+    """The row pipeline: classify the points z0 in ``points`` (default:
+    1 .. p-1) of one operator at every prime in ``primes``.  Returns a list
+    aligned with ``primes`` holding each row's cells, in the order of
+    ``points``, or the exception that the row raised.
 
-    The working precision defaults to ``required_precision``, which settles
-    every point off the singular fibers.  The two series (the expensive
-    part) come from ``series`` (default: ``row_series``), which is asked for
-    the operator's own series and for its wedge's, and are shared by all
-    points.  A point whose residues fit zero or several admissible pairs
-    (split pairs count where the leading symbol vanishes mod p) escalates:
-    its series are fetched at s + 1 and it is classified again (``escalated``
-    marks it), until ``box_precision``, where every balanced lift is settled.
+    Each row starts at ``required_precision(p)``, which settles every point
+    off the singular fibers.  Per role, the wedge first, the series of every
+    pending row come from one ``cache_series`` batch, through the disk cache
+    in ``cache_dir`` or solved afresh when it is None, and are shared by the
+    row's points; a row whose wedge failed asks for no series of its own.
+    A point whose residues fit zero or several admissible pairs (split pairs
+    count where the leading symbol vanishes mod p) escalates: it is
+    classified again at s + 1 in the next batch (``escalated`` marks it),
+    until ``box_precision``, where every balanced lift is settled.
     """
-    roots = set(symbol_roots_mod_p(op, p))
-    if s is None:
-        s = required_precision(p)
-    series = series or row_series
-    points = list(range(1, p) if points is None else points)
-    cells: Dict[int, PointClass] = {}
-    pending = points
+    out: list = [None] * len(primes)
+    wanted = [list(range(1, p) if points is None else points) for p in primes]
+    roots = [set(symbol_roots_mod_p(op, p)) for p in primes]
+    cells: List[Dict[int, PointClass]] = [{} for _ in primes]
+    pending = {i: (required_precision(p), wanted[i]) for i, p in enumerate(primes)}
     escalated = False
     while pending:
         # the wedge first: a miss builds it, which rejects an unusable op
         # before any series work
-        F0, f0 = series(op, p, s, True), series(op, p, s, False)
-        retry = []
-        for z0 in pending:
+        rows, fetched = list(pending), {i: [] for i in pending}
+        for wedge in (True, False):
+            targets = [(primes[i], pending[i][0], primes[i]**pending[i][0] - 1)
+                       for i in rows]
+            for i, got in zip(rows, cache_series(op, wedge, targets, cache_dir)):
+                if isinstance(got, Exception):
+                    out[i] = got
+                else:
+                    fetched[i].append(got)
+            rows = [i for i in rows if out[i] is None]
+        retry = {}
+        for i in rows:
+            p, (s, zs), (F0, f0), later = primes[i], pending[i], fetched[i], []
             try:
-                cells[z0] = classify_point(op, p, z0, s, f0, F0,
-                                           z0 % p in roots)
-            except Uncertified:
-                retry.append(z0)
+                for z0 in zs:
+                    try:
+                        cells[i][z0] = classify_point(op, p, z0, s, f0, F0,
+                                                      z0 % p in roots[i])
+                    except Uncertified:
+                        later.append(z0)
+                    else:
+                        cells[i][z0].escalated = escalated
+            except Exception as exc:  # noqa: BLE001 - the row's outcome
+                out[i] = exc
             else:
-                cells[z0].escalated = escalated
-        pending, s, escalated = retry, s + 1, True
-    return [cells[z0] for z0 in points]
-
-
-def row_series(op: ThetaOperator, p: int, s: int, wedge: bool) -> TruncatedSeries:
-    """The uncached ``SeriesSource``: solved afresh by ``operator_series``,
-    with the exterior square taken from the ``wedge_square`` memo."""
-    N = p**s - 1
-    got, = operator_series(wedge_square(op) if wedge else op, N, [(p, s, N)])
-    if isinstance(got, Exception):
-        raise got
-    return got
+                if later:
+                    retry[i] = (s + 1, later)
+                else:
+                    out[i] = [cells[i][z0] for z0 in wanted[i]]
+        pending, escalated = retry, True
+    return out
 
 
 # -- tabular output -----------------------------------------------------------------
@@ -338,14 +342,14 @@ CSV_COLUMNS = ("operator", "p", "z", "status", "a", "b",
 
 
 def results_to_csv(rows: List[PointClass]) -> str:
-    """CSV text (header + one line per point, empty fields where N/A)."""
-    def fmt(v) -> str:
-        return "" if v is None else str(v)
+    """CSV text (header + one line per point, empty fields where N/A,
+    quoted where a field holds a comma or a quote)."""
+    import csv
+    import io
 
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join([
-            r.operator, str(r.p), str(r.z0), r.status, fmt(r.a), fmt(r.b),
-            fmt(r.alpha), fmt(r.beta), fmt(r.chi), fmt(r.ap), fmt(r.form),
-        ]))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")  # writes None as ""
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([r.operator, r.p, r.z0, r.status, r.a, r.b, r.alpha,
+                      r.beta, r.chi, r.ap, r.form] for r in rows)
+    return buf.getvalue()

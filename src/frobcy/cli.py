@@ -7,215 +7,51 @@ as JSON), ``wedge`` (exterior-square operator as JSON), ``congruence``
 over a prime range), ``legendre`` (elliptic baseline), and ``catalog``
 (operator export).
 
-Series are memoized on disk: ``cache_series`` stores the residues
-c_0 .. c_N mod p^K with a sha256 of the coefficient list, written atomically
-(temp file + rename).  The key is a content hash of the *source* operator's
-JSON plus a role: ``op`` for the operator's own solution, ``wedge`` for the
-solution of its exterior square.  A damaged or mismatched file is detected
-(``CorruptCache``), silently recomputed, and overwritten.  The cache
-directory comes from $FROBCY_CACHE_DIR, defaulting to the platform user
-cache path; computations never depend on cache state, only their wall time
-does.
+Every cell goes through one row pipeline, ``classify_operator``: a
+``table`` or ``classify`` row classifies the points 1 .. p-1, a ``frob``
+query only its point, from ``required_precision`` with the same per-cell
+escalation.  Its series come from ``series.cache_series`` (re-exported
+here, with ``CorruptCache``), through the disk cache unless ``--no-cache``
+is given; ``frob --precision s`` fetches the two series at s the same way
+and classifies the point once.  The cache directory is ``--cache-dir``,
+else $FROBCY_CACHE_DIR, else the platform user cache path.
 
-Each process builds the exterior square of an operator at most once
-(``wedge_square`` is memoized), and only when the wedge series misses the
-cache or ``--no-cache`` is given; a query on a warm cache builds none.
-
-A table sweep runs one task per operator, over all its primes.  Per role
-(the wedge first, then the operator's own series) the task loads the cache
-hits and solves every miss in one ``operator_series`` batch to the largest N
-among them, reduced into each row's p^s: one exact recurrence run, or for a
-catalog operator's own series one run of its second-order right factor times
-its left factor stepped mod p^s.  Each row then classifies from those series.
+A table sweep runs one task per operator: one ``classify_operator`` call
+over all its primes, so per role one batch of series for all its rows.
 ``--jobs k`` parallelizes over operators, so a single operator gets no
 speed-up from it.  Each worker keeps its own wedge memo, and results are
 emitted in task order, so output is byte-identical to a serial run for every
-k.
-
-Every cell goes through ``classify_operator`` from ``required_precision``:
-a ``table`` or ``classify`` row classifies the points 1 .. p-1, a ``frob``
-query only its point, with the same per-cell escalation (through the cache);
-``frob --precision s`` classifies the point once at s.
-``classify`` is the ``table`` sweep of one operator in CSV.
+k.  ``classify`` is the ``table`` sweep of one operator in CSV.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
 argument, operator file, point, ``--output`` path or forms fixture) exits 2
 and any other ``FrobcyError`` exits 1, each as one ``error: ...`` line on
-stderr.  A table row that fails
-is reported as data: one line naming the operator and p, exit 1.
+stderr.  A table row that fails is reported as data: one line naming the
+operator and p, exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import FrobcyError, UsageError
 from .catalog import (CATALOG, SECOND_ORDER, catalog, get_entry,
-                      operator_series, sequence_terms_via_recurrence)
-from .classify import (PointClass, SeriesSource, classify_operator,
-                       classify_point, results_to_csv, row_series)
+                      sequence_terms_via_recurrence)
+from .classify import (PointClass, classify_operator, classify_point,
+                       results_to_csv)
 from .congruence import CongruenceReport, OutsideUnitDisk, check_dwork_congruence
-from .diffop import ThetaOperator, TruncatedSeries, solve_series, symbol_roots_mod_p
+from .diffop import ThetaOperator, solve_series, symbol_roots_mod_p
 from .frobenius import (decode_frobenius, frobenius_quartic, legendre_frobenius,
-                        legendre_precision, legendre_unit_root,
-                        required_precision)
+                        legendre_precision, legendre_unit_root)
 from .padic import is_odd_prime
+from .series import CorruptCache, _default_cache_dir, cache_series
 from .wedge import wedge_square
 
 __all__ = ["CorruptCache", "cache_series", "main"]
-
-
-# -- series cache -------------------------------------------------------------------
-
-
-class CorruptCache(FrobcyError):
-    """A cache file failed validation (damaged, truncated, or mismatched)."""
-
-
-def _default_cache_dir() -> str:
-    base = os.environ.get("FROBCY_CACHE_DIR")
-    if base:
-        return base
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    if not xdg:
-        xdg = os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(xdg, "frobcy")
-
-
-def _operator_hash(op: ThetaOperator) -> str:
-    return hashlib.sha256(op.to_json().encode("utf-8")).hexdigest()
-
-
-def _coeffs_digest(coeffs: Sequence[int]) -> str:
-    return hashlib.sha256(",".join(map(str, coeffs)).encode("ascii")).hexdigest()
-
-
-def _cache_path(cache_dir: str, op_hash: str, role: str, p: int, K: int,
-                N: int) -> str:
-    key = hashlib.sha256(f"{op_hash}:{role}:{p}:{K}:{N}".encode("ascii")).hexdigest()
-    return os.path.join(cache_dir, f"series-{key[:40]}.json")
-
-
-def _cache_load(path: str, op_hash: str, role: str, p: int, K: int,
-                N: int) -> TruncatedSeries:
-    """Validated reload; raises CorruptCache on any defect, FileNotFoundError
-    on a clean miss."""
-    with open(path, "rb") as fh:  # json.loads decodes: bad bytes are a defect
-        raw = fh.read()
-    try:
-        data = json.loads(raw)
-        if (data["operator_hash"] != op_hash or data["role"] != role
-                or data["p"] != p or data["K"] != K or data["N"] != N):
-            raise CorruptCache(f"header mismatch in {path}")
-        coeffs = [int(c) for c in data["coeffs"]]
-        if len(coeffs) != N + 1 or coeffs[0] != 1:
-            raise CorruptCache(f"bad coefficient array in {path}")
-        pK = p**K
-        if any(not 0 <= c < pK for c in coeffs):
-            raise CorruptCache(f"residue out of range in {path}")
-        if _coeffs_digest(coeffs) != data["sha256"]:
-            raise CorruptCache(f"checksum mismatch in {path}")
-    except CorruptCache:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptCache(f"unreadable cache file {path}: {exc}") from None
-    return TruncatedSeries(coeffs, prime=p, cap=K)
-
-
-def _cache_store(path: str, op_hash: str, role: str, p: int, K: int, N: int,
-                 series: TruncatedSeries) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
-    payload = {
-        "operator_hash": op_hash, "role": role, "p": p, "K": K, "N": N,
-        "sha256": _coeffs_digest(series.coeffs),
-        "coeffs": [str(c) for c in series.coeffs],
-    }
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def cache_series(op: ThetaOperator, p: int, K: int, N: int,
-                 cache_dir: Optional[str] = None,
-                 wedge: bool = False) -> TruncatedSeries:
-    """Residues c_0 .. c_N mod p^K of the normalized solution of ``op``, or
-    of its exterior square when ``wedge`` is true, memoized.
-
-    The key is a content hash of the JSON of ``op`` (the source operator
-    also for the wedge series), the role ``op`` / ``wedge``, and (p, K, N);
-    changing any operator coefficient changes the key.  A valid cache file is
-    reloaded without recomputation, and without building the exterior square;
-    a corrupt one is silently recomputed and overwritten.  If the cache
-    directory cannot be used at all, the series is simply computed and
-    returned uncached.
-    """
-    directory = cache_dir if cache_dir is not None else _default_cache_dir()
-    got, = _role_series(op, wedge, [(p, K, N)], directory, _operator_hash(op))
-    if isinstance(got, Exception):
-        raise got
-    return got
-
-
-def _role_series(op: ThetaOperator, wedge: bool,
-                 targets: Sequence[Tuple[int, int, int]],
-                 directory: Optional[str], op_hash: Optional[str]) -> list:
-    """The series of ``op``, or of its exterior square, at every (p, K, N)
-    target, as a list aligned with ``targets`` holding each series or the
-    exception that its separate computation raises.
-
-    With a cache ``directory`` the hits are loaded (see ``cache_series``);
-    the misses are solved in one ``operator_series`` batch (one exact run, or
-    for a catalog operator's own series one run of its right factor) to the
-    largest N among them, each stored under its own key.  Without one, every
-    target is solved in that one batch.
-    """
-    role = "wedge" if wedge else "op"
-    out: list = [None] * len(targets)
-    paths: List[Optional[str]] = [None] * len(targets)
-    if directory is not None:
-        try:
-            os.makedirs(directory, exist_ok=True)
-        except OSError:
-            directory = None  # unusable: solve everything, store nothing
-    if directory is not None:
-        for i, (p, K, N) in enumerate(targets):
-            paths[i] = _cache_path(directory, op_hash, role, p, K, N)
-            try:
-                out[i] = _cache_load(paths[i], op_hash, role, p, K, N)
-            except (CorruptCache, OSError):
-                pass  # a miss; a corrupt file is replaced by the fresh write
-    misses = [i for i, got in enumerate(out) if got is None]
-    if not misses:
-        return out
-    try:
-        source = wedge_square(op) if wedge else op
-        solved = operator_series(source, max(targets[i][2] for i in misses),
-                                 [targets[i] for i in misses])
-    except Exception as exc:  # noqa: BLE001 - shared by every miss
-        solved = [exc] * len(misses)
-    for i, got in zip(misses, solved):
-        out[i] = got
-        if paths[i] is not None and not isinstance(got, Exception):
-            try:
-                _cache_store(paths[i], op_hash, role, *targets[i], got)
-            except OSError:
-                pass  # caching is best-effort; the result is still correct
-    return out
 
 
 # -- shared computation helpers --------------------------------------------------
@@ -264,60 +100,27 @@ def _load_operator(spec: str) -> ThetaOperator:
         raise UsageError(f"operator file {spec!r}: {exc}") from None
 
 
-def _series_source(use_cache: bool, cache_dir: Optional[str]) -> SeriesSource:
-    """Series at precision s, through the disk cache unless ``use_cache`` is
-    false."""
-    if not use_cache:
-        return row_series
-
-    def series(op: ThetaOperator, p: int, s: int, wedge: bool) -> TruncatedSeries:
-        return cache_series(op, p, s, p**s - 1, cache_dir, wedge)
-    return series
+def _cache_dir(args: argparse.Namespace) -> Optional[str]:
+    """The series cache directory of a command, None under --no-cache."""
+    if args.no_cache:
+        return None
+    return args.cache_dir if args.cache_dir is not None else _default_cache_dir()
 
 
-def _table_task(arg: Tuple[str, Sequence[int], bool, Optional[str]]
+def _table_task(arg: Tuple[str, Sequence[int], Optional[str]]
                 ) -> List[Tuple[List[PointClass], Optional[str]]]:
-    """Worker: every row (one per prime) of one operator; a row's failure is
-    data, one diagnostic per row.
-
-    Each row starts at ``required_precision(p)``.  Per role, the wedge
-    first, the series of all rows come from one ``_role_series`` batch: one
-    run for the rows the cache misses.  ``classify_operator`` then
-    runs per row on a source that answers from the batch and falls back to
-    the per-series source, cache included, for an escalated cell.
-    """
-    op_json, primes, use_cache, cache_dir = arg
+    """Worker: every row (one per prime) of one operator, from one
+    ``classify_operator`` call; a row's failure is data, one diagnostic
+    per row."""
+    op_json, primes, cache_dir = arg
     op = ThetaOperator.from_json(op_json)
-    directory = op_hash = None
-    if use_cache:
-        directory = cache_dir if cache_dir is not None else _default_cache_dir()
-        op_hash = _operator_hash(op)
-    start = {p: required_precision(p) for p in primes}
-    batch: Dict[Tuple[int, int, bool], object] = {}
-    for wedge in (True, False):
-        # a row whose wedge failed never asks for its own series
-        rows = [(p, s, p**s - 1) for p, s in start.items()
-                if not isinstance(batch.get((p, s, True)), Exception)]
-        got = _role_series(op, wedge, rows, directory, op_hash)
-        batch.update(((p, s, wedge), g) for (p, s, _N), g in zip(rows, got))
-    fallback = _series_source(use_cache, cache_dir)
-
-    def series(op: ThetaOperator, p: int, s: int, wedge: bool) -> TruncatedSeries:
-        got = batch.get((p, s, wedge))
-        if got is None:
-            return fallback(op, p, s, wedge)
-        if isinstance(got, Exception):
-            raise got
-        return got
-
     outcomes = []
-    for p in primes:
-        try:
-            outcomes.append((classify_operator(op, p, s=start[p], series=series),
-                             None))
-        except Exception as exc:  # noqa: BLE001 - reported as a diagnostic
+    for p, row in zip(primes, classify_operator(op, primes, cache_dir=cache_dir)):
+        if isinstance(row, Exception):
             label = op.name or "operator"
-            outcomes.append(([], f"{label} p={p}: {type(exc).__name__}: {exc}"))
+            outcomes.append(([], f"{label} p={p}: {type(row).__name__}: {row}"))
+        else:
+            outcomes.append((row, None))
     return outcomes
 
 
@@ -384,9 +187,8 @@ def _sweep(names: Sequence[str], fmt: str, jobs: int,
     report each failed row as one stderr line (exit 1)."""
     ops = [(n, _load_operator(n)) for n in names]
     primes = _parse_primes(args.primes)
-    cache_dir = args.cache_dir
-    use_cache = not args.no_cache
-    tasks = [(op.to_json(), primes, use_cache, cache_dir) for _n, op in ops]
+    cache_dir = _cache_dir(args)
+    tasks = [(op.to_json(), primes, cache_dir) for _n, op in ops]
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -428,13 +230,21 @@ def cmd_frob(args: argparse.Namespace) -> int:
     z0 = args.point % p
     if z0 == 0:
         raise UsageError("the point must be nonzero mod p")
-    series = _series_source(not args.no_cache, args.cache_dir)
+    cache_dir = _cache_dir(args)
     if args.precision is None:
-        pc = classify_operator(op, p, series=series, points=[z0])[0]
+        row, = classify_operator(op, [p], points=[z0], cache_dir=cache_dir)
+        if isinstance(row, Exception):
+            raise row
+        pc = row[0]
     else:
-        s = args.precision
-        F0 = series(op, p, s, True)  # the wedge first, as in a row
-        pc = classify_point(op, p, z0, s, series(op, p, s, False), F0,
+        s, fetched = args.precision, []
+        for wedge in (True, False):  # the wedge first, as in a row
+            got, = cache_series(op, wedge, [(p, s, p**s - 1)], cache_dir)
+            if isinstance(got, Exception):
+                raise got
+            fetched.append(got)
+        F0, f0 = fetched
+        pc = classify_point(op, p, z0, s, f0, F0,
                             z0 in symbol_roots_mod_p(op, p))
     result: Dict[str, object] = {
         "operator": op.name or args.operator, "p": p, "z": z0,

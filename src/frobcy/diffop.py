@@ -141,7 +141,10 @@ class ThetaOperator:
     def from_json(cls, text: str) -> "ThetaOperator":
         data = json.loads(text)
         rows = [[int(c) for c in row] for row in data["coeffs"]]
-        op = cls(rows, name=data.get("name", ""), aesz=data.get("aesz"))
+        name = data.get("name", "")
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a string, not {name!r}")
+        op = cls(rows, name=name, aesz=data.get("aesz"))
         if op.theta_order != data["theta_order"]:
             raise ValueError("theta_order does not match the coefficient table")
         return op

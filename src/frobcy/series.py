@@ -1,0 +1,159 @@
+"""The one source of series: ``cache_series``.
+
+Each cell at a prime p needs the residues mod p^s, to degree p^s - 1, of two
+series: the normalized solution of the operator (role ``op``) and that of
+its exterior square (role ``wedge``).  ``cache_series`` returns one role of
+one operator at a batch of (p, K, N) targets; every other module asks it.
+
+Series are memoized on disk: a file stores the residues c_0 .. c_N mod p^K
+with a sha256 of the coefficient list, written atomically (temp file +
+rename).  The key is a content hash of the *source* operator's JSON plus
+the role and (p, K, N).  A damaged or mismatched file is detected
+(``CorruptCache``), silently recomputed, and overwritten.  Computations
+never depend on cache state, only their wall time does.  Without a cache
+directory every target is solved afresh.
+
+The misses of one call are solved in one ``operator_series`` batch to the
+largest N among them, reduced into each target's p^K: one exact recurrence
+run, or for a catalog operator's own series one run of its second-order
+right factor times its left factor stepped mod p^K.  The exterior square is
+built (``wedge_square`` is memoized per process) only when a wedge target
+misses, so a query on a warm cache builds none.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import tempfile
+from typing import List, Optional, Sequence, Tuple
+
+from . import FrobcyError
+from .catalog import operator_series
+from .diffop import ThetaOperator, TruncatedSeries
+from .wedge import wedge_square
+
+
+class CorruptCache(FrobcyError):
+    """A cache file failed validation (damaged, truncated, or mismatched)."""
+
+
+def _default_cache_dir() -> str:
+    base = os.environ.get("FROBCY_CACHE_DIR")
+    if base:
+        return base
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    if not xdg:
+        xdg = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(xdg, "frobcy")
+
+
+def _operator_hash(op: ThetaOperator) -> str:
+    return hashlib.sha256(op.to_json().encode("utf-8")).hexdigest()
+
+
+def _coeffs_digest(coeffs: Sequence[int]) -> str:
+    return hashlib.sha256(",".join(map(str, coeffs)).encode("ascii")).hexdigest()
+
+
+def _cache_path(cache_dir: str, op_hash: str, role: str, p: int, K: int,
+                N: int) -> str:
+    key = hashlib.sha256(f"{op_hash}:{role}:{p}:{K}:{N}".encode("ascii")).hexdigest()
+    return os.path.join(cache_dir, f"series-{key[:40]}.json")
+
+
+def _cache_load(path: str, op_hash: str, role: str, p: int, K: int,
+                N: int) -> TruncatedSeries:
+    """Validated reload; raises CorruptCache on any defect, FileNotFoundError
+    on a clean miss."""
+    with open(path, "rb") as fh:  # json.loads decodes: bad bytes are a defect
+        raw = fh.read()
+    try:
+        data = json.loads(raw)
+        if (data["operator_hash"] != op_hash or data["role"] != role
+                or data["p"] != p or data["K"] != K or data["N"] != N):
+            raise CorruptCache(f"header mismatch in {path}")
+        coeffs = [int(c) for c in data["coeffs"]]
+        if len(coeffs) != N + 1 or coeffs[0] != 1:
+            raise CorruptCache(f"bad coefficient array in {path}")
+        pK = p**K
+        if any(not 0 <= c < pK for c in coeffs):
+            raise CorruptCache(f"residue out of range in {path}")
+        if _coeffs_digest(coeffs) != data["sha256"]:
+            raise CorruptCache(f"checksum mismatch in {path}")
+    except CorruptCache:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptCache(f"unreadable cache file {path}: {exc}") from None
+    return TruncatedSeries(coeffs, prime=p, cap=K)
+
+
+def _cache_store(path: str, op_hash: str, role: str, p: int, K: int, N: int,
+                 series: TruncatedSeries) -> None:
+    """Atomic write: temp file in the same directory, then rename."""
+    payload = {
+        "operator_hash": op_hash, "role": role, "p": p, "K": K, "N": N,
+        "sha256": _coeffs_digest(series.coeffs),
+        "coeffs": [str(c) for c in series.coeffs],
+    }
+    directory = os.path.dirname(path)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def cache_series(op: ThetaOperator, wedge: bool,
+                 targets: Sequence[Tuple[int, int, int]],
+                 cache_dir: Optional[str] = None) -> list:
+    """Residues c_0 .. c_N mod p^K of the normalized solution of ``op``, or
+    of its exterior square when ``wedge`` is true, at every (p, K, N) target:
+    a list aligned with ``targets`` holding each series or the exception
+    that its computation raises.
+
+    With a ``cache_dir`` the valid files are reloaded without recomputation
+    (and without building the exterior square), and each solved target is
+    stored under its own key; a directory that cannot be used at all is
+    ignored.  With none, every target is solved.
+    """
+    role = "wedge" if wedge else "op"
+    out: list = [None] * len(targets)
+    paths: List[Optional[str]] = [None] * len(targets)
+    if cache_dir is not None:
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError:
+            cache_dir = None  # unusable: solve everything, store nothing
+    if cache_dir is not None:
+        op_hash = _operator_hash(op)
+        for i, (p, K, N) in enumerate(targets):
+            paths[i] = _cache_path(cache_dir, op_hash, role, p, K, N)
+            try:
+                out[i] = _cache_load(paths[i], op_hash, role, p, K, N)
+            except (CorruptCache, OSError):
+                pass  # a miss; a corrupt file is replaced by the fresh write
+    misses = [i for i, got in enumerate(out) if got is None]
+    if not misses:
+        return out
+    try:
+        source = wedge_square(op) if wedge else op
+        solved = operator_series(source, max(targets[i][2] for i in misses),
+                                 [targets[i] for i in misses])
+    except Exception as exc:  # noqa: BLE001 - shared by every miss
+        solved = [exc] * len(misses)
+    for i, got in zip(misses, solved):
+        out[i] = got
+        if paths[i] is not None and not isinstance(got, Exception):
+            try:
+                _cache_store(paths[i], op_hash, role, *targets[i], got)
+            except OSError:
+                pass  # caching is best-effort; the result is still correct
+    return out

@@ -66,9 +66,8 @@ def acceptance_tables(acceptance_timings):
     t0 = time.monotonic()
     out = {}
     for name in ACCEPTANCE_OPERATORS:
-        op = get_entry(name).operator
-        for p in ACCEPTANCE_PRIMES:
-            out[name, p] = classify_operator(op, p)
+        rows = classified(get_entry(name).operator, ACCEPTANCE_PRIMES)
+        out.update(((name, p), row) for p, row in rows.items())
     acceptance_timings["tables"] = time.monotonic() - t0
     return out
 
@@ -78,6 +77,16 @@ def acceptance_timings():
     """Wall-clock seconds of the shared expensive computations, for the
     criteria that state a runtime budget."""
     return {}
+
+
+def classified(op, primes, **kwargs):
+    """{p: cells} from one ``classify_operator`` call over ``primes``,
+    raising the exception of the first row that failed."""
+    rows = classify_operator(op, primes, **kwargs)
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return dict(zip(primes, rows))
 
 
 # -- test-only oracles ---------------------------------------------------------------

@@ -12,8 +12,7 @@ import json
 import time
 
 from frobcy.catalog import CATALOG, get_entry, sequence_terms_via_recurrence
-from frobcy.classify import (BUILTIN_FORMS, classify_operator,
-                             match_singular_ap, reducible_split)
+from frobcy.classify import BUILTIN_FORMS, match_singular_ap, reducible_split
 from frobcy.congruence import OutsideUnitDisk, check_dwork_congruence
 from frobcy.diffop import check_cy4, check_cy5, solve_series
 from frobcy.frobenius import (assemble_frobenius, frobenius_quartic,
@@ -22,8 +21,9 @@ from frobcy.frobenius import (assemble_frobenius, frobenius_quartic,
 from frobcy.padic import balanced_residue, teichmueller_residue
 from frobcy.wedge import verify_horizontal_u4, verify_horizontal_u5
 
-from conftest import (ACCEPTANCE_OPERATORS, ACCEPTANCE_PRIMES, hadamard_product,
-                      quintic_wedge_coefficients, sequence_terms)
+from conftest import (ACCEPTANCE_OPERATORS, ACCEPTANCE_PRIMES, classified,
+                      hadamard_product, quintic_wedge_coefficients,
+                      sequence_terms)
 
 
 def test_criterion_1(wedge_of):
@@ -115,19 +115,18 @@ def test_criterion_5():
     assert eta9.factors == ((3, 8),)
 
     # first anchor: reduction of -1/16, at p = 5 (z = 4) and p = 7 (z = 3)
-    aa = get_entry("A*a").operator
-    cell5 = classify_operator(aa, 5)[3]
+    aa = classified(get_entry("A*a").operator, (5, 7))
+    cell5 = aa[5][3]
     assert (cell5.status, cell5.ap) == ("singular", -2)
     assert cell5.ap == eta8.coefficient(5) == -2
     assert cell5.form == match_singular_ap(5, -2) == "8/1"
-    cell7 = classify_operator(aa, 7)[2]
+    cell7 = aa[7][2]
     assert (cell7.status, cell7.ap) == ("singular", 24)
     assert cell7.ap == eta8.coefficient(7) == 24
     assert cell7.form == "8/1"
 
     # second anchor: reduction of 1/216, at p = 7 (z = 6)
-    bd = get_entry("B*d").operator
-    cell = classify_operator(bd, 7)[5]
+    cell = classified(get_entry("B*d").operator, (7,))[7][5]
     assert (cell.status, cell.ap) == ("singular", 20)
     assert cell.ap == eta9.coefficient(7) == 20
     assert cell.form == match_singular_ap(7, 20) == "9/1"

@@ -8,6 +8,7 @@ where those tables deviate from their own annotation rules).
 
 from __future__ import annotations
 
+import csv
 import json
 from math import gcd, isqrt
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobcy import catalog as catalog_module, cli
+from frobcy import catalog as catalog_module
 from frobcy.catalog import CATALOG, get_entry
 from frobcy.classify import (
     BUILTIN_FORMS,
@@ -23,13 +24,19 @@ from frobcy.classify import (
     EtaProduct,
     FORMS_DIR_ENV,
     NoFixture,
+    PointClass,
     classify_ab,
     classify_operator,
+    classify_point,
     match_singular_ap,
     reducible_split,
     results_to_csv,
     singular_split,
 )
+from frobcy.diffop import symbol_roots_mod_p
+from frobcy.series import cache_series
+
+from conftest import classified
 
 PRIMES = (3, 5, 7, 11, 13, 17)
 
@@ -63,23 +70,22 @@ def eta_product_direct(factors, N):
 
 @pytest.fixture(scope="module")
 def aa_rows():
-    op = get_entry("A*a").operator
-    return {p: classify_operator(op, p) for p in (3, 5, 7)}
+    return classified(get_entry("A*a").operator, (3, 5, 7))
 
 
 @pytest.fixture(scope="module")
 def bc5():
-    return classify_operator(get_entry("B*c").operator, 5)
+    return classified(get_entry("B*c").operator, (5,))[5]
 
 
 @pytest.fixture(scope="module")
 def ba5():
-    return classify_operator(get_entry("B*a").operator, 5)
+    return classified(get_entry("B*a").operator, (5,))[5]
 
 
 @pytest.fixture(scope="module")
 def dc5():
-    return classify_operator(get_entry("D*c").operator, 5)
+    return classified(get_entry("D*c").operator, (5,))[5]
 
 
 class TestEtaProducts:
@@ -324,15 +330,22 @@ class TestClassifyOperatorRows:
         assert (z4.chi, z4.ap, z4.form) == (-1, -2, "8/1")
 
     def test_classification_stable_at_higher_precision(self, aa_rows):
-        again = classify_operator(get_entry("A*a").operator, 5, s=5)
+        op, p, s = get_entry("A*a").operator, 5, 5
+        F0, f0 = (cache_series(op, wedge, [(p, s, p**s - 1)])[0]
+                  for wedge in (True, False))
+        roots = symbol_roots_mod_p(op, p)
+        again = [classify_point(op, p, z0, s, f0, F0, z0 in roots)
+                 for z0 in range(1, p)]
         assert [r.cell() for r in again] == [r.cell() for r in aa_rows[5]]
         assert [r.status for r in again] == [r.status for r in aa_rows[5]]
 
     def test_escalation_from_one_digit_low(self):
-        # At s = 3 the residues of A*d at p = 5, z = 2 fit two admissible
-        # pairs, (-8, 43) and (-8, -82); that cell alone escalates to s = 4.
-        row = classify_operator(get_entry("A*d").operator, 5, s=3)
+        # At s = 3, where the row starts, the residues of A*d at p = 5,
+        # z = 2 fit two admissible pairs, (-8, 43) and (-8, -82); that cell
+        # alone escalates to s = 4.
+        row = classified(get_entry("A*d").operator, (5,))[5]
         z2 = row[1]
+        assert [r.s for r in row] == [3, 4, 3, 3]
         assert z2.cell() == "(-8,-82)*" and z2.escalated
         assert [r.escalated for r in row if r.z0 != 2] == [False] * 3
 
@@ -340,7 +353,7 @@ class TestClassifyOperatorRows:
         # a frob query is the row restricted to its point: same cell, same
         # precision and unit roots, in the order asked
         row = aa_rows[7]
-        some = classify_operator(get_entry("A*a").operator, 7, points=[5, 3, 6])
+        some = classified(get_entry("A*a").operator, (7,), points=[5, 3, 6])[7]
         assert some == [row[4], row[2], row[5]]
         assert [r.s for r in some] == [3, 3, 3]
         assert 0 <= some[0].r1 < 7**3 and some[2].r1 is None
@@ -379,9 +392,9 @@ def test_full_catalog_reproduces_corrected_tables(corrected_tables, monkeypatch)
     with every erratum applied; the one catalog cell that escalates from
     its row's start is A*d at p = 5, z = 2, settled at s = 4.
 
-    The rows come from the uncached table task of each operator: one series
-    run per operator and role for all six primes, and one more per role for
-    the escalated cell."""
+    The rows come from one uncached ``classify_operator`` call per operator:
+    one series run per operator and role for all six primes, and one more
+    per role for the escalated cell."""
     runs = []
     real = catalog_module.solve_series
 
@@ -392,10 +405,9 @@ def test_full_catalog_reproduces_corrected_tables(corrected_tables, monkeypatch)
     monkeypatch.setattr(catalog_module, "solve_series", counted)
     cells, escalated = 0, {}
     for name in CATALOG:
-        task = cli._table_task((get_entry(name).operator.to_json(), PRIMES,
-                                False, None))
-        for p, (row, err) in zip(PRIMES, task):
-            assert err is None, err
+        rows = classify_operator(get_entry(name).operator, PRIMES)
+        for p, row in zip(PRIMES, rows):
+            assert not isinstance(row, Exception), (name, p, row)
             assert {str(r.z0): r.cell() for r in row} == \
                 corrected_tables[name][str(p)], (name, p)
             escalated.update(((name, p, r.z0), r.s) for r in row if r.escalated)
@@ -420,3 +432,13 @@ class TestResultsToCsv:
     def test_undefined_line_has_empty_fields(self, aa_rows):
         assert results_to_csv(aa_rows[7]).splitlines()[6] == \
             "A*a,7,6,undefined,,,,,,,"
+
+    def test_fields_with_commas_and_quotes_are_quoted(self):
+        rows = [PointClass(operator="x,y", p=7, z0=3, status="singular",
+                           at_singular_fiber=True, a=32, b=-94, chi=-1,
+                           ap=24, form='a"b')]
+        text = results_to_csv(rows)
+        parsed = list(csv.reader(text.splitlines()))
+        assert [len(fields) for fields in parsed] == [11, 11]
+        assert parsed[1] == ["x,y", "7", "3", "singular", "32", "-94", "",
+                             "", "-1", "24", 'a"b']

@@ -27,11 +27,16 @@ import pytest
 
 import frobcy
 from frobcy import FrobcyError, UsageError, catalog, classify, cli, wedge
+from frobcy import series as series_module
 from frobcy.catalog import CATALOG, get_entry, sequence_terms_via_recurrence
-from frobcy.classify import classify_operator, results_to_csv
+from frobcy.classify import results_to_csv
 from frobcy.diffop import ThetaOperator, solve_series
+from frobcy.series import (_cache_load, _cache_path, _cache_store,
+                           _default_cache_dir, _operator_hash)
 from frobcy.frobenius import LiftOutOfBound, frobenius_quartic
 from frobcy.wedge import wedge_square
+
+from conftest import classified
 
 
 def md_cells(text: str, name: str, p: int) -> list:
@@ -105,10 +110,14 @@ class TestCacheSeries:
     P, K = 5, 2
     N = 5**2 - 1
 
+    def one(self, op, cache_dir, wedge=False):
+        """The series at the class's one (p, K, N) target."""
+        got, = cli.cache_series(op, wedge, [(self.P, self.K, self.N)], cache_dir)
+        return got
+
     def fresh(self, tmp_path):
         op = get_entry("A*a").operator
-        series = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
-        return op, series
+        return op, self.one(op, str(tmp_path))
 
     def test_miss_computes_and_writes(self, tmp_path):
         op, series = self.fresh(tmp_path)
@@ -122,7 +131,7 @@ class TestCacheSeries:
         op, series = self.fresh(tmp_path)
         path = tmp_path / os.listdir(tmp_path)[0]
         data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["operator_hash"] == cli._operator_hash(op)
+        assert data["operator_hash"] == _operator_hash(op)
         assert data["role"] == "op"
         assert (data["p"], data["K"], data["N"]) == (self.P, self.K, self.N)
         assert data["coeffs"] == [str(c) for c in series.coeffs]
@@ -135,8 +144,8 @@ class TestCacheSeries:
         def boom(*a, **k):
             raise AssertionError("cache hit must not recompute")
 
-        monkeypatch.setattr(cli, "operator_series", boom)
-        again = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
+        monkeypatch.setattr(series_module, "operator_series", boom)
+        again = self.one(op, str(tmp_path))
         assert again.coeffs == series.coeffs
         assert again.cap == self.K
 
@@ -145,11 +154,11 @@ class TestCacheSeries:
         # factors; its file is byte for byte the generic recurrence's
         op = get_entry("B*d").operator
         p, K, N = 7, 3, 342
-        cli.cache_series(op, p, K, N, str(tmp_path / "factor"))
+        cli.cache_series(op, False, [(p, K, N)], str(tmp_path / "factor"))
         (tmp_path / "generic").mkdir()
-        h = cli._operator_hash(op)
-        path = Path(cli._cache_path(str(tmp_path / "generic"), h, "op", p, K, N))
-        cli._cache_store(str(path), h, "op", p, K, N,
+        h = _operator_hash(op)
+        path = Path(_cache_path(str(tmp_path / "generic"), h, "op", p, K, N))
+        _cache_store(str(path), h, "op", p, K, N,
                          solve_series(op, N, p=p, K=K))
         stored, = (tmp_path / "factor").iterdir()
         assert stored.name == path.name
@@ -160,47 +169,46 @@ class TestCacheSeries:
         data = json.loads(op.to_json())
         data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
         op2 = ThetaOperator.from_json(json.dumps(data))
-        assert cli._operator_hash(op2) != cli._operator_hash(op)
-        path2 = cli._cache_path(str(tmp_path), cli._operator_hash(op2), "op",
+        assert _operator_hash(op2) != _operator_hash(op)
+        path2 = _cache_path(str(tmp_path), _operator_hash(op2), "op",
                                 self.P, self.K, self.N)
         assert not os.path.exists(path2)  # the seeded entry cannot be reused
         with pytest.raises(FileNotFoundError):
-            cli._cache_load(path2, cli._operator_hash(op2), "op",
+            _cache_load(path2, _operator_hash(op2), "op",
                             self.P, self.K, self.N)
 
     def test_key_changes_with_parameters(self, tmp_path):
         op = get_entry("A*a").operator
-        h = cli._operator_hash(op)
+        h = _operator_hash(op)
         d = str(tmp_path)
-        paths = {cli._cache_path(d, h, "op", 5, 2, 24),
-                 cli._cache_path(d, h, "op", 5, 3, 24),
-                 cli._cache_path(d, h, "op", 5, 2, 25),
-                 cli._cache_path(d, h, "op", 7, 2, 24),
-                 cli._cache_path(d, h, "wedge", 5, 2, 24)}
+        paths = {_cache_path(d, h, "op", 5, 2, 24),
+                 _cache_path(d, h, "op", 5, 3, 24),
+                 _cache_path(d, h, "op", 5, 2, 25),
+                 _cache_path(d, h, "op", 7, 2, 24),
+                 _cache_path(d, h, "wedge", 5, 2, 24)}
         assert len(paths) == 5
 
     def test_wedge_series_keyed_by_source_operator(self, tmp_path):
         op, own = self.fresh(tmp_path)
-        got = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path),
-                               wedge=True)
+        got = self.one(op, str(tmp_path), wedge=True)
         direct = solve_series(wedge_square(op), self.N, p=self.P, K=self.K)
         assert got.coeffs == direct.coeffs != own.coeffs
-        h, d = cli._operator_hash(op), str(tmp_path)
-        op_path, wedge_path = (cli._cache_path(d, h, role, self.P, self.K, self.N)
+        h, d = _operator_hash(op), str(tmp_path)
+        op_path, wedge_path = (_cache_path(d, h, role, self.P, self.K, self.N)
                                for role in ("op", "wedge"))
         assert sorted(os.listdir(tmp_path)) == sorted(
             os.path.basename(path) for path in (op_path, wedge_path))
         data = json.loads(Path(wedge_path).read_text(encoding="utf-8"))
         assert (data["operator_hash"], data["role"]) == (h, "wedge")
-        assert cli._cache_load(wedge_path, h, "wedge",
+        assert _cache_load(wedge_path, h, "wedge",
                                self.P, self.K, self.N).coeffs == got.coeffs
         with pytest.raises(cli.CorruptCache, match="header mismatch"):
-            cli._cache_load(wedge_path, h, "op", self.P, self.K, self.N)
+            _cache_load(wedge_path, h, "op", self.P, self.K, self.N)
 
     def test_in_range_digit_flip_recomputed(self, tmp_path):
         op, series = self.fresh(tmp_path)
-        h = cli._operator_hash(op)
-        path = cli._cache_path(str(tmp_path), h, "op", self.P, self.K, self.N)
+        h = _operator_hash(op)
+        path = _cache_path(str(tmp_path), h, "op", self.P, self.K, self.N)
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         # raise the last digit of the first coefficient where that stays a
         # residue mod p^K: every structural check still passes
@@ -209,10 +217,10 @@ class TestCacheSeries:
         data["coeffs"][i] = data["coeffs"][i][:-1] + str(int(data["coeffs"][i][-1]) + 1)
         Path(path).write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(cli.CorruptCache, match="checksum mismatch"):
-            cli._cache_load(path, h, "op", self.P, self.K, self.N)
-        again = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
+            _cache_load(path, h, "op", self.P, self.K, self.N)
+        again = self.one(op, str(tmp_path))
         assert again.coeffs == series.coeffs
-        assert cli._cache_load(path, h, "op", self.P, self.K,
+        assert _cache_load(path, h, "op", self.P, self.K,
                                self.N).coeffs == series.coeffs
 
     def test_truncated_file_recomputed_and_repaired(self, tmp_path, monkeypatch):
@@ -220,16 +228,16 @@ class TestCacheSeries:
         path = tmp_path / os.listdir(tmp_path)[0]
         raw = path.read_text(encoding="utf-8")
         path.write_text(raw[: len(raw) // 2], encoding="utf-8")
-        again = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
+        again = self.one(op, str(tmp_path))
         assert again.coeffs == series.coeffs
         # the rewritten file now validates, so a reload needs no computation
-        monkeypatch.setattr(cli, "operator_series", None)
-        third = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
+        monkeypatch.setattr(series_module, "operator_series", None)
+        third = self.one(op, str(tmp_path))
         assert third.coeffs == series.coeffs
 
     def test_corrupt_load_diagnostics(self, tmp_path):
         op, series = self.fresh(tmp_path)
-        h = cli._operator_hash(op)
+        h = _operator_hash(op)
         path = str(tmp_path / os.listdir(tmp_path)[0])
         good = json.loads(open(path, encoding="utf-8").read())
 
@@ -240,44 +248,43 @@ class TestCacheSeries:
 
         rewrite(operator_hash="0" * 64)
         with pytest.raises(cli.CorruptCache, match="header mismatch"):
-            cli._cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K, self.N)
         rewrite(role="wedge")
         with pytest.raises(cli.CorruptCache, match="header mismatch"):
-            cli._cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K, self.N)
         rewrite(coeffs=good["coeffs"][:-1])
         with pytest.raises(cli.CorruptCache, match="bad coefficient array"):
-            cli._cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K, self.N)
         rewrite(coeffs=good["coeffs"][:-1] + [str(self.P**self.K)])
         with pytest.raises(cli.CorruptCache, match="residue out of range"):
-            cli._cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K, self.N)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{not json")
         with pytest.raises(cli.CorruptCache, match="unreadable"):
-            cli._cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K, self.N)
         with open(path, "wb") as fh:
             fh.write(b"\xff\xfe\xff")  # not UTF-8: recomputed, not a failure
         with pytest.raises(cli.CorruptCache, match="unreadable"):
-            cli._cache_load(path, h, "op", self.P, self.K, self.N)
-        again = cli.cache_series(op, self.P, self.K, self.N, str(tmp_path))
+            _cache_load(path, h, "op", self.P, self.K, self.N)
+        again = self.one(op, str(tmp_path))
         assert again.coeffs == series.coeffs
         with pytest.raises(FileNotFoundError):
-            cli._cache_load(path + ".missing", h, "op", self.P, self.K, self.N)
+            _cache_load(path + ".missing", h, "op", self.P, self.K, self.N)
 
     def test_unusable_directory_falls_back_to_compute(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x", encoding="utf-8")
         op = get_entry("A*a").operator
-        series = cli.cache_series(op, self.P, self.K, self.N,
-                                  str(blocker / "sub"))
+        series = self.one(op, str(blocker / "sub"))
         direct = solve_series(op, self.N, p=self.P, K=self.K)
         assert series.coeffs == direct.coeffs
 
     def test_default_directory_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FROBCY_CACHE_DIR", str(tmp_path / "env"))
-        assert cli._default_cache_dir() == str(tmp_path / "env")
+        assert _default_cache_dir() == str(tmp_path / "env")
         monkeypatch.delenv("FROBCY_CACHE_DIR")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        assert cli._default_cache_dir() == str(tmp_path / "xdg" / "frobcy")
+        assert _default_cache_dir() == str(tmp_path / "xdg" / "frobcy")
 
 
 # -- table subcommand -----------------------------------------------------------------
@@ -316,7 +323,7 @@ class TestCmdTable:
                             "--format", "csv", "--no-cache"], capsys)
         assert code == 0
         op = get_entry("C*a").operator
-        rows = [r for p in (3, 5) for r in classify_operator(op, p)]
+        rows = [r for row in classified(op, (3, 5)).values() for r in row]
         assert out == results_to_csv(rows)
 
     def test_all_operators_single_prime(self, capsys, corrected_tables):
@@ -361,8 +368,9 @@ class TestCmdTable:
         assert code == 2 and "error" in err
 
     def test_computation_failure_exits_nonzero(self, capsys, monkeypatch):
-        def blow_up(op, p, **kwargs):
-            raise LiftOutOfBound("synthetic lift out of its bound")
+        def blow_up(op, primes, **kwargs):
+            return [LiftOutOfBound("synthetic lift out of its bound")
+                    for _p in primes]
 
         monkeypatch.setattr(cli, "classify_operator", blow_up)
         code, _, err = run(["table", "--operator", "A*a", "--primes", "3",
@@ -394,7 +402,7 @@ class TestCmdTable:
         def boom(*a, **k):
             raise AssertionError("warm run must reuse the cache")
 
-        monkeypatch.setattr(cli, "operator_series", boom)
+        monkeypatch.setattr(series_module, "operator_series", boom)
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert md_cells(out, "A*a", 5) == [
@@ -461,7 +469,7 @@ class TestWedgeMemo:
         def refuse(op):
             raise AssertionError("a warm cache must not build a wedge")
 
-        for module in (wedge, classify, cli):
+        for module in (wedge, series_module, cli):
             monkeypatch.setattr(module, "wedge_square", refuse)
         warm = [run(argv + cache, capsys) for argv in [table] + frobs]
         assert warm == cold
@@ -536,9 +544,9 @@ class TestOneRunPerRole:
         assert code == 0 and json.loads(cold)["A*d"]["5"]["2"] == "(-8,-82)*"
         assert runs == [(5, [(5, 3, 124)]), (2, [(5, 3, 124)]),
                         (5, [(5, 4, 624)]), (2, [(5, 4, 624)])]
-        op_hash = cli._operator_hash(get_entry("A*d").operator)
+        op_hash = _operator_hash(get_entry("A*d").operator)
         assert sorted(os.listdir(tmp_path)) == sorted(
-            os.path.basename(cli._cache_path(str(tmp_path), op_hash, role, 5,
+            os.path.basename(_cache_path(str(tmp_path), op_hash, role, 5,
                                              s, 5**s - 1))
             for role in ("op", "wedge") for s in (3, 4))
         del runs[:]
@@ -774,7 +782,7 @@ class TestCmdClassify:
                             "--primes", "3,5", "--no-cache"], capsys)
         assert code == 0
         op = get_entry("A*a").operator
-        rows = [r for p in (3, 5) for r in classify_operator(op, p)]
+        rows = [r for row in classified(op, (3, 5)).values() for r in row]
         assert out == results_to_csv(rows)
         header = out.splitlines()[0]
         assert header == "operator,p,z,status,a,b,alpha,beta,chi,ap,form"
@@ -791,8 +799,8 @@ class TestCmdClassify:
         assert target.read_text(encoding="utf-8") == cold
 
     def test_precision_failure_exits_nonzero(self, capsys, monkeypatch):
-        def blow_up(op, p, **kwargs):
-            raise LiftOutOfBound("synthetic")
+        def blow_up(op, primes, **kwargs):
+            return [LiftOutOfBound("synthetic") for _p in primes]
 
         monkeypatch.setattr(cli, "classify_operator", blow_up)
         code, _, err = run(["classify", "--operator", "A*a", "--primes", "3"],
@@ -851,8 +859,9 @@ def test_every_exception_class_derives_from_frobcy_error():
 @pytest.fixture
 def bad_operators(tmp_path):
     """Operator files without an exterior square, one without coeffs, one
-    whose exterior square has a non-integral series, and an --output path in
-    a directory that does not exist."""
+    whose exterior square has a non-integral series, three whose name is not
+    a string, an --output path in a directory that does not exist, and an
+    empty cache directory."""
     ops = {
         "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
         "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
@@ -872,7 +881,14 @@ def bad_operators(tmp_path):
     data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
     paths["wedge_not_integral"] = tmp_path / "wedge_not_integral.json"
     paths["wedge_not_integral"].write_text(json.dumps(data), encoding="utf-8")
+    for key, name in (("name_int", 5), ("name_null", None),
+                      ("name_list", ["x"])):
+        data = json.loads(get_entry("A*a").operator.to_json())
+        data["name"] = name
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(data), encoding="utf-8")
     paths["unwritable"] = tmp_path / "missing" / "out.txt"
+    paths["cache"] = tmp_path / "cache"
     return {key: str(path) for key, path in paths.items()}
 
 
@@ -904,6 +920,25 @@ def bad_operators(tmp_path):
      "has no field 'coeffs'"),
     ("table --operator {no_coeffs} --primes 7 --no-cache", 2,
      "has no field 'coeffs'"),
+    ("classify --operator {name_int} --primes 7 --no-cache", 2,
+     "name must be a string, not 5"),
+    ("table --operator {name_null} --primes 7 --no-cache --format csv", 2,
+     "name must be a string, not None"),
+    ("frob --operator {name_list} --prime 7 --point 2 --no-cache", 2,
+     "name must be a string, not ['x']"),
+    ("frob --operator {order2} --prime 7 --point 2 --precision 3 --no-cache",
+     1, "fourth-order operator"),
+    ("frob --operator {order2} --prime 7 --point 2 --precision 3 "
+     "--cache-dir {cache}", 1, "fourth-order operator"),
+    ("frob --operator {not_mum} --prime 7 --point 2 --precision 3 --no-cache",
+     1, "wedge_square expects a MUM operator"),
+    ("frob --operator {not_mum} --prime 7 --point 2 --precision 3 "
+     "--cache-dir {cache}", 1, "wedge_square expects a MUM operator"),
+    ("frob --operator {wedge_not_integral} --prime 7 --point 2 --precision 3 "
+     "--no-cache", 1, "coefficient c_2 is not an integer (operator wedge(A*a))"),
+    ("frob --operator {wedge_not_integral} --prime 7 --point 2 --precision 3 "
+     "--cache-dir {cache}", 1,
+     "coefficient c_2 is not an integer (operator wedge(A*a))"),
     ("congruence --sequence zz --prime 5", 2,
      "error: unknown sequence 'zz'\n"),
     ("table --operator A*a --primes 3 --no-cache --output {unwritable}", 2,
