@@ -16,17 +16,22 @@ rational roots of its leading symbol are found when they are read.
 So a product's coefficients are c_n = A_n B_n: ``operator_series`` solves a
 catalog operator's own series mod p^K from one run of its right factor's
 recurrence (divisor n^2, one limb) and A_n stepped as a p-adic valuation and
-a unit (``left_factor_residues``); other operators run ``solve_series``.
+a unit (``left_factor_residues``).  It is also the one dispatch of the
+exterior square's series.  Both series of a catalog product are known to be
+integral, so its runs may leave exact integers for residues mod a shrinking
+product of target prime powers (``solve_series(..., integral=True)``);
+operator files and exact targets keep the fully checked exact run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from . import Record
 from .diffop import ThetaOperator, TruncatedSeries, leading_symbol, solve_series
 from .polyrat import poly_mul, rational_roots
+from .wedge import wedge_square
 
 
 # -- left factors: theta^2 - lam x P(theta), P a product of two linear terms ----
@@ -104,16 +109,17 @@ _SPECIAL_POINTS: Dict[str, Dict[Fraction, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """One fourth-order product operator with its bookkeeping data."""
 
-    name: str
-    aesz: int
-    left: str
-    right: str
-    operator: ThetaOperator
-    special_points: Dict[Fraction, str] = field(default_factory=dict)
+    __slots__ = ("name", "aesz", "left", "right", "operator", "special_points")
+
+    def __init__(self, name: str, aesz: int, left: str, right: str,
+                 operator: ThetaOperator,
+                 special_points: Optional[Dict[Fraction, str]] = None):
+        self.name, self.aesz, self.left, self.right = name, aesz, left, right
+        self.operator = operator
+        self.special_points = {} if special_points is None else special_points
 
     @property
     def singular_points(self) -> Tuple[Fraction, ...]:
@@ -175,14 +181,21 @@ def left_factor_residues(left: str, N: int, p: int, K: int) -> List[int]:
     return out
 
 
-def operator_series(op: ThetaOperator, N: int, targets) -> list:
-    """``solve_series(op, N, targets=targets)``; a catalog product (same name
-    and coefficients) with no exact target is solved through its factors."""
+def operator_series(op: ThetaOperator, N: int, targets, wedge: bool = False) -> list:
+    """``solve_series(source, N, targets=targets)`` for ``op``, or for its
+    exterior square when ``wedge`` is true.
+
+    A catalog product (same name and coefficients) has integer series in
+    both roles, so its runs may leave exact integers (``integral``); with no
+    exact target its own series is solved through its factors."""
     entry = CATALOG.get(op.name)
-    if entry is None or entry.operator != op or any(t[0] is None for t in targets):
-        return solve_series(op, N, targets=targets)
+    known = entry is not None and entry.operator == op
+    if wedge or not known or any(t[0] is None for t in targets):
+        return solve_series(wedge_square(op) if wedge else op, N,
+                            targets=targets, integral=known)
     out = []
-    right = solve_series(SECOND_ORDER[entry.right], N, targets=targets)
+    right = solve_series(SECOND_ORDER[entry.right], N, targets=targets,
+                         integral=True)
     for (p, K, tN), b in zip(targets, right):
         a, pK = left_factor_residues(entry.left, tN, p, K), p**K
         out.append(TruncatedSeries([x * y % pK for x, y in zip(a, b.coeffs)], p, K))

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import FrobcyError, UsageError
+from . import FrobcyError, Record, UsageError
 from .congruence import OutsideUnitDisk
 from .diffop import ThetaOperator, TruncatedSeries, symbol_roots_mod_p
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
@@ -78,12 +77,17 @@ def _series_mul(a: List[int], b: List[int], N: int) -> List[int]:
     return out
 
 
-@dataclass(frozen=True)
-class EtaProduct:
-    """Product prod eta(q^m)^(e_m), with integral leading q-power."""
+class EtaProduct(Record):
+    """Product prod eta(q^m)^(e_m), with integral leading q-power;
+    ``factors`` is ((m, e), ...)."""
 
-    label: str
-    factors: Tuple[Tuple[int, int], ...]  # ((m, e), ...)
+    __slots__ = ("label", "factors")
+
+    def __init__(self, label: str, factors: Tuple[Tuple[int, int], ...]):
+        self.label, self.factors = label, factors
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     @property
     def weight(self) -> int:
@@ -197,26 +201,32 @@ def singular_split(a: int, b: int, p: int) -> Optional[Tuple[int, int]]:
 # -- point classification -----------------------------------------------------------
 
 
-@dataclass
-class PointClass:
-    """Classification of one (operator, p, z0) cell."""
+class PointClass(Record):
+    """Classification of one (operator, p, z0) cell.
 
-    operator: str
-    p: int
-    z0: int
-    status: str          # smooth | reducible | singular | inconsistent | undefined
-    at_singular_fiber: bool
-    a: Optional[int] = None
-    b: Optional[int] = None
-    alpha: Optional[int] = None
-    beta: Optional[int] = None
-    chi: Optional[int] = None
-    ap: Optional[int] = None
-    form: Optional[str] = None
-    escalated: bool = False  # certified only above the row's starting precision
-    s: Optional[int] = None  # the precision p^s the cell was settled at
-    r1: Optional[int] = None  # unit roots mod p^s of the operator and of its
-    rh: Optional[int] = None  # exterior square (None when undefined)
+    ``status`` is smooth, reducible, singular, inconsistent or undefined;
+    ``escalated`` marks a cell certified only above the row's starting
+    precision, ``s`` the precision p^s the cell was settled at, and ``r1``,
+    ``rh`` the unit roots mod p^s of the operator and of its exterior square
+    (None when undefined).
+    """
+
+    __slots__ = ("operator", "p", "z0", "status", "at_singular_fiber", "a",
+                 "b", "alpha", "beta", "chi", "ap", "form", "escalated", "s",
+                 "r1", "rh")
+
+    def __init__(self, operator: str, p: int, z0: int, status: str,
+                 at_singular_fiber: bool, a: Optional[int] = None,
+                 b: Optional[int] = None, alpha: Optional[int] = None,
+                 beta: Optional[int] = None, chi: Optional[int] = None,
+                 ap: Optional[int] = None, form: Optional[str] = None,
+                 escalated: bool = False, s: Optional[int] = None,
+                 r1: Optional[int] = None, rh: Optional[int] = None):
+        self.operator, self.p, self.z0, self.status = operator, p, z0, status
+        self.at_singular_fiber = at_singular_fiber
+        self.a, self.b, self.alpha, self.beta = a, b, alpha, beta
+        self.chi, self.ap, self.form = chi, ap, form
+        self.escalated, self.s, self.r1, self.rh = escalated, s, r1, rh
 
     def cell(self) -> str:
         """Compact table cell: (a,b) / (a,b)' / (a,b)* / (a,b)! / - ."""

@@ -19,10 +19,9 @@ where no unit root exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from . import FrobcyError
+from . import FrobcyError, Record
 from .diffop import TruncatedSeries
 from .padic import teichmueller_residue
 
@@ -31,16 +30,18 @@ class OutsideUnitDisk(FrobcyError, ArithmeticError):
     """The (p-1)-truncation vanishes mod p at the requested point."""
 
 
-@dataclass
-class CongruenceReport:
-    """Outcome of an exhaustive Dwork-congruence sweep."""
+class CongruenceReport(Record):
+    """Outcome of an exhaustive Dwork-congruence sweep; ``power`` is s, the
+    congruence being tested mod prime^power."""
 
-    prime: int
-    power: int                 # s: the congruence is tested mod prime^power
-    n_max: int
-    checked: int = 0
-    skipped: List[int] = field(default_factory=list)
-    failures: List[Tuple[int, int, int]] = field(default_factory=list)
+    __slots__ = ("prime", "power", "n_max", "checked", "skipped", "failures")
+
+    def __init__(self, prime: int, power: int, n_max: int, checked: int = 0,
+                 skipped: Optional[List[int]] = None,
+                 failures: Optional[List[Tuple[int, int, int]]] = None):
+        self.prime, self.power, self.n_max, self.checked = prime, power, n_max, checked
+        self.skipped = [] if skipped is None else skipped
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,10 @@ solution of a MUM operator (P_0 = theta^n) is produced by the recurrence
 
     P_0(n) c_n = - sum_{i>=1} P_i(n - i) c_{n-i},
 
-with exact big integers.  Conversion to the monic d/dz form uses
+with exact big integers, every division checked.  A caller that knows the
+series to be integral and wants it only mod prime powers lets the run leave
+exact integers for residues once these are the narrower (the residue phase
+of ``solve_series``).  Conversion to the monic d/dz form uses
 
     theta^k = sum_j S(k, j) z^j D^j,
 
@@ -24,11 +27,10 @@ tables in Z[z][theta] (see ``_is_self_dual``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from . import FrobcyError
+from . import FrobcyError, Record
 from .polyrat import (IntPoly, poly_add, poly_mul, poly_scale, poly_sub,
                       poly_theta, poly_trim)
 
@@ -178,21 +180,20 @@ def symbol_roots_mod_p(op: ThetaOperator, p: int) -> List[int]:
 # -- series solutions ---------------------------------------------------------
 
 
-@dataclass
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Power-series truncation c_0 + c_1 z + ... + c_N z^N with c_0 = 1.
 
     ``prime`` is None for exact integer coefficients; otherwise coefficients
     are residues mod prime^cap.
     """
 
-    coeffs: list
-    prime: Optional[int] = None
-    cap: Optional[int] = None
+    __slots__ = ("coeffs", "prime", "cap")
 
-    def __post_init__(self) -> None:
-        if not self.coeffs or self.coeffs[0] != 1:
+    def __init__(self, coeffs: list, prime: Optional[int] = None,
+                 cap: Optional[int] = None):
+        if not coeffs or coeffs[0] != 1:
             raise ValueError("normalized series must start with c_0 = 1")
+        self.coeffs, self.prime, self.cap = coeffs, prime, cap
 
     @property
     def order(self) -> int:
@@ -215,10 +216,56 @@ class TruncatedSeries:
 
 Target = Tuple[Optional[int], Optional[int], int]  # (p, K, N); p = K = None: exact
 
+# an integral run keeps its residue modulus Q from the first coefficient of
+# SWITCH_FLOOR bits on, and leaves exact integers once a coefficient is
+# SWITCH_MARGIN times as wide as Q (see solve_series)
+SWITCH_FLOOR = 1000
+SWITCH_MARGIN = 3
+
+
+def _factorial_valuation(n: int, p: int) -> int:
+    """v_p(n!)."""
+    v = 0
+    while n:
+        n //= p
+        v += n
+    return v
+
+
+def _residue_modulus(live: list, n: int, order: int) -> int:
+    """Q at degree n: the prime p of each live target (N_t, _, _, p, K) to
+    the largest K + order v_p(N_t! / n!), the digits its target still needs
+    on the way to N_t."""
+    digits: dict = {}
+    for tN, _m, _out, tp, tK in live:
+        need = tK + order * (_factorial_valuation(tN, tp) - _factorial_valuation(n, tp))
+        digits[tp] = max(digits.get(tp, 0), need)
+    Q = 1
+    for tp, m in digits.items():
+        Q *= tp**m
+    return Q
+
+
+def _unscale(out: list, us: Sequence[int], n0: int, m: int) -> None:
+    """out[n] = X_n / D_n mod m for n > n0, where D_n = us[0] ... us[n-n0-1]
+    is the scale of a residue phase entered after degree n0: one inverse of
+    the last D_n, then down."""
+    last = len(out) - 1
+    if last <= n0:
+        return
+    d = 1
+    for u in us[:last - n0]:
+        d = d * u % m
+    inv = pow(d, -1, m)
+    for n in range(last, n0, -1):
+        out[n] = out[n] * inv % m
+        inv = inv * us[n - n0 - 1] % m
+
 
 def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
                  K: Optional[int] = None, *,
-                 targets: Optional[Sequence[Target]] = None):
+                 targets: Optional[Sequence[Target]] = None,
+                 integral: bool = False):
     """Normalized solution c_0 = 1 of a MUM operator, truncated at degree N.
 
     The recurrence runs on exact big integers; every division must be exact
@@ -234,6 +281,24 @@ def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
     call would raise (a target ending below the first non-integral
     coefficient is still returned).  Without ``targets`` the call is the
     one-target case (p, K, N) and raises on failure.
+
+    ``integral`` is the caller's word that the series has integer
+    coefficients; with it, and no exact target, the run may leave exact
+    integers (the residue phase).  At degree n each target prime p needs
+    M_p = K + order v_p(N_t! / n!) digits, the largest over its live
+    targets: what the remaining divisions by n^order use up.  Q is the
+    product of the p^M_p, kept from the first coefficient of SWITCH_FLOOR
+    bits on.  Once a coefficient is SWITCH_MARGIN times as wide as Q in bits
+    (tested at the multiples of a target prime), the window holds residues
+    X_n = D_n c_n mod Q.  A step writes n^order = g u, with g made of Q's
+    primes: u, prime to Q, joins the scale D_n = u D_(n-1) instead of being
+    divided out, and the division by g is exact and checked, so a
+    coefficient that is not p-integral at a target prime still raises
+    NonIntegralSolution (integrality at other primes is not checked there).
+    Q then drops those digits, and a prime whose targets are finished leaves
+    Q.  Each target's residues are unscaled at the end, with one modular
+    inverse of D_N mod p^K.  The phase uses only operations that ``int`` and
+    gmpy2's ``mpz`` share.
     """
     if not check_mum(op):
         raise ValueError("series solving requires a MUM operator")
@@ -260,32 +325,81 @@ def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
         if not 0 <= tN <= N:
             raise ValueError(f"target order {tN} outside 0 .. {N}")
     outs: List[list] = [[1] for _ in targets]
-    # (N_t, modulus or None, coefficient list), longest first, so that the
-    # targets finished before degree n are the tail
-    live = sorted(((tN, None if tp is None else tp**tK, out)
+    # (N_t, modulus or None, coefficient list, p, K), longest first, so that
+    # the targets finished before degree n are the tail
+    live = sorted(((tN, None if tp is None else tp**tK, out, tp, tK)
                    for (tp, tK, tN), out in zip(targets, outs)),
                   key=lambda t: t[0], reverse=True)
     w = max(d, 1)
     window = [mpz(1)] + [mpz(0)] * (w - 1)
+    order = op.theta_order
+    can_switch = integral and all(tp is not None for tp, _, _ in targets)
+    Q = None  # the residue modulus, kept from SWITCH_FLOOR bits on
+    residues = False  # whether the window holds X_n = D_n c_n mod Q
+    us: List[int] = []  # u_n of each residue step; D_n is their product
+    uw = [1] * w  # u of the window's degrees
     failure = None
     for n in range(1, N + 1):
         while live and live[-1][0] < n:
             live.pop()
+            if Q is not None:  # a finished target's digits leave Q
+                Q = _residue_modulus(live, n - 1, order)
         if not live:
             break
-        s = mpz(0)
-        for i in range(1, min(n, d) + 1):
-            s += peval(i, n - i) * window[(n - i) % w]
         p0 = peval(0, n)  # = n^order for MUM
-        cn, rem = divmod(-s, p0)
-        if rem:
-            failure = NonIntegralSolution(
-                f"coefficient c_{n} is not an integer (operator {op.name or '?'})"
-            )
-            break
+        s = mpz(0)
+        if residues:
+            f = 1  # D_(n-1) / D_(n-i)
+            for i in range(1, min(n, d) + 1):
+                s += peval(i, n - i) * f * window[(n - i) % w]
+                f *= uw[(n - i) % w]
+            g = gs.get(n, 1)
+            if g > 1:
+                s, rem = divmod(s, g)
+                if rem:
+                    bad = next(tp for tp in {t[3] for t in live} if rem % tp ** (
+                        order * (_factorial_valuation(n, tp)
+                                 - _factorial_valuation(n - 1, tp))))
+                    failure = NonIntegralSolution(
+                        f"coefficient c_{n} is not {bad}-integral "
+                        f"(operator {op.name or '?'})")
+                    break
+                Q //= g
+            cn = -s % Q
+            uw[n % w] = u = p0 // g
+            us.append(u)
+        else:
+            for i in range(1, min(n, d) + 1):
+                s += peval(i, n - i) * window[(n - i) % w]
+            cn, rem = divmod(-s, p0)
+            if rem:
+                failure = NonIntegralSolution(
+                    f"coefficient c_{n} is not an integer (operator {op.name or '?'})"
+                )
+                break
+            if Q is not None:
+                if n in gs:
+                    Q //= gs[n]
+                    if cn.bit_length() > SWITCH_MARGIN * Q.bit_length():
+                        residues, n0 = True, n
+                        window = [c % Q for c in window]
+                        cn %= Q
+            elif can_switch and cn.bit_length() > SWITCH_FLOOR:
+                Q = _residue_modulus(live, n, order)
+                gs = {}  # m -> g, the part of m^order made of Q's primes
+                for tp in {t[3] for t in live}:
+                    last = max(t[0] for t in live if t[3] == tp)
+                    f, q = tp**order, tp
+                    while q <= last:  # each p in m adds order digits to g
+                        for m in range(q, last + 1, q):
+                            gs[m] = gs.get(m, 1) * f
+                        q *= tp
         window[n % w] = cn
-        for _tN, m, out in live:
+        for _tN, m, out, _tp, _tK in live:
             out.append(int(cn % m) if m else int(cn))
+    if us:
+        for (tp, tK, _tN), out in zip(targets, outs):
+            _unscale(out, us, n0, tp**tK)
     # on a failure at degree n, the targets that reach n share it
     results = [failure if failure and tN >= n
                else TruncatedSeries(out) if tp is None

@@ -14,11 +14,13 @@ never depend on cache state, only their wall time does.  Without a cache
 directory every target is solved afresh.
 
 The misses of one call are solved in one ``operator_series`` batch to the
-largest N among them, reduced into each target's p^K: one exact recurrence
-run, or for a catalog operator's own series one run of its second-order
-right factor times its left factor stepped mod p^K.  The exterior square is
-built (``wedge_square`` is memoized per process) only when a wedge target
-misses, so a query on a warm cache builds none.
+largest N among them, reduced into each target's p^K: one recurrence run,
+or for a catalog operator's own series one run of its second-order right
+factor times its left factor stepped mod p^K.  A catalog product's runs
+leave exact integers for residues once these are the narrower; an operator
+file's run stays exact and fully checked.  The exterior square is built
+(``wedge_square`` is memoized per process) only when a wedge target misses,
+so a query on a warm cache builds none.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import List, Optional, Sequence, Tuple
 from . import FrobcyError
 from .catalog import operator_series
 from .diffop import ThetaOperator, TruncatedSeries
-from .wedge import wedge_square
 
 
 class CorruptCache(FrobcyError):
@@ -144,9 +145,8 @@ def cache_series(op: ThetaOperator, wedge: bool,
     if not misses:
         return out
     try:
-        source = wedge_square(op) if wedge else op
-        solved = operator_series(source, max(targets[i][2] for i in misses),
-                                 [targets[i] for i in misses])
+        solved = operator_series(op, max(targets[i][2] for i in misses),
+                                 [targets[i] for i in misses], wedge)
     except Exception as exc:  # noqa: BLE001 - shared by every miss
         solved = [exc] * len(misses)
     for i, got in zip(misses, solved):

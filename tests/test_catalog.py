@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobcy import catalog as catalog_module
+from frobcy import catalog as catalog_module, diffop
 from frobcy.catalog import (CATALOG, SECOND_ORDER, catalog, get_entry,
                             left_factor_residues, operator_series,
                             product_operator, sequence_terms_via_recurrence)
@@ -14,6 +14,7 @@ from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_mum,
                            leading_symbol, solve_series)
 from frobcy.frobenius import required_precision
 from frobcy.polyrat import poly_deriv, poly_gcd
+from frobcy.wedge import wedge_square
 
 from conftest import (LengthMismatch, hadamard_product,
                       quintic_wedge_coefficients, sequence_term, sequence_terms)
@@ -225,7 +226,7 @@ def full_sweep_targets(name):
 class TestOperatorSeries:
     @pytest.fixture
     def runs(self, monkeypatch):
-        """The order of the operator of every exact run the dispatch makes."""
+        """The order of the operator of every series run the dispatch makes."""
         seen = []
         real = catalog_module.solve_series
 
@@ -280,6 +281,65 @@ class TestOperatorSeries:
         want, = operator_series(entry.operator, 342, targets)
         assert runs == [4, 2]
         assert got.coeffs == want.coeffs
+
+    @pytest.fixture
+    def grants(self, monkeypatch):
+        """(operator order, integral) of every series run the dispatch makes."""
+        seen = []
+        real = catalog_module.solve_series
+
+        def counted(op, N, *args, **kwargs):
+            seen.append((op.theta_order, kwargs.get("integral", False)))
+            return real(op, N, *args, **kwargs)
+
+        monkeypatch.setattr(catalog_module, "solve_series", counted)
+        return seen
+
+    @pytest.mark.parametrize("names, targets", [
+        (("B*a", "B*g"), [(13, 3, 2196)]),
+        (("A*a", "D*c"), [(3, 4, 80), (5, 3, 124), (7, 3, 342)]),
+    ], ids=["table_deep", "table_wide"])
+    def test_residue_phase_equals_the_exact_run(self, grants, names, targets):
+        N = max(t[2] for t in targets)
+        for name in names:
+            op = get_entry(name).operator
+            for wedge in (False, True):
+                got = operator_series(op, N, targets, wedge)
+                want = solve_series(wedge_square(op) if wedge else op, N,
+                                    targets=targets)
+                assert [(g.coeffs, g.prime, g.cap) for g in got] == \
+                    [(w.coeffs, w.prime, w.cap) for w in want], (name, wedge)
+        # the right factor's run and the exterior square's, both integral
+        assert grants == [(2, True), (5, True)] * len(names)
+
+    def test_deep_batch_enters_the_residue_phase(self, monkeypatch):
+        entered = []
+        real = diffop._unscale
+
+        def spy(out, us, n0, m):
+            entered.append((n0, len(out) - 1, m))
+            return real(out, us, n0, m)
+
+        monkeypatch.setattr(diffop, "_unscale", spy)
+        op = get_entry("B*g").operator
+        for wedge in (False, True):
+            operator_series(op, 2196, [(13, 3, 2196)], wedge)
+        assert [(last, m) for _n0, last, m in entered] == [(2196, 13**3)] * 2
+        assert all(0 < n0 < 2196 for n0, _last, _m in entered), entered
+
+    def test_changed_coefficient_takes_the_exact_route_for_its_wedge(self, grants):
+        data = json.loads(get_entry("A*a").operator.to_json())
+        data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
+        op = ThetaOperator.from_json(json.dumps(data))
+        assert op.name == "A*a"
+        targets = [(5, 2, 24), (7, 2, 48)]
+        got = operator_series(op, 48, targets, wedge=True)
+        assert grants == [(5, False)]
+        assert [repr(g) for g in got] == \
+            [repr(w) for w in solve_series(wedge_square(op), 48, targets=targets)]
+        assert all(isinstance(g, NonIntegralSolution) for g in got)
+        operator_series(get_entry("A*a").operator, 48, targets, wedge=True)
+        assert grants == [(5, False), (5, True)]
 
     def test_exact_targets_take_the_generic_route(self, runs):
         op = get_entry("C*d").operator

@@ -469,7 +469,7 @@ class TestWedgeMemo:
         def refuse(op):
             raise AssertionError("a warm cache must not build a wedge")
 
-        for module in (wedge, series_module, cli):
+        for module in (wedge, catalog, cli):
             monkeypatch.setattr(module, "wedge_square", refuse)
         warm = [run(argv + cache, capsys) for argv in [table] + frobs]
         assert warm == cold
@@ -483,7 +483,7 @@ class TestOneRunPerRole:
 
     @pytest.fixture
     def runs(self, monkeypatch):
-        """Every exact series run, as (operator order, [(p, K, N), ...]).
+        """Every series run, as (operator order, [(p, K, N), ...]).
 
         Both roles solve through ``catalog.operator_series``: a wedge in one
         run of its own (order 5), a catalog operator's own series in one run

@@ -206,6 +206,26 @@ def test_batched_integrality_is_decided_per_target():
     assert isinstance(second, NonIntegralSolution) and str(second) == message
 
 
+def test_residue_phase_still_raises_on_a_non_integral_coefficient():
+    # c_n = lam c_(n-1) + c_(n-26) / n^4: c_n = lam^n up to n = 25, then
+    # c_26 = lam^26 + 1/26^4 is not 13-integral.  The run keeps Q = 13^9
+    # from c_10 (1001 bits) on and leaves exact integers at n = 13, where
+    # Q = 13^5 and c_13 has 1301 bits.
+    lam = 2**100
+    rows = ([[0, 0, 0, 0, 1], [-lam * c for c in (1, 4, 6, 4, 1)]]
+            + [[0] * 5] * 24 + [[-1, 0, 0, 0, 0]])
+    op = ThetaOperator(rows, name="late")
+    targets = [(13, 1, 30), (13, 1, 25)]
+    exact = solve_series(op, 30, targets=targets)
+    assert str(exact[0]) == "coefficient c_26 is not an integer (operator late)"
+    failed, early = solve_series(op, 30, targets=targets, integral=True)
+    assert isinstance(failed, NonIntegralSolution)
+    assert str(failed) == "coefficient c_26 is not 13-integral (operator late)"
+    assert early.coeffs == exact[1].coeffs == [pow(lam, n, 13) for n in range(26)]
+    with pytest.raises(NonIntegralSolution, match="c_26 is not 13-integral"):
+        solve_series(op, 26, 13, 1, integral=True)
+
+
 def test_batched_run_checks_its_targets():
     with pytest.raises(ValueError, match="takes \\(p, K\\) from its targets"):
         solve_series(AA, 8, 5, 1, targets=[(5, 1, 8)])

@@ -19,6 +19,7 @@ from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
                               legendre_unit_root, required_precision,
                               unit_roots, weil_verify)
 from frobcy.padic import NotAUnit
+from frobcy.series import cache_series
 from frobcy.wedge import wedge_square
 
 PRIMES = (3, 5, 7, 11, 13, 17)
@@ -62,16 +63,14 @@ def admissible_pairs(p: int, with_split: bool):
 
 
 @pytest.fixture(scope="module")
-def aa_series(wedge_of):
-    """{(p, s): (f0, F0)} for A*a at the precisions the tests need."""
+def aa_series():
+    """{(p, s): (f0, F0)} for A*a at the precisions the tests need, from one
+    fetch per role."""
     op = get_entry("A*a").operator
-    wop = wedge_of("A*a")
-    out = {}
-    for p, s in [(3, 5), (5, 4), (7, 4), (7, 5)]:
-        N = p**s - 1
-        out[p, s] = (solve_series(op, N, p=p, K=s),
-                     solve_series(wop, N, p=p, K=s))
-    return out
+    keys = [(3, 5), (5, 4), (7, 4), (7, 5)]
+    targets = [(p, s, p**s - 1) for p, s in keys]
+    f0s, F0s = (cache_series(op, wedge, targets) for wedge in (False, True))
+    return dict(zip(keys, zip(f0s, F0s)))
 
 
 # -- precision policy --------------------------------------------------------------
