@@ -327,6 +327,33 @@ class TestOperatorSeries:
         assert [(last, m) for _n0, last, m in entered] == [(2196, 13**3)] * 2
         assert all(0 < n0 < 2196 for n0, _last, _m in entered), entered
 
+    def test_switch_before_the_short_targets_finish(self, monkeypatch):
+        # At the default margin the table_wide batch switches after N = 124;
+        # a low one makes it switch before N = 80, so the finished targets
+        # leave Q and each is unscaled over its own degrees only.
+        monkeypatch.setattr(diffop, "SWITCH_FLOOR", 0)
+        monkeypatch.setattr(diffop, "SWITCH_MARGIN", 0.5)
+        entered = []
+        real = diffop._unscale
+
+        def spy(out, us, n0, m):
+            entered.append((n0, len(out) - 1))
+            return real(out, us, n0, m)
+
+        monkeypatch.setattr(diffop, "_unscale", spy)
+        targets = [(3, 4, 80), (5, 3, 124), (7, 3, 342)]
+        for name in ("A*a", "D*c"):
+            op = get_entry(name).operator
+            for wedge in (False, True):
+                entered.clear()
+                got = operator_series(op, 342, targets, wedge)
+                want = solve_series(wedge_square(op) if wedge else op, 342,
+                                    targets=targets)
+                assert [(g.coeffs, g.prime, g.cap) for g in got] == \
+                    [(w.coeffs, w.prime, w.cap) for w in want], (name, wedge)
+                assert [last for _n0, last in entered] == [80, 124, 342]
+                assert all(0 < n0 < 80 for n0, _last in entered), entered
+
     def test_changed_coefficient_takes_the_exact_route_for_its_wedge(self, grants):
         data = json.loads(get_entry("A*a").operator.to_json())
         data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)

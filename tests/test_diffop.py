@@ -1,10 +1,12 @@
 """Theta-form operators: structure checks, series solving, monic conversion."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobcy import diffop
 from frobcy.catalog import CATALOG, get_entry
 from frobcy.diffop import (NonIntegralSolution, ThetaOperator,
                            TruncatedSeries, check_cy4, check_cy5, check_mum,
@@ -240,15 +242,22 @@ CATALOG_NAMES = sorted(CATALOG)
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(CATALOG_NAMES), wedge=st.booleans(),
+       integral=st.booleans(), floor=st.integers(0, 300),
+       margin=st.sampled_from([0.25, 0.5, 1, 3]),
        targets=st.lists(st.tuples(st.sampled_from([None, 3, 5, 7, 11]),
                                   st.integers(1, 4), st.integers(0, 150)),
                         min_size=1, max_size=5))
-def test_batched_run_equals_separate_calls(name, wedge, targets):
+def test_batched_run_equals_separate_calls(name, wedge, integral, floor, margin,
+                                           targets):
+    # A low switch floor and margin let an integral batch of several primes
+    # enter the residue phase before its short targets finish; its residues
+    # must still be the exact run's.
     op = get_entry(name).operator
     op = wedge_square(op) if wedge else op
     targets = [(p, None if p is None else K, N) for p, K, N in targets]
     run_to = max(N for _p, _K, N in targets)
-    batched = solve_series(op, run_to, targets=targets)
+    with mock.patch.multiple(diffop, SWITCH_FLOOR=floor, SWITCH_MARGIN=margin):
+        batched = solve_series(op, run_to, targets=targets, integral=integral)
     assert len(batched) == len(targets)
     for got, (p, K, N) in zip(batched, targets):
         assert same_outcome(op, got, p, K, N)

@@ -11,16 +11,18 @@ exported with ``git archive`` into a temporary directory.
 The protocol, per workload of ``BENCHMARK.json``:
 
 - one untimed pair (seed ``--seed-base``, listed with pair -1);
-- ``--pairs`` pairs with ``--trace 0`` and seeds ``--seed-base + 1`` on, one
-  seed per pair, alternating which side runs first (pair 0: the parent);
+- ten pairs with ``--trace 0`` and seeds ``--seed-base + 1`` on, one seed
+  per pair, alternating which side runs first (pair 0: the parent);
 - one pair with ``--trace 1`` (the next seed, parent first).
 
 Every end-to-end metric is summarised per side by its median and quartiles
 (``statistics.quantiles(n=4, method="inclusive")``) together with the
 number of pairs the change wins.  A claim ``WORKLOAD:METRIC`` is met when
-the change wins at least nine pairs in ten and the medians differ, in the
-better direction, by more than the parent's interquartile range.  The
-traced pair gives each per-layer metric once per side.
+every run is correct, no more operations fail on the change's side than on
+the parent's, the change wins at least nine of the ten pairs, and the
+medians differ, in the better direction, by more than the parent's
+interquartile range.  The traced pair gives each per-layer metric once per
+side.
 
 Runs last the ``run_seconds`` of ``BENCHMARK.json``.  The record is written
 to ``BENCH_<label>.json`` at the root of the repository.  ``--extra``
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import subprocess
 import sys
@@ -42,6 +43,8 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+WINS_NEEDED = 9
 
 
 def _tree(spec: str, workdir: Path, name: str) -> Path:
@@ -94,7 +97,8 @@ def _summary(runs: List[dict], metrics: List[dict]) -> dict:
     out = {
         "pairs": len(pairs),
         "all_correct": all(r["result"]["correct"] for r in runs),
-        "failed": sum(r["result"]["failed"] for r in runs),
+        "failed": {name: sum(side[name][i]["result"]["failed"] for i in pairs)
+                   for name in side},
         "stdout_sha256_equal": all(
             side["parent"][i]["record"]["perfbench"]["stdout_sha256"]
             == side["change"][i]["record"]["perfbench"]["stdout_sha256"]
@@ -120,12 +124,14 @@ def _summary(runs: List[dict], metrics: List[dict]) -> dict:
 
 
 def _claim_met(summary: dict, workload: str, metric: str) -> bool:
-    entry = summary[workload]["metrics"][metric]
-    wins, pairs = map(int, entry["change_wins"].split("/"))
+    work = summary[workload]
+    entry = work["metrics"][metric]
+    wins = int(entry["change_wins"].split("/")[0])
     gap = entry["parent"]["median"] - entry["change"]["median"]
     if entry["better"] == "higher":
         gap = -gap
-    return wins >= math.ceil(0.9 * pairs) and gap > entry["parent_iqr"]
+    return (work["all_correct"] and work["failed"]["change"] <= work["failed"]["parent"]
+            and wins >= WINS_NEEDED and gap > entry["parent_iqr"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -134,9 +140,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--change", default=".", help="directory or git revision")
     parser.add_argument("--label", required=True)
     parser.add_argument("--seed-base", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (default: all in BENCHMARK.json)")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--change-note", default="", help="what the change does")
     parser.add_argument("--extra", help="JSON file whose keys join the record")
@@ -144,7 +147,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     seconds = bench["run_seconds"]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     claim = args.claim.split(":") if args.claim else None
     base = args.seed_base
     runs: List[dict] = []
@@ -154,8 +157,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for workload in workloads:
             plan = [(-1, base, 0, "change")]
             plan += [(i, base + 1 + i, 0, "parent" if i % 2 == 0 else "change")
-                     for i in range(args.pairs)]
-            plan.append((args.pairs, base + 1 + args.pairs, 1, "parent"))
+                     for i in range(PAIRS)]
+            plan.append((PAIRS, base + 1 + PAIRS, 1, "parent"))
             for pair, seed, trace, first in plan:
                 order = [first, "change" if first == "parent" else "parent"]
                 for side in order:
@@ -187,10 +190,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "machine": f"{env.get('nproc')} cores, CPython {env.get('python')}, "
                    f"{'gmpy2' if env.get('gmpy2') else 'no gmpy2'}; times are at "
                    "perfbench's nominal speed",
-        "protocol": f"{args.pairs} pairs per workload with --trace 0, seeds "
-                    f"{base + 1}-{base + args.pairs}, alternating which side runs "
+        "protocol": f"{PAIRS} pairs per workload with --trace 0, seeds "
+                    f"{base + 1}-{base + PAIRS}, alternating which side runs "
                     f"first (pair 0 parent first); one --trace 1 pair per workload "
-                    f"(seed {base + 1 + args.pairs}, pair {args.pairs}). Each side "
+                    f"(seed {base + 1 + PAIRS}, pair {PAIRS}). Each side "
                     "ran from its own directory holding the files of its tree. "
                     f"One untimed pair per workload (seed {base}) preceded the "
                     "record and is not part of the comparison; its runs are listed "
@@ -201,9 +204,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     if claim:
         better = summary[claim[0]]["metrics"][claim[1]]["better"]
-        record["claim"] = (f"{claim[0]} {claim[1]} {better} than the parent's: change "
-                           "wins >= 9/10 pairs and the medians differ by more than "
-                           "the parent's interquartile range")
+        record["claim"] = (f"{claim[0]} {claim[1]} {better} than the parent's: all "
+                           "runs correct, no more failed operations than the "
+                           f"parent's, change wins >= {WINS_NEEDED}/{PAIRS} pairs "
+                           "and the medians differ by more than the parent's "
+                           "interquartile range")
         record["claim_met"] = _claim_met(summary, *claim)
     record["summary"] = summary
     record["trace_summary"] = trace_summary
