@@ -16,22 +16,31 @@ rational roots of its leading symbol are found when they are read.
 So a product's coefficients are c_n = A_n B_n: ``operator_series`` solves a
 catalog operator's own series mod p^K from one run of its right factor's
 recurrence (divisor n^2, one limb) and A_n stepped as a p-adic valuation and
-a unit (``left_factor_residues``).  It is also the one dispatch of the
-exterior square's series.  Both series of a catalog product are known to be
-integral, so its runs may leave exact integers for residues mod a shrinking
-product of target prime powers (``solve_series(..., integral=True)``);
-operator files and exact targets keep the fully checked exact run.
+a unit (``left_factor_residues``).  The 24 products share 6 right and 4 left
+factors, so both are memoized per process: a sweep runs each right factor
+once per batch of targets, not once per operator.  ``operator_series`` is
+also the one dispatch of the exterior square's series.  The exterior squares
+of the products depend only on the catalog, so they ship as data
+(``data/catalog_wedges.json``) and are loaded, with ``wedge_square``'s
+closing checks, instead of being rebuilt.  Both series of a catalog product
+are known to be integral, so its runs may leave exact integers for residues
+mod a shrinking product of target prime powers
+(``solve_series(..., integral=True)``); operator files keep the fully
+checked exact run and build their exterior square with ``wedge_square``.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import Record
 from .diffop import ThetaOperator, TruncatedSeries, leading_symbol, solve_series
 from .polyrat import poly_mul, rational_roots
-from .wedge import wedge_square
+from .wedge import check_wedge, wedge_square
 
 
 # -- left factors: theta^2 - lam x P(theta), P a product of two linear terms ----
@@ -165,9 +174,15 @@ def get_entry(name: str) -> CatalogEntry:
 # -- the integer sequences --------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def left_factor_residues(left: str, N: int, p: int, K: int) -> List[int]:
     """A_0 .. A_N mod p^K of a left factor, n^2 A_n = lam P(n-1) A_(n-1),
-    stepped as A_n = p^v u with u a unit mod p^K: no digit is lost."""
+    stepped as A_n = p^v u with u a unit mod p^K: no digit is lost.
+
+    Memoized per process: at most 32 lists, enough for the 4 left factors
+    at the 6 primes of a full sweep and its escalations, the least recently
+    used dropped first.  The list returned is shared, so callers must not
+    change it."""
     lam, pair, _ = _LEFT[left]
     pK, out, v, u = p**K, [1], 0, 1
     for n in range(1, N + 1):
@@ -181,30 +196,62 @@ def left_factor_residues(left: str, N: int, p: int, K: int) -> List[int]:
     return out
 
 
+@lru_cache(maxsize=6)
+def _right_factor_run(right: str, N: int, targets: tuple) -> list:
+    """``solve_series`` of a right factor at a tuple of (p, K, N_t) targets,
+    as an integral run.  Memoized per process: at most 6 batches, one per
+    right factor of the catalog, the least recently used dropped first.  So
+    the operators of a sweep that share a right factor and their targets
+    share its run.  The series returned are shared, so callers must not
+    change them."""
+    return solve_series(SECOND_ORDER[right], N, targets=targets, integral=True)
+
+
+@lru_cache(maxsize=None)
+def _stored_wedges() -> Dict[str, list]:
+    """Name -> coefficient rows of its exterior square, read on first use."""
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog_wedges.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)["wedges"]
+
+
+@lru_cache(maxsize=None)
+def catalog_wedge(name: str) -> ThetaOperator:
+    """The stored exterior square of a catalog product, equal to
+    ``wedge_square`` of its operator.  Each is loaded with the same closing
+    checks (``check_wedge``: MUM and ``check_cy5``), so a damaged entry
+    raises UnexpectedOrder, and is memoized per process (at most 24)."""
+    return check_wedge(ThetaOperator(_stored_wedges()[name],
+                                     name=f"wedge({name})", aesz=None))
+
+
 def operator_series(op: ThetaOperator, N: int, targets, wedge: bool = False) -> list:
     """``solve_series(source, N, targets=targets)`` for ``op``, or for its
-    exterior square when ``wedge`` is true.
+    exterior square when ``wedge`` is true; every target is a (p, K, N_t)
+    residue target.
 
     A catalog product (same name and coefficients) has an integer series:
-    the Hadamard product of its factors' integer sequences.  With no exact
-    target that series is solved through its factors, and the runs of both
-    roles may leave exact integers (``integral``).  For the exterior square
-    the grant is an observation, not a theorem: its series is
-    w = f0^2 theta(q)/q, integral when the mirror map q = z exp(g/f0) is.
-    That is one of the defining conditions of a Calabi-Yau operator in the
-    AESZ list, but it is not proven here for every catalog product.  The
-    exact runs of the full ``table`` sweep (p = 3 .. 17, to N = 4912) all
-    came out integral.  Beyond the N it reaches, a denominator at a prime
-    that is no target goes unchecked: the residues at the targets stay
-    right, but no NonIntegralSolution is raised for it."""
+    the Hadamard product of its factors' integer sequences, solved through
+    its factors, and its exterior square is the stored ``catalog_wedge``;
+    the runs of both roles may leave exact integers (``integral``).  Any
+    other operator runs the exact recurrence, of itself or of its
+    ``wedge_square``.  For the exterior square the grant is an observation,
+    not a theorem: its series is w = f0^2 theta(q)/q, integral when the
+    mirror map q = z exp(g/f0) is.  That is one of the defining conditions
+    of a Calabi-Yau operator in the AESZ list, but it is not proven here for
+    every catalog product.  The exact runs of the full ``table`` sweep
+    (p = 3 .. 17, to N = 4912) all came out integral.  Beyond the N it
+    reaches, a denominator at a prime that is no target goes unchecked: the
+    residues at the targets stay right, but no NonIntegralSolution is
+    raised for it."""
     entry = CATALOG.get(op.name)
-    known = entry is not None and entry.operator == op
-    if wedge or not known or any(t[0] is None for t in targets):
-        return solve_series(wedge_square(op) if wedge else op, N,
-                            targets=targets, integral=known)
+    if entry is None or entry.operator != op:
+        return solve_series(wedge_square(op) if wedge else op, N, targets=targets)
+    if wedge:
+        return solve_series(catalog_wedge(entry.name), N, targets=targets,
+                            integral=True)
     out = []
-    right = solve_series(SECOND_ORDER[entry.right], N, targets=targets,
-                         integral=True)
+    right = _right_factor_run(entry.right, N, tuple(targets))
     for (p, K, tN), b in zip(targets, right):
         a, pK = left_factor_residues(entry.left, tN, p, K), p**K
         out.append(TruncatedSeries([x * y % pK for x, y in zip(a, b.coeffs)], p, K))

@@ -19,9 +19,10 @@ else $FROBCY_CACHE_DIR, else the platform user cache path.
 A table sweep runs one task per operator: one ``classify_operator`` call
 over all its primes, so per role one batch of series for all its rows.
 ``--jobs k`` parallelizes over operators, so a single operator gets no
-speed-up from it.  Each worker keeps its own wedge memo, and results are
-emitted in task order, so output is byte-identical to a serial run for every
-k.  ``classify`` is the ``table`` sweep of one operator in CSV.
+speed-up from it.  Each worker keeps its own memos of exterior squares and
+factor runs, and results are emitted in task order, so output is
+byte-identical to a serial run for every k.  ``classify`` is the ``table``
+sweep of one operator in CSV.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
 argument, operator file, point, ``--output`` path or forms fixture) exits 2

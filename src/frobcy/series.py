@@ -16,11 +16,13 @@ directory every target is solved afresh.
 The misses of one call are solved in one ``operator_series`` batch to the
 largest N among them, reduced into each target's p^K: one recurrence run,
 or for a catalog operator's own series one run of its second-order right
-factor times its left factor stepped mod p^K.  A catalog product's runs
+factor times its left factor stepped mod p^K, both shared through
+per-process memos by the operators of a sweep.  A catalog product's runs
 leave exact integers for residues once these are the narrower; an operator
-file's run stays exact and fully checked.  The exterior square is built
-(``wedge_square`` is memoized per process) only when a wedge target misses,
-so a query on a warm cache builds none.
+file's run stays exact and fully checked.  The exterior square is needed
+only when a wedge target misses, so a query on a warm cache needs none: a
+catalog product's is loaded from the stored data and checked, an operator
+file's is built by ``wedge_square``, each at most once per process.
 """
 
 from __future__ import annotations

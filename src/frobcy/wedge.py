@@ -15,7 +15,10 @@ theta^k eta = v_k / Delta^(e_k) with v_k in Z[z]^6 (e = 0, 0, 0, 1, 2, 3 on
 the catalog), and the relation comes from fraction-free elimination on the
 v_k themselves.
 It is memoized per process by the operator's JSON, so each operator's
-exterior square (and its closing ``check_cy5``) is built at most once.
+exterior square (and its closing ``check_cy5``) is built at most once.  The
+series of a catalog product do not build it: ``catalog`` ships the 24
+exterior squares as data and runs only ``check_wedge``, the same closing
+checks, on each one it loads.
 
 ``f0_wedge_via_wronskian`` rebuilds the normalized solution of Q as
 w = f0^2 + z (f0 g' - f0' g), where f0 + (f0 log z + g) is the Frobenius
@@ -206,8 +209,13 @@ def _build_wedge(op: ThetaOperator) -> ThetaOperator:
     z_deg = max(len(c) for c in relation) - 1
     rows = [[c[i] if i < len(c) else 0 for c in relation]
             for i in range(z_deg + 1)]
-    out = ThetaOperator(rows, name=f"wedge({op.name})" if op.name else "wedge",
-                        aesz=None)
+    return check_wedge(ThetaOperator(
+        rows, name=f"wedge({op.name})" if op.name else "wedge", aesz=None))
+
+
+def check_wedge(out: ThetaOperator) -> ThetaOperator:
+    """The closing checks of an exterior square: ``out`` itself when it is
+    MUM and passes ``check_cy5``, UnexpectedOrder otherwise."""
     if not check_mum(out) or not check_cy5(out):
         raise UnexpectedOrder("exterior square fails its structural checks")
     return out

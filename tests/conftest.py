@@ -15,6 +15,7 @@ from math import comb, factorial
 
 import pytest
 
+from frobcy import catalog
 from frobcy.catalog import get_entry
 from frobcy.classify import classify_operator
 from frobcy.diffop import NonIntegralSolution
@@ -49,6 +50,21 @@ def corrected_tables(appendix_tables, appendix_errata):
     for e in appendix_errata:
         tables[e["operator"]][str(e["p"])][str(e["z"])] = e["corrected"]
     return tables
+
+
+@pytest.fixture(autouse=True)
+def fresh_catalog_memos():
+    """Every test starts with empty per-process memos of the catalog's
+    factor runs and stored exterior squares, so a test that counts series
+    runs or wedge loads does not depend on the tests before it, and a test
+    that patches a run leaves no result of it behind."""
+    memos = (catalog.left_factor_residues, catalog._right_factor_run,
+             catalog.catalog_wedge)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

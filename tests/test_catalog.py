@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 
 from frobcy import catalog as catalog_module, diffop
-from frobcy.catalog import (CATALOG, SECOND_ORDER, catalog, get_entry,
-                            left_factor_residues, operator_series,
+from frobcy.catalog import (CATALOG, SECOND_ORDER, catalog, catalog_wedge,
+                            get_entry, left_factor_residues, operator_series,
                             product_operator, sequence_terms_via_recurrence)
-from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_mum,
-                           leading_symbol, solve_series)
+from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_cy5,
+                           check_mum, leading_symbol, solve_series)
 from frobcy.frobenius import required_precision
 from frobcy.polyrat import poly_deriv, poly_gcd
-from frobcy.wedge import wedge_square
+from frobcy.wedge import UnexpectedOrder, wedge_square
 
 from conftest import (LengthMismatch, hadamard_product,
                       quintic_wedge_coefficients, sequence_term, sequence_terms)
@@ -247,16 +247,22 @@ class TestOperatorSeries:
                     [a % p**K for a in exact], (p, K)
 
     def test_full_sweep_factor_route_equals_generic(self, runs):
+        ran = []
         for name, entry in CATALOG.items():
             targets = full_sweep_targets(name)
             N = max(t[2] for t in targets)
             fast = operator_series(entry.operator, N, targets)
-            assert runs == [2], name  # one run of the right factor alone
+            assert runs in ([], [2]), name  # the right factor alone, or none
+            ran += [name] * len(runs)
             del runs[:]
             generic = solve_series(entry.operator, N, targets=targets)
             for t, got, want in zip(targets, fast, generic):
                 assert (got.coeffs, got.prime, got.cap) == \
                     (want.coeffs, want.prime, want.cap), (name, t)
+        # one run per right factor and batch of targets: the first operator
+        # of each right factor runs it, and A*d's extra target (5, 4, 624)
+        # makes its batch differ from B*d's
+        assert ran == ["A*a", "A*b", "A*c", "A*d", "B*d", "A*f", "A*g"]
 
     def test_changed_coefficient_takes_the_generic_route(self, runs):
         data = json.loads(get_entry("A*a").operator.to_json())
@@ -354,25 +360,87 @@ class TestOperatorSeries:
                 assert [last for _n0, last in entered] == [80, 124, 342]
                 assert all(0 < n0 < 80 for n0, _last in entered), entered
 
-    def test_changed_coefficient_takes_the_exact_route_for_its_wedge(self, grants):
+    def test_changed_coefficient_takes_the_exact_route_for_its_wedge(
+            self, grants, monkeypatch):
+        built = []
+        monkeypatch.setattr(catalog_module, "wedge_square",
+                            lambda op: built.append(op.name) or wedge_square(op))
         data = json.loads(get_entry("A*a").operator.to_json())
         data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
         op = ThetaOperator.from_json(json.dumps(data))
         assert op.name == "A*a"
         targets = [(5, 2, 24), (7, 2, 48)]
         got = operator_series(op, 48, targets, wedge=True)
-        assert grants == [(5, False)]
+        # the file named A*a builds its own exterior square
+        assert grants == [(5, False)] and built == ["A*a"]
         assert [repr(g) for g in got] == \
             [repr(w) for w in solve_series(wedge_square(op), 48, targets=targets)]
         assert all(isinstance(g, NonIntegralSolution) for g in got)
+        # the catalog's A*a solves its stored one and builds none
         operator_series(get_entry("A*a").operator, 48, targets, wedge=True)
-        assert grants == [(5, False), (5, True)]
+        assert grants == [(5, False), (5, True)] and built == ["A*a"]
 
-    def test_exact_targets_take_the_generic_route(self, runs):
+    def test_residue_targets_equal_the_exact_coefficients(self, runs):
+        # exact coefficients come from solve_series itself; the dispatch
+        # takes residue targets only, through the factors for a product
         op = get_entry("C*d").operator
-        got = operator_series(op, 30, [(None, None, 30), (5, 2, 24)])
-        assert runs == [4]
-        assert got[0].coeffs == solve_series(op, 30).coeffs
+        got, = operator_series(op, 30, [(5, 2, 24)])
+        assert runs == [2]
+        assert got.coeffs == [c % 25 for c in solve_series(op, 24).coeffs]
+
+
+# -- the stored exterior squares and the shared factor runs ------------------------
+
+
+class TestStoredWedges:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_stored_wedge_is_the_built_one(self, name, wedge_of):
+        # what keeps data/catalog_wedges.json honest
+        stored = catalog_wedge(name)
+        assert stored == wedge_of(name) and stored.name == wedge_of(name).name
+        assert check_mum(stored) and check_cy5(stored)
+
+    @pytest.mark.parametrize("row, col", [(0, 4), (1, 0), (4, 5)],
+                             ids=["not_mum", "linear", "leading"])
+    def test_tampered_rows_raise_unexpected_order(self, row, col, monkeypatch):
+        stored = catalog_module._stored_wedges()
+        rows = [list(r) for r in stored["A*a"]]
+        rows[row][col] = str(int(rows[row][col]) + 1)
+        monkeypatch.setattr(catalog_module, "_stored_wedges",
+                            lambda: {**stored, "A*a": rows})
+        with pytest.raises(UnexpectedOrder):
+            operator_series(get_entry("A*a").operator, 48, [(7, 2, 48)],
+                            wedge=True)
+
+
+WIDE_OPERATORS = ("A*a", "A*b", "A*c", "B*a", "B*b", "B*c",
+                  "C*a", "C*b", "C*c", "D*a", "D*b", "D*c")
+WIDE_TARGETS = [(3, 4, 80), (5, 3, 124), (7, 3, 342)]
+
+
+class TestSharedFactorRuns:
+    def test_shared_runs_equal_the_unshared(self):
+        shared = {name: operator_series(get_entry(name).operator, 342,
+                                        WIDE_TARGETS)
+                  for name in WIDE_OPERATORS}
+        for name in WIDE_OPERATORS:
+            catalog_module._right_factor_run.cache_clear()
+            catalog_module.left_factor_residues.cache_clear()
+            alone = operator_series(get_entry(name).operator, 342, WIDE_TARGETS)
+            assert [(g.coeffs, g.prime, g.cap) for g in shared[name]] == \
+                [(w.coeffs, w.prime, w.cap) for w in alone], name
+
+    def test_memos_stay_within_their_bound(self):
+        right, left = catalog_module._right_factor_run, left_factor_residues
+        for name, entry in CATALOG.items():
+            targets = full_sweep_targets(name)
+            operator_series(entry.operator, max(t[2] for t in targets), targets)
+            assert right.cache_info().currsize <= right.cache_info().maxsize == 6
+            assert left.cache_info().currsize <= left.cache_info().maxsize == 32
+        # 24 operators, 7 right-factor batches: each ran once
+        assert (right.cache_info().hits, right.cache_info().misses) == (17, 7)
+        # 4 left factors at 6 primes, and A's at (5, 4, 624), each stepped once
+        assert left.cache_info().misses == 25
 
 
 # -- the auxiliary quintic sequence -------------------------------------------------

@@ -393,8 +393,10 @@ def test_full_catalog_reproduces_corrected_tables(corrected_tables, monkeypatch)
     its row's start is A*d at p = 5, z = 2, settled at s = 4.
 
     The rows come from one uncached ``classify_operator`` call per operator:
-    one series run per operator and role for all six primes, and one more
-    per role for the escalated cell."""
+    per role one batch for all six primes, and one more per role for the
+    escalated cell.  A wedge batch is one run of the operator's exterior
+    square; an own-series batch is one run of its right factor, shared by
+    the operators with that right factor and those targets."""
     runs = []
     real = catalog_module.solve_series
 
@@ -414,7 +416,11 @@ def test_full_catalog_reproduces_corrected_tables(corrected_tables, monkeypatch)
             cells += len(row)
     assert cells == 1200
     assert escalated == {("A*d", 5, 2): 4}
-    assert len(runs) == 48 + 2
+    wedges = [name for name in runs if name.startswith("wedge(")]
+    assert sorted(wedges) == sorted([f"wedge({name})" for name in CATALOG]
+                                    + ["wedge(A*d)"])
+    # each right factor once, and d again for A*d's escalated cell
+    assert [name for name in runs if name not in wedges] == list("abcddfg")
 
 
 class TestResultsToCsv:

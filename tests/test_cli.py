@@ -440,18 +440,46 @@ def inline_pool(monkeypatch):
 
 
 class TestWedgeMemo:
+    @pytest.fixture
+    def closing_checks(self, monkeypatch):
+        """The operators that ``check_wedge`` checks, after a build or a
+        load, and the operators that ``wedge_square`` builds."""
+        monkeypatch.setattr(wedge, "_WEDGES", {})
+        seen = {"checked": [], "built": []}
+        check, build = wedge.check_cy5, wedge._build_wedge
+        monkeypatch.setattr(wedge, "check_cy5",
+                            lambda q: seen["checked"].append(q) or check(q))
+        monkeypatch.setattr(wedge, "_build_wedge",
+                            lambda op: seen["built"].append(op.name) or build(op))
+        return seen
+
     @pytest.mark.parametrize("cached", [True, False])
     def test_cold_table_builds_one_wedge(self, cached, capsys, tmp_path,
-                                         monkeypatch, corrected_tables):
-        monkeypatch.setattr(wedge, "_WEDGES", {})
-        closing_checks = []
-        real = wedge.check_cy5
-        monkeypatch.setattr(wedge, "check_cy5",
-                            lambda q: closing_checks.append(q) or real(q))
+                                         closing_checks, corrected_tables):
+        # an operator file builds its exterior square, once per process
+        path = tmp_path / "mine.json"
+        path.write_text(ThetaOperator(get_entry("A*b").operator.coeffs,
+                                      name="mine").to_json(), encoding="utf-8")
+        flags = ["--cache-dir", str(tmp_path / "cache")] if cached \
+            else ["--no-cache"]
+        code, out, _ = run(["table", "--operator", str(path), "--primes",
+                            "3,5,7", "--format", "json", *flags], capsys)
+        assert code == 0
+        assert closing_checks["built"] == ["mine"]
+        assert len(closing_checks["checked"]) == 1
+        assert json.loads(out)[str(path)] == {
+            str(p): corrected_tables["A*b"][str(p)] for p in (3, 5, 7)}
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_cold_table_loads_one_stored_wedge(self, cached, capsys, tmp_path,
+                                               closing_checks, corrected_tables):
+        # a catalog product loads its stored exterior square, checked once
         flags = ["--cache-dir", str(tmp_path)] if cached else ["--no-cache"]
         code, out, _ = run(["table", "--operator", "A*b", "--primes", "3,5,7",
                             "--format", "json", *flags], capsys)
-        assert code == 0 and len(closing_checks) == 1
+        assert code == 0
+        assert closing_checks["built"] == []
+        assert [q.name for q in closing_checks["checked"]] == ["wedge(A*b)"]
         assert json.loads(out)["A*b"] == {
             str(p): corrected_tables["A*b"][str(p)] for p in (3, 5, 7)}
 
@@ -467,10 +495,11 @@ class TestWedgeMemo:
         assert [code for code, _, _ in cold] == [0] * 4
 
         def refuse(op):
-            raise AssertionError("a warm cache must not build a wedge")
+            raise AssertionError("a warm cache must not build or load a wedge")
 
         for module in (wedge, catalog, cli):
             monkeypatch.setattr(module, "wedge_square", refuse)
+        monkeypatch.setattr(catalog, "catalog_wedge", refuse)
         warm = [run(argv + cache, capsys) for argv in [table] + frobs]
         assert warm == cold
 
@@ -492,7 +521,7 @@ class TestOneRunPerRole:
         real = catalog.solve_series
 
         def counted(op, N, p=None, K=None, **kwargs):
-            seen.append((op.theta_order, kwargs.get("targets", [(p, K, N)])))
+            seen.append((op.theta_order, list(kwargs.get("targets", [(p, K, N)]))))
             return real(op, N, p, K, **kwargs)
 
         monkeypatch.setattr(catalog, "solve_series", counted)
@@ -533,6 +562,24 @@ class TestOneRunPerRole:
         _, uncached, _ = run(self.TWO + ["--primes", "3,5,7", "--no-cache"],
                              capsys)
         assert out == uncached
+
+    def test_table_wide_runs_each_right_factor_once(self, runs, capsys,
+                                                    monkeypatch):
+        # the table_wide sweep: 12 operators whose right factors interleave
+        def refuse(op):
+            raise AssertionError("a catalog product must not build its wedge")
+
+        monkeypatch.setattr(catalog, "wedge_square", refuse)
+        names = [name for left in "ABCD" for name in
+                 (f"{left}*a", f"{left}*b", f"{left}*c")]
+        argv = ["table", "--primes", "3,5,7", "--format", "json", "--no-cache"]
+        for name in names:
+            argv += ["--operator", name]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        # a wedge run per operator, a right-factor run per right factor
+        assert [order for order, _t in runs] == [5, 2] * 3 + [5] * 9
+        assert all(t == [(3, 4, 80), (5, 3, 124), (7, 3, 342)] for _o, t in runs)
 
     def test_escalation_goes_through_the_cache(self, runs, capsys, tmp_path):
         # A*d at p = 5 starts at s = 3, where z = 2 fits two pairs: that cell
