@@ -23,8 +23,9 @@ print(f"operator A*a, p = {p}, z = {z0}, working modulo {p}^{s} = {mod}")
 # from the holomorphic solutions f0 of P and F0 of Q
 op = get_entry("A*a").operator
 q = wedge_square(op)
-f0 = solve_series(op, p**s - 1, p=p, K=s)
-F0 = solve_series(q, p**s - 1, p=p, K=s)
+# one target (p, K, N): the coefficients through degree N, reduced mod p^K
+f0, = solve_series(op, p**s - 1, targets=[(p, s, p**s - 1)])
+F0, = solve_series(q, p**s - 1, targets=[(p, s, p**s - 1)])
 print("f0 head:", f0.coeffs[:5])
 print("F0 head:", F0.coeffs[:5])
 

@@ -4,7 +4,7 @@
   residues and the one prime check (``padic``)
 * exact polynomial algebra over Z[z] on integer coefficient lists (``polyrat``)
 * theta-form differential operators and series solutions (``diffop``)
-* exterior-square fifth-order companions and horizontal sections (``wedge``)
+* exterior-square fifth-order companions (``wedge``)
 * the catalog of 24 Hadamard-product operators and their sequences (``catalog``)
 * truncated-ratio congruence checks for coefficient sequences (``congruence``)
 * degree-4 Frobenius polynomials from p-adic unit roots (``frobenius``)

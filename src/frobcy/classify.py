@@ -133,10 +133,11 @@ BUILTIN_FORMS: Dict[str, EtaProduct] = {
 }
 
 
-def _external_forms(forms_dir: Optional[str]) -> List[Tuple[str, Dict[int, int]]]:
-    """(label, {p: a_p}) for every JSON fixture in the forms directory; a
-    fixture that cannot be read is a UsageError naming the file."""
-    directory = forms_dir or os.environ.get(FORMS_DIR_ENV)
+def _external_forms() -> List[Tuple[str, Dict[int, int]]]:
+    """(label, {p: a_p}) for every JSON fixture in the directory named by
+    FROBCY_FORMS_DIR; a fixture that cannot be read is a UsageError naming
+    the file."""
+    directory = os.environ.get(FORMS_DIR_ENV)
     if not directory:
         return []
     out = []
@@ -153,17 +154,17 @@ def _external_forms(forms_dir: Optional[str]) -> List[Tuple[str, Dict[int, int]]
     return out
 
 
-def match_singular_ap(p: int, ap: int, forms_dir: Optional[str] = None) -> str:
+def match_singular_ap(p: int, ap: int) -> str:
     """Label of the first stored form whose p-th coefficient equals ap.
 
-    Built-in eta products are tried first, then JSON fixtures from
-    ``forms_dir`` (default: the FROBCY_FORMS_DIR environment variable).
+    Built-in eta products are tried first, then JSON fixtures from the
+    directory named by the FROBCY_FORMS_DIR environment variable.
     Raises NoFixture when nothing matches.
     """
     for label, form in BUILTIN_FORMS.items():
         if form.coefficient(p) == ap:
             return label
-    for label, table in _external_forms(forms_dir):
+    for label, table in _external_forms():
         if table.get(p) == ap:
             return label
     raise NoFixture(f"no stored form has a_{p} = {ap}")

@@ -12,16 +12,11 @@ solution of a MUM operator (P_0 = theta^n) is produced by the recurrence
 with exact big integers, every division checked.  A caller that knows the
 series to be integral and wants it only mod prime powers lets the run leave
 exact integers for residues once these are the narrower (the residue phase
-of ``solve_series``).  Conversion to the monic d/dz form uses
+of ``solve_series``).
 
-    theta^k = sum_j S(k, j) z^j D^j,
-
-where the S(k, j) are Stirling numbers of the second kind, generated by the
-rewriting rule theta * z^j D^j = z^(j+1) D^(j+1) + j z^j D^j.
-
-The self-duality checks ``check_cy4`` / ``check_cy5`` never leave the theta
-form: the operator is compared with its twisted adjoint as coefficient
-tables in Z[z][theta] (see ``_is_self_dual``).
+The self-duality check ``check_cy5`` never leaves the theta form: the
+operator is compared with its twisted adjoint as coefficient tables in
+Z[z][theta] (see ``_is_self_dual``).
 """
 
 from __future__ import annotations
@@ -34,10 +29,9 @@ from . import FrobcyError, Record
 from .polyrat import (IntPoly, poly_add, poly_mul, poly_scale, poly_sub,
                       poly_theta, poly_trim)
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is an optional extra
-    mpz = int
+# the series run on Python ints; the benchmark's environment probe reads
+# ``diffop.mpz is not int`` to record whether gmpy2 was in use
+mpz = int
 
 
 class NonIntegralSolution(FrobcyError, ArithmeticError):
@@ -262,25 +256,23 @@ def _unscale(out: list, us: Sequence[int], n0: int, m: int) -> None:
         inv = inv * us[n - n0 - 1] % m
 
 
-def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
-                 K: Optional[int] = None, *,
+def solve_series(op: ThetaOperator, N: int, *,
                  targets: Optional[Sequence[Target]] = None,
                  integral: bool = False):
     """Normalized solution c_0 = 1 of a MUM operator, truncated at degree N.
 
     The recurrence runs on exact big integers; every division must be exact
-    (NonIntegralSolution otherwise).  When (p, K) are given, finished
-    coefficients are stored reduced mod p^K while only the trailing window
-    needed by the recurrence stays exact.
+    (NonIntegralSolution otherwise).  Without ``targets`` the result is the
+    exact TruncatedSeries, and a failure raises.
 
     ``targets`` batches one run for several truncations: a list of
-    (p, K, N_t) with N_t <= N, or (None, None, N_t) for exact coefficients.
-    The recurrence runs once and reduces each finished coefficient into every
-    target's modulus.  The result is a list aligned with ``targets``: for
-    each, its TruncatedSeries, or the NonIntegralSolution that a separate
-    call would raise (a target ending below the first non-integral
-    coefficient is still returned).  Without ``targets`` the call is the
-    one-target case (p, K, N) and raises on failure.
+    (p, K, N_t) with N_t <= N, whose coefficients are stored reduced mod p^K
+    while only the trailing window needed by the recurrence stays exact, or
+    (None, None, N_t) for exact coefficients.  The recurrence runs once and
+    reduces each finished coefficient into every target's modulus.  The
+    result is a list aligned with ``targets``: for each, its TruncatedSeries,
+    or the NonIntegralSolution that a one-target run would give (a target
+    ending below the first non-integral coefficient is still returned).
 
     ``integral`` is the caller's word that the series has integer
     coefficients; with it, and no exact target, the run may leave exact
@@ -297,8 +289,7 @@ def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
     NonIntegralSolution (integrality at other primes is not checked there).
     Q then drops those digits, and a prime whose targets are finished leaves
     Q.  Each target's residues are unscaled at the end, with one modular
-    inverse of D_N mod p^K.  The phase uses only operations that ``int`` and
-    gmpy2's ``mpz`` share.
+    inverse of D_N mod p^K.
     """
     if not check_mum(op):
         raise ValueError("series solving requires a MUM operator")
@@ -316,9 +307,7 @@ def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
         raise ValueError("truncation order must be >= 0")
     batch = targets is not None
     if not batch:
-        targets = [(p, K, N)]
-    elif p is not None or K is not None:
-        raise ValueError("a batched run takes (p, K) from its targets")
+        targets = [(None, None, N)]
     for tp, tK, tN in targets:
         if tp is not None and tK is None:
             raise ValueError("storage reduction needs both p and K")
@@ -331,7 +320,7 @@ def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
                    for (tp, tK, tN), out in zip(targets, outs)),
                   key=lambda t: t[0], reverse=True)
     w = max(d, 1)
-    window = [mpz(1)] + [mpz(0)] * (w - 1)
+    window = [1] + [0] * (w - 1)
     order = op.theta_order
     can_switch = integral and all(tp is not None for tp, _, _ in targets)
     Q = None  # the residue modulus, kept from SWITCH_FLOOR bits on
@@ -347,7 +336,7 @@ def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
         if not live:
             break
         p0 = peval(0, n)  # = n^order for MUM
-        s = mpz(0)
+        s = 0
         if residues:
             f = 1  # D_(n-1) / D_(n-i)
             for i in range(1, min(n, d) + 1):
@@ -396,7 +385,7 @@ def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
                         q *= tp
         window[n % w] = cn
         for _tN, m, out, _tp, _tK in live:
-            out.append(int(cn % m) if m else int(cn))
+            out.append(cn % m if m else cn)
     if us:
         for (tp, tK, _tN), out in zip(targets, outs):
             _unscale(out, us, n0, tp**tK)
@@ -410,44 +399,6 @@ def solve_series(op: ThetaOperator, N: int, p: Optional[int] = None,
     if failure:
         raise failure
     return results[0]
-
-
-# -- theta form <-> monic d/dz form --------------------------------------------
-
-
-def stirling_table(n: int) -> List[List[int]]:
-    """T[k][j] with theta^k = sum_j T[k][j] z^j D^j (Stirling, second kind)."""
-    T = [[1]]
-    for k in range(1, n + 1):
-        prev = T[-1]
-        row = [0] * (k + 1)
-        for j, c in enumerate(prev):
-            if c:
-                row[j + 1] += c          # theta * z^j D^j -> z^(j+1) D^(j+1)
-                row[j] += j * c          # ... + j z^j D^j
-        T.append(row)
-    return T
-
-
-def to_monic(op: ThetaOperator) -> Tuple[List[IntPoly], IntPoly]:
-    """Monic d/dz form D^n + sum_j (nums[j] / den) D^j, as (nums, den).
-
-    The shared denominator is den = z^n Delta (Delta = q_n, the leading
-    symbol), and nums[j] = z^j sum_k S(k, j) q_k; the fractions are not
-    reduced.
-    """
-    n = op.theta_order
-    T = stirling_table(n)
-    q = [op.z_poly(k) for k in range(n + 1)]
-    if not q[n]:
-        raise ValueError("degenerate operator: zero leading coefficient")
-    nums = []
-    for j in range(n):
-        acc: IntPoly = []
-        for k in range(j, n + 1):
-            acc = poly_add(acc, poly_scale(q[k], T[k][j]))
-        nums.append([0] * j + acc if acc else [])
-    return nums, [0] * n + q[n]
 
 
 # -- self-duality over Z[z] ----------------------------------------------------
@@ -506,19 +457,6 @@ def _is_self_dual(op: ThetaOperator) -> bool:
         if lhs != poly_scale(poly_mul(n_delta_pow[n], q[j]), sign):
             return False
     return True
-
-
-def check_cy4(op: ThetaOperator) -> bool:
-    """Self-duality for order 4: with b = coefficients of the conjugated
-    operator D^4 + b_2 D^2 + b_1 D + b_0, the condition is b_1 = b_2'.
-
-    Equivalently, in terms of the monic coefficients,
-    a_1 = (1/2) a_2 a_3 - (1/8) a_3^3 + a_2' - (3/4) a_3 a_3' - (1/2) a_3''.
-    Decided over Z[z] by ``_is_self_dual``.
-    """
-    if op.theta_order != 4:
-        raise ValueError("check_cy4 expects a fourth-order operator")
-    return _is_self_dual(op)
 
 
 def check_cy5(op: ThetaOperator) -> bool:

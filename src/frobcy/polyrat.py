@@ -3,13 +3,12 @@
 An element of Z[z] is an ``IntPoly``: a list of ints in ascending degree with
 trailing zeros removed (the zero polynomial is the empty list).  It is the
 only polynomial type of the package: the ``poly_*`` functions are its ring
-operations, plus d/dz, the Euler derivation theta = z d/dz, the primitive
-part, the gcd by primitive pseudo-remainders and evaluation at a rational
-point.  A rational function is a pair (numerator, denominator) of IntPolys.
-``rational_roots`` finds the rational roots of an IntPoly with their
-multiplicities.  ``solve_linear_system`` is fraction-free (Bareiss)
-elimination over Z[z] and returns Cramer numerators over one common
-denominator together with the kernel dimension of the coefficient matrix.
+operations, plus the Euler derivation theta = z d/dz, the primitive part
+and the gcd by primitive pseudo-remainders.  ``rational_roots`` finds the
+rational roots of an IntPoly with their multiplicities.
+``solve_linear_system`` is fraction-free (Bareiss) elimination over Z[z]
+and returns Cramer numerators over one common denominator together with
+the kernel dimension of the coefficient matrix.
 """
 
 from __future__ import annotations
@@ -100,11 +99,6 @@ def poly_theta(a: IntPoly) -> IntPoly:
     return poly_trim([i * c for i, c in enumerate(a)])
 
 
-def poly_deriv(a: IntPoly) -> IntPoly:
-    """da/dz."""
-    return [i * c for i, c in enumerate(a)][1:]
-
-
 def poly_primitive(a: IntPoly) -> IntPoly:
     """a divided by its content, with positive leading coefficient."""
     g = 0
@@ -137,14 +131,6 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     while b:
         a, b = b, poly_primitive(_pseudo_rem(a, b))
     return a
-
-
-def poly_eval(a: IntPoly, x) -> Fraction:
-    """a(x) for a rational x, by Horner's rule."""
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _divisors(n: int) -> list:

@@ -14,16 +14,16 @@ import time
 from frobcy.catalog import CATALOG, get_entry, sequence_terms_via_recurrence
 from frobcy.classify import BUILTIN_FORMS, match_singular_ap, reducible_split
 from frobcy.congruence import OutsideUnitDisk, check_dwork_congruence
-from frobcy.diffop import check_cy4, check_cy5, solve_series
+from frobcy.diffop import check_cy5, solve_series
 from frobcy.frobenius import (assemble_frobenius, frobenius_quartic,
                               legendre_precision, legendre_unit_root,
                               unit_roots, weil_verify)
 from frobcy.padic import balanced_residue, teichmueller_residue
-from frobcy.wedge import verify_horizontal_u4, verify_horizontal_u5
 
 from conftest import (ACCEPTANCE_OPERATORS, ACCEPTANCE_PRIMES, classified,
                       hadamard_product, quintic_wedge_coefficients,
                       sequence_terms)
+from horizontal import check_cy4, verify_horizontal_u4, verify_horizontal_u5
 
 
 def test_criterion_1(wedge_of):
@@ -33,8 +33,8 @@ def test_criterion_1(wedge_of):
     p, z0, s = 7, 2, 4
     mod = p**s
     op = get_entry("A*a").operator
-    f0 = solve_series(op, p**s - 1, p=p, K=s)
-    F0 = solve_series(wedge_of("A*a"), p**s - 1, p=p, K=s)
+    f0, = solve_series(op, p**s - 1, targets=[(p, s, p**s - 1)])
+    F0, = solve_series(wedge_of("A*a"), p**s - 1, targets=[(p, s, p**s - 1)])
 
     zhat = teichmueller_residue(z0, p, mod)
     zp = pow(zhat, p, mod)
@@ -207,10 +207,10 @@ def test_criterion_10(wedge_of):
     for name in ("A*a", "B*a", "C*a"):
         op = get_entry(name).operator
         assert verify_horizontal_u4(op, 60), name
-        assert not verify_horizontal_u4(op, 60, _flip_sign=True), name
+        assert not verify_horizontal_u4(op, 60, flip_sign=True), name
         q = wedge_of(name)
         assert verify_horizontal_u5(q, 60), name
-        assert not verify_horizontal_u5(q, 60, _zero_b1=True), name
+        assert not verify_horizontal_u5(q, 60, zero_b1=True), name
 
 
 def test_criterion_11(wedge_of):

@@ -13,11 +13,12 @@ from frobcy.catalog import (CATALOG, SECOND_ORDER, catalog, catalog_wedge,
 from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_cy5,
                            check_mum, leading_symbol, solve_series)
 from frobcy.frobenius import required_precision
-from frobcy.polyrat import poly_deriv, poly_gcd
+from frobcy.polyrat import poly_gcd
 from frobcy.wedge import UnexpectedOrder, wedge_square
 
 from conftest import (LengthMismatch, hadamard_product,
                       quintic_wedge_coefficients, sequence_term, sequence_terms)
+from horizontal import poly_deriv
 
 LEFT_NAMES = "ABCD"
 RIGHT_NAMES = "abcdfg"

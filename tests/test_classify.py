@@ -267,10 +267,15 @@ class TestMatchSingularAp:
         with pytest.raises(NoFixture, match="a_7 = -24"):
             match_singular_ap(7, -24)
 
-    def test_external_fixture_directory(self, tmp_path):
+    def test_external_fixture_directory(self, tmp_path, monkeypatch):
+        # a fixture matches at each prime it stores, and only there
         (tmp_path / "form.json").write_text(json.dumps(
-            {"label": "64/5", "weight": 4, "ap": {"11": 7777}}))
-        assert match_singular_ap(11, 7777, forms_dir=str(tmp_path)) == "64/5"
+            {"label": "64/5", "weight": 4, "ap": {"11": 7777, "13": 5}}))
+        monkeypatch.setenv(FORMS_DIR_ENV, str(tmp_path))
+        assert match_singular_ap(11, 7777) == "64/5"
+        assert match_singular_ap(13, 5) == "64/5"
+        with pytest.raises(NoFixture):
+            match_singular_ap(11, 5)
 
     def test_environment_variable_directory(self, tmp_path, monkeypatch):
         (tmp_path / "form.json").write_text(json.dumps(
@@ -278,21 +283,24 @@ class TestMatchSingularAp:
         monkeypatch.setenv(FORMS_DIR_ENV, str(tmp_path))
         assert match_singular_ap(13, -4321) == "27/2"
 
-    def test_builtins_take_precedence(self, tmp_path):
+    def test_builtins_take_precedence(self, tmp_path, monkeypatch):
         (tmp_path / "shadow.json").write_text(json.dumps(
             {"label": "shadow", "weight": 4, "ap": {"5": -2}}))
-        assert match_singular_ap(5, -2, forms_dir=str(tmp_path)) == "8/1"
+        monkeypatch.setenv(FORMS_DIR_ENV, str(tmp_path))
+        assert match_singular_ap(5, -2) == "8/1"
 
-    def test_fixture_files_scanned_in_sorted_order(self, tmp_path):
+    def test_fixture_files_scanned_in_sorted_order(self, tmp_path, monkeypatch):
         (tmp_path / "zz.json").write_text(json.dumps(
             {"label": "second", "weight": 4, "ap": {"13": 99}}))
         (tmp_path / "aa.json").write_text(json.dumps(
             {"label": "first", "weight": 4, "ap": {"13": 99}}))
-        assert match_singular_ap(13, 99, forms_dir=str(tmp_path)) == "first"
+        monkeypatch.setenv(FORMS_DIR_ENV, str(tmp_path))
+        assert match_singular_ap(13, 99) == "first"
 
-    def test_empty_directory_raises(self, tmp_path):
+    def test_empty_directory_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(FORMS_DIR_ENV, str(tmp_path / "missing"))
         with pytest.raises(NoFixture):
-            match_singular_ap(5, 123, forms_dir=str(tmp_path / "missing"))
+            match_singular_ap(5, 123)
 
 
 class TestClassifyOperatorRows:

@@ -121,7 +121,7 @@ class TestCacheSeries:
 
     def test_miss_computes_and_writes(self, tmp_path):
         op, series = self.fresh(tmp_path)
-        direct = solve_series(op, self.N, p=self.P, K=self.K)
+        direct, = solve_series(op, self.N, targets=[(self.P, self.K, self.N)])
         assert series.coeffs == direct.coeffs
         files = os.listdir(tmp_path)
         assert len(files) == 1 and files[0].startswith("series-")
@@ -159,7 +159,7 @@ class TestCacheSeries:
         h = _operator_hash(op)
         path = Path(_cache_path(str(tmp_path / "generic"), h, "op", p, K, N))
         _cache_store(str(path), h, "op", p, K, N,
-                         solve_series(op, N, p=p, K=K))
+                         solve_series(op, N, targets=[(p, K, N)])[0])
         stored, = (tmp_path / "factor").iterdir()
         assert stored.name == path.name
         assert stored.read_bytes() == path.read_bytes()
@@ -191,7 +191,8 @@ class TestCacheSeries:
     def test_wedge_series_keyed_by_source_operator(self, tmp_path):
         op, own = self.fresh(tmp_path)
         got = self.one(op, str(tmp_path), wedge=True)
-        direct = solve_series(wedge_square(op), self.N, p=self.P, K=self.K)
+        direct, = solve_series(wedge_square(op), self.N,
+                               targets=[(self.P, self.K, self.N)])
         assert got.coeffs == direct.coeffs != own.coeffs
         h, d = _operator_hash(op), str(tmp_path)
         op_path, wedge_path = (_cache_path(d, h, role, self.P, self.K, self.N)
@@ -276,7 +277,7 @@ class TestCacheSeries:
         blocker.write_text("x", encoding="utf-8")
         op = get_entry("A*a").operator
         series = self.one(op, str(blocker / "sub"))
-        direct = solve_series(op, self.N, p=self.P, K=self.K)
+        direct, = solve_series(op, self.N, targets=[(self.P, self.K, self.N)])
         assert series.coeffs == direct.coeffs
 
     def test_default_directory_from_environment(self, tmp_path, monkeypatch):
@@ -520,9 +521,10 @@ class TestOneRunPerRole:
         seen = []
         real = catalog.solve_series
 
-        def counted(op, N, p=None, K=None, **kwargs):
-            seen.append((op.theta_order, list(kwargs.get("targets", [(p, K, N)]))))
-            return real(op, N, p, K, **kwargs)
+        def counted(op, N, **kwargs):
+            seen.append((op.theta_order,
+                         list(kwargs.get("targets", [(None, None, N)]))))
+            return real(op, N, **kwargs)
 
         monkeypatch.setattr(catalog, "solve_series", counted)
         return seen

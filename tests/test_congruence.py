@@ -17,12 +17,12 @@ def apery():
 @pytest.fixture(scope="module")
 def f0_mod7():
     op = get_entry("A*a").operator
-    return solve_series(op, 7**4 - 1, p=7, K=4)
+    return solve_series(op, 7**4 - 1, targets=[(7, 4, 7**4 - 1)])[0]
 
 
 @pytest.fixture(scope="module")
 def F0_mod7(wedge_of):
-    return solve_series(wedge_of("A*a"), 7**4 - 1, p=7, K=4)
+    return solve_series(wedge_of("A*a"), 7**4 - 1, targets=[(7, 4, 7**4 - 1)])[0]
 
 
 # -- congruence sweeps -------------------------------------------------------------
@@ -140,6 +140,6 @@ class TestDworkRatio:
 
     def test_rejects_short_series(self):
         op = get_entry("A*a").operator
-        short = solve_series(op, 300, p=7, K=4)
+        short, = solve_series(op, 300, targets=[(7, 4, 300)])
         with pytest.raises(ValueError):
             dwork_ratio(short, 2, 7, 4)

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from frobcy import diffop
 from frobcy.catalog import CATALOG, get_entry
 from frobcy.diffop import (NonIntegralSolution, ThetaOperator,
-                           TruncatedSeries, check_cy4, check_cy5, check_mum,
-                           leading_symbol, solve_series, stirling_table,
-                           symbol_roots_mod_p, to_monic)
+                           TruncatedSeries, check_cy5, check_mum,
+                           leading_symbol, solve_series, symbol_roots_mod_p)
 from frobcy.wedge import wedge_square
+
+from horizontal import Laurent, check_cy4, stirling_table, to_monic
 
 AA = get_entry("A*a").operator
 
@@ -117,17 +118,16 @@ def test_to_monic_theta_squared():
 def test_monic_form_annihilates_the_solution():
     # Apply D^4 + a3 D^3 + ... + a0 to the truncated solution as a Laurent
     # series with exact coefficients; everything must cancel.
-    from frobcy.wedge import _Laurent
     N = 40
     nums, den = to_monic(AA)
     coeffs = [Fraction(c) for c in solve_series(AA, N).coeffs]
     prec = N + 1
-    ys = [_Laurent.from_series(coeffs, prec)]
+    ys = [Laurent.from_series(coeffs, prec)]
     for _ in range(4):
         ys.append(ys[-1].derivative())
     acc = ys[4]
     for j in range(4):
-        acc = acc + _Laurent.from_ratfun(nums[j], den, prec) * ys[j]
+        acc = acc + Laurent.from_ratfun(nums[j], den, prec) * ys[j]
     assert acc.is_zero_up_to(N - 8)
 
 
@@ -174,7 +174,7 @@ def test_non_integral_solution_detected():
 
 def test_exact_mode_storage_reduction_matches_full_integers():
     full = solve_series(AA, 60)
-    reduced = solve_series(AA, 60, p=7, K=3)
+    reduced, = solve_series(AA, 60, targets=[(7, 3, 60)])
     assert reduced.prime == 7 and reduced.cap == 3
     assert reduced.coeffs == [c % 7**3 for c in full.coeffs]
 
@@ -183,13 +183,12 @@ def test_exact_mode_storage_reduction_matches_full_integers():
 
 
 def same_outcome(op, batched, p, K, N):
-    """``batched`` is what a separate solve_series(op, N, p, K) gives: the
-    same series, or a NonIntegralSolution with the same message."""
-    try:
-        alone = solve_series(op, N, p, K)
-    except NonIntegralSolution as exc:
+    """``batched`` is what a one-target run of (p, K, N) gives: the same
+    series, or a NonIntegralSolution with the same message."""
+    alone, = solve_series(op, N, targets=[(p, K, N)])
+    if isinstance(alone, NonIntegralSolution):
         return (isinstance(batched, NonIntegralSolution)
-                and str(batched) == str(exc))
+                and str(batched) == str(alone))
     return (isinstance(batched, TruncatedSeries)
             and (batched.coeffs, batched.prime, batched.cap)
             == (alone.coeffs, alone.prime, alone.cap))
@@ -201,7 +200,7 @@ def test_batched_integrality_is_decided_per_target():
     assert solve_series(op, 2).coeffs == [1, 2, 10]
     message = "coefficient c_3 is not an integer (operator half)"
     with pytest.raises(NonIntegralSolution) as alone:
-        solve_series(op, 4, 5, 1)
+        solve_series(op, 4)
     assert str(alone.value) == message
     first, second = solve_series(op, 4, targets=[(3, 1, 2), (5, 1, 4)])
     assert first.coeffs == [1, 2, 1] and (first.prime, first.cap) == (3, 1)
@@ -224,13 +223,12 @@ def test_residue_phase_still_raises_on_a_non_integral_coefficient():
     assert isinstance(failed, NonIntegralSolution)
     assert str(failed) == "coefficient c_26 is not 13-integral (operator late)"
     assert early.coeffs == exact[1].coeffs == [pow(lam, n, 13) for n in range(26)]
-    with pytest.raises(NonIntegralSolution, match="c_26 is not 13-integral"):
-        solve_series(op, 26, 13, 1, integral=True)
+    lone, = solve_series(op, 26, targets=[(13, 1, 26)], integral=True)
+    assert isinstance(lone, NonIntegralSolution)
+    assert str(lone) == str(failed)
 
 
 def test_batched_run_checks_its_targets():
-    with pytest.raises(ValueError, match="takes \\(p, K\\) from its targets"):
-        solve_series(AA, 8, 5, 1, targets=[(5, 1, 8)])
     with pytest.raises(ValueError, match="target order 9 outside 0 .. 8"):
         solve_series(AA, 8, targets=[(5, 1, 9)])
     with pytest.raises(ValueError, match="needs both p and K"):

@@ -39,8 +39,8 @@ def frobenius_from_operator(op, p: int, z0: int, s: int):
     p^s solved afresh, then unit roots and assembly, with no series source,
     cache or escalation in between."""
     N = p**s - 1
-    f0 = solve_series(op, N, p=p, K=s)
-    F0 = solve_series(wedge_square(op), N, p=p, K=s)
+    f0, = solve_series(op, N, targets=[(p, s, N)])
+    F0, = solve_series(wedge_square(op), N, targets=[(p, s, N)])
     return assemble_frobenius(*unit_roots(f0, F0, z0, p, s), p, s)
 
 

@@ -7,11 +7,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcy.polyrat import (NoSolution, _pseudo_rem, poly_add, poly_deriv,
-                            poly_eval, poly_exact_div, poly_gcd, poly_mul,
-                            poly_pow, poly_primitive, poly_scale, poly_sub,
-                            poly_theta, poly_trim, rational_roots,
-                            solve_linear_system)
+from frobcy.polyrat import (NoSolution, _pseudo_rem, poly_add, poly_exact_div,
+                            poly_gcd, poly_mul, poly_pow, poly_primitive,
+                            poly_scale, poly_sub, poly_theta, poly_trim,
+                            rational_roots, solve_linear_system)
+
+from horizontal import poly_deriv, poly_eval
 
 
 # -- rational roots -----------------------------------------------------------------

@@ -9,16 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from frobcy import wedge
 from frobcy.catalog import CATALOG, _LEFT, _RIGHT, get_entry
-from frobcy.diffop import (ThetaOperator, check_cy4, check_cy5, check_mum,
-                           solve_series, to_monic)
-from frobcy.polyrat import (NoSolution, poly_add, poly_deriv, poly_exact_div,
-                            poly_gcd, poly_mul, poly_primitive, poly_scale,
-                            poly_sub, solve_linear_system)
-from frobcy.wedge import (NotRationalY, UnexpectedOrder, _Laurent,
-                          _module_action, _theta_step, _wedge_action,
-                          f0_wedge_via_wronskian, rational_exp_integral,
-                          verify_horizontal_u4, verify_horizontal_u5,
-                          wedge_square)
+from frobcy.diffop import ThetaOperator, check_cy5, check_mum, solve_series
+from frobcy.polyrat import (NoSolution, poly_add, poly_exact_div, poly_gcd,
+                            poly_mul, poly_primitive, poly_scale, poly_sub,
+                            solve_linear_system)
+from frobcy.wedge import (UnexpectedOrder, _module_action, _theta_step,
+                          _wedge_action, wedge_square)
+
+from horizontal import (Laurent, NotRationalY, check_cy4,
+                        f0_wedge_via_wronskian, poly_deriv,
+                        rational_exp_integral, to_monic, verify_horizontal_u4,
+                        verify_horizontal_u5)
 
 AA = get_entry("A*a").operator
 
@@ -367,36 +368,36 @@ class TestWronskianRoute:
 
 class TestLaurent:
     def test_from_ratfun_expands_a_geometric_series(self):
-        s = _Laurent.from_ratfun([1], [1, -1], 10)
+        s = Laurent.from_ratfun([1], [1, -1], 10)
         assert s.val == 0 and s.prec == 10
         assert all(s.coefficient(k) == 1 for k in range(10))
 
     def test_coefficient_beyond_precision_raises(self):
-        s = _Laurent.from_ratfun([1], [1, -1], 10)
+        s = Laurent.from_ratfun([1], [1, -1], 10)
         with pytest.raises(ValueError):
             s.coefficient(10)
 
     def test_negative_valuation(self):
-        s = _Laurent.from_ratfun([1], [0, 1], 5)  # 1/z
+        s = Laurent.from_ratfun([1], [0, 1], 5)  # 1/z
         assert s.val == -1
         assert s.coefficient(-1) == 1 and s.coefficient(0) == 0
 
     def test_positive_valuation(self):
-        s = _Laurent.from_ratfun([0, 0, 1], [1, -1], 6)  # z^2/(1-z)
+        s = Laurent.from_ratfun([0, 0, 1], [1, -1], 6)  # z^2/(1-z)
         assert s.val == 2
         assert s.coefficient(1) == 0 and s.coefficient(2) == 1
 
     def test_normalization_strips_leading_zeros(self):
-        s = _Laurent(0, [Fraction(0), Fraction(0), Fraction(3)], 8)
+        s = Laurent(0, [Fraction(0), Fraction(0), Fraction(3)], 8)
         assert s.val == 2 and s.coeffs == [Fraction(3)]
 
     def test_zero_series_has_valuation_at_precision(self):
-        s = _Laurent(0, [Fraction(0)] * 4, 9)
+        s = Laurent(0, [Fraction(0)] * 4, 9)
         assert s.val == 9 and s.coeffs == []
 
     def test_multiplication_tracks_the_weakest_precision(self):
-        a = _Laurent(1, [Fraction(1)], 5)       # z, known through z^4
-        b = _Laurent(-1, [Fraction(1)], 5)      # 1/z, known through z^4
+        a = Laurent(1, [Fraction(1)], 5)       # z, known through z^4
+        b = Laurent(-1, [Fraction(1)], 5)      # 1/z, known through z^4
         prod = a * b
         assert prod.coefficient(0) == 1
         assert prod.prec == 4  # a.prec + b.val = 4 is the binding bound
@@ -404,30 +405,30 @@ class TestLaurent:
             prod.coefficient(4)
 
     def test_derivative_drops_one_order_of_precision(self):
-        s = _Laurent.from_series([1, 1, 1, 1])
+        s = Laurent.from_series([1, 1, 1, 1])
         d = s.derivative()
         assert d.prec == 3
         assert [d.coefficient(k) for k in range(3)] == [1, 2, 3]
 
     def test_derivative_of_a_constant_is_certified_zero(self):
-        d = _Laurent.from_series([5], prec=3).derivative()
+        d = Laurent.from_series([5], prec=3).derivative()
         assert d.is_zero_up_to(1)
         with pytest.raises(ValueError):
             d.is_zero_up_to(2)
 
     def test_is_zero_up_to_sees_the_first_nonzero_term(self):
-        s = _Laurent(3, [Fraction(2)], 10)
+        s = Laurent(3, [Fraction(2)], 10)
         assert s.is_zero_up_to(2)
         assert not s.is_zero_up_to(3)
 
     def test_addition_aligns_valuations(self):
-        a = _Laurent(-1, [Fraction(1)], 6)
-        b = _Laurent(-1, [Fraction(-1), Fraction(4)], 6)
+        a = Laurent(-1, [Fraction(1)], 6)
+        b = Laurent(-1, [Fraction(-1), Fraction(4)], 6)
         c = a + b
         assert c.val == 0 and c.coefficient(0) == 4
 
     def test_subtraction_of_equal_series_is_zero(self):
-        a = _Laurent.from_series([2, 3, 5, 7])
+        a = Laurent.from_series([2, 3, 5, 7])
         assert (a - a).is_zero_up_to(3)
 
 
@@ -517,7 +518,7 @@ class TestHorizontalSections:
         assert verify_horizontal_u4(AA, 40)
 
     def test_u4_negative_control_fails(self):
-        assert not verify_horizontal_u4(AA, 40, _flip_sign=True)
+        assert not verify_horizontal_u4(AA, 40, flip_sign=True)
 
     def test_u4_rejects_tiny_truncation(self):
         with pytest.raises(ValueError):
@@ -527,7 +528,7 @@ class TestHorizontalSections:
         assert verify_horizontal_u5(wedge_of("A*a"), 40)
 
     def test_u5_negative_control_fails(self, wedge_of):
-        assert not verify_horizontal_u5(wedge_of("A*a"), 40, _zero_b1=True)
+        assert not verify_horizontal_u5(wedge_of("A*a"), 40, zero_b1=True)
 
     def test_u5_rejects_tiny_truncation(self, wedge_of):
         with pytest.raises(ValueError):
