@@ -35,7 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import FrobcyError, Record, UsageError
 from .congruence import OutsideUnitDisk
-from .diffop import ThetaOperator, TruncatedSeries, symbol_roots_mod_p
+from .diffop import (ThetaOperator, TruncatedSeries, json_int,
+                     symbol_roots_mod_p)
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
                         unit_roots, weil_verify)
 from .series import cache_series
@@ -145,7 +146,8 @@ def _external_forms() -> List[Tuple[str, Dict[int, int]]]:
         try:
             data = json.loads(path.read_text())
             out.append((str(data["label"]),
-                        {int(k): int(v) for k, v in data["ap"].items()}))
+                        {json_int(k): json_int(v)
+                         for k, v in data["ap"].items()}))
         except KeyError as exc:
             raise UsageError(
                 f"form fixture {str(path)!r} has no field {exc}") from None

@@ -47,7 +47,7 @@ from .classify import (PointClass, classify_operator, classify_point,
 from .congruence import CongruenceReport, OutsideUnitDisk, check_dwork_congruence
 from .diffop import ThetaOperator, solve_series, symbol_roots_mod_p
 from .frobenius import (decode_frobenius, frobenius_quartic, legendre_frobenius,
-                        legendre_precision, legendre_unit_root)
+                        legendre_precision)
 from .padic import is_odd_prime
 from .series import CorruptCache, _default_cache_dir, cache_series
 from .wedge import wedge_square
@@ -315,12 +315,11 @@ def cmd_legendre(args: argparse.Namespace) -> int:
     p = _check_prime(args.prime)
     result: Dict[str, object] = {"p": p, "s0": args.point % p}
     try:
-        root = legendre_unit_root(p, args.point)
+        root, ap = legendre_frobenius(p, args.point)
     except OutsideUnitDisk:
         result.update(status="supersingular", pi=None, ap=None,
                       zeta_numerator=None)
     else:
-        ap = legendre_frobenius(p, args.point)
         result.update(status="ordinary",
                       pi=_padic_json(p, legendre_precision(p), root), ap=ap,
                       zeta_numerator=[1, -ap, p])

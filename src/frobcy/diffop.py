@@ -22,6 +22,7 @@ Z[z][theta] (see ``_is_self_dual``).
 from __future__ import annotations
 
 import json
+import re
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -63,6 +64,17 @@ def _int_content_sign(rows: Sequence[Sequence[int]]) -> int:
             if lead:
                 break
     return -g if lead < 0 else g
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def json_int(value: object) -> int:
+    """An integer read from JSON: a JSON integer or a decimal string, the
+    form ``to_json`` writes; a float, a bool or anything else is a ValueError."""
+    if type(value) is int or isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
 
 
 class ThetaOperator:
@@ -136,12 +148,12 @@ class ThetaOperator:
     @classmethod
     def from_json(cls, text: str) -> "ThetaOperator":
         data = json.loads(text)
-        rows = [[int(c) for c in row] for row in data["coeffs"]]
+        rows = [[json_int(c) for c in row] for row in data["coeffs"]]
         name = data.get("name", "")
         if not isinstance(name, str):
             raise ValueError(f"name must be a string, not {name!r}")
         op = cls(rows, name=name, aesz=data.get("aesz"))
-        if op.theta_order != data["theta_order"]:
+        if op.theta_order != json_int(data["theta_order"]):
             raise ValueError("theta_order does not match the coefficient table")
         return op
 

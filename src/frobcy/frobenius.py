@@ -27,15 +27,17 @@ The admissible pairs are
     (1 - chi p T)(1 - chi p^2 T)(1 - a_p T + p^3 T^2) with chi = +-1 and
     a_p^2 <= 4 p^3.
 
-``required_precision``, where every row starts, is the least s at which
-(a, b) -> (a mod p^s, b mod p^s) is injective on the Weil-shape pairs.  A
-cell that fits zero or several pairs (at p = 5, s = 3 a split point can fit
-(-8, 43) and (-8, -82)) raises ``Uncertified`` and escalates to s + 1, up
-to ``box_precision``: p^s > twice every bound (|a| <= 4 p^(3/2),
-|b| <= 6 p^2, and the split-quartic bounds at symbol roots), where the
-balanced lifts are unique in their boxes, and an in-box pair outside the
-admissible set is returned as it is, for the classifier to report as
-inconsistent.
+Every precision is the least s at which residues mod p^s tell apart a
+finite set of integer pairs.  The coefficient box |a| <= A, |b| <= B
+(``_box``) has A = 4 p^(3/2), B = 6 p^2 off the singular fibers and
+A = p^2 + p + 2 p^(3/2), B = 2 p^2 + 2 (1+p) p^(3/2) on them.
+``required_precision``, where every row starts, separates the Weil-shape
+pairs.  A cell that fits zero or several pairs (at p = 5, s = 3 a split
+point can fit (-8, 43) and (-8, -82)) raises ``Uncertified`` and escalates
+to s + 1, up to ``box_precision``, which separates the box: there the
+balanced lift is the one pair of the box that fits, and an in-box pair
+outside the admissible set is returned as it is, for the classifier to
+report as inconsistent.
 
 ``legendre_frobenius`` runs the same one-dimensional method on the Legendre
 family y^2 = x(x-1)(x-s0), whose trace satisfies |a_p| <= 2 sqrt(p).
@@ -74,7 +76,16 @@ class SingularFiber(UsageError, ArithmeticError):
     usage error."""
 
 
-# -- the admissible set and the precision policy -------------------------------------
+# -- the coefficient box, the admissible set and the precision policy ------------------
+
+
+def _box(p: int, at_singular_fiber: bool) -> Tuple[int, int]:
+    """(A, B): the coefficient box |a| <= A, |b| <= B of the module
+    docstring, its real bounds rounded down (exact for integer a, b)."""
+    if at_singular_fiber:
+        return (p * p + p + isqrt(4 * p**3),
+                2 * p * p + isqrt(4 * (1 + p) ** 2 * p**3))
+    return isqrt(16 * p**3), 6 * p * p
 
 
 def _weil_b_range(a: int, p: int) -> Tuple[int, int]:
@@ -99,7 +110,7 @@ def _admissible(p: int, at_singular_fiber: bool) -> Tuple[Tuple[int, int, int], 
     """The admissible set as (a, lo, hi) runs: pairs (a, lo..hi).  Weil-shape
     runs and split points are disjoint (a split quartic carries the linear
     coefficient p + p^2 > 2 p^(3/2))."""
-    amax = isqrt(16 * p**3)
+    amax = _box(p, False)[0]
     runs = [(a, *_weil_b_range(a, p)) for a in range(-amax, amax + 1)]
     runs = [r for r in runs if r[1] <= r[2]]
     if at_singular_fiber:
@@ -127,54 +138,37 @@ def _injective(runs: Tuple[Tuple[int, int, int], ...], m: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def required_precision(p: int) -> int:
-    """Least s for which (a, b) -> (a mod p^s, b mod p^s) is injective on the
-    Weil-shape pairs: the starting precision of every row.
-
-    At that s every cell off the singular fibers decodes to exactly one
-    pair.  The values for p = 3, 5, 7, 11, 13, 17 are 4, 3, 3, 3, 3, 3, and
-    s = 3 for every larger prime.
-    """
+def _separating_precision(p: int, runs: Tuple[Tuple[int, int, int], ...]) -> int:
+    """Least s at which residues mod p^s tell apart the pairs of the runs."""
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
-    runs = _admissible(p, False)
     s = 1
     while not _injective(runs, p**s):
         s += 1
     return s
 
 
-def box_precision(p: int, want_singular: bool = False) -> int:
-    """Minimal s such that p^s > 2 * (every applicable coefficient bound):
-    the escalation ceiling, at which each balanced lift is unique in its box.
+@lru_cache(maxsize=None)
+def required_precision(p: int) -> int:
+    """Least s at which residues mod p^s tell apart the Weil-shape pairs:
+    the starting precision of every row.
 
-    Bounds: 4 p^(3/2) and 6 p^2 always; additionally 2p^2 + 2(1+p) p^(3/2)
-    when coefficients of split quartics must be distinguished.  All
-    comparisons are exact integer arithmetic (p^(3/2) enters squared).
+    At that s every cell off the singular fibers decodes to exactly one
+    pair.  The values for p = 3, 5, 7, 11, 13, 17 are 4, 3, 3, 3, 3, 3, and
+    s = 3 for every larger prime.
     """
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime")
+    return _separating_precision(p, _admissible(p, False))
 
-    def enough(s: int) -> bool:
-        ps = p**s
-        # p^s > 8 p^(3/2)  <=>  p^(2s) > 64 p^3
-        if ps * ps <= 64 * p**3:
-            return False
-        # p^s > 12 p^2
-        if ps <= 12 * p * p:
-            return False
-        if want_singular:
-            # p^s > 4p^2 + 4(1+p) p^(3/2)
-            rem = ps - 4 * p * p
-            if rem <= 0 or rem * rem <= 16 * (1 + p) ** 2 * p**3:
-                return False
-        return True
 
-    s = 1
-    while not enough(s):
-        s += 1
-    return s
+def box_precision(p: int, want_singular: bool = False) -> int:
+    """Least s at which residues mod p^s tell apart the pairs of the box
+    |a| <= A, |b| <= B (``_box``, the fiber box when ``want_singular``): the
+    escalation ceiling, where each balanced lift is the one pair of its box
+    that fits the residues."""
+    A, B = _box(p, want_singular)
+    # a box is told apart exactly when each side is; as runs its sides are
+    # the pairs (0, -A..A) and (1, -B..B), in distinct classes mod p^s
+    return _separating_precision(p, ((0, -A, A), (1, -B, B)))
 
 
 # -- unit roots and assembly --------------------------------------------------------
@@ -226,12 +220,10 @@ def assemble_frobenius(r1: int, rh: int, p: int, s: int,
     Returns the unique admissible pair that fits the residues mod p^s (split
     pairs count only ``at_singular_fiber``).  When zero or several fit and s
     is below ``box_precision`` it raises Uncertified, so the caller can
-    retry at s + 1.  From the box precision on, the balanced lifts are unique
-    in their coefficient boxes -- away from the singular fibers
-    |a| <= 4 p^(3/2) and |b| <= 6 p^2; on them |a| <= p^2 + p + 2 p^(3/2) and
-    |b| <= 2 p^2 + 2 (1+p) p^(3/2) -- and an in-box pair outside the
-    admissible set is returned as it is; one outside its box raises
-    LiftOutOfBound.
+    retry at s + 1.  From the box precision on, the balanced lift is the one
+    pair of the box |a| <= A, |b| <= B (``_box``) that fits: an in-box pair
+    outside the admissible set is returned as it is, and a lift outside the
+    box raises LiftOutOfBound.
     """
     a, b = _balanced_pair(r1, rh, p, s)
     found = decode_frobenius(a, b, p, s, at_singular_fiber)
@@ -239,22 +231,10 @@ def assemble_frobenius(r1: int, rh: int, p: int, s: int,
         return found[0]
     if s < box_precision(p, at_singular_fiber):
         raise Uncertified(p, s, len(found))
-    if at_singular_fiber:
-        # |a| <= p^2 + p + 2 p^(3/2), exactly
-        t = abs(a) - p * p - p
-        if t > 0 and t * t > 4 * p**3:
-            raise LiftOutOfBound(
-                f"|a| = {abs(a)} exceeds the split-point bound at p = {p}")
-        # |b| <= 2 p^2 + 2 (1+p) p^(3/2), exactly
-        t = abs(b) - 2 * p * p
-        if t > 0 and t * t > 4 * (1 + p) ** 2 * p**3:
-            raise LiftOutOfBound(
-                f"|b| = {abs(b)} exceeds the split-point bound at p = {p}")
-    else:
-        if a * a > 16 * p**3:
-            raise LiftOutOfBound(f"|a| = {abs(a)} exceeds 4 p^(3/2) at p = {p}")
-        if abs(b) > 6 * p * p:
-            raise LiftOutOfBound(f"|b| = {abs(b)} exceeds 6 p^2 at p = {p}")
+    A, B = _box(p, at_singular_fiber)
+    if abs(a) > A or abs(b) > B:
+        raise LiftOutOfBound(f"(a, b) = ({a}, {b}) lies outside the box "
+                             f"|a| <= {A}, |b| <= {B} at p = {p}")
     return a, b
 
 
@@ -266,7 +246,7 @@ def frobenius_quartic(a: int, b: int, p: int) -> List[int]:
 def weil_verify(a: int, b: int, p: int) -> bool:
     """All complex roots of P(T) have |T| = p^(-3/2), exactly: (a, b) is a
     Weil-shape pair (see ``_weil_b_range``)."""
-    if a * a > 16 * p**3:
+    if abs(a) > _box(p, False)[0]:
         return False
     lo, hi = _weil_b_range(a, p)
     return lo <= b <= hi
@@ -276,11 +256,10 @@ def weil_verify(a: int, b: int, p: int) -> bool:
 
 
 def legendre_precision(p: int) -> int:
-    """Minimal s with p^s > 4 sqrt(p), i.e. p^(2s-1) > 16."""
-    s = 1
-    while p ** (2 * s - 1) <= 16:
-        s += 1
-    return s
+    """Least s at which residues mod p^s tell apart the traces
+    |a_p| <= isqrt(4 p), the floor of 2 sqrt(p)."""
+    bound = isqrt(4 * p)
+    return _separating_precision(p, ((0, -bound, bound),))
 
 
 def _legendre_series(p: int, s: int) -> TruncatedSeries:
@@ -316,12 +295,12 @@ def legendre_unit_root(p: int, s0: int) -> int:
     return eps * h % p**s
 
 
-def legendre_frobenius(p: int, s0: int) -> int:
-    """Trace a_p of y^2 = x(x-1)(x-s0) over F_p by the unit-root method:
+def legendre_frobenius(p: int, s0: int) -> Tuple[int, int]:
+    """(pi, a_p): the unit root and the trace of y^2 = x(x-1)(x-s0) over F_p,
     a_p = balanced(pi + p/pi) with |a_p| <= 2 sqrt(p)."""
     pi = legendre_unit_root(p, s0)
     ps = p ** legendre_precision(p)
     ap = balanced_residue(pi + p * pow(pi, -1, ps), ps)
-    if ap * ap > 4 * p:
+    if abs(ap) > isqrt(4 * p):
         raise LiftOutOfBound(f"|a_p| = {abs(ap)} exceeds 2 sqrt(p) at p = {p}")
-    return ap
+    return pi, ap

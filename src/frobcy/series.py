@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import FrobcyError
 from .catalog import operator_series
-from .diffop import ThetaOperator, TruncatedSeries
+from .diffop import ThetaOperator, TruncatedSeries, json_int
 
 
 class CorruptCache(FrobcyError):
@@ -77,7 +77,7 @@ def _cache_load(path: str, op_hash: str, role: str, p: int, K: int,
         if (data["operator_hash"] != op_hash or data["role"] != role
                 or data["p"] != p or data["K"] != K or data["N"] != N):
             raise CorruptCache(f"header mismatch in {path}")
-        coeffs = [int(c) for c in data["coeffs"]]
+        coeffs = [json_int(c) for c in data["coeffs"]]
         if len(coeffs) != N + 1 or coeffs[0] != 1:
             raise CorruptCache(f"bad coefficient array in {path}")
         pK = p**K

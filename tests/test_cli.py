@@ -24,6 +24,7 @@ import inspect
 import pkgutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frobcy
 from frobcy import FrobcyError, UsageError, catalog, classify, cli, wedge
@@ -272,6 +273,27 @@ class TestCacheSeries:
         with pytest.raises(FileNotFoundError):
             _cache_load(path + ".missing", h, "op", self.P, self.K, self.N)
 
+    @pytest.mark.parametrize("number", ["1e400", "1.5", "true"])
+    def test_non_integer_coefficient_is_recomputed(self, number, capsys,
+                                                   tmp_path):
+        # a coefficient that is a JSON number but not an integer makes the
+        # file a miss: the table equals a cold run and the file is rewritten
+        argv = ["table", "--operator", "A*a", "--primes", "5",
+                "--format", "json"]
+        _, cold, _ = run(argv + ["--no-cache"], capsys)
+        run(argv + ["--cache-dir", str(tmp_path)], capsys)
+        for path in tmp_path.iterdir():
+            data = json.loads(path.read_text(encoding="utf-8"))
+            data["coeffs"][1] = "@"
+            path.write_text(json.dumps(data).replace('"@"', number),
+                            encoding="utf-8")
+        code, warm, err = run(argv + ["--cache-dir", str(tmp_path)], capsys)
+        assert (code, warm, err) == (0, cold, "")
+        for path in tmp_path.iterdir():
+            data = json.loads(path.read_text(encoding="utf-8"))
+            _cache_load(str(path), data["operator_hash"], data["role"],
+                        data["p"], data["K"], data["N"])
+
     def test_unusable_directory_falls_back_to_compute(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x", encoding="utf-8")
@@ -286,6 +308,48 @@ class TestCacheSeries:
         monkeypatch.delenv("FROBCY_CACHE_DIR")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         assert _default_cache_dir() == str(tmp_path / "xdg" / "frobcy")
+
+
+@pytest.fixture(scope="module")
+def aa_cache(tmp_path_factory):
+    """A*a's series at p = 3, s = 4 in a cache directory, both roles: the
+    directory, {role: (path, file bytes)} and {role: a fresh solve}."""
+    op = get_entry("A*a").operator
+    target = (3, 4, 80)
+    cache_dir = str(tmp_path_factory.mktemp("aa_cache"))
+    files, fresh = {}, {}
+    for role in ("op", "wedge"):
+        cli.cache_series(op, role == "wedge", [target], cache_dir)
+        path = _cache_path(cache_dir, _operator_hash(op), role, *target)
+        files[role] = path, Path(path).read_bytes()
+        fresh[role], = cli.cache_series(op, role == "wedge", [target])
+    return cache_dir, files, fresh
+
+
+@settings(max_examples=80, deadline=None)
+@given(role=st.sampled_from(["op", "wedge"]), truncate=st.booleans(),
+       data=st.data())
+def test_damaged_cache_never_changes_a_result(aa_cache, role, truncate, data):
+    # one file truncated at any byte, or any one of its bytes replaced: the
+    # series equal a fresh solve, and the rewritten file loads cleanly
+    cache_dir, files, fresh = aa_cache
+    for path, raw in files.values():
+        Path(path).write_bytes(raw)
+    path, raw = files[role]
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    if truncate:
+        Path(path).write_bytes(raw[:at])
+    else:
+        # any byte, with digits drawn as often as the rest: a digit that
+        # replaces a digit keeps the file well formed
+        byte = data.draw(st.one_of(st.sampled_from(b"0123456789"),
+                                   st.integers(0, 255)), label="byte")
+        Path(path).write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
+    op = get_entry("A*a").operator
+    for other in ("op", "wedge"):
+        got, = cli.cache_series(op, other == "wedge", [(3, 4, 80)], cache_dir)
+        assert got == fresh[other]
+    assert _cache_load(path, _operator_hash(op), role, 3, 4, 80) == fresh[role]
 
 
 # -- table subcommand -----------------------------------------------------------------
@@ -909,8 +973,9 @@ def test_every_exception_class_derives_from_frobcy_error():
 def bad_operators(tmp_path):
     """Operator files without an exterior square, one without coeffs, one
     whose exterior square has a non-integral series, three whose name is not
-    a string, an --output path in a directory that does not exist, and an
-    empty cache directory."""
+    a string, three with a coefficient that is a JSON number but not an
+    integer, a form fixture directory with such an a_p, an --output path in
+    a directory that does not exist, and an empty cache directory."""
     ops = {
         "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
         "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
@@ -936,6 +1001,19 @@ def bad_operators(tmp_path):
         data["name"] = name
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(data), encoding="utf-8")
+    # A*a with its z theta^0 coefficient a JSON number that is not an integer
+    for key, number in (("coeff_inf", "1e400"), ("coeff_float", "1.5"),
+                        ("coeff_bool", "true")):
+        data = json.loads(get_entry("A*a").operator.to_json())
+        data["coeffs"][1][0] = "@"
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(data).replace('"@"', number),
+                              encoding="utf-8")
+    # a form fixture directory whose one fixture has a_7 = 1e400
+    paths["forms"] = tmp_path / "forms"
+    paths["forms"].mkdir()
+    (paths["forms"] / "inf_ap.json").write_text(
+        '{"label": "q", "ap": {"7": 1e400}}', encoding="utf-8")
     paths["unwritable"] = tmp_path / "missing" / "out.txt"
     paths["cache"] = tmp_path / "cache"
     return {key: str(path) for key, path in paths.items()}
@@ -1002,10 +1080,25 @@ def bad_operators(tmp_path):
      "error: no primes in list ','\n"),
     ("congruence --sequence a --prime 5 --smax 0", 2,
      "error: --smax must be >= 1, not 0\n"),
+    ("frob --operator {coeff_inf} --prime 7 --point 2 --no-cache", 2,
+     "coeff_inf.json': not an integer: inf\n"),
+    ("table --operator {coeff_inf} --primes 7 --no-cache", 2,
+     "coeff_inf.json': not an integer: inf\n"),
+    ("classify --operator {coeff_float} --primes 7 --no-cache", 2,
+     "coeff_float.json': not an integer: 1.5\n"),
+    ("wedge --operator {coeff_bool}", 2,
+     "coeff_bool.json': not an integer: True\n"),
+    # a leading NAME=value word sets an environment variable for the run
+    ("FROBCY_FORMS_DIR={forms} frob --operator A*a --prime 7 --point 4 "
+     "--no-cache", 2, "inf_ap.json': not an integer: inf\n"),
 ])
 def test_failure_is_one_line_with_its_exit_code(argv, code, message,
-                                                bad_operators, capsys):
-    got, _, err = run(argv.format(**bad_operators).split(), capsys)
+                                                bad_operators, capsys,
+                                                monkeypatch):
+    words = argv.format(**bad_operators).split()
+    while "=" in words[0]:
+        monkeypatch.setenv(*words.pop(0).split("=", 1))
+    got, _, err = run(words, capsys)
     assert got == code
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err

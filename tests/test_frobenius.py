@@ -8,17 +8,18 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
+from frobcy import frobenius
 from frobcy.catalog import get_entry
 from frobcy.congruence import OutsideUnitDisk
 from frobcy.diffop import solve_series
 from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
-                              _admissible, _balanced_pair, _injective,
+                              _admissible, _balanced_pair, _box, _injective,
                               assemble_frobenius, box_precision,
                               decode_frobenius, frobenius_quartic,
                               legendre_frobenius, legendre_precision,
                               legendre_unit_root, required_precision,
                               unit_roots, weil_verify)
-from frobcy.padic import NotAUnit
+from frobcy.padic import NotAUnit, is_odd_prime
 from frobcy.series import cache_series
 from frobcy.wedge import wedge_square
 
@@ -154,8 +155,60 @@ class TestRequiredPrecision:
                 legendre_unit_root(p, 2)
 
 
+# The closed forms the precisions and the lift checks were once written in,
+# kept as oracles: exact integer versions of the real bounds.
+
+ODD_PRIMES_BELOW_5000 = [p for p in range(3, 5000, 2) if is_odd_prime(p)]
+
+
+def within_real_box(a: int, b: int, p: int, fiber: bool) -> bool:
+    """|a| <= 4 p^(3/2) and |b| <= 6 p^2, or on a fiber
+    |a| <= p^2 + p + 2 p^(3/2) and |b| <= 2 p^2 + 2 (1+p) p^(3/2)."""
+    if fiber:
+        t, u = abs(a) - p * p - p, abs(b) - 2 * p * p
+        return ((t <= 0 or t * t <= 4 * p**3)
+                and (u <= 0 or u * u <= 4 * (1 + p) ** 2 * p**3))
+    return a * a <= 16 * p**3 and abs(b) <= 6 * p * p
+
+
+def box_enough(p: int, s: int, fiber: bool) -> bool:
+    """p^s exceeds twice every real bound of the box."""
+    ps = p**s
+    if ps * ps <= 64 * p**3 or ps <= 12 * p * p:
+        return False
+    if fiber:
+        rem = ps - 4 * p * p
+        if rem <= 0 or rem * rem <= 16 * (1 + p) ** 2 * p**3:
+            return False
+    return True
+
+
+def legendre_enough(p: int, s: int) -> bool:
+    """p^s > 4 sqrt(p), i.e. p^(2s-1) > 16."""
+    return p ** (2 * s - 1) > 16
+
+
+def least(enough) -> int:
+    s = 1
+    while not enough(s):
+        s += 1
+    return s
+
+
+def agreeing_pairs(A: int, B: int, m: int):
+    """Two distinct pairs of the box |a| <= A, |b| <= B that agree mod m,
+    or None.  Their difference is a nonzero point of m Z^2 with |x| <= 2A
+    and |y| <= 2B, and every such point is tried."""
+    for x in range(-(2 * A // m) * m, 2 * A + 1, m):
+        for y in range(-(2 * B // m) * m, 2 * B + 1, m):
+            if (x, y) != (0, 0):
+                a, b = max(-A, -A - x), max(-B, -B - y)
+                return (a, b), (a + x, b + y)
+    return None
+
+
 class TestBoxPrecision:
-    """The per-coefficient policy, kept as the escalation ceiling."""
+    """The box policy, kept as the escalation ceiling."""
 
     def test_tables(self):
         assert {p: box_precision(p) for p in PRIMES} == \
@@ -173,18 +226,55 @@ class TestBoxPrecision:
     @pytest.mark.parametrize("want_singular", [False, True])
     @pytest.mark.parametrize("p", PRIMES)
     def test_minimality(self, p, want_singular):
-        def enough(s: int) -> bool:
-            ps = p**s
-            if ps * ps <= 64 * p**3 or ps <= 12 * p * p:
-                return False
-            if want_singular:
-                rem = ps - 4 * p * p
-                if rem <= 0 or rem * rem <= 16 * (1 + p) ** 2 * p**3:
-                    return False
-            return True
-
         s = box_precision(p, want_singular)
-        assert enough(s) and not enough(s - 1)
+        assert box_enough(p, s, want_singular)
+        assert not box_enough(p, s - 1, want_singular)
+
+    def test_closed_forms_below_5000(self):
+        assert len(ODD_PRIMES_BELOW_5000) == 668
+        for p in ODD_PRIMES_BELOW_5000:
+            for fiber in (False, True):
+                assert box_precision(p, fiber) == \
+                    least(lambda s: box_enough(p, s, fiber)), (p, fiber)
+            assert legendre_precision(p) == \
+                least(lambda s: legendre_enough(p, s)), p
+
+    def test_box_is_the_floor_of_the_real_bounds(self):
+        for p in ODD_PRIMES_BELOW_5000:
+            for fiber in (False, True):
+                A, B = _box(p, fiber)
+                assert within_real_box(A, B, p, fiber)
+                assert within_real_box(-A, -B, p, fiber)
+                assert not within_real_box(A + 1, 0, p, fiber)
+                assert not within_real_box(0, B + 1, p, fiber)
+
+    @pytest.mark.parametrize("p", PRIMES + (19, 23))
+    def test_brute_force_separation(self, p):
+        # at the precision every two pairs of the box differ mod p^s, and
+        # at s - 1 two of them agree; the Legendre traces are a box with
+        # A = 0
+        bound = isqrt(4 * p)
+        for (A, B), s in [(_box(p, False), box_precision(p, False)),
+                          (_box(p, True), box_precision(p, True)),
+                          ((0, bound), legendre_precision(p))]:
+            assert agreeing_pairs(A, B, p**s) is None
+            if s > 1:
+                x, y = agreeing_pairs(A, B, p ** (s - 1))
+                assert x != y and abs(x[0]) <= A and abs(y[0]) <= A
+                assert abs(x[1]) <= B and abs(y[1]) <= B
+                assert (x[0] - y[0]) % p ** (s - 1) == 0
+                assert (x[1] - y[1]) % p ** (s - 1) == 0
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_collision_search_matches_enumeration(self, p):
+        for fiber in (False, True):
+            A, B = _box(p, fiber)
+            for s in range(1, box_precision(p, fiber) + 1):
+                m = p**s
+                keys = {a % m * m + b % m
+                        for a in range(-A, A + 1) for b in range(-B, B + 1)}
+                assert (len(keys) == (2 * A + 1) * (2 * B + 1)) == \
+                    (agreeing_pairs(A, B, m) is None)
 
 
 # -- unit roots --------------------------------------------------------------------
@@ -269,6 +359,27 @@ class TestAssembleFrobenius:
             assemble_frobenius(1, 1, 3, 6)
         with pytest.raises(LiftOutOfBound):
             assemble_frobenius(1, 1, 3, 6, at_singular_fiber=True)
+
+    @pytest.mark.parametrize("fiber", [False, True])
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_lift_edges(self, p, fiber, monkeypatch):
+        # at the box precision a lift that no admissible pair fits is
+        # returned on the edge of the box and raises one step outside it
+        A, B = _box(p, fiber)
+        s = box_precision(p, fiber)
+        monkeypatch.setattr(frobenius, "decode_frobenius", lambda *args: [])
+
+        def assemble(a: int, b: int):
+            monkeypatch.setattr(frobenius, "_balanced_pair",
+                                lambda *args: (a, b))
+            return assemble_frobenius(1, 1, p, s, fiber)
+
+        for a, b in [(A, B), (-A, -B), (A, -B), (-A, B)]:
+            assert assemble(a, b) == (a, b)
+        for a, b in [(A + 1, B), (-A - 1, 0), (A, B + 1), (0, -B - 1)]:
+            with pytest.raises(LiftOutOfBound) as info:
+                assemble(a, b)
+            assert type(info.value) is LiftOutOfBound
 
     def test_rejects_non_unit_roots(self):
         for r1, rh in [(7, 1), (1, 49), (0, 3)]:
@@ -427,7 +538,7 @@ class TestLegendre:
         assert legendre_unit_root(7, 3) == 39   # mod 7^2 = 49
 
     def test_trace_at_7_matches_the_point_count(self):
-        assert legendre_frobenius(7, 3) == 4
+        assert legendre_frobenius(7, 3) == (39, 4)
         assert legendre_trace_bruteforce(7, 3) == 4
 
     def test_degenerate_fibers_raise(self):
@@ -445,7 +556,7 @@ class TestLegendre:
                 with pytest.raises(OutsideUnitDisk):
                     legendre_frobenius(p, s0)
             else:
-                assert legendre_frobenius(p, s0) == ap
+                assert legendre_frobenius(p, s0)[1] == ap
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_hasse_bound_everywhere(self, p):
@@ -458,7 +569,7 @@ class TestLegendre:
         ps = 13 ** legendre_precision(13)
         lifted = (root + 13 * pow(root, -1, ps)) % ps
         lifted -= ps if lifted > ps // 2 else 0
-        assert lifted == legendre_frobenius(13, 5)
+        assert legendre_frobenius(13, 5) == (root, lifted)
 
     def test_supersingular_set_at_3_is_everything(self):
         # x(x-1)(x-2) == x^3 - x over F_3 vanishes identically

@@ -1,27 +1,51 @@
-"""Smoke test of the benchmark's traced runner: a change that breaks the
-layer spans (for example a layer function no longer bound where
-``perfbench/spans.py`` looks for it) fails here, not only in a benchmark
-run."""
+"""Smoke tests of the benchmark's traced runner and of its environment
+probe: a change that breaks the layer spans (for example a layer function no
+longer bound where ``perfbench/spans.py`` looks for it) or a name the probe
+reads fails here, not only in a benchmark run."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict:
+    """The environment with ``src`` first on PYTHONPATH."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def test_traced_runner_writes_series_spans(tmp_path):
     spans_file = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "runner.py"),
          "--spans", str(spans_file), "table", "--operator", "A*a",
          "--primes", "3", "--no-cache"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        capture_output=True, text=True, env=src_env(), cwd=tmp_path,
+        timeout=120)
     assert done.returncode == 0, done.stderr
     spans = json.loads(spans_file.read_text("utf-8"))["spans"]
     assert any(span[0] == "diffop.solve_series" for span in spans)
+
+
+def test_environment_probe_runs(tmp_path):
+    # PROBE is read from run.py's source, so run.py itself is not imported
+    pytest.importorskip("numpy")
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text("utf-8"))
+    probe, = (node.value.value for node in tree.body
+              if isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Name) and target.id == "PROBE"
+                      for target in node.targets))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=src_env(), cwd=tmp_path, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert Path(report["frobcy_file"]).resolve().parent == ROOT / "src" / "frobcy"
