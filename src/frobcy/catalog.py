@@ -16,15 +16,15 @@ rational roots of its leading symbol are found when they are read.
 So a product's coefficients are c_n = A_n B_n: ``operator_series`` solves a
 catalog operator's own series mod p^K from one run of its right factor's
 recurrence (divisor n^2, one limb) and A_n stepped as a p-adic valuation and
-a unit (``left_factor_residues``).  The 24 products share 6 right and 4 left
-factors, so both are memoized per process: a sweep runs each right factor
-once per batch of targets, not once per operator.  ``operator_series`` is
-also the one dispatch of the exterior square's series.  The exterior squares
-of the products depend only on the catalog, so they ship as data
-(``data/catalog_wedges.json``) and are loaded, with ``wedge_square``'s
-closing checks, instead of being rebuilt.  Both series of a catalog product
-are known to be integral, so its runs may leave exact integers for residues
-mod a shrinking product of target prime powers
+a unit (``left_factor_residues``), to degree p^K - 1 at each (p, K) target.
+The 24 products share 6 right and 4 left factors, so both are memoized per
+process: a sweep runs each right factor once per batch of targets, not once
+per operator.  ``operator_series`` is also the one dispatch of the exterior
+square's series.  The exterior squares of the products depend only on the
+catalog, so they ship as data (``data/catalog_wedges.json``) and are loaded,
+with ``wedge_square``'s closing checks, instead of being rebuilt.  Both
+series of a catalog product are known to be integral, so its runs may leave
+exact integers for residues mod a shrinking product of target prime powers
 (``solve_series(..., integral=True)``); operator files keep the fully
 checked exact run and build their exterior square with ``wedge_square``.
 """
@@ -175,9 +175,10 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 @lru_cache(maxsize=32)
-def left_factor_residues(left: str, N: int, p: int, K: int) -> List[int]:
-    """A_0 .. A_N mod p^K of a left factor, n^2 A_n = lam P(n-1) A_(n-1),
-    stepped as A_n = p^v u with u a unit mod p^K: no digit is lost.
+def left_factor_residues(left: str, p: int, K: int) -> List[int]:
+    """A_0 .. A_N mod p^K, N = p^K - 1, of a left factor, n^2 A_n =
+    lam P(n-1) A_(n-1), stepped as A_n = p^v u with u a unit mod p^K: no
+    digit is lost.
 
     Memoized per process: at most 32 lists, enough for the 4 left factors
     at the 6 primes of a full sweep and its escalations, the least recently
@@ -185,7 +186,7 @@ def left_factor_residues(left: str, N: int, p: int, K: int) -> List[int]:
     change it."""
     lam, pair, _ = _LEFT[left]
     pK, out, v, u = p**K, [1], 0, 1
-    for n in range(1, N + 1):
+    for n in range(1, pK):
         num, den = lam * (pair[0] + (n - 1) * (pair[1] + (n - 1) * pair[2])), n * n
         while num % p == 0:
             num, v = num // p, v + 1
@@ -225,10 +226,11 @@ def catalog_wedge(name: str) -> ThetaOperator:
                                      name=f"wedge({name})", aesz=None))
 
 
-def operator_series(op: ThetaOperator, N: int, targets, wedge: bool = False) -> list:
-    """``solve_series(source, N, targets=targets)`` for ``op``, or for its
-    exterior square when ``wedge`` is true; every target is a (p, K, N_t)
-    residue target.
+def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:
+    """The residues mod p^K, to degree p^K - 1, of the normalized solution
+    of ``op``, or of its exterior square when ``wedge`` is true, at every
+    (p, K) target: one ``solve_series`` batch, a list aligned with
+    ``targets``.
 
     A catalog product (same name and coefficients) has an integer series:
     the Hadamard product of its factors' integer sequences, solved through
@@ -244,16 +246,17 @@ def operator_series(op: ThetaOperator, N: int, targets, wedge: bool = False) -> 
     reaches, a denominator at a prime that is no target goes unchecked: the
     residues at the targets stay right, but no NonIntegralSolution is
     raised for it."""
+    full = [(p, K, p**K - 1) for p, K in targets]
+    N = max(t[2] for t in full)
     entry = CATALOG.get(op.name)
     if entry is None or entry.operator != op:
-        return solve_series(wedge_square(op) if wedge else op, N, targets=targets)
+        return solve_series(wedge_square(op) if wedge else op, N, targets=full)
     if wedge:
-        return solve_series(catalog_wedge(entry.name), N, targets=targets,
+        return solve_series(catalog_wedge(entry.name), N, targets=full,
                             integral=True)
     out = []
-    right = _right_factor_run(entry.right, N, tuple(targets))
-    for (p, K, tN), b in zip(targets, right):
-        a, pK = left_factor_residues(entry.left, tN, p, K), p**K
+    for (p, K), b in zip(targets, _right_factor_run(entry.right, N, tuple(full))):
+        a, pK = left_factor_residues(entry.left, p, K), p**K
         out.append(TruncatedSeries([x * y % pK for x, y in zip(a, b.coeffs)], p, K))
     return out
 

@@ -290,35 +290,39 @@ def classify_point(op: ThetaOperator, p: int, z0: int, s: int,
 
 def classify_operator(op: ThetaOperator, primes: Sequence[int],
                       points: Optional[Sequence[int]] = None,
-                      cache_dir: Optional[str] = None) -> list:
+                      cache_dir: Optional[str] = None,
+                      precision: Optional[int] = None) -> list:
     """The row pipeline: classify the points z0 in ``points`` (default:
     1 .. p-1) of one operator at every prime in ``primes``.  Returns a list
     aligned with ``primes`` holding each row's cells, in the order of
     ``points``, or the exception that the row raised.
 
-    Each row starts at ``required_precision(p)``, which settles every point
-    off the singular fibers.  Per role, the wedge first, the series of every
-    pending row come from one ``cache_series`` batch, through the disk cache
-    in ``cache_dir`` or solved afresh when it is None, and are shared by the
-    row's points; a row whose wedge failed asks for no series of its own.
-    A point whose residues fit zero or several admissible pairs (split pairs
-    count where the leading symbol vanishes mod p) escalates: it is
-    classified again at s + 1 in the next batch (``escalated`` marks it),
-    until ``box_precision``, where every balanced lift is settled.
+    With ``precision`` None each row starts at ``required_precision(p)``,
+    which settles every point off the singular fibers.  Per role, the wedge
+    first, the series of every pending row come from one ``cache_series``
+    batch at (p, s), through the disk cache in ``cache_dir`` or solved
+    afresh when it is None, and are shared by the row's points; a row whose
+    wedge failed asks for no series of its own.  A point whose residues fit
+    zero or several admissible pairs (split pairs count where the leading
+    symbol vanishes mod p) escalates: it is classified again at s + 1 in the
+    next batch (``escalated`` marks it), until ``box_precision``, where
+    every balanced lift is settled.  With an integer ``precision`` every row
+    runs at that s alone, and a point it does not settle makes
+    ``Uncertified`` its row's error.
     """
     out: list = [None] * len(primes)
     wanted = [list(range(1, p) if points is None else points) for p in primes]
     roots = [set(symbol_roots_mod_p(op, p)) for p in primes]
     cells: List[Dict[int, PointClass]] = [{} for _ in primes]
-    pending = {i: (required_precision(p), wanted[i]) for i, p in enumerate(primes)}
+    pending = {i: (required_precision(p) if precision is None else precision,
+                   wanted[i]) for i, p in enumerate(primes)}
     escalated = False
     while pending:
         # the wedge first: a miss builds it, which rejects an unusable op
         # before any series work
         rows, fetched = list(pending), {i: [] for i in pending}
         for wedge in (True, False):
-            targets = [(primes[i], pending[i][0], primes[i]**pending[i][0] - 1)
-                       for i in rows]
+            targets = [(primes[i], pending[i][0]) for i in rows]
             for i, got in zip(rows, cache_series(op, wedge, targets, cache_dir)):
                 if isinstance(got, Exception):
                     out[i] = got
@@ -334,6 +338,8 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
                         cells[i][z0] = classify_point(op, p, z0, s, f0, F0,
                                                       z0 % p in roots[i])
                     except Uncertified:
+                        if precision is not None:
+                            raise
                         later.append(z0)
                     else:
                         cells[i][z0].escalated = escalated

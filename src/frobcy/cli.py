@@ -10,11 +10,10 @@ over a prime range), ``legendre`` (elliptic baseline), and ``catalog``
 Every cell goes through one row pipeline, ``classify_operator``: a
 ``table`` or ``classify`` row classifies the points 1 .. p-1, a ``frob``
 query only its point, from ``required_precision`` with the same per-cell
-escalation.  Its series come from ``series.cache_series`` (re-exported
-here, with ``CorruptCache``), through the disk cache unless ``--no-cache``
-is given; ``frob --precision s`` fetches the two series at s the same way
-and classifies the point once.  The cache directory is ``--cache-dir``,
-else $FROBCY_CACHE_DIR, else the platform user cache path.
+escalation, or at its ``--precision s`` alone.  Its series come from
+``series.cache_series`` (re-exported here, with ``CorruptCache``), through
+the disk cache unless ``--no-cache`` is given.  The cache directory is
+``--cache-dir``, else $FROBCY_CACHE_DIR, else the platform user cache path.
 
 A table sweep runs one task per operator: one ``classify_operator`` call
 over all its primes, so per role one batch of series for all its rows.
@@ -42,10 +41,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import FrobcyError, UsageError
 from .catalog import (CATALOG, SECOND_ORDER, catalog, get_entry,
                       sequence_terms_via_recurrence)
-from .classify import (PointClass, classify_operator, classify_point,
-                       results_to_csv)
+from .classify import PointClass, classify_operator, results_to_csv
 from .congruence import CongruenceReport, OutsideUnitDisk, check_dwork_congruence
-from .diffop import ThetaOperator, solve_series, symbol_roots_mod_p
+from .diffop import ThetaOperator, solve_series
 from .frobenius import (decode_frobenius, frobenius_quartic, legendre_frobenius,
                         legendre_precision)
 from .padic import is_odd_prime
@@ -223,7 +221,7 @@ def _sweep(names: Sequence[str], fmt: str, jobs: int,
 def cmd_frob(args: argparse.Namespace) -> int:
     """One cell, certified as in its table row (``classify_operator`` on the
     one point, escalating as needed); an explicit --precision is used as
-    given and never escalates."""
+    given and never escalates: a cell it does not settle is an error."""
     op = _load_operator(args.operator)
     p = _check_prime(args.prime)
     if args.precision is not None and args.precision < 1:
@@ -231,22 +229,11 @@ def cmd_frob(args: argparse.Namespace) -> int:
     z0 = args.point % p
     if z0 == 0:
         raise UsageError("the point must be nonzero mod p")
-    cache_dir = _cache_dir(args)
-    if args.precision is None:
-        row, = classify_operator(op, [p], points=[z0], cache_dir=cache_dir)
-        if isinstance(row, Exception):
-            raise row
-        pc = row[0]
-    else:
-        s, fetched = args.precision, []
-        for wedge in (True, False):  # the wedge first, as in a row
-            got, = cache_series(op, wedge, [(p, s, p**s - 1)], cache_dir)
-            if isinstance(got, Exception):
-                raise got
-            fetched.append(got)
-        F0, f0 = fetched
-        pc = classify_point(op, p, z0, s, f0, F0,
-                            z0 in symbol_roots_mod_p(op, p))
+    row, = classify_operator(op, [p], points=[z0], cache_dir=_cache_dir(args),
+                             precision=args.precision)
+    if isinstance(row, Exception):
+        raise row
+    pc, = row
     result: Dict[str, object] = {
         "operator": op.name or args.operator, "p": p, "z": z0,
         "precision": pc.s,

@@ -44,25 +44,11 @@ def _int_content_sign(rows: Sequence[Sequence[int]]) -> int:
     for row in rows:
         for c in row:
             g = gcd(g, abs(c))
-    if g == 0:
-        raise ValueError("zero operator")
-    # sign convention: constant coefficient of the leading symbol positive,
-    # falling back to the first nonzero coefficient overall
-    lead = 0
+    # sign convention: the lowest nonzero coefficient of the leading symbol
+    # positive; ThetaOperator trims the order, so the theta^order column
+    # has one
     order = max(len(row) for row in rows) - 1
-    for row in rows:
-        c = row[order] if len(row) > order else 0
-        if c:
-            lead = c
-            break
-    if lead == 0:
-        for row in rows:
-            for c in row:
-                if c:
-                    lead = c
-                    break
-            if lead:
-                break
+    lead = next(row[order] for row in rows if len(row) > order and row[order])
     return -g if lead < 0 else g
 
 
@@ -148,11 +134,18 @@ class ThetaOperator:
     @classmethod
     def from_json(cls, text: str) -> "ThetaOperator":
         data = json.loads(text)
-        rows = [[json_int(c) for c in row] for row in data["coeffs"]]
+        if not isinstance(data, dict):
+            raise ValueError("an operator file holds one JSON object")
+        table = data["coeffs"]
+        if not isinstance(table, list) or not all(isinstance(row, list)
+                                                  for row in table):
+            raise ValueError("coeffs must be a list of lists of integers")
+        rows = [[json_int(c) for c in row] for row in table]
         name = data.get("name", "")
         if not isinstance(name, str):
             raise ValueError(f"name must be a string, not {name!r}")
-        op = cls(rows, name=name, aesz=data.get("aesz"))
+        aesz = data.get("aesz")
+        op = cls(rows, name=name, aesz=None if aesz is None else json_int(aesz))
         if op.theta_order != json_int(data["theta_order"]):
             raise ValueError("theta_order does not match the coefficient table")
         return op

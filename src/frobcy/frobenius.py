@@ -268,7 +268,7 @@ def _legendre_series(p: int, s: int) -> TruncatedSeries:
     ps = p**s
     inv16 = pow(16, -1, ps)
     coeffs, scale = [], 1  # scale = 16^(-j) mod p^s
-    for a in left_factor_residues("A", ps - 1, p, s):
+    for a in left_factor_residues("A", p, s):
         coeffs.append(a * scale % ps)
         scale = scale * inv16 % ps
     return TruncatedSeries(coeffs, prime=p, cap=s)

@@ -3,19 +3,20 @@
 Each cell at a prime p needs the residues mod p^s, to degree p^s - 1, of two
 series: the normalized solution of the operator (role ``op``) and that of
 its exterior square (role ``wedge``).  ``cache_series`` returns one role of
-one operator at a batch of (p, K, N) targets; every other module asks it.
+one operator at a batch of (p, s) targets; every other module asks it.
 
-Series are memoized on disk: a file stores the residues c_0 .. c_N mod p^K
-with a sha256 of the coefficient list, written atomically (temp file +
-rename).  The key is a content hash of the *source* operator's JSON plus
-the role and (p, K, N).  A damaged or mismatched file is detected
-(``CorruptCache``), silently recomputed, and overwritten.  Computations
-never depend on cache state, only their wall time does.  Without a cache
-directory every target is solved afresh.
+Series are memoized on disk: a file stores the residues c_0 .. c_N mod p^K,
+N = p^K - 1, with a sha256 of the coefficient list, written atomically (temp
+file + rename).  The key is a content hash of the *source* operator's JSON
+plus the role and (p, K, N); N is derived, never asked for, and stays in
+the key and the header so that files written before stay valid.  A damaged
+or mismatched file is detected (``CorruptCache``), silently recomputed, and
+overwritten.  Computations never depend on cache state, only their wall
+time does.  Without a cache directory every target is solved afresh.
 
 The misses of one call are solved in one ``operator_series`` batch to the
-largest N among them, reduced into each target's p^K: one recurrence run,
-or for a catalog operator's own series one run of its second-order right
+largest degree among them, reduced into each target's p^K: one recurrence
+run, or for a catalog operator's own series one run of its second-order right
 factor times its left factor stepped mod p^K, both shared through
 per-process memos by the operators of a sweep.  A catalog product's runs
 leave exact integers for residues once these are the narrower; an operator
@@ -60,27 +61,27 @@ def _coeffs_digest(coeffs: Sequence[int]) -> str:
     return hashlib.sha256(",".join(map(str, coeffs)).encode("ascii")).hexdigest()
 
 
-def _cache_path(cache_dir: str, op_hash: str, role: str, p: int, K: int,
-                N: int) -> str:
-    key = hashlib.sha256(f"{op_hash}:{role}:{p}:{K}:{N}".encode("ascii")).hexdigest()
+def _cache_path(cache_dir: str, op_hash: str, role: str, p: int, K: int) -> str:
+    key = f"{op_hash}:{role}:{p}:{K}:{p**K - 1}"
+    key = hashlib.sha256(key.encode("ascii")).hexdigest()
     return os.path.join(cache_dir, f"series-{key[:40]}.json")
 
 
-def _cache_load(path: str, op_hash: str, role: str, p: int, K: int,
-                N: int) -> TruncatedSeries:
+def _cache_load(path: str, op_hash: str, role: str, p: int,
+                K: int) -> TruncatedSeries:
     """Validated reload; raises CorruptCache on any defect, FileNotFoundError
     on a clean miss."""
     with open(path, "rb") as fh:  # json.loads decodes: bad bytes are a defect
         raw = fh.read()
+    pK = p**K
     try:
         data = json.loads(raw)
         if (data["operator_hash"] != op_hash or data["role"] != role
-                or data["p"] != p or data["K"] != K or data["N"] != N):
+                or data["p"] != p or data["K"] != K or data["N"] != pK - 1):
             raise CorruptCache(f"header mismatch in {path}")
         coeffs = [json_int(c) for c in data["coeffs"]]
-        if len(coeffs) != N + 1 or coeffs[0] != 1:
+        if len(coeffs) != pK or coeffs[0] != 1:
             raise CorruptCache(f"bad coefficient array in {path}")
-        pK = p**K
         if any(not 0 <= c < pK for c in coeffs):
             raise CorruptCache(f"residue out of range in {path}")
         if _coeffs_digest(coeffs) != data["sha256"]:
@@ -92,11 +93,11 @@ def _cache_load(path: str, op_hash: str, role: str, p: int, K: int,
     return TruncatedSeries(coeffs, prime=p, cap=K)
 
 
-def _cache_store(path: str, op_hash: str, role: str, p: int, K: int, N: int,
+def _cache_store(path: str, op_hash: str, role: str, p: int, K: int,
                  series: TruncatedSeries) -> None:
     """Atomic write: temp file in the same directory, then rename."""
     payload = {
-        "operator_hash": op_hash, "role": role, "p": p, "K": K, "N": N,
+        "operator_hash": op_hash, "role": role, "p": p, "K": K, "N": p**K - 1,
         "sha256": _coeffs_digest(series.coeffs),
         "coeffs": [str(c) for c in series.coeffs],
     }
@@ -115,12 +116,12 @@ def _cache_store(path: str, op_hash: str, role: str, p: int, K: int, N: int,
 
 
 def cache_series(op: ThetaOperator, wedge: bool,
-                 targets: Sequence[Tuple[int, int, int]],
+                 targets: Sequence[Tuple[int, int]],
                  cache_dir: Optional[str] = None) -> list:
-    """Residues c_0 .. c_N mod p^K of the normalized solution of ``op``, or
-    of its exterior square when ``wedge`` is true, at every (p, K, N) target:
-    a list aligned with ``targets`` holding each series or the exception
-    that its computation raises.
+    """Residues c_0 .. c_N mod p^s, N = p^s - 1, of the normalized solution
+    of ``op``, or of its exterior square when ``wedge`` is true, at every
+    (p, s) target: a list aligned with ``targets`` holding each series or
+    the exception that its computation raises.
 
     With a ``cache_dir`` the valid files are reloaded without recomputation
     (and without building the exterior square), and each solved target is
@@ -137,18 +138,17 @@ def cache_series(op: ThetaOperator, wedge: bool,
             cache_dir = None  # unusable: solve everything, store nothing
     if cache_dir is not None:
         op_hash = _operator_hash(op)
-        for i, (p, K, N) in enumerate(targets):
-            paths[i] = _cache_path(cache_dir, op_hash, role, p, K, N)
+        for i, (p, s) in enumerate(targets):
+            paths[i] = _cache_path(cache_dir, op_hash, role, p, s)
             try:
-                out[i] = _cache_load(paths[i], op_hash, role, p, K, N)
+                out[i] = _cache_load(paths[i], op_hash, role, p, s)
             except (CorruptCache, OSError):
                 pass  # a miss; a corrupt file is replaced by the fresh write
     misses = [i for i, got in enumerate(out) if got is None]
     if not misses:
         return out
     try:
-        solved = operator_series(op, max(targets[i][2] for i in misses),
-                                 [targets[i] for i in misses], wedge)
+        solved = operator_series(op, [targets[i] for i in misses], wedge)
     except Exception as exc:  # noqa: BLE001 - shared by every miss
         solved = [exc] * len(misses)
     for i, got in zip(misses, solved):

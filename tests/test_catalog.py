@@ -217,11 +217,17 @@ class TestHadamardProduct:
 
 
 def full_sweep_targets(name):
-    """The op-role targets of ``table --primes 3..17`` for one operator, plus
-    the one escalated cell's s = 4 series (A*d at p = 5)."""
-    targets = [(p, required_precision(p), p**required_precision(p) - 1)
-               for p in (3, 5, 7, 11, 13, 17)]
-    return targets + [(5, 4, 624)] if name == "A*d" else targets
+    """The op-role (p, s) targets of ``table --primes 3..17`` for one
+    operator, plus the one escalated cell's s = 4 series (A*d at p = 5)."""
+    targets = [(p, required_precision(p)) for p in (3, 5, 7, 11, 13, 17)]
+    return targets + [(5, 4)] if name == "A*d" else targets
+
+
+def solve_to(op, targets):
+    """``solve_series`` of ``op`` at the (p, K) targets of ``operator_series``,
+    each to degree p^K - 1, as one exact batch."""
+    full = [(p, K, p**K - 1) for p, K in targets]
+    return solve_series(op, max(N for _p, _K, N in full), targets=full)
 
 
 class TestOperatorSeries:
@@ -240,29 +246,29 @@ class TestOperatorSeries:
 
     @pytest.mark.parametrize("left", LEFT_NAMES)
     def test_left_factor_residues_match_the_exact_terms(self, left):
-        # N = 250 spans several carries of p-adic valuation for p = 3, 5, 7
-        exact = sequence_terms(left, 250)
-        for p in (3, 5, 7, 11):
-            for K in (1, 2, 4):
-                assert left_factor_residues(left, 250, p, K) == \
-                    [a % p**K for a in exact], (p, K)
+        # degrees to p^K - 1 <= 342 span several carries of p-adic valuation
+        # for p = 3, 5, 7
+        exact = sequence_terms(left, 342)
+        for p, K in [(3, 1), (3, 2), (3, 4), (3, 5), (5, 1), (5, 2), (5, 3),
+                     (7, 1), (7, 2), (7, 3), (11, 1), (11, 2)]:
+            assert left_factor_residues(left, p, K) == \
+                [a % p**K for a in exact[:p**K]], (p, K)
 
     def test_full_sweep_factor_route_equals_generic(self, runs):
         ran = []
         for name, entry in CATALOG.items():
             targets = full_sweep_targets(name)
-            N = max(t[2] for t in targets)
-            fast = operator_series(entry.operator, N, targets)
+            fast = operator_series(entry.operator, targets)
             assert runs in ([], [2]), name  # the right factor alone, or none
             ran += [name] * len(runs)
             del runs[:]
-            generic = solve_series(entry.operator, N, targets=targets)
+            generic = solve_to(entry.operator, targets)
             for t, got, want in zip(targets, fast, generic):
                 assert (got.coeffs, got.prime, got.cap) == \
                     (want.coeffs, want.prime, want.cap), (name, t)
         # one run per right factor and batch of targets: the first operator
-        # of each right factor runs it, and A*d's extra target (5, 4, 624)
-        # makes its batch differ from B*d's
+        # of each right factor runs it, and A*d's extra target (5, 4) makes
+        # its batch differ from B*d's
         assert ran == ["A*a", "A*b", "A*c", "A*d", "B*d", "A*f", "A*g"]
 
     def test_changed_coefficient_takes_the_generic_route(self, runs):
@@ -270,22 +276,22 @@ class TestOperatorSeries:
         data["coeffs"][1][4] = str(int(data["coeffs"][1][4]) + 1)
         op = ThetaOperator.from_json(json.dumps(data))
         assert op.name == "A*a"
-        targets = [(5, 2, 24), (7, 2, 48)]
-        got = operator_series(op, 48, targets)
+        targets = [(5, 2), (7, 2)]
+        got = operator_series(op, targets)
         assert runs == [4]
         # the changed operator has no integral solution: the generic run
         # reports it, where the factors of A*a would have answered
         assert all(isinstance(g, NonIntegralSolution) for g in got)
         assert [repr(g) for g in got] == \
-            [repr(w) for w in solve_series(op, 48, targets=targets)]
+            [repr(w) for w in solve_to(op, targets)]
 
     def test_renamed_copy_takes_the_generic_route(self, runs):
         entry = get_entry("B*c")
         copy = ThetaOperator(entry.operator.coeffs, name="mine")
-        targets = [(7, 3, 342)]
-        got, = operator_series(copy, 342, targets)
+        targets = [(7, 3)]
+        got, = operator_series(copy, targets)
         assert runs == [4]
-        want, = operator_series(entry.operator, 342, targets)
+        want, = operator_series(entry.operator, targets)
         assert runs == [4, 2]
         assert got.coeffs == want.coeffs
 
@@ -303,17 +309,15 @@ class TestOperatorSeries:
         return seen
 
     @pytest.mark.parametrize("names, targets", [
-        (("B*a", "B*g"), [(13, 3, 2196)]),
-        (("A*a", "D*c"), [(3, 4, 80), (5, 3, 124), (7, 3, 342)]),
+        (("B*a", "B*g"), [(13, 3)]),
+        (("A*a", "D*c"), [(3, 4), (5, 3), (7, 3)]),
     ], ids=["table_deep", "table_wide"])
     def test_residue_phase_equals_the_exact_run(self, grants, names, targets):
-        N = max(t[2] for t in targets)
         for name in names:
             op = get_entry(name).operator
             for wedge in (False, True):
-                got = operator_series(op, N, targets, wedge)
-                want = solve_series(wedge_square(op) if wedge else op, N,
-                                    targets=targets)
+                got = operator_series(op, targets, wedge)
+                want = solve_to(wedge_square(op) if wedge else op, targets)
                 assert [(g.coeffs, g.prime, g.cap) for g in got] == \
                     [(w.coeffs, w.prime, w.cap) for w in want], (name, wedge)
         # the right factor's run and the exterior square's, both integral
@@ -330,7 +334,7 @@ class TestOperatorSeries:
         monkeypatch.setattr(diffop, "_unscale", spy)
         op = get_entry("B*g").operator
         for wedge in (False, True):
-            operator_series(op, 2196, [(13, 3, 2196)], wedge)
+            operator_series(op, [(13, 3)], wedge)
         assert [(last, m) for _n0, last, m in entered] == [(2196, 13**3)] * 2
         assert all(0 < n0 < 2196 for n0, _last, _m in entered), entered
 
@@ -348,14 +352,13 @@ class TestOperatorSeries:
             return real(out, us, n0, m)
 
         monkeypatch.setattr(diffop, "_unscale", spy)
-        targets = [(3, 4, 80), (5, 3, 124), (7, 3, 342)]
+        targets = [(3, 4), (5, 3), (7, 3)]
         for name in ("A*a", "D*c"):
             op = get_entry(name).operator
             for wedge in (False, True):
                 entered.clear()
-                got = operator_series(op, 342, targets, wedge)
-                want = solve_series(wedge_square(op) if wedge else op, 342,
-                                    targets=targets)
+                got = operator_series(op, targets, wedge)
+                want = solve_to(wedge_square(op) if wedge else op, targets)
                 assert [(g.coeffs, g.prime, g.cap) for g in got] == \
                     [(w.coeffs, w.prime, w.cap) for w in want], (name, wedge)
                 assert [last for _n0, last in entered] == [80, 124, 342]
@@ -370,22 +373,22 @@ class TestOperatorSeries:
         data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
         op = ThetaOperator.from_json(json.dumps(data))
         assert op.name == "A*a"
-        targets = [(5, 2, 24), (7, 2, 48)]
-        got = operator_series(op, 48, targets, wedge=True)
+        targets = [(5, 2), (7, 2)]
+        got = operator_series(op, targets, wedge=True)
         # the file named A*a builds its own exterior square
         assert grants == [(5, False)] and built == ["A*a"]
         assert [repr(g) for g in got] == \
-            [repr(w) for w in solve_series(wedge_square(op), 48, targets=targets)]
+            [repr(w) for w in solve_to(wedge_square(op), targets)]
         assert all(isinstance(g, NonIntegralSolution) for g in got)
         # the catalog's A*a solves its stored one and builds none
-        operator_series(get_entry("A*a").operator, 48, targets, wedge=True)
+        operator_series(get_entry("A*a").operator, targets, wedge=True)
         assert grants == [(5, False), (5, True)] and built == ["A*a"]
 
     def test_residue_targets_equal_the_exact_coefficients(self, runs):
         # exact coefficients come from solve_series itself; the dispatch
         # takes residue targets only, through the factors for a product
         op = get_entry("C*d").operator
-        got, = operator_series(op, 30, [(5, 2, 24)])
+        got, = operator_series(op, [(5, 2)])
         assert runs == [2]
         assert got.coeffs == [c % 25 for c in solve_series(op, 24).coeffs]
 
@@ -410,24 +413,22 @@ class TestStoredWedges:
         monkeypatch.setattr(catalog_module, "_stored_wedges",
                             lambda: {**stored, "A*a": rows})
         with pytest.raises(UnexpectedOrder):
-            operator_series(get_entry("A*a").operator, 48, [(7, 2, 48)],
-                            wedge=True)
+            operator_series(get_entry("A*a").operator, [(7, 2)], wedge=True)
 
 
 WIDE_OPERATORS = ("A*a", "A*b", "A*c", "B*a", "B*b", "B*c",
                   "C*a", "C*b", "C*c", "D*a", "D*b", "D*c")
-WIDE_TARGETS = [(3, 4, 80), (5, 3, 124), (7, 3, 342)]
+WIDE_TARGETS = [(3, 4), (5, 3), (7, 3)]
 
 
 class TestSharedFactorRuns:
     def test_shared_runs_equal_the_unshared(self):
-        shared = {name: operator_series(get_entry(name).operator, 342,
-                                        WIDE_TARGETS)
+        shared = {name: operator_series(get_entry(name).operator, WIDE_TARGETS)
                   for name in WIDE_OPERATORS}
         for name in WIDE_OPERATORS:
             catalog_module._right_factor_run.cache_clear()
             catalog_module.left_factor_residues.cache_clear()
-            alone = operator_series(get_entry(name).operator, 342, WIDE_TARGETS)
+            alone = operator_series(get_entry(name).operator, WIDE_TARGETS)
             assert [(g.coeffs, g.prime, g.cap) for g in shared[name]] == \
                 [(w.coeffs, w.prime, w.cap) for w in alone], name
 
@@ -435,12 +436,12 @@ class TestSharedFactorRuns:
         right, left = catalog_module._right_factor_run, left_factor_residues
         for name, entry in CATALOG.items():
             targets = full_sweep_targets(name)
-            operator_series(entry.operator, max(t[2] for t in targets), targets)
+            operator_series(entry.operator, targets)
             assert right.cache_info().currsize <= right.cache_info().maxsize == 6
             assert left.cache_info().currsize <= left.cache_info().maxsize == 32
         # 24 operators, 7 right-factor batches: each ran once
         assert (right.cache_info().hits, right.cache_info().misses) == (17, 7)
-        # 4 left factors at 6 primes, and A's at (5, 4, 624), each stepped once
+        # 4 left factors at 6 primes, and A's at (5, 4), each stepped once
         assert left.cache_info().misses == 25
 
 

@@ -27,14 +27,12 @@ from frobcy.classify import (
     PointClass,
     classify_ab,
     classify_operator,
-    classify_point,
     match_singular_ap,
     reducible_split,
     results_to_csv,
     singular_split,
 )
-from frobcy.diffop import symbol_roots_mod_p
-from frobcy.series import cache_series
+from frobcy.frobenius import Uncertified
 
 from conftest import classified
 
@@ -338,12 +336,8 @@ class TestClassifyOperatorRows:
         assert (z4.chi, z4.ap, z4.form) == (-1, -2, "8/1")
 
     def test_classification_stable_at_higher_precision(self, aa_rows):
-        op, p, s = get_entry("A*a").operator, 5, 5
-        F0, f0 = (cache_series(op, wedge, [(p, s, p**s - 1)])[0]
-                  for wedge in (True, False))
-        roots = symbol_roots_mod_p(op, p)
-        again = [classify_point(op, p, z0, s, f0, F0, z0 in roots)
-                 for z0 in range(1, p)]
+        again, = classify_operator(get_entry("A*a").operator, [5], precision=5)
+        assert [r.s for r in again] == [5] * 4
         assert [r.cell() for r in again] == [r.cell() for r in aa_rows[5]]
         assert [r.status for r in again] == [r.status for r in aa_rows[5]]
 
@@ -356,6 +350,14 @@ class TestClassifyOperatorRows:
         assert [r.s for r in row] == [3, 4, 3, 3]
         assert z2.cell() == "(-8,-82)*" and z2.escalated
         assert [r.escalated for r in row if r.z0 != 2] == [False] * 3
+
+    def test_fixed_precision_never_escalates(self):
+        # at a given precision a cell it does not settle is its row's error
+        op = get_entry("A*d").operator
+        low, = classify_operator(op, [5], points=[2], precision=3)
+        assert isinstance(low, Uncertified)
+        (cell,), = classify_operator(op, [5], points=[2], precision=4)
+        assert cell.cell() == "(-8,-82)*" and not cell.escalated
 
     def test_points_classified_as_in_their_row(self, aa_rows):
         # a frob query is the row restricted to its point: same cell, same

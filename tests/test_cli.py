@@ -112,8 +112,8 @@ class TestCacheSeries:
     N = 5**2 - 1
 
     def one(self, op, cache_dir, wedge=False):
-        """The series at the class's one (p, K, N) target."""
-        got, = cli.cache_series(op, wedge, [(self.P, self.K, self.N)], cache_dir)
+        """The series at the class's one (p, s) target."""
+        got, = cli.cache_series(op, wedge, [(self.P, self.K)], cache_dir)
         return got
 
     def fresh(self, tmp_path):
@@ -155,12 +155,12 @@ class TestCacheSeries:
         # factors; its file is byte for byte the generic recurrence's
         op = get_entry("B*d").operator
         p, K, N = 7, 3, 342
-        cli.cache_series(op, False, [(p, K, N)], str(tmp_path / "factor"))
+        cli.cache_series(op, False, [(p, K)], str(tmp_path / "factor"))
         (tmp_path / "generic").mkdir()
         h = _operator_hash(op)
-        path = Path(_cache_path(str(tmp_path / "generic"), h, "op", p, K, N))
-        _cache_store(str(path), h, "op", p, K, N,
-                         solve_series(op, N, targets=[(p, K, N)])[0])
+        path = Path(_cache_path(str(tmp_path / "generic"), h, "op", p, K))
+        _cache_store(str(path), h, "op", p, K,
+                     solve_series(op, N, targets=[(p, K, N)])[0])
         stored, = (tmp_path / "factor").iterdir()
         assert stored.name == path.name
         assert stored.read_bytes() == path.read_bytes()
@@ -172,22 +172,30 @@ class TestCacheSeries:
         op2 = ThetaOperator.from_json(json.dumps(data))
         assert _operator_hash(op2) != _operator_hash(op)
         path2 = _cache_path(str(tmp_path), _operator_hash(op2), "op",
-                                self.P, self.K, self.N)
+                            self.P, self.K)
         assert not os.path.exists(path2)  # the seeded entry cannot be reused
         with pytest.raises(FileNotFoundError):
-            _cache_load(path2, _operator_hash(op2), "op",
-                            self.P, self.K, self.N)
+            _cache_load(path2, _operator_hash(op2), "op", self.P, self.K)
 
     def test_key_changes_with_parameters(self, tmp_path):
         op = get_entry("A*a").operator
         h = _operator_hash(op)
         d = str(tmp_path)
-        paths = {_cache_path(d, h, "op", 5, 2, 24),
-                 _cache_path(d, h, "op", 5, 3, 24),
-                 _cache_path(d, h, "op", 5, 2, 25),
-                 _cache_path(d, h, "op", 7, 2, 24),
-                 _cache_path(d, h, "wedge", 5, 2, 24)}
-        assert len(paths) == 5
+        paths = {_cache_path(d, h, "op", 5, 2),
+                 _cache_path(d, h, "op", 5, 3),
+                 _cache_path(d, h, "op", 7, 2),
+                 _cache_path(d, h, "wedge", 5, 2)}
+        assert len(paths) == 4
+
+    def test_file_names_of_earlier_caches_stay(self, tmp_path):
+        # the names every cache already on disk uses: a change to the shape
+        # of a request must not make every user's cache cold
+        op, _ = self.fresh(tmp_path)
+        self.one(op, str(tmp_path), wedge=True)
+        assert sorted(os.listdir(tmp_path)) == [
+            "series-30d4932fc18d2abd8d343a3b505a41698d80993e.json",  # op
+            "series-496ea9f0eb03e2da0aaa0bd41c56b5009b18a316.json",  # wedge
+        ]
 
     def test_wedge_series_keyed_by_source_operator(self, tmp_path):
         op, own = self.fresh(tmp_path)
@@ -196,21 +204,21 @@ class TestCacheSeries:
                                targets=[(self.P, self.K, self.N)])
         assert got.coeffs == direct.coeffs != own.coeffs
         h, d = _operator_hash(op), str(tmp_path)
-        op_path, wedge_path = (_cache_path(d, h, role, self.P, self.K, self.N)
+        op_path, wedge_path = (_cache_path(d, h, role, self.P, self.K)
                                for role in ("op", "wedge"))
         assert sorted(os.listdir(tmp_path)) == sorted(
             os.path.basename(path) for path in (op_path, wedge_path))
         data = json.loads(Path(wedge_path).read_text(encoding="utf-8"))
         assert (data["operator_hash"], data["role"]) == (h, "wedge")
         assert _cache_load(wedge_path, h, "wedge",
-                               self.P, self.K, self.N).coeffs == got.coeffs
+                               self.P, self.K).coeffs == got.coeffs
         with pytest.raises(cli.CorruptCache, match="header mismatch"):
-            _cache_load(wedge_path, h, "op", self.P, self.K, self.N)
+            _cache_load(wedge_path, h, "op", self.P, self.K)
 
     def test_in_range_digit_flip_recomputed(self, tmp_path):
         op, series = self.fresh(tmp_path)
         h = _operator_hash(op)
-        path = _cache_path(str(tmp_path), h, "op", self.P, self.K, self.N)
+        path = _cache_path(str(tmp_path), h, "op", self.P, self.K)
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         # raise the last digit of the first coefficient where that stays a
         # residue mod p^K: every structural check still passes
@@ -219,11 +227,10 @@ class TestCacheSeries:
         data["coeffs"][i] = data["coeffs"][i][:-1] + str(int(data["coeffs"][i][-1]) + 1)
         Path(path).write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(cli.CorruptCache, match="checksum mismatch"):
-            _cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K)
         again = self.one(op, str(tmp_path))
         assert again.coeffs == series.coeffs
-        assert _cache_load(path, h, "op", self.P, self.K,
-                               self.N).coeffs == series.coeffs
+        assert _cache_load(path, h, "op", self.P, self.K).coeffs == series.coeffs
 
     def test_truncated_file_recomputed_and_repaired(self, tmp_path, monkeypatch):
         op, series = self.fresh(tmp_path)
@@ -250,28 +257,28 @@ class TestCacheSeries:
 
         rewrite(operator_hash="0" * 64)
         with pytest.raises(cli.CorruptCache, match="header mismatch"):
-            _cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K)
         rewrite(role="wedge")
         with pytest.raises(cli.CorruptCache, match="header mismatch"):
-            _cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K)
         rewrite(coeffs=good["coeffs"][:-1])
         with pytest.raises(cli.CorruptCache, match="bad coefficient array"):
-            _cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K)
         rewrite(coeffs=good["coeffs"][:-1] + [str(self.P**self.K)])
         with pytest.raises(cli.CorruptCache, match="residue out of range"):
-            _cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{not json")
         with pytest.raises(cli.CorruptCache, match="unreadable"):
-            _cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K)
         with open(path, "wb") as fh:
             fh.write(b"\xff\xfe\xff")  # not UTF-8: recomputed, not a failure
         with pytest.raises(cli.CorruptCache, match="unreadable"):
-            _cache_load(path, h, "op", self.P, self.K, self.N)
+            _cache_load(path, h, "op", self.P, self.K)
         again = self.one(op, str(tmp_path))
         assert again.coeffs == series.coeffs
         with pytest.raises(FileNotFoundError):
-            _cache_load(path + ".missing", h, "op", self.P, self.K, self.N)
+            _cache_load(path + ".missing", h, "op", self.P, self.K)
 
     @pytest.mark.parametrize("number", ["1e400", "1.5", "true"])
     def test_non_integer_coefficient_is_recomputed(self, number, capsys,
@@ -292,7 +299,7 @@ class TestCacheSeries:
         for path in tmp_path.iterdir():
             data = json.loads(path.read_text(encoding="utf-8"))
             _cache_load(str(path), data["operator_hash"], data["role"],
-                        data["p"], data["K"], data["N"])
+                        data["p"], data["K"])
 
     def test_unusable_directory_falls_back_to_compute(self, tmp_path):
         blocker = tmp_path / "file"
@@ -315,7 +322,7 @@ def aa_cache(tmp_path_factory):
     """A*a's series at p = 3, s = 4 in a cache directory, both roles: the
     directory, {role: (path, file bytes)} and {role: a fresh solve}."""
     op = get_entry("A*a").operator
-    target = (3, 4, 80)
+    target = (3, 4)
     cache_dir = str(tmp_path_factory.mktemp("aa_cache"))
     files, fresh = {}, {}
     for role in ("op", "wedge"):
@@ -347,9 +354,9 @@ def test_damaged_cache_never_changes_a_result(aa_cache, role, truncate, data):
         Path(path).write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
     op = get_entry("A*a").operator
     for other in ("op", "wedge"):
-        got, = cli.cache_series(op, other == "wedge", [(3, 4, 80)], cache_dir)
+        got, = cli.cache_series(op, other == "wedge", [(3, 4)], cache_dir)
         assert got == fresh[other]
-    assert _cache_load(path, _operator_hash(op), role, 3, 4, 80) == fresh[role]
+    assert _cache_load(path, _operator_hash(op), role, 3, 4) == fresh[role]
 
 
 # -- table subcommand -----------------------------------------------------------------
@@ -659,8 +666,7 @@ class TestOneRunPerRole:
                         (5, [(5, 4, 624)]), (2, [(5, 4, 624)])]
         op_hash = _operator_hash(get_entry("A*d").operator)
         assert sorted(os.listdir(tmp_path)) == sorted(
-            os.path.basename(_cache_path(str(tmp_path), op_hash, role, 5,
-                                             s, 5**s - 1))
+            os.path.basename(_cache_path(str(tmp_path), op_hash, role, 5, s))
             for role in ("op", "wedge") for s in (3, 4))
         del runs[:]
         code, warm, _ = run(table, capsys)
@@ -762,6 +768,23 @@ class TestCmdFrob:
         assert got["cell"] == "(-8,-82)*" and got["precision"] == 4
         assert got["certificate"] == {"fiber": True, "candidates": 1,
                                       "escalated": True}
+
+    @pytest.mark.parametrize("name, p", [("A*a", 7), ("A*d", 5)])
+    def test_certified_precision_prints_the_default_cell(self, name, p, capsys):
+        # --precision s at the s a default query settles a cell prints the
+        # same JSON, apart from whether the cell escalated to s
+        escalated = []
+        for z in range(1, p):
+            query = ("--operator", name, "--prime", str(p), "--point", str(z))
+            code, want, _ = self.frob(capsys, *query)
+            assert code == 0
+            code, got, _ = self.frob(capsys, *query,
+                                     "--precision", str(want["precision"]))
+            assert code == 0
+            escalated.append(want["certificate"].pop("escalated"))
+            assert got["certificate"].pop("escalated") is False
+            assert got == want, z
+        assert any(escalated) == (name == "A*d")
 
     def test_padic_precision_loss_exits_one(self, capsys, monkeypatch):
         # a FrobcyError raised inside the cell pipeline
@@ -971,11 +994,13 @@ def test_every_exception_class_derives_from_frobcy_error():
 
 @pytest.fixture
 def bad_operators(tmp_path):
-    """Operator files without an exterior square, one without coeffs, one
-    whose exterior square has a non-integral series, three whose name is not
-    a string, three with a coefficient that is a JSON number but not an
-    integer, a form fixture directory with such an a_p, an --output path in
-    a directory that does not exist, and an empty cache directory."""
+    """Operator files without an exterior square, one that is no JSON
+    object, one without coeffs, three whose coeffs or a row of them is a
+    string or an object, one whose exterior square has a non-integral
+    series, three whose name is not a string, three with a coefficient and
+    two with an aesz that is a JSON number but not an integer, a form
+    fixture directory with such an a_p, an --output path in a directory
+    that does not exist, and an empty cache directory."""
     ops = {
         "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
         "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
@@ -990,6 +1015,22 @@ def bad_operators(tmp_path):
     del data["coeffs"]
     paths["no_coeffs"] = tmp_path / "no_coeffs.json"
     paths["no_coeffs"].write_text(json.dumps(data), encoding="utf-8")
+    # coeffs whose rows are strings, read digit by digit if let through, or
+    # objects, read by their keys
+    for key, table in (("coeffs_strings", ["001", "123"]),
+                       ("coeffs_object", {"01": 0}),
+                       ("row_object", [[0, 0, 1], {"01": 0}])):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps({"theta_order": 2, "coeffs": table}),
+                              encoding="utf-8")
+    paths["not_object"] = tmp_path / "not_object.json"
+    paths["not_object"].write_text('[[0, 0, 1]]', encoding="utf-8")
+    for key, number in (("aesz_float", "1.5"), ("aesz_bool", "true")):
+        data = json.loads(get_entry("A*a").operator.to_json())
+        data["aesz"] = "@"
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(data).replace('"@"', number),
+                              encoding="utf-8")
     # A*a with its z theta^0 coefficient raised by 1
     data = json.loads(get_entry("A*a").operator.to_json())
     data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
@@ -1088,6 +1129,18 @@ def bad_operators(tmp_path):
      "coeff_float.json': not an integer: 1.5\n"),
     ("wedge --operator {coeff_bool}", 2,
      "coeff_bool.json': not an integer: True\n"),
+    ("frob --operator {coeffs_strings} --prime 7 --point 2 --no-cache", 2,
+     "coeffs_strings.json': coeffs must be a list of lists of integers\n"),
+    ("table --operator {coeffs_object} --primes 7 --no-cache", 2,
+     "coeffs_object.json': coeffs must be a list of lists of integers\n"),
+    ("classify --operator {row_object} --primes 7 --no-cache", 2,
+     "row_object.json': coeffs must be a list of lists of integers\n"),
+    ("frob --operator {aesz_float} --prime 7 --point 2 --no-cache", 2,
+     "aesz_float.json': not an integer: 1.5\n"),
+    ("wedge --operator {aesz_bool}", 2,
+     "aesz_bool.json': not an integer: True\n"),
+    ("frob --operator {not_object} --prime 7 --point 2 --no-cache", 2,
+     "not_object.json': an operator file holds one JSON object\n"),
     # a leading NAME=value word sets an environment variable for the run
     ("FROBCY_FORMS_DIR={forms} frob --operator A*a --prime 7 --point 4 "
      "--no-cache", 2, "inf_ap.json': not an integer: inf\n"),

@@ -36,6 +36,13 @@ def test_content_and_trailing_rows_are_normalized():
     assert op.theta_order == 2
 
 
+def test_sign_makes_the_lowest_leading_coefficient_positive():
+    # the theta^order column is (0, -2, 4): its first nonzero entry decides
+    op = ThetaOperator([[3, 0], [0, -2], [6, 4]])
+    assert op.coeffs == ((-3, 0), (0, 2), (-6, -4))
+    assert ThetaOperator([[0, 0, -2], [2, 4]]).coeffs == ((0, 0, 1), (-1, -2, 0))
+
+
 def test_zero_operator_rejected():
     with pytest.raises(ValueError):
         ThetaOperator([[0], [0, 0]])

@@ -69,8 +69,7 @@ def aa_series():
     fetch per role."""
     op = get_entry("A*a").operator
     keys = [(3, 5), (5, 4), (7, 4), (7, 5)]
-    targets = [(p, s, p**s - 1) for p, s in keys]
-    f0s, F0s = (cache_series(op, wedge, targets) for wedge in (False, True))
+    f0s, F0s = (cache_series(op, wedge, keys) for wedge in (False, True))
     return dict(zip(keys, zip(f0s, F0s)))
 
 

@@ -1,6 +1,7 @@
 """The package keeps only what it uses: every top-level function and class
-in ``src/frobcy`` is referenced by name somewhere in ``src/frobcy``.  Code
-that only tests call lives under ``tests/`` (for example ``horizontal.py``)."""
+in ``src/frobcy`` is referenced by name somewhere in ``src/frobcy``, and no
+module imports a name it does not use.  Code that only tests call lives
+under ``tests/`` (for example ``horizontal.py``)."""
 
 import ast
 from pathlib import Path
@@ -24,4 +25,31 @@ def test_every_top_level_definition_is_referenced_in_src():
                 referenced.add(node.attr)
     unused = sorted(f"{module}: {name}" for name, module in defined.items()
                     if name not in referenced)
+    assert unused == []
+
+
+def _bound_names(node):
+    """The names an import statement binds in its module."""
+    for alias in node.names:
+        yield alias.asname or alias.name.split(".")[0]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a name listed in ``__all__`` is a re-export, so it counts as used
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                imported.update(_bound_names(node))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
