@@ -16,24 +16,25 @@ Every ordinary point yields integers (a, b); the quartic then either
     cell "(a,b)!" -- reported rather than silently passed off as smooth;
   * or the point is outside the unit disk of either series: cell "-".
 
-The a_p at split points are matched against eta-product q-expansions: the
-built-in forms are
+The a_p at split points are matched against stored forms: first the
+built-in eta products, expanded from their factors once per prime,
 
     8/1:  eta(q^2)^4 eta(q^4)^4 = q - 4q^3 - 2q^5 + 24q^7 - ...
     9/1:  eta(q^3)^8           = q - 8q^4 + 20q^7 - ...
 
-and further fixtures can be supplied as JSON files in FROBCY_FORMS_DIR.
+then the JSON fixtures in FROBCY_FORMS_DIR, read once per process.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from functools import lru_cache
 from math import isqrt
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import FrobcyError, Record, UsageError
+from . import Record, UsageError
 from .congruence import OutsideUnitDisk
 from .diffop import (ThetaOperator, TruncatedSeries, json_int,
                      symbol_roots_mod_p)
@@ -44,11 +45,7 @@ from .series import cache_series
 FORMS_DIR_ENV = "FROBCY_FORMS_DIR"
 
 
-class NoFixture(FrobcyError, LookupError):
-    """No stored modular form matches the requested coefficient."""
-
-
-# -- eta products -------------------------------------------------------------------
+# -- stored forms -------------------------------------------------------------------
 
 
 def _pentagonal_product(m: int, N: int) -> List[int]:
@@ -78,69 +75,42 @@ def _series_mul(a: List[int], b: List[int], N: int) -> List[int]:
     return out
 
 
-class EtaProduct(Record):
-    """Product prod eta(q^m)^(e_m), with integral leading q-power;
-    ``factors`` is ((m, e), ...)."""
-
-    __slots__ = ("label", "factors")
-
-    def __init__(self, label: str, factors: Tuple[Tuple[int, int], ...]):
-        self.label, self.factors = label, factors
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    @property
-    def weight(self) -> int:
-        total = sum(e for _m, e in self.factors)
-        if total % 2:
-            raise ValueError("eta exponents must sum to an even number")
-        return total // 2
-
-    def q_shift(self) -> int:
-        total = sum(m * e for m, e in self.factors)
-        if total % 24:
-            raise ValueError("eta product with fractional leading power")
-        return total // 24
-
-    def expand(self, N: int) -> List[int]:
-        """q-expansion coefficients c_0 .. c_N (c[q_shift] = 1)."""
-        shift = self.q_shift()
-        out = [0] * (N + 1)
-        if shift > N:
-            return out
-        body = [1]
-        for m, e in self.factors:
-            base = _pentagonal_product(m, N - shift)
-            power = [1]
-            n = e
-            while n:
-                if n & 1:
-                    power = _series_mul(power, base, N - shift)
-                base = _series_mul(base, base, N - shift)
-                n >>= 1
-            body = _series_mul(body, power, N - shift)
-        for i, c in enumerate(body):
-            out[shift + i] = c
-        return out
-
-    def coefficient(self, n: int) -> int:
-        return self.expand(n)[n]
+def eta_expansion(factors: Sequence[Tuple[int, int]], N: int) -> List[int]:
+    """q-expansion coefficients c_0 .. c_N of prod eta(q^m)^e over the
+    factors ((m, e), ...), whose leading power q^(sum m e / 24) must be
+    integral."""
+    total = sum(m * e for m, e in factors)
+    if total % 24:
+        raise ValueError("eta product with fractional leading power")
+    shift, n = total // 24, N - total // 24
+    if n < 0:
+        return [0] * (N + 1)
+    body = [1] + [0] * n
+    for m, e in factors:
+        base, power = _pentagonal_product(m, n), [1]
+        while e:
+            if e & 1:
+                power = _series_mul(power, base, n)
+            base = _series_mul(base, base, n)
+            e >>= 1
+        body = _series_mul(body, power, n)
+    return [0] * shift + body
 
 
-BUILTIN_FORMS: Dict[str, EtaProduct] = {
-    "8/1": EtaProduct("8/1", ((2, 4), (4, 4))),
-    "9/1": EtaProduct("9/1", ((3, 8),)),
+BUILTIN_FORMS: Dict[str, Tuple[Tuple[int, int], ...]] = {
+    "8/1": ((2, 4), (4, 4)),
+    "9/1": ((3, 8),),
 }
 
 
-def _external_forms() -> List[Tuple[str, Dict[int, int]]]:
-    """(label, {p: a_p}) for every JSON fixture in the directory named by
-    FROBCY_FORMS_DIR; a fixture that cannot be read is a UsageError naming
-    the file."""
-    directory = os.environ.get(FORMS_DIR_ENV)
+@lru_cache(maxsize=None)
+def _external_forms(directory: Optional[str]
+                    ) -> Tuple[Tuple[str, Dict[int, int]], ...]:
+    """(label, {p: a_p}) for every JSON fixture in ``directory`` (none when
+    it is unset), in file-name order, read once per directory; a fixture
+    that cannot be read is a UsageError naming the file."""
     if not directory:
-        return []
+        return ()
     out = []
     for path in sorted(Path(directory).glob("*.json")):
         try:
@@ -153,23 +123,27 @@ def _external_forms() -> List[Tuple[str, Dict[int, int]]]:
                 f"form fixture {str(path)!r} has no field {exc}") from None
         except (OSError, ValueError, TypeError, AttributeError) as exc:
             raise UsageError(f"form fixture {str(path)!r}: {exc}") from None
-    return out
+    return tuple(out)
 
 
-def match_singular_ap(p: int, ap: int) -> str:
-    """Label of the first stored form whose p-th coefficient equals ap.
+@lru_cache(maxsize=None)
+def _stored_ap(p: int, directory: Optional[str]
+               ) -> Tuple[Tuple[str, Optional[int]], ...]:
+    """(label, a_p) of every stored form at p, in lookup order: the built-in
+    eta products, then the fixtures in ``directory`` (None where a fixture
+    stores no a_p)."""
+    builtin = tuple((label, eta_expansion(factors, p)[p])
+                    for label, factors in BUILTIN_FORMS.items())
+    return builtin + tuple((label, table.get(p))
+                           for label, table in _external_forms(directory))
 
-    Built-in eta products are tried first, then JSON fixtures from the
-    directory named by the FROBCY_FORMS_DIR environment variable.
-    Raises NoFixture when nothing matches.
-    """
-    for label, form in BUILTIN_FORMS.items():
-        if form.coefficient(p) == ap:
-            return label
-    for label, table in _external_forms():
-        if table.get(p) == ap:
-            return label
-    raise NoFixture(f"no stored form has a_{p} = {ap}")
+
+def match_singular_ap(p: int, ap: int) -> Optional[str]:
+    """Label of the first stored form whose p-th coefficient equals ap, or
+    None: the built-in eta products are tried first, then the fixtures in
+    the directory named by the FROBCY_FORMS_DIR environment variable."""
+    stored = _stored_ap(p, os.environ.get(FORMS_DIR_ENV))
+    return next((label for label, c in stored if c == ap), None)
 
 
 # -- quartic splitting --------------------------------------------------------------
@@ -255,10 +229,7 @@ def classify_ab(a: int, b: int, p: int, at_singular_fiber: bool) -> PointClass:
         if split is not None:
             pc.status = "singular"
             pc.chi, pc.ap = split
-            try:
-                pc.form = match_singular_ap(p, pc.ap)
-            except NoFixture:
-                pc.form = None
+            pc.form = match_singular_ap(p, pc.ap)
             return pc
     pair = reducible_split(a, b, p)
     if pair is not None:
@@ -308,8 +279,9 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
     next batch (``escalated`` marks it), until ``box_precision``, where
     every balanced lift is settled.  With an integer ``precision`` every row
     runs at that s alone, and a point it does not settle makes
-    ``Uncertified`` its row's error.
+    ``Uncertified`` its row's error.  A broken form fixture fails the call.
     """
+    _external_forms(os.environ.get(FORMS_DIR_ENV))
     out: list = [None] * len(primes)
     wanted = [list(range(1, p) if points is None else points) for p in primes]
     roots = [set(symbol_roots_mod_p(op, p)) for p in primes]

@@ -24,10 +24,10 @@ byte-identical to a serial run for every k.  ``classify`` is the ``table``
 sweep of one operator in CSV.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
-argument, operator file, point, ``--output`` path or forms fixture) exits 2
-and any other ``FrobcyError`` exits 1, each as one ``error: ...`` line on
-stderr.  A table row that fails is reported as data: one line naming the
-operator and p, exit 1.
+argument, operator file, point, ``--output`` path, or form fixture, read
+before any row) exits 2 and any other ``FrobcyError`` exits 1, each as one
+``error: ...`` line on stderr.  A table row that fails is reported as data:
+one line naming the operator and p, exit 1.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .catalog import (CATALOG, SECOND_ORDER, catalog, get_entry,
 from .classify import PointClass, classify_operator, results_to_csv
 from .congruence import CongruenceReport, OutsideUnitDisk, check_dwork_congruence
 from .diffop import ThetaOperator, solve_series
-from .frobenius import (decode_frobenius, frobenius_quartic, legendre_frobenius,
-                        legendre_precision)
+from .frobenius import (box_precision, decode_frobenius, frobenius_quartic,
+                        legendre_frobenius, legendre_precision)
 from .padic import is_odd_prime
 from .series import CorruptCache, _default_cache_dir, cache_series
 from .wedge import wedge_square
@@ -226,6 +226,9 @@ def cmd_frob(args: argparse.Namespace) -> int:
     p = _check_prime(args.prime)
     if args.precision is not None and args.precision < 1:
         raise UsageError(f"--precision must be >= 1, not {args.precision}")
+    if args.precision is not None and args.precision > box_precision(p, True):
+        raise UsageError(f"--precision must be <= {box_precision(p, True)} "
+                         f"at p = {p}, not {args.precision}")
     z0 = args.point % p
     if z0 == 0:
         raise UsageError("the point must be nonzero mod p")

@@ -15,7 +15,7 @@ from math import comb, factorial
 
 import pytest
 
-from frobcy import catalog
+from frobcy import catalog, classify
 from frobcy.catalog import get_entry
 from frobcy.classify import classify_operator
 from frobcy.diffop import NonIntegralSolution
@@ -55,11 +55,13 @@ def corrected_tables(appendix_tables, appendix_errata):
 @pytest.fixture(autouse=True)
 def fresh_catalog_memos():
     """Every test starts with empty per-process memos of the catalog's
-    factor runs and stored exterior squares, so a test that counts series
-    runs or wedge loads does not depend on the tests before it, and a test
-    that patches a run leaves no result of it behind."""
+    factor runs, stored exterior squares and stored forms, so a test that
+    counts series runs, wedge loads or fixture reads does not depend on the
+    tests before it, and a test that patches a run leaves no result of it
+    behind."""
     memos = (catalog.left_factor_residues, catalog._right_factor_run,
-             catalog.catalog_wedge)
+             catalog.catalog_wedge, classify._external_forms,
+             classify._stored_ap)
     for memo in memos:
         memo.cache_clear()
     yield

@@ -12,7 +12,8 @@ import json
 import time
 
 from frobcy.catalog import CATALOG, get_entry, sequence_terms_via_recurrence
-from frobcy.classify import BUILTIN_FORMS, match_singular_ap, reducible_split
+from frobcy.classify import (BUILTIN_FORMS, eta_expansion, match_singular_ap,
+                             reducible_split)
 from frobcy.congruence import OutsideUnitDisk, check_dwork_congruence
 from frobcy.diffop import check_cy5, solve_series
 from frobcy.frobenius import (assemble_frobenius, frobenius_quartic,
@@ -109,26 +110,26 @@ def test_criterion_4(acceptance_tables):
 def test_criterion_5():
     """At the two anchor split points the extracted a_p equals the eta-product
     coefficient exactly, and the stored-form lookup returns the right label."""
-    eta8 = BUILTIN_FORMS["8/1"]
-    eta9 = BUILTIN_FORMS["9/1"]
-    assert eta8.factors == ((2, 4), (4, 4))
-    assert eta9.factors == ((3, 8),)
+    eta8 = eta_expansion(BUILTIN_FORMS["8/1"], 7)
+    eta9 = eta_expansion(BUILTIN_FORMS["9/1"], 7)
+    assert BUILTIN_FORMS["8/1"] == ((2, 4), (4, 4))
+    assert BUILTIN_FORMS["9/1"] == ((3, 8),)
 
     # first anchor: reduction of -1/16, at p = 5 (z = 4) and p = 7 (z = 3)
     aa = classified(get_entry("A*a").operator, (5, 7))
     cell5 = aa[5][3]
     assert (cell5.status, cell5.ap) == ("singular", -2)
-    assert cell5.ap == eta8.coefficient(5) == -2
+    assert cell5.ap == eta8[5] == -2
     assert cell5.form == match_singular_ap(5, -2) == "8/1"
     cell7 = aa[7][2]
     assert (cell7.status, cell7.ap) == ("singular", 24)
-    assert cell7.ap == eta8.coefficient(7) == 24
+    assert cell7.ap == eta8[7] == 24
     assert cell7.form == "8/1"
 
     # second anchor: reduction of 1/216, at p = 7 (z = 6)
     cell = classified(get_entry("B*d").operator, (7,))[7][5]
     assert (cell.status, cell.ap) == ("singular", 20)
-    assert cell.ap == eta9.coefficient(7) == 20
+    assert cell.ap == eta9[7] == 20
     assert cell.form == match_singular_ap(7, 20) == "9/1"
 
 

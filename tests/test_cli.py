@@ -10,12 +10,15 @@ end to end in a fresh process: the installed ``frobcy`` when one is on PATH,
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import importlib
@@ -1141,8 +1144,19 @@ def bad_operators(tmp_path):
      "aesz_bool.json': not an integer: True\n"),
     ("frob --operator {not_object} --prime 7 --point 2 --no-cache", 2,
      "not_object.json': an operator file holds one JSON object\n"),
-    # a leading NAME=value word sets an environment variable for the run
+    ("frob --operator A*a --prime 5 --point 2 --precision 5", 2,
+     "error: --precision must be <= 4 at p = 5, not 5\n"),
+    # a leading NAME=value word sets an environment variable for the run;
+    # the fixtures are read before any row, whatever its cells
     ("FROBCY_FORMS_DIR={forms} frob --operator A*a --prime 7 --point 4 "
+     "--no-cache", 2, "inf_ap.json': not an integer: inf\n"),
+    ("FROBCY_FORMS_DIR={forms} frob --operator A*a --prime 7 --point 2 "
+     "--no-cache", 2, "inf_ap.json': not an integer: inf\n"),
+    ("FROBCY_FORMS_DIR={forms} table --operator A*a --primes 5,7 --no-cache",
+     2, "inf_ap.json': not an integer: inf\n"),
+    ("FROBCY_FORMS_DIR={forms} table --operator A*a --operator B*b --primes 5 "
+     "--no-cache --jobs 2", 2, "inf_ap.json': not an integer: inf\n"),
+    ("FROBCY_FORMS_DIR={forms} classify --operator B*b --primes 5,7 "
      "--no-cache", 2, "inf_ap.json': not an integer: inf\n"),
 ])
 def test_failure_is_one_line_with_its_exit_code(argv, code, message,
@@ -1171,10 +1185,10 @@ def test_malformed_form_fixture_names_the_file(fixture, message, tmp_path,
                        .split(), capsys)
     assert code == 2 and err.count("\n") == 1
     assert err.startswith("error: ") and "broken.json" in err and message in err
-    code, _, err = run("table --operator A*a --primes 7 --no-cache".split(),
-                       capsys)
-    assert code == 1 and err.count("\n") == 1
-    assert err.startswith("error: A*a p=7: UsageError") and "broken.json" in err
+    code, out, err = run("table --operator A*a --primes 7 --no-cache".split(),
+                         capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: form fixture") and "broken.json" in err
 
 
 @pytest.mark.parametrize("key, line", [
@@ -1190,20 +1204,124 @@ def test_failing_rows_keep_one_line_per_prime(key, line, bad_operators, capsys):
     assert err == "".join(f"error: {line.format(p=p)}\n" for p in (3, 5))
 
 
-def test_row_failure_among_succeeding_rows(tmp_path, monkeypatch, capsys):
-    # A*a at p = 3 has only undefined cells; at p = 5 and 7 it has split
-    # cells whose a_p misses the built-in forms, so their lookup reads the
-    # broken fixture
-    broken = tmp_path / "broken.json"
-    broken.write_text("{bad", encoding="utf-8")
-    monkeypatch.setenv(classify.FORMS_DIR_ENV, str(tmp_path))
+def test_row_failure_among_succeeding_rows(monkeypatch, capsys):
+    # a failure inside one row's cells fails that row alone: the rows of the
+    # same operator at p = 3 and 5 still print
+    real = classify.assemble_frobenius
+
+    def lossy(r1, rh, p, s, **kwargs):
+        if p == 7:
+            raise LiftOutOfBound("synthetic lift out of its bound")
+        return real(r1, rh, p, s, **kwargs)
+
+    monkeypatch.setattr(classify, "assemble_frobenius", lossy)
     code, out, err = run(["table", "--operator", "A*a", "--primes", "3,5,7",
                           "--no-cache", "--format", "json"], capsys)
     assert code == 1
-    assert json.loads(out) == {"A*a": {"3": {"1": "-", "2": "-"}}}
-    reason = (f"UsageError: form fixture {str(broken)!r}: Expecting property "
-              "name enclosed in double quotes: line 1 column 2 (char 1)")
-    assert err == "".join(f"error: A*a p={p}: {reason}\n" for p in (5, 7))
+    assert json.loads(out) == {"A*a": {
+        "3": {"1": "-", "2": "-"},
+        "5": {"1": "(6,-6)'", "2": "(28,38)*", "3": "-", "4": "(32,62)*"}}}
+    assert err == ("error: A*a p=7: LiftOutOfBound: synthetic lift out of "
+                   "its bound\n")
+
+
+def test_form_fixtures_are_read_once(tmp_path, monkeypatch, capsys):
+    # A*a at p = 5, 7 and 13 has three split cells whose a_p misses the
+    # built-in forms; the one fixture stores all three
+    fixture = tmp_path / "twists.json"
+    fixture.write_text(json.dumps(
+        {"label": "t", "ap": {"5": 2, "7": -24, "13": -22}}), encoding="utf-8")
+    monkeypatch.setenv(classify.FORMS_DIR_ENV, str(tmp_path))
+    reads, labels = [], []
+    read_text, match = Path.read_text, classify.match_singular_ap
+
+    def counted_read(path, *args, **kwargs):
+        reads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    def recorded_match(p, ap):
+        labels.append(match(p, ap))
+        return labels[-1]
+
+    monkeypatch.setattr(Path, "read_text", counted_read)
+    monkeypatch.setattr(classify, "match_singular_ap", recorded_match)
+    code, _, _ = run(["table", "--operator", "A*a", "--primes", "5,7,13",
+                      "--no-cache"], capsys)
+    assert code == 0
+    assert labels == ["t", "8/1", "8/1", "t", "8/1", "t"]
+    assert reads.count(fixture) == 1
+
+
+# A JSON value of every kind a hand-edited file might hold in place of an
+# integer, a list or an object
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.sampled_from(["1e3", "+5"]),
+    st.text(max_size=4), st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.just(10**30), st.integers(max_value=-1))
+
+
+@st.composite
+def one_value_replaced(draw, doc):
+    """A copy of the JSON document ``doc`` with one field, row or cell (a
+    value at any depth) replaced by a drawn JSON value."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] \
+                and draw(st.booleans()):
+            node = node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+            return doc
+
+
+def run_quietly(argv):
+    """(exit code, stderr) of ``main(argv)``, with its output captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """One directory for the files of the generated cases."""
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_malformed_operator_file_fails_in_one_line(data, fuzz_dir):
+    # the A*a entry of ``catalog --list``
+    entry = json.loads(get_entry("A*a").operator.to_json())
+    path = fuzz_dir / "op.json"
+    path.write_text(json.dumps(data.draw(one_value_replaced(entry))),
+                    encoding="utf-8")
+    code, err = run_quietly(["frob", "--operator", str(path), "--prime", "5",
+                             "--point", "2", "--no-cache"])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_malformed_form_fixture_is_a_usage_error(data, fuzz_dir):
+    # a new directory per case, since each is read once per process
+    forms = Path(tempfile.mkdtemp(dir=fuzz_dir))
+    fixture = {"label": "q", "weight": 4, "ap": {"7": -24, "11": 5}}
+    (forms / "form.json").write_text(
+        json.dumps(data.draw(one_value_replaced(fixture))), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(classify.FORMS_DIR_ENV, str(forms))
+        code, err = run_quietly(["frob", "--operator", "A*a", "--prime", "7",
+                                 "--point", "4", "--no-cache"])
+    assert code in (0, 2) and "Traceback" not in err
+    if code:
+        assert err.startswith("error: form fixture") and err.count("\n") == 1
 
 
 def test_pool_never_has_more_workers_than_tasks(inline_pool, capsys):
