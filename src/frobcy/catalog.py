@@ -259,10 +259,3 @@ def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:
         a, pK = left_factor_residues(entry.left, p, K), p**K
         out.append(TruncatedSeries([x * y % pK for x, y in zip(a, b.coeffs)], p, K))
     return out
-
-
-def sequence_terms_via_recurrence(name: str, N: int) -> List[int]:
-    """Terms 0..N by running the operator recurrence."""
-    if name not in SECOND_ORDER:
-        raise KeyError(f"unknown sequence {name!r}")
-    return solve_series(SECOND_ORDER[name], N).coeffs

@@ -40,6 +40,7 @@ from .diffop import (ThetaOperator, TruncatedSeries, json_int,
                      symbol_roots_mod_p)
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
                         unit_roots, weil_verify)
+from .padic import is_odd_prime
 from .series import cache_series
 
 FORMS_DIR_ENV = "FROBCY_FORMS_DIR"
@@ -107,22 +108,30 @@ BUILTIN_FORMS: Dict[str, Tuple[Tuple[int, int], ...]] = {
 def _external_forms(directory: Optional[str]
                     ) -> Tuple[Tuple[str, Dict[int, int]], ...]:
     """(label, {p: a_p}) for every JSON fixture in ``directory`` (none when
-    it is unset), in file-name order, read once per directory; a fixture
-    that cannot be read is a UsageError naming the file."""
+    it is unset), in file-name order, read once per directory.  A fixture
+    holds a non-empty string ``label`` and an object ``ap`` from odd primes
+    to integers; other fields are ignored.  One that cannot be read, or
+    breaks that shape, is a UsageError naming the file and the field."""
     if not directory:
         return ()
     out = []
     for path in sorted(Path(directory).glob("*.json")):
         try:
             data = json.loads(path.read_text())
-            out.append((str(data["label"]),
-                        {json_int(k): json_int(v)
-                         for k, v in data["ap"].items()}))
+            label = data["label"]
+            ap = {json_int(k): json_int(v) for k, v in data["ap"].items()}
+            if not isinstance(label, str) or not label:
+                raise ValueError(f"field 'label' must be a non-empty string, "
+                                 f"not {label!r}")
+            for p in ap:
+                if not is_odd_prime(p):
+                    raise ValueError(f"field 'ap' has key {p}, not an odd prime")
         except KeyError as exc:
             raise UsageError(
                 f"form fixture {str(path)!r} has no field {exc}") from None
         except (OSError, ValueError, TypeError, AttributeError) as exc:
             raise UsageError(f"form fixture {str(path)!r}: {exc}") from None
+        out.append((label, ap))
     return tuple(out)
 
 

@@ -39,15 +39,14 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import FrobcyError, UsageError
-from .catalog import (CATALOG, SECOND_ORDER, catalog, get_entry,
-                      sequence_terms_via_recurrence)
+from .catalog import CATALOG, SECOND_ORDER, catalog, get_entry
 from .classify import PointClass, classify_operator, results_to_csv
-from .congruence import CongruenceReport, OutsideUnitDisk, check_dwork_congruence
+from .congruence import OutsideUnitDisk, check_dwork_congruence
 from .diffop import ThetaOperator, solve_series
 from .frobenius import (box_precision, decode_frobenius, frobenius_quartic,
                         legendre_frobenius, legendre_precision)
 from .padic import is_odd_prime
-from .series import CorruptCache, _default_cache_dir, cache_series
+from .series import CorruptCache, cache_series
 from .wedge import wedge_square
 
 __all__ = ["CorruptCache", "cache_series", "main"]
@@ -100,10 +99,14 @@ def _load_operator(spec: str) -> ThetaOperator:
 
 
 def _cache_dir(args: argparse.Namespace) -> Optional[str]:
-    """The series cache directory of a command, None under --no-cache."""
+    """The series cache directory of a command: None under --no-cache, else
+    --cache-dir, $FROBCY_CACHE_DIR or $XDG_CACHE_HOME (~/.cache)/frobcy."""
     if args.no_cache:
         return None
-    return args.cache_dir if args.cache_dir is not None else _default_cache_dir()
+    if args.cache_dir is not None:
+        return args.cache_dir
+    xdg = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    return os.environ.get("FROBCY_CACHE_DIR") or os.path.join(xdg, "frobcy")
 
 
 def _table_task(arg: Tuple[str, Sequence[int], Optional[str]]
@@ -266,16 +269,6 @@ def cmd_wedge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_json(r: CongruenceReport) -> Dict[str, object]:
-    return {
-        "power": r.power, "n_max": r.n_max, "checked": r.checked,
-        "skipped": r.skipped,
-        "failures": [{"n": n, "got": got, "expected": want}
-                     for n, got, want in r.failures],
-        "ok": r.ok, "summary": r.summary(),
-    }
-
-
 def cmd_congruence(args: argparse.Namespace) -> int:
     name = args.sequence
     p = _check_prime(args.prime)
@@ -284,19 +277,16 @@ def cmd_congruence(args: argparse.Namespace) -> int:
     if args.smax < 1:
         raise UsageError(f"--smax must be >= 1, not {args.smax}")
     if name in CATALOG:
-        coeffs: Sequence[int] = solve_series(get_entry(name).operator,
-                                             args.nmax).coeffs
+        op = CATALOG[name].operator
     elif name in SECOND_ORDER:
-        coeffs = sequence_terms_via_recurrence(name, args.nmax)
+        op = SECOND_ORDER[name]
     else:
         raise UsageError(f"unknown sequence {name!r}")
+    coeffs = solve_series(op, args.nmax).coeffs
     reports = [check_dwork_congruence(coeffs, p, s, args.nmax)
                for s in range(1, args.smax + 1)]
-    payload = {
-        "sequence": name, "prime": p, "n_max": args.nmax,
-        "reports": [_report_json(r) for r in reports],
-        "ok": all(r.ok for r in reports),
-    }
+    payload = {"sequence": name, "prime": p, "n_max": args.nmax,
+               "reports": reports, "ok": all(r["ok"] for r in reports)}
     print(json.dumps(payload, indent=1))
     return 0 if payload["ok"] else 1
 

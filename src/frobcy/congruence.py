@@ -6,7 +6,8 @@ c(n) / c(floor(n/p)) taken mod p^s depends only on n mod p^s:
     c(n + m p^s) / c(floor((n + m p^s)/p)) == c(n) / c(floor(n/p))  (mod p^s).
 
 ``check_dwork_congruence`` verifies this exhaustively over a range,
-skipping (and reporting) indices whose denominator is not a p-adic unit.
+skipping (and reporting) indices whose denominator is not a p-adic unit, and
+returns its verdict as the JSON-ready dict that ``frobcy congruence`` prints.
 
 ``dwork_ratio`` computes the fundamental unit-root approximation
 
@@ -19,9 +20,9 @@ where no unit root exists.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
-from . import FrobcyError, Record
+from . import FrobcyError
 from .diffop import TruncatedSeries
 from .padic import teichmueller_residue
 
@@ -30,62 +31,41 @@ class OutsideUnitDisk(FrobcyError, ArithmeticError):
     """The (p-1)-truncation vanishes mod p at the requested point."""
 
 
-class CongruenceReport(Record):
-    """Outcome of an exhaustive Dwork-congruence sweep; ``power`` is s, the
-    congruence being tested mod prime^power."""
-
-    __slots__ = ("prime", "power", "n_max", "checked", "skipped", "failures")
-
-    def __init__(self, prime: int, power: int, n_max: int, checked: int = 0,
-                 skipped: Optional[List[int]] = None,
-                 failures: Optional[List[Tuple[int, int, int]]] = None):
-        self.prime, self.power, self.n_max, self.checked = prime, power, n_max, checked
-        self.skipped = [] if skipped is None else skipped
-        self.failures = [] if failures is None else failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        status = "ok" if self.ok else f"{len(self.failures)} FAILURES"
-        skip = f", {len(self.skipped)} skipped (non-unit denominator)" \
-            if self.skipped else ""
-        return (f"p={self.prime} s={self.power} n<={self.n_max}: "
-                f"{self.checked} ratios checked, {status}{skip}")
-
-
 def check_dwork_congruence(coeffs: Sequence[int], p: int, s: int,
-                           n_max: Optional[int] = None) -> CongruenceReport:
-    """Exhaustively test the mod-p^s ratio congruence on c_0 .. c_n_max.
+                           n_max: int) -> Dict[str, object]:
+    """Exhaustively test the mod-p^s ratio congruence on c_0 .. c_n_max
+    (n_max capped by the available coefficients).
 
     Ratios are grouped by n mod p^s and every member of a class must agree
     with the first computable one.  Indices with c(floor(n/p)) == 0 (mod p)
-    are skipped and reported.  The default range is min(2000, p^4), capped by
-    the available coefficients.
+    are skipped and reported.  Returns the report that ``frobcy congruence``
+    prints: ``power`` (s), ``n_max``, ``checked``, ``skipped``, ``failures``
+    (each ``{"n", "got", "expected"}``), ``ok`` and a one-line ``summary``.
     """
     if s < 1:
         raise ValueError("congruence power s must be >= 1")
-    if n_max is None:
-        n_max = min(2000, p**4)
     n_max = min(n_max, len(coeffs) - 1)
     ps = p**s
-    report = CongruenceReport(prime=p, power=s, n_max=n_max)
-    first: dict = {}
+    checked, skipped, failures, first = 0, [], [], {}
     for n in range(n_max + 1):
         den = coeffs[n // p] % ps
         if den % p == 0:
-            report.skipped.append(n)
+            skipped.append(n)
             continue
         ratio = coeffs[n] % ps * pow(den, -1, ps) % ps
         key = n % ps
-        if key in first:
-            report.checked += 1
-            if ratio != first[key][1]:
-                report.failures.append((n, ratio, first[key][1]))
-        else:
-            first[key] = (n, ratio)
-    return report
+        if key not in first:
+            first[key] = ratio
+            continue
+        checked += 1
+        if ratio != first[key]:
+            failures.append({"n": n, "got": ratio, "expected": first[key]})
+    status = f"{len(failures)} FAILURES" if failures else "ok"
+    skip = f", {len(skipped)} skipped (non-unit denominator)" if skipped else ""
+    return {"power": s, "n_max": n_max, "checked": checked, "skipped": skipped,
+            "failures": failures, "ok": not failures,
+            "summary": f"p={p} s={s} n<={n_max}: "
+                       f"{checked} ratios checked, {status}{skip}"}
 
 
 def dwork_ratio(series: TruncatedSeries, z0: int, p: int, s: int) -> int:

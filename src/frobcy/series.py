@@ -43,16 +43,6 @@ class CorruptCache(FrobcyError):
     """A cache file failed validation (damaged, truncated, or mismatched)."""
 
 
-def _default_cache_dir() -> str:
-    base = os.environ.get("FROBCY_CACHE_DIR")
-    if base:
-        return base
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    if not xdg:
-        xdg = os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(xdg, "frobcy")
-
-
 def _operator_hash(op: ThetaOperator) -> str:
     return hashlib.sha256(op.to_json().encode("utf-8")).hexdigest()
 

@@ -16,9 +16,9 @@ from math import comb, factorial
 import pytest
 
 from frobcy import catalog, classify
-from frobcy.catalog import get_entry
+from frobcy.catalog import SECOND_ORDER, get_entry
 from frobcy.classify import classify_operator
-from frobcy.diffop import NonIntegralSolution
+from frobcy.diffop import NonIntegralSolution, solve_series
 from frobcy.wedge import wedge_square
 
 ACCEPTANCE_OPERATORS = ("A*a", "B*a", "C*c", "D*g")
@@ -282,6 +282,11 @@ def sequence_terms(name: str, N: int):
         return _central_terms(*_CENTRAL_PARAMS[name], N)
     return [sequence_term(name, n) for n in range(N + 1)]
 
+
+
+def recurrence_terms(name: str, N: int) -> list:
+    """Terms 0..N of a second-order sequence by its operator's recurrence."""
+    return solve_series(SECOND_ORDER[name], N).coeffs
 
 # -- acceptance summary -------------------------------------------------------------
 

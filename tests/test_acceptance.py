@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 
-from frobcy.catalog import CATALOG, get_entry, sequence_terms_via_recurrence
+from frobcy.catalog import CATALOG, get_entry
 from frobcy.classify import (BUILTIN_FORMS, eta_expansion, match_singular_ap,
                              reducible_split)
 from frobcy.congruence import OutsideUnitDisk, check_dwork_congruence
@@ -23,7 +23,7 @@ from frobcy.padic import balanced_residue, teichmueller_residue
 
 from conftest import (ACCEPTANCE_OPERATORS, ACCEPTANCE_PRIMES, classified,
                       hadamard_product, quintic_wedge_coefficients,
-                      sequence_terms)
+                      recurrence_terms, sequence_terms)
 from horizontal import check_cy4, verify_horizontal_u4, verify_horizontal_u5
 
 
@@ -176,17 +176,17 @@ def test_criterion_8():
     third power for p up to 13 and n up to 2000, and a corrupted sequence
     fails with a located counterexample."""
     for name in "abcdefghij":
-        coeffs = sequence_terms_via_recurrence(name, 2000)
+        coeffs = recurrence_terms(name, 2000)
         for p in (3, 5, 7, 11, 13):
             for s in (1, 2, 3):
                 report = check_dwork_congruence(coeffs, p, s, 2000)
-                assert report.ok, (name, p, s, report.failures[:1])
+                assert report["ok"], (name, p, s, report["failures"][:1])
 
-    corrupted = list(sequence_terms_via_recurrence("c", 2000))
+    corrupted = list(recurrence_terms("c", 2000))
     corrupted[25] += 1
     report = check_dwork_congruence(corrupted, 5, 1, 2000)
-    assert not report.ok
-    assert any(n == 25 for n, _got, _want in report.failures)
+    assert not report["ok"]
+    assert any(f["n"] == 25 for f in report["failures"])
 
 
 def test_criterion_9():

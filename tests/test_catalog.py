@@ -9,7 +9,7 @@ import pytest
 from frobcy import catalog as catalog_module, diffop
 from frobcy.catalog import (CATALOG, SECOND_ORDER, catalog, catalog_wedge,
                             get_entry, left_factor_residues, operator_series,
-                            product_operator, sequence_terms_via_recurrence)
+                            product_operator)
 from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_cy5,
                            check_mum, leading_symbol, solve_series)
 from frobcy.frobenius import required_precision
@@ -17,7 +17,8 @@ from frobcy.polyrat import poly_gcd
 from frobcy.wedge import UnexpectedOrder, wedge_square
 
 from conftest import (LengthMismatch, hadamard_product,
-                      quintic_wedge_coefficients, sequence_term, sequence_terms)
+                      quintic_wedge_coefficients, recurrence_terms,
+                      sequence_term, sequence_terms)
 from horizontal import poly_deriv
 
 LEFT_NAMES = "ABCD"
@@ -43,7 +44,7 @@ class TestSequenceTerm:
         # sum_k binom(n,k)^2 binom(n+k,k); at n = 2 the three summands are
         # 1, 12, 6, and the operator recurrence confirms the total
         assert [sequence_term("b", n) for n in range(4)] == [1, 3, 19, 147]
-        assert sequence_terms_via_recurrence("b", 3) == [1, 3, 19, 147]
+        assert recurrence_terms("b", 3) == [1, 3, 19, 147]
 
     def test_all_sequences_start_at_one(self):
         for name in ALL_NAMES:
@@ -60,7 +61,7 @@ class TestSequenceTerm:
     def test_central_sums_are_integers(self):
         # e, h, i, j come from fractional binomials scaled by 16, 27, 64, 432
         assert [sequence_term("e", n) for n in range(4)] == \
-            sequence_terms_via_recurrence("e", 3)
+            recurrence_terms("e", 3)
         for name in CENTRAL_NAMES:
             assert isinstance(sequence_term(name, 7), int)
 
@@ -77,17 +78,17 @@ class TestSequenceRecurrence:
     @pytest.mark.parametrize("name", tuple(LEFT_NAMES))
     def test_factorial_forms_to_1000(self, name):
         assert sequence_terms(name, 1000) == \
-            sequence_terms_via_recurrence(name, 1000)
+            recurrence_terms(name, 1000)
 
     @pytest.mark.parametrize("name", tuple(RIGHT_NAMES))
     def test_binomial_sums_to_500(self, name):
         assert sequence_terms(name, 500) == \
-            sequence_terms_via_recurrence(name, 500)
+            recurrence_terms(name, 500)
 
     @pytest.mark.parametrize("name", tuple(CENTRAL_NAMES))
     def test_central_sums_to_500(self, name):
         assert sequence_terms(name, 500) == \
-            sequence_terms_via_recurrence(name, 500)
+            recurrence_terms(name, 500)
 
 
 # -- second-order operators --------------------------------------------------------

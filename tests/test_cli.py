@@ -10,6 +10,7 @@ end to end in a fresh process: the installed ``frobcy`` when one is on PATH,
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -32,11 +33,10 @@ from hypothesis import given, settings, strategies as st
 import frobcy
 from frobcy import FrobcyError, UsageError, catalog, classify, cli, wedge
 from frobcy import series as series_module
-from frobcy.catalog import CATALOG, get_entry, sequence_terms_via_recurrence
+from frobcy.catalog import CATALOG, get_entry
 from frobcy.classify import results_to_csv
 from frobcy.diffop import ThetaOperator, solve_series
-from frobcy.series import (_cache_load, _cache_path, _cache_store,
-                           _default_cache_dir, _operator_hash)
+from frobcy.series import _cache_load, _cache_path, _cache_store, _operator_hash
 from frobcy.frobenius import LiftOutOfBound, frobenius_quartic
 from frobcy.wedge import wedge_square
 
@@ -313,11 +313,16 @@ class TestCacheSeries:
         assert series.coeffs == direct.coeffs
 
     def test_default_directory_from_environment(self, tmp_path, monkeypatch):
+        default = argparse.Namespace(no_cache=False, cache_dir=None)
         monkeypatch.setenv("FROBCY_CACHE_DIR", str(tmp_path / "env"))
-        assert _default_cache_dir() == str(tmp_path / "env")
+        assert cli._cache_dir(default) == str(tmp_path / "env")
         monkeypatch.delenv("FROBCY_CACHE_DIR")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        assert _default_cache_dir() == str(tmp_path / "xdg" / "frobcy")
+        assert cli._cache_dir(default) == str(tmp_path / "xdg" / "frobcy")
+        given = argparse.Namespace(no_cache=False, cache_dir=str(tmp_path / "c"))
+        assert cli._cache_dir(given) == str(tmp_path / "c")
+        assert cli._cache_dir(argparse.Namespace(no_cache=True,
+                                                 cache_dir=None)) is None
 
 
 @pytest.fixture(scope="module")
@@ -893,18 +898,29 @@ class TestCmdCongruence:
         assert json.loads(out)["ok"] is True
 
     def test_corrupted_terms_fail_with_exit_one(self, capsys, monkeypatch):
-        def corrupted(name, nmax):
-            coeffs = list(sequence_terms_via_recurrence(name, nmax))
-            coeffs[25] += 1
-            return coeffs
+        def corrupted(op, nmax):
+            series = solve_series(op, nmax)
+            series.coeffs[25] += 1
+            return series
 
-        monkeypatch.setattr(cli, "sequence_terms_via_recurrence", corrupted)
+        monkeypatch.setattr(cli, "solve_series", corrupted)
         code, out, _ = run(["congruence", "--sequence", "c", "--prime", "5",
                             "--nmax", "50", "--smax", "1"], capsys)
         assert code == 1
         got = json.loads(out)
         assert got["ok"] is False
         assert any(f["n"] == 25 for f in got["reports"][0]["failures"])
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["c", "--prime", "5", "--nmax", "50", "--smax", "2"],
+         "c5a9bb308c02965e11222c9fcb4462c0eb7e5ffaf4b9796b65b9b25e0fd1f999"),
+        (["A*a", "--prime", "3", "--nmax", "40", "--smax", "1"],
+         "5d4008dfbf8d32ec1dcbdb09ade26169efd269565f843b91333fa004eff4075f"),
+    ])
+    def test_output_bytes_are_unchanged(self, capsys, argv, sha256):
+        code, out, _ = run(["congruence", "--sequence"] + argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_unknown_sequence_is_usage_error(self, capsys):
         code, _, err = run(["congruence", "--sequence", "zz", "--prime", "5"],
@@ -1174,6 +1190,12 @@ def test_failure_is_one_line_with_its_exit_code(argv, code, message,
 @pytest.mark.parametrize("fixture, message", [
     ("{bad", "form fixture"),
     (json.dumps({"label": "q", "weight": 4}), "has no field 'ap'"),
+    (json.dumps({"label": None, "ap": {"7": -24}}), "field 'label'"),
+    (json.dumps({"label": 5, "ap": {"7": -24}}), "field 'label'"),
+    (json.dumps({"label": "", "ap": {"7": -24}}), "field 'label'"),
+    (json.dumps({"label": "x", "ap": {"9": -24}}), "field 'ap' has key 9"),
+    (json.dumps({"label": "x", "ap": {"7": -24, "2": 1}}),
+     "field 'ap' has key 2"),
 ])
 def test_malformed_form_fixture_names_the_file(fixture, message, tmp_path,
                                                monkeypatch, capsys):

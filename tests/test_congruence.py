@@ -3,15 +3,17 @@ evaluation of unit roots."""
 
 import pytest
 
-from frobcy.catalog import get_entry, sequence_terms_via_recurrence
-from frobcy.congruence import (CongruenceReport, OutsideUnitDisk,
-                               check_dwork_congruence, dwork_ratio)
+from frobcy.catalog import get_entry
+from frobcy.congruence import (OutsideUnitDisk, check_dwork_congruence,
+                               dwork_ratio)
 from frobcy.diffop import ThetaOperator, solve_series
+
+from conftest import recurrence_terms
 
 
 @pytest.fixture(scope="module")
 def apery():
-    return sequence_terms_via_recurrence("b", 2000)
+    return recurrence_terms("b", 2000)
 
 
 @pytest.fixture(scope="module")
@@ -32,21 +34,22 @@ class TestCheckDworkCongruence:
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_apery_passes_at_5(self, apery, s):
         report = check_dwork_congruence(apery, 5, s, 2000)
-        assert report.ok
-        assert report.failures == []
-        assert report.checked > 0
+        assert report["ok"]
+        assert report["failures"] == []
+        assert report["checked"] > 0
 
     def test_binomial_square_passes_at_3(self):
-        coeffs = sequence_terms_via_recurrence("A", 2000)
+        coeffs = recurrence_terms("A", 2000)
         for s in (1, 2, 3):
             report = check_dwork_congruence(coeffs, 3, s, 2000)
-            assert report.ok
+            assert report["ok"]
 
     def test_corrupted_sequence_fails_with_a_counterexample(self, apery):
         corrupted = [c * (n + 1) for n, c in enumerate(apery)]
         report = check_dwork_congruence(corrupted, 5, 2, 2000)
-        assert not report.ok
-        n, got, expected = report.failures[0]
+        assert not report["ok"]
+        failure = report["failures"][0]
+        n, got, expected = failure["n"], failure["got"], failure["expected"]
         # the recorded counterexample really is a violated class equality
         ps = 25
         baseline = n % ps
@@ -58,36 +61,33 @@ class TestCheckDworkCongruence:
     def test_skips_indices_with_non_unit_denominator(self):
         # binom(6,3)^2 = 400 == 0 (mod 5), so ratios at n = 15..19 have a
         # non-unit denominator at p = 5 and must be skipped, not failed
-        coeffs = sequence_terms_via_recurrence("A", 30)
+        coeffs = recurrence_terms("A", 30)
         report = check_dwork_congruence(coeffs, 5, 1, 30)
-        assert report.ok
-        assert set(range(15, 20)) <= set(report.skipped)
-
-    def test_default_range_caps_at_p4(self):
-        coeffs = sequence_terms_via_recurrence("b", 120)
-        report = check_dwork_congruence(coeffs, 3, 1)
-        assert report.n_max == 81
+        assert report["ok"]
+        assert set(range(15, 20)) <= set(report["skipped"])
 
     def test_range_capped_by_available_coefficients(self, apery):
         report = check_dwork_congruence(apery[:101], 5, 1, 2000)
-        assert report.n_max == 100
+        assert report["n_max"] == 100
 
     def test_invalid_power_rejected(self, apery):
         with pytest.raises(ValueError):
             check_dwork_congruence(apery, 5, 0, 100)
 
     def test_report_summary_mentions_the_verdict(self, apery):
-        good = check_dwork_congruence(apery, 5, 1, 500).summary()
+        good = check_dwork_congruence(apery, 5, 1, 500)["summary"]
         assert "ok" in good
         bad = check_dwork_congruence(
-            [c * (n + 1) for n, c in enumerate(apery[:200])], 5, 1).summary()
-        assert "FAILURES" in bad
+            [c * (n + 1) for n, c in enumerate(apery[:200])], 5, 1, 2000)
+        assert "FAILURES" in bad["summary"]
 
-    def test_ok_is_equivalent_to_no_failures(self):
-        report = CongruenceReport(prime=5, power=1, n_max=10)
-        assert report.ok
-        report.failures.append((6, 1, 2))
-        assert not report.ok
+    def test_ok_is_equivalent_to_no_failures(self, apery):
+        good = check_dwork_congruence(apery, 5, 1, 200)
+        bad = check_dwork_congruence(
+            [c * (n + 1) for n, c in enumerate(apery[:200])], 5, 1, 200)
+        for report in (good, bad):
+            assert report["ok"] == (report["failures"] == [])
+        assert good["ok"] and not bad["ok"]
 
 
 # -- truncation ratios -------------------------------------------------------------

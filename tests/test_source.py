@@ -1,7 +1,8 @@
 """The package keeps only what it uses: every top-level function and class
 in ``src/frobcy`` is referenced by name somewhere in ``src/frobcy``, and no
-module imports a name it does not use.  Code that only tests call lives
-under ``tests/`` (for example ``horizontal.py``)."""
+module imports a name it does not use or another module's underscore name.
+Code that only tests call lives under ``tests/`` (for example
+``horizontal.py``)."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,17 @@ def test_no_module_imports_a_name_it_does_not_use():
                 used.update(ast.literal_eval(node.value))
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # an underscore name is its module's own business: a decision that two
+    # modules share belongs to a public name, or to one of them alone
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("frobcy")):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []
