@@ -172,7 +172,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, not {args.jobs}")
-    names = args.operator or list(CATALOG)
+    names = list(dict.fromkeys(args.operator or ["all"]))  # once each, in order
     if names == ["all"]:
         names = list(CATALOG)
     return _sweep(names, args.format, args.jobs, args)

@@ -6,13 +6,14 @@ its exterior square (role ``wedge``).  ``cache_series`` returns one role of
 one operator at a batch of (p, s) targets; every other module asks it.
 
 Series are memoized on disk: a file stores the residues c_0 .. c_N mod p^K,
-N = p^K - 1, with a sha256 of the coefficient list, written atomically (temp
-file + rename).  The key is a content hash of the *source* operator's JSON
-plus the role and (p, K, N); N is derived, never asked for, and stays in
-the key and the header so that files written before stay valid.  A damaged
-or mismatched file is detected (``CorruptCache``), silently recomputed, and
-overwritten.  Computations never depend on cache state, only their wall
-time does.  Without a cache directory every target is solved afresh.
+N = p^K - 1, as decimal strings with the sha256 of those strings joined by
+commas, written atomically (temp file + rename).  The key is a content hash
+of the *source* operator's JSON plus the role and (p, K, N); N is derived,
+never asked for, and stays in the key and the header so that files written
+before stay valid.  A damaged or mismatched file is detected
+(``CorruptCache``), silently recomputed, and overwritten.  Computations
+never depend on cache state, only their wall time does.  Without a cache
+directory every target is solved afresh.
 
 The misses of one call are solved in one ``operator_series`` batch to the
 largest degree among them, reduced into each target's p^K: one recurrence
@@ -36,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import FrobcyError
 from .catalog import operator_series
-from .diffop import ThetaOperator, TruncatedSeries, json_int
+from .diffop import ThetaOperator, TruncatedSeries
 
 
 class CorruptCache(FrobcyError):
@@ -45,10 +46,6 @@ class CorruptCache(FrobcyError):
 
 def _operator_hash(op: ThetaOperator) -> str:
     return hashlib.sha256(op.to_json().encode("utf-8")).hexdigest()
-
-
-def _coeffs_digest(coeffs: Sequence[int]) -> str:
-    return hashlib.sha256(",".join(map(str, coeffs)).encode("ascii")).hexdigest()
 
 
 def _cache_path(cache_dir: str, op_hash: str, role: str, p: int, K: int) -> str:
@@ -60,7 +57,8 @@ def _cache_path(cache_dir: str, op_hash: str, role: str, p: int, K: int) -> str:
 def _cache_load(path: str, op_hash: str, role: str, p: int,
                 K: int) -> TruncatedSeries:
     """Validated reload; raises CorruptCache on any defect, FileNotFoundError
-    on a clean miss."""
+    on a clean miss.  The checksum covers the stored strings, so a
+    coefficient spelled other than as the writer's decimal is a defect."""
     with open(path, "rb") as fh:  # json.loads decodes: bad bytes are a defect
         raw = fh.read()
     pK = p**K
@@ -69,12 +67,13 @@ def _cache_load(path: str, op_hash: str, role: str, p: int,
         if (data["operator_hash"] != op_hash or data["role"] != role
                 or data["p"] != p or data["K"] != K or data["N"] != pK - 1):
             raise CorruptCache(f"header mismatch in {path}")
-        coeffs = [json_int(c) for c in data["coeffs"]]
+        body = ",".join(data["coeffs"])  # a non-string is a TypeError
+        coeffs = list(map(int, data["coeffs"]))
         if len(coeffs) != pK or coeffs[0] != 1:
             raise CorruptCache(f"bad coefficient array in {path}")
-        if any(not 0 <= c < pK for c in coeffs):
+        if min(coeffs) < 0 or max(coeffs) >= pK:
             raise CorruptCache(f"residue out of range in {path}")
-        if _coeffs_digest(coeffs) != data["sha256"]:
+        if hashlib.sha256(body.encode("ascii")).hexdigest() != data["sha256"]:
             raise CorruptCache(f"checksum mismatch in {path}")
     except CorruptCache:
         raise
@@ -86,10 +85,11 @@ def _cache_load(path: str, op_hash: str, role: str, p: int,
 def _cache_store(path: str, op_hash: str, role: str, p: int, K: int,
                  series: TruncatedSeries) -> None:
     """Atomic write: temp file in the same directory, then rename."""
+    coeffs = list(map(str, series.coeffs))
     payload = {
         "operator_hash": op_hash, "role": role, "p": p, "K": K, "N": p**K - 1,
-        "sha256": _coeffs_digest(series.coeffs),
-        "coeffs": [str(c) for c in series.coeffs],
+        "sha256": hashlib.sha256(",".join(coeffs).encode("ascii")).hexdigest(),
+        "coeffs": coeffs,
     }
     directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

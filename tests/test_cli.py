@@ -283,26 +283,28 @@ class TestCacheSeries:
         with pytest.raises(FileNotFoundError):
             _cache_load(path + ".missing", h, "op", self.P, self.K)
 
-    @pytest.mark.parametrize("number", ["1e400", "1.5", "true"])
+    @pytest.mark.parametrize("number", ["1e400", "1.5", "true",
+                                        '"0{}"', '"+{}"', '" {}"', "{}"])
     def test_non_integer_coefficient_is_recomputed(self, number, capsys,
                                                    tmp_path):
-        # a coefficient that is a JSON number but not an integer makes the
-        # file a miss: the table equals a cold run and the file is rewritten
+        # a coefficient that is a JSON number but not an integer, or the
+        # same value spelled other than as the stored decimal string (the
+        # "{}" is that string), makes the file a miss: the table equals a
+        # cold run and the file is rewritten to the bytes of the cold write
         argv = ["table", "--operator", "A*a", "--primes", "5",
                 "--format", "json"]
         _, cold, _ = run(argv + ["--no-cache"], capsys)
         run(argv + ["--cache-dir", str(tmp_path)], capsys)
-        for path in tmp_path.iterdir():
+        written = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        for path in written:
             data = json.loads(path.read_text(encoding="utf-8"))
+            spelling = number.format(data["coeffs"][1])
             data["coeffs"][1] = "@"
-            path.write_text(json.dumps(data).replace('"@"', number),
+            path.write_text(json.dumps(data).replace('"@"', spelling),
                             encoding="utf-8")
         code, warm, err = run(argv + ["--cache-dir", str(tmp_path)], capsys)
         assert (code, warm, err) == (0, cold, "")
-        for path in tmp_path.iterdir():
-            data = json.loads(path.read_text(encoding="utf-8"))
-            _cache_load(str(path), data["operator_hash"], data["role"],
-                        data["p"], data["K"])
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
 
     def test_unusable_directory_falls_back_to_compute(self, tmp_path):
         blocker = tmp_path / "file"
@@ -457,6 +459,18 @@ class TestCmdTable:
                             "--no-cache"], capsys)
         assert code == 1
         assert "LiftOutOfBound" in err and "p=3" in err
+
+    @pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
+    def test_repeated_operator_is_one_row(self, fmt, capsys):
+        # a name given twice is swept once, in its first position
+        def table(*names):
+            argv = ["table", "--primes", "3", "--format", fmt, "--no-cache"]
+            for name in names:
+                argv += ["--operator", name]
+            return run(argv, capsys)
+
+        assert table("A*a", "A*a") == table("A*a")
+        assert table("C*a", "A*a", "C*a", "A*a") == table("C*a", "A*a")
 
     def test_jobs_output_identical_to_serial(self, capsys):
         argv = ["table", "--operator", "A*a", "--operator", "C*a",
