@@ -36,14 +36,18 @@ print(f"Teichmüller lift of {z0}: {zhat}  (check: zhat^{p} == zhat mod {mod}:",
       pow(zhat, p, mod) == zhat, ")")
 
 # each unit root is a ratio of the series at zhat and at zhat^p, the
-# denominator truncated one level lower
-top = f0.evaluate_mod(zhat, mod)
-bot = f0.truncate(p ** (s - 1) - 1).evaluate_mod(pow(zhat, p, mod), mod)
+# denominator truncated one level lower (its first p^(s-1) coefficients)
+def at(coeffs, x):
+    return sum(c * pow(x, n, mod) for n, c in enumerate(coeffs)) % mod
+
+
+top = at(f0.coeffs, zhat)
+bot = at(f0.coeffs[: p ** (s - 1)], pow(zhat, p, mod))
 print(f"f0(zhat) = {top},  f0^(lower)(zhat^p) = {bot},  "
       f"ratio = {top * pow(bot, -1, mod) % mod}")
 
-Top = F0.evaluate_mod(zhat, mod)
-Bot = F0.truncate(p ** (s - 1) - 1).evaluate_mod(pow(zhat, p, mod), mod)
+Top = at(F0.coeffs, zhat)
+Bot = at(F0.coeffs[: p ** (s - 1)], pow(zhat, p, mod))
 print(f"F0(zhat) = {Top},  F0^(lower)(zhat^p) = {Bot},  "
       f"ratio = {Top * pow(Bot, -1, mod) % mod}")
 

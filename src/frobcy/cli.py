@@ -79,7 +79,7 @@ def _parse_primes(text: str) -> List[int]:
         return primes
     if not listed:
         raise UsageError(f"no primes in list {text!r}")
-    return [_check_prime(p) for p in listed]
+    return [_check_prime(p) for p in dict.fromkeys(listed)]  # once each
 
 
 def _load_operator(spec: str) -> ThetaOperator:

@@ -15,7 +15,9 @@ returns its verdict as the JSON-ready dict that ``frobcy congruence`` prints.
 
 at the Teichmueller point alpha above an ordinary residue z0 (alpha^p = alpha
 for prime-field points); ``OutsideUnitDisk`` signals y^(p-1)(z0) == 0 (mod p),
-where no unit root exists.
+where no unit root exists.  As alpha^(p-1) == 1 (mod p^s), each truncation
+is read off its (p-1)-fold, one slice sum per residue class r < p - 1:
+y^(N)(alpha) == sum_r alpha^r sum_{n <= N, n == r mod p-1} c_n.
 """
 
 from __future__ import annotations
@@ -74,7 +76,10 @@ def dwork_ratio(series: TruncatedSeries, z0: int, p: int, s: int) -> int:
 
     Evaluates the degree-(p^s - 1) truncation at the Teichmueller lift alpha
     of z0 and divides by the degree-(p^(s-1) - 1) truncation at alpha^p =
-    alpha, all mod p^s.  Requires series coefficients through degree p^s - 1.
+    alpha, all mod p^s.  Each truncation, the unit probe at z0 mod p too, is
+    summed through its (p-1)-fold, exact since z0^(p-1) == 1 mod p (Fermat)
+    and alpha^(p-1) == 1 mod p^s (the lift).  Requires series coefficients
+    through degree p^s - 1: a slice of a shorter list sums too few terms.
     Raises OutsideUnitDisk when the (p-1)-truncation vanishes mod p at z0.
     """
     if s < 1:
@@ -92,14 +97,17 @@ def dwork_ratio(series: TruncatedSeries, z0: int, p: int, s: int) -> int:
         raise ValueError(
             f"need coefficients through degree {ps - 1}, have {series.order}")
 
-    unit_probe = series.truncate(p - 1).evaluate_mod(z0 % p, p)
-    if unit_probe % p == 0:
+    def truncation_at(N: int, x: int, m: int) -> int:  # x^(p-1) == 1 mod m
+        return sum(sum(series.coeffs[r:N + 1:p - 1]) * pow(x, r, m)
+                   for r in range(p - 1)) % m
+
+    if truncation_at(p - 1, z0, p) == 0:
         raise OutsideUnitDisk(
             f"(p-1)-truncation vanishes mod {p} at z0 = {z0}")
 
     alpha = teichmueller_residue(z0, p, ps)
-    num = series.truncate(ps - 1).evaluate_mod(alpha, ps)
-    den = series.truncate(p ** (s - 1) - 1).evaluate_mod(alpha, ps)
+    num = truncation_at(ps - 1, alpha, ps)
+    den = truncation_at(p ** (s - 1) - 1, alpha, ps)
     if den % p == 0:  # cannot happen once the probe passed; guard anyway
         raise OutsideUnitDisk(
             f"denominator truncation vanishes mod {p} at z0 = {z0}")

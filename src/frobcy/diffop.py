@@ -183,7 +183,7 @@ class TruncatedSeries(Record):
     """Power-series truncation c_0 + c_1 z + ... + c_N z^N with c_0 = 1.
 
     ``prime`` is None for exact integer coefficients; otherwise coefficients
-    are residues mod prime^cap.
+    are residues mod prime^cap.  A lower truncation is a prefix of ``coeffs``.
     """
 
     __slots__ = ("coeffs", "prime", "cap")
@@ -198,19 +198,6 @@ class TruncatedSeries(Record):
     def order(self) -> int:
         """Truncation order N (degree of the last kept coefficient)."""
         return len(self.coeffs) - 1
-
-    def truncate(self, N: int) -> "TruncatedSeries":
-        """f^(N): the truncation of degree <= N (N + 1 coefficients)."""
-        if N > self.order:
-            raise ValueError(f"series holds only {self.order + 1} coefficients")
-        return TruncatedSeries(self.coeffs[: N + 1], self.prime, self.cap)
-
-    def evaluate_mod(self, x: int, modulus: int) -> int:
-        """Horner evaluation of the truncation at an integer residue."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % modulus
-        return acc
 
 
 Target = Tuple[Optional[int], Optional[int], int]  # (p, K, N); p = K = None: exact

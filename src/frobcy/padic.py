@@ -24,17 +24,12 @@ def is_odd_prime(n: int) -> bool:
 
 def teichmueller_residue(x0: int, p: int, modulus: int) -> int:
     """Teichmueller lift of the unit x0 mod p, as an integer mod an explicit
-    p-power modulus: the fixed point of x -> x^p, i.e. the unique (p-1)-st
-    root of unity congruent to x0 mod p.  Each iteration gains at least one
-    p-adic digit."""
+    p-power modulus p^s: the unique (p-1)-st root of unity congruent to x0
+    mod p, in closed form x0^(p^(s-1)), as the units mod p^s have order
+    (p-1) p^(s-1)."""
     if x0 % p == 0:
         raise NotAUnit(f"{x0} is not a unit mod {p}")
-    w = x0 % modulus
-    while True:
-        w_next = pow(w, p, modulus)
-        if w_next == w:
-            return w
-        w = w_next
+    return pow(x0, modulus // p, modulus)
 
 
 def balanced_residue(r: int, modulus: int) -> int:

@@ -110,6 +110,15 @@ def classified(op, primes, **kwargs):
 # -- test-only oracles ---------------------------------------------------------------
 
 
+def horner_mod(coeffs, x, modulus):
+    """c_0 + c_1 x + ... + c_N x^N mod ``modulus`` by Horner's rule, at any
+    point: the reference for the (p-1)-fold that ``dwork_ratio`` sums."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % modulus
+    return acc
+
+
 class LengthMismatch(ValueError):
     """An input sequence is shorter than the requested output length."""
 

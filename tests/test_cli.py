@@ -472,6 +472,16 @@ class TestCmdTable:
         assert table("A*a", "A*a") == table("A*a")
         assert table("C*a", "A*a", "C*a", "A*a") == table("C*a", "A*a")
 
+    @pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
+    def test_repeated_prime_is_one_row(self, fmt, capsys):
+        # a prime listed twice is swept once, in its first position
+        def table(primes):
+            return run(["table", "--operator", "A*a", "--primes", primes,
+                        "--format", fmt, "--no-cache"], capsys)
+
+        assert table("3,3") == table("3")
+        assert table("5,3,5,3") == table("5,3")
+
     def test_jobs_output_identical_to_serial(self, capsys):
         argv = ["table", "--operator", "A*a", "--operator", "C*a",
                 "--primes", "3,5", "--format", "csv", "--no-cache"]

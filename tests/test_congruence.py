@@ -1,14 +1,17 @@
 """Ratio congruences for coefficient sequences and the truncation-ratio
 evaluation of unit roots."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobcy.catalog import get_entry
 from frobcy.congruence import (OutsideUnitDisk, check_dwork_congruence,
                                dwork_ratio)
-from frobcy.diffop import ThetaOperator, solve_series
+from frobcy.diffop import ThetaOperator, TruncatedSeries, solve_series
 
-from conftest import recurrence_terms
+from conftest import horner_mod, recurrence_terms
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +146,57 @@ class TestDworkRatio:
         short, = solve_series(op, 300, targets=[(7, 4, 300)])
         with pytest.raises(ValueError):
             dwork_ratio(short, 2, 7, 4)
+
+
+def horner_ratio(coeffs, z0, p, s):
+    """The truncation ratio of ``dwork_ratio`` by Horner's rule, at a lift
+    found as the fixed point of x -> x^p; None where the probe mod p or the
+    denominator is not a unit."""
+    ps = p**s
+    if horner_mod(coeffs[:p], z0, p) == 0:
+        return None
+    alpha = z0
+    while pow(alpha, p, ps) != alpha:
+        alpha = pow(alpha, p, ps)
+    den = horner_mod(coeffs[: p ** (s - 1)], alpha, ps)
+    if den % p == 0:
+        return None
+    return horner_mod(coeffs[:ps], alpha, ps) * pow(den, -1, ps) % ps
+
+
+def ratios_or_outside(series, p, s):
+    """dwork_ratio at every z0 in 1..p-1, None where it raises OutsideUnitDisk."""
+    out = []
+    for z0 in range(1, p):
+        try:
+            out.append(dwork_ratio(series, z0, p, s))
+        except OutsideUnitDisk:
+            out.append(None)
+    return out
+
+
+@st.composite
+def residue_series(draw):
+    # c_0 = 1 and p^s - 1 residues mod p^s, the shape of a cached target
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    s = draw(st.integers(1, 4 if p == 3 else 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ps = p**s
+    return [1] + [rng.randrange(ps) for _ in range(ps - 1)], p, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_series())
+def test_fold_equals_horner_on_residue_series(drawn):
+    coeffs, p, s = drawn
+    series = TruncatedSeries(coeffs, p, s)
+    assert ratios_or_outside(series, p, s) == [
+        horner_ratio(coeffs, z0, p, s) for z0 in range(1, p)]
+
+
+def test_fold_equals_horner_on_an_exact_series():
+    exact = solve_series(get_entry("A*a").operator, 7**3 - 1)
+    assert exact.prime is None
+    for p, s in ((3, 5), (5, 3), (7, 3)):
+        assert ratios_or_outside(exact, p, s) == [
+            horner_ratio(exact.coeffs, z0, p, s) for z0 in range(1, p)]

@@ -271,23 +271,9 @@ def test_batched_run_equals_separate_calls(name, wedge, integral, floor, margin,
 # -- truncation semantics ------------------------------------------------------------
 
 
-def test_truncate_keeps_n_plus_one_coefficients():
-    s = solve_series(AA, 10)
-    t = s.truncate(4)
-    assert t.order == 4
-    assert t.coeffs == F0_HEAD[:5]
-    with pytest.raises(ValueError):
-        s.truncate(11)
-
-
 def test_normalization_required():
     with pytest.raises(ValueError):
         TruncatedSeries([2, 1])
-
-
-def test_evaluate_mod_is_horner():
-    s = TruncatedSeries([1, 2, 3])
-    assert s.evaluate_mod(5, 97) == (1 + 2 * 5 + 3 * 25) % 97
 
 
 # -- self-duality conditions ---------------------------------------------------------

@@ -1,13 +1,16 @@
 """The package keeps only what it uses: every top-level function and class
-in ``src/frobcy`` is referenced by name somewhere in ``src/frobcy``, and no
-module imports a name it does not use or another module's underscore name.
-Code that only tests call lives under ``tests/`` (for example
-``horizontal.py``)."""
+in ``src/frobcy``, and every method other than a dunder, is referenced by
+name somewhere in ``src/frobcy``, and no module imports a name it does not
+use or another module's underscore name.  Code that only tests call lives
+under ``tests/`` (for example ``horizontal.py``)."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "frobcy"
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def test_every_top_level_definition_is_referenced_in_src():
@@ -16,9 +19,14 @@ def test_every_top_level_definition_is_referenced_in_src():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"), filename=str(path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+            if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
                 defined[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    (method.name, f"{path.name} {node.name}")
+                    for method in node.body
+                    if isinstance(method, _FUNCTIONS)
+                    and not method.name.startswith("__"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
