@@ -26,8 +26,8 @@ q = wedge_square(op)
 # one target (p, K, N): the coefficients through degree N, reduced mod p^K
 f0, = solve_series(op, p**s - 1, targets=[(p, s, p**s - 1)])
 F0, = solve_series(q, p**s - 1, targets=[(p, s, p**s - 1)])
-print("f0 head:", f0.coeffs[:5])
-print("F0 head:", F0.coeffs[:5])
+print("f0 head:", f0[:5])
+print("F0 head:", F0[:5])
 
 # z is lifted to the Teichmüller representative: the unique root of unity in
 # the p-adics reducing to z0 mod p
@@ -41,13 +41,13 @@ def at(coeffs, x):
     return sum(c * pow(x, n, mod) for n, c in enumerate(coeffs)) % mod
 
 
-top = at(f0.coeffs, zhat)
-bot = at(f0.coeffs[: p ** (s - 1)], pow(zhat, p, mod))
+top = at(f0, zhat)
+bot = at(f0[: p ** (s - 1)], pow(zhat, p, mod))
 print(f"f0(zhat) = {top},  f0^(lower)(zhat^p) = {bot},  "
       f"ratio = {top * pow(bot, -1, mod) % mod}")
 
-Top = at(F0.coeffs, zhat)
-Bot = at(F0.coeffs[: p ** (s - 1)], pow(zhat, p, mod))
+Top = at(F0, zhat)
+Bot = at(F0[: p ** (s - 1)], pow(zhat, p, mod))
 print(f"F0(zhat) = {Top},  F0^(lower)(zhat^p) = {Bot},  "
       f"ratio = {Top * pow(Bot, -1, mod) % mod}")
 

@@ -18,7 +18,7 @@ from frobcy.diffop import solve_series
 # the sequence named "c": terms by running the operator recurrence, and
 # independently by the closed-form binomial sum  sum_k binom(n,k)^2 binom(2k,k)
 N = 400
-coeffs = solve_series(SECOND_ORDER["c"], N).coeffs
+coeffs = solve_series(SECOND_ORDER["c"], N)
 assert coeffs == [sum(comb(n, k) ** 2 * comb(2 * k, k) for k in range(n + 1))
                   for n in range(N + 1)]
 print("sequence c, first terms:", coeffs[:6])

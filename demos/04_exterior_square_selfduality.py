@@ -27,7 +27,7 @@ print("ext square:", f"order {q.theta_order}, z-degree {q.z_degree}")
 # the holomorphic solution of the exterior square: the z-Wronskian
 # combination of the original Frobenius pair, integral like f0 itself
 F0 = solve_series(q, 8)
-print("F0 head   :", F0.coeffs[:5])
+print("F0 head   :", F0[:5])
 
 # the order-5 self-duality identity, exact over Z[z]; the stored exterior
 # squares of all 24 catalog products are loaded through the same check, and

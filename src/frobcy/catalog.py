@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import Record
-from .diffop import ThetaOperator, TruncatedSeries, leading_symbol, solve_series
+from .diffop import ThetaOperator, leading_symbol, solve_series
 from .polyrat import poly_mul, rational_roots
 from .wedge import check_wedge, wedge_square
 
@@ -203,8 +203,8 @@ def _right_factor_run(right: str, N: int, targets: tuple) -> list:
     as an integral run.  Memoized per process: at most 6 batches, one per
     right factor of the catalog, the least recently used dropped first.  So
     the operators of a sweep that share a right factor and their targets
-    share its run.  The series returned are shared, so callers must not
-    change them."""
+    share its run.  The residue lists returned are shared, so callers must
+    not change them."""
     return solve_series(SECOND_ORDER[right], N, targets=targets, integral=True)
 
 
@@ -230,7 +230,7 @@ def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:
     """The residues mod p^K, to degree p^K - 1, of the normalized solution
     of ``op``, or of its exterior square when ``wedge`` is true, at every
     (p, K) target: one ``solve_series`` batch, a list aligned with
-    ``targets``.
+    ``targets`` of residue lists (or the NonIntegralSolution of a target).
 
     A catalog product (same name and coefficients) has an integer series:
     the Hadamard product of its factors' integer sequences, solved through
@@ -257,5 +257,5 @@ def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:
     out = []
     for (p, K), b in zip(targets, _right_factor_run(entry.right, N, tuple(full))):
         a, pK = left_factor_residues(entry.left, p, K), p**K
-        out.append(TruncatedSeries([x * y % pK for x, y in zip(a, b.coeffs)], p, K))
+        out.append([x * y % pK for x, y in zip(a, b)])
     return out

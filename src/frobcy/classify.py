@@ -36,8 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import Record, UsageError
 from .congruence import OutsideUnitDisk
-from .diffop import (ThetaOperator, TruncatedSeries, json_int,
-                     symbol_roots_mod_p)
+from .diffop import ThetaOperator, json_int, symbol_roots_mod_p
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
                         unit_roots, weil_verify)
 from .padic import is_odd_prime
@@ -251,12 +250,12 @@ def classify_ab(a: int, b: int, p: int, at_singular_fiber: bool) -> PointClass:
 
 
 def classify_point(op: ThetaOperator, p: int, z0: int, s: int,
-                   f0: TruncatedSeries, F0: TruncatedSeries,
+                   f0: Sequence[int], F0: Sequence[int],
                    fiber: bool) -> PointClass:
-    """Classify one point at precision s given precomputed series of both
-    factors; ``fiber`` tells whether the leading symbol vanishes at z0 mod p.
-    Raises Uncertified when s does not yet settle (a, b) (see
-    assemble_frobenius)."""
+    """Classify one point at precision s from the residue lists f0 and F0 of
+    the series of the operator and of its exterior square; ``fiber`` tells
+    whether the leading symbol vanishes at z0 mod p.  Raises Uncertified
+    when s does not yet settle (a, b) (see assemble_frobenius)."""
     try:
         r1, rh = unit_roots(f0, F0, z0, p, s)
     except OutsideUnitDisk:

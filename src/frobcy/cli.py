@@ -11,8 +11,8 @@ Every cell goes through one row pipeline, ``classify_operator``: a
 ``table`` or ``classify`` row classifies the points 1 .. p-1, a ``frob``
 query only its point, from ``required_precision`` with the same per-cell
 escalation, or at its ``--precision s`` alone.  Its series come from
-``series.cache_series`` (re-exported here, with ``CorruptCache``), through
-the disk cache unless ``--no-cache`` is given.  The cache directory is
+``series.cache_series`` (re-exported here), through the disk cache unless
+``--no-cache`` is given.  The cache directory is
 ``--cache-dir``, else $FROBCY_CACHE_DIR, else the platform user cache path.
 
 A table sweep runs one task per operator: one ``classify_operator`` call
@@ -43,13 +43,13 @@ from .catalog import CATALOG, SECOND_ORDER, catalog, get_entry
 from .classify import PointClass, classify_operator, results_to_csv
 from .congruence import OutsideUnitDisk, check_dwork_congruence
 from .diffop import ThetaOperator, solve_series
-from .frobenius import (box_precision, decode_frobenius, frobenius_quartic,
-                        legendre_frobenius, legendre_precision)
+from .frobenius import (box_precision, frobenius_quartic, legendre_frobenius,
+                        legendre_precision)
 from .padic import is_odd_prime
-from .series import CorruptCache, cache_series
+from .series import cache_series
 from .wedge import wedge_square
 
-__all__ = ["CorruptCache", "cache_series", "main"]
+__all__ = ["cache_series", "main"]
 
 
 # -- shared computation helpers --------------------------------------------------
@@ -247,7 +247,6 @@ def cmd_frob(args: argparse.Namespace) -> int:
     if pc.status == "undefined":
         result.update(status="undefined", a=None, b=None, r1=None, rh=None,
                       cell="-")
-        candidates = 0
     else:
         result.update(
             status=pc.status, a=pc.a, b=pc.b,
@@ -255,10 +254,10 @@ def cmd_frob(args: argparse.Namespace) -> int:
             quartic=frobenius_quartic(pc.a, pc.b, p), cell=pc.cell(),
             r1=_padic_json(p, pc.s, pc.r1), rh=_padic_json(p, pc.s, pc.rh),
         )
-        candidates = len(decode_frobenius(pc.a, pc.b, p, pc.s,
-                                          pc.at_singular_fiber))
+    # a settled cell fits one admissible pair; "-" and "!" cells fit none
     result["certificate"] = {"fiber": pc.at_singular_fiber,
-                             "candidates": candidates,
+                             "candidates": 0 if pc.status in (
+                                 "undefined", "inconsistent") else 1,
                              "escalated": pc.escalated}
     print(json.dumps(result, indent=1))
     return 0
@@ -282,7 +281,7 @@ def cmd_congruence(args: argparse.Namespace) -> int:
         op = SECOND_ORDER[name]
     else:
         raise UsageError(f"unknown sequence {name!r}")
-    coeffs = solve_series(op, args.nmax).coeffs
+    coeffs = solve_series(op, args.nmax)
     reports = [check_dwork_congruence(coeffs, p, s, args.nmax)
                for s in range(1, args.smax + 1)]
     payload = {"sequence": name, "prime": p, "n_max": args.nmax,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from . import FrobcyError
-from .diffop import TruncatedSeries
 from .padic import teichmueller_residue
 
 
@@ -70,35 +69,31 @@ def check_dwork_congruence(coeffs: Sequence[int], p: int, s: int,
                        f"{checked} ratios checked, {status}{skip}"}
 
 
-def dwork_ratio(series: TruncatedSeries, z0: int, p: int, s: int) -> int:
+def dwork_ratio(series: Sequence[int], z0: int, p: int, s: int) -> int:
     """Unit-root approximation num * den^-1 mod p^s from truncation ratios
     at z0.
 
-    Evaluates the degree-(p^s - 1) truncation at the Teichmueller lift alpha
-    of z0 and divides by the degree-(p^(s-1) - 1) truncation at alpha^p =
-    alpha, all mod p^s.  Each truncation, the unit probe at z0 mod p too, is
-    summed through its (p-1)-fold, exact since z0^(p-1) == 1 mod p (Fermat)
-    and alpha^(p-1) == 1 mod p^s (the lift).  Requires series coefficients
-    through degree p^s - 1: a slice of a shorter list sums too few terms.
-    Raises OutsideUnitDisk when the (p-1)-truncation vanishes mod p at z0.
+    ``series`` is the coefficient list c_0, c_1, ...: residues mod p^K with
+    K >= s, or exact integers.  Evaluates the degree-(p^s - 1) truncation at
+    the Teichmueller lift alpha of z0 and divides by the degree-(p^(s-1) - 1)
+    truncation at alpha^p = alpha, all mod p^s.  Each truncation, the unit
+    probe at z0 mod p too, is summed through its (p-1)-fold, exact since
+    z0^(p-1) == 1 mod p (Fermat) and alpha^(p-1) == 1 mod p^s (the lift).
+    Requires series coefficients through degree p^s - 1: a slice of a
+    shorter list sums too few terms.  Raises OutsideUnitDisk when the
+    (p-1)-truncation vanishes mod p at z0.
     """
     if s < 1:
         raise ValueError("precision s must be >= 1")
     if not 0 < z0 < p:
         raise ValueError("z0 must be a nonzero residue mod p")
-    if series.prime is not None:
-        if series.prime != p:
-            raise ValueError("series was reduced at a different prime")
-        if series.cap < s:
-            raise ValueError(
-                f"series holds residues mod p^{series.cap}, {s} digits needed")
     ps = p**s
-    if series.order < ps - 1:
+    if len(series) < ps:
         raise ValueError(
-            f"need coefficients through degree {ps - 1}, have {series.order}")
+            f"need coefficients through degree {ps - 1}, have {len(series) - 1}")
 
     def truncation_at(N: int, x: int, m: int) -> int:  # x^(p-1) == 1 mod m
-        return sum(sum(series.coeffs[r:N + 1:p - 1]) * pow(x, r, m)
+        return sum(sum(series[r:N + 1:p - 1]) * pow(x, r, m)
                    for r in range(p - 1)) % m
 
     if truncation_at(p - 1, z0, p) == 0:

@@ -9,10 +9,11 @@ solution of a MUM operator (P_0 = theta^n) is produced by the recurrence
 
     P_0(n) c_n = - sum_{i>=1} P_i(n - i) c_{n-i},
 
-with exact big integers, every division checked.  A caller that knows the
-series to be integral and wants it only mod prime powers lets the run leave
-exact integers for residues once these are the narrower (the residue phase
-of ``solve_series``).
+with exact big integers, every division checked, as the plain list c_0 ..
+c_N: exact integers, or residues mod p^K whose p and K the caller keeps.  A
+caller that knows the series to be integral and wants it only mod prime
+powers lets the run leave exact integers for residues once these are the
+narrower (the residue phase of ``solve_series``).
 
 The self-duality check ``check_cy5`` never leaves the theta form: the
 operator is compared with its twisted adjoint as coefficient tables in
@@ -26,7 +27,7 @@ import re
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from . import FrobcyError, Record
+from . import FrobcyError
 from .polyrat import (IntPoly, poly_add, poly_mul, poly_scale, poly_sub,
                       poly_theta, poly_trim)
 
@@ -179,27 +180,6 @@ def symbol_roots_mod_p(op: ThetaOperator, p: int) -> List[int]:
 # -- series solutions ---------------------------------------------------------
 
 
-class TruncatedSeries(Record):
-    """Power-series truncation c_0 + c_1 z + ... + c_N z^N with c_0 = 1.
-
-    ``prime`` is None for exact integer coefficients; otherwise coefficients
-    are residues mod prime^cap.  A lower truncation is a prefix of ``coeffs``.
-    """
-
-    __slots__ = ("coeffs", "prime", "cap")
-
-    def __init__(self, coeffs: list, prime: Optional[int] = None,
-                 cap: Optional[int] = None):
-        if not coeffs or coeffs[0] != 1:
-            raise ValueError("normalized series must start with c_0 = 1")
-        self.coeffs, self.prime, self.cap = coeffs, prime, cap
-
-    @property
-    def order(self) -> int:
-        """Truncation order N (degree of the last kept coefficient)."""
-        return len(self.coeffs) - 1
-
-
 Target = Tuple[Optional[int], Optional[int], int]  # (p, K, N); p = K = None: exact
 
 # an integral run keeps its residue modulus Q from the first coefficient of
@@ -255,16 +235,17 @@ def solve_series(op: ThetaOperator, N: int, *,
 
     The recurrence runs on exact big integers; every division must be exact
     (NonIntegralSolution otherwise).  Without ``targets`` the result is the
-    exact TruncatedSeries, and a failure raises.
+    exact list c_0 .. c_N, and a failure raises.
 
     ``targets`` batches one run for several truncations: a list of
     (p, K, N_t) with N_t <= N, whose coefficients are stored reduced mod p^K
     while only the trailing window needed by the recurrence stays exact, or
     (None, None, N_t) for exact coefficients.  The recurrence runs once and
     reduces each finished coefficient into every target's modulus.  The
-    result is a list aligned with ``targets``: for each, its TruncatedSeries,
-    or the NonIntegralSolution that a one-target run would give (a target
-    ending below the first non-integral coefficient is still returned).
+    result is a list aligned with ``targets``: for each, its list of
+    residues (exact integers for a (None, None, N_t) target), or the
+    NonIntegralSolution that a one-target run would give (a target ending
+    below the first non-integral coefficient is still returned).
 
     ``integral`` is the caller's word that the series has integer
     coefficients; with it, and no exact target, the run may leave exact
@@ -382,10 +363,8 @@ def solve_series(op: ThetaOperator, N: int, *,
         for (tp, tK, _tN), out in zip(targets, outs):
             _unscale(out, us, n0, tp**tK)
     # on a failure at degree n, the targets that reach n share it
-    results = [failure if failure and tN >= n
-               else TruncatedSeries(out) if tp is None
-               else TruncatedSeries(out, tp, tK)
-               for (tp, tK, tN), out in zip(targets, outs)]
+    results = [failure if failure and tN >= n else out
+               for (_tp, _tK, tN), out in zip(targets, outs)]
     if batch:
         return results
     if failure:

@@ -47,12 +47,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from . import FrobcyError, UsageError
 from .catalog import left_factor_residues
 from .congruence import dwork_ratio
-from .diffop import TruncatedSeries
 from .padic import NotAUnit, balanced_residue, is_odd_prime
 
 
@@ -174,14 +173,12 @@ def box_precision(p: int, want_singular: bool = False) -> int:
 # -- unit roots and assembly --------------------------------------------------------
 
 
-def unit_roots(f0: TruncatedSeries, F0: TruncatedSeries, z0: int, p: int,
+def unit_roots(f0: Sequence[int], F0: Sequence[int], z0: int, p: int,
                s: int) -> Tuple[int, int]:
     """(r1, rh): unit roots mod p^s of the operator and its exterior square
     at z0, via truncation ratios.  Raises OutsideUnitDisk at non-ordinary
     points of either family."""
-    r1 = dwork_ratio(f0, z0, p, s)
-    rh = dwork_ratio(F0, z0, p, s)
-    return r1, rh
+    return dwork_ratio(f0, z0, p, s), dwork_ratio(F0, z0, p, s)
 
 
 def _balanced_pair(r1: int, rh: int, p: int, s: int) -> Tuple[int, int]:
@@ -262,7 +259,7 @@ def legendre_precision(p: int) -> int:
     return _separating_precision(p, ((0, -bound, bound),))
 
 
-def _legendre_series(p: int, s: int) -> TruncatedSeries:
+def _legendre_series(p: int, s: int) -> List[int]:
     """Truncation of sum_j binom(2j,j)^2 (s/16)^j mod p^s, degree p^s - 1;
     binom(2j,j)^2 is the catalog's left factor A, theta^2 - 4x (2 theta+1)^2."""
     ps = p**s
@@ -271,7 +268,7 @@ def _legendre_series(p: int, s: int) -> TruncatedSeries:
     for a in left_factor_residues("A", p, s):
         coeffs.append(a * scale % ps)
         scale = scale * inv16 % ps
-    return TruncatedSeries(coeffs, prime=p, cap=s)
+    return coeffs
 
 
 def legendre_unit_root(p: int, s0: int) -> int:

@@ -3,7 +3,8 @@
 Each cell at a prime p needs the residues mod p^s, to degree p^s - 1, of two
 series: the normalized solution of the operator (role ``op``) and that of
 its exterior square (role ``wedge``).  ``cache_series`` returns one role of
-one operator at a batch of (p, s) targets; every other module asks it.
+one operator at a batch of (p, s) targets, each series as the plain list of
+its residues; every other module asks it.
 
 Series are memoized on disk: a file stores the residues c_0 .. c_N mod p^K,
 N = p^K - 1, as decimal strings with the sha256 of those strings joined by
@@ -37,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import FrobcyError
 from .catalog import operator_series
-from .diffop import ThetaOperator, TruncatedSeries
+from .diffop import ThetaOperator
 
 
 class CorruptCache(FrobcyError):
@@ -54,11 +55,11 @@ def _cache_path(cache_dir: str, op_hash: str, role: str, p: int, K: int) -> str:
     return os.path.join(cache_dir, f"series-{key[:40]}.json")
 
 
-def _cache_load(path: str, op_hash: str, role: str, p: int,
-                K: int) -> TruncatedSeries:
-    """Validated reload; raises CorruptCache on any defect, FileNotFoundError
-    on a clean miss.  The checksum covers the stored strings, so a
-    coefficient spelled other than as the writer's decimal is a defect."""
+def _cache_load(path: str, op_hash: str, role: str, p: int, K: int) -> list:
+    """The residues of a validated reload; raises CorruptCache on any defect,
+    FileNotFoundError on a clean miss.  The checksum covers the stored
+    strings, so a coefficient spelled other than as the writer's decimal is
+    a defect."""
     with open(path, "rb") as fh:  # json.loads decodes: bad bytes are a defect
         raw = fh.read()
     pK = p**K
@@ -79,13 +80,13 @@ def _cache_load(path: str, op_hash: str, role: str, p: int,
         raise
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptCache(f"unreadable cache file {path}: {exc}") from None
-    return TruncatedSeries(coeffs, prime=p, cap=K)
+    return coeffs
 
 
 def _cache_store(path: str, op_hash: str, role: str, p: int, K: int,
-                 series: TruncatedSeries) -> None:
+                 series: list) -> None:
     """Atomic write: temp file in the same directory, then rename."""
-    coeffs = list(map(str, series.coeffs))
+    coeffs = list(map(str, series))
     payload = {
         "operator_hash": op_hash, "role": role, "p": p, "K": K, "N": p**K - 1,
         "sha256": hashlib.sha256(",".join(coeffs).encode("ascii")).hexdigest(),
@@ -110,8 +111,8 @@ def cache_series(op: ThetaOperator, wedge: bool,
                  cache_dir: Optional[str] = None) -> list:
     """Residues c_0 .. c_N mod p^s, N = p^s - 1, of the normalized solution
     of ``op``, or of its exterior square when ``wedge`` is true, at every
-    (p, s) target: a list aligned with ``targets`` holding each series or
-    the exception that its computation raises.
+    (p, s) target: a list aligned with ``targets`` holding each list of
+    residues or the exception that its computation raises.
 
     With a ``cache_dir`` the valid files are reloaded without recomputation
     (and without building the exterior square), and each solved target is

@@ -295,7 +295,7 @@ def sequence_terms(name: str, N: int):
 
 def recurrence_terms(name: str, N: int) -> list:
     """Terms 0..N of a second-order sequence by its operator's recurrence."""
-    return solve_series(SECOND_ORDER[name], N).coeffs
+    return solve_series(SECOND_ORDER[name], N)
 
 # -- acceptance summary -------------------------------------------------------------
 

@@ -117,7 +117,7 @@ def f0_wedge_via_wronskian(op: ThetaOperator, N: int) -> List[Fraction]:
     if not check_mum(op):
         raise ValueError("the log-solution recurrence requires a MUM operator")
     d = op.z_degree
-    c = [Fraction(v) for v in solve_series(op, N).coeffs]
+    c = [Fraction(v) for v in solve_series(op, N)]
     polys = [op.theta_poly(i) for i in range(d + 1)]
     dpolys = [[k * pc[k] for k in range(1, len(pc))] for pc in polys]
 
@@ -356,7 +356,7 @@ def verify_horizontal_u4(op: ThetaOperator, N: int,
         raise ValueError("need N >= 5 to certify any coefficient")
     nums, den = to_monic(op)
     Y = rational_exp_integral(nums[3], poly_scale(den, 2))
-    f0 = solve_series(op, N).coeffs
+    f0 = solve_series(op, N)
 
     prec = N + 1
     lprec = prec + 8  # rational factors are exact; keep some slack
@@ -395,7 +395,7 @@ def verify_horizontal_u5(q: ThetaOperator, N: int,
         raise ValueError("need N >= 5 to certify any coefficient")
     b, den = to_monic(q)  # b0 .. b4 over den
     Y = rational_exp_integral(poly_scale(b[4], 2), poly_scale(den, 5))
-    F0 = solve_series(q, N).coeffs
+    F0 = solve_series(q, N)
 
     prec = N + 1
     lprec = prec + 8

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from math import gcd, isqrt
 
 import pytest
@@ -287,6 +288,17 @@ class TestMatchSingularAp:
             {"label": "first", "weight": 4, "ap": {"13": 99}}))
         monkeypatch.setenv(FORMS_DIR_ENV, str(tmp_path))
         assert match_singular_ap(13, 99) == "first"
+
+    def test_fixture_keyed_by_a_large_prime_loads_at_once(self, tmp_path,
+                                                          monkeypatch):
+        # the fixtures are read before any row: a slow check of the key
+        # 2^61 - 1 would stall every table, classify and frob
+        (tmp_path / "big.json").write_text(json.dumps(
+            {"label": "big", "ap": {"2305843009213693951": 1, "13": 77}}))
+        monkeypatch.setenv(FORMS_DIR_ENV, str(tmp_path))
+        t0 = time.perf_counter()
+        assert match_singular_ap(13, 77) == "big"
+        assert time.perf_counter() - t0 < 5
 
     def test_missing_directory_matches_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setenv(FORMS_DIR_ENV, str(tmp_path / "missing"))

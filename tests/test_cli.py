@@ -36,7 +36,8 @@ from frobcy import series as series_module
 from frobcy.catalog import CATALOG, get_entry
 from frobcy.classify import results_to_csv
 from frobcy.diffop import ThetaOperator, solve_series
-from frobcy.series import _cache_load, _cache_path, _cache_store, _operator_hash
+from frobcy.series import (CorruptCache, _cache_load, _cache_path,
+                           _cache_store, _operator_hash)
 from frobcy.frobenius import LiftOutOfBound, frobenius_quartic
 from frobcy.wedge import wedge_square
 
@@ -126,7 +127,7 @@ class TestCacheSeries:
     def test_miss_computes_and_writes(self, tmp_path):
         op, series = self.fresh(tmp_path)
         direct, = solve_series(op, self.N, targets=[(self.P, self.K, self.N)])
-        assert series.coeffs == direct.coeffs
+        assert series == direct
         files = os.listdir(tmp_path)
         assert len(files) == 1 and files[0].startswith("series-")
         assert not any(f.endswith(".tmp") for f in files)
@@ -138,7 +139,7 @@ class TestCacheSeries:
         assert data["operator_hash"] == _operator_hash(op)
         assert data["role"] == "op"
         assert (data["p"], data["K"], data["N"]) == (self.P, self.K, self.N)
-        assert data["coeffs"] == [str(c) for c in series.coeffs]
+        assert data["coeffs"] == [str(c) for c in series]
         assert data["sha256"] == hashlib.sha256(
             ",".join(data["coeffs"]).encode("ascii")).hexdigest()
 
@@ -150,8 +151,7 @@ class TestCacheSeries:
 
         monkeypatch.setattr(series_module, "operator_series", boom)
         again = self.one(op, str(tmp_path))
-        assert again.coeffs == series.coeffs
-        assert again.cap == self.K
+        assert again == series
 
     def test_factor_route_stores_the_generic_bytes(self, tmp_path):
         # a catalog operator's own series is solved through its Hadamard
@@ -205,7 +205,7 @@ class TestCacheSeries:
         got = self.one(op, str(tmp_path), wedge=True)
         direct, = solve_series(wedge_square(op), self.N,
                                targets=[(self.P, self.K, self.N)])
-        assert got.coeffs == direct.coeffs != own.coeffs
+        assert got == direct != own
         h, d = _operator_hash(op), str(tmp_path)
         op_path, wedge_path = (_cache_path(d, h, role, self.P, self.K)
                                for role in ("op", "wedge"))
@@ -214,8 +214,8 @@ class TestCacheSeries:
         data = json.loads(Path(wedge_path).read_text(encoding="utf-8"))
         assert (data["operator_hash"], data["role"]) == (h, "wedge")
         assert _cache_load(wedge_path, h, "wedge",
-                               self.P, self.K).coeffs == got.coeffs
-        with pytest.raises(cli.CorruptCache, match="header mismatch"):
+                               self.P, self.K) == got
+        with pytest.raises(CorruptCache, match="header mismatch"):
             _cache_load(wedge_path, h, "op", self.P, self.K)
 
     def test_in_range_digit_flip_recomputed(self, tmp_path):
@@ -229,11 +229,11 @@ class TestCacheSeries:
                  if c[-1] != "9" and int(c) + 1 < self.P**self.K)
         data["coeffs"][i] = data["coeffs"][i][:-1] + str(int(data["coeffs"][i][-1]) + 1)
         Path(path).write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(cli.CorruptCache, match="checksum mismatch"):
+        with pytest.raises(CorruptCache, match="checksum mismatch"):
             _cache_load(path, h, "op", self.P, self.K)
         again = self.one(op, str(tmp_path))
-        assert again.coeffs == series.coeffs
-        assert _cache_load(path, h, "op", self.P, self.K).coeffs == series.coeffs
+        assert again == series
+        assert _cache_load(path, h, "op", self.P, self.K) == series
 
     def test_truncated_file_recomputed_and_repaired(self, tmp_path, monkeypatch):
         op, series = self.fresh(tmp_path)
@@ -241,11 +241,11 @@ class TestCacheSeries:
         raw = path.read_text(encoding="utf-8")
         path.write_text(raw[: len(raw) // 2], encoding="utf-8")
         again = self.one(op, str(tmp_path))
-        assert again.coeffs == series.coeffs
+        assert again == series
         # the rewritten file now validates, so a reload needs no computation
         monkeypatch.setattr(series_module, "operator_series", None)
         third = self.one(op, str(tmp_path))
-        assert third.coeffs == series.coeffs
+        assert third == series
 
     def test_corrupt_load_diagnostics(self, tmp_path):
         op, series = self.fresh(tmp_path)
@@ -259,27 +259,27 @@ class TestCacheSeries:
                 json.dump(data, fh)
 
         rewrite(operator_hash="0" * 64)
-        with pytest.raises(cli.CorruptCache, match="header mismatch"):
+        with pytest.raises(CorruptCache, match="header mismatch"):
             _cache_load(path, h, "op", self.P, self.K)
         rewrite(role="wedge")
-        with pytest.raises(cli.CorruptCache, match="header mismatch"):
+        with pytest.raises(CorruptCache, match="header mismatch"):
             _cache_load(path, h, "op", self.P, self.K)
         rewrite(coeffs=good["coeffs"][:-1])
-        with pytest.raises(cli.CorruptCache, match="bad coefficient array"):
+        with pytest.raises(CorruptCache, match="bad coefficient array"):
             _cache_load(path, h, "op", self.P, self.K)
         rewrite(coeffs=good["coeffs"][:-1] + [str(self.P**self.K)])
-        with pytest.raises(cli.CorruptCache, match="residue out of range"):
+        with pytest.raises(CorruptCache, match="residue out of range"):
             _cache_load(path, h, "op", self.P, self.K)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{not json")
-        with pytest.raises(cli.CorruptCache, match="unreadable"):
+        with pytest.raises(CorruptCache, match="unreadable"):
             _cache_load(path, h, "op", self.P, self.K)
         with open(path, "wb") as fh:
             fh.write(b"\xff\xfe\xff")  # not UTF-8: recomputed, not a failure
-        with pytest.raises(cli.CorruptCache, match="unreadable"):
+        with pytest.raises(CorruptCache, match="unreadable"):
             _cache_load(path, h, "op", self.P, self.K)
         again = self.one(op, str(tmp_path))
-        assert again.coeffs == series.coeffs
+        assert again == series
         with pytest.raises(FileNotFoundError):
             _cache_load(path + ".missing", h, "op", self.P, self.K)
 
@@ -312,7 +312,7 @@ class TestCacheSeries:
         op = get_entry("A*a").operator
         series = self.one(op, str(blocker / "sub"))
         direct, = solve_series(op, self.N, targets=[(self.P, self.K, self.N)])
-        assert series.coeffs == direct.coeffs
+        assert series == direct
 
     def test_default_directory_from_environment(self, tmp_path, monkeypatch):
         default = argparse.Namespace(no_cache=False, cache_dir=None)
@@ -761,6 +761,17 @@ class TestCmdFrob:
         assert got["certificate"] == {"fiber": False, "candidates": 0,
                                       "escalated": False}
 
+    def test_inconsistent_cell(self, capsys, monkeypatch):
+        # an in-box pair that fits no admissible shape: "!", and no candidate
+        monkeypatch.setattr(classify, "assemble_frobenius",
+                            lambda r1, rh, p, s, **kwargs: (0, 294))
+        code, got, _ = self.frob(capsys, "--operator", "A*a", "--prime", "7",
+                                 "--point", "1", "--precision", "4")
+        assert code == 0
+        assert got["status"] == "inconsistent" and got["cell"] == "(0,294)!"
+        assert got["certificate"] == {"fiber": False, "candidates": 0,
+                                      "escalated": False}
+
     def test_point_reduced_mod_p(self, capsys):
         _, base, _ = self.frob(capsys, "--operator", "A*a",
                                "--prime", "7", "--point", "3")
@@ -924,7 +935,7 @@ class TestCmdCongruence:
     def test_corrupted_terms_fail_with_exit_one(self, capsys, monkeypatch):
         def corrupted(op, nmax):
             series = solve_series(op, nmax)
-            series.coeffs[25] += 1
+            series[25] += 1
             return series
 
         monkeypatch.setattr(cli, "solve_series", corrupted)
@@ -1186,6 +1197,12 @@ def bad_operators(tmp_path):
      "not_object.json': an operator file holds one JSON object\n"),
     ("frob --operator A*a --prime 5 --point 2 --precision 5", 2,
      "error: --precision must be <= 4 at p = 5, not 5\n"),
+    # the first number the prime check cannot decide
+    ("frob --operator A*a --prime 3317044064679887385961981 --point 2 "
+     "--no-cache", 2, "error: 3317044064679887385961981 is beyond the prime "
+     "check, which decides n < 3317044064679887385961981\n"),
+    ("table --operator A*a --primes 3317044064679887385961979..3317044064679887"
+     "385961981 --no-cache", 2, "is beyond the prime check"),
     # a leading NAME=value word sets an environment variable for the run;
     # the fixtures are read before any row, whatever its cells
     ("FROBCY_FORMS_DIR={forms} frob --operator A*a --prime 7 --point 4 "
@@ -1220,6 +1237,8 @@ def test_failure_is_one_line_with_its_exit_code(argv, code, message,
     (json.dumps({"label": "x", "ap": {"9": -24}}), "field 'ap' has key 9"),
     (json.dumps({"label": "x", "ap": {"7": -24, "2": 1}}),
      "field 'ap' has key 2"),
+    (json.dumps({"label": "x", "ap": {"3317044064679887385961981": 1}}),
+     "3317044064679887385961981 is beyond the prime check"),
 ])
 def test_malformed_form_fixture_names_the_file(fixture, message, tmp_path,
                                                monkeypatch, capsys):

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from frobcy import diffop
 from frobcy.catalog import CATALOG, get_entry
-from frobcy.diffop import (NonIntegralSolution, ThetaOperator,
-                           TruncatedSeries, check_cy5, check_mum,
-                           leading_symbol, solve_series, symbol_roots_mod_p)
+from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_cy5,
+                           check_mum, leading_symbol, solve_series,
+                           symbol_roots_mod_p)
 from frobcy.wedge import wedge_square
 
 from horizontal import Laurent, check_cy4, stirling_table, to_monic
@@ -127,7 +127,7 @@ def test_monic_form_annihilates_the_solution():
     # series with exact coefficients; everything must cancel.
     N = 40
     nums, den = to_monic(AA)
-    coeffs = [Fraction(c) for c in solve_series(AA, N).coeffs]
+    coeffs = [Fraction(c) for c in solve_series(AA, N)]
     prec = N + 1
     ys = [Laurent.from_series(coeffs, prec)]
     for _ in range(4):
@@ -142,15 +142,15 @@ def test_monic_form_annihilates_the_solution():
 
 
 def test_first_solution_coefficients():
-    assert solve_series(AA, 5).coeffs == F0_HEAD
+    assert solve_series(AA, 5) == F0_HEAD
 
 
 def test_wedge_solution_coefficients():
-    assert solve_series(wedge_square(AA), 5).coeffs == BIG_F0_HEAD
+    assert solve_series(wedge_square(AA), 5) == BIG_F0_HEAD
 
 
 def test_geometric_series():
-    assert solve_series(geometric_op(), 10).coeffs == [1] * 11
+    assert solve_series(geometric_op(), 10) == [1] * 11
 
 
 def test_solution_satisfies_the_recurrence():
@@ -164,7 +164,7 @@ def test_solution_satisfies_the_recurrence():
             val = 0
             for c in reversed(poly):
                 val = val * (n - i) + c
-            acc += val * series.coeffs[n - i]
+            acc += val * series[n - i]
         assert acc == 0
 
 
@@ -182,8 +182,7 @@ def test_non_integral_solution_detected():
 def test_exact_mode_storage_reduction_matches_full_integers():
     full = solve_series(AA, 60)
     reduced, = solve_series(AA, 60, targets=[(7, 3, 60)])
-    assert reduced.prime == 7 and reduced.cap == 3
-    assert reduced.coeffs == [c % 7**3 for c in full.coeffs]
+    assert reduced == [c % 7**3 for c in full]
 
 
 # -- one run, several truncations --------------------------------------------------
@@ -196,21 +195,19 @@ def same_outcome(op, batched, p, K, N):
     if isinstance(alone, NonIntegralSolution):
         return (isinstance(batched, NonIntegralSolution)
                 and str(batched) == str(alone))
-    return (isinstance(batched, TruncatedSeries)
-            and (batched.coeffs, batched.prime, batched.cap)
-            == (alone.coeffs, alone.prime, alone.cap))
+    return isinstance(batched, list) and batched == alone
 
 
 def test_batched_integrality_is_decided_per_target():
     # c_n = (3n-2)(3n-1)/n^2 c_(n-1): 1, 2, 10, then c_3 = 560/9
     op = ThetaOperator([[0, 0, 0, 0, 1], [-2, -13, -29, -27, -9]], name="half")
-    assert solve_series(op, 2).coeffs == [1, 2, 10]
+    assert solve_series(op, 2) == [1, 2, 10]
     message = "coefficient c_3 is not an integer (operator half)"
     with pytest.raises(NonIntegralSolution) as alone:
         solve_series(op, 4)
     assert str(alone.value) == message
     first, second = solve_series(op, 4, targets=[(3, 1, 2), (5, 1, 4)])
-    assert first.coeffs == [1, 2, 1] and (first.prime, first.cap) == (3, 1)
+    assert first == [1, 2, 1]
     assert isinstance(second, NonIntegralSolution) and str(second) == message
 
 
@@ -229,7 +226,7 @@ def test_residue_phase_still_raises_on_a_non_integral_coefficient():
     failed, early = solve_series(op, 30, targets=targets, integral=True)
     assert isinstance(failed, NonIntegralSolution)
     assert str(failed) == "coefficient c_26 is not 13-integral (operator late)"
-    assert early.coeffs == exact[1].coeffs == [pow(lam, n, 13) for n in range(26)]
+    assert early == exact[1] == [pow(lam, n, 13) for n in range(26)]
     lone, = solve_series(op, 26, targets=[(13, 1, 26)], integral=True)
     assert isinstance(lone, NonIntegralSolution)
     assert str(lone) == str(failed)
@@ -266,14 +263,6 @@ def test_batched_run_equals_separate_calls(name, wedge, integral, floor, margin,
     assert len(batched) == len(targets)
     for got, (p, K, N) in zip(batched, targets):
         assert same_outcome(op, got, p, K, N)
-
-
-# -- truncation semantics ------------------------------------------------------------
-
-
-def test_normalization_required():
-    with pytest.raises(ValueError):
-        TruncatedSeries([2, 1])
 
 
 # -- self-duality conditions ---------------------------------------------------------

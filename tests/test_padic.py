@@ -4,7 +4,7 @@ lifts, and balanced representatives."""
 import pytest
 from hypothesis import given, strategies as st
 
-from frobcy.padic import (NotAUnit, balanced_residue, is_odd_prime,
+from frobcy.padic import (MR_BOUND, NotAUnit, balanced_residue, is_odd_prime,
                           teichmueller_residue)
 
 PRIMES = (3, 5, 7, 11, 13, 17)
@@ -13,13 +13,28 @@ odd_primes = st.sampled_from(PRIMES)
 
 
 def test_is_odd_prime_matches_a_sieve():
-    N = 500
+    N = 10**5
     composite = [False] * N
     for q in range(2, N):
         for m in range(2 * q, N, q):
             composite[m] = True
     assert [n for n in range(-3, N) if is_odd_prime(n)] == \
         [n for n in range(3, N) if not composite[n]]
+
+
+def test_is_odd_prime_decides_large_numbers():
+    assert is_odd_prime(2**61 - 1)
+    # a strong pseudoprime to the bases 2 .. 37, the least composite that
+    # the first 12 primes pass; the 13th base, 41, rejects it
+    psi12 = 318_665_857_834_031_151_167_461
+    assert psi12 == 399_165_290_221 * 798_330_580_441
+    assert not is_odd_prime(psi12)
+
+
+def test_is_odd_prime_raises_from_its_bound_on():
+    assert not is_odd_prime(MR_BOUND - 1)  # even, and still decided
+    with pytest.raises(ValueError, match="beyond the prime check"):
+        is_odd_prime(MR_BOUND)
 
 
 # -- Teichmueller lifts -------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Smoke tests of the benchmark's traced runner and of its environment
 probe: a change that breaks the layer spans (for example a layer function no
 longer bound where ``perfbench/spans.py`` looks for it) or a name the probe
-reads fails here, not only in a benchmark run."""
+reads fails here, not only in a benchmark run.  Also the record of
+``tools/bench_pairs.py`` names the trees it measured."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -49,3 +51,22 @@ def test_environment_probe_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert Path(report["frobcy_file"]).resolve().parent == ROOT / "src" / "frobcy"
+
+
+def test_bench_pairs_names_the_trees_it_measured(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    specs = {"parent": str(tmp_path), "change": str(ROOT)}
+
+    def run(side, digest):
+        env = {"src_sha256": digest, "git_rev": "not the tree measured"}
+        return {"side": side, "record": {"perfbench": {"environment": env}}}
+
+    runs = [run("parent", "aa"), run("change", "bb"), run("parent", "aa")]
+    assert bench_pairs._sides(specs, runs) == {
+        "parent": {"spec": str(tmp_path), "revision": None, "src_sha256": "aa"},
+        "change": {"spec": str(ROOT), "revision": None, "src_sha256": "bb"}}
+    with pytest.raises(SystemExit, match="change runs report 2 src_sha256"):
+        bench_pairs._sides(specs, runs + [run("change", "cc")])

@@ -25,7 +25,10 @@ interquartile range.  The traced pair gives each per-layer metric once per
 side.
 
 Runs last the ``run_seconds`` of ``BENCHMARK.json``.  The record is written
-to ``BENCH_<label>.json`` at the root of the repository.  ``--extra``
+to ``BENCH_<label>.json`` at the root of the repository.  Its ``sides`` entry
+names each tree measured: the spec given, the commit it resolves to (null
+for a directory) and the ``src_sha256`` its runs reported, which must be one
+value per side.  ``--extra``
 merges the top-level keys of a JSON file into it, for measurements taken
 outside perfbench (full-table wall times, in-process layer timings).
 """
@@ -60,11 +63,28 @@ def _tree(spec: str, workdir: Path, name: str) -> Path:
     return out
 
 
-def _describe(spec: str) -> str:
+def _revision(spec: str) -> Optional[str]:
+    """The commit a revision side names; None for a directory side."""
     if Path(spec).is_dir():
-        return spec
-    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", spec],
+        return None
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", f"{spec}^{{commit}}"],
                           check=True, capture_output=True, text=True).stdout.strip()
+
+
+def _sides(specs: Dict[str, str], runs: List[dict]) -> dict:
+    """Each side's spec, its revision and the ``src_sha256`` that all its
+    runs reported: what tells the measured trees apart, a directory side
+    included.  Runs of one side that disagree on it stop the record."""
+    out = {}
+    for side, spec in specs.items():
+        digests = {r["record"]["perfbench"]["environment"]["src_sha256"]
+                   for r in runs if r["side"] == side}
+        if len(digests) != 1:
+            raise SystemExit(f"bench_pairs: the {side} runs report "
+                             f"{len(digests)} src_sha256 values: {sorted(digests)}")
+        out[side] = {"spec": spec, "revision": _revision(spec),
+                     "src_sha256": digests.pop()}
+    return out
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -184,7 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     record = {
         "label": args.label,
         "change": args.change_note,
-        "parent": _describe(args.parent),
+        "sides": _sides({"parent": args.parent, "change": args.change}, runs),
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace T",
         "machine": f"{env.get('nproc')} cores, CPython {env.get('python')}, "
