@@ -23,10 +23,12 @@ factor runs, and results are emitted in task order, so output is
 byte-identical to a serial run for every k.  ``classify`` is the ``table``
 sweep of one operator in CSV.
 
-``main`` alone turns errors into exit codes: a ``UsageError`` (bad
-argument, operator file, point, ``--output`` path, or form fixture, read
-before any row) exits 2 and any other ``FrobcyError`` exits 1, each as one
-``error: ...`` line on stderr.  A table row that fails is reported as data:
+``table``, ``classify`` and ``frob`` take primes up to ``PRIME_CEILING``,
+and ``legendre`` up to ``LEGENDRE_CEILING``: a row at the ceiling ends
+within about a minute.  ``main`` alone turns errors into exit codes: a
+``UsageError`` (bad argument, prime above its ceiling, operator file, point,
+``--output`` path, or form fixture, read before any row) exits 2 and any
+other ``FrobcyError`` exits 1, each as one ``error: ...`` line on stderr.  A table row that fails is reported as data:
 one line naming the operator and p, exit 1.
 """
 
@@ -54,15 +56,32 @@ __all__ = ["cache_series", "main"]
 
 # -- shared computation helpers --------------------------------------------------
 
+# The largest prime that ``table``, ``classify`` and ``frob`` take: a row
+# solves series of p^3 terms, and the slowest catalog row, D*g with
+# --no-cache, took 45 s at p = 61 and 76 s at p = 67 (2 cores, CPython 3.11).
+PRIME_CEILING = 61
+# The largest prime ``legendre`` takes: from p = 17 on its series has p terms,
+# and an ordinary point took 52 s at p = 7 000 009 and 59 s at 8 000 009.
+LEGENDRE_CEILING = 8_000_009
 
-def _check_prime(p: int) -> int:
+
+def _check_ceiling(n: int, ceiling: int) -> None:
+    if n > ceiling:
+        raise UsageError(f"{n} is above the prime ceiling {ceiling}")
+
+
+def _check_prime(p: int, ceiling: Optional[int] = None) -> int:
+    """p, if it is an odd prime no larger than ``ceiling`` (None: any)."""
     if not is_odd_prime(p):
         raise UsageError(f"{p} is not an odd prime")
+    if ceiling is not None:
+        _check_ceiling(p, ceiling)
     return p
 
 
 def _parse_primes(text: str) -> List[int]:
-    """Accept '3..17' (all odd primes in the range) or '3,5,7' / '7'."""
+    """Accept '3..17' (all odd primes in the range) or '3,5,7' / '7', each
+    prime at most PRIME_CEILING, checked before anything is enumerated."""
     text = text.strip()
     lo_s, is_range, hi_s = text.partition("..")
     try:
@@ -73,13 +92,16 @@ def _parse_primes(text: str) -> List[int]:
     except ValueError:
         raise UsageError(f"not a prime range or list: {text!r}") from None
     if is_range:
+        is_odd_prime(hi)  # an end beyond the prime check is named as such
+        _check_ceiling(hi, PRIME_CEILING)
         primes = [p for p in range(max(lo, 3), hi + 1) if is_odd_prime(p)]
         if not primes:
             raise UsageError(f"no odd primes in range {text!r}")
         return primes
     if not listed:
         raise UsageError(f"no primes in list {text!r}")
-    return [_check_prime(p) for p in dict.fromkeys(listed)]  # once each
+    return [_check_prime(p, PRIME_CEILING)
+            for p in dict.fromkeys(listed)]  # once each
 
 
 def _load_operator(spec: str) -> ThetaOperator:
@@ -109,13 +131,12 @@ def _cache_dir(args: argparse.Namespace) -> Optional[str]:
     return os.environ.get("FROBCY_CACHE_DIR") or os.path.join(xdg, "frobcy")
 
 
-def _table_task(arg: Tuple[str, Sequence[int], Optional[str]]
+def _table_task(arg: Tuple[ThetaOperator, Sequence[int], Optional[str]]
                 ) -> List[Tuple[List[PointClass], Optional[str]]]:
     """Worker: every row (one per prime) of one operator, from one
     ``classify_operator`` call; a row's failure is data, one diagnostic
     per row."""
-    op_json, primes, cache_dir = arg
-    op = ThetaOperator.from_json(op_json)
+    op, primes, cache_dir = arg
     outcomes = []
     for p, row in zip(primes, classify_operator(op, primes, cache_dir=cache_dir)):
         if isinstance(row, Exception):
@@ -190,7 +211,7 @@ def _sweep(names: Sequence[str], fmt: str, jobs: int,
     ops = [(n, _load_operator(n)) for n in names]
     primes = _parse_primes(args.primes)
     cache_dir = _cache_dir(args)
-    tasks = [(op.to_json(), primes, cache_dir) for _n, op in ops]
+    tasks = [(op, primes, cache_dir) for _n, op in ops]
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -226,7 +247,7 @@ def cmd_frob(args: argparse.Namespace) -> int:
     one point, escalating as needed); an explicit --precision is used as
     given and never escalates: a cell it does not settle is an error."""
     op = _load_operator(args.operator)
-    p = _check_prime(args.prime)
+    p = _check_prime(args.prime, PRIME_CEILING)
     if args.precision is not None and args.precision < 1:
         raise UsageError(f"--precision must be >= 1, not {args.precision}")
     if args.precision is not None and args.precision > box_precision(p, True):
@@ -291,7 +312,7 @@ def cmd_congruence(args: argparse.Namespace) -> int:
 
 
 def cmd_legendre(args: argparse.Namespace) -> int:
-    p = _check_prime(args.prime)
+    p = _check_prime(args.prime, LEGENDRE_CEILING)
     result: Dict[str, object] = {"p": p, "s0": args.point % p}
     try:
         root, ap = legendre_frobenius(p, args.point)

@@ -6,15 +6,17 @@ its exterior square (role ``wedge``).  ``cache_series`` returns one role of
 one operator at a batch of (p, s) targets, each series as the plain list of
 its residues; every other module asks it.
 
-Series are memoized on disk: a file stores the residues c_0 .. c_N mod p^K,
-N = p^K - 1, as decimal strings with the sha256 of those strings joined by
-commas, written atomically (temp file + rename).  The key is a content hash
-of the *source* operator's JSON plus the role and (p, K, N); N is derived,
-never asked for, and stays in the key and the header so that files written
-before stay valid.  A damaged or mismatched file is detected
-(``CorruptCache``), silently recomputed, and overwritten.  Computations
-never depend on cache state, only their wall time does.  Without a cache
-directory every target is solved afresh.
+Series are memoized on disk, written atomically (temp file + rename): a file
+is one JSON header line, then c_0 .. c_N mod p^K, N = p^K - 1, as the raw
+bytes of an ``array("I")``: K <= ``box_precision(p, True)``, which is 3 from
+p = 29 on, keeps p^K below 2^32 for every p < 1625.  The loader rebuilds the header from the body read (operator hash,
+role, p, K, N, byte order, the body's sha256) and compares it byte for byte,
+then checks the length, c_0 = 1 and every residue < p^K.  The file name
+hashes the *source* operator's JSON, the role and (p, K, N), as it did for
+earlier formats, whose files read as misses.  A damaged or mismatched file
+is detected (``CorruptCache``), silently recomputed, and overwritten.
+Computations never depend on cache state, only their wall time does.
+Without a cache directory every target is solved afresh.
 
 The misses of one call are solved in one ``operator_series`` batch to the
 largest degree among them, reduced into each target's p^K: one recurrence
@@ -33,7 +35,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
+from array import array
 from typing import List, Optional, Sequence, Tuple
 
 from . import FrobcyError
@@ -55,48 +59,41 @@ def _cache_path(cache_dir: str, op_hash: str, role: str, p: int, K: int) -> str:
     return os.path.join(cache_dir, f"series-{key[:40]}.json")
 
 
+def _header(op_hash: str, role: str, p: int, K: int, body: bytes) -> bytes:
+    """The header line of a file holding ``body`` as one role's residues
+    mod p^K: the only header its loader accepts."""
+    return json.dumps({
+        "operator_hash": op_hash, "role": role, "p": p, "K": K, "N": p**K - 1,
+        "byteorder": sys.byteorder, "sha256": hashlib.sha256(body).hexdigest(),
+    }).encode("ascii")
+
+
 def _cache_load(path: str, op_hash: str, role: str, p: int, K: int) -> list:
     """The residues of a validated reload; raises CorruptCache on any defect,
-    FileNotFoundError on a clean miss.  The checksum covers the stored
-    strings, so a coefficient spelled other than as the writer's decimal is
-    a defect."""
-    with open(path, "rb") as fh:  # json.loads decodes: bad bytes are a defect
-        raw = fh.read()
+    FileNotFoundError on a clean miss."""
+    with open(path, "rb") as fh:
+        header, _, body = fh.read().partition(b"\n")
+    if header != _header(op_hash, role, p, K, body):
+        raise CorruptCache(f"header mismatch in {path}")
     pK = p**K
-    try:
-        data = json.loads(raw)
-        if (data["operator_hash"] != op_hash or data["role"] != role
-                or data["p"] != p or data["K"] != K or data["N"] != pK - 1):
-            raise CorruptCache(f"header mismatch in {path}")
-        body = ",".join(data["coeffs"])  # a non-string is a TypeError
-        coeffs = list(map(int, data["coeffs"]))
-        if len(coeffs) != pK or coeffs[0] != 1:
-            raise CorruptCache(f"bad coefficient array in {path}")
-        if min(coeffs) < 0 or max(coeffs) >= pK:
-            raise CorruptCache(f"residue out of range in {path}")
-        if hashlib.sha256(body.encode("ascii")).hexdigest() != data["sha256"]:
-            raise CorruptCache(f"checksum mismatch in {path}")
-    except CorruptCache:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptCache(f"unreadable cache file {path}: {exc}") from None
-    return coeffs
+    coeffs = array("I")
+    if len(body) != coeffs.itemsize * pK:
+        raise CorruptCache(f"bad body length in {path}")
+    coeffs.frombytes(body)
+    if coeffs[0] != 1 or max(coeffs) >= pK:
+        raise CorruptCache(f"residue out of range in {path}")
+    return coeffs.tolist()
 
 
 def _cache_store(path: str, op_hash: str, role: str, p: int, K: int,
                  series: list) -> None:
     """Atomic write: temp file in the same directory, then rename."""
-    coeffs = list(map(str, series))
-    payload = {
-        "operator_hash": op_hash, "role": role, "p": p, "K": K, "N": p**K - 1,
-        "sha256": hashlib.sha256(",".join(coeffs).encode("ascii")).hexdigest(),
-        "coeffs": coeffs,
-    }
+    body = array("I", series).tobytes()
     directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_header(op_hash, role, p, K, body) + b"\n" + body)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -20,6 +20,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
+from array import array
 from pathlib import Path
 
 import importlib
@@ -37,7 +39,7 @@ from frobcy.catalog import CATALOG, get_entry
 from frobcy.classify import results_to_csv
 from frobcy.diffop import ThetaOperator, solve_series
 from frobcy.series import (CorruptCache, _cache_load, _cache_path,
-                           _cache_store, _operator_hash)
+                           _cache_store, _header, _operator_hash)
 from frobcy.frobenius import LiftOutOfBound, frobenius_quartic
 from frobcy.wedge import wedge_square
 
@@ -133,15 +135,19 @@ class TestCacheSeries:
         assert not any(f.endswith(".tmp") for f in files)
 
     def test_cache_file_schema(self, tmp_path):
+        # one JSON header line, then each residue in four bytes of the
+        # machine's byte order
         op, series = self.fresh(tmp_path)
         path = tmp_path / os.listdir(tmp_path)[0]
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["operator_hash"] == _operator_hash(op)
-        assert data["role"] == "op"
-        assert (data["p"], data["K"], data["N"]) == (self.P, self.K, self.N)
-        assert data["coeffs"] == [str(c) for c in series]
-        assert data["sha256"] == hashlib.sha256(
-            ",".join(data["coeffs"]).encode("ascii")).hexdigest()
+        header, body = path.read_bytes().split(b"\n", 1)
+        assert list(json.loads(header).items()) == [
+            ("operator_hash", _operator_hash(op)), ("role", "op"),
+            ("p", self.P), ("K", self.K), ("N", self.N),
+            ("byteorder", sys.byteorder),
+            ("sha256", hashlib.sha256(body).hexdigest())]
+        assert array("I").itemsize == 4
+        assert [int.from_bytes(body[i:i + 4], sys.byteorder)
+                for i in range(0, len(body), 4)] == series
 
     def test_hit_skips_recomputation(self, tmp_path, monkeypatch):
         op, series = self.fresh(tmp_path)
@@ -211,8 +217,8 @@ class TestCacheSeries:
                                for role in ("op", "wedge"))
         assert sorted(os.listdir(tmp_path)) == sorted(
             os.path.basename(path) for path in (op_path, wedge_path))
-        data = json.loads(Path(wedge_path).read_text(encoding="utf-8"))
-        assert (data["operator_hash"], data["role"]) == (h, "wedge")
+        header = json.loads(Path(wedge_path).read_bytes().split(b"\n", 1)[0])
+        assert (header["operator_hash"], header["role"]) == (h, "wedge")
         assert _cache_load(wedge_path, h, "wedge",
                                self.P, self.K) == got
         with pytest.raises(CorruptCache, match="header mismatch"):
@@ -222,14 +228,14 @@ class TestCacheSeries:
         op, series = self.fresh(tmp_path)
         h = _operator_hash(op)
         path = _cache_path(str(tmp_path), h, "op", self.P, self.K)
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        # raise the last digit of the first coefficient where that stays a
-        # residue mod p^K: every structural check still passes
-        i = next(i for i, c in enumerate(data["coeffs"][1:], 1)
-                 if c[-1] != "9" and int(c) + 1 < self.P**self.K)
-        data["coeffs"][i] = data["coeffs"][i][:-1] + str(int(data["coeffs"][i][-1]) + 1)
-        Path(path).write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(CorruptCache, match="checksum mismatch"):
+        header, body = Path(path).read_bytes().split(b"\n", 1)
+        # raise the first residue that stays a residue mod p^K, in the body
+        # alone: only the header's sha256 tells the file is damaged
+        residues = array("I", body)
+        i = next(i for i, c in enumerate(residues) if i and c + 1 < self.P**self.K)
+        residues[i] += 1
+        Path(path).write_bytes(header + b"\n" + residues.tobytes())
+        with pytest.raises(CorruptCache, match="header mismatch"):
             _cache_load(path, h, "op", self.P, self.K)
         again = self.one(op, str(tmp_path))
         assert again == series
@@ -238,8 +244,8 @@ class TestCacheSeries:
     def test_truncated_file_recomputed_and_repaired(self, tmp_path, monkeypatch):
         op, series = self.fresh(tmp_path)
         path = tmp_path / os.listdir(tmp_path)[0]
-        raw = path.read_text(encoding="utf-8")
-        path.write_text(raw[: len(raw) // 2], encoding="utf-8")
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
         again = self.one(op, str(tmp_path))
         assert again == series
         # the rewritten file now validates, so a reload needs no computation
@@ -251,57 +257,110 @@ class TestCacheSeries:
         op, series = self.fresh(tmp_path)
         h = _operator_hash(op)
         path = str(tmp_path / os.listdir(tmp_path)[0])
-        good = json.loads(open(path, encoding="utf-8").read())
+        P, K = self.P, self.K
 
-        def rewrite(**changes):
-            data = dict(good, **changes)
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(data, fh)
+        def write(residues, header=None):
+            body = array("I", residues).tobytes()
+            with open(path, "wb") as fh:
+                fh.write((header or _header(h, "op", P, K, body)) + b"\n" + body)
 
-        rewrite(operator_hash="0" * 64)
-        with pytest.raises(CorruptCache, match="header mismatch"):
-            _cache_load(path, h, "op", self.P, self.K)
-        rewrite(role="wedge")
-        with pytest.raises(CorruptCache, match="header mismatch"):
-            _cache_load(path, h, "op", self.P, self.K)
-        rewrite(coeffs=good["coeffs"][:-1])
-        with pytest.raises(CorruptCache, match="bad coefficient array"):
-            _cache_load(path, h, "op", self.P, self.K)
-        rewrite(coeffs=good["coeffs"][:-1] + [str(self.P**self.K)])
-        with pytest.raises(CorruptCache, match="residue out of range"):
-            _cache_load(path, h, "op", self.P, self.K)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("{not json")
-        with pytest.raises(CorruptCache, match="unreadable"):
-            _cache_load(path, h, "op", self.P, self.K)
+        def load():
+            return _cache_load(path, h, "op", P, K)
+
+        body = array("I", series).tobytes()
+        for wrong in (_header("0" * 64, "op", P, K, body),
+                      _header(h, "wedge", P, K, body),
+                      _header(h, "op", P, K + 1, body)):
+            write(series, wrong)
+            with pytest.raises(CorruptCache, match="header mismatch"):
+                load()
+        # a header that matches its body, over residues that are not a
+        # series mod p^K: each structural check stands on its own
+        write(series[:-1])
+        with pytest.raises(CorruptCache, match="bad body length"):
+            load()
         with open(path, "wb") as fh:
-            fh.write(b"\xff\xfe\xff")  # not UTF-8: recomputed, not a failure
-        with pytest.raises(CorruptCache, match="unreadable"):
-            _cache_load(path, h, "op", self.P, self.K)
+            short = body[:-1]
+            fh.write(_header(h, "op", P, K, short) + b"\n" + short)
+        with pytest.raises(CorruptCache, match="bad body length"):
+            load()
+        write(series[:-1] + [P**K])
+        with pytest.raises(CorruptCache, match="residue out of range"):
+            load()
+        write([0] + series[1:])
+        with pytest.raises(CorruptCache, match="residue out of range"):
+            load()
+        for raw in (b"{not json", b"\xff\xfe\xff", b"", b"\n"):
+            with open(path, "wb") as fh:
+                fh.write(raw)  # undecodable: recomputed, not a failure
+            with pytest.raises(CorruptCache, match="header mismatch"):
+                load()
         again = self.one(op, str(tmp_path))
         assert again == series
         with pytest.raises(FileNotFoundError):
-            _cache_load(path + ".missing", h, "op", self.P, self.K)
+            _cache_load(path + ".missing", h, "op", P, K)
 
-    @pytest.mark.parametrize("number", ["1e400", "1.5", "true",
-                                        '"0{}"', '"+{}"', '" {}"', "{}"])
-    def test_non_integer_coefficient_is_recomputed(self, number, capsys,
+    def test_other_byte_order_is_a_miss(self, tmp_path):
+        # a file written on a machine of the other byte order, whole and
+        # consistent, is recomputed rather than read with swapped residues
+        op, series = self.fresh(tmp_path)
+        h = _operator_hash(op)
+        path = Path(_cache_path(str(tmp_path), h, "op", self.P, self.K))
+        written = path.read_bytes()
+        residues = array("I", series)
+        residues.byteswap()
+        body = residues.tobytes()
+        header = json.loads(_header(h, "op", self.P, self.K, body))
+        header["byteorder"] = {"little": "big", "big": "little"}[sys.byteorder]
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+        with pytest.raises(CorruptCache, match="header mismatch"):
+            _cache_load(str(path), h, "op", self.P, self.K)
+        assert self.one(op, str(tmp_path)) == series
+        assert path.read_bytes() == written
+
+    def test_earlier_json_file_is_recomputed_and_overwritten(self, tmp_path,
+                                                             monkeypatch):
+        # a file of the earlier format, one JSON object with the residues as
+        # decimal strings, has the same name: a miss, replaced in place
+        op, series = self.fresh(tmp_path)
+        h = _operator_hash(op)
+        path = Path(_cache_path(str(tmp_path), h, "op", self.P, self.K))
+        written = path.read_bytes()
+        coeffs = [str(c) for c in series]
+        path.write_text(json.dumps({
+            "operator_hash": h, "role": "op", "p": self.P, "K": self.K,
+            "N": self.N,
+            "sha256": hashlib.sha256(",".join(coeffs).encode("ascii")).hexdigest(),
+            "coeffs": coeffs}), encoding="utf-8")
+        with pytest.raises(CorruptCache, match="header mismatch"):
+            _cache_load(str(path), h, "op", self.P, self.K)
+        solves = []
+        real = series_module.operator_series
+        monkeypatch.setattr(series_module, "operator_series",
+                            lambda *a: solves.append(a) or real(*a))
+        assert self.one(op, str(tmp_path)) == series
+        assert len(solves) == 1
+        assert os.listdir(tmp_path) == [path.name]
+        assert path.read_bytes() == written
+
+    @pytest.mark.parametrize("damage", ["byte", "short"])
+    def test_non_integer_coefficient_is_recomputed(self, damage, capsys,
                                                    tmp_path):
-        # a coefficient that is a JSON number but not an integer, or the
-        # same value spelled other than as the stored decimal string (the
-        # "{}" is that string), makes the file a miss: the table equals a
-        # cold run and the file is rewritten to the bytes of the cold write
+        # a file whose body has one byte changed, or is cut short, makes the
+        # file a miss: the table equals a cold run and the file is rewritten
+        # to the bytes of the cold write
         argv = ["table", "--operator", "A*a", "--primes", "5",
                 "--format", "json"]
         _, cold, _ = run(argv + ["--no-cache"], capsys)
         run(argv + ["--cache-dir", str(tmp_path)], capsys)
         written = {path: path.read_bytes() for path in tmp_path.iterdir()}
-        for path in written:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            spelling = number.format(data["coeffs"][1])
-            data["coeffs"][1] = "@"
-            path.write_text(json.dumps(data).replace('"@"', spelling),
-                            encoding="utf-8")
+        for path, raw in written.items():
+            header_end = raw.index(b"\n") + 1
+            if damage == "byte":  # c_1's first byte
+                at = header_end + 4
+                path.write_bytes(raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:])
+            else:
+                path.write_bytes(raw[:-4])
         code, warm, err = run(argv + ["--cache-dir", str(tmp_path)], capsys)
         assert (code, warm, err) == (0, cold, "")
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
@@ -353,12 +412,16 @@ def test_damaged_cache_never_changes_a_result(aa_cache, role, truncate, data):
     for path, raw in files.values():
         Path(path).write_bytes(raw)
     path, raw = files[role]
-    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    # header bytes (the newline included) and body bytes equally often: a
+    # replaced body byte keeps the length, so only the sha256 catches it
+    body_at = raw.index(b"\n") + 1
+    at = data.draw(st.one_of(st.integers(0, body_at - 1),
+                             st.integers(body_at, len(raw) - 1)), label="at")
     if truncate:
         Path(path).write_bytes(raw[:at])
     else:
         # any byte, with digits drawn as often as the rest: a digit that
-        # replaces a digit keeps the file well formed
+        # replaces a digit keeps the header well formed
         byte = data.draw(st.one_of(st.sampled_from(b"0123456789"),
                                    st.integers(0, 255)), label="byte")
         Path(path).write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
@@ -1203,6 +1266,18 @@ def bad_operators(tmp_path):
      "check, which decides n < 3317044064679887385961981\n"),
     ("table --operator A*a --primes 3317044064679887385961979..3317044064679887"
      "385961981 --no-cache", 2, "is beyond the prime check"),
+    # the prime ceilings of the series-backed commands, checked before any
+    # work: a range's end before its primes are enumerated
+    ("table --operator A*a --primes 3..1000000000 --no-cache", 2,
+     "error: 1000000000 is above the prime ceiling 61\n"),
+    ("classify --operator A*a --primes 5,67 --no-cache", 2,
+     "error: 67 is above the prime ceiling 61\n"),
+    ("frob --operator A*a --prime 101 --point 2 --no-cache", 2,
+     "error: 101 is above the prime ceiling 61\n"),
+    ("legendre --prime 8000017 --point 2", 2,
+     "error: 8000017 is above the prime ceiling 8000009\n"),
+    ("legendre --prime 2305843009213693951 --point 2", 2,
+     "error: 2305843009213693951 is above the prime ceiling 8000009\n"),
     # a leading NAME=value word sets an environment variable for the run;
     # the fixtures are read before any row, whatever its cells
     ("FROBCY_FORMS_DIR={forms} frob --operator A*a --prime 7 --point 4 "
@@ -1222,7 +1297,10 @@ def test_failure_is_one_line_with_its_exit_code(argv, code, message,
     words = argv.format(**bad_operators).split()
     while "=" in words[0]:
         monkeypatch.setenv(*words.pop(0).split("=", 1))
+    started = time.perf_counter()
     got, _, err = run(words, capsys)
+    if "prime ceiling" in message:  # refused before any work
+        assert time.perf_counter() - started < 1.0
     assert got == code
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err

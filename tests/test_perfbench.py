@@ -2,7 +2,8 @@
 probe: a change that breaks the layer spans (for example a layer function no
 longer bound where ``perfbench/spans.py`` looks for it) or a name the probe
 reads fails here, not only in a benchmark run.  Also the record of
-``tools/bench_pairs.py`` names the trees it measured."""
+``tools/bench_pairs.py`` names the trees it measured and states a
+no-regression verdict per metric."""
 
 import ast
 import importlib.util
@@ -53,11 +54,16 @@ def test_environment_probe_runs(tmp_path):
     assert Path(report["frobcy_file"]).resolve().parent == ROOT / "src" / "frobcy"
 
 
-def test_bench_pairs_names_the_trees_it_measured(tmp_path):
+@pytest.fixture(scope="module")
+def bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "tools" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_names_the_trees_it_measured(bench_pairs, tmp_path):
     specs = {"parent": str(tmp_path), "change": str(ROOT)}
 
     def run(side, digest):
@@ -70,3 +76,30 @@ def test_bench_pairs_names_the_trees_it_measured(tmp_path):
         "change": {"spec": str(ROOT), "revision": None, "src_sha256": "bb"}}
     with pytest.raises(SystemExit, match="change runs report 2 src_sha256"):
         bench_pairs._sides(specs, runs + [run("change", "cc")])
+
+
+@pytest.mark.parametrize("better, parent, change, verdict", [
+    # within the bound of 0.2, on a parent spread of 0.1 / 1.0
+    ("lower", [0.95, 1.0, 1.05], [1.1, 1.15, 1.19], "ok"),
+    ("lower", [0.95, 1.0, 1.05], [1.2, 1.25, 1.3], "regressed"),
+    ("higher", [0.95, 1.0, 1.05], [0.7, 0.75, 0.8], "regressed"),
+    ("higher", [0.95, 1.0, 1.05], [1.2, 1.3, 1.4], "ok"),
+    # a parent spread of 0.4 / 1.0, wider than the bound
+    ("lower", [0.6, 1.0, 1.4], [0.9, 1.0, 1.1], "unresolved"),
+    ("lower", [0.6, 1.0, 1.4], [0.5, 0.55, 0.58], "ok"),  # beats every run
+    ("higher", [0.6, 1.0, 1.4], [1.5, 1.6, 1.7], "ok"),
+    ("higher", [0.6, 1.0, 1.4], [1.0, 1.5, 2.0], "unresolved"),
+    ("lower", [0.6, 1.0, 1.4], [1.3, 1.5, 1.6], "regressed"),
+])
+def test_bench_pairs_verdict(bench_pairs, better, parent, change, verdict):
+    def runs(side, values):
+        return [{"side": side, "pair": i, "record": {"perfbench": {
+                    "stdout_sha256": "same"}},
+                 "result": {"correct": True, "failed": 0,
+                            "metrics": {"wall_s": {"value": v}}}}
+                for i, v in enumerate(values)]
+
+    metric = {"name": "wall_s", "better": better, "bound": 0.2}
+    summary = bench_pairs._summary(runs("parent", parent) + runs("change", change),
+                                   [metric])
+    assert summary["metrics"]["wall_s"]["verdict"] == verdict

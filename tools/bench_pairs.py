@@ -21,8 +21,14 @@ number of pairs the change wins.  A claim ``WORKLOAD:METRIC`` is met when
 every run is correct, no more operations fail on the change's side than on
 the parent's, the change wins at least nine of the ten pairs, and the
 medians differ, in the better direction, by more than the parent's
-interquartile range.  The traced pair gives each per-layer metric once per
-side.
+interquartile range.  Each end-to-end metric also gets a no-regression
+``verdict`` against its ``bound`` of ``BENCHMARK.json``, a fraction of the
+parent's median: ``regressed`` when the change's median is worse than the
+parent's by more than the bound, else ``unresolved`` when the parent's
+interquartile range is wider than the bound, unless every change run beats
+every parent run, else ``ok``.  The record's ``regressions`` lists every
+``WORKLOAD:METRIC`` that regressed.  The traced pair gives each per-layer
+metric once per side.
 
 Runs last the ``run_seconds`` of ``BENCHMARK.json``.  The record is written
 to ``BENCH_<label>.json`` at the root of the repository.  Its ``sides`` entry
@@ -106,7 +112,24 @@ def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> di
 
 def _quartiles(values: List[float]) -> Dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
+    return {"median": median, "q1": q1, "q3": q3,
+            "min": min(values), "max": max(values)}
+
+
+def _verdict(entry: dict) -> str:
+    """The no-regression verdict of one metric's summary entry: ``regressed``,
+    ``unresolved`` or ``ok``."""
+    parent, change, bound = entry["parent"], entry["change"], entry["bound"]
+    lower = entry["better"] == "lower"
+    worse = change["median"] - parent["median"] if lower \
+        else parent["median"] - change["median"]
+    if worse > bound * parent["median"]:
+        return "regressed"
+    beats_all = change["max"] < parent["min"] if lower \
+        else change["min"] > parent["max"]
+    if parent["q3"] - parent["q1"] > bound * parent["median"] and not beats_all:
+        return "unresolved"
+    return "ok"
 
 
 def _summary(runs: List[dict], metrics: List[dict]) -> dict:
@@ -138,8 +161,9 @@ def _summary(runs: List[dict], metrics: List[dict]) -> dict:
             "median_change_frac": change["median"] / parent["median"] - 1
             if parent["median"] else None,
             "parent_iqr": parent["q3"] - parent["q1"],
-            "bound": m.get("bound"),
+            "bound": m["bound"],
         }
+        out["metrics"][name]["verdict"] = _verdict(out["metrics"][name])
     return out
 
 
@@ -230,6 +254,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                            "and the medians differ by more than the parent's "
                            "interquartile range")
         record["claim_met"] = _claim_met(summary, *claim)
+    record["regressions"] = [f"{w}:{name}" for w in workloads
+                             for name, m in summary[w]["metrics"].items()
+                             if m["verdict"] == "regressed"]
     record["summary"] = summary
     record["trace_summary"] = trace_summary
     if args.extra:
@@ -241,7 +268,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, m in summary[w]["metrics"].items():
             print(f"{w:11s} {name:12s} parent {m['parent']['median']:.4g} "
                   f"change {m['change']['median']:.4g} wins {m['change_wins']} "
-                  f"iqr {m['parent_iqr']:.3g}")
+                  f"iqr {m['parent_iqr']:.3g} {m['verdict']}")
+    print(f"regressions: {', '.join(record['regressions']) or 'none'}")
     if claim:
         print(f"claim {':'.join(claim)} met: {record['claim_met']}")
     return 0
