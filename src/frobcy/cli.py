@@ -23,13 +23,12 @@ factor runs, and results are emitted in task order, so output is
 byte-identical to a serial run for every k.  ``classify`` is the ``table``
 sweep of one operator in CSV.
 
-``table``, ``classify`` and ``frob`` take primes up to ``PRIME_CEILING``,
-and ``legendre`` up to ``LEGENDRE_CEILING``: a row at the ceiling ends
-within about a minute.  ``main`` alone turns errors into exit codes: a
-``UsageError`` (bad argument, prime above its ceiling, operator file, point,
+``main`` alone turns errors into exit codes: a ``UsageError`` (bad
+argument, prime above its command's ceiling, operator file, point,
 ``--output`` path, or form fixture, read before any row) exits 2 and any
-other ``FrobcyError`` exits 1, each as one ``error: ...`` line on stderr.  A table row that fails is reported as data:
-one line naming the operator and p, exit 1.
+other ``FrobcyError`` exits 1, each as one ``error: ...`` line on stderr.
+A table row that fails is reported as data: one line naming the operator
+and p, exit 1.
 """
 
 from __future__ import annotations
