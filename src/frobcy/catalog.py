@@ -175,10 +175,10 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 @lru_cache(maxsize=32)
-def left_factor_residues(left: str, p: int, K: int) -> List[int]:
-    """A_0 .. A_N mod p^K, N = p^K - 1, of a left factor, n^2 A_n =
-    lam P(n-1) A_(n-1), stepped as A_n = p^v u with u a unit mod p^K: no
-    digit is lost.
+def left_factor_residues(left: str, p: int, K: int, x: int = 1) -> List[int]:
+    """A_n x^n mod p^K for n = 0 .. p^K - 1, of a left factor, n^2 A_n =
+    lam P(n-1) A_(n-1), and a unit x mod p^K: stepped as A_n x^n = p^v u
+    with u a unit mod p^K, so no digit is lost.
 
     Memoized per process: at most 32 lists, enough for the 4 left factors
     at the 6 primes of a full sweep and its escalations, the least recently
@@ -192,7 +192,7 @@ def left_factor_residues(left: str, p: int, K: int) -> List[int]:
             num, v = num // p, v + 1
         while den % p == 0:
             den, v = den // p, v - 1
-        u = u * num * pow(den, -1, pK) % pK
+        u = u * num * x * pow(den, -1, pK) % pK
         out.append(u * p**v % pK if v < K else 0)
     return out
 

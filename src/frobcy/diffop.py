@@ -10,10 +10,11 @@ solution of a MUM operator (P_0 = theta^n) is produced by the recurrence
     P_0(n) c_n = - sum_{i>=1} P_i(n - i) c_{n-i},
 
 with exact big integers, every division checked, as the plain list c_0 ..
-c_N: exact integers, or residues mod p^K whose p and K the caller keeps.  A
-caller that knows the series to be integral and wants it only mod prime
-powers lets the run leave exact integers for residues once these are the
-narrower (the residue phase of ``solve_series``).
+c_N: exact integers, or residues mod p^K whose p and K the caller keeps.
+Each step reads a row of the P_i(m) tabulated before the run.  A caller
+that knows the series to be integral and wants it only mod prime powers
+lets the run leave exact integers for residues mod a modulus kept from the
+first degree, once these are the narrower (the residue phase).
 
 The self-duality check ``check_cy5`` never leaves the theta form: the
 operator is compared with its twisted adjoint as coefficient tables in
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import repeat
 from math import gcd
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from . import FrobcyError
@@ -182,10 +185,8 @@ def symbol_roots_mod_p(op: ThetaOperator, p: int) -> List[int]:
 
 Target = Tuple[Optional[int], Optional[int], int]  # (p, K, N); p = K = None: exact
 
-# an integral run keeps its residue modulus Q from the first coefficient of
-# SWITCH_FLOOR bits on, and leaves exact integers once a coefficient is
-# SWITCH_MARGIN times as wide as Q (see solve_series)
-SWITCH_FLOOR = 1000
+# an integral run leaves exact integers once a coefficient is SWITCH_MARGIN
+# times as wide as its residue modulus Q (see solve_series)
 SWITCH_MARGIN = 3
 
 
@@ -234,8 +235,10 @@ def solve_series(op: ThetaOperator, N: int, *,
     """Normalized solution c_0 = 1 of a MUM operator, truncated at degree N.
 
     The recurrence runs on exact big integers; every division must be exact
-    (NonIntegralSolution otherwise).  Without ``targets`` the result is the
-    exact list c_0 .. c_N, and a failure raises.
+    (NonIntegralSolution otherwise).  A step reads the row (P_1(n-1), ...,
+    P_w(n-w)), tabulated before the run, against the window c_(n-1), ...,
+    c_(n-w).  Without ``targets`` the result is the exact list c_0 .. c_N,
+    and a failure raises.
 
     ``targets`` batches one run for several truncations: a list of
     (p, K, N_t) with N_t <= N, whose coefficients are stored reduced mod p^K
@@ -252,30 +255,21 @@ def solve_series(op: ThetaOperator, N: int, *,
     integers (the residue phase).  At degree n each target prime p needs
     M_p = K + order v_p(N_t! / n!) digits, the largest over its live
     targets: what the remaining divisions by n^order use up.  Q is the
-    product of the p^M_p, kept from the first coefficient of SWITCH_FLOOR
-    bits on.  Once a coefficient is SWITCH_MARGIN times as wide as Q in bits
-    (tested at the multiples of a target prime), the window holds residues
-    X_n = D_n c_n mod Q.  A step writes n^order = g u, with g made of Q's
-    primes: u, prime to Q, joins the scale D_n = u D_(n-1) instead of being
-    divided out, and the division by g is exact and checked, so a
-    coefficient that is not p-integral at a target prime still raises
-    NonIntegralSolution (integrality at other primes is not checked there).
-    Q then drops those digits, and a prime whose targets are finished leaves
-    Q.  Each target's residues are unscaled at the end, with one modular
-    inverse of D_N mod p^K.
+    product of the p^M_p, kept from the first degree on.  Once a coefficient
+    is SWITCH_MARGIN times as wide as Q in bits (tested at the multiples of
+    a target prime), the run computes residues X_n = D_n c_n mod Q instead.
+    A step writes n^order = g u, with g made of Q's primes: u, prime to Q,
+    joins the scale D_n = u D_(n-1) instead of being divided out, and the
+    division by g is exact and checked, so a coefficient that is not
+    p-integral at a target prime still raises NonIntegralSolution
+    (integrality at other primes is not checked there).  The window holds
+    X_(n-i) D_(n-1) / D_(n-i), each older entry taking the step's u, so
+    both phases share the step's sum.  Q then drops the digits of g, and a
+    prime whose targets are finished leaves Q.  Each target's residues are
+    unscaled at the end, with one modular inverse of D_N mod p^K.
     """
     if not check_mum(op):
         raise ValueError("series solving requires a MUM operator")
-    d = op.z_degree
-    # P_i(m) evaluators over plain ints (coefficients are small)
-    polys = [op.theta_poly(i) for i in range(d + 1)]
-
-    def peval(i: int, m: int) -> int:
-        acc = 0
-        for c in reversed(polys[i]):
-            acc = acc * m + c
-        return acc
-
     if N < 0:
         raise ValueError("truncation order must be >= 0")
     batch = targets is not None
@@ -292,14 +286,31 @@ def solve_series(op: ThetaOperator, N: int, *,
     live = sorted(((tN, None if tp is None else tp**tK, out, tp, tK)
                    for (tp, tK, tN), out in zip(targets, outs)),
                   key=lambda t: t[0], reverse=True)
-    w = max(d, 1)
-    window = [1] + [0] * (w - 1)
+    w = max(op.z_degree, 1)
     order = op.theta_order
-    can_switch = integral and all(tp is not None for tp, _, _ in targets)
-    Q = None  # the residue modulus, kept from SWITCH_FLOOR bits on
-    residues = False  # whether the window holds X_n = D_n c_n mod Q
+    # lead[n] = P_0(n) and rows[n] = (P_1(n-1), ..., P_w(n-w)), from one
+    # Horner pass per coefficient over m = -w .. N
+    ms, cols = range(-w, N + 1), []
+    for i in range(w + 1):
+        col = [0] * len(ms)
+        for c in reversed(op.theta_poly(i)):
+            col = list(map(add, map(mul, col, ms), repeat(c)))
+        cols.append(col[w - i:w - i + N + 1])
+    lead, rows = cols[0], list(zip(*cols[1:]))
+    window = [1] + [0] * (w - 1)  # c_(n-1), ..., c_(n-w)
+    Q = None  # the residue modulus of an integral run of residue targets
+    gs: dict = {}  # m -> g, the part of m^order made of Q's primes
+    if integral and all(tp is not None for tp, _, _ in targets):
+        Q = _residue_modulus(live, 0, order)
+        for tp in {t[3] for t in live}:
+            last = max(t[0] for t in live if t[3] == tp)
+            f, q = tp**order, tp
+            while q <= last:  # each p in m adds order digits to g
+                for m in range(q, last + 1, q):
+                    gs[m] = gs.get(m, 1) * f
+                q *= tp
+    residues = False  # whether the window holds X_(n-i) D_(n-1) / D_(n-i)
     us: List[int] = []  # u_n of each residue step; D_n is their product
-    uw = [1] * w  # u of the window's degrees
     failure = None
     for n in range(1, N + 1):
         while live and live[-1][0] < n:
@@ -308,13 +319,8 @@ def solve_series(op: ThetaOperator, N: int, *,
                 Q = _residue_modulus(live, n - 1, order)
         if not live:
             break
-        p0 = peval(0, n)  # = n^order for MUM
-        s = 0
+        s = sum(map(mul, rows[n], window))
         if residues:
-            f = 1  # D_(n-1) / D_(n-i)
-            for i in range(1, min(n, d) + 1):
-                s += peval(i, n - i) * f * window[(n - i) % w]
-                f *= uw[(n - i) % w]
             g = gs.get(n, 1)
             if g > 1:
                 s, rem = divmod(s, g)
@@ -328,35 +334,23 @@ def solve_series(op: ThetaOperator, N: int, *,
                     break
                 Q //= g
             cn = -s % Q
-            uw[n % w] = u = p0 // g
+            u = lead[n] // g
             us.append(u)
+            window = [cn] + [y * u for y in window[:-1]]
         else:
-            for i in range(1, min(n, d) + 1):
-                s += peval(i, n - i) * window[(n - i) % w]
-            cn, rem = divmod(-s, p0)
+            cn, rem = divmod(-s, lead[n])
             if rem:
                 failure = NonIntegralSolution(
                     f"coefficient c_{n} is not an integer (operator {op.name or '?'})"
                 )
                 break
-            if Q is not None:
-                if n in gs:
-                    Q //= gs[n]
-                    if cn.bit_length() > SWITCH_MARGIN * Q.bit_length():
-                        residues, n0 = True, n
-                        window = [c % Q for c in window]
-                        cn %= Q
-            elif can_switch and cn.bit_length() > SWITCH_FLOOR:
-                Q = _residue_modulus(live, n, order)
-                gs = {}  # m -> g, the part of m^order made of Q's primes
-                for tp in {t[3] for t in live}:
-                    last = max(t[0] for t in live if t[3] == tp)
-                    f, q = tp**order, tp
-                    while q <= last:  # each p in m adds order digits to g
-                        for m in range(q, last + 1, q):
-                            gs[m] = gs.get(m, 1) * f
-                        q *= tp
-        window[n % w] = cn
+            if n in gs:
+                Q //= gs[n]
+                if cn.bit_length() > SWITCH_MARGIN * Q.bit_length():
+                    residues, n0 = True, n
+                    window = [c % Q for c in window]
+                    cn %= Q
+            window = [cn] + window[:-1]
         for _tN, m, out, _tp, _tK in live:
             out.append(cn % m if m else cn)
     if us:

@@ -259,23 +259,13 @@ def legendre_precision(p: int) -> int:
     return _separating_precision(p, ((0, -bound, bound),))
 
 
-def _legendre_series(p: int, s: int) -> List[int]:
-    """Truncation of sum_j binom(2j,j)^2 (s/16)^j mod p^s, degree p^s - 1;
-    binom(2j,j)^2 is the catalog's left factor A, theta^2 - 4x (2 theta+1)^2."""
-    ps = p**s
-    inv16 = pow(16, -1, ps)
-    coeffs, scale = [], 1  # scale = 16^(-j) mod p^s
-    for a in left_factor_residues("A", p, s):
-        coeffs.append(a * scale % ps)
-        scale = scale * inv16 % ps
-    return coeffs
-
-
 def legendre_unit_root(p: int, s0: int) -> int:
     """Unit root pi mod p^s of Frobenius on y^2 = x(x-1)(x-s0) over F_p, with
     s = legendre_precision(p).
 
-    The series is the normalized period sum_j binom(2j,j)^2 (s/16)^j.  The
+    The series is the normalized period sum_j binom(2j,j)^2 (s/16)^j, whose
+    binom(2j,j)^2 is the catalog's left factor A, theta^2 - 4x (2 theta+1)^2:
+    its residues A_j 16^-j mod p^s are stepped as that factor's.  The
     unit root is eps * h(s0^) with eps = (-1)^((p-1)/2) and h its truncation
     ratio (``dwork_ratio``), whose (p-1)-truncation mod p is the ordinarity
     test at s0 (OutsideUnitDisk on failure = supersingular point).  Raises
@@ -287,7 +277,8 @@ def legendre_unit_root(p: int, s0: int) -> int:
     if s0 in (0, 1):
         raise SingularFiber(f"the fiber at s0 = {s0} is degenerate")
     s = legendre_precision(p)
-    h = dwork_ratio(_legendre_series(p, s), s0, p, s)
+    series = left_factor_residues("A", p, s, pow(16, -1, p**s))
+    h = dwork_ratio(series, s0, p, s)
     eps = 1 if (p - 1) // 2 % 2 == 0 else -1
     return eps * h % p**s
 

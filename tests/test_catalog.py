@@ -248,12 +248,17 @@ class TestOperatorSeries:
     @pytest.mark.parametrize("left", LEFT_NAMES)
     def test_left_factor_residues_match_the_exact_terms(self, left):
         # degrees to p^K - 1 <= 342 span several carries of p-adic valuation
-        # for p = 3, 5, 7
+        # for p = 3, 5, 7; a unit x scales A_n by x^n
         exact = sequence_terms(left, 342)
         for p, K in [(3, 1), (3, 2), (3, 4), (3, 5), (5, 1), (5, 2), (5, 3),
                      (7, 1), (7, 2), (7, 3), (11, 1), (11, 2)]:
+            pK = p**K
             assert left_factor_residues(left, p, K) == \
-                [a % p**K for a in exact[:p**K]], (p, K)
+                [a % pK for a in exact[:pK]], (p, K)
+            for x in (1, 2, pow(16, -1, pK)):
+                assert left_factor_residues(left, p, K, x) == \
+                    [a * pow(x, n, pK) % pK for n, a in enumerate(exact[:pK])], \
+                    (p, K, x)
 
     def test_full_sweep_factor_route_equals_generic(self, runs):
         ran = []
@@ -341,7 +346,6 @@ class TestOperatorSeries:
         # At the default margin the table_wide batch switches after N = 124;
         # a low one makes it switch before N = 80, so the finished targets
         # leave Q and each is unscaled over its own degrees only.
-        monkeypatch.setattr(diffop, "SWITCH_FLOOR", 0)
         monkeypatch.setattr(diffop, "SWITCH_MARGIN", 0.5)
         entered = []
         real = diffop._unscale

@@ -344,8 +344,7 @@ class TestCacheSeries:
         assert path.read_bytes() == written
 
     @pytest.mark.parametrize("damage", ["byte", "short"])
-    def test_non_integer_coefficient_is_recomputed(self, damage, capsys,
-                                                   tmp_path):
+    def test_damaged_body_is_recomputed(self, damage, capsys, tmp_path):
         # a file whose body has one byte changed, or is cut short, makes the
         # file a miss: the table equals a cold run and the file is rewritten
         # to the bytes of the cold write

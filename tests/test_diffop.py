@@ -214,7 +214,7 @@ def test_batched_integrality_is_decided_per_target():
 def test_residue_phase_still_raises_on_a_non_integral_coefficient():
     # c_n = lam c_(n-1) + c_(n-26) / n^4: c_n = lam^n up to n = 25, then
     # c_26 = lam^26 + 1/26^4 is not 13-integral.  The run keeps Q = 13^9
-    # from c_10 (1001 bits) on and leaves exact integers at n = 13, where
+    # from the first degree on and leaves exact integers at n = 13, where
     # Q = 13^5 and c_13 has 1301 bits.
     lam = 2**100
     rows = ([[0, 0, 0, 0, 1], [-lam * c for c in (1, 4, 6, 4, 1)]]
@@ -244,21 +244,20 @@ CATALOG_NAMES = sorted(CATALOG)
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(CATALOG_NAMES), wedge=st.booleans(),
-       integral=st.booleans(), floor=st.integers(0, 300),
-       margin=st.sampled_from([0.25, 0.5, 1, 3]),
+       integral=st.booleans(), margin=st.sampled_from([0.25, 0.5, 1, 3]),
        targets=st.lists(st.tuples(st.sampled_from([None, 3, 5, 7, 11]),
                                   st.integers(1, 4), st.integers(0, 150)),
                         min_size=1, max_size=5))
-def test_batched_run_equals_separate_calls(name, wedge, integral, floor, margin,
+def test_batched_run_equals_separate_calls(name, wedge, integral, margin,
                                            targets):
-    # A low switch floor and margin let an integral batch of several primes
+    # A low switch margin lets an integral batch of several primes
     # enter the residue phase before its short targets finish; its residues
     # must still be the exact run's.
     op = get_entry(name).operator
     op = wedge_square(op) if wedge else op
     targets = [(p, None if p is None else K, N) for p, K, N in targets]
     run_to = max(N for _p, _K, N in targets)
-    with mock.patch.multiple(diffop, SWITCH_FLOOR=floor, SWITCH_MARGIN=margin):
+    with mock.patch.object(diffop, "SWITCH_MARGIN", margin):
         batched = solve_series(op, run_to, targets=targets, integral=integral)
     assert len(batched) == len(targets)
     for got, (p, K, N) in zip(batched, targets):
