@@ -8,7 +8,7 @@ series, the Teichmüller lift, the four series evaluations, the two unit
 roots, and the assembled quartic 1 + aT + bpT^2 + ap^3T^3 + p^6T^4.
 """
 
-from frobcy.catalog import get_entry
+from frobcy.catalog import CATALOG
 from frobcy.diffop import solve_series
 from frobcy.frobenius import (assemble_frobenius, decode_frobenius,
                               frobenius_quartic, unit_roots, weil_verify)
@@ -21,7 +21,7 @@ print(f"operator A*a, p = {p}, z = {z0}, working modulo {p}^{s} = {mod}")
 
 # the fourth-order operator P and its exterior square Q; the unit roots come
 # from the holomorphic solutions f0 of P and F0 of Q
-op = get_entry("A*a").operator
+op = CATALOG["A*a"]
 q = wedge_square(op)
 # one target (p, K, N): the coefficients through degree N, reduced mod p^K
 f0, = solve_series(op, p**s - 1, targets=[(p, s, p**s - 1)])

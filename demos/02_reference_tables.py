@@ -18,7 +18,7 @@ markers, digit and sign typos, transposed pairs, and one phantom cell.
 import json
 from importlib import resources
 
-from frobcy.catalog import get_entry
+from frobcy.catalog import CATALOG
 from frobcy.classify import classify_operator
 
 tables = json.loads(resources.files("frobcy")
@@ -31,7 +31,7 @@ errata = json.loads(resources.files("frobcy")
 # A*a agrees with its stored tables everywhere: one call classifies the rows
 # of all three primes (a failed row would be its exception, not a list)
 primes = (3, 5, 7)
-for p, rows in zip(primes, classify_operator(get_entry("A*a").operator, primes)):
+for p, rows in zip(primes, classify_operator(CATALOG["A*a"], primes)):
     cells = [r.cell() for r in rows]
     stored = [tables["A*a"][str(p)][str(z)] for z in range(1, p)]
     print(f"A*a, p = {p}: {', '.join(cells)}   "
@@ -39,7 +39,7 @@ for p, rows in zip(primes, classify_operator(get_entry("A*a").operator, primes))
 
 # B*a's stored tables lost all their markers; the classifier restores them
 print()
-rows, = classify_operator(get_entry("B*a").operator, [5])
+rows, = classify_operator(CATALOG["B*a"], [5])
 for r in rows:
     stored = tables["B*a"]["5"][str(r.z0)]
     note = "" if r.cell() == stored else f"   (stored as {stored!r})"

@@ -15,11 +15,11 @@ of both operators with their negative controls, and tests/test_wedge.py the
 exterior square's series against the Wronskian of the Frobenius pair.
 """
 
-from frobcy.catalog import CATALOG, catalog_wedge, get_entry
+from frobcy.catalog import CATALOG, catalog_wedge
 from frobcy.diffop import ThetaOperator, check_cy5, solve_series
 from frobcy.wedge import UnexpectedOrder, wedge_square
 
-op = get_entry("A*a").operator
+op = CATALOG["A*a"]
 q = wedge_square(op)
 print("operator  :", op.name, f"(order {op.theta_order})")
 print("ext square:", f"order {q.theta_order}, z-degree {q.z_degree}")
@@ -34,7 +34,7 @@ print("F0 head   :", F0[:5])
 # each equals the one built here
 print("order-5 identity on Q        :", check_cy5(q))
 print("24 stored squares = computed :",
-      all(catalog_wedge(name) == wedge_square(get_entry(name).operator)
+      all(catalog_wedge(name) == wedge_square(CATALOG[name])
           for name in CATALOG))
 
 # theta^4 - z theta (theta + 1)^3 is MUM but not self-dual: the iterates of

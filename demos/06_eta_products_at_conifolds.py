@@ -10,7 +10,7 @@ the catalog's split cells at small primes and reports which stored form each
 a_p hits — including the cells whose form is absent from the built-in list.
 """
 
-from frobcy.catalog import get_entry
+from frobcy.catalog import CATALOG
 from frobcy.classify import (BUILTIN_FORMS, classify_operator, eta_expansion,
                              match_singular_ap)
 
@@ -24,7 +24,7 @@ for label, factors in BUILTIN_FORMS.items():
 # split cells of A*a (the reduction of -1/16) and B*d (of 1/216)
 print()
 for name, p in (("A*a", 5), ("A*a", 7), ("B*d", 7)):
-    row, = classify_operator(get_entry(name).operator, [p])
+    row, = classify_operator(CATALOG[name], [p])
     for cell in row:
         if cell.status != "singular":
             continue
@@ -34,6 +34,6 @@ for name, p in (("A*a", 5), ("A*a", 7), ("B*d", 7)):
 
 # a split whose form is not stored matches no label
 print()
-cell = classify_operator(get_entry("D*c").operator, [5])[0][1]
+cell = classify_operator(CATALOG["D*c"], [5])[0][1]
 print(f"D*c p=5 z=2 splits with a_5 = {cell.ap}, but:")
 print("  stored form:", match_singular_ap(5, cell.ap))

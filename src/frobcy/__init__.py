@@ -28,22 +28,3 @@ class FrobcyError(Exception):
 class UsageError(FrobcyError, ValueError):
     """The request itself is invalid: a bad argument, operator file or point."""
 
-
-class Record:
-    """A plain record: equality and repr over the attributes in
-    ``__slots__``, in order; unhashable unless the class defines a hash."""
-
-    __slots__ = ()
-    __hash__ = None  # type: ignore[assignment]
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"

@@ -8,10 +8,11 @@ fourth-order operator
 
     theta^4 - lam mu x P(theta) m(theta) + kappa lam^2 x^2 P(theta) P(theta+1),
 
-where theta^2 - lam x P(theta) is the left factor.  The catalog stores every
-product in this factored-integer form together with its database number and
-the labels of the modular forms attached to distinguished singular points; the
-rational roots of its leading symbol are found when they are read.
+where theta^2 - lam x P(theta) is the left factor.  ``CATALOG`` maps each
+product's name, left factor then right factor, to its operator in this
+factored-integer form, with its database number; ``SPECIAL_POINTS`` labels
+the modular forms attached to distinguished singular points.  The rational
+roots of a leading symbol are found only by the ``catalog`` listing.
 
 So a product's coefficients are c_n = A_n B_n: ``operator_series`` solves a
 catalog operator's own series mod p^K from one run of its right factor's
@@ -33,13 +34,11 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from . import Record
-from .diffop import ThetaOperator, leading_symbol, solve_series
-from .polyrat import poly_mul, rational_roots
+from .diffop import ThetaOperator, solve_series
+from .polyrat import poly_mul
 from .wedge import check_wedge, wedge_square
 
 
@@ -111,64 +110,19 @@ _AESZ: Dict[str, int] = {
     "A*g": 137, "B*g": 138, "C*g": 139, "D*g": 140,
 }
 
-# distinguished singular points carrying an identified eta-product form
-_SPECIAL_POINTS: Dict[str, Dict[Fraction, str]] = {
-    "A*a": {Fraction(-1, 16): "8/1"},
-    "B*d": {Fraction(1, 216): "9/1"},
+# distinguished singular points carrying an identified eta-product form:
+# name -> {point, as ``frobcy catalog`` prints it: form label}
+SPECIAL_POINTS: Dict[str, Dict[str, str]] = {
+    "A*a": {"-1/16": "8/1"},
+    "B*d": {"1/216": "9/1"},
 }
 
-
-class CatalogEntry(Record):
-    """One fourth-order product operator with its bookkeeping data."""
-
-    __slots__ = ("name", "aesz", "left", "right", "operator", "special_points")
-
-    def __init__(self, name: str, aesz: int, left: str, right: str,
-                 operator: ThetaOperator,
-                 special_points: Optional[Dict[Fraction, str]] = None):
-        self.name, self.aesz, self.left, self.right = name, aesz, left, right
-        self.operator = operator
-        self.special_points = {} if special_points is None else special_points
-
-    @property
-    def singular_points(self) -> Tuple[Fraction, ...]:
-        """The rational roots of the leading symbol, ascending.
-
-        Computed on each read, so that importing the catalog runs no root
-        search; only the ``catalog`` listing reads them.
-        """
-        roots, _ = rational_roots(leading_symbol(self.operator))
-        return tuple(sorted(r for r, _m in roots))
-
-
-def _build_entry(left: str, right: str) -> CatalogEntry:
-    name = f"{left}*{right}"
-    return CatalogEntry(
-        name=name, aesz=_AESZ[name], left=left, right=right,
-        operator=product_operator(left, right),
-        special_points=dict(_SPECIAL_POINTS.get(name, {})),
-    )
-
-
-CATALOG: Dict[str, CatalogEntry] = {
-    f"{left}*{right}": _build_entry(left, right)
-    for right in ("a", "b", "c", "d", "f", "g")
-    for left in ("A", "B", "C", "D")
+# the 24 products, grouped by right factor then left factor
+CATALOG: Dict[str, ThetaOperator] = {
+    f"{left}*{right}": product_operator(left, right)
+    for right in "abcdfg"
+    for left in "ABCD"
 }
-
-
-def catalog() -> List[CatalogEntry]:
-    """All 24 product entries, grouped by right factor then left factor."""
-    return list(CATALOG.values())
-
-
-def get_entry(name: str) -> CatalogEntry:
-    try:
-        return CATALOG[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown operator {name!r}; expected one of {', '.join(CATALOG)}"
-        ) from None
 
 
 # -- the integer sequences --------------------------------------------------------
@@ -248,14 +202,14 @@ def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:
     raised for it."""
     full = [(p, K, p**K - 1) for p, K in targets]
     N = max(t[2] for t in full)
-    entry = CATALOG.get(op.name)
-    if entry is None or entry.operator != op:
+    if CATALOG.get(op.name) != op:
         return solve_series(wedge_square(op) if wedge else op, N, targets=full)
     if wedge:
-        return solve_series(catalog_wedge(entry.name), N, targets=full,
+        return solve_series(catalog_wedge(op.name), N, targets=full,
                             integral=True)
+    left, right = op.name.split("*")
     out = []
-    for (p, K), b in zip(targets, _right_factor_run(entry.right, N, tuple(full))):
-        a, pK = left_factor_residues(entry.left, p, K), p**K
+    for (p, K), b in zip(targets, _right_factor_run(right, N, tuple(full))):
+        a, pK = left_factor_residues(left, p, K), p**K
         out.append([x * y % pK for x, y in zip(a, b)])
     return out

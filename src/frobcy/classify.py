@@ -34,7 +34,7 @@ from math import isqrt
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import Record, UsageError
+from . import UsageError
 from .congruence import OutsideUnitDisk
 from .diffop import ThetaOperator, json_int, symbol_roots_mod_p
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
@@ -186,14 +186,15 @@ def singular_split(a: int, b: int, p: int) -> Optional[Tuple[int, int]]:
 # -- point classification -----------------------------------------------------------
 
 
-class PointClass(Record):
+class PointClass:
     """Classification of one (operator, p, z0) cell.
 
     ``status`` is smooth, reducible, singular, inconsistent or undefined;
     ``escalated`` marks a cell certified only above the row's starting
     precision, ``s`` the precision p^s the cell was settled at, and ``r1``,
     ``rh`` the unit roots mod p^s of the operator and of its exterior square
-    (None when undefined).
+    (None when undefined).  Equality and repr run over ``__slots__``, in
+    order; a PointClass is unhashable.
     """
 
     __slots__ = ("operator", "p", "z0", "status", "at_singular_fiber", "a",
@@ -212,6 +213,18 @@ class PointClass(Record):
         self.a, self.b, self.alpha, self.beta = a, b, alpha, beta
         self.chi, self.ap, self.form = chi, ap, form
         self.escalated, self.s, self.r1, self.rh = escalated, s, r1, rh
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def cell(self) -> str:
         """Compact table cell: (a,b) / (a,b)' / (a,b)* / (a,b)! / - ."""

@@ -40,13 +40,14 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import FrobcyError, UsageError
-from .catalog import CATALOG, SECOND_ORDER, catalog, get_entry
+from .catalog import CATALOG, SECOND_ORDER, SPECIAL_POINTS
 from .classify import PointClass, classify_operator, results_to_csv
 from .congruence import OutsideUnitDisk, check_dwork_congruence
-from .diffop import ThetaOperator, solve_series
+from .diffop import ThetaOperator, leading_symbol, solve_series
 from .frobenius import (box_precision, frobenius_quartic, legendre_frobenius,
                         legendre_precision)
 from .padic import is_odd_prime
+from .polyrat import rational_roots
 from .series import cache_series
 from .wedge import wedge_square
 
@@ -60,7 +61,8 @@ __all__ = ["cache_series", "main"]
 # --no-cache, took 45 s at p = 61 and 76 s at p = 67 (2 cores, CPython 3.11).
 PRIME_CEILING = 61
 # The largest prime ``legendre`` takes: from p = 17 on its series has p terms,
-# and an ordinary point took 52 s at p = 7 000 009 and 59 s at 8 000 009.
+# and an ordinary point took 23 s at p = 7 000 009 and 26 s at 8 000 009
+# (2 cores, CPython 3.11).
 LEGENDRE_CEILING = 8_000_009
 
 
@@ -106,7 +108,7 @@ def _parse_primes(text: str) -> List[int]:
 def _load_operator(spec: str) -> ThetaOperator:
     """Catalog name, or path to a JSON operator file."""
     if spec in CATALOG:
-        return get_entry(spec).operator
+        return CATALOG[spec]
     if not os.path.exists(spec):
         raise UsageError(
             f"unknown operator {spec!r}: not a catalog name and not a file")
@@ -296,7 +298,7 @@ def cmd_congruence(args: argparse.Namespace) -> int:
     if args.smax < 1:
         raise UsageError(f"--smax must be >= 1, not {args.smax}")
     if name in CATALOG:
-        op = CATALOG[name].operator
+        op = CATALOG[name]
     elif name in SECOND_ORDER:
         op = SECOND_ORDER[name]
     else:
@@ -328,15 +330,16 @@ def cmd_legendre(args: argparse.Namespace) -> int:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.list:
-        entries = [json.loads(e.operator.to_json()) for e in catalog()]
+        entries = [json.loads(op.to_json()) for op in CATALOG.values()]
         print(json.dumps(entries, indent=1))
         return 0
-    for e in catalog():
-        points = ", ".join(str(x) for x in e.singular_points) or "none"
+    for name, op in CATALOG.items():
+        roots, _ = rational_roots(leading_symbol(op))
+        points = ", ".join(str(r) for r, _m in sorted(roots)) or "none"
         special = "".join(f"  [{pt}: {label}]"
-                          for pt, label in sorted(e.special_points.items()))
-        print(f"{e.name}  #{e.aesz}  order {e.operator.theta_order} "
-              f"degree {e.operator.z_degree}  symbol roots: {points}{special}")
+                          for pt, label in SPECIAL_POINTS.get(name, {}).items())
+        print(f"{name}  #{op.aesz}  order {op.theta_order} "
+              f"degree {op.z_degree}  symbol roots: {points}{special}")
     return 0
 
 

@@ -17,7 +17,8 @@ at the Teichmueller point alpha above an ordinary residue z0 (alpha^p = alpha
 for prime-field points); ``OutsideUnitDisk`` signals y^(p-1)(z0) == 0 (mod p),
 where no unit root exists.  As alpha^(p-1) == 1 (mod p^s), each truncation
 is read off its (p-1)-fold, one slice sum per residue class r < p - 1:
-y^(N)(alpha) == sum_r alpha^r sum_{n <= N, n == r mod p-1} c_n.
+y^(N)(alpha) == sum_r alpha^r sum_{n <= N, n == r mod p-1} c_n, evaluated by
+Horner's rule over the classes that hold a term, r <= min(p - 2, N).
 """
 
 from __future__ import annotations
@@ -93,8 +94,10 @@ def dwork_ratio(series: Sequence[int], z0: int, p: int, s: int) -> int:
             f"need coefficients through degree {ps - 1}, have {len(series) - 1}")
 
     def truncation_at(N: int, x: int, m: int) -> int:  # x^(p-1) == 1 mod m
-        return sum(sum(series[r:N + 1:p - 1]) * pow(x, r, m)
-                   for r in range(p - 1)) % m
+        acc = 0
+        for r in reversed(range(min(p - 1, N + 1))):  # Horner, nonempty classes
+            acc = (acc * x + sum(series[r:N + 1:p - 1])) % m
+        return acc
 
     if truncation_at(p - 1, z0, p) == 0:
         raise OutsideUnitDisk(

@@ -13,7 +13,6 @@ the kernel dimension of the coefficient matrix.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import List, Sequence
 
@@ -172,6 +171,8 @@ def rational_roots(poly: IntPoly) -> tuple:
     divides the polynomial in Z[z]; then a | c_0 and b | c_n, and synthetic
     division by b z - a is exact over Z.
     """
+    from fractions import Fraction
+
     if not poly:
         raise ValueError("zero polynomial")
     ints = poly_primitive(poly)

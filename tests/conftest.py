@@ -16,7 +16,7 @@ from math import comb, factorial
 import pytest
 
 from frobcy import catalog, classify
-from frobcy.catalog import SECOND_ORDER, get_entry
+from frobcy.catalog import CATALOG, SECOND_ORDER
 from frobcy.classify import classify_operator
 from frobcy.diffop import NonIntegralSolution, solve_series
 from frobcy.wedge import wedge_square
@@ -74,7 +74,7 @@ def wedge_of():
     """Exterior squares by catalog name: ``wedge_of(name)`` reads the
     per-process memo of ``wedge_square``, so each catalog operator's order-5
     companion is computed once and reused everywhere."""
-    return lambda name: wedge_square(get_entry(name).operator)
+    return lambda name: wedge_square(CATALOG[name])
 
 
 @pytest.fixture(scope="session")
@@ -84,7 +84,7 @@ def acceptance_tables(acceptance_timings):
     t0 = time.monotonic()
     out = {}
     for name in ACCEPTANCE_OPERATORS:
-        rows = classified(get_entry(name).operator, ACCEPTANCE_PRIMES)
+        rows = classified(CATALOG[name], ACCEPTANCE_PRIMES)
         out.update(((name, p), row) for p, row in rows.items())
     acceptance_timings["tables"] = time.monotonic() - t0
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 
-from frobcy.catalog import CATALOG, get_entry
+from frobcy.catalog import CATALOG
 from frobcy.classify import (BUILTIN_FORMS, eta_expansion, match_singular_ap,
                              reducible_split)
 from frobcy.congruence import OutsideUnitDisk, check_dwork_congruence
@@ -33,7 +33,7 @@ def test_criterion_1(wedge_of):
     t0 = time.monotonic()
     p, z0, s = 7, 2, 4
     mod = p**s
-    op = get_entry("A*a").operator
+    op = CATALOG["A*a"]
     f0, = solve_series(op, p**s - 1, targets=[(p, s, p**s - 1)])
     F0, = solve_series(wedge_of("A*a"), p**s - 1, targets=[(p, s, p**s - 1)])
 
@@ -80,7 +80,7 @@ def test_criterion_2(acceptance_tables, acceptance_timings, appendix_tables,
 def test_criterion_3(wedge_of):
     """The two power-series heads and the full exterior-square operator match
     their printed values coefficient for coefficient."""
-    f0 = solve_series(get_entry("A*a").operator, 5)
+    f0 = solve_series(CATALOG["A*a"], 5)
     assert f0 == [1, 8, 360, 22400, 1695400, 143011008]
     F0 = solve_series(wedge_of("A*a"), 5)
     assert F0 == [1, 44, 3652, 337712, 33909700, 3567877424]
@@ -116,7 +116,7 @@ def test_criterion_5():
     assert BUILTIN_FORMS["9/1"] == ((3, 8),)
 
     # first anchor: reduction of -1/16, at p = 5 (z = 4) and p = 7 (z = 3)
-    aa = classified(get_entry("A*a").operator, (5, 7))
+    aa = classified(CATALOG["A*a"], (5, 7))
     cell5 = aa[5][3]
     assert (cell5.status, cell5.ap) == ("singular", -2)
     assert cell5.ap == eta8[5] == -2
@@ -127,7 +127,7 @@ def test_criterion_5():
     assert cell7.form == "8/1"
 
     # second anchor: reduction of 1/216, at p = 7 (z = 6)
-    cell = classified(get_entry("B*d").operator, (7,))[7][5]
+    cell = classified(CATALOG["B*d"], (7,))[7][5]
     assert (cell.status, cell.ap) == ("singular", 20)
     assert cell.ap == eta9[7] == 20
     assert cell.form == match_singular_ap(7, 20) == "9/1"
@@ -194,19 +194,20 @@ def test_criterion_9():
     product of its two factor sequences through n = 500."""
     N = 500
     heads: dict = {}
-    for entry in (get_entry(n) for n in CATALOG):
-        for factor in (entry.left, entry.right):
+    for name, op in CATALOG.items():
+        left, right = name.split("*")
+        for factor in (left, right):
             if factor not in heads:
                 heads[factor] = sequence_terms(factor, N)
-        product = hadamard_product(heads[entry.left], heads[entry.right], N)
-        assert solve_series(entry.operator, N) == product, entry.name
+        product = hadamard_product(heads[left], heads[right], N)
+        assert solve_series(op, N) == product, name
 
 
 def test_criterion_10(wedge_of):
     """The twisted sections of both operators are horizontal through series
     order 60, and the sign-flipped controls are not."""
     for name in ("A*a", "B*a", "C*a"):
-        op = get_entry(name).operator
+        op = CATALOG[name]
         assert verify_horizontal_u4(op, 60), name
         assert not verify_horizontal_u4(op, 60, flip_sign=True), name
         q = wedge_of(name)
@@ -218,7 +219,7 @@ def test_criterion_11(wedge_of):
     """The order-4 self-duality identity holds for all 24 catalog operators
     and the order-5 identity for all 24 exterior squares."""
     for name in CATALOG:
-        assert check_cy4(get_entry(name).operator), name
+        assert check_cy4(CATALOG[name]), name
         assert check_cy5(wedge_of(name)), name
 
 

@@ -7,13 +7,13 @@ from fractions import Fraction
 import pytest
 
 from frobcy import catalog as catalog_module, diffop
-from frobcy.catalog import (CATALOG, SECOND_ORDER, catalog, catalog_wedge,
-                            get_entry, left_factor_residues, operator_series,
-                            product_operator)
+from frobcy.catalog import (CATALOG, SECOND_ORDER, SPECIAL_POINTS,
+                            catalog_wedge, left_factor_residues,
+                            operator_series, product_operator)
 from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_cy5,
                            check_mum, leading_symbol, solve_series)
 from frobcy.frobenius import required_precision
-from frobcy.polyrat import poly_gcd
+from frobcy.polyrat import poly_gcd, rational_roots
 from frobcy.wedge import UnexpectedOrder, wedge_square
 
 from conftest import (LengthMismatch, hadamard_product,
@@ -125,32 +125,31 @@ class TestSecondOrderOperators:
 # -- the 24 products ---------------------------------------------------------------
 
 
+def symbol_roots(op):
+    """The rational roots of the leading symbol, ascending."""
+    roots, _ = rational_roots(leading_symbol(op))
+    return sorted(r for r, _m in roots)
+
+
 class TestCatalogEntries:
     def test_twenty_four_entries_grouped_by_right_factor(self):
-        names = [e.name for e in catalog()]
+        names = list(CATALOG)
         assert len(names) == 24
         assert names[:4] == ["A*a", "B*a", "C*a", "D*a"]
         assert names[-4:] == ["A*g", "B*g", "C*g", "D*g"]
 
     def test_database_numbers_are_distinct(self):
-        numbers = [e.aesz for e in catalog()]
+        numbers = [op.aesz for op in CATALOG.values()]
         assert len(set(numbers)) == 24
-        assert get_entry("A*a").aesz == 45
-        assert get_entry("B*a").aesz == 15
-        assert get_entry("C*c").aesz == 69
-        assert get_entry("D*g").aesz == 140
+        assert CATALOG["A*a"].aesz == 45
+        assert CATALOG["B*a"].aesz == 15
+        assert CATALOG["C*c"].aesz == 69
+        assert CATALOG["D*g"].aesz == 140
 
     def test_entry_fields_are_consistent(self):
-        for e in catalog():
-            assert e.name == f"{e.left}*{e.right}"
-            assert e.operator.name == e.name
-            assert e.operator.aesz == e.aesz
-            assert e.operator.theta_order == 4
-            assert check_mum(e.operator)
-
-    def test_unknown_entry_raises(self):
-        with pytest.raises(KeyError):
-            get_entry("E*a")
+        for op in CATALOG.values():
+            assert op.theta_order == 4
+            assert check_mum(op)
 
     def test_product_rows_for_the_first_entry(self):
         op = product_operator("A", "a")
@@ -159,21 +158,19 @@ class TestCatalogEntries:
             (-8, -60, -172, -224, -112),
             (-1152, -6144, -11264, -8192, -2048),
         )
-        assert op == get_entry("A*a").operator
+        assert op == CATALOG["A*a"]
 
     def test_singular_points_of_the_first_entry(self):
-        e = get_entry("A*a")
-        assert e.singular_points == (Fraction(-1, 16), Fraction(1, 128))
+        assert symbol_roots(CATALOG["A*a"]) == [Fraction(-1, 16), Fraction(1, 128)]
 
     def test_annotated_points_lie_on_the_singular_locus(self):
         annotated = 0
-        for e in catalog():
-            for point in e.special_points:
-                assert point in e.singular_points
+        for name, points in SPECIAL_POINTS.items():
+            for point in points:
+                assert Fraction(point) in symbol_roots(CATALOG[name])
                 annotated += 1
         assert annotated == 2
-        assert get_entry("A*a").special_points == {Fraction(-1, 16): "8/1"}
-        assert get_entry("B*d").special_points == {Fraction(1, 216): "9/1"}
+        assert SPECIAL_POINTS == {"A*a": {"-1/16": "8/1"}, "B*d": {"1/216": "9/1"}}
 
 
 # -- Hadamard products -------------------------------------------------------------
@@ -203,14 +200,14 @@ class TestHadamardProduct:
         with pytest.raises(LengthMismatch):
             hadamard_product([1, 2, 3], [1, 2, 3], 3)
 
-    @pytest.mark.parametrize("name", [e.name for e in catalog()])
+    @pytest.mark.parametrize("name", list(CATALOG))
     def test_product_operator_solution_is_the_termwise_product(self, name):
         # the fourth-order operator annihilates the Hadamard product of its
         # factor series: checked to degree 120 here, degree 500 in acceptance
-        entry = get_entry(name)
-        xs = sequence_terms(entry.left, 120)
-        ys = sequence_terms(entry.right, 120)
-        assert solve_series(entry.operator, 120) == \
+        left, right = name.split("*")
+        xs = sequence_terms(left, 120)
+        ys = sequence_terms(right, 120)
+        assert solve_series(CATALOG[name], 120) == \
             hadamard_product(xs, ys)
 
 
@@ -262,13 +259,13 @@ class TestOperatorSeries:
 
     def test_full_sweep_factor_route_equals_generic(self, runs):
         ran = []
-        for name, entry in CATALOG.items():
+        for name, op in CATALOG.items():
             targets = full_sweep_targets(name)
-            fast = operator_series(entry.operator, targets)
+            fast = operator_series(op, targets)
             assert runs in ([], [2]), name  # the right factor alone, or none
             ran += [name] * len(runs)
             del runs[:]
-            generic = solve_to(entry.operator, targets)
+            generic = solve_to(op, targets)
             for t, got, want in zip(targets, fast, generic):
                 assert got == want, (name, t)
         # one run per right factor and batch of targets: the first operator
@@ -277,7 +274,7 @@ class TestOperatorSeries:
         assert ran == ["A*a", "A*b", "A*c", "A*d", "B*d", "A*f", "A*g"]
 
     def test_changed_coefficient_takes_the_generic_route(self, runs):
-        data = json.loads(get_entry("A*a").operator.to_json())
+        data = json.loads(CATALOG["A*a"].to_json())
         data["coeffs"][1][4] = str(int(data["coeffs"][1][4]) + 1)
         op = ThetaOperator.from_json(json.dumps(data))
         assert op.name == "A*a"
@@ -291,12 +288,12 @@ class TestOperatorSeries:
             [repr(w) for w in solve_to(op, targets)]
 
     def test_renamed_copy_takes_the_generic_route(self, runs):
-        entry = get_entry("B*c")
-        copy = ThetaOperator(entry.operator.coeffs, name="mine")
+        op = CATALOG["B*c"]
+        copy = ThetaOperator(op.coeffs, name="mine")
         targets = [(7, 3)]
         got, = operator_series(copy, targets)
         assert runs == [4]
-        want, = operator_series(entry.operator, targets)
+        want, = operator_series(op, targets)
         assert runs == [4, 2]
         assert got == want
 
@@ -319,7 +316,7 @@ class TestOperatorSeries:
     ], ids=["table_deep", "table_wide"])
     def test_residue_phase_equals_the_exact_run(self, grants, names, targets):
         for name in names:
-            op = get_entry(name).operator
+            op = CATALOG[name]
             for wedge in (False, True):
                 got = operator_series(op, targets, wedge)
                 want = solve_to(wedge_square(op) if wedge else op, targets)
@@ -336,7 +333,7 @@ class TestOperatorSeries:
             return real(out, us, n0, m)
 
         monkeypatch.setattr(diffop, "_unscale", spy)
-        op = get_entry("B*g").operator
+        op = CATALOG["B*g"]
         for wedge in (False, True):
             operator_series(op, [(13, 3)], wedge)
         assert [(last, m) for _n0, last, m in entered] == [(2196, 13**3)] * 2
@@ -357,7 +354,7 @@ class TestOperatorSeries:
         monkeypatch.setattr(diffop, "_unscale", spy)
         targets = [(3, 4), (5, 3), (7, 3)]
         for name in ("A*a", "D*c"):
-            op = get_entry(name).operator
+            op = CATALOG[name]
             for wedge in (False, True):
                 entered.clear()
                 got = operator_series(op, targets, wedge)
@@ -371,7 +368,7 @@ class TestOperatorSeries:
         built = []
         monkeypatch.setattr(catalog_module, "wedge_square",
                             lambda op: built.append(op.name) or wedge_square(op))
-        data = json.loads(get_entry("A*a").operator.to_json())
+        data = json.loads(CATALOG["A*a"].to_json())
         data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
         op = ThetaOperator.from_json(json.dumps(data))
         assert op.name == "A*a"
@@ -383,13 +380,13 @@ class TestOperatorSeries:
             [repr(w) for w in solve_to(wedge_square(op), targets)]
         assert all(isinstance(g, NonIntegralSolution) for g in got)
         # the catalog's A*a solves its stored one and builds none
-        operator_series(get_entry("A*a").operator, targets, wedge=True)
+        operator_series(CATALOG["A*a"], targets, wedge=True)
         assert grants == [(5, False), (5, True)] and built == ["A*a"]
 
     def test_residue_targets_equal_the_exact_coefficients(self, runs):
         # exact coefficients come from solve_series itself; the dispatch
         # takes residue targets only, through the factors for a product
-        op = get_entry("C*d").operator
+        op = CATALOG["C*d"]
         got, = operator_series(op, [(5, 2)])
         assert runs == [2]
         assert got == [c % 25 for c in solve_series(op, 24)]
@@ -415,7 +412,7 @@ class TestStoredWedges:
         monkeypatch.setattr(catalog_module, "_stored_wedges",
                             lambda: {**stored, "A*a": rows})
         with pytest.raises(UnexpectedOrder):
-            operator_series(get_entry("A*a").operator, [(7, 2)], wedge=True)
+            operator_series(CATALOG["A*a"], [(7, 2)], wedge=True)
 
 
 WIDE_OPERATORS = ("A*a", "A*b", "A*c", "B*a", "B*b", "B*c",
@@ -425,19 +422,19 @@ WIDE_TARGETS = [(3, 4), (5, 3), (7, 3)]
 
 class TestSharedFactorRuns:
     def test_shared_runs_equal_the_unshared(self):
-        shared = {name: operator_series(get_entry(name).operator, WIDE_TARGETS)
+        shared = {name: operator_series(CATALOG[name], WIDE_TARGETS)
                   for name in WIDE_OPERATORS}
         for name in WIDE_OPERATORS:
             catalog_module._right_factor_run.cache_clear()
             catalog_module.left_factor_residues.cache_clear()
-            alone = operator_series(get_entry(name).operator, WIDE_TARGETS)
+            alone = operator_series(CATALOG[name], WIDE_TARGETS)
             assert shared[name] == alone, name
 
     def test_memos_stay_within_their_bound(self):
         right, left = catalog_module._right_factor_run, left_factor_residues
-        for name, entry in CATALOG.items():
+        for name, op in CATALOG.items():
             targets = full_sweep_targets(name)
-            operator_series(entry.operator, targets)
+            operator_series(op, targets)
             assert right.cache_info().currsize <= right.cache_info().maxsize == 6
             assert left.cache_info().currsize <= left.cache_info().maxsize == 32
         # 24 operators, 7 right-factor batches: each ran once

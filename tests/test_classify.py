@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobcy import catalog as catalog_module
-from frobcy.catalog import CATALOG, get_entry
+from frobcy.catalog import CATALOG
 from frobcy.classify import (
     BUILTIN_FORMS,
     CSV_COLUMNS,
@@ -68,22 +68,22 @@ def eta_product_direct(factors, N):
 
 @pytest.fixture(scope="module")
 def aa_rows():
-    return classified(get_entry("A*a").operator, (3, 5, 7))
+    return classified(CATALOG["A*a"], (3, 5, 7))
 
 
 @pytest.fixture(scope="module")
 def bc5():
-    return classified(get_entry("B*c").operator, (5,))[5]
+    return classified(CATALOG["B*c"], (5,))[5]
 
 
 @pytest.fixture(scope="module")
 def ba5():
-    return classified(get_entry("B*a").operator, (5,))[5]
+    return classified(CATALOG["B*a"], (5,))[5]
 
 
 @pytest.fixture(scope="module")
 def dc5():
-    return classified(get_entry("D*c").operator, (5,))[5]
+    return classified(CATALOG["D*c"], (5,))[5]
 
 
 class TestEtaProducts:
@@ -340,7 +340,7 @@ class TestClassifyOperatorRows:
         assert (z4.chi, z4.ap, z4.form) == (-1, -2, "8/1")
 
     def test_classification_stable_at_higher_precision(self, aa_rows):
-        again, = classify_operator(get_entry("A*a").operator, [5], precision=5)
+        again, = classify_operator(CATALOG["A*a"], [5], precision=5)
         assert [r.s for r in again] == [5] * 4
         assert [r.cell() for r in again] == [r.cell() for r in aa_rows[5]]
         assert [r.status for r in again] == [r.status for r in aa_rows[5]]
@@ -349,7 +349,7 @@ class TestClassifyOperatorRows:
         # At s = 3, where the row starts, the residues of A*d at p = 5,
         # z = 2 fit two admissible pairs, (-8, 43) and (-8, -82); that cell
         # alone escalates to s = 4.
-        row = classified(get_entry("A*d").operator, (5,))[5]
+        row = classified(CATALOG["A*d"], (5,))[5]
         z2 = row[1]
         assert [r.s for r in row] == [3, 4, 3, 3]
         assert z2.cell() == "(-8,-82)*" and z2.escalated
@@ -357,7 +357,7 @@ class TestClassifyOperatorRows:
 
     def test_fixed_precision_never_escalates(self):
         # at a given precision a cell it does not settle is its row's error
-        op = get_entry("A*d").operator
+        op = CATALOG["A*d"]
         low, = classify_operator(op, [5], points=[2], precision=3)
         assert isinstance(low, Uncertified)
         (cell,), = classify_operator(op, [5], points=[2], precision=4)
@@ -367,7 +367,7 @@ class TestClassifyOperatorRows:
         # a frob query is the row restricted to its point: same cell, same
         # precision and unit roots, in the order asked
         row = aa_rows[7]
-        some = classified(get_entry("A*a").operator, (7,), points=[5, 3, 6])[7]
+        some = classified(CATALOG["A*a"], (7,), points=[5, 3, 6])[7]
         assert some == [row[4], row[2], row[5]]
         assert [r.s for r in some] == [3, 3, 3]
         assert 0 <= some[0].r1 < 7**3 and some[2].r1 is None
@@ -420,7 +420,7 @@ def test_full_catalog_reproduces_corrected_tables(corrected_tables, monkeypatch)
     monkeypatch.setattr(catalog_module, "solve_series", counted)
     cells, escalated = 0, {}
     for name in CATALOG:
-        rows = classify_operator(get_entry(name).operator, PRIMES)
+        rows = classify_operator(CATALOG[name], PRIMES)
         for p, row in zip(PRIMES, rows):
             assert not isinstance(row, Exception), (name, p, row)
             assert {str(r.z0): r.cell() for r in row} == \

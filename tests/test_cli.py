@@ -35,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 import frobcy
 from frobcy import FrobcyError, UsageError, catalog, classify, cli, wedge
 from frobcy import series as series_module
-from frobcy.catalog import CATALOG, get_entry
+from frobcy.catalog import CATALOG
 from frobcy.classify import results_to_csv
 from frobcy.diffop import ThetaOperator, solve_series
 from frobcy.series import (CorruptCache, _cache_load, _cache_path,
@@ -97,13 +97,13 @@ class TestParsePrimes:
 class TestLoadOperator:
     def test_catalog_name(self):
         op = cli._load_operator("A*a")
-        assert op.to_json() == get_entry("A*a").operator.to_json()
+        assert op.to_json() == CATALOG["A*a"].to_json()
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "myop.json"
-        path.write_text(get_entry("C*a").operator.to_json(), encoding="utf-8")
+        path.write_text(CATALOG["C*a"].to_json(), encoding="utf-8")
         op = cli._load_operator(str(path))
-        assert op.to_json() == get_entry("C*a").operator.to_json()
+        assert op.to_json() == CATALOG["C*a"].to_json()
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown operator"):
@@ -123,7 +123,7 @@ class TestCacheSeries:
         return got
 
     def fresh(self, tmp_path):
-        op = get_entry("A*a").operator
+        op = CATALOG["A*a"]
         return op, self.one(op, str(tmp_path))
 
     def test_miss_computes_and_writes(self, tmp_path):
@@ -162,7 +162,7 @@ class TestCacheSeries:
     def test_factor_route_stores_the_generic_bytes(self, tmp_path):
         # a catalog operator's own series is solved through its Hadamard
         # factors; its file is byte for byte the generic recurrence's
-        op = get_entry("B*d").operator
+        op = CATALOG["B*d"]
         p, K, N = 7, 3, 342
         cli.cache_series(op, False, [(p, K)], str(tmp_path / "factor"))
         (tmp_path / "generic").mkdir()
@@ -187,7 +187,7 @@ class TestCacheSeries:
             _cache_load(path2, _operator_hash(op2), "op", self.P, self.K)
 
     def test_key_changes_with_parameters(self, tmp_path):
-        op = get_entry("A*a").operator
+        op = CATALOG["A*a"]
         h = _operator_hash(op)
         d = str(tmp_path)
         paths = {_cache_path(d, h, "op", 5, 2),
@@ -367,7 +367,7 @@ class TestCacheSeries:
     def test_unusable_directory_falls_back_to_compute(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x", encoding="utf-8")
-        op = get_entry("A*a").operator
+        op = CATALOG["A*a"]
         series = self.one(op, str(blocker / "sub"))
         direct, = solve_series(op, self.N, targets=[(self.P, self.K, self.N)])
         assert series == direct
@@ -389,7 +389,7 @@ class TestCacheSeries:
 def aa_cache(tmp_path_factory):
     """A*a's series at p = 3, s = 4 in a cache directory, both roles: the
     directory, {role: (path, file bytes)} and {role: a fresh solve}."""
-    op = get_entry("A*a").operator
+    op = CATALOG["A*a"]
     target = (3, 4)
     cache_dir = str(tmp_path_factory.mktemp("aa_cache"))
     files, fresh = {}, {}
@@ -424,7 +424,7 @@ def test_damaged_cache_never_changes_a_result(aa_cache, role, truncate, data):
         byte = data.draw(st.one_of(st.sampled_from(b"0123456789"),
                                    st.integers(0, 255)), label="byte")
         Path(path).write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
-    op = get_entry("A*a").operator
+    op = CATALOG["A*a"]
     for other in ("op", "wedge"):
         got, = cli.cache_series(op, other == "wedge", [(3, 4)], cache_dir)
         assert got == fresh[other]
@@ -466,7 +466,7 @@ class TestCmdTable:
         code, out, _ = run(["table", "--operator", "C*a", "--primes", "3,5",
                             "--format", "csv", "--no-cache"], capsys)
         assert code == 0
-        op = get_entry("C*a").operator
+        op = CATALOG["C*a"]
         rows = [r for row in classified(op, (3, 5)).values() for r in row]
         assert out == results_to_csv(rows)
 
@@ -481,7 +481,7 @@ class TestCmdTable:
 
     def test_operator_file_route(self, capsys, tmp_path):
         path = tmp_path / "op.json"
-        path.write_text(get_entry("A*a").operator.to_json(), encoding="utf-8")
+        path.write_text(CATALOG["A*a"].to_json(), encoding="utf-8")
         code, out, _ = run(["table", "--operator", str(path),
                             "--primes", "3", "--no-cache"], capsys)
         assert code == 0
@@ -624,7 +624,7 @@ class TestWedgeMemo:
                                          closing_checks, corrected_tables):
         # an operator file builds its exterior square, once per process
         path = tmp_path / "mine.json"
-        path.write_text(ThetaOperator(get_entry("A*b").operator.coeffs,
+        path.write_text(ThetaOperator(CATALOG["A*b"].coeffs,
                                       name="mine").to_json(), encoding="utf-8")
         flags = ["--cache-dir", str(tmp_path / "cache")] if cached \
             else ["--no-cache"]
@@ -758,7 +758,7 @@ class TestOneRunPerRole:
         assert code == 0 and json.loads(cold)["A*d"]["5"]["2"] == "(-8,-82)*"
         assert runs == [(5, [(5, 3, 124)]), (2, [(5, 3, 124)]),
                         (5, [(5, 4, 624)]), (2, [(5, 4, 624)])]
-        op_hash = _operator_hash(get_entry("A*d").operator)
+        op_hash = _operator_hash(CATALOG["A*d"])
         assert sorted(os.listdir(tmp_path)) == sorted(
             os.path.basename(_cache_path(str(tmp_path), op_hash, role, 5, s))
             for role in ("op", "wedge") for s in (3, 4))
@@ -920,7 +920,7 @@ class TestCmdWedge:
     def test_prints_exterior_square_json(self, capsys):
         code, out, _ = run(["wedge", "--operator", "A*a"], capsys)
         assert code == 0
-        expected = wedge_square(get_entry("A*a").operator).to_json()
+        expected = wedge_square(CATALOG["A*a"]).to_json()
         assert out.strip() == expected
         assert ThetaOperator.from_json(out).theta_order == 5
 
@@ -945,7 +945,7 @@ class TestCmdCatalog:
         assert {e["name"] for e in entries} == set(CATALOG)
         mine = next(e for e in entries if e["name"] == "A*a")
         assert json.dumps(mine) == json.dumps(
-            json.loads(get_entry("A*a").operator.to_json()))
+            json.loads(CATALOG["A*a"].to_json()))
 
 
 class TestCatalogRootsOnDemand:
@@ -955,19 +955,41 @@ class TestCatalogRootsOnDemand:
         "8f7527a5f3bb6973f8be12e8c881d7f9ff5b255248481154d0452718abb58eec"
 
     def test_import_runs_no_root_search(self):
+        # the import searches no roots; the listing, one per operator
         script = (
+            "import contextlib, io\n"
             "import frobcy.polyrat as polyrat\n"
             "calls = []\n"
             "real = polyrat.rational_roots\n"
             "polyrat.rational_roots = lambda poly: calls.append(poly) or real(poly)\n"
             "import frobcy.cli\n"
             "imported = len(calls)\n"
-            "frobcy.cli.get_entry('A*a').singular_points\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    frobcy.cli.main(['catalog'])\n"
             "print(imported, len(calls))\n")
         done = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "1"]
+        assert done.stdout.split() == ["0", "24"]
+
+    def test_computing_commands_load_no_fractions(self, tmp_path):
+        # only the catalog listing needs Fraction, so a frob query or a table
+        # row starts without fractions and the decimal module it imports
+        script = (
+            "import contextlib, io, sys\n"
+            "import frobcy.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    frob = frobcy.cli.main(['frob', '--operator', 'A*a', '--prime',\n"
+            "                            '5', '--point', '2', '--cache-dir',\n"
+            "                            sys.argv[1]])\n"
+            "    table = frobcy.cli.main(['table', '--operator', 'A*a',\n"
+            "                             '--primes', '3', '--no-cache'])\n"
+            "print(frob, table, *sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=checkout_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0"]
 
     def test_summary_bytes_are_unchanged(self, capsys):
         code, out, _ = run(["catalog"], capsys)
@@ -1033,7 +1055,7 @@ class TestCmdClassify:
         code, out, _ = run(["classify", "--operator", "A*a",
                             "--primes", "3,5", "--no-cache"], capsys)
         assert code == 0
-        op = get_entry("A*a").operator
+        op = CATALOG["A*a"]
         rows = [r for row in classified(op, (3, 5)).values() for r in row]
         assert out == results_to_csv(rows)
         header = out.splitlines()[0]
@@ -1142,26 +1164,26 @@ def bad_operators(tmp_path):
     paths["not_object"] = tmp_path / "not_object.json"
     paths["not_object"].write_text('[[0, 0, 1]]', encoding="utf-8")
     for key, number in (("aesz_float", "1.5"), ("aesz_bool", "true")):
-        data = json.loads(get_entry("A*a").operator.to_json())
+        data = json.loads(CATALOG["A*a"].to_json())
         data["aesz"] = "@"
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(data).replace('"@"', number),
                               encoding="utf-8")
     # A*a with its z theta^0 coefficient raised by 1
-    data = json.loads(get_entry("A*a").operator.to_json())
+    data = json.loads(CATALOG["A*a"].to_json())
     data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
     paths["wedge_not_integral"] = tmp_path / "wedge_not_integral.json"
     paths["wedge_not_integral"].write_text(json.dumps(data), encoding="utf-8")
     for key, name in (("name_int", 5), ("name_null", None),
                       ("name_list", ["x"])):
-        data = json.loads(get_entry("A*a").operator.to_json())
+        data = json.loads(CATALOG["A*a"].to_json())
         data["name"] = name
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(data), encoding="utf-8")
     # A*a with its z theta^0 coefficient a JSON number that is not an integer
     for key, number in (("coeff_inf", "1e400"), ("coeff_float", "1.5"),
                         ("coeff_bool", "true")):
-        data = json.loads(get_entry("A*a").operator.to_json())
+        data = json.loads(CATALOG["A*a"].to_json())
         data["coeffs"][1][0] = "@"
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(data).replace('"@"', number),
@@ -1438,7 +1460,7 @@ def fuzz_dir(tmp_path_factory):
 @given(data=st.data())
 def test_malformed_operator_file_fails_in_one_line(data, fuzz_dir):
     # the A*a entry of ``catalog --list``
-    entry = json.loads(get_entry("A*a").operator.to_json())
+    entry = json.loads(CATALOG["A*a"].to_json())
     path = fuzz_dir / "op.json"
     path.write_text(json.dumps(data.draw(one_value_replaced(entry))),
                     encoding="utf-8")

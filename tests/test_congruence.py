@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcy.catalog import get_entry
+from frobcy import congruence
+from frobcy.catalog import CATALOG
 from frobcy.congruence import (OutsideUnitDisk, check_dwork_congruence,
                                dwork_ratio)
 from frobcy.diffop import ThetaOperator, solve_series
@@ -21,7 +22,7 @@ def apery():
 
 @pytest.fixture(scope="module")
 def f0_mod7():
-    op = get_entry("A*a").operator
+    op = CATALOG["A*a"]
     return solve_series(op, 7**4 - 1, targets=[(7, 4, 7**4 - 1)])[0]
 
 
@@ -137,8 +138,20 @@ class TestDworkRatio:
         with pytest.raises(ValueError):
             dwork_ratio(f0_mod7, 2, 7, 5)
 
+    def test_fold_takes_no_power_per_class(self, monkeypatch):
+        # Horner's rule over the classes: at p = 101, s = 1 one power per
+        # class of each truncation would be 300 calls; only the inverse of
+        # the denominator is left
+        calls = []
+        monkeypatch.setattr(congruence, "pow",
+                            lambda *args: calls.append(args) or pow(*args),
+                            raising=False)
+        ones = [1] * 101
+        assert dwork_ratio(ones, 3, 101, 1) == horner_ratio(ones, 3, 101, 1)
+        assert len(calls) == 1
+
     def test_rejects_short_series(self):
-        op = get_entry("A*a").operator
+        op = CATALOG["A*a"]
         short, = solve_series(op, 300, targets=[(7, 4, 300)])
         with pytest.raises(ValueError):
             dwork_ratio(short, 2, 7, 4)
@@ -190,7 +203,7 @@ def test_fold_equals_horner_on_residue_series(drawn):
 
 
 def test_fold_equals_horner_on_an_exact_series():
-    exact = solve_series(get_entry("A*a").operator, 7**3 - 1)
+    exact = solve_series(CATALOG["A*a"], 7**3 - 1)
     assert exact[:6] == [1, 8, 360, 22400, 1695400, 143011008]  # not reduced
     for p, s in ((3, 5), (5, 3), (7, 3)):
         assert ratios_or_outside(exact, p, s) == [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcy import diffop
-from frobcy.catalog import CATALOG, get_entry
+from frobcy.catalog import CATALOG
 from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_cy5,
                            check_mum, leading_symbol, solve_series,
                            symbol_roots_mod_p)
@@ -15,7 +15,7 @@ from frobcy.wedge import wedge_square
 
 from horizontal import Laurent, check_cy4, stirling_table, to_monic
 
-AA = get_entry("A*a").operator
+AA = CATALOG["A*a"]
 
 F0_HEAD = [1, 8, 360, 22400, 1695400, 143011008]
 BIG_F0_HEAD = [1, 44, 3652, 337712, 33909700, 3567877424]
@@ -56,7 +56,7 @@ def test_equality_and_hash_use_normalized_coefficients():
 
 
 def test_json_roundtrip():
-    op = get_entry("B*d").operator
+    op = CATALOG["B*d"]
     again = ThetaOperator.from_json(op.to_json())
     assert again == op
     assert again.name == op.name
@@ -85,13 +85,12 @@ def test_leading_symbol_of_the_first_operator():
 def test_symbol_roots_mod_p():
     assert symbol_roots_mod_p(AA, 7) == [3, 4]
     assert symbol_roots_mod_p(AA, 3) == [2]
-    assert symbol_roots_mod_p(get_entry("A*b").operator, 7) == []
+    assert symbol_roots_mod_p(CATALOG["A*b"], 7) == []
 
 
 def test_symbol_nonzero_at_origin_for_all_catalog_operators():
-    from frobcy.catalog import catalog
-    for entry in catalog():
-        assert leading_symbol(entry.operator)[0] != 0
+    for op in CATALOG.values():
+        assert leading_symbol(op)[0] != 0
 
 
 # -- Stirling conversion -------------------------------------------------------------
@@ -253,7 +252,7 @@ def test_batched_run_equals_separate_calls(name, wedge, integral, margin,
     # A low switch margin lets an integral batch of several primes
     # enter the residue phase before its short targets finish; its residues
     # must still be the exact run's.
-    op = get_entry(name).operator
+    op = CATALOG[name]
     op = wedge_square(op) if wedge else op
     targets = [(p, None if p is None else K, N) for p, K, N in targets]
     run_to = max(N for _p, _K, N in targets)

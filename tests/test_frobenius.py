@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frobcy import frobenius
-from frobcy.catalog import get_entry
+from frobcy.catalog import CATALOG
 from frobcy.congruence import OutsideUnitDisk
 from frobcy.diffop import solve_series
 from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
@@ -67,7 +67,7 @@ def admissible_pairs(p: int, with_split: bool):
 def aa_series():
     """{(p, s): (f0, F0)} for A*a at the precisions the tests need, from one
     fetch per role."""
-    op = get_entry("A*a").operator
+    op = CATALOG["A*a"]
     keys = [(3, 5), (5, 4), (7, 4), (7, 5)]
     f0s, F0s = (cache_series(op, wedge, keys) for wedge in (False, True))
     return dict(zip(keys, zip(f0s, F0s)))
@@ -443,7 +443,7 @@ class TestAssembleFrobenius:
             assert c[4] == p**6
 
     def test_convenience_wrapper(self):
-        op = get_entry("A*a").operator
+        op = CATALOG["A*a"]
         assert frobenius_from_operator(op, 7, 2, 4) == (-8, 2)
 
 

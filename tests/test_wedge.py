@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcy import wedge
-from frobcy.catalog import CATALOG, _LEFT, _RIGHT, get_entry
+from frobcy.catalog import CATALOG, _LEFT, _RIGHT
 from frobcy.diffop import ThetaOperator, check_cy5, check_mum, solve_series
 from frobcy.polyrat import (NoSolution, poly_add, poly_exact_div, poly_gcd,
                             poly_mul, poly_primitive, poly_scale, poly_sub,
@@ -21,7 +21,7 @@ from horizontal import (Laurent, NotRationalY, check_cy4,
                         rational_exp_integral, to_monic, verify_horizontal_u4,
                         verify_horizontal_u5)
 
-AA = get_entry("A*a").operator
+AA = CATALOG["A*a"]
 
 # minimal companion of eta for A*a: frozen from the exact linear-algebra route
 # and cross-checked coefficient-by-coefficient by the Wronskian series below
@@ -242,7 +242,7 @@ class TestDeltaOracle:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_catalog_wedge_equals_the_delta5_oracle(self, name, wedge_of):
         assert wedge_of(name).coeffs == \
-            wedge_over_delta5(get_entry(name).operator).coeffs
+            wedge_over_delta5(CATALOG[name]).coeffs
 
     def test_determinant_has_the_degree_of_the_wedge(self, monkeypatch):
         # over Delta^5 the Bareiss determinant has z-degree 50 on the
@@ -258,7 +258,7 @@ class TestDeltaOracle:
 
         monkeypatch.setattr(wedge, "solve_linear_system", counting)
         for name in CATALOG:
-            wedge_square(get_entry(name).operator)
+            wedge_square(CATALOG[name])
         assert len(degrees) == len(CATALOG)
         assert max(degrees) <= 8
 
