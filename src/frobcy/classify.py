@@ -16,6 +16,8 @@ Every ordinary point yields integers (a, b); the quartic then either
     cell "(a,b)!" -- reported rather than silently passed off as smooth;
   * or the point is outside the unit disk of either series: cell "-".
 
+Each cell is one immutable ``PointClass``, built once by ``classify_point``.
+
 The a_p at split points are matched against stored forms: first the
 built-in eta products, expanded from their factors once per prime,
 
@@ -32,7 +34,7 @@ import os
 from functools import lru_cache
 from math import isqrt
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import UsageError
 from .congruence import OutsideUnitDisk
@@ -186,45 +188,32 @@ def singular_split(a: int, b: int, p: int) -> Optional[Tuple[int, int]]:
 # -- point classification -----------------------------------------------------------
 
 
-class PointClass:
-    """Classification of one (operator, p, z0) cell.
+class PointClass(NamedTuple):
+    """Classification of one (operator, p, z0) cell, built once.
 
     ``status`` is smooth, reducible, singular, inconsistent or undefined;
     ``escalated`` marks a cell certified only above the row's starting
     precision, ``s`` the precision p^s the cell was settled at, and ``r1``,
     ``rh`` the unit roots mod p^s of the operator and of its exterior square
-    (None when undefined).  Equality and repr run over ``__slots__``, in
-    order; a PointClass is unhashable.
+    (None when undefined).
     """
 
-    __slots__ = ("operator", "p", "z0", "status", "at_singular_fiber", "a",
-                 "b", "alpha", "beta", "chi", "ap", "form", "escalated", "s",
-                 "r1", "rh")
-
-    def __init__(self, operator: str, p: int, z0: int, status: str,
-                 at_singular_fiber: bool, a: Optional[int] = None,
-                 b: Optional[int] = None, alpha: Optional[int] = None,
-                 beta: Optional[int] = None, chi: Optional[int] = None,
-                 ap: Optional[int] = None, form: Optional[str] = None,
-                 escalated: bool = False, s: Optional[int] = None,
-                 r1: Optional[int] = None, rh: Optional[int] = None):
-        self.operator, self.p, self.z0, self.status = operator, p, z0, status
-        self.at_singular_fiber = at_singular_fiber
-        self.a, self.b, self.alpha, self.beta = a, b, alpha, beta
-        self.chi, self.ap, self.form = chi, ap, form
-        self.escalated, self.s, self.r1, self.rh = escalated, s, r1, rh
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+    operator: str
+    p: int
+    z0: int
+    status: str
+    at_singular_fiber: bool
+    a: Optional[int] = None
+    b: Optional[int] = None
+    alpha: Optional[int] = None
+    beta: Optional[int] = None
+    chi: Optional[int] = None
+    ap: Optional[int] = None
+    form: Optional[str] = None
+    escalated: bool = False
+    s: Optional[int] = None
+    r1: Optional[int] = None
+    rh: Optional[int] = None
 
     def cell(self) -> str:
         """Compact table cell: (a,b) / (a,b)' / (a,b)* / (a,b)! / - ."""
@@ -248,36 +237,31 @@ def classify_ab(a: int, b: int, p: int, at_singular_fiber: bool) -> PointClass:
     if at_singular_fiber:
         split = singular_split(a, b, p)
         if split is not None:
-            pc.status = "singular"
-            pc.chi, pc.ap = split
-            pc.form = match_singular_ap(p, pc.ap)
-            return pc
+            chi, ap = split
+            return pc._replace(status="singular", chi=chi, ap=ap,
+                               form=match_singular_ap(p, ap))
     pair = reducible_split(a, b, p)
     if pair is not None:
-        pc.status = "reducible"
-        pc.alpha, pc.beta = pair
-        return pc
-    if not weil_verify(a, b, p):
-        pc.status = "inconsistent"
-    return pc
+        return pc._replace(status="reducible", alpha=pair[0], beta=pair[1])
+    return pc if weil_verify(a, b, p) else pc._replace(status="inconsistent")
 
 
 def classify_point(op: ThetaOperator, p: int, z0: int, s: int,
-                   f0: Sequence[int], F0: Sequence[int],
-                   fiber: bool) -> PointClass:
+                   f0: Sequence[int], F0: Sequence[int], fiber: bool,
+                   escalated: bool) -> PointClass:
     """Classify one point at precision s from the residue lists f0 and F0 of
     the series of the operator and of its exterior square; ``fiber`` tells
-    whether the leading symbol vanishes at z0 mod p.  Raises Uncertified
-    when s does not yet settle (a, b) (see assemble_frobenius)."""
+    whether the leading symbol vanishes at z0 mod p, and ``escalated``
+    whether s is above the row's start.  Raises Uncertified when s does not
+    yet settle (a, b) (see assemble_frobenius)."""
     try:
         r1, rh = unit_roots(f0, F0, z0, p, s)
     except OutsideUnitDisk:
-        return PointClass(operator=op.name, p=p, z0=z0, status="undefined",
-                          at_singular_fiber=fiber, s=s)
+        return PointClass(op.name, p, z0, "undefined", fiber,
+                          escalated=escalated, s=s)
     a, b = assemble_frobenius(r1, rh, p, s, at_singular_fiber=fiber)
-    pc = classify_ab(a, b, p, fiber)
-    pc.operator, pc.z0, pc.s, pc.r1, pc.rh = op.name, z0, s, r1, rh
-    return pc
+    return classify_ab(a, b, p, fiber)._replace(
+        operator=op.name, z0=z0, escalated=escalated, s=s, r1=r1, rh=rh)
 
 
 def classify_operator(op: ThetaOperator, primes: Sequence[int],
@@ -328,14 +312,12 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
             try:
                 for z0 in zs:
                     try:
-                        cells[i][z0] = classify_point(op, p, z0, s, f0, F0,
-                                                      z0 % p in roots[i])
+                        cells[i][z0] = classify_point(
+                            op, p, z0, s, f0, F0, z0 % p in roots[i], escalated)
                     except Uncertified:
                         if precision is not None:
                             raise
                         later.append(z0)
-                    else:
-                        cells[i][z0].escalated = escalated
             except Exception as exc:  # noqa: BLE001 - the row's outcome
                 out[i] = exc
             else:

@@ -27,8 +27,8 @@ sweep of one operator in CSV.
 argument, prime above its command's ceiling, operator file, point,
 ``--output`` path, or form fixture, read before any row) exits 2 and any
 other ``FrobcyError`` exits 1, each as one ``error: ...`` line on stderr.
-A table row that fails is reported as data: one line naming the operator
-and p, exit 1.
+A table row that fails is reported as data: the worker returns its one
+line naming the operator and p in place of its cells, and the run exits 1.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import FrobcyError, UsageError
 from .catalog import CATALOG, SECOND_ORDER, SPECIAL_POINTS
@@ -64,6 +64,13 @@ PRIME_CEILING = 61
 # and an ordinary point took 23 s at p = 7 000 009 and 26 s at 8 000 009
 # (2 cores, CPython 3.11).
 LEGENDRE_CEILING = 8_000_009
+# The largest --nmax and --smax that ``congruence`` takes.  Above s = 9 no
+# two n <= NMAX_CEILING < 3^10 share a class mod p^s, so no ratio is checked.
+# D*c, the slowest sequence, took 22 s at --nmax 50 000 --smax 9, p = 3 (72 MB
+# peak), and 52 s at the largest prime the prime check decides (2 cores,
+# CPython 3.11).
+NMAX_CEILING = 50_000
+SMAX_CEILING = 9
 
 
 def _check_ceiling(n: int, ceiling: int) -> None:
@@ -133,19 +140,15 @@ def _cache_dir(args: argparse.Namespace) -> Optional[str]:
 
 
 def _table_task(arg: Tuple[ThetaOperator, Sequence[int], Optional[str]]
-                ) -> List[Tuple[List[PointClass], Optional[str]]]:
+                ) -> List[Union[List[PointClass], str]]:
     """Worker: every row (one per prime) of one operator, from one
-    ``classify_operator`` call; a row's failure is data, one diagnostic
-    per row."""
+    ``classify_operator`` call; a row that failed is its diagnostic line."""
     op, primes, cache_dir = arg
-    outcomes = []
-    for p, row in zip(primes, classify_operator(op, primes, cache_dir=cache_dir)):
-        if isinstance(row, Exception):
-            label = op.name or "operator"
-            outcomes.append(([], f"{label} p={p}: {type(row).__name__}: {row}"))
-        else:
-            outcomes.append((row, None))
-    return outcomes
+    rows = classify_operator(op, primes, cache_dir=cache_dir)
+    label = op.name or "operator"
+    return [f"{label} p={p}: {type(row).__name__}: {row}"
+            if isinstance(row, Exception) else row
+            for p, row in zip(primes, rows)]
 
 
 def _padic_json(p: int, s: int, residue: int) -> Dict[str, int]:
@@ -224,9 +227,9 @@ def _sweep(names: Sequence[str], fmt: str, jobs: int,
     groups: List[Tuple[str, int, List[PointClass]]] = []
     errors: List[str] = []
     for (name, _op), task_rows in zip(ops, outcomes):
-        for p, (rows, err) in zip(primes, task_rows):
-            if err is not None:
-                errors.append(err)
+        for p, rows in zip(primes, task_rows):
+            if isinstance(rows, str):
+                errors.append(rows)
             else:
                 groups.append((name, p, rows))
 
@@ -293,17 +296,23 @@ def cmd_wedge(args: argparse.Namespace) -> int:
 def cmd_congruence(args: argparse.Namespace) -> int:
     name = args.sequence
     p = _check_prime(args.prime)
-    if args.nmax < 0:
-        raise UsageError(f"--nmax must be >= 0, not {args.nmax}")
-    if args.smax < 1:
-        raise UsageError(f"--smax must be >= 1, not {args.smax}")
+    for flag, value, lo, hi in (("--nmax", args.nmax, 0, NMAX_CEILING),
+                                ("--smax", args.smax, 1, SMAX_CEILING)):
+        if value < lo:
+            raise UsageError(f"{flag} must be >= {lo}, not {value}")
+        if value > hi:
+            raise UsageError(f"{flag} must be <= {hi}, not {value}")
     if name in CATALOG:
         op = CATALOG[name]
     elif name in SECOND_ORDER:
         op = SECOND_ORDER[name]
     else:
         raise UsageError(f"unknown sequence {name!r}")
-    coeffs = solve_series(op, args.nmax)
+    # one residue target mod p^smax: the run keeps only its window exact
+    coeffs, = solve_series(op, args.nmax,
+                           targets=[(p, args.smax, args.nmax)])
+    if isinstance(coeffs, Exception):
+        raise coeffs
     reports = [check_dwork_congruence(coeffs, p, s, args.nmax)
                for s in range(1, args.smax + 1)]
     payload = {"sequence": name, "prime": p, "n_max": args.nmax,

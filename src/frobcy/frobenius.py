@@ -64,11 +64,6 @@ class Uncertified(LiftOutOfBound):
     """The residues mod p^s fit zero or several admissible pairs, below the
     precision at which the balanced lift alone settles the cell."""
 
-    def __init__(self, p: int, s: int, candidates: int) -> None:
-        super().__init__(f"{candidates} admissible pairs (a, b) fit the "
-                         f"residues mod p^s at p = {p}, s = {s}")
-        self.p, self.s, self.candidates = p, s, candidates
-
 
 class SingularFiber(UsageError, ArithmeticError):
     """The requested fiber of the family is degenerate: a bad point, so a
@@ -227,7 +222,8 @@ def assemble_frobenius(r1: int, rh: int, p: int, s: int,
     if len(found) == 1:
         return found[0]
     if s < box_precision(p, at_singular_fiber):
-        raise Uncertified(p, s, len(found))
+        raise Uncertified(f"{len(found)} admissible pairs (a, b) fit the "
+                          f"residues mod p^s at p = {p}, s = {s}")
     A, B = _box(p, at_singular_fiber)
     if abs(a) > A or abs(b) > B:
         raise LiftOutOfBound(f"(a, b) = ({a}, {b}) lies outside the box "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import pickle
 import time
 from math import gcd, isqrt
 
@@ -249,6 +250,22 @@ class TestClassifyAb:
         assert pc.status == "singular"
         assert (pc.chi, pc.ap) == (-1, 11)
         assert pc.form is None
+
+    def test_fields_cannot_be_assigned(self):
+        # a record is built once: a changed cell is a new record
+        pc = classify_ab(32, 62, 5, at_singular_fiber=True)
+        with pytest.raises(AttributeError):
+            pc.status = "smooth"
+        assert pc._replace(z0=4).z0 == 4 and pc.z0 == 0
+
+    def test_record_survives_pickle_and_keeps_its_repr(self):
+        pc = classify_ab(32, 62, 5, at_singular_fiber=True)
+        assert pickle.loads(pickle.dumps(pc)) == pc
+        assert repr(pc) == (
+            "PointClass(operator='', p=5, z0=0, status='singular', "
+            "at_singular_fiber=True, a=32, b=62, alpha=None, beta=None, "
+            "chi=-1, ap=-2, form='8/1', escalated=False, s=None, r1=None, "
+            "rh=None)")
 
 
 class TestMatchSingularAp:

@@ -1017,10 +1017,10 @@ class TestCmdCongruence:
         assert json.loads(out)["ok"] is True
 
     def test_corrupted_terms_fail_with_exit_one(self, capsys, monkeypatch):
-        def corrupted(op, nmax):
-            series = solve_series(op, nmax)
+        def corrupted(op, nmax, *, targets):
+            series, = solve_series(op, nmax, targets=targets)
             series[25] += 1
-            return series
+            return [series]
 
         monkeypatch.setattr(cli, "solve_series", corrupted)
         code, out, _ = run(["congruence", "--sequence", "c", "--prime", "5",
@@ -1259,6 +1259,11 @@ def bad_operators(tmp_path):
      "error: no primes in list ','\n"),
     ("congruence --sequence a --prime 5 --smax 0", 2,
      "error: --smax must be >= 1, not 0\n"),
+    # the congruence ceilings, checked before the sequence is looked up
+    ("congruence --sequence a --prime 5 --smax 10", 2,
+     "error: --smax must be <= 9, not 10\n"),
+    ("congruence --sequence zz --prime 5 --nmax 1000000000", 2,
+     "error: --nmax must be <= 50000, not 1000000000\n"),
     ("frob --operator {coeff_inf} --prime 7 --point 2 --no-cache", 2,
      "coeff_inf.json': not an integer: inf\n"),
     ("table --operator {coeff_inf} --primes 7 --no-cache", 2,
@@ -1366,6 +1371,16 @@ def test_failing_rows_keep_one_line_per_prime(key, line, bad_operators, capsys):
                           "--primes", "3,5", "--no-cache"], capsys)
     assert (code, out) == (1, "\n")
     assert err == "".join(f"error: {line.format(p=p)}\n" for p in (3, 5))
+
+
+def test_failed_rows_cross_a_pool_as_their_lines(bad_operators, capsys):
+    # a worker returns each failed row as its diagnostic line, and the
+    # parent sorts lines from rows: a pool prints what a serial run prints
+    argv = ["table", "--operator", str(bad_operators["order2"]), "--operator",
+            "A*a", "--primes", "3,5", "--no-cache", "--format", "json"]
+    serial = run(argv + ["--jobs", "1"], capsys)
+    assert serial[0] == 1 and serial[2].count("\n") == 2
+    assert run(argv + ["--jobs", "2"], capsys) == serial
 
 
 def test_row_failure_among_succeeding_rows(monkeypatch, capsys):

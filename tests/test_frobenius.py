@@ -2,6 +2,7 @@
 and the elliptic one-dimensional baseline."""
 
 import cmath
+import pickle
 from fractions import Fraction
 from math import isqrt
 
@@ -333,8 +334,15 @@ class TestAssembleFrobenius:
         with pytest.raises(Uncertified) as info:
             assemble_frobenius(*cut, 7, 2)
         err = info.value
-        assert (err.p, err.s, err.candidates) == (7, 2, 5)
+        assert str(err) == ("5 admissible pairs (a, b) fit the residues "
+                            "mod p^s at p = 7, s = 2")
         assert isinstance(err, LiftOutOfBound)
+
+    def test_uncertified_survives_pickle(self):
+        err = Uncertified("5 admissible pairs (a, b) fit the residues mod p^s "
+                          "at p = 7, s = 2")
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is Uncertified and str(back) == str(err)
 
     @pytest.mark.parametrize("p,s", [(3, 2), (5, 2), (7, 2), (5, 3)])
     def test_decoder_matches_enumeration(self, p, s):
