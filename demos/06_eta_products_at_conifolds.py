@@ -14,8 +14,8 @@ from frobcy.catalog import CATALOG
 from frobcy.classify import (BUILTIN_FORMS, classify_operator, eta_expansion,
                              match_singular_ap)
 
-# the two stored forms, expanded from their (scale, exponent) factors by the
-# pentagonal-number recursion; eta(q^m)^e has weight e/2
+# the two stored forms, expanded from their (scale, exponent) factors by
+# multiplying out each (1 - q^k); eta(q^m)^e has weight e/2
 for label, factors in BUILTIN_FORMS.items():
     weight = sum(e for _m, e in factors) // 2
     print(f"form {label}: eta factors {factors}, weight {weight}, "

@@ -50,53 +50,23 @@ FORMS_DIR_ENV = "FROBCY_FORMS_DIR"
 # -- stored forms -------------------------------------------------------------------
 
 
-def _pentagonal_product(m: int, N: int) -> List[int]:
-    """Coefficients of prod_n (1 - q^(m n)) mod q^(N+1), by the pentagonal
-    number expansion sum_k (-1)^k q^(m k(3k-1)/2)."""
-    out = [0] * (N + 1)
-    out[0] = 1
-    k = 1
-    while True:
-        hit = False
-        for e in (m * k * (3 * k - 1) // 2, m * k * (3 * k + 1) // 2):
-            if e <= N:
-                out[e] += -1 if k % 2 else 1
-                hit = True
-        if not hit:
-            return out
-        k += 1
-
-
-def _series_mul(a: List[int], b: List[int], N: int) -> List[int]:
-    out = [0] * (N + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j in range(min(len(b), N + 1 - i)):
-                if b[j]:
-                    out[i + j] += x * b[j]
-    return out
-
-
 def eta_expansion(factors: Sequence[Tuple[int, int]], N: int) -> List[int]:
     """q-expansion coefficients c_0 .. c_N of prod eta(q^m)^e over the
     factors ((m, e), ...), whose leading power q^(sum m e / 24) must be
-    integral."""
+    integral: that power times (1 - q^k)^e for k = m, 2m, ... <= N, each
+    factor multiplied out in place, top degree first."""
     total = sum(m * e for m, e in factors)
     if total % 24:
         raise ValueError("eta product with fractional leading power")
-    shift, n = total // 24, N - total // 24
-    if n < 0:
-        return [0] * (N + 1)
-    body = [1] + [0] * n
+    out, shift = [0] * (N + 1), total // 24
+    if shift <= N:
+        out[shift] = 1
     for m, e in factors:
-        base, power = _pentagonal_product(m, n), [1]
-        while e:
-            if e & 1:
-                power = _series_mul(power, base, n)
-            base = _series_mul(base, base, n)
-            e >>= 1
-        body = _series_mul(body, power, n)
-    return [0] * shift + body
+        for k in range(m, N + 1, m):
+            for _ in range(e):
+                for j in range(N, k - 1, -1):
+                    out[j] -= out[j - k]
+    return out
 
 
 BUILTIN_FORMS: Dict[str, Tuple[Tuple[int, int], ...]] = {

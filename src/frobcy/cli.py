@@ -67,8 +67,8 @@ LEGENDRE_CEILING = 8_000_009
 # The largest --nmax and --smax that ``congruence`` takes.  Above s = 9 no
 # two n <= NMAX_CEILING < 3^10 share a class mod p^s, so no ratio is checked.
 # D*c, the slowest sequence, took 22 s at --nmax 50 000 --smax 9, p = 3 (72 MB
-# peak), and 52 s at the largest prime the prime check decides (2 cores,
-# CPython 3.11).
+# peak; 2 cores, CPython 3.11).  A prime above --nmax is refused: it leaves
+# every n <= --nmax in a class of its own at every s.
 NMAX_CEILING = 50_000
 SMAX_CEILING = 9
 
@@ -302,6 +302,9 @@ def cmd_congruence(args: argparse.Namespace) -> int:
             raise UsageError(f"{flag} must be >= {lo}, not {value}")
         if value > hi:
             raise UsageError(f"{flag} must be <= {hi}, not {value}")
+    if p > args.nmax:
+        raise UsageError(f"--prime {p} is above --nmax {args.nmax}, so no "
+                         f"two n <= {args.nmax} share a class mod p")
     if name in CATALOG:
         op = CATALOG[name]
     elif name in SECOND_ORDER:

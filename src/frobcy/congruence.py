@@ -42,7 +42,9 @@ def check_dwork_congruence(coeffs: Sequence[int], p: int, s: int,
     with the first computable one.  Indices with c(floor(n/p)) == 0 (mod p)
     are skipped and reported.  Returns the report that ``frobcy congruence``
     prints: ``power`` (s), ``n_max``, ``checked``, ``skipped``, ``failures``
-    (each ``{"n", "got", "expected"}``), ``ok`` and a one-line ``summary``.
+    (each ``{"n", "got", "expected"}``), ``ok`` (no failure) and a one-line
+    ``summary``, which says so when p^s > n_max puts every n in a class of
+    its own, so that no ratio can be compared.
     """
     if s < 1:
         raise ValueError("congruence power s must be >= 1")
@@ -62,7 +64,8 @@ def check_dwork_congruence(coeffs: Sequence[int], p: int, s: int,
         checked += 1
         if ratio != first[key]:
             failures.append({"n": n, "got": ratio, "expected": first[key]})
-    status = f"{len(failures)} FAILURES" if failures else "ok"
+    status = (f"nothing to compare since {p}^{s} = {ps} > n_max" if ps > n_max
+              else f"{len(failures)} FAILURES" if failures else "ok")
     skip = f", {len(skipped)} skipped (non-unit denominator)" if skipped else ""
     return {"power": s, "n_max": n_max, "checked": checked, "skipped": skipped,
             "failures": failures, "ok": not failures,

@@ -13,8 +13,8 @@ with exact big integers, every division checked, as the plain list c_0 ..
 c_N: exact integers, or residues mod p^K whose p and K the caller keeps.
 Each step reads a row of the P_i(m) tabulated before the run.  A caller
 that knows the series to be integral and wants it only mod prime powers
-lets the run leave exact integers for residues mod a modulus kept from the
-first degree, once these are the narrower (the residue phase).
+lets the run leave exact integers for residues mod a modulus computed before
+the run, once these are the narrower (the residue phase).
 
 The self-duality check ``check_cy5`` never leaves the theta form: the
 operator is compared with its twisted adjoint as coefficient tables in
@@ -199,20 +199,6 @@ def _factorial_valuation(n: int, p: int) -> int:
     return v
 
 
-def _residue_modulus(live: list, n: int, order: int) -> int:
-    """Q at degree n: the prime p of each live target (N_t, _, _, p, K) to
-    the largest K + order v_p(N_t! / n!), the digits its target still needs
-    on the way to N_t."""
-    digits: dict = {}
-    for tN, _m, _out, tp, tK in live:
-        need = tK + order * (_factorial_valuation(tN, tp) - _factorial_valuation(n, tp))
-        digits[tp] = max(digits.get(tp, 0), need)
-    Q = 1
-    for tp, m in digits.items():
-        Q *= tp**m
-    return Q
-
-
 def _unscale(out: list, us: Sequence[int], n0: int, m: int) -> None:
     """out[n] = X_n / D_n mod m for n > n0, where D_n = us[0] ... us[n-n0-1]
     is the scale of a residue phase entered after degree n0: one inverse of
@@ -252,21 +238,21 @@ def solve_series(op: ThetaOperator, N: int, *,
 
     ``integral`` is the caller's word that the series has integer
     coefficients; with it, and no exact target, the run may leave exact
-    integers (the residue phase).  At degree n each target prime p needs
-    M_p = K + order v_p(N_t! / n!) digits, the largest over its live
-    targets: what the remaining divisions by n^order use up.  Q is the
-    product of the p^M_p, kept from the first degree on.  Once a coefficient
-    is SWITCH_MARGIN times as wide as Q in bits (tested at the multiples of
-    a target prime), the run computes residues X_n = D_n c_n mod Q instead.
-    A step writes n^order = g u, with g made of Q's primes: u, prime to Q,
-    joins the scale D_n = u D_(n-1) instead of being divided out, and the
-    division by g is exact and checked, so a coefficient that is not
+    integers (the residue phase).  Q is the product, computed once, of the
+    p^M_p over the target primes: M_p = K + order v_p(N_t!), the largest over
+    p's targets, is K and what the divisions by n^order use up.  Once a
+    coefficient is SWITCH_MARGIN times as wide as Q in bits (tested at the
+    multiples of a target prime), the run computes residues X_n = D_n c_n
+    mod Q instead.  A step writes n^order = g u, with g made of the target
+    primes up to their last N_t: u, prime to every prime whose targets still
+    run, joins the scale D_n = u D_(n-1) instead of being divided out, and
+    the division by g is exact and checked, so a coefficient that is not
     p-integral at a target prime still raises NonIntegralSolution
     (integrality at other primes is not checked there).  The window holds
     X_(n-i) D_(n-1) / D_(n-i), each older entry taking the step's u, so
-    both phases share the step's sum.  Q then drops the digits of g, and a
-    prime whose targets are finished leaves Q.  Each target's residues are
-    unscaled at the end, with one modular inverse of D_N mod p^K.
+    both phases share the step's sum.  Q then drops the digits of g, and
+    changes in no other way.  Each target's residues are unscaled at the
+    end, with one modular inverse of D_N mod p^K.
     """
     if not check_mum(op):
         raise ValueError("series solving requires a MUM operator")
@@ -281,9 +267,9 @@ def solve_series(op: ThetaOperator, N: int, *,
         if not 0 <= tN <= N:
             raise ValueError(f"target order {tN} outside 0 .. {N}")
     outs: List[list] = [[1] for _ in targets]
-    # (N_t, modulus or None, coefficient list, p, K), longest first, so that
+    # (N_t, modulus or None, coefficient list, p), longest first, so that
     # the targets finished before degree n are the tail
-    live = sorted(((tN, None if tp is None else tp**tK, out, tp, tK)
+    live = sorted(((tN, None if tp is None else tp**tK, out, tp)
                    for (tp, tK, tN), out in zip(targets, outs)),
                   key=lambda t: t[0], reverse=True)
     w = max(op.z_degree, 1)
@@ -298,12 +284,14 @@ def solve_series(op: ThetaOperator, N: int, *,
         cols.append(col[w - i:w - i + N + 1])
     lead, rows = cols[0], list(zip(*cols[1:]))
     window = [1] + [0] * (w - 1)  # c_(n-1), ..., c_(n-w)
-    Q = None  # the residue modulus of an integral run of residue targets
-    gs: dict = {}  # m -> g, the part of m^order made of Q's primes
+    Q = 1  # the residue modulus of an integral run of residue targets
+    gs: dict = {}  # m -> g, the part of m^order made of the target primes
     if integral and all(tp is not None for tp, _, _ in targets):
-        Q = _residue_modulus(live, 0, order)
-        for tp in {t[3] for t in live}:
-            last = max(t[0] for t in live if t[3] == tp)
+        for tp in {tp for tp, _, _ in targets}:
+            own = [(tK, tN) for p, tK, tN in targets if p == tp]
+            last = max(tN for _tK, tN in own)
+            Q *= tp**max(tK + order * _factorial_valuation(tN, tp)
+                         for tK, tN in own)
             f, q = tp**order, tp
             while q <= last:  # each p in m adds order digits to g
                 for m in range(q, last + 1, q):
@@ -315,8 +303,6 @@ def solve_series(op: ThetaOperator, N: int, *,
     for n in range(1, N + 1):
         while live and live[-1][0] < n:
             live.pop()
-            if Q is not None:  # a finished target's digits leave Q
-                Q = _residue_modulus(live, n - 1, order)
         if not live:
             break
         s = sum(map(mul, rows[n], window))
@@ -351,7 +337,7 @@ def solve_series(op: ThetaOperator, N: int, *,
                     window = [c % Q for c in window]
                     cn %= Q
             window = [cn] + window[:-1]
-        for _tN, m, out, _tp, _tK in live:
+        for _tN, m, out, _tp in live:
             out.append(cn % m if m else cn)
     if us:
         for (tp, tK, _tN), out in zip(targets, outs):

@@ -132,12 +132,12 @@ def wedge_square(op: ThetaOperator) -> ThetaOperator:
     system [v_0 ... v_4] x = v_5 is solved by Bareiss elimination in Z[z];
     scaling a column by a nonzero Delta-power changes neither the system's
     consistency nor the dimension of its kernel.  The relation
-    det Delta^(e_5) theta^5 - sum_k X_k Delta^(e_k) theta^k is stripped of
-    its common Delta and z factors, divided by the primitive gcd of what
-    remains in Z[z] and brought to the canonical integer form (content 1,
-    positive leading constant).  Raises UnsupportedOperator unless ``op`` is a
-    fourth-order MUM operator, and UnexpectedOrder when the iterates are
-    linearly dependent before order 5 or span no order-5 relation.
+    det Delta^(e_5) theta^5 - sum_k X_k Delta^(e_k) theta^k is divided by
+    the primitive gcd of its entries in Z[z] and brought to the canonical
+    integer form (content 1, positive leading constant).  Raises
+    UnsupportedOperator unless ``op`` is a fourth-order MUM operator, and
+    UnexpectedOrder when the iterates are linearly dependent before order 5
+    or span no order-5 relation.
 
     The result is memoized by ``op.to_json()`` for the life of the process
     and the same object is returned to every caller; an operator that raises
@@ -177,19 +177,15 @@ def _build_wedge(op: ThetaOperator) -> ThetaOperator:
             f"eta satisfies a relation of order < 5 (kernel dimension {kernel_dim})"
         )
 
-    # det Delta^e5 theta^5 eta - sum_k X_k Delta^ek theta^k eta = 0: strip the
-    # common Delta and z factors exactly, then divide out their gcd in Z[z]
+    # det Delta^e5 theta^5 eta - sum_k X_k Delta^ek theta^k eta = 0: divide
+    # out the primitive gcd of its entries in Z[z], which holds every common
+    # power of Delta and z; ThetaOperator fixes the content and the sign
     relation = [poly_mul(poly_scale(x, -1), poly_pow(delta, e))
                 for x, e in zip(numerators, exps)]
     relation.append(poly_mul(det, poly_pow(delta, exps[5])))
-    bound = max(len(c) for c in relation)
-    relation = _divide_while(relation, delta, bound)[0]
-    relation = _divide_while(relation, [0, 1], bound)[0]
     g: IntPoly = []
     for c in relation:
         g = poly_gcd(g, c)
-        if len(g) == 1:
-            break
     if len(g) > 1:
         relation = [poly_exact_div(c, g) for c in relation]
     z_deg = max(len(c) for c in relation) - 1

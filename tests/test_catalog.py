@@ -341,8 +341,9 @@ class TestOperatorSeries:
 
     def test_switch_before_the_short_targets_finish(self, monkeypatch):
         # At the default margin the table_wide batch switches after N = 124;
-        # a low one makes it switch before N = 80, so the finished targets
-        # leave Q and each is unscaled over its own degrees only.
+        # a low one makes it switch before N = 80, so the short targets
+        # finish in the residue phase and each is unscaled over its own
+        # degrees only.
         monkeypatch.setattr(diffop, "SWITCH_MARGIN", 0.5)
         entered = []
         real = diffop._unscale

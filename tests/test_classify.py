@@ -105,6 +105,11 @@ class TestEtaProducts:
     def test_nine_one_head(self):
         assert eta_expansion(BUILTIN_FORMS["9/1"], 7) == ETA_9_1_HEAD
 
+    def test_delta_gives_ramanujan_tau(self):
+        # eta(q)^24 = sum tau(n) q^n, tau known independently of any expansion
+        assert eta_expansion(((1, 24),), 7) == [0, 1, -24, 252, -1472, 4830,
+                                                -6048, -16744]
+
     def test_empty_product_is_one(self):
         assert eta_expansion((), 5) == [1, 0, 0, 0, 0, 0]
 

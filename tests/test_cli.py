@@ -1264,6 +1264,10 @@ def bad_operators(tmp_path):
      "error: --smax must be <= 9, not 10\n"),
     ("congruence --sequence zz --prime 5 --nmax 1000000000", 2,
      "error: --nmax must be <= 50000, not 1000000000\n"),
+    # a prime above --nmax would compare nothing at any s
+    ("congruence --sequence c --prime 2003 --nmax 2000 --smax 1", 2,
+     "error: --prime 2003 is above --nmax 2000, so no two n <= 2000 share a "
+     "class mod p\n"),
     ("frob --operator {coeff_inf} --prime 7 --point 2 --no-cache", 2,
      "coeff_inf.json': not an integer: inf\n"),
     ("table --operator {coeff_inf} --primes 7 --no-cache", 2,

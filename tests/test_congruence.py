@@ -85,6 +85,14 @@ class TestCheckDworkCongruence:
             [c * (n + 1) for n, c in enumerate(apery[:200])], 5, 1, 2000)
         assert "FAILURES" in bad["summary"]
 
+    def test_summary_says_when_nothing_was_compared(self, apery):
+        # 13^3 = 2197 > 2000 puts every n <= 2000 in a class of its own
+        report = check_dwork_congruence(apery, 13, 3, 2000)
+        assert report["checked"] == 0 and report["ok"]
+        assert report["summary"] == ("p=13 s=3 n<=2000: 0 ratios checked, "
+                                     "nothing to compare since 13^3 = 2197 "
+                                     "> n_max")
+
     def test_ok_is_equivalent_to_no_failures(self, apery):
         good = check_dwork_congruence(apery, 5, 1, 200)
         bad = check_dwork_congruence(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcy import diffop
-from frobcy.catalog import CATALOG
+from frobcy.catalog import CATALOG, catalog_wedge
 from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_cy5,
                            check_mum, leading_symbol, solve_series,
                            symbol_roots_mod_p)
@@ -261,6 +261,26 @@ def test_batched_run_equals_separate_calls(name, wedge, integral, margin,
     assert len(batched) == len(targets)
     for got, (p, K, N) in zip(batched, targets):
         assert same_outcome(op, got, p, K, N)
+
+
+@pytest.mark.parametrize("margin", [0.5, diffop.SWITCH_MARGIN])
+def test_finished_primes_keep_their_digits(margin, monkeypatch):
+    # table_wide's targets on A*a's stored wedge.  Q is computed once, so
+    # the primes 3 and 5 keep their digits in it after their targets end at
+    # N = 80 and 124.  At margin 0.5 the run is in the residue phase by
+    # then; at the default margin it switches later, with those digits in Q.
+    entered = []
+    real = diffop._unscale
+    monkeypatch.setattr(diffop, "_unscale", lambda out, us, n0, m: (
+        entered.append(n0), real(out, us, n0, m)))
+    op = catalog_wedge("A*a")
+    targets = [(3, 4, 80), (5, 3, 124), (7, 3, 342)]
+    with mock.patch.object(diffop, "SWITCH_MARGIN", margin):
+        batched = solve_series(op, 342, targets=targets, integral=True)
+    assert batched == [solve_series(op, N, targets=[(p, K, N)])[0]
+                       for p, K, N in targets]
+    if margin < 1:  # the residue phase began before the first target ended
+        assert entered and max(entered) < 80
 
 
 # -- self-duality conditions ---------------------------------------------------------
