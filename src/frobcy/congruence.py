@@ -43,8 +43,10 @@ def check_dwork_congruence(coeffs: Sequence[int], p: int, s: int,
     are skipped and reported.  Returns the report that ``frobcy congruence``
     prints: ``power`` (s), ``n_max``, ``checked``, ``skipped``, ``failures``
     (each ``{"n", "got", "expected"}``), ``ok`` (no failure) and a one-line
-    ``summary``, which says so when p^s > n_max puts every n in a class of
-    its own, so that no ratio can be compared.
+    ``summary``.  When no ratio is compared the summary says so, and why:
+    p^s > n_max puts every n in a class of its own, or else no two n with a
+    unit denominator share a class (c(floor(n/p)) == 0 mod p for every
+    n >= p, say).
     """
     if s < 1:
         raise ValueError("congruence power s must be >= 1")
@@ -65,6 +67,8 @@ def check_dwork_congruence(coeffs: Sequence[int], p: int, s: int,
         if ratio != first[key]:
             failures.append({"n": n, "got": ratio, "expected": first[key]})
     status = (f"nothing to compare since {p}^{s} = {ps} > n_max" if ps > n_max
+              else f"nothing to compare since no two n with a unit "
+                   f"denominator share a class mod {p}^{s} = {ps}" if not checked
               else f"{len(failures)} FAILURES" if failures else "ok")
     skip = f", {len(skipped)} skipped (non-unit denominator)" if skipped else ""
     return {"power": s, "n_max": n_max, "checked": checked, "skipped": skipped,

@@ -27,14 +27,15 @@ The admissible pairs are
     (1 - chi p T)(1 - chi p^2 T)(1 - a_p T + p^3 T^2) with chi = +-1 and
     a_p^2 <= 4 p^3.
 
-Every precision is the least s at which residues mod p^s tell apart a
-finite set of integer pairs.  The coefficient box |a| <= A, |b| <= B
+Every precision is the least s with p^s > W, the width of the set of
+integers it tells apart mod p^s.  The coefficient box |a| <= A, |b| <= B
 (``_box``) has A = 4 p^(3/2), B = 6 p^2 off the singular fibers and
 A = p^2 + p + 2 p^(3/2), B = 2 p^2 + 2 (1+p) p^(3/2) on them.
 ``required_precision``, where every row starts, separates the Weil-shape
-pairs.  A cell that fits zero or several pairs (at p = 5, s = 3 a split
-point can fit (-8, 43) and (-8, -82)) raises ``Uncertified`` and escalates
-to s + 1, up to ``box_precision``, which separates the box: there the
+pairs: W = max(2 A, 4 p^2) with the A off the fibers.  A cell that fits
+zero or several pairs (at p = 5, s = 3 a split point can fit (-8, 43) and
+(-8, -82)) raises ``Uncertified`` and escalates to s + 1, up to
+``box_precision``, which separates the box, W = 2 max(A, B): there the
 balanced lift is the one pair of the box that fits, and an in-box pair
 outside the admissible set is returned as it is, for the classifier to
 report as inconsistent.
@@ -45,7 +46,6 @@ family y^2 = x(x-1)(x-s0), whose trace satisfies |a_p| <= 2 sqrt(p).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 from typing import List, Sequence, Tuple
 
@@ -70,7 +70,7 @@ class SingularFiber(UsageError, ArithmeticError):
     usage error."""
 
 
-# -- the coefficient box, the admissible set and the precision policy ------------------
+# -- the coefficient box and the precision policy ------------------------------------
 
 
 def _box(p: int, at_singular_fiber: bool) -> Tuple[int, int]:
@@ -99,70 +99,39 @@ def _weil_b_range(a: int, p: int) -> Tuple[int, int]:
     return lo, hi
 
 
-@lru_cache(maxsize=None)
-def _admissible(p: int, at_singular_fiber: bool) -> Tuple[Tuple[int, int, int], ...]:
-    """The admissible set as (a, lo, hi) runs: pairs (a, lo..hi).  Weil-shape
-    runs and split points are disjoint (a split quartic carries the linear
-    coefficient p + p^2 > 2 p^(3/2))."""
-    amax = _box(p, False)[0]
-    runs = [(a, *_weil_b_range(a, p)) for a in range(-amax, amax + 1)]
-    runs = [r for r in runs if r[1] <= r[2]]
-    if at_singular_fiber:
-        bound = isqrt(4 * p**3)
-        for chi in (1, -1):
-            for ap in range(-bound, bound + 1):
-                b = 2 * p * p + chi * (1 + p) * ap
-                runs.append((-ap - chi * (p + p * p), b, b))
-    return tuple(runs)
-
-
-def _injective(runs: Tuple[Tuple[int, int, int], ...], m: int) -> bool:
-    """No two distinct pairs of the runs agree mod m in both coordinates."""
-    classes: dict = {}
-    for a, lo, hi in runs:
-        if hi - lo >= m:
-            return False
-        classes.setdefault(a % m, []).append((lo, hi))
-    for spans in classes.values():
-        for i, (lo1, hi1) in enumerate(spans):
-            for lo2, hi2 in spans[i + 1:]:
-                # some b2 - b1 in [lo2 - hi1, hi2 - lo1] is a multiple of m
-                if (hi2 - lo1) // m * m >= lo2 - hi1:
-                    return False
-    return True
-
-
-def _separating_precision(p: int, runs: Tuple[Tuple[int, int, int], ...]) -> int:
-    """Least s at which residues mod p^s tell apart the pairs of the runs."""
+def _digits(p: int, width: int) -> int:
+    """Least s with p^s > width, the number of base-p digits of width."""
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     s = 1
-    while not _injective(runs, p**s):
+    while p**s <= width:
         s += 1
     return s
 
 
-@lru_cache(maxsize=None)
 def required_precision(p: int) -> int:
-    """Least s at which residues mod p^s tell apart the Weil-shape pairs:
-    the starting precision of every row.
+    """Least s at which residues mod p^s tell apart the Weil-shape pairs, so
+    that every cell off the singular fibers decodes to exactly one pair: the
+    starting precision of every row, the least s with p^s > max(2 A, 4 p^2)
+    for the A of ``_box(p, False)``.
 
-    At that s every cell off the singular fibers decodes to exactly one
-    pair.  The values for p = 3, 5, 7, 11, 13, 17 are 4, 3, 3, 3, 3, 3, and
-    s = 3 for every larger prime.
+    At a = 0 the Weil-shape b fill [-2 p^2, 2 p^2], 4 p^2 + 1 values, so no
+    s with p^s <= 4 p^2 separates them.  Every other a has a narrower
+    b-range, hi - lo <= 4 p^2 - |a| (2 sqrt(p) - |a| / 4p), and the a
+    themselves fill -A..A, so p^s > max(2 A, 4 p^2) separates every pair.
+    No power of p lies in (4 p^2, 2 A]: for p >= 5 the interval is empty,
+    as 2 A <= 8 p^(3/2) <= 4 p^2, and at p = 3 it is (36, 40].  So s = 4
+    at p = 3 and s = 3 at every larger prime.
     """
-    return _separating_precision(p, _admissible(p, False))
+    return _digits(p, max(2 * _box(p, False)[0], 4 * p * p))
 
 
 def box_precision(p: int, want_singular: bool = False) -> int:
     """Least s at which residues mod p^s tell apart the pairs of the box
-    |a| <= A, |b| <= B (``_box``, the fiber box when ``want_singular``): the
-    escalation ceiling, where each balanced lift is the one pair of its box
-    that fits the residues."""
-    A, B = _box(p, want_singular)
-    # a box is told apart exactly when each side is; as runs its sides are
-    # the pairs (0, -A..A) and (1, -B..B), in distinct classes mod p^s
-    return _separating_precision(p, ((0, -A, A), (1, -B, B)))
+    |a| <= A, |b| <= B (``_box``, the fiber box when ``want_singular``), so
+    p^s > 2 max(A, B): the escalation ceiling, where each balanced lift is
+    the one pair of its box that fits the residues."""
+    return _digits(p, 2 * max(_box(p, want_singular)))
 
 
 # -- unit roots and assembly --------------------------------------------------------
@@ -196,12 +165,24 @@ def _balanced_pair(r1: int, rh: int, p: int, s: int) -> Tuple[int, int]:
 
 def decode_frobenius(a: int, b: int, p: int, s: int,
                      at_singular_fiber: bool = False) -> List[Tuple[int, int]]:
-    """The candidate list: every admissible pair congruent to (a, b) mod p^s.
-    Exactly one candidate certifies the cell."""
-    m = p**s
-    return [(x, y) for x, lo, hi in _admissible(p, at_singular_fiber)
-            if (x - a) % m == 0
-            for y in range(lo + (b - lo) % m, hi + 1, m)]
+    """The candidate list: every admissible pair congruent to (a, b) mod p^s,
+    read off the lifts of the residues.  Exactly one candidate certifies the
+    cell.  The Weil-shape pairs come first, by a and then b: each lift x of a
+    in [-A, A] with the lifts of b in ``_weil_b_range(x, p)``.  On a fiber
+    the split pairs follow, chi = 1 before chi = -1: each lift a_p of
+    -a - chi (p + p^2) in [-2 p^(3/2), 2 p^(3/2)] whose b fits too."""
+    m, amax = p**s, _box(p, False)[0]
+    found = [(x, y) for x in range(-amax + (a + amax) % m, amax + 1, m)
+             for lo, hi in [_weil_b_range(x, p)]
+             for y in range(lo + (b - lo) % m, hi + 1, m)]
+    if at_singular_fiber:
+        bound = isqrt(4 * p**3)
+        for chi in (1, -1):
+            c = chi * (p + p * p)                   # a = -a_p - c
+            aps = range(-bound + (bound - a - c) % m, bound + 1, m)
+            found += [(-ap - c, y) for ap in aps
+                      for y in [2 * p * p + chi * (1 + p) * ap] if (y - b) % m == 0]
+    return found
 
 
 def assemble_frobenius(r1: int, rh: int, p: int, s: int,
@@ -251,8 +232,7 @@ def weil_verify(a: int, b: int, p: int) -> bool:
 def legendre_precision(p: int) -> int:
     """Least s at which residues mod p^s tell apart the traces
     |a_p| <= isqrt(4 p), the floor of 2 sqrt(p)."""
-    bound = isqrt(4 * p)
-    return _separating_precision(p, ((0, -bound, bound),))
+    return _digits(p, 2 * isqrt(4 * p))
 
 
 def legendre_unit_root(p: int, s0: int) -> int:

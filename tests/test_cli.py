@@ -1041,6 +1041,21 @@ class TestCmdCongruence:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    def test_report_that_compares_nothing_says_so(self, capsys):
+        # D*g at p = 5: c(floor(n/5)) == 0 (mod 5) for every n >= 5, so no
+        # ratio is compared at any s; ok (no failure) and exit 0 stand
+        code, out, _ = run(["congruence", "--sequence", "D*g", "--prime", "5",
+                            "--nmax", "200", "--smax", "3"], capsys)
+        assert code == 0
+        got = json.loads(out)
+        assert got["ok"] is True
+        for s, report in enumerate(got["reports"], 1):
+            assert report["checked"] == 0 and report["ok"] is True
+            assert report["summary"] == (
+                f"p=5 s={s} n<=200: 0 ratios checked, nothing to compare "
+                f"since no two n with a unit denominator share a class mod "
+                f"5^{s} = {5**s}, 196 skipped (non-unit denominator)")
+
     def test_unknown_sequence_is_usage_error(self, capsys):
         code, _, err = run(["congruence", "--sequence", "zz", "--prime", "5"],
                            capsys)

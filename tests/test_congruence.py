@@ -93,6 +93,20 @@ class TestCheckDworkCongruence:
                                      "nothing to compare since 13^3 = 2197 "
                                      "> n_max")
 
+    def test_summary_says_when_no_unit_denominators_share_a_class(self):
+        # c(n) == 0 (mod 5) for n >= 1 leaves a unit denominator only at
+        # n < 5, one per class mod 5^s: nothing is compared though
+        # 5^s <= n_max, and the summary must not read "ok"
+        coeffs = [1] + [5] * 200
+        for s in (1, 2, 3):
+            report = check_dwork_congruence(coeffs, 5, s, 200)
+            assert report["checked"] == 0 and report["ok"]
+            assert len(report["skipped"]) == 196
+            assert report["summary"] == (
+                f"p=5 s={s} n<=200: 0 ratios checked, nothing to compare "
+                f"since no two n with a unit denominator share a class mod "
+                f"5^{s} = {5**s}, 196 skipped (non-unit denominator)")
+
     def test_ok_is_equivalent_to_no_failures(self, apery):
         good = check_dwork_congruence(apery, 5, 1, 200)
         bad = check_dwork_congruence(

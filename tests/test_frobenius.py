@@ -4,21 +4,22 @@ and the elliptic one-dimensional baseline."""
 import cmath
 import pickle
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from frobcy import frobenius
 from frobcy.catalog import CATALOG
 from frobcy.congruence import OutsideUnitDisk
 from frobcy.diffop import solve_series
 from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
-                              _admissible, _balanced_pair, _box, _injective,
-                              assemble_frobenius, box_precision,
-                              decode_frobenius, frobenius_quartic,
-                              legendre_frobenius, legendre_precision,
-                              legendre_unit_root, required_precision,
+                              _balanced_pair, _box, assemble_frobenius,
+                              box_precision, decode_frobenius,
+                              frobenius_quartic, legendre_frobenius,
+                              legendre_precision, legendre_unit_root,
+                              required_precision,
                               unit_roots, weil_verify)
 from frobcy.padic import NotAUnit, is_odd_prime
 from frobcy.series import cache_series
@@ -46,10 +47,20 @@ def frobenius_from_operator(op, p: int, z0: int, s: int):
     return assemble_frobenius(*unit_roots(f0, F0, z0, p, s), p, s)
 
 
+def split_pairs(p: int):
+    """The pairs of (1 - chi p T)(1 - chi p^2 T)(1 - a_p T + p^3 T^2), chi = 1
+    and then chi = -1, each by a_p with a_p^2 <= 4 p^3."""
+    bound = isqrt(4 * p**3)
+    for chi in (1, -1):
+        for ap in range(-bound, bound + 1):
+            yield -ap - chi * (p + p * p), 2 * p * p + chi * (1 + p) * ap
+
+
 def admissible_pairs(p: int, with_split: bool):
     """Every admissible pair, by filtering an envelope with ``weil_shape``:
     alpha + beta = a and |alpha|, |beta| <= 2 p^(3/2) confine
-    alpha beta = b p - 2 p^3 to [2 |a| p^(3/2) - 4 p^3, a^2 / 4]."""
+    alpha beta = b p - 2 p^3 to [2 |a| p^(3/2) - 4 p^3, a^2 / 4].  The
+    Weil-shape pairs come by a and then b, then the split pairs."""
     amax = isqrt(16 * p**3)
     for a in range(-amax, amax + 1):
         lo = -2 * p * p + 2 * abs(a) * isqrt(p) - 1
@@ -58,10 +69,21 @@ def admissible_pairs(p: int, with_split: bool):
             if weil_shape(a, b, p):
                 yield a, b
     if with_split:
-        bound = isqrt(4 * p**3)
-        for chi in (1, -1):
-            for ap in range(-bound, bound + 1):
-                yield -ap - chi * (p + p * p), 2 * p * p + chi * (1 + p) * ap
+        yield from split_pairs(p)
+
+
+@lru_cache(maxsize=None)
+def admissible_list(p: int, with_split: bool):
+    """``admissible_pairs`` enumerated once per (p, with_split)."""
+    return tuple(admissible_pairs(p, with_split))
+
+
+def congruent_pairs(a: int, b: int, p: int, s: int, with_split: bool):
+    """The admissible pairs congruent to (a, b) mod p^s, in the order of
+    ``admissible_pairs``: the decoder's candidate list by enumeration."""
+    m = p**s
+    return [(x, y) for x, y in admissible_list(p, with_split)
+            if (x - a) % m == 0 and (y - b) % m == 0]
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +101,13 @@ def aa_series():
 
 def split_precision(p: int) -> int:
     """Least s at which the admissible set with the split pairs is
-    injective mod p^s: the precision that settles every split-point cell."""
-    s = 1
-    while not _injective(_admissible(p, True), p**s):
+    injective mod p^s: the precision that settles every split-point cell.
+    The Weil-shape pairs are told apart from ``required_precision`` on, so
+    from there the set is injective once every split pair decodes to itself
+    alone."""
+    s = required_precision(p)
+    while any(len(decode_frobenius(a, b, p, s, True)) > 1
+              for a, b in split_pairs(p)):
         s += 1
     return s
 
@@ -97,8 +123,14 @@ class TestRequiredPrecision:
         assert {p: split_precision(p) for p in PRIMES} \
             == {3: 4, 5: 4, 7: 3, 11: 3, 13: 3, 17: 3}
         for p in PRIMES + (19, 23, 29):
-            assert _injective(_admissible(p, True),
-                              p ** required_precision(p)) == (p != 5)
+            assert (split_precision(p) == required_precision(p)) == (p != 5)
+
+    def test_width_rule_below_5000(self):
+        # the docstring's claim: p^s > max(2 A, 4 p^2) first at s = 4 for
+        # p = 3 and at s = 3 for every larger prime
+        assert required_precision(3) == 4
+        for p in ODD_PRIMES_BELOW_5000[1:]:
+            assert required_precision(p) == 3, p
 
     def test_boundary_arithmetic(self):
         # At a = 0 the Weil-shape b fill [-2p^2, 2p^2]: 4p^2 + 1 values, more
@@ -344,15 +376,31 @@ class TestAssembleFrobenius:
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is Uncertified and str(back) == str(err)
 
-    @pytest.mark.parametrize("p,s", [(3, 2), (5, 2), (7, 2), (5, 3)])
+    # s = 1, 2, 3 and one digit past the box of either fiber flag
+    @pytest.mark.parametrize("p,s", [
+        (p, s) for p in (3, 5, 7)
+        for s in (1, 2, 3, max(box_precision(p, f) for f in (False, True)) + 1)])
     def test_decoder_matches_enumeration(self, p, s):
-        m = p**s
-        pairs = {fiber: list(admissible_pairs(p, fiber)) for fiber in (False, True)}
+        # the candidate list is the enumeration's, in its order
         for a, b in [(0, 0), (3, -7), (12, 40), (-8, 43), (31, 1)]:
             for fiber in (False, True):
-                want = sorted(x for x in pairs[fiber]
-                              if (x[0] - a) % m == 0 and (x[1] - b) % m == 0)
-                assert sorted(decode_frobenius(a, b, p, s, fiber)) == want
+                assert decode_frobenius(a, b, p, s, fiber) == \
+                    congruent_pairs(a, b, p, s, fiber), (a, b, fiber)
+
+    @settings(deadline=None)
+    @given(st.sampled_from([3, 5, 7]), st.booleans(), st.data())
+    def test_decoder_matches_enumeration_at_drawn_residues(self, p, fiber,
+                                                           data):
+        # residues drawn at random and as lifts of an admissible pair
+        s = data.draw(st.integers(1, box_precision(p, fiber) + 1))
+        m = p**s
+        a0, b0 = data.draw(st.sampled_from(admissible_list(p, fiber)))
+        shift = st.integers(-3, 3).map(lambda k: k * m)
+        anywhere = st.integers(-2 * m, 2 * m)
+        for a, b in [(a0 + data.draw(shift), b0 + data.draw(shift)),
+                     (data.draw(anywhere), data.draw(anywhere))]:
+            assert decode_frobenius(a, b, p, s, fiber) == \
+                congruent_pairs(a, b, p, s, fiber)
 
     def test_tate_type_roots_evaluate_symbolically(self):
         # r1 = rh = 1 makes the four reciprocal roots 1, p, p^2, p^3
