@@ -11,24 +11,26 @@ solution of a MUM operator (P_0 = theta^n) is produced by the recurrence
 
 with exact big integers, every division checked, as the plain list c_0 ..
 c_N: exact integers, or residues mod p^K whose p and K the caller keeps.
-Each step reads a row of the P_i(m) tabulated before the run.  A caller
-that knows the series to be integral and wants it only mod prime powers
-lets the run leave exact integers for residues mod a modulus computed before
-the run, once these are the narrower (the residue phase).
+Each step reads a row of the P_i(m), streamed by forward differences, so no
+table of rows is kept.  A caller that knows the series to be integral and
+wants it only mod prime powers lets the run leave exact integers for
+residues mod a modulus computed before the run, once these are the narrower
+(the residue phase).
 
 The self-duality check ``check_cy5`` never leaves the theta form: the
 operator is compared with its twisted adjoint as coefficient tables in
-Z[z][theta] (see ``_is_self_dual``).
+Z[z][theta], and row by row when the twist is trivial, as it is for every
+stored catalog wedge (see ``_is_self_dual``).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd
-from operator import add, mul
-from typing import List, Optional, Sequence, Tuple
+from operator import mul, sub
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import FrobcyError
 from .polyrat import (IntPoly, poly_add, poly_mul, poly_scale, poly_sub,
@@ -215,6 +217,24 @@ def _unscale(out: list, us: Sequence[int], n0: int, m: int) -> None:
         inv = inv * us[n - n0 - 1] % m
 
 
+def _column(poly: Sequence[int], m: int) -> Iterator[int]:
+    """P(m), P(m + 1), ... without end, by forward differences.  The first
+    deg P + 1 values give the head Delta^k P(m) of the difference table;
+    Delta^(deg P) P is constant, and each Delta^k P below it is the running
+    sum of Delta^(k+1) P from Delta^k P(m)."""
+    deg = max((j for j, c in enumerate(poly) if c), default=0)
+    values = [sum(c * x**j for j, c in enumerate(poly))
+              for x in range(m, m + deg + 1)]
+    head = []
+    while values:
+        head.append(values[0])
+        values = list(map(sub, values[1:], values))
+    col = repeat(head.pop())
+    for h in reversed(head):
+        col = accumulate(col, initial=h)
+    return col
+
+
 def solve_series(op: ThetaOperator, N: int, *,
                  targets: Optional[Sequence[Target]] = None,
                  integral: bool = False):
@@ -222,9 +242,11 @@ def solve_series(op: ThetaOperator, N: int, *,
 
     The recurrence runs on exact big integers; every division must be exact
     (NonIntegralSolution otherwise).  A step reads the row (P_1(n-1), ...,
-    P_w(n-w)), tabulated before the run, against the window c_(n-1), ...,
-    c_(n-w).  Without ``targets`` the result is the exact list c_0 .. c_N,
-    and a failure raises.
+    P_w(n-w)) against the window c_(n-1), ..., c_(n-w).  Each column
+    P_i(1-i), P_i(2-i), ... is streamed by forward differences from its
+    first deg P_i + 1 values (``_column``), so the rows are made as the run
+    reads them and none is kept.  Without ``targets`` the result is the
+    exact list c_0 .. c_N, and a failure raises.
 
     ``targets`` batches one run for several truncations: a list of
     (p, K, N_t) with N_t <= N, whose coefficients are stored reduced mod p^K
@@ -274,15 +296,8 @@ def solve_series(op: ThetaOperator, N: int, *,
                   key=lambda t: t[0], reverse=True)
     w = max(op.z_degree, 1)
     order = op.theta_order
-    # lead[n] = P_0(n) and rows[n] = (P_1(n-1), ..., P_w(n-w)), from one
-    # Horner pass per coefficient over m = -w .. N
-    ms, cols = range(-w, N + 1), []
-    for i in range(w + 1):
-        col = [0] * len(ms)
-        for c in reversed(op.theta_poly(i)):
-            col = list(map(add, map(mul, col, ms), repeat(c)))
-        cols.append(col[w - i:w - i + N + 1])
-    lead, rows = cols[0], list(zip(*cols[1:]))
+    # P_0(n) and the row (P_1(n-1), ..., P_w(n-w)) of each degree n >= 1
+    cols = [_column(op.theta_poly(i), 1 - i) for i in range(w + 1)]
     window = [1] + [0] * (w - 1)  # c_(n-1), ..., c_(n-w)
     Q = 1  # the residue modulus of an integral run of residue targets
     gs: dict = {}  # m -> g, the part of m^order made of the target primes
@@ -300,12 +315,12 @@ def solve_series(op: ThetaOperator, N: int, *,
     residues = False  # whether the window holds X_(n-i) D_(n-1) / D_(n-i)
     us: List[int] = []  # u_n of each residue step; D_n is their product
     failure = None
-    for n in range(1, N + 1):
+    for n, lead, row in zip(range(1, N + 1), cols[0], zip(*cols[1:])):
         while live and live[-1][0] < n:
             live.pop()
         if not live:
             break
-        s = sum(map(mul, rows[n], window))
+        s = sum(map(mul, row, window))
         if residues:
             g = gs.get(n, 1)
             if g > 1:
@@ -320,11 +335,11 @@ def solve_series(op: ThetaOperator, N: int, *,
                     break
                 Q //= g
             cn = -s % Q
-            u = lead[n] // g
+            u = lead // g
             us.append(u)
             window = [cn] + [y * u for y in window[:-1]]
         else:
-            cn, rem = divmod(-s, lead[n])
+            cn, rem = divmod(-s, lead)
             if rem:
                 failure = NonIntegralSolution(
                     f"coefficient c_{n} is not an integer (operator {op.name or '?'})"
@@ -368,12 +383,28 @@ def _is_self_dual(op: ThetaOperator) -> bool:
     (n even) or anti-self-adjoint (n odd).  Only rho enters: with
     E_k = (n Delta)^k (theta + rho)^k expanded in Z[z][theta], both sides are
     multiplied by (n Delta)^n and compared coefficient by coefficient.
+
+    When rho's numerator is zero, T = 1 and E_k = (n Delta)^k theta^k, so
+    the two sides agree iff M^+ = (-1)^n M once the nonzero (n Delta)^n is
+    cancelled, that is iff P_i(-theta - i) = (-1)^n P_i(theta) for every
+    row i: the rows are compared as they are, and no E_k is expanded.
     """
     n = op.theta_order
+    sign = -1 if n % 2 else 1
+    # M^+ = sum_k s_k(z) x^k at x = theta, s_k = [x^k] sum_i z^i P_i(-x - i)
+    adjoint_rows = []
+    for i, row in enumerate(op.coeffs):
+        acc: IntPoly = []
+        for c in reversed(row):  # Horner in x, with theta -> -x - i
+            acc = poly_add(poly_mul(acc, [-i, -1]), [c])
+        adjoint_rows.append(acc)
     q = [op.z_poly(k) for k in range(n + 1)]
     n_delta = poly_scale(q[n], n)
     n_theta_delta = poly_scale(poly_theta(q[n]), n)
     rho_num = poly_sub(poly_scale(q[n - 1], 2), n_theta_delta)
+    if not rho_num:
+        return all(adjoint == poly_trim(poly_scale(row, sign))
+                   for adjoint, row in zip(adjoint_rows, op.coeffs))
 
     # E[k][j] = [theta^j] E_k; E_(k+1) = (n Delta)^(k+1) (theta + rho) E_k / (n Delta)^k
     E: List[List[IntPoly]] = [[[1]]]
@@ -386,13 +417,6 @@ def _is_self_dual(op: ThetaOperator) -> bool:
             nxt[j + 1] = poly_mul(n_delta, e)
         E.append(nxt)
 
-    # M^+ = sum_k s_k(z) x^k at x = theta, s_k = [x^k] sum_i z^i P_i(-x - i)
-    adjoint_rows = []
-    for i, row in enumerate(op.coeffs):
-        acc: IntPoly = []
-        for c in reversed(row):  # Horner in x, with theta -> -x - i
-            acc = poly_add(poly_mul(acc, [-i, -1]), [c])
-        adjoint_rows.append(acc)
     n_delta_pow = [[1]]
     for _ in range(n):
         n_delta_pow.append(poly_mul(n_delta_pow[-1], n_delta))
@@ -400,7 +424,6 @@ def _is_self_dual(op: ThetaOperator) -> bool:
                                   for row in adjoint_rows]), n_delta_pow[n - k])
               for k in range(n + 1)]
 
-    sign = -1 if n % 2 else 1
     for j in range(n + 1):
         lhs: IntPoly = []
         for k in range(j, n + 1):

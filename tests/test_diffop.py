@@ -11,11 +11,14 @@ from frobcy.catalog import CATALOG, catalog_wedge
 from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_cy5,
                            check_mum, leading_symbol, solve_series,
                            symbol_roots_mod_p)
+from frobcy.polyrat import (poly_add, poly_mul, poly_scale, poly_sub,
+                            poly_theta)
 from frobcy.wedge import wedge_square
 
 from horizontal import Laurent, check_cy4, stirling_table, to_monic
 
 AA = CATALOG["A*a"]
+CATALOG_NAMES = sorted(CATALOG)
 
 F0_HEAD = [1, 8, 360, 22400, 1695400, 143011008]
 BIG_F0_HEAD = [1, 44, 3652, 337712, 33909700, 3567877424]
@@ -152,14 +155,30 @@ def test_geometric_series():
     assert solve_series(geometric_op(), 10) == [1] * 11
 
 
-def test_solution_satisfies_the_recurrence():
-    N = 50
-    series = solve_series(AA, N)
-    d = AA.z_degree
+# theta^2 - 4 z^2 + z^3 theta (theta - 2) + z^4 (4 - 2 theta) annihilates
+# 1 + z^2: its P_1 is zero and its P_2 constant, so their difference tables
+# have degree 0, and any other column read one degree off leaves Z at c_3
+ZERO_AND_CONSTANT_ROWS = ThetaOperator([[0, 0, 1], [0], [-4], [0, -2, 1], [4, -2]])
+
+RECURRENCE_CASES = (
+    [pytest.param(AA, 50, id="A*a")]
+    + [pytest.param(catalog_wedge(name), 40, id=f"wedge {name}")
+       for name in CATALOG_NAMES]
+    + [pytest.param(ZERO_AND_CONSTANT_ROWS, 12, id="zero and constant rows")]
+    # shorter than the wedge's difference heads (six values per column)
+    + [pytest.param(catalog_wedge("A*a"), N, id=f"wedge A*a N={N}")
+       for N in (0, 1, 2)])
+
+
+@pytest.mark.parametrize("op, N", RECURRENCE_CASES)
+def test_solution_satisfies_the_recurrence(op, N):
+    series = solve_series(op, N)
+    assert len(series) == N + 1 and series[0] == 1
+    d = op.z_degree
     for n in range(N + 1):
         acc = 0
         for i in range(min(n, d) + 1):
-            poly = AA.theta_poly(i)
+            poly = op.theta_poly(i)
             val = 0
             for c in reversed(poly):
                 val = val * (n - i) + c
@@ -238,9 +257,6 @@ def test_batched_run_checks_its_targets():
         solve_series(AA, 8, targets=[(5, None, 8)])
 
 
-CATALOG_NAMES = sorted(CATALOG)
-
-
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(CATALOG_NAMES), wedge=st.booleans(),
        integral=st.booleans(), margin=st.sampled_from([0.25, 0.5, 1, 3]),
@@ -309,3 +325,54 @@ def test_cy5_accepts_a_degenerate_but_self_dual_operator():
     # though the operator is degenerate.
     degenerate = ThetaOperator([[0, 0, 0, 0, 0, 1], [-1, -5, -10, -10, -5, -1]])
     assert check_cy5(degenerate)
+
+
+def shifted(op: ThetaOperator, a: int) -> ThetaOperator:
+    """z^-a L z^a: each P_i(theta) becomes P_i(theta + a)."""
+    rows = []
+    for row in op.coeffs:
+        acc = []
+        for c in reversed(row):  # Horner in theta, with theta -> theta + a
+            acc = poly_add(poly_mul(acc, [a, 1]), [c])
+        rows.append(acc or [0])
+    return ThetaOperator(rows)
+
+
+def rho_numerator(op: ThetaOperator):
+    n = op.theta_order
+    return poly_sub(poly_scale(op.z_poly(n - 1), 2),
+                    poly_scale(poly_theta(op.z_poly(n)), n))
+
+
+def perturbed(op: ThetaOperator, i: int, j: int, delta: int) -> ThetaOperator:
+    rows = [list(row) for row in op.coeffs]
+    rows[i][j] += delta
+    return ThetaOperator(rows)
+
+
+# Conjugating by z^a keeps (anti-)self-adjointness and moves rho by 2a, so
+# a stored wedge (rho = 0, compared row by row) and its conjugate (the
+# general E_k comparison) must get the same verdict.
+SHIFTS = [-2, 1, 3]
+
+
+@pytest.mark.parametrize("a", SHIFTS)
+def test_self_duality_verdict_survives_conjugation_by_a_power_of_z(a):
+    verdicts = []
+    for name in CATALOG_NAMES:
+        wedge = catalog_wedge(name)
+        assert not rho_numerator(wedge) and rho_numerator(shifted(wedge, a))
+        for op in (wedge, perturbed(wedge, 3, 0, 1), perturbed(wedge, 2, 5, -1)):
+            verdict = diffop._is_self_dual(op)
+            assert diffop._is_self_dual(shifted(op, a)) == verdict
+            verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(CATALOG_NAMES), i=st.integers(0, 4),
+       j=st.integers(0, 5), delta=st.integers(-3, 3).filter(bool),
+       a=st.sampled_from(SHIFTS))
+def test_perturbed_wedge_keeps_its_verdict_under_conjugation(name, i, j, delta, a):
+    op = perturbed(catalog_wedge(name), i, j, delta)
+    assert diffop._is_self_dual(shifted(op, a)) == diffop._is_self_dual(op)
