@@ -244,15 +244,15 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
     ``points``, or the exception that the row raised.
 
     With ``precision`` None each row starts at ``required_precision(p)``,
-    which settles every point off the singular fibers.  Per role, the wedge
-    first, the series of every pending row come from one ``cache_series``
-    batch at (p, s), through the disk cache in ``cache_dir`` or solved
-    afresh when it is None, and are shared by the row's points; a row whose
-    wedge failed asks for no series of its own.  A point whose residues fit
-    zero or several admissible pairs (split pairs count where the leading
-    symbol vanishes mod p) escalates: it is classified again at s + 1 in the
-    next batch (``escalated`` marks it), until ``box_precision``, where
-    every balanced lift is settled.  With an integer ``precision`` every row
+    which settles every point off the singular fibers.  Both series of
+    every pending row, at its (p, s), come from one ``cache_series`` call,
+    through the disk cache in ``cache_dir`` or solved afresh when it is
+    None, and are shared by the row's points; a row whose series fail takes
+    their error.  A point whose residues fit zero or several admissible
+    pairs (split pairs count where the leading symbol vanishes mod p)
+    escalates: it is classified again at s + 1 in the next batch
+    (``escalated`` marks it), until ``box_precision``, where every balanced
+    lift is settled.  With an integer ``precision`` every row
     runs at that s alone, and a point it does not settle makes
     ``Uncertified`` its row's error.  A broken form fixture fails the call.
     """
@@ -265,20 +265,13 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
                    wanted[i]) for i, p in enumerate(primes)}
     escalated = False
     while pending:
-        # the wedge first: a miss builds it, which rejects an unusable op
-        # before any series work
-        rows, fetched = list(pending), {i: [] for i in pending}
-        for wedge in (True, False):
-            targets = [(primes[i], pending[i][0]) for i in rows]
-            for i, got in zip(rows, cache_series(op, wedge, targets, cache_dir)):
-                if isinstance(got, Exception):
-                    out[i] = got
-                else:
-                    fetched[i].append(got)
-            rows = [i for i in rows if out[i] is None]
         retry = {}
-        for i in rows:
-            p, (s, zs), (F0, f0), later = primes[i], pending[i], fetched[i], []
+        targets = [(primes[i], s) for i, (s, _zs) in pending.items()]
+        for i, got in zip(pending, cache_series(op, targets, cache_dir)):
+            if isinstance(got, Exception):
+                out[i] = got
+                continue
+            p, (s, zs), (F0, f0), later = primes[i], pending[i], got, []
             try:
                 for z0 in zs:
                     try:

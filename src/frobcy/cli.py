@@ -16,7 +16,8 @@ escalation, or at its ``--precision s`` alone.  Its series come from
 ``--cache-dir``, else $FROBCY_CACHE_DIR, else the platform user cache path.
 
 A table sweep runs one task per operator: one ``classify_operator`` call
-over all its primes, so per role one batch of series for all its rows.
+over all its primes, so one ``cache_series`` call for all its rows and one
+more per escalation round.
 ``--jobs k`` parallelizes over operators, so a single operator gets no
 speed-up from it.  Each worker keeps its own memos of exterior squares and
 factor runs, and results are emitted in task order, so output is

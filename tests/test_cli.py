@@ -38,8 +38,7 @@ from frobcy import series as series_module
 from frobcy.catalog import CATALOG
 from frobcy.classify import results_to_csv
 from frobcy.diffop import ThetaOperator, solve_series
-from frobcy.series import (CorruptCache, _cache_load, _cache_path,
-                           _cache_store, _header, _operator_hash)
+from frobcy.series import CorruptCache, _cache_load, _cache_store
 from frobcy.frobenius import LiftOutOfBound, frobenius_quartic
 from frobcy.wedge import wedge_square
 
@@ -113,63 +112,111 @@ class TestLoadOperator:
 # -- series cache ---------------------------------------------------------------------
 
 
+def row_key(op, p, K, byteorder=sys.byteorder) -> bytes:
+    """The key of the row (p, K) of ``op``: its JSON, p, K and a byte order."""
+    return f"{op.to_json()}:{p}:{K}:{byteorder}".encode("utf-8")
+
+
+def row_path(cache_dir, op, p, K, byteorder=sys.byteorder) -> Path:
+    """The file of a row: named by the sha256 of its key, in hex."""
+    key = row_key(op, p, K, byteorder)
+    return Path(cache_dir) / hashlib.sha256(key).hexdigest()
+
+
+def row_file(key: bytes, residues) -> bytes:
+    """A row file's bytes: the sha256 of key + body, then the body."""
+    body = array("I", residues).tobytes()
+    return hashlib.sha256(key + body).digest() + body
+
+
+def earlier_file(op, p, K, f0) -> tuple:
+    """(name, bytes) of the earlier per-role file of f0: one JSON header line
+    naming the operator's hash and the role, then the residues."""
+    h = hashlib.sha256(op.to_json().encode("utf-8")).hexdigest()
+    body = array("I", f0).tobytes()
+    header = json.dumps({
+        "operator_hash": h, "role": "op", "p": p, "K": K, "N": p**K - 1,
+        "byteorder": sys.byteorder, "sha256": hashlib.sha256(body).hexdigest(),
+    }).encode("ascii")
+    key = hashlib.sha256(f"{h}:op:{p}:{K}:{p**K - 1}".encode("ascii"))
+    return f"series-{key.hexdigest()[:40]}.json", header + b"\n" + body
+
+
+def fresh_row(op, p, K) -> tuple:
+    """(F0, f0) of the row (p, K) of ``op`` by the exact recurrences."""
+    N = p**K - 1
+    return tuple(solve_series(q, N, targets=[(p, K, N)])[0]
+                 for q in (wedge_square(op), op))
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The paths that the cache module opens, in order."""
+    seen = []
+    monkeypatch.setattr(series_module, "open",
+                        lambda path, *a: seen.append(path) or open(path, *a),
+                        raising=False)
+    return seen
+
+
 class TestCacheSeries:
     P, K = 5, 2
     N = 5**2 - 1
 
-    def one(self, op, cache_dir, wedge=False):
-        """The series at the class's one (p, s) target."""
-        got, = cli.cache_series(op, wedge, [(self.P, self.K)], cache_dir)
+    def one(self, op, cache_dir):
+        """(F0, f0) at the class's one (p, s) target."""
+        got, = cli.cache_series(op, [(self.P, self.K)], cache_dir)
         return got
 
     def fresh(self, tmp_path):
         op = CATALOG["A*a"]
         return op, self.one(op, str(tmp_path))
 
+    def path(self, tmp_path, op) -> Path:
+        return row_path(tmp_path, op, self.P, self.K)
+
+    def load(self, op, path):
+        return _cache_load(str(path), row_key(op, self.P, self.K),
+                           self.P, self.K)
+
     def test_miss_computes_and_writes(self, tmp_path):
-        op, series = self.fresh(tmp_path)
-        direct, = solve_series(op, self.N, targets=[(self.P, self.K, self.N)])
-        assert series == direct
-        files = os.listdir(tmp_path)
-        assert len(files) == 1 and files[0].startswith("series-")
-        assert not any(f.endswith(".tmp") for f in files)
+        op, row = self.fresh(tmp_path)
+        assert row == fresh_row(op, self.P, self.K)
+        assert os.listdir(tmp_path) == [self.path(tmp_path, op).name]
 
     def test_cache_file_schema(self, tmp_path):
-        # one JSON header line, then each residue in four bytes of the
-        # machine's byte order
-        op, series = self.fresh(tmp_path)
-        path = tmp_path / os.listdir(tmp_path)[0]
-        header, body = path.read_bytes().split(b"\n", 1)
-        assert list(json.loads(header).items()) == [
-            ("operator_hash", _operator_hash(op)), ("role", "op"),
-            ("p", self.P), ("K", self.K), ("N", self.N),
-            ("byteorder", sys.byteorder),
-            ("sha256", hashlib.sha256(body).hexdigest())]
+        # the sha256 of key + body, then the residues of F0 and of f0, each
+        # in four bytes of the machine's byte order
+        op, (F0, f0) = self.fresh(tmp_path)
+        raw = self.path(tmp_path, op).read_bytes()
+        body = raw[32:]
+        assert raw[:32] == hashlib.sha256(
+            row_key(op, self.P, self.K) + body).digest()
         assert array("I").itemsize == 4
+        assert len(F0) == len(f0) == self.N + 1
         assert [int.from_bytes(body[i:i + 4], sys.byteorder)
-                for i in range(0, len(body), 4)] == series
+                for i in range(0, len(body), 4)] == F0 + f0
 
     def test_hit_skips_recomputation(self, tmp_path, monkeypatch):
-        op, series = self.fresh(tmp_path)
+        op, row = self.fresh(tmp_path)
 
         def boom(*a, **k):
             raise AssertionError("cache hit must not recompute")
 
         monkeypatch.setattr(series_module, "operator_series", boom)
         again = self.one(op, str(tmp_path))
-        assert again == series
+        assert again == row
 
     def test_factor_route_stores_the_generic_bytes(self, tmp_path):
         # a catalog operator's own series is solved through its Hadamard
-        # factors; its file is byte for byte the generic recurrence's
+        # factors and its wedge's from the stored exterior square; its file
+        # is byte for byte that of the generic recurrences
         op = CATALOG["B*d"]
-        p, K, N = 7, 3, 342
-        cli.cache_series(op, False, [(p, K)], str(tmp_path / "factor"))
+        p, K = 7, 3
+        cli.cache_series(op, [(p, K)], str(tmp_path / "factor"))
         (tmp_path / "generic").mkdir()
-        h = _operator_hash(op)
-        path = Path(_cache_path(str(tmp_path / "generic"), h, "op", p, K))
-        _cache_store(str(path), h, "op", p, K,
-                     solve_series(op, N, targets=[(p, K, N)])[0])
+        path = row_path(tmp_path / "generic", op, p, K)
+        _cache_store(str(path), row_key(op, p, K), fresh_row(op, p, K))
         stored, = (tmp_path / "factor").iterdir()
         assert stored.name == path.name
         assert stored.read_bytes() == path.read_bytes()
@@ -179,169 +226,182 @@ class TestCacheSeries:
         data = json.loads(op.to_json())
         data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
         op2 = ThetaOperator.from_json(json.dumps(data))
-        assert _operator_hash(op2) != _operator_hash(op)
-        path2 = _cache_path(str(tmp_path), _operator_hash(op2), "op",
-                            self.P, self.K)
-        assert not os.path.exists(path2)  # the seeded entry cannot be reused
+        path2 = self.path(tmp_path, op2)
+        assert path2 != self.path(tmp_path, op)
+        assert not path2.exists()  # the seeded entry cannot be reused
         with pytest.raises(FileNotFoundError):
-            _cache_load(path2, _operator_hash(op2), "op", self.P, self.K)
+            self.load(op2, path2)
 
     def test_key_changes_with_parameters(self, tmp_path):
+        # another operator, p, K or byte order names another file; the file
+        # of one row copied under the name of another is refused by its
+        # digest, and the fetch solves that row afresh
         op = CATALOG["A*a"]
-        h = _operator_hash(op)
-        d = str(tmp_path)
-        paths = {_cache_path(d, h, "op", 5, 2),
-                 _cache_path(d, h, "op", 5, 3),
-                 _cache_path(d, h, "op", 7, 2),
-                 _cache_path(d, h, "wedge", 5, 2)}
-        assert len(paths) == 4
+        written = self.path(tmp_path, op)
+        others = [(op, 5, 3), (op, 7, 2), (CATALOG["B*a"], 5, 2)]
+        names = {row_path(tmp_path, *row).name for row in others}
+        names.add(row_path(tmp_path, op, 5, 2, "big" if sys.byteorder ==
+                           "little" else "little").name)
+        assert len(names | {written.name}) == 5
+        self.one(op, str(tmp_path))
+        for other, p, K in others:
+            path = row_path(tmp_path, other, p, K)
+            shutil.copyfile(written, path)
+            with pytest.raises(CorruptCache, match="digest mismatch"):
+                _cache_load(str(path), row_key(other, p, K), p, K)
+            got, = cli.cache_series(other, [(p, K)], str(tmp_path))
+            assert got == cli.cache_series(other, [(p, K)])[0]
+            assert _cache_load(str(path), row_key(other, p, K), p, K) == got
 
-    def test_file_names_of_earlier_caches_stay(self, tmp_path):
-        # the names every cache already on disk uses: a change to the shape
-        # of a request must not make every user's cache cold
-        op, _ = self.fresh(tmp_path)
-        self.one(op, str(tmp_path), wedge=True)
-        assert sorted(os.listdir(tmp_path)) == [
-            "series-30d4932fc18d2abd8d343a3b505a41698d80993e.json",  # op
-            "series-496ea9f0eb03e2da0aaa0bd41c56b5009b18a316.json",  # wedge
-        ]
+    def test_file_names_of_earlier_caches_stay(self, tmp_path, capsys, opened):
+        # a file of the earlier per-role format keeps its name and its
+        # bytes, and is never opened: the table, cold and then warm, equals
+        # an uncached one and opens only the row files
+        op = CATALOG["A*a"]
+        argv = ["table", "--operator", "A*a", "--primes", "5",
+                "--format", "json"]
+        _, uncached, _ = run(argv + ["--no-cache"], capsys)
+        (_F0, f0), = cli.cache_series(op, [(5, 3)])
+        name, raw = earlier_file(op, 5, 3, f0)
+        (tmp_path / name).write_bytes(raw)
+        for _ in ("cold", "warm"):
+            assert run(argv + ["--cache-dir", str(tmp_path)],
+                       capsys) == (0, uncached, "")
+        row = str(row_path(tmp_path, op, 5, 3))
+        assert opened == [row, row]
+        assert sorted(os.listdir(tmp_path)) == sorted([name, Path(row).name])
+        assert (tmp_path / name).read_bytes() == raw
 
     def test_wedge_series_keyed_by_source_operator(self, tmp_path):
-        op, own = self.fresh(tmp_path)
-        got = self.one(op, str(tmp_path), wedge=True)
+        op, (F0, f0) = self.fresh(tmp_path)
         direct, = solve_series(wedge_square(op), self.N,
                                targets=[(self.P, self.K, self.N)])
-        assert got == direct != own
-        h, d = _operator_hash(op), str(tmp_path)
-        op_path, wedge_path = (_cache_path(d, h, role, self.P, self.K)
-                               for role in ("op", "wedge"))
-        assert sorted(os.listdir(tmp_path)) == sorted(
-            os.path.basename(path) for path in (op_path, wedge_path))
-        header = json.loads(Path(wedge_path).read_bytes().split(b"\n", 1)[0])
-        assert (header["operator_hash"], header["role"]) == (h, "wedge")
-        assert _cache_load(wedge_path, h, "wedge",
-                               self.P, self.K) == got
-        with pytest.raises(CorruptCache, match="header mismatch"):
-            _cache_load(wedge_path, h, "op", self.P, self.K)
+        assert F0 == direct != f0
+        path = self.path(tmp_path, op)
+        assert os.listdir(tmp_path) == [path.name]
+        assert self.load(op, path) == (F0, f0)
+        # the exterior square's own key names no file and does not
+        # validate this one
+        square = wedge_square(op)
+        assert not self.path(tmp_path, square).exists()
+        with pytest.raises(CorruptCache, match="digest mismatch"):
+            self.load(square, path)
 
     def test_in_range_digit_flip_recomputed(self, tmp_path):
-        op, series = self.fresh(tmp_path)
-        h = _operator_hash(op)
-        path = _cache_path(str(tmp_path), h, "op", self.P, self.K)
-        header, body = Path(path).read_bytes().split(b"\n", 1)
-        # raise the first residue that stays a residue mod p^K, in the body
-        # alone: only the header's sha256 tells the file is damaged
-        residues = array("I", body)
-        i = next(i for i, c in enumerate(residues) if i and c + 1 < self.P**self.K)
-        residues[i] += 1
-        Path(path).write_bytes(header + b"\n" + residues.tobytes())
-        with pytest.raises(CorruptCache, match="header mismatch"):
-            _cache_load(path, h, "op", self.P, self.K)
-        again = self.one(op, str(tmp_path))
-        assert again == series
-        assert _cache_load(path, h, "op", self.P, self.K) == series
+        # raise the first residue of either half that stays a residue mod
+        # p^K, in the body alone: only the digest tells the file is damaged
+        op, row = self.fresh(tmp_path)
+        path = self.path(tmp_path, op)
+        written = path.read_bytes()
+        pK = self.P**self.K
+        for half in (0, pK):
+            residues = array("I", written[32:])
+            i = next(i for i in range(half + 1, half + pK)
+                     if residues[i] + 1 < pK)
+            residues[i] += 1
+            path.write_bytes(written[:32] + residues.tobytes())
+            with pytest.raises(CorruptCache, match="digest mismatch"):
+                self.load(op, path)
+            assert self.one(op, str(tmp_path)) == row
+            assert path.read_bytes() == written
 
     def test_truncated_file_recomputed_and_repaired(self, tmp_path, monkeypatch):
-        op, series = self.fresh(tmp_path)
-        path = tmp_path / os.listdir(tmp_path)[0]
+        op, row = self.fresh(tmp_path)
+        path = self.path(tmp_path, op)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         again = self.one(op, str(tmp_path))
-        assert again == series
+        assert again == row
         # the rewritten file now validates, so a reload needs no computation
         monkeypatch.setattr(series_module, "operator_series", None)
         third = self.one(op, str(tmp_path))
-        assert third == series
+        assert third == row
 
     def test_corrupt_load_diagnostics(self, tmp_path):
-        op, series = self.fresh(tmp_path)
-        h = _operator_hash(op)
-        path = str(tmp_path / os.listdir(tmp_path)[0])
+        op, (F0, f0) = self.fresh(tmp_path)
         P, K = self.P, self.K
+        key, path = row_key(op, P, K), self.path(tmp_path, op)
 
-        def write(residues, header=None):
-            body = array("I", residues).tobytes()
-            with open(path, "wb") as fh:
-                fh.write((header or _header(h, "op", P, K, body)) + b"\n" + body)
+        def write(residues, digest_key=key):
+            path.write_bytes(row_file(digest_key, residues))
 
         def load():
-            return _cache_load(path, h, "op", P, K)
+            return self.load(op, path)
 
-        body = array("I", series).tobytes()
-        for wrong in (_header("0" * 64, "op", P, K, body),
-                      _header(h, "wedge", P, K, body),
-                      _header(h, "op", P, K + 1, body)):
-            write(series, wrong)
-            with pytest.raises(CorruptCache, match="header mismatch"):
+        other_order = {"little": "big", "big": "little"}[sys.byteorder]
+        for wrong in (row_key(CATALOG["B*a"], P, K), row_key(op, 7, K),
+                      row_key(op, P, K + 1), row_key(op, P, K, other_order)):
+            write(F0 + f0, wrong)
+            with pytest.raises(CorruptCache, match="digest mismatch"):
                 load()
-        # a header that matches its body, over residues that are not a
-        # series mod p^K: each structural check stands on its own
-        write(series[:-1])
+        # a digest that matches its body, over residues that are not a row
+        # mod p^K: each structural check stands on its own
+        write(F0 + f0[:-1])
         with pytest.raises(CorruptCache, match="bad body length"):
             load()
-        with open(path, "wb") as fh:
-            short = body[:-1]
-            fh.write(_header(h, "op", P, K, short) + b"\n" + short)
+        short = array("I", F0 + f0).tobytes()[:-1]
+        path.write_bytes(hashlib.sha256(key + short).digest() + short)
         with pytest.raises(CorruptCache, match="bad body length"):
             load()
-        write(series[:-1] + [P**K])
-        with pytest.raises(CorruptCache, match="residue out of range"):
-            load()
-        write([0] + series[1:])
-        with pytest.raises(CorruptCache, match="residue out of range"):
-            load()
-        for raw in (b"{not json", b"\xff\xfe\xff", b"", b"\n"):
-            with open(path, "wb") as fh:
-                fh.write(raw)  # undecodable: recomputed, not a failure
-            with pytest.raises(CorruptCache, match="header mismatch"):
+        for bad in (F0[:-1] + [P**K] + f0, F0 + f0[:-1] + [P**K],
+                    [2] + F0[1:] + f0, F0 + [2] + f0[1:]):
+            write(bad)
+            with pytest.raises(CorruptCache, match="residue out of range"):
                 load()
-        again = self.one(op, str(tmp_path))
-        assert again == series
+        for raw in (b"", b"\n", bytes(32), b"{not json"):
+            path.write_bytes(raw)  # no digest of its body: recomputed
+            with pytest.raises(CorruptCache, match="digest mismatch"):
+                load()
+        assert self.one(op, str(tmp_path)) == (F0, f0)
         with pytest.raises(FileNotFoundError):
-            _cache_load(path + ".missing", h, "op", P, K)
+            self.load(op, tmp_path / "missing")
 
     def test_other_byte_order_is_a_miss(self, tmp_path):
         # a file written on a machine of the other byte order, whole and
-        # consistent, is recomputed rather than read with swapped residues
-        op, series = self.fresh(tmp_path)
-        h = _operator_hash(op)
-        path = Path(_cache_path(str(tmp_path), h, "op", self.P, self.K))
+        # consistent, has another name and is never read here; copied under
+        # this machine's name, its digest refuses it
+        op, row = self.fresh(tmp_path)
+        path = self.path(tmp_path, op)
         written = path.read_bytes()
-        residues = array("I", series)
+        other = {"little": "big", "big": "little"}[sys.byteorder]
+        residues = array("I", row[0] + row[1])
         residues.byteswap()
-        body = residues.tobytes()
-        header = json.loads(_header(h, "op", self.P, self.K, body))
-        header["byteorder"] = {"little": "big", "big": "little"}[sys.byteorder]
-        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
-        with pytest.raises(CorruptCache, match="header mismatch"):
-            _cache_load(str(path), h, "op", self.P, self.K)
-        assert self.one(op, str(tmp_path)) == series
+        foreign = row_path(tmp_path, op, self.P, self.K, other)
+        kept = row_file(row_key(op, self.P, self.K, other), residues)
+        foreign.write_bytes(kept)
+        path.unlink()
+        assert self.one(op, str(tmp_path)) == row
+        assert path.read_bytes() == written and foreign.read_bytes() == kept
+        shutil.copyfile(foreign, path)
+        with pytest.raises(CorruptCache, match="digest mismatch"):
+            self.load(op, path)
+        assert self.one(op, str(tmp_path)) == row
         assert path.read_bytes() == written
 
     def test_earlier_json_file_is_recomputed_and_overwritten(self, tmp_path,
                                                              monkeypatch):
-        # a file of the earlier format, one JSON object with the residues as
-        # decimal strings, has the same name: a miss, replaced in place
-        op, series = self.fresh(tmp_path)
-        h = _operator_hash(op)
-        path = Path(_cache_path(str(tmp_path), h, "op", self.P, self.K))
+        # a file of an earlier format under the row's name, a per-role file
+        # or one JSON object with the residues as decimal strings: a miss,
+        # solved once per series and replaced in place
+        op, row = self.fresh(tmp_path)
+        path = self.path(tmp_path, op)
         written = path.read_bytes()
-        coeffs = [str(c) for c in series]
-        path.write_text(json.dumps({
-            "operator_hash": h, "role": "op", "p": self.P, "K": self.K,
-            "N": self.N,
-            "sha256": hashlib.sha256(",".join(coeffs).encode("ascii")).hexdigest(),
-            "coeffs": coeffs}), encoding="utf-8")
-        with pytest.raises(CorruptCache, match="header mismatch"):
-            _cache_load(str(path), h, "op", self.P, self.K)
-        solves = []
+        coeffs = [str(c) for c in row[1]]
+        earlier = (earlier_file(op, self.P, self.K, row[1])[1],
+                   json.dumps({"role": "op", "p": self.P, "K": self.K,
+                               "coeffs": coeffs}).encode("utf-8"))
         real = series_module.operator_series
-        monkeypatch.setattr(series_module, "operator_series",
-                            lambda *a: solves.append(a) or real(*a))
-        assert self.one(op, str(tmp_path)) == series
-        assert len(solves) == 1
-        assert os.listdir(tmp_path) == [path.name]
-        assert path.read_bytes() == written
+        for raw in earlier:
+            path.write_bytes(raw)
+            with pytest.raises(CorruptCache, match="digest mismatch"):
+                self.load(op, path)
+            solves = []
+            monkeypatch.setattr(series_module, "operator_series",
+                                lambda *a: solves.append(a[2]) or real(*a))
+            assert self.one(op, str(tmp_path)) == row
+            assert solves == [True, False]  # the wedge first
+            assert os.listdir(tmp_path) == [path.name]
+            assert path.read_bytes() == written
 
     @pytest.mark.parametrize("damage", ["byte", "short"])
     def test_damaged_body_is_recomputed(self, damage, capsys, tmp_path):
@@ -354,9 +414,8 @@ class TestCacheSeries:
         run(argv + ["--cache-dir", str(tmp_path)], capsys)
         written = {path: path.read_bytes() for path in tmp_path.iterdir()}
         for path, raw in written.items():
-            header_end = raw.index(b"\n") + 1
-            if damage == "byte":  # c_1's first byte
-                at = header_end + 4
+            if damage == "byte":  # the first byte of F0's c_1
+                at = 32 + 4
                 path.write_bytes(raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:])
             else:
                 path.write_bytes(raw[:-4])
@@ -368,9 +427,8 @@ class TestCacheSeries:
         blocker = tmp_path / "file"
         blocker.write_text("x", encoding="utf-8")
         op = CATALOG["A*a"]
-        series = self.one(op, str(blocker / "sub"))
-        direct, = solve_series(op, self.N, targets=[(self.P, self.K, self.N)])
-        assert series == direct
+        assert self.one(op, str(blocker / "sub")) == fresh_row(op, self.P,
+                                                               self.K)
 
     def test_default_directory_from_environment(self, tmp_path, monkeypatch):
         default = argparse.Namespace(no_cache=False, cache_dir=None)
@@ -387,48 +445,60 @@ class TestCacheSeries:
 
 @pytest.fixture(scope="module")
 def aa_cache(tmp_path_factory):
-    """A*a's series at p = 3, s = 4 in a cache directory, both roles: the
-    directory, {role: (path, file bytes)} and {role: a fresh solve}."""
+    """A*a's row at p = 3, s = 4 in a cache directory: the directory, the
+    file's path and bytes, and a fresh solve of the row."""
     op = CATALOG["A*a"]
-    target = (3, 4)
     cache_dir = str(tmp_path_factory.mktemp("aa_cache"))
-    files, fresh = {}, {}
-    for role in ("op", "wedge"):
-        cli.cache_series(op, role == "wedge", [target], cache_dir)
-        path = _cache_path(cache_dir, _operator_hash(op), role, *target)
-        files[role] = path, Path(path).read_bytes()
-        fresh[role], = cli.cache_series(op, role == "wedge", [target])
-    return cache_dir, files, fresh
+    cli.cache_series(op, [(3, 4)], cache_dir)
+    path = row_path(cache_dir, op, 3, 4)
+    fresh, = cli.cache_series(op, [(3, 4)])
+    return cache_dir, path, path.read_bytes(), fresh
 
 
 @settings(max_examples=80, deadline=None)
-@given(role=st.sampled_from(["op", "wedge"]), truncate=st.booleans(),
-       data=st.data())
-def test_damaged_cache_never_changes_a_result(aa_cache, role, truncate, data):
-    # one file truncated at any byte, or any one of its bytes replaced: the
-    # series equal a fresh solve, and the rewritten file loads cleanly
-    cache_dir, files, fresh = aa_cache
-    for path, raw in files.values():
-        Path(path).write_bytes(raw)
-    path, raw = files[role]
-    # header bytes (the newline included) and body bytes equally often: a
-    # replaced body byte keeps the length, so only the sha256 catches it
-    body_at = raw.index(b"\n") + 1
-    at = data.draw(st.one_of(st.integers(0, body_at - 1),
-                             st.integers(body_at, len(raw) - 1)), label="at")
+@given(truncate=st.booleans(), data=st.data())
+def test_damaged_cache_never_changes_a_result(aa_cache, truncate, data):
+    # the row file truncated at any byte, or any one of its bytes changed:
+    # both series equal a fresh solve, and the rewritten file loads cleanly
+    cache_dir, path, raw, fresh = aa_cache
+    # digest bytes and body bytes equally often: a changed body byte keeps
+    # the length, so only the digest catches it
+    at = data.draw(st.one_of(st.integers(0, 31),
+                             st.integers(32, len(raw) - 1)), label="at")
     if truncate:
-        Path(path).write_bytes(raw[:at])
+        path.write_bytes(raw[:at])
     else:
-        # any byte, with digits drawn as often as the rest: a digit that
-        # replaces a digit keeps the header well formed
-        byte = data.draw(st.one_of(st.sampled_from(b"0123456789"),
-                                   st.integers(0, 255)), label="byte")
-        Path(path).write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
+        flip = data.draw(st.integers(1, 255), label="flip")
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:])
     op = CATALOG["A*a"]
-    for other in ("op", "wedge"):
-        got, = cli.cache_series(op, other == "wedge", [(3, 4)], cache_dir)
-        assert got == fresh[other]
-    assert _cache_load(path, _operator_hash(op), role, 3, 4) == fresh[role]
+    got, = cli.cache_series(op, [(3, 4)], cache_dir)
+    assert got == fresh
+    assert _cache_load(str(path), row_key(op, 3, 4), 3, 4) == fresh
+    assert path.read_bytes() == raw
+
+
+def test_cold_table_writes_one_file_per_row(capsys, tmp_path):
+    code, _, _ = run(["table", "--operator", "A*a", "--primes", "3,5",
+                      "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        row_path(tmp_path, CATALOG["A*a"], p, s).name for p, s in ((3, 4), (5, 3)))
+
+
+def test_warm_frob_opens_one_file_and_solves_nothing(capsys, tmp_path, opened,
+                                                     monkeypatch):
+    argv = ["frob", "--operator", "A*a", "--prime", "7", "--point", "1",
+            "--cache-dir", str(tmp_path)]
+    code, cold, _ = run(argv, capsys)
+    assert code == 0
+    del opened[:]
+
+    def refuse(*a, **k):
+        raise AssertionError("a warm query must not solve a series")
+
+    monkeypatch.setattr(catalog, "solve_series", refuse)
+    assert run(argv, capsys) == (0, cold, "")
+    assert opened == [str(row_path(tmp_path, CATALOG["A*a"], 7, 3))]
 
 
 # -- table subcommand -----------------------------------------------------------------
@@ -563,7 +633,8 @@ class TestCmdTable:
         argv = ["table", "--operator", "A*a", "--primes", "5",
                 "--cache-dir", str(tmp_path)]
         run(argv, capsys)
-        assert len(os.listdir(tmp_path)) == 2  # one series each for f0, F0
+        # one file for the row, holding both F0 and f0
+        assert os.listdir(tmp_path) == [row_path(tmp_path, CATALOG["A*a"], 5, 3).name]
 
         def boom(*a, **k):
             raise AssertionError("warm run must reuse the cache")
@@ -710,7 +781,7 @@ class TestOneRunPerRole:
         # starting s = 4, 3, 3
         assert [order for order, _t in runs] == [5, 2, 5, 2]
         assert all(t == [(3, 4, 80), (5, 3, 124), (7, 3, 342)] for _o, t in runs)
-        assert len(os.listdir(tmp_path)) == 12
+        assert len(os.listdir(tmp_path)) == 6  # one file per row
         for name in ("A*a", "A*b"):
             assert json.loads(cold)[name] == {
                 str(p): corrected_tables[name][str(p)] for p in (3, 5, 7)}
@@ -748,9 +819,20 @@ class TestOneRunPerRole:
         assert [order for order, _t in runs] == [5, 2] * 3 + [5] * 9
         assert all(t == [(3, 4, 80), (5, 3, 124), (7, 3, 342)] for _o, t in runs)
 
+    def test_failed_wedge_stores_nothing_and_runs_no_series(self, runs, capsys,
+                                                            bad_operators):
+        # an operator file whose exterior square cannot be built: its rows
+        # fail before any series run, and the cache directory stays empty
+        cache = bad_operators["cache"]
+        code, _, err = run(["table", "--operator",
+                            bad_operators["not_self_dual"], "--primes", "3,5",
+                            "--cache-dir", cache], capsys)
+        assert code == 1 and err.count("no order-5 relation") == 2
+        assert runs == [] and os.listdir(cache) == []
+
     def test_escalation_goes_through_the_cache(self, runs, capsys, tmp_path):
         # A*d at p = 5 starts at s = 3, where z = 2 fits two pairs: that cell
-        # escalates, and the s = 4 series of both roles are stored too
+        # escalates, and the s = 4 row is stored too
         cache = ["--cache-dir", str(tmp_path)]
         table = ["table", "--operator", "A*d", "--primes", "5",
                  "--format", "json"] + cache
@@ -758,10 +840,8 @@ class TestOneRunPerRole:
         assert code == 0 and json.loads(cold)["A*d"]["5"]["2"] == "(-8,-82)*"
         assert runs == [(5, [(5, 3, 124)]), (2, [(5, 3, 124)]),
                         (5, [(5, 4, 624)]), (2, [(5, 4, 624)])]
-        op_hash = _operator_hash(CATALOG["A*d"])
         assert sorted(os.listdir(tmp_path)) == sorted(
-            os.path.basename(_cache_path(str(tmp_path), op_hash, role, 5, s))
-            for role in ("op", "wedge") for s in (3, 4))
+            row_path(tmp_path, CATALOG["A*d"], 5, s).name for s in (3, 4))
         del runs[:]
         code, warm, _ = run(table, capsys)
         assert code == 0 and warm == cold and runs == []

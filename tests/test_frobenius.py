@@ -89,11 +89,10 @@ def congruent_pairs(a: int, b: int, p: int, s: int, with_split: bool):
 @pytest.fixture(scope="module")
 def aa_series():
     """{(p, s): (f0, F0)} for A*a at the precisions the tests need, from one
-    fetch per role."""
-    op = CATALOG["A*a"]
+    fetch."""
     keys = [(3, 5), (5, 4), (7, 4), (7, 5)]
-    f0s, F0s = (cache_series(op, wedge, keys) for wedge in (False, True))
-    return dict(zip(keys, zip(f0s, F0s)))
+    return {key: (f0, F0) for key, (F0, f0)
+            in zip(keys, cache_series(CATALOG["A*a"], keys))}
 
 
 # -- precision policy --------------------------------------------------------------
