@@ -178,16 +178,22 @@ def _json_tables(groups: Sequence[Tuple[str, int, List[PointClass]]]) -> str:
     return json.dumps(out, indent=1)
 
 
+def _write_output(output: str, mode: str, text: str = "") -> None:
+    """Write ``text`` to the --output file opened in ``mode``; an OSError
+    becomes the UsageError of an unwritable path."""
+    try:
+        with open(output, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {output!r}: "
+                         f"{exc.strerror or exc}") from None
+
+
 def _emit(text: str, output: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write --output {output!r}: "
-                             f"{exc.strerror or exc}") from None
+        _write_output(output, "w", text)
     else:
         sys.stdout.write(text)
 
@@ -198,10 +204,10 @@ def _emit(text: str, output: Optional[str]) -> None:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, not {args.jobs}")
-    names = list(dict.fromkeys(args.operator or ["all"]))  # once each, in order
-    if names == ["all"]:
-        names = list(CATALOG)
-    return _sweep(names, args.format, args.jobs, args)
+    names = [name for spec in args.operator or ["all"]
+             for name in (CATALOG if spec == "all" else [spec])]
+    return _sweep(list(dict.fromkeys(names)),  # once each, in order
+                  args.format, args.jobs, args)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -216,6 +222,8 @@ def _sweep(names: Sequence[str], fmt: str, jobs: int,
     ops = [(n, _load_operator(n)) for n in names]
     primes = _parse_primes(args.primes)
     cache_dir = _cache_dir(args)
+    if args.output:  # appending to probe the path keeps an existing file
+        _write_output(args.output, "a")
     tasks = [(op, primes, cache_dir) for _n, op in ops]
 
     if jobs > 1:
@@ -377,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="full (a,b) tables per operator and prime")
     sp.add_argument("--operator", action="append",
-                    help="catalog name or operator JSON file (repeatable; "
-                         "default: every catalog operator)")
+                    help="catalog name, operator JSON file, or 'all' for "
+                         "every catalog operator (repeatable; default: all)")
     sp.add_argument("--primes", default="3..17",
                     help="prime range '3..17' or list '3,5,7' (default 3..17)")
     sp.add_argument("--format", choices=("markdown", "csv", "json"),

@@ -89,7 +89,10 @@ def dwork_ratio(series: Sequence[int], z0: int, p: int, s: int) -> int:
     z0^(p-1) == 1 mod p (Fermat) and alpha^(p-1) == 1 mod p^s (the lift).
     Requires series coefficients through degree p^s - 1: a slice of a
     shorter list sums too few terms.  Raises OutsideUnitDisk when the
-    (p-1)-truncation vanishes mod p at z0.
+    (p-1)-truncation vanishes mod p at z0, or the denominator truncation
+    does.  The second needs a series that breaks Dwork's congruences: where
+    they give c(n) == c(n mod p) c(floor(n/p)) (mod p), the denominator is
+    the (s-1)-st power of the (p-1)-truncation mod p.
     """
     if s < 1:
         raise ValueError("precision s must be >= 1")
@@ -113,7 +116,7 @@ def dwork_ratio(series: Sequence[int], z0: int, p: int, s: int) -> int:
     alpha = teichmueller_residue(z0, p, ps)
     num = truncation_at(ps - 1, alpha, ps)
     den = truncation_at(p ** (s - 1) - 1, alpha, ps)
-    if den % p == 0:  # cannot happen once the probe passed; guard anyway
+    if den % p == 0:  # the probe passed, so the series breaks Dwork's congruences
         raise OutsideUnitDisk(
             f"denominator truncation vanishes mod {p} at z0 = {z0}")
     return num * pow(den, -1, ps) % ps

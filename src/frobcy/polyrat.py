@@ -4,8 +4,10 @@ An element of Z[z] is an ``IntPoly``: a list of ints in ascending degree with
 trailing zeros removed (the zero polynomial is the empty list).  It is the
 only polynomial type of the package: the ``poly_*`` functions are its ring
 operations, plus the Euler derivation theta = z d/dz, the primitive part
-and the gcd by primitive pseudo-remainders.  ``rational_roots`` finds the
-rational roots of an IntPoly with their multiplicities.
+and the gcd by primitive pseudo-remainders.  ``poly_exact_div`` is the one
+division; ``poly_divide_while`` repeats it while it stays exact, which
+gives ``rational_roots`` the multiplicity of each rational root and the
+exterior square its theta-iterates in lowest Delta-terms.
 ``solve_linear_system`` is fraction-free (Bareiss) elimination over Z[z]
 and returns Cramer numerators over one common denominator together with
 the kernel dimension of the coefficient matrix.
@@ -14,7 +16,7 @@ the kernel dimension of the coefficient matrix.
 from __future__ import annotations
 
 from math import gcd as _int_gcd
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from . import FrobcyError
 
@@ -93,6 +95,21 @@ def poly_exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return quot
 
 
+def poly_divide_while(vec: List[IntPoly], factor: IntPoly, most: int
+                      ) -> Tuple[List[IntPoly], int]:
+    """Divide every entry of ``vec`` by ``factor`` while it divides them all
+    in Z[z], at most ``most`` times; returns the quotients and the number of
+    divisions."""
+    count = 0
+    while count < most:
+        try:
+            vec = [poly_exact_div(v, factor) for v in vec]
+        except ArithmeticError:
+            break
+        count += 1
+    return vec, count
+
+
 def poly_theta(a: IntPoly) -> IntPoly:
     """theta a = z da/dz."""
     return poly_trim([i * c for i, c in enumerate(a)])
@@ -145,19 +162,6 @@ def _divisors(n: int) -> list:
     return small + large[::-1]
 
 
-def _divide_linear(c: IntPoly, a: int, b: int):
-    """c / (b z - a) in Z[z] by synthetic division from the top, or None as
-    soon as a step is not exact."""
-    q = [0] * (len(c) - 1)
-    carry = c[-1]
-    for k in range(len(c) - 2, -1, -1):
-        q[k], r = divmod(carry, b)
-        if r:
-            return None
-        carry = c[k] + a * q[k]
-    return q if carry == 0 else None
-
-
 def rational_roots(poly: IntPoly) -> tuple:
     """All rational roots with multiplicity, plus the rootless cofactor.
 
@@ -168,8 +172,8 @@ def rational_roots(poly: IntPoly) -> tuple:
 
     The search runs on the primitive integer coefficients c_0 .. c_n.  By
     Gauss's lemma a/b in lowest terms (b > 0) is a root exactly when b z - a
-    divides the polynomial in Z[z]; then a | c_0 and b | c_n, and synthetic
-    division by b z - a is exact over Z.
+    divides the polynomial in Z[z]; then a | c_0 and b | c_n, and the
+    multiplicity is the number of exact divisions by b z - a.
     """
     from fractions import Fraction
 
@@ -186,9 +190,7 @@ def rational_roots(poly: IntPoly) -> tuple:
     # ascending a/b: the key a/b * lead is an integer because b | lead
     candidates.sort(key=lambda ab: ab[0] * (lead // ab[1]))
     for a, b in candidates:
-        mult = 0
-        while len(ints) > 1 and (quot := _divide_linear(ints, a, b)) is not None:
-            ints, mult = quot, mult + 1
+        (ints,), mult = poly_divide_while([ints], [-a, b], len(ints) - 1)
         if mult:
             roots.append((Fraction(a, b), mult))
     return roots, ints

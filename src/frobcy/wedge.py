@@ -10,10 +10,10 @@ and eta := z * omega ^ (d/dz omega) = omega ^ theta omega generates it.
 ``wedge_square`` returns the minimal operator Q with Q(eta) = 0, computed
 purely by exact linear algebra over Z[z] -- the only route used; no
 closed-form product formula enters.  Module vectors are integer coefficient
-lists over powers of the leading symbol Delta, kept in lowest Delta-terms, so
-theta^k eta = v_k / Delta^(e_k) with v_k in Z[z]^6 (e = 0, 0, 0, 1, 2, 3 on
-the catalog), and the relation comes from fraction-free elimination on the
-v_k themselves.
+lists over powers of the leading symbol Delta, kept in lowest Delta-terms by
+``polyrat.poly_divide_while``, so theta^k eta = v_k / Delta^(e_k) with v_k
+in Z[z]^6 (e = 0, 0, 0, 1, 2, 3 on the catalog), and the relation comes from
+fraction-free elimination on the v_k themselves.
 It is memoized per process by the operator's JSON, so each operator's
 exterior square (and its closing ``check_cy5``) is built at most once.  The
 series of a catalog product do not build it: ``catalog`` ships the 24
@@ -27,9 +27,9 @@ from typing import Dict, List, Tuple
 
 from . import FrobcyError
 from .diffop import ThetaOperator, check_cy5, check_mum
-from .polyrat import (IntPoly, NoSolution, poly_add, poly_exact_div, poly_gcd,
-                      poly_mul, poly_pow, poly_scale, poly_sub, poly_theta,
-                      solve_linear_system)
+from .polyrat import (IntPoly, NoSolution, poly_add, poly_divide_while,
+                      poly_exact_div, poly_gcd, poly_mul, poly_pow, poly_scale,
+                      poly_sub, poly_theta, solve_linear_system)
 
 
 class UnexpectedOrder(FrobcyError, ArithmeticError):
@@ -104,20 +104,6 @@ def _theta_step(vec: List[IntPoly], m: int, delta: IntPoly,
     return out
 
 
-def _divide_while(vec: List[IntPoly], factor: IntPoly, most: int
-                  ) -> Tuple[List[IntPoly], int]:
-    """Divide every entry of ``vec`` by ``factor`` while it divides them all,
-    at most ``most`` times; returns the quotients and the number of divisions."""
-    count = 0
-    while count < most:
-        try:
-            vec = [poly_exact_div(v, factor) for v in vec]
-        except ArithmeticError:
-            break
-        count += 1
-    return vec, count
-
-
 # -- the fifth-order companion ---------------------------------------------------
 
 
@@ -163,7 +149,7 @@ def _build_wedge(op: ThetaOperator) -> ThetaOperator:
     iterates, exps = [eta], [0]
     for _ in range(5):
         vec = _theta_step(iterates[-1], exps[-1], delta, waction)
-        vec, j = _divide_while(vec, delta, exps[-1] + 1)
+        vec, j = poly_divide_while(vec, delta, exps[-1] + 1)
         iterates.append(vec)
         exps.append(exps[-1] + 1 - j)
 

@@ -1,7 +1,9 @@
 """Shared fixtures and the acceptance-criteria report.
 
 The terminal summary prints one PASS/FAIL line per numbered criterion in
-``test_acceptance.py`` so the verdict is readable at a glance.
+``test_acceptance.py`` so the verdict is readable at a glance, then the wall
+time of each test file (setup, call and teardown of its tests, so a
+session fixture counts where it is first built), slowest first.
 """
 
 from __future__ import annotations
@@ -315,9 +317,12 @@ _CRITERIA = {
 }
 
 _outcomes: dict = {}
+_file_seconds: dict = {}
 
 
 def pytest_runtest_logreport(report):
+    path = report.nodeid.split("::", 1)[0]
+    _file_seconds[path] = _file_seconds.get(path, 0.0) + report.duration
     m = re.search(r"test_acceptance\.py::test_criterion_(\d+)", report.nodeid)
     if not m:
         return
@@ -327,9 +332,15 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _outcomes:
-        return
-    terminalreporter.write_sep("=", "acceptance criteria")
-    for n in sorted(_outcomes):
-        word = "PASS" if _outcomes[n] == "passed" else "FAIL"
-        terminalreporter.write_line(f"criterion {n:2d}: {word} — {_CRITERIA[n]}")
+    write = terminalreporter.write_line
+    if _outcomes:
+        terminalreporter.write_sep("=", "acceptance criteria")
+        for n in sorted(_outcomes):
+            word = "PASS" if _outcomes[n] == "passed" else "FAIL"
+            write(f"criterion {n:2d}: {word} — {_CRITERIA[n]}")
+    if _file_seconds:
+        terminalreporter.write_sep("=", "wall time by test file")
+        for path, seconds in sorted(_file_seconds.items(),
+                                    key=lambda kv: -kv[1]):
+            write(f"{seconds:6.1f} s  {path}")
+        write(f"{sum(_file_seconds.values()):6.1f} s  all files")

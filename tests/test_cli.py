@@ -604,6 +604,51 @@ class TestCmdTable:
         assert table("A*a", "A*a") == table("A*a")
         assert table("C*a", "A*a", "C*a", "A*a") == table("C*a", "A*a")
 
+    def test_all_expands_in_place_among_other_names(self, capsys):
+        # each "all" stands for the catalog where it is given, and a name
+        # met again is dropped, so each operator is one row at its first place
+        def table(*names):
+            argv = ["table", "--primes", "3", "--format", "json", "--no-cache"]
+            for name in names:
+                argv += ["--operator", name]
+            code, out, err = run(argv, capsys)
+            assert code == 0 and err == ""
+            return json.loads(out)
+
+        mixed = table("B*a", "all", "A*a", "all")
+        assert list(mixed) == ["B*a"] + [n for n in CATALOG if n != "B*a"]
+        assert mixed == table("all")
+
+    @pytest.mark.parametrize("command", ["table", "classify"])
+    def test_unwritable_output_fails_before_any_row(self, command, capsys,
+                                                    monkeypatch, tmp_path):
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, "classify_operator", no_row)
+        target = str(tmp_path / "missing" / "out.txt")
+        code, out, err = run([command, "--operator", "D*g", "--primes", "29",
+                              "--no-cache", "--output", target], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot write --output {target!r}: "
+                       f"No such file or directory\n")
+
+    @pytest.mark.parametrize("command", ["table", "classify"])
+    def test_output_probe_keeps_an_existing_file(self, command, capsys,
+                                                 monkeypatch, tmp_path):
+        # the path is checked before any row without truncating it, so a
+        # run that fails before its emission leaves the file as it was
+        def failing(*args, **kwargs):
+            raise FrobcyError("synthetic failure before emission")
+
+        monkeypatch.setattr(cli, "classify_operator", failing)
+        target = tmp_path / "out.txt"
+        target.write_text("earlier output\n", encoding="utf-8")
+        code, _, err = run([command, "--operator", "A*a", "--primes", "3",
+                            "--no-cache", "--output", str(target)], capsys)
+        assert code == 1 and "synthetic failure" in err
+        assert target.read_text(encoding="utf-8") == "earlier output\n"
+
     @pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
     def test_repeated_prime_is_one_row(self, fmt, capsys):
         # a prime listed twice is swept once, in its first position

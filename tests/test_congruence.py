@@ -143,6 +143,15 @@ class TestDworkRatio:
         with pytest.raises(OutsideUnitDisk):
             dwork_ratio(F0_mod7, 6, 7, 4)
 
+    def test_denominator_guard_on_a_series_that_breaks_dwork(self):
+        # c_3 = 2 but c_0 c_1 = 0 (mod 3): the probe c_0 + c_1 + c_2 = 1 is
+        # a unit, while the denominator c_0 + ... + c_8 = 3 is not
+        series = [1, 0, 0, 2] + [0] * 23
+        assert not check_dwork_congruence(series, 3, 1, 26)["ok"]
+        with pytest.raises(OutsideUnitDisk,
+                           match="denominator truncation vanishes mod 3"):
+            dwork_ratio(series, 1, 3, 3)
+
     def test_f0_is_ordinary_everywhere_at_7(self, f0_mod7):
         values = [dwork_ratio(f0_mod7, z0, 7, 4) for z0 in range(1, 7)]
         assert values == [1650, 582, 710, 1691, 1691, 654]
