@@ -15,7 +15,7 @@ of both operators with their negative controls, and tests/test_wedge.py the
 exterior square's series against the Wronskian of the Frobenius pair.
 """
 
-from frobcy.catalog import CATALOG, catalog_wedge
+from frobcy.catalog import CATALOG, exterior_square
 from frobcy.diffop import ThetaOperator, check_cy5, solve_series
 from frobcy.wedge import UnexpectedOrder, wedge_square
 
@@ -34,8 +34,8 @@ print("F0 head   :", F0[:5])
 # each equals the one built here
 print("order-5 identity on Q        :", check_cy5(q))
 print("24 stored squares = computed :",
-      all(catalog_wedge(name) == wedge_square(CATALOG[name])
-          for name in CATALOG))
+      all(exterior_square(op) == wedge_square(op)
+          for op in CATALOG.values()))
 
 # theta^4 - z theta (theta + 1)^3 is MUM but not self-dual: the iterates of
 # eta span the whole rank-6 module, so no order-5 relation exists

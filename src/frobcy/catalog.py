@@ -22,12 +22,13 @@ The 24 products share 6 right and 4 left factors, so both are memoized per
 process: a sweep runs each right factor once per batch of targets, not once
 per operator.  ``operator_series`` is also the one dispatch of the exterior
 square's series.  The exterior squares of the products depend only on the
-catalog, so they ship as data (``data/catalog_wedges.json``) and are loaded,
-with ``wedge_square``'s closing checks, instead of being rebuilt.  Both
-series of a catalog product are known to be integral, so its runs may leave
-exact integers for residues mod a shrinking product of target prime powers
+catalog, so they ship as data (``data/catalog_wedges.json``):
+``exterior_square`` loads a product's, with ``wedge_square``'s closing
+checks, and builds any other operator's, anew on every call.  Both series
+of a catalog product are known to be integral, so its runs may leave exact
+integers for residues mod a shrinking product of target prime powers
 (``solve_series(..., integral=True)``); operator files keep the fully
-checked exact run and build their exterior square with ``wedge_square``.
+checked exact run.
 """
 
 from __future__ import annotations
@@ -170,14 +171,15 @@ def _stored_wedges() -> Dict[str, list]:
         return json.load(fh)["wedges"]
 
 
-@lru_cache(maxsize=None)
-def catalog_wedge(name: str) -> ThetaOperator:
-    """The stored exterior square of a catalog product, equal to
-    ``wedge_square`` of its operator.  Each is loaded with the same closing
-    checks (``check_wedge``: MUM and ``check_cy5``), so a damaged entry
-    raises UnexpectedOrder, and is memoized per process (at most 24)."""
-    return check_wedge(ThetaOperator(_stored_wedges()[name],
-                                     name=f"wedge({name})", aesz=None))
+def exterior_square(op: ThetaOperator) -> ThetaOperator:
+    """``wedge_square(op)``: for a catalog product (same name and
+    coefficients) its stored square, loaded with the same closing checks
+    (``check_wedge``), so a damaged entry raises UnexpectedOrder; for any
+    other operator built.  Not memoized: each call loads or builds anew."""
+    if CATALOG.get(op.name) != op:
+        return wedge_square(op)
+    return check_wedge(ThetaOperator(_stored_wedges()[op.name],
+                                     name=f"wedge({op.name})", aesz=None))
 
 
 def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:
@@ -188,25 +190,23 @@ def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:
 
     A catalog product (same name and coefficients) has an integer series:
     the Hadamard product of its factors' integer sequences, solved through
-    its factors, and its exterior square is the stored ``catalog_wedge``;
-    the runs of both roles may leave exact integers (``integral``).  Any
-    other operator runs the exact recurrence, of itself or of its
-    ``wedge_square``.  For the exterior square the grant is an observation,
-    not a theorem: its series is w = f0^2 theta(q)/q, integral when the
-    mirror map q = z exp(g/f0) is.  That is one of the defining conditions
-    of a Calabi-Yau operator in the AESZ list, but it is not proven here for
-    every catalog product.  The exact runs of the full ``table`` sweep
-    (p = 3 .. 17, to N = 4912) all came out integral.  Beyond the N it
-    reaches, a denominator at a prime that is no target goes unchecked: the
-    residues at the targets stay right, but no NonIntegralSolution is
-    raised for it."""
+    its factors; the runs of both roles, of itself and of its
+    ``exterior_square``, may leave exact integers (``integral``).  Any other
+    operator runs the exact recurrence.  For the exterior square the grant
+    is an observation, not a theorem: its series is w = f0^2 theta(q)/q,
+    integral when the mirror map q = z exp(g/f0) is.  That is one of the
+    defining conditions of a Calabi-Yau operator in the AESZ list, but it is
+    not proven here for every catalog product.  The exact runs of the full
+    ``table`` sweep (p = 3 .. 17, to N = 4912) all came out integral.
+    Beyond the N it reaches, a denominator at a prime that is no target
+    goes unchecked: the residues at the targets stay right, but no
+    NonIntegralSolution is raised for it."""
     full = [(p, K, p**K - 1) for p, K in targets]
     N = max(t[2] for t in full)
-    if CATALOG.get(op.name) != op:
-        return solve_series(wedge_square(op) if wedge else op, N, targets=full)
-    if wedge:
-        return solve_series(catalog_wedge(op.name), N, targets=full,
-                            integral=True)
+    product = CATALOG.get(op.name) == op
+    if wedge or not product:
+        return solve_series(exterior_square(op) if wedge else op, N,
+                            targets=full, integral=product)
     left, right = op.name.split("*")
     out = []
     for (p, K), b in zip(targets, _right_factor_run(right, N, tuple(full))):

@@ -79,12 +79,15 @@ BUILTIN_FORMS: Dict[str, Tuple[Tuple[int, int], ...]] = {
 def _external_forms(directory: Optional[str]
                     ) -> Tuple[Tuple[str, Dict[int, int]], ...]:
     """(label, {p: a_p}) for every JSON fixture in ``directory`` (none when
-    it is unset), in file-name order, read once per directory.  A fixture
+    it is unset or empty), in file-name order, read once per directory.  A
+    ``directory`` that is not one is a UsageError naming it.  A fixture
     holds a non-empty string ``label`` and an object ``ap`` from odd primes
     to integers; other fields are ignored.  One that cannot be read, or
     breaks that shape, is a UsageError naming the file and the field."""
     if not directory:
         return ()
+    if not os.path.isdir(directory):
+        raise UsageError(f"{FORMS_DIR_ENV} {directory!r} is not a directory")
     out = []
     for path in sorted(Path(directory).glob("*.json")):
         try:

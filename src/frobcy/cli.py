@@ -2,7 +2,9 @@
 
 Subcommands: ``table`` (full (a,b) tables per operator and prime, with
 markdown/csv/json emission and an optional worker pool), ``frob`` (one cell
-as JSON), ``wedge`` (exterior-square operator as JSON), ``congruence``
+as JSON), ``wedge`` (exterior-square operator as JSON, from
+``catalog.exterior_square``: the stored square of a catalog name, the one
+built by ``wedge_square`` for an operator file), ``congruence``
 (ratio-congruence sweeps for the catalog sequences), ``classify`` (CSV sweep
 over a prime range), ``legendre`` (elliptic baseline), and ``catalog``
 (operator export).
@@ -19,10 +21,10 @@ A table sweep runs one task per operator: one ``classify_operator`` call
 over all its primes, so one ``cache_series`` call for all its rows and one
 more per escalation round.
 ``--jobs k`` parallelizes over operators, so a single operator gets no
-speed-up from it.  Each worker keeps its own memos of exterior squares and
-factor runs, and results are emitted in task order, so output is
-byte-identical to a serial run for every k.  ``classify`` is the ``table``
-sweep of one operator in CSV.
+speed-up from it.  Each worker keeps its own memos of factor runs and
+fetches an operator's exterior square once per round that misses the cache.
+Results are emitted in task order, so output is byte-identical to a serial
+run for every k.  ``classify`` is the ``table`` sweep of one operator in CSV.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
 argument, prime above its command's ceiling, operator file, point,
@@ -41,7 +43,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import FrobcyError, UsageError
-from .catalog import CATALOG, SECOND_ORDER, SPECIAL_POINTS
+from .catalog import CATALOG, SECOND_ORDER, SPECIAL_POINTS, exterior_square
 from .classify import PointClass, classify_operator, results_to_csv
 from .congruence import OutsideUnitDisk, check_dwork_congruence
 from .diffop import ThetaOperator, leading_symbol, solve_series
@@ -50,7 +52,6 @@ from .frobenius import (box_precision, frobenius_quartic, legendre_frobenius,
 from .padic import is_odd_prime
 from .polyrat import rational_roots
 from .series import cache_series
-from .wedge import wedge_square
 
 __all__ = ["cache_series", "main"]
 
@@ -298,7 +299,7 @@ def cmd_frob(args: argparse.Namespace) -> int:
 
 
 def cmd_wedge(args: argparse.Namespace) -> int:
-    print(wedge_square(_load_operator(args.operator)).to_json())
+    print(exterior_square(_load_operator(args.operator)).to_json())
     return 0
 
 

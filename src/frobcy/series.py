@@ -29,8 +29,9 @@ both shared through per-process memos by the operators of a sweep.  A
 catalog product's runs leave exact integers for residues once these are the
 narrower; an operator file's run stays exact and fully checked.  The
 exterior square is needed only on a miss, so a query on a warm cache needs
-none: a catalog product's is loaded from the stored data and checked, an
-operator file's is built by ``wedge_square``, each at most once per process.
+none.  A call with misses fetches it once, from ``catalog.exterior_square``:
+a catalog product's is loaded from the stored data and checked, an operator
+file's is built by ``wedge_square``, on every such call (no memo).
 """
 
 from __future__ import annotations

@@ -14,16 +14,14 @@ lists over powers of the leading symbol Delta, kept in lowest Delta-terms by
 ``polyrat.poly_divide_while``, so theta^k eta = v_k / Delta^(e_k) with v_k
 in Z[z]^6 (e = 0, 0, 0, 1, 2, 3 on the catalog), and the relation comes from
 fraction-free elimination on the v_k themselves.
-It is memoized per process by the operator's JSON, so each operator's
-exterior square (and its closing ``check_cy5``) is built at most once.  The
-series of a catalog product do not build it: ``catalog`` ships the 24
-exterior squares as data and runs only ``check_wedge``, the same closing
-checks, on each one it loads.
+Each call builds anew; nothing is memoized.  ``catalog.exterior_square``
+calls it for operator files, and loads a catalog product's stored square
+with ``check_wedge``, the same closing checks, instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from . import FrobcyError
 from .diffop import ThetaOperator, check_cy5, check_mum
@@ -107,10 +105,6 @@ def _theta_step(vec: List[IntPoly], m: int, delta: IntPoly,
 # -- the fifth-order companion ---------------------------------------------------
 
 
-# operator JSON -> its exterior square; only successful builds are stored
-_WEDGES: Dict[str, ThetaOperator] = {}
-
-
 def wedge_square(op: ThetaOperator) -> ThetaOperator:
     """Minimal monic operator annihilating eta = e_0 ^ e_1, order exactly 5.
 
@@ -124,19 +118,7 @@ def wedge_square(op: ThetaOperator) -> ThetaOperator:
     UnsupportedOperator unless ``op`` is a fourth-order MUM operator, and
     UnexpectedOrder when the iterates are linearly dependent before order 5
     or span no order-5 relation.
-
-    The result is memoized by ``op.to_json()`` for the life of the process
-    and the same object is returned to every caller; an operator that raises
-    is not memoized.
     """
-    key = op.to_json()
-    out = _WEDGES.get(key)
-    if out is None:
-        out = _WEDGES[key] = _build_wedge(op)
-    return out
-
-
-def _build_wedge(op: ThetaOperator) -> ThetaOperator:
     if op.theta_order != 4:
         raise UnsupportedOperator("wedge_square expects a fourth-order operator")
     if not check_mum(op):

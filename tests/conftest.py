@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from math import comb, factorial
 
 import pytest
 
-from frobcy import catalog, classify
 from frobcy.catalog import CATALOG, SECOND_ORDER
 from frobcy.classify import classify_operator
 from frobcy.diffop import NonIntegralSolution, solve_series
@@ -54,29 +55,35 @@ def corrected_tables(appendix_tables, appendix_errata):
     return tables
 
 
+def package_memos() -> list:
+    """Every per-process memo of the package: each attribute with a
+    ``cache_clear`` on a loaded ``frobcy.*`` module."""
+    modules = [m for key, m in list(sys.modules.items())
+               if m is not None and key.split(".")[0] == "frobcy"]
+    return [value for m in modules for value in vars(m).values()
+            if callable(getattr(value, "cache_clear", None))]
+
+
 @pytest.fixture(autouse=True)
 def fresh_catalog_memos():
-    """Every test starts with empty per-process memos of the catalog's
-    factor runs, stored exterior squares and stored forms, so a test that
-    counts series runs, wedge loads or fixture reads does not depend on the
-    tests before it, and a test that patches a run leaves no result of it
-    behind."""
-    memos = (catalog.left_factor_residues, catalog._right_factor_run,
-             catalog.catalog_wedge, classify._external_forms,
-             classify._stored_ap)
-    for memo in memos:
+    """Every test starts with empty per-process memos of the package (the
+    catalog's factor runs and stored exterior squares, the stored forms, and
+    any memo added later), so a test that counts series runs, wedge loads or
+    fixture reads does not depend on the tests before it, and a test that
+    patches a run leaves no result of it behind."""
+    for memo in package_memos():
         memo.cache_clear()
     yield
-    for memo in memos:
+    for memo in package_memos():
         memo.cache_clear()
 
 
 @pytest.fixture(scope="session")
 def wedge_of():
-    """Exterior squares by catalog name: ``wedge_of(name)`` reads the
-    per-process memo of ``wedge_square``, so each catalog operator's order-5
-    companion is computed once and reused everywhere."""
-    return lambda name: wedge_square(CATALOG[name])
+    """Exterior squares by catalog name, built by ``wedge_square`` once per
+    test session: ``wedge_of(name)`` keeps its own memo, so each catalog
+    operator's order-5 companion is computed once and reused everywhere."""
+    return lru_cache(maxsize=None)(lambda name: wedge_square(CATALOG[name]))
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobcy import catalog as catalog_module
+from frobcy import UsageError, catalog as catalog_module
 from frobcy.catalog import CATALOG
 from frobcy.classify import (
     BUILTIN_FORMS,
@@ -322,8 +322,18 @@ class TestMatchSingularAp:
         assert match_singular_ap(13, 77) == "big"
         assert time.perf_counter() - t0 < 5
 
-    def test_missing_directory_matches_nothing(self, tmp_path, monkeypatch):
+    def test_missing_directory_is_a_usage_error(self, tmp_path, monkeypatch):
+        # a mistyped path must not drop every fixture label without a word
         monkeypatch.setenv(FORMS_DIR_ENV, str(tmp_path / "missing"))
+        with pytest.raises(UsageError, match="missing' is not a directory"):
+            match_singular_ap(5, 123)
+
+    @pytest.mark.parametrize("value", ["", "empty"])
+    def test_empty_value_or_directory_matches_nothing(self, value, tmp_path,
+                                                      monkeypatch):
+        (tmp_path / "empty").mkdir()
+        monkeypatch.setenv(FORMS_DIR_ENV,
+                           str(tmp_path / value) if value else "")
         assert match_singular_ap(5, 123) is None
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -107,6 +108,26 @@ class TestLoadOperator:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown operator"):
             cli._load_operator("Z*z")
+
+    @pytest.mark.parametrize("name", ["A*a", "mine"])
+    def test_zero_theta5_column_is_trimmed(self, name, tmp_path, capsys):
+        # A*a's file with a zero theta^5 coefficient in every row and
+        # theta_order 4: the same cells and the same exterior square, by the
+        # catalog's route under its own name and by the exact one under another
+        data = json.loads(ThetaOperator(CATALOG["A*a"].coeffs,
+                                        name=name).to_json())
+        plain, padded = tmp_path / "plain.json", tmp_path / "padded.json"
+        plain.write_text(json.dumps(data), encoding="utf-8")
+        data["coeffs"] = [row + ["0"] for row in data["coeffs"]]
+        padded.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run(["table", "--operator", str(plain), "--operator",
+                            str(padded), "--primes", "5,7", "--format", "json",
+                            "--no-cache"], capsys)
+        tables = json.loads(out)
+        assert code == 0 and tables[str(padded)] == tables[str(plain)]
+        wedges = [run(["wedge", "--operator", str(path)], capsys)
+                  for path in (plain, padded)]
+        assert wedges[0] == wedges[1] and wedges[0][0] == 0
 
 
 # -- series cache ---------------------------------------------------------------------
@@ -271,6 +292,19 @@ class TestCacheSeries:
         assert opened == [row, row]
         assert sorted(os.listdir(tmp_path)) == sorted([name, Path(row).name])
         assert (tmp_path / name).read_bytes() == raw
+
+    def test_failed_write_keeps_the_result_and_leaves_no_file(
+            self, tmp_path, monkeypatch):
+        # a full disk at the rename: the temp file is removed, the store is
+        # skipped, and the rows are those of an uncached call
+        def full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        op, targets = CATALOG["A*a"], [(5, 3), (7, 3)]
+        monkeypatch.setattr(series_module.os, "replace", full)
+        got = cli.cache_series(op, targets, str(tmp_path))
+        assert got == cli.cache_series(op, targets, None)
+        assert os.listdir(tmp_path) == []
 
     def test_wedge_series_keyed_by_source_operator(self, tmp_path):
         op, (F0, f0) = self.fresh(tmp_path)
@@ -722,23 +756,25 @@ def inline_pool(monkeypatch):
 
 
 class TestWedgeMemo:
+    """No memo of exterior squares: ``catalog.exterior_square`` loads or
+    builds one on every call, and a round of rows makes one call."""
+
     @pytest.fixture
     def closing_checks(self, monkeypatch):
         """The operators that ``check_wedge`` checks, after a build or a
-        load, and the operators that ``wedge_square`` builds."""
-        monkeypatch.setattr(wedge, "_WEDGES", {})
+        load, and the operators that ``exterior_square`` builds."""
         seen = {"checked": [], "built": []}
-        check, build = wedge.check_cy5, wedge._build_wedge
+        check, build = wedge.check_cy5, catalog.wedge_square
         monkeypatch.setattr(wedge, "check_cy5",
                             lambda q: seen["checked"].append(q) or check(q))
-        monkeypatch.setattr(wedge, "_build_wedge",
+        monkeypatch.setattr(catalog, "wedge_square",
                             lambda op: seen["built"].append(op.name) or build(op))
         return seen
 
     @pytest.mark.parametrize("cached", [True, False])
     def test_cold_table_builds_one_wedge(self, cached, capsys, tmp_path,
                                          closing_checks, corrected_tables):
-        # an operator file builds its exterior square, once per process
+        # an operator file builds its exterior square, once for its one round
         path = tmp_path / "mine.json"
         path.write_text(ThetaOperator(CATALOG["A*b"].coeffs,
                                       name="mine").to_json(), encoding="utf-8")
@@ -779,9 +815,9 @@ class TestWedgeMemo:
         def refuse(op):
             raise AssertionError("a warm cache must not build or load a wedge")
 
-        for module in (wedge, catalog, cli):
-            monkeypatch.setattr(module, "wedge_square", refuse)
-        monkeypatch.setattr(catalog, "catalog_wedge", refuse)
+        for module, name in ((wedge, "wedge_square"), (catalog, "wedge_square"),
+                             (catalog, "exterior_square")):
+            monkeypatch.setattr(module, name, refuse)
         warm = [run(argv + cache, capsys) for argv in [table] + frobs]
         assert warm == cold
 
@@ -1049,6 +1085,17 @@ class TestCmdWedge:
         assert out.strip() == expected
         assert ThetaOperator.from_json(out).theta_order == 5
 
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_stored_square_prints_as_the_built_one(self, name, wedge_of,
+                                                   monkeypatch, capsys):
+        # a catalog name prints its stored square, with the built one's bytes
+        def refuse(op):
+            raise AssertionError("a catalog name must not build its wedge")
+
+        monkeypatch.setattr(catalog, "wedge_square", refuse)
+        code, out, _ = run(["wedge", "--operator", name], capsys)
+        assert code == 0 and out == wedge_of(name).to_json() + "\n"
+
     def test_unknown_operator(self, capsys):
         code, _, err = run(["wedge", "--operator", "nope"], capsys)
         assert code == 2 and "unknown operator" in err
@@ -1278,7 +1325,8 @@ def bad_operators(tmp_path):
     series, three whose name is not a string, three with a coefficient and
     two with an aesz that is a JSON number but not an integer, a form
     fixture directory with such an a_p, an --output path in a directory
-    that does not exist, and an empty cache directory."""
+    that does not exist, a directory path that does not exist, and an empty
+    cache directory."""
     ops = {
         "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
         "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
@@ -1334,6 +1382,7 @@ def bad_operators(tmp_path):
     (paths["forms"] / "inf_ap.json").write_text(
         '{"label": "q", "ap": {"7": 1e400}}', encoding="utf-8")
     paths["unwritable"] = tmp_path / "missing" / "out.txt"
+    paths["missing_dir"] = tmp_path / "missing_dir"
     paths["cache"] = tmp_path / "cache"
     return {key: str(path) for key, path in paths.items()}
 
@@ -1460,6 +1509,11 @@ def bad_operators(tmp_path):
      "--no-cache --jobs 2", 2, "inf_ap.json': not an integer: inf\n"),
     ("FROBCY_FORMS_DIR={forms} classify --operator B*b --primes 5,7 "
      "--no-cache", 2, "inf_ap.json': not an integer: inf\n"),
+    # a path that is no directory, missing or a regular file
+    ("FROBCY_FORMS_DIR={missing_dir} frob --operator A*a --prime 7 --point 4 "
+     "--no-cache", 2, "missing_dir' is not a directory\n"),
+    ("FROBCY_FORMS_DIR={order2} frob --operator A*a --prime 7 --point 4 "
+     "--no-cache", 2, "order2.json' is not a directory\n"),
 ])
 def test_failure_is_one_line_with_its_exit_code(argv, code, message,
                                                 bad_operators, capsys,

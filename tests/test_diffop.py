@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcy import diffop
-from frobcy.catalog import CATALOG, catalog_wedge
+from frobcy.catalog import CATALOG, exterior_square
 from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_cy5,
                            check_mum, leading_symbol, solve_series,
                            symbol_roots_mod_p)
@@ -162,11 +162,11 @@ ZERO_AND_CONSTANT_ROWS = ThetaOperator([[0, 0, 1], [0], [-4], [0, -2, 1], [4, -2
 
 RECURRENCE_CASES = (
     [pytest.param(AA, 50, id="A*a")]
-    + [pytest.param(catalog_wedge(name), 40, id=f"wedge {name}")
+    + [pytest.param(exterior_square(CATALOG[name]), 40, id=f"wedge {name}")
        for name in CATALOG_NAMES]
     + [pytest.param(ZERO_AND_CONSTANT_ROWS, 12, id="zero and constant rows")]
     # shorter than the wedge's difference heads (six values per column)
-    + [pytest.param(catalog_wedge("A*a"), N, id=f"wedge A*a N={N}")
+    + [pytest.param(exterior_square(CATALOG["A*a"]), N, id=f"wedge A*a N={N}")
        for N in (0, 1, 2)])
 
 
@@ -289,7 +289,7 @@ def test_finished_primes_keep_their_digits(margin, monkeypatch):
     real = diffop._unscale
     monkeypatch.setattr(diffop, "_unscale", lambda out, us, n0, m: (
         entered.append(n0), real(out, us, n0, m)))
-    op = catalog_wedge("A*a")
+    op = exterior_square(CATALOG["A*a"])
     targets = [(3, 4, 80), (5, 3, 124), (7, 3, 342)]
     with mock.patch.object(diffop, "SWITCH_MARGIN", margin):
         batched = solve_series(op, 342, targets=targets, integral=True)
@@ -360,7 +360,7 @@ SHIFTS = [-2, 1, 3]
 def test_self_duality_verdict_survives_conjugation_by_a_power_of_z(a):
     verdicts = []
     for name in CATALOG_NAMES:
-        wedge = catalog_wedge(name)
+        wedge = exterior_square(CATALOG[name])
         assert not rho_numerator(wedge) and rho_numerator(shifted(wedge, a))
         for op in (wedge, perturbed(wedge, 3, 0, 1), perturbed(wedge, 2, 5, -1)):
             verdict = diffop._is_self_dual(op)
@@ -374,5 +374,5 @@ def test_self_duality_verdict_survives_conjugation_by_a_power_of_z(a):
        j=st.integers(0, 5), delta=st.integers(-3, 3).filter(bool),
        a=st.sampled_from(SHIFTS))
 def test_perturbed_wedge_keeps_its_verdict_under_conjugation(name, i, j, delta, a):
-    op = perturbed(catalog_wedge(name), i, j, delta)
+    op = perturbed(exterior_square(CATALOG[name]), i, j, delta)
     assert diffop._is_self_dual(shifted(op, a)) == diffop._is_self_dual(op)

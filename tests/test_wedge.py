@@ -247,7 +247,6 @@ class TestDeltaOracle:
     def test_determinant_has_the_degree_of_the_wedge(self, monkeypatch):
         # over Delta^5 the Bareiss determinant has z-degree 50 on the
         # catalog; in lowest Delta-terms it stays near the wedge's degree 4
-        monkeypatch.setattr(wedge, "_WEDGES", {})
         degrees = []
         real = wedge.solve_linear_system
 
