@@ -257,8 +257,14 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
     (``escalated`` marks it), until ``box_precision``, where every balanced
     lift is settled.  With an integer ``precision`` every row
     runs at that s alone, and a point it does not settle makes
-    ``Uncertified`` its row's error.  A broken form fixture fails the call.
+    ``Uncertified`` its row's error.  A broken form fixture fails the call,
+    and so does an operator with no theta^0 term in any row: it is M theta
+    for some M, so its series is the constant 1 and no cell can be right.
     """
+    if not any(row[0] for row in op.coeffs):
+        raise UsageError(f"theta is a right factor of operator "
+                         f"{op.name or '(unnamed)'}, so its series is the "
+                         f"constant 1")
     _external_forms(os.environ.get(FORMS_DIR_ENV))
     out: list = [None] * len(primes)
     wanted = [list(range(1, p) if points is None else points) for p in primes]

@@ -5,17 +5,18 @@ markdown/csv/json emission and an optional worker pool), ``frob`` (one cell
 as JSON), ``wedge`` (exterior-square operator as JSON, from
 ``catalog.exterior_square``: the stored square of a catalog name, the one
 built by ``wedge_square`` for an operator file), ``congruence``
-(ratio-congruence sweeps for the catalog sequences), ``classify`` (CSV sweep
-over a prime range), ``legendre`` (elliptic baseline), and ``catalog``
-(operator export).
+(ratio-congruence sweeps for the catalog sequences), ``legendre`` (elliptic
+baseline), and ``catalog`` (operator export).  The ``classify`` command of
+earlier versions is gone: ``table --operator X --format csv`` prints its
+bytes.
 
 Every cell goes through one row pipeline, ``classify_operator``: a
-``table`` or ``classify`` row classifies the points 1 .. p-1, a ``frob``
-query only its point, from ``required_precision`` with the same per-cell
-escalation, or at its ``--precision s`` alone.  Its series come from
-``series.cache_series`` (re-exported here), through the disk cache unless
-``--no-cache`` is given.  The cache directory is
-``--cache-dir``, else $FROBCY_CACHE_DIR, else the platform user cache path.
+``table`` row classifies the points 1 .. p-1, a ``frob`` query only its
+point, from ``required_precision`` with the same per-cell escalation, or at
+its ``--precision s`` alone.  Its series come from ``series.cache_series``
+(re-exported here), through the disk cache unless ``--no-cache`` is given.
+The cache directory is ``--cache-dir``, else $FROBCY_CACHE_DIR, else the
+platform user cache path.
 
 A table sweep runs one task per operator: one ``classify_operator`` call
 over all its primes, so one ``cache_series`` call for all its rows and one
@@ -24,12 +25,13 @@ more per escalation round.
 speed-up from it.  Each worker keeps its own memos of factor runs and
 fetches an operator's exterior square once per round that misses the cache.
 Results are emitted in task order, so output is byte-identical to a serial
-run for every k.  ``classify`` is the ``table`` sweep of one operator in CSV.
+run for every k.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
 argument, prime above its command's ceiling, operator file, point,
-``--output`` path, or form fixture, read before any row) exits 2 and any
-other ``FrobcyError`` exits 1, each as one ``error: ...`` line on stderr.
+``--output`` path, or form fixture, read before any row, or an operator
+with theta as a right factor) exits 2 and any other ``FrobcyError`` exits
+1, each as one ``error: ...`` line on stderr.
 A table row that fails is reported as data: the worker returns its one
 line naming the operator and p in place of its cells, and the run exits 1.
 """
@@ -58,9 +60,9 @@ __all__ = ["cache_series", "main"]
 
 # -- shared computation helpers --------------------------------------------------
 
-# The largest prime that ``table``, ``classify`` and ``frob`` take: a row
-# solves series of p^3 terms, and the slowest catalog row, D*g with
-# --no-cache, took 45 s at p = 61 and 76 s at p = 67 (2 cores, CPython 3.11).
+# The largest prime that ``table`` and ``frob`` take: a row solves series of
+# p^3 terms, and the slowest catalog row, D*g with --no-cache, took 45 s at
+# p = 61 and 76 s at p = 67 (2 cores, CPython 3.11).
 PRIME_CEILING = 61
 # The largest prime ``legendre`` takes: from p = 17 on its series has p terms,
 # and an ordinary point took 23 s at p = 7 000 009 and 26 s at 8 000 009
@@ -203,33 +205,22 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, not {args.jobs}")
-    names = [name for spec in args.operator or ["all"]
-             for name in (CATALOG if spec == "all" else [spec])]
-    return _sweep(list(dict.fromkeys(names)),  # once each, in order
-                  args.format, args.jobs, args)
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
-    """The ``table`` sweep of one operator, in CSV."""
-    return _sweep([args.operator], "csv", 1, args)
-
-
-def _sweep(names: Sequence[str], fmt: str, jobs: int,
-           args: argparse.Namespace) -> int:
     """Classify every (operator, prime) row, emit the rows that succeed, and
     report each failed row as one stderr line (exit 1)."""
-    ops = [(n, _load_operator(n)) for n in names]
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, not {args.jobs}")
+    names = dict.fromkeys(name for spec in args.operator or ["all"]
+                          for name in (CATALOG if spec == "all" else [spec]))
+    ops = [(n, _load_operator(n)) for n in names]  # once each, in order
     primes = _parse_primes(args.primes)
     cache_dir = _cache_dir(args)
     if args.output:  # appending to probe the path keeps an existing file
         _write_output(args.output, "a")
     tasks = [(op, primes, cache_dir) for _n, op in ops]
 
-    if jobs > 1:
+    if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_table_task, tasks))
     else:
         outcomes = [_table_task(t) for t in tasks]
@@ -243,9 +234,9 @@ def _sweep(names: Sequence[str], fmt: str, jobs: int,
             else:
                 groups.append((name, p, rows))
 
-    if fmt == "markdown":
+    if args.format == "markdown":
         text = _markdown_tables(groups)
-    elif fmt == "json":
+    elif args.format == "json":
         text = _json_tables(groups)
     else:
         text = results_to_csv([r for _n, _p, rows in groups for r in rows])
@@ -417,13 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nmax", type=int, default=2000)
     sp.add_argument("--smax", type=int, default=3)
     sp.set_defaults(func=cmd_congruence)
-
-    sp = sub.add_parser("classify", help="CSV classification sweep")
-    sp.add_argument("--operator", required=True)
-    sp.add_argument("--primes", default="3..17")
-    sp.add_argument("--output", default=None)
-    _add_cache_flags(sp)
-    sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("legendre", help="elliptic baseline a_p as JSON")
     sp.add_argument("--prime", type=int, required=True)

@@ -78,6 +78,36 @@ def fresh_catalog_memos():
         memo.cache_clear()
 
 
+TABLE_PRIMES = (3, 5, 7, 11, 13, 17)
+
+
+@pytest.fixture(scope="session")
+def catalog_table():
+    """The full table, computed once per session: ``rows`` maps each catalog
+    name to the list that one uncached ``classify_operator`` call over
+    TABLE_PRIMES returned, in catalog order, and ``runs`` holds the operator
+    name of every ``solve_series`` run that ``catalog`` made for them, in
+    order, counted from empty package memos."""
+    from frobcy import catalog as catalog_module
+
+    runs = []
+    real = catalog_module.solve_series
+
+    def counted(*args, **kwargs):
+        runs.append(args[0].name)
+        return real(*args, **kwargs)
+
+    for memo in package_memos():
+        memo.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog_module, "solve_series", counted)
+        rows = {name: classify_operator(op, TABLE_PRIMES)
+                for name, op in CATALOG.items()}
+    for memo in package_memos():
+        memo.cache_clear()
+    return {"rows": rows, "runs": runs}
+
+
 @pytest.fixture(scope="session")
 def wedge_of():
     """Exterior squares by catalog name, built by ``wedge_square`` once per

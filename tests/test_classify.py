@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobcy import UsageError, catalog as catalog_module
+from frobcy import UsageError
 from frobcy.catalog import CATALOG
 from frobcy.classify import (
     BUILTIN_FORMS,
@@ -33,11 +33,10 @@ from frobcy.classify import (
     results_to_csv,
     singular_split,
 )
+from frobcy.diffop import ThetaOperator
 from frobcy.frobenius import Uncertified
 
-from conftest import classified
-
-PRIMES = (3, 5, 7, 11, 13, 17)
+from conftest import TABLE_PRIMES as PRIMES, classified
 
 # q-expansions of the two built-in eta products, through q^7.
 ETA_8_1_HEAD = [0, 1, 0, -4, 0, -2, 0, 24]
@@ -432,27 +431,21 @@ class TestClassifyOperatorRows:
         assert match_singular_ap(5, z2.ap) is None
 
 
-def test_full_catalog_reproduces_corrected_tables(corrected_tables, monkeypatch):
+def test_full_catalog_reproduces_corrected_tables(corrected_tables,
+                                                  catalog_table):
     """All 24 operators at p = 3 .. 17 (1200 cells) equal the stored tables
     with every erratum applied; the one catalog cell that escalates from
     its row's start is A*d at p = 5, z = 2, settled at s = 4.
 
-    The rows come from one uncached ``classify_operator`` call per operator:
-    per role one batch for all six primes, and one more per role for the
-    escalated cell.  A wedge batch is one run of the operator's exterior
-    square; an own-series batch is one run of its right factor, shared by
-    the operators with that right factor and those targets."""
-    runs = []
-    real = catalog_module.solve_series
-
-    def counted(*args, **kwargs):
-        runs.append(args[0].name)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(catalog_module, "solve_series", counted)
+    The rows come from one uncached ``classify_operator`` call per operator
+    (the session's ``catalog_table``, which the golden outputs of
+    ``test_golden.py`` share): per role one batch for all six primes, and
+    one more per role for the escalated cell.  A wedge batch is one run of
+    the operator's exterior square; an own-series batch is one run of its
+    right factor, shared by the operators with that right factor and those
+    targets."""
     cells, escalated = 0, {}
-    for name in CATALOG:
-        rows = classify_operator(CATALOG[name], PRIMES)
+    for name, rows in catalog_table["rows"].items():
         for p, row in zip(PRIMES, rows):
             assert not isinstance(row, Exception), (name, p, row)
             assert {str(r.z0): r.cell() for r in row} == \
@@ -461,11 +454,32 @@ def test_full_catalog_reproduces_corrected_tables(corrected_tables, monkeypatch)
             cells += len(row)
     assert cells == 1200
     assert escalated == {("A*d", 5, 2): 4}
+    runs = catalog_table["runs"]
     wedges = [name for name in runs if name.startswith("wedge(")]
     assert sorted(wedges) == sorted([f"wedge({name})" for name in CATALOG]
                                     + ["wedge(A*d)"])
     # each right factor once, and d again for A*d's escalated cell
     assert [name for name in runs if name not in wedges] == list("abcddfg")
+
+
+@pytest.mark.parametrize("name, k", [("A*a", 3), ("C*d", -2), ("D*g", 5),
+                                     ("B*f", 3)])
+def test_rescaling_moves_each_cell_to_k_z0(name, k):
+    """z -> k z: the operator with row i times k^i has, at (p, z0), the cell
+    and form label of the original at (p, k z0 mod p), for p not dividing k.
+    It is not a catalog product, so its series and its exterior square take
+    the exact runs, and the relation checks them against the catalog route
+    and the stored squares."""
+    op = CATALOG[name]
+    scaled = ThetaOperator([[c * k**i for c in row]
+                            for i, row in enumerate(op.coeffs)],
+                           name=f"{name}(z->{k}z)")
+    primes = [p for p in (5, 7, 11) if k % p]
+    original, rescaled = classified(op, primes), classified(scaled, primes)
+    for p in primes:
+        at = {r.z0: (r.cell(), r.form) for r in original[p]}
+        assert [(r.cell(), r.form) for r in rescaled[p]] == \
+            [at[k * r.z0 % p] for r in rescaled[p]], (name, k, p)
 
 
 class TestResultsToCsv:

@@ -653,23 +653,21 @@ class TestCmdTable:
         assert list(mixed) == ["B*a"] + [n for n in CATALOG if n != "B*a"]
         assert mixed == table("all")
 
-    @pytest.mark.parametrize("command", ["table", "classify"])
-    def test_unwritable_output_fails_before_any_row(self, command, capsys,
-                                                    monkeypatch, tmp_path):
+    def test_unwritable_output_fails_before_any_row(self, capsys, monkeypatch,
+                                                    tmp_path):
         def no_row(*args, **kwargs):
             raise AssertionError("a row was computed")
 
         monkeypatch.setattr(cli, "classify_operator", no_row)
         target = str(tmp_path / "missing" / "out.txt")
-        code, out, err = run([command, "--operator", "D*g", "--primes", "29",
+        code, out, err = run(["table", "--operator", "D*g", "--primes", "29",
                               "--no-cache", "--output", target], capsys)
         assert (code, out) == (2, "")
         assert err == (f"error: cannot write --output {target!r}: "
                        f"No such file or directory\n")
 
-    @pytest.mark.parametrize("command", ["table", "classify"])
-    def test_output_probe_keeps_an_existing_file(self, command, capsys,
-                                                 monkeypatch, tmp_path):
+    def test_output_probe_keeps_an_existing_file(self, capsys, monkeypatch,
+                                                 tmp_path):
         # the path is checked before any row without truncating it, so a
         # run that fails before its emission leaves the file as it was
         def failing(*args, **kwargs):
@@ -678,7 +676,7 @@ class TestCmdTable:
         monkeypatch.setattr(cli, "classify_operator", failing)
         target = tmp_path / "out.txt"
         target.write_text("earlier output\n", encoding="utf-8")
-        code, _, err = run([command, "--operator", "A*a", "--primes", "3",
+        code, _, err = run(["table", "--operator", "A*a", "--primes", "3",
                             "--no-cache", "--output", str(target)], capsys)
         assert code == 1 and "synthetic failure" in err
         assert target.read_text(encoding="utf-8") == "earlier output\n"
@@ -1234,13 +1232,13 @@ class TestCmdCongruence:
         assert code == 2 and "error" in err
 
 
-# -- classify subcommand --------------------------------------------------------------
+# -- table --format csv ---------------------------------------------------------------
 
 
-class TestCmdClassify:
+class TestTableCsv:
     def test_csv_matches_library(self, capsys):
-        code, out, _ = run(["classify", "--operator", "A*a",
-                            "--primes", "3,5", "--no-cache"], capsys)
+        code, out, _ = run(["table", "--operator", "A*a", "--primes", "3,5",
+                            "--format", "csv", "--no-cache"], capsys)
         assert code == 0
         op = CATALOG["A*a"]
         rows = [r for row in classified(op, (3, 5)).values() for r in row]
@@ -1251,8 +1249,8 @@ class TestCmdClassify:
     def test_output_file_and_cache_roundtrip(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         cache = tmp_path / "cache"
-        argv = ["classify", "--operator", "C*a", "--primes", "5",
-                "--cache-dir", str(cache), "--output", str(target)]
+        argv = ["table", "--operator", "C*a", "--primes", "5", "--format",
+                "csv", "--cache-dir", str(cache), "--output", str(target)]
         code, out, _ = run(argv, capsys)
         assert code == 0 and out == ""
         cold = target.read_text(encoding="utf-8")
@@ -1264,9 +1262,16 @@ class TestCmdClassify:
             return [LiftOutOfBound("synthetic") for _p in primes]
 
         monkeypatch.setattr(cli, "classify_operator", blow_up)
-        code, _, err = run(["classify", "--operator", "A*a", "--primes", "3"],
-                           capsys)
+        code, _, err = run(["table", "--operator", "A*a", "--primes", "3",
+                            "--format", "csv"], capsys)
         assert code == 1 and "p=3" in err
+
+    def test_classify_is_an_unknown_command(self, capsys):
+        # the classify command is gone; table --format csv prints its bytes
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", "--operator", "A*a", "--primes", "3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'classify'" in capsys.readouterr().err
 
 
 # -- legendre subcommand --------------------------------------------------------------
@@ -1319,19 +1324,28 @@ def test_every_exception_class_derives_from_frobcy_error():
 
 @pytest.fixture
 def bad_operators(tmp_path):
-    """Operator files without an exterior square, one that is no JSON
-    object, one without coeffs, three whose coeffs or a row of them is a
-    string or an object, one whose exterior square has a non-integral
-    series, three whose name is not a string, three with a coefficient and
-    two with an aesz that is a JSON number but not an integer, a form
-    fixture directory with such an a_p, an --output path in a directory
-    that does not exist, a directory path that does not exist, and an empty
-    cache directory."""
+    """Operator files without an exterior square, three with theta as a
+    right factor, one that is no JSON object, one without coeffs, three
+    whose coeffs or a row of them is a string or an object, one whose
+    exterior square has a non-integral series, three whose name is not a
+    string, three with a coefficient and two with an aesz that is a JSON
+    number but not an integer, a form fixture directory with such an a_p,
+    an --output path in a directory that does not exist, a directory path
+    that does not exist, and an empty cache directory."""
     ops = {
         "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
-        "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
+        # theta^4 - z (theta+1)^3
+        "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [-1, -3, -3, -1]],
                                        name="nsd"),
         "not_mum": ThetaOperator([[0, 0, 0, 1, 1], [-1]], name="nmum"),
+        # theta^4 - z theta (theta+1)^3, not self-dual either
+        "theta_factor": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
+                                      name="tf"),
+        # theta^4 - 16 z theta (theta+1) (2 theta+1)^2: self-dual, with an
+        # order-5 exterior square and integral series, yet L 1 = 0
+        "theta_factor_self_dual": ThetaOperator(
+            [[0, 0, 0, 0, 1], [0, -16, -80, -128, -64]], name="tfsd"),
+        "theta4": ThetaOperator([[0, 0, 0, 0, 1]], name="theta4"),
     }
     paths = {}
     for key, op in ops.items():
@@ -1390,24 +1404,27 @@ def bad_operators(tmp_path):
 @pytest.mark.parametrize("argv, code, message", [
     ("frob --operator {order2} --prime 7 --point 2 --no-cache", 1,
      "fourth-order operator"),
-    ("classify --operator {order2} --primes 7 --no-cache", 1,
+    ("table --operator {order2} --primes 7 --no-cache --format csv", 1,
      "fourth-order operator"),
     ("wedge --operator {order2}", 1, "fourth-order operator"),
     ("frob --operator {not_self_dual} --prime 7 --point 2 --no-cache", 1,
      "no order-5 relation"),
-    ("classify --operator {not_self_dual} --primes 7 --no-cache", 1,
+    ("table --operator {not_self_dual} --primes 7 --no-cache --format csv", 1,
      "no order-5 relation"),
     ("wedge --operator {not_self_dual}", 1, "no order-5 relation"),
+    # theta as a right factor: the series is 1, so no cell can be right
+    ("frob --operator {theta_factor} --prime 7 --point 2 --no-cache", 2,
+     "error: theta is a right factor of operator tf, so its series is the "
+     "constant 1\n"),
+    ("table --operator {theta_factor} --primes 7 --no-cache", 2,
+     "error: theta is a right factor of operator tf, so its series is the "
+     "constant 1\n"),
     ("frob --operator {not_mum} --prime 7 --point 2 --no-cache", 1,
-     "wedge_square expects a MUM operator"),
-    ("classify --operator {not_mum} --primes 7 --no-cache", 1,
      "wedge_square expects a MUM operator"),
     ("table --operator {not_mum} --primes 7 --no-cache", 1,
      "wedge_square expects a MUM operator"),
     ("wedge --operator {not_mum}", 1, "wedge_square expects a MUM operator"),
     ("frob --operator {wedge_not_integral} --prime 7 --point 2 --no-cache", 1,
-     "coefficient c_2 is not an integer (operator wedge(A*a))"),
-    ("classify --operator {wedge_not_integral} --primes 7 --no-cache", 1,
      "coefficient c_2 is not an integer (operator wedge(A*a))"),
     ("table --operator {wedge_not_integral} --primes 7 --no-cache", 1,
      "coefficient c_2 is not an integer (operator wedge(A*a))"),
@@ -1415,7 +1432,7 @@ def bad_operators(tmp_path):
      "has no field 'coeffs'"),
     ("table --operator {no_coeffs} --primes 7 --no-cache", 2,
      "has no field 'coeffs'"),
-    ("classify --operator {name_int} --primes 7 --no-cache", 2,
+    ("table --operator {name_int} --primes 7 --no-cache --format csv", 2,
      "name must be a string, not 5"),
     ("table --operator {name_null} --primes 7 --no-cache --format csv", 2,
      "name must be a string, not None"),
@@ -1438,8 +1455,6 @@ def bad_operators(tmp_path):
      "error: unknown sequence 'zz'\n"),
     ("table --operator A*a --primes 3 --no-cache --output {unwritable}", 2,
      "cannot write --output"),
-    ("classify --operator A*a --primes 3 --no-cache --output {unwritable}", 2,
-     "cannot write --output"),
     ("table --operator A*a --primes 3 --jobs 0", 2,
      "error: --jobs must be >= 1, not 0\n"),
     ("table --operator A*a --primes , --no-cache", 2,
@@ -1461,7 +1476,7 @@ def bad_operators(tmp_path):
      "coeff_inf.json': not an integer: inf\n"),
     ("table --operator {coeff_inf} --primes 7 --no-cache", 2,
      "coeff_inf.json': not an integer: inf\n"),
-    ("classify --operator {coeff_float} --primes 7 --no-cache", 2,
+    ("table --operator {coeff_float} --primes 7 --no-cache --format csv", 2,
      "coeff_float.json': not an integer: 1.5\n"),
     ("wedge --operator {coeff_bool}", 2,
      "coeff_bool.json': not an integer: True\n"),
@@ -1469,7 +1484,7 @@ def bad_operators(tmp_path):
      "coeffs_strings.json': coeffs must be a list of lists of integers\n"),
     ("table --operator {coeffs_object} --primes 7 --no-cache", 2,
      "coeffs_object.json': coeffs must be a list of lists of integers\n"),
-    ("classify --operator {row_object} --primes 7 --no-cache", 2,
+    ("table --operator {row_object} --primes 7 --no-cache --format csv", 2,
      "row_object.json': coeffs must be a list of lists of integers\n"),
     ("frob --operator {aesz_float} --prime 7 --point 2 --no-cache", 2,
      "aesz_float.json': not an integer: 1.5\n"),
@@ -1489,7 +1504,7 @@ def bad_operators(tmp_path):
     # work: a range's end before its primes are enumerated
     ("table --operator A*a --primes 3..1000000000 --no-cache", 2,
      "error: 1000000000 is above the prime ceiling 61\n"),
-    ("classify --operator A*a --primes 5,67 --no-cache", 2,
+    ("table --operator A*a --primes 5,67 --no-cache --format csv", 2,
      "error: 67 is above the prime ceiling 61\n"),
     ("frob --operator A*a --prime 101 --point 2 --no-cache", 2,
      "error: 101 is above the prime ceiling 61\n"),
@@ -1507,8 +1522,8 @@ def bad_operators(tmp_path):
      2, "inf_ap.json': not an integer: inf\n"),
     ("FROBCY_FORMS_DIR={forms} table --operator A*a --operator B*b --primes 5 "
      "--no-cache --jobs 2", 2, "inf_ap.json': not an integer: inf\n"),
-    ("FROBCY_FORMS_DIR={forms} classify --operator B*b --primes 5,7 "
-     "--no-cache", 2, "inf_ap.json': not an integer: inf\n"),
+    ("FROBCY_FORMS_DIR={forms} table --operator B*b --primes 5,7 "
+     "--no-cache --format csv", 2, "inf_ap.json': not an integer: inf\n"),
     # a path that is no directory, missing or a regular file
     ("FROBCY_FORMS_DIR={missing_dir} frob --operator A*a --prime 7 --point 4 "
      "--no-cache", 2, "missing_dir' is not a directory\n"),
@@ -1569,6 +1584,29 @@ def test_failing_rows_keep_one_line_per_prime(key, line, bad_operators, capsys):
                           "--primes", "3,5", "--no-cache"], capsys)
     assert (code, out) == (1, "\n")
     assert err == "".join(f"error: {line.format(p=p)}\n" for p in (3, 5))
+
+
+@pytest.mark.parametrize("key", ["theta_factor_self_dual", "theta4"])
+@pytest.mark.parametrize("command", [
+    "table --operator {path} --primes 5,7,11 --no-cache --format json",
+    "frob --operator {path} --prime 7 --point 3 --no-cache"],
+    ids=["table", "frob"])
+def test_theta_right_factor_is_refused_before_any_series(key, command,
+                                                         bad_operators, capsys,
+                                                         monkeypatch):
+    # L = M theta has L 1 = 0, so f0 = 1 and r1 = 1 exactly.  Unrefused,
+    # the self-dual one gets 20 certified cells at p = 5, 7, 11, all wrong,
+    # and theta^4 fails its rows with a LiftOutOfBound that blames the lift
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was fetched")
+
+    monkeypatch.setattr(classify, "cache_series", no_series)
+    name = {"theta_factor_self_dual": "tfsd", "theta4": "theta4"}[key]
+    code, out, err = run(command.format(path=bad_operators[key]).split(),
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: theta is a right factor of operator {name}, so "
+                   f"its series is the constant 1\n")
 
 
 def test_failed_rows_cross_a_pool_as_their_lines(bad_operators, capsys):
@@ -1740,9 +1778,10 @@ class TestConsoleScript:
     def test_help_lists_subcommands(self):
         done = run_frobcy(["--help"])
         assert done.returncode == 0
-        for name in ("table", "frob", "wedge", "congruence", "classify",
-                     "legendre", "catalog"):
+        for name in ("table", "frob", "wedge", "congruence", "legendre",
+                     "catalog"):
             assert name in done.stdout
+        assert "classify" not in done.stdout
 
     def test_table_end_to_end(self):
         done = run_frobcy(["table", "--operator", "A*a", "--primes", "7",

@@ -1,0 +1,69 @@
+"""Golden outputs: the command line's bytes for the full table, one ``frob``
+cell and ``catalog``, compared byte for byte with the files in
+``tests/data``.  Marks, escalation, form labels, key order and formatting
+are pinned here, not only the cells.
+
+The three tables are built from the session's ``catalog_table`` rows (one
+uncached ``classify_operator`` call per operator, shared with
+``test_full_catalog_reproduces_corrected_tables``) through the emitters that
+``table`` uses, so Tier-1 computes the full table once.  A change that moves
+an output on purpose regenerates its file in the same commit, from the
+repository root:
+
+    export PYTHONPATH=src
+    python -m frobcy table --operator all --primes 3..17 --no-cache \\
+        --format json > tests/data/full_table.json
+    python -m frobcy table --operator all --primes 3..17 --no-cache \\
+        --format csv > tests/data/full_table.csv
+    python -m frobcy table --operator all --primes 3..17 --no-cache \\
+        > tests/data/full_table.md
+    python -m frobcy frob --operator 'A*d' --prime 5 --point 2 --no-cache \\
+        > tests/data/frob_Ad_p5_z2.json
+    python -m frobcy catalog > tests/data/catalog.txt
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from frobcy import cli
+from frobcy.classify import results_to_csv
+
+from conftest import TABLE_PRIMES
+
+DATA = Path(__file__).resolve().parent / "data"
+
+EMITTERS = {
+    "json": cli._json_tables,
+    "csv": lambda groups: results_to_csv(
+        [r for _n, _p, rows in groups for r in rows]),
+    "md": cli._markdown_tables,
+}
+
+
+def emitted(text: str, capsys) -> bytes:
+    """The bytes that ``table`` writes to stdout for ``text``."""
+    cli._emit(text, None)
+    return capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("suffix", sorted(EMITTERS))
+def test_full_table_matches_golden_file(suffix, catalog_table, capsys):
+    groups = [(name, p, row) for name, rows in catalog_table["rows"].items()
+              for p, row in zip(TABLE_PRIMES, rows)]
+    assert not [g for g in groups if isinstance(g[2], Exception)]
+    got = emitted(EMITTERS[suffix](groups), capsys)
+    assert got == (DATA / f"full_table.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("frob --operator A*d --prime 5 --point 2 --no-cache", "frob_Ad_p5_z2.json"),
+    ("catalog", "catalog.txt"),
+])
+def test_command_matches_golden_file(argv, name, capsys):
+    assert cli.main(argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("utf-8") == (DATA / name).read_bytes()

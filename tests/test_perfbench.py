@@ -2,8 +2,8 @@
 probe: a change that breaks the layer spans (for example a layer function no
 longer bound where ``perfbench/spans.py`` looks for it) or a name the probe
 reads fails here, not only in a benchmark run.  Also the record of
-``tools/bench_pairs.py`` names the trees it measured and states a
-no-regression verdict per metric."""
+``tools/bench_pairs.py`` names the trees it measured, states a
+no-regression verdict per metric, and adds an A/A run to a claim."""
 
 import ast
 import importlib.util
@@ -103,3 +103,52 @@ def test_bench_pairs_verdict(bench_pairs, better, parent, change, verdict):
     summary = bench_pairs._summary(runs("parent", parent) + runs("change", change),
                                    [metric])
     assert summary["metrics"]["wall_s"]["verdict"] == verdict
+
+
+def test_bench_pairs_claim_adds_an_aa_run(bench_pairs, tmp_path, monkeypatch):
+    # synthetic runs that vary with the seed: the change side is 10 %
+    # faster, and the parent's two exports time alike, so the claim is met
+    # and the A/A run's is not
+    spec = {"run_seconds": 1, "workloads": [{"name": "w1"}, {"name": "w2"}],
+            "end_to_end": [{"name": "wall_s", "better": "lower",
+                            "bound": 0.2}],
+            "per_layer": []}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec), "utf-8")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        tree.mkdir()
+        (tree / "marker").write_text(tree.name, "utf-8")
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        side = (tree / "marker").read_text("utf-8")
+        calls.append((tree, workload, seed))
+        value = (0.9 if side == "change" else 1.0) + (seed * 7 % 5) / 1000
+        return {"returncode": 0, "elapsed_s": 0.0,
+                "record": {"perfbench": {"stdout_sha256": "same",
+                                         "environment": {"src_sha256": side}}},
+                "result": {"correct": True, "failed": 0,
+                           "metrics": {"wall_s": {"value": value}}}}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    argv = ["--parent", str(parent), "--change", str(change), "--label", "t",
+            "--seed-base", "100"]
+    assert bench_pairs.main(argv + ["--claim", "w2:wall_s"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text("utf-8"))
+    assert record["claim_met"] is True
+    aa = record["aa_run"]
+    assert aa["metric"] == "wall_s" and aa["claim_met"] is False
+    assert (aa["change_wins"], aa["median_change_frac"]) == ("0/10", 0)
+    assert aa["parent_iqr"] > 0
+    # the A/A runs: w2 only, seeds 150-161, the parent and a copy of it
+    aa_calls = [c for c in calls if c[2] >= 150]
+    assert len(aa_calls) == len(aa["runs"]) == 24
+    assert {c[1] for c in aa_calls} == {"w2"}
+    assert {c[2] for c in aa_calls} == set(range(150, 162))
+    trees = {c[0] for c in aa_calls}
+    assert parent in trees and len(trees) == 2 and change not in trees
+    calls.clear()
+    assert bench_pairs.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text("utf-8"))
+    assert record["aa_run"] is None and max(c[2] for c in calls) == 111

@@ -30,6 +30,12 @@ every parent run, else ``ok``.  The record's ``regressions`` lists every
 ``WORKLOAD:METRIC`` that regressed.  The traced pair gives each per-layer
 metric once per side.
 
+With ``--claim``, the record also holds ``aa_run``: the parent against a
+second export of itself, on the claimed workload under the same protocol
+from seed ``--seed-base + 50``, with the claimed metric's wins, median
+change, parent interquartile range and ``claim_met``, and its runs.  It
+shows how close noise alone comes to meeting the claim.
+
 Runs last the ``run_seconds`` of ``BENCHMARK.json``.  The record is written
 to ``BENCH_<label>.json`` at the root of the repository.  Its ``sides`` entry
 names each tree measured: the spec given, the commit it resolves to (null
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -54,14 +61,19 @@ from typing import Dict, List, Optional
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 WINS_NEEDED = 9
+AA_SEED_OFFSET = 50
 
 
-def _tree(spec: str, workdir: Path, name: str) -> Path:
-    """The directory of one side: ``spec`` itself, or ``git archive`` of
-    the revision ``spec`` unpacked under ``workdir``."""
-    if Path(spec).is_dir():
-        return Path(spec).resolve()
+def _tree(spec: str, workdir: Path, name: str, copy: bool = False) -> Path:
+    """The directory of one side: ``spec`` itself (with ``copy``, a copy of
+    it under ``workdir``), or ``git archive`` of the revision ``spec``
+    unpacked under ``workdir``."""
     out = workdir / name
+    if Path(spec).is_dir():
+        if not copy:
+            return Path(spec).resolve()
+        shutil.copytree(spec, out, ignore=shutil.ignore_patterns(".git"))
+        return out
     out.mkdir()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", spec],
                              check=True, capture_output=True).stdout
@@ -178,6 +190,26 @@ def _claim_met(summary: dict, workload: str, metric: str) -> bool:
             and wins >= WINS_NEEDED and gap > entry["parent_iqr"])
 
 
+def _pairs(trees: Dict[str, Path], workload: str, base: int,
+           seconds: float) -> List[dict]:
+    """The runs of one workload under the protocol, from seed ``base``."""
+    plan = [(-1, base, 0, "change")]
+    plan += [(i, base + 1 + i, 0, "parent" if i % 2 == 0 else "change")
+             for i in range(PAIRS)]
+    plan.append((PAIRS, base + 1 + PAIRS, 1, "parent"))
+    runs = []
+    for pair, seed, trace, first in plan:
+        for side in [first, "change" if first == "parent" else "parent"]:
+            run = _run(trees[side], workload, seed, seconds, trace)
+            runs.append({"workload": workload, "seed": seed, "pair": pair,
+                         "side": side, "ran_first": first, "trace": trace,
+                         **run})
+            print(f"{workload} pair {pair} {side} ({trees[side].name}): "
+                  f"correct {run['result']['correct']}, "
+                  f"{run['elapsed_s']:.1f} s", file=sys.stderr, flush=True)
+    return runs
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="directory or git revision")
@@ -194,25 +226,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     claim = args.claim.split(":") if args.claim else None
     base = args.seed_base
-    runs: List[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": _tree(args.parent, Path(tmp), "parent"),
                  "change": _tree(args.change, Path(tmp), "change")}
-        for workload in workloads:
-            plan = [(-1, base, 0, "change")]
-            plan += [(i, base + 1 + i, 0, "parent" if i % 2 == 0 else "change")
-                     for i in range(PAIRS)]
-            plan.append((PAIRS, base + 1 + PAIRS, 1, "parent"))
-            for pair, seed, trace, first in plan:
-                order = [first, "change" if first == "parent" else "parent"]
-                for side in order:
-                    run = _run(trees[side], workload, seed, seconds, trace)
-                    runs.append({"workload": workload, "seed": seed, "pair": pair,
-                                 "side": side, "ran_first": first, "trace": trace,
-                                 **run})
-                    print(f"{workload} pair {pair} {side}: correct "
-                          f"{run['result']['correct']}, {run['elapsed_s']:.1f} s",
-                          file=sys.stderr, flush=True)
+        runs = [run for workload in workloads
+                for run in _pairs(trees, workload, base, seconds)]
+        if claim:
+            aa_trees = {"parent": trees["parent"],
+                        "change": _tree(args.parent, Path(tmp), "parent_aa",
+                                        copy=True)}
+            aa_runs = _pairs(aa_trees, claim[0], base + AA_SEED_OFFSET, seconds)
 
     untraced = {w: [r for r in runs if r["workload"] == w and r["trace"] == 0]
                 for w in workloads}
@@ -245,6 +268,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "method='inclusive').",
         "claim": None,
         "claim_met": None,
+        "aa_run": None,
     }
     if claim:
         better = summary[claim[0]]["metrics"][claim[1]]["better"]
@@ -254,6 +278,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                            "and the medians differ by more than the parent's "
                            "interquartile range")
         record["claim_met"] = _claim_met(summary, *claim)
+        aa = {claim[0]: _summary([r for r in aa_runs if r["trace"] == 0],
+                                 bench["end_to_end"])}
+        entry = aa[claim[0]]["metrics"][claim[1]]
+        record["aa_run"] = {
+            "what": "the parent against a second export of itself, "
+                    f"{claim[0]} only, same protocol, seeds "
+                    f"{base + AA_SEED_OFFSET}-{base + AA_SEED_OFFSET + 1 + PAIRS}",
+            "metric": claim[1],
+            "change_wins": entry["change_wins"],
+            "median_change_frac": entry["median_change_frac"],
+            "parent_iqr": entry["parent_iqr"],
+            "claim_met": _claim_met(aa, *claim),
+            "runs": aa_runs,
+        }
     record["regressions"] = [f"{w}:{name}" for w in workloads
                              for name, m in summary[w]["metrics"].items()
                              if m["verdict"] == "regressed"]
@@ -271,7 +309,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"iqr {m['parent_iqr']:.3g} {m['verdict']}")
     print(f"regressions: {', '.join(record['regressions']) or 'none'}")
     if claim:
-        print(f"claim {':'.join(claim)} met: {record['claim_met']}")
+        print(f"claim {':'.join(claim)} met: {record['claim_met']}; A/A run: "
+              f"wins {record['aa_run']['change_wins']}, met "
+              f"{record['aa_run']['claim_met']}")
     return 0
 
 
