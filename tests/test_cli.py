@@ -1522,8 +1522,8 @@ def bad_operators(tmp_path):
      2, "inf_ap.json': not an integer: inf\n"),
     ("FROBCY_FORMS_DIR={forms} table --operator A*a --operator B*b --primes 5 "
      "--no-cache --jobs 2", 2, "inf_ap.json': not an integer: inf\n"),
-    ("FROBCY_FORMS_DIR={forms} table --operator B*b --primes 5,7 "
-     "--no-cache --format csv", 2, "inf_ap.json': not an integer: inf\n"),
+    ("FROBCY_FORMS_DIR={forms} table --no-cache --operator B*b --primes 5,7 "
+     "--format csv", 2, "inf_ap.json': not an integer: inf\n"),
     # a path that is no directory, missing or a regular file
     ("FROBCY_FORMS_DIR={missing_dir} frob --operator A*a --prime 7 --point 4 "
      "--no-cache", 2, "missing_dir' is not a directory\n"),
