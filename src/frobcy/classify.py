@@ -25,6 +25,10 @@ built-in eta products, expanded from their factors once per prime,
     9/1:  eta(q^3)^8           = q - 8q^4 + 20q^7 - ...
 
 then the JSON fixtures in FROBCY_FORMS_DIR, read once per process.
+
+``classify_operator``, the one row pipeline, first calls
+``check_operator``, the refusals due before any series, which ``table``
+also calls for every operator before its first row.
 """
 
 from __future__ import annotations
@@ -237,6 +241,18 @@ def classify_point(op: ThetaOperator, p: int, z0: int, s: int,
         operator=op.name, z0=z0, escalated=escalated, s=s, r1=r1, rh=rh)
 
 
+def check_operator(op: ThetaOperator) -> None:
+    """Raise the UsageError that refuses every row of ``op`` before any
+    series: an operator with no theta^0 term in any row (it is M theta for
+    some M, so its series is the constant 1 and no cell can be right), or
+    a broken form fixture in the directory named by FROBCY_FORMS_DIR."""
+    if not any(row[0] for row in op.coeffs):
+        raise UsageError(f"theta is a right factor of operator "
+                         f"{op.name or '(unnamed)'}, so its series is the "
+                         f"constant 1")
+    _external_forms(os.environ.get(FORMS_DIR_ENV))
+
+
 def classify_operator(op: ThetaOperator, primes: Sequence[int],
                       points: Optional[Sequence[int]] = None,
                       cache_dir: Optional[str] = None,
@@ -257,15 +273,10 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
     (``escalated`` marks it), until ``box_precision``, where every balanced
     lift is settled.  With an integer ``precision`` every row
     runs at that s alone, and a point it does not settle makes
-    ``Uncertified`` its row's error.  A broken form fixture fails the call,
-    and so does an operator with no theta^0 term in any row: it is M theta
-    for some M, so its series is the constant 1 and no cell can be right.
+    ``Uncertified`` its row's error.  The call fails, before any series,
+    on what ``check_operator`` refuses.
     """
-    if not any(row[0] for row in op.coeffs):
-        raise UsageError(f"theta is a right factor of operator "
-                         f"{op.name or '(unnamed)'}, so its series is the "
-                         f"constant 1")
-    _external_forms(os.environ.get(FORMS_DIR_ENV))
+    check_operator(op)
     out: list = [None] * len(primes)
     wanted = [list(range(1, p) if points is None else points) for p in primes]
     roots = [set(symbol_roots_mod_p(op, p)) for p in primes]
@@ -300,22 +311,3 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
         pending, escalated = retry, True
     return out
 
-
-# -- tabular output -----------------------------------------------------------------
-
-CSV_COLUMNS = ("operator", "p", "z", "status", "a", "b",
-               "alpha", "beta", "chi", "ap", "form")
-
-
-def results_to_csv(rows: List[PointClass]) -> str:
-    """CSV text (header + one line per point, empty fields where N/A,
-    quoted where a field holds a comma or a quote)."""
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")  # writes None as ""
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([r.operator, r.p, r.z0, r.status, r.a, r.b, r.alpha,
-                      r.beta, r.chi, r.ap, r.form] for r in rows)
-    return buf.getvalue()

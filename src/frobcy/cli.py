@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Subcommands: ``table`` (full (a,b) tables per operator and prime, with
-markdown/csv/json emission and an optional worker pool), ``frob`` (one cell
-as JSON), ``wedge`` (exterior-square operator as JSON, from
-``catalog.exterior_square``: the stored square of a catalog name, the one
-built by ``wedge_square`` for an operator file), ``congruence``
+Subcommands: ``table`` (full (a,b) tables per operator and prime, in one
+of the ``FORMATS`` markdown, csv and json, with an optional worker pool),
+``frob`` (one cell as JSON), ``wedge`` (exterior-square operator as JSON,
+from ``catalog.exterior_square``: the stored square of a catalog name, the
+one built by ``wedge_square`` for an operator file), ``congruence``
 (ratio-congruence sweeps for the catalog sequences), ``legendre`` (elliptic
-baseline), and ``catalog`` (operator export).  The ``classify`` command of
-earlier versions is gone: ``table --operator X --format csv`` prints its
-bytes.
+baseline), and ``catalog`` (operator export).  Every command prints to
+stdout.  The ``classify`` command of earlier versions is gone: ``table
+--operator X --format csv`` prints its bytes.
 
 Every cell goes through one row pipeline, ``classify_operator``: a
 ``table`` row classifies the points 1 .. p-1, a ``frob`` query only its
@@ -28,10 +28,10 @@ Results are emitted in task order, so output is byte-identical to a serial
 run for every k.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
-argument, prime above its command's ceiling, operator file, point,
-``--output`` path, or form fixture, read before any row, or an operator
-with theta as a right factor) exits 2 and any other ``FrobcyError`` exits
-1, each as one ``error: ...`` line on stderr.
+argument, prime above its command's ceiling, operator file, point or form
+fixture, or an operator with theta as a right factor, each refused before
+any row by ``check_operator`` and the argument checks) exits 2 and any
+other ``FrobcyError`` exits 1, each as one ``error: ...`` line on stderr.
 A table row that fails is reported as data: the worker returns its one
 line naming the operator and p in place of its cells, and the run exits 1.
 """
@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import FrobcyError, UsageError
 from .catalog import CATALOG, SECOND_ORDER, SPECIAL_POINTS, exterior_square
-from .classify import PointClass, classify_operator, results_to_csv
+from .classify import PointClass, check_operator, classify_operator
 from .congruence import OutsideUnitDisk, check_dwork_congruence
 from .diffop import ThetaOperator, leading_symbol, solve_series
 from .frobenius import (box_precision, frobenius_quartic, legendre_frobenius,
@@ -181,24 +181,32 @@ def _json_tables(groups: Sequence[Tuple[str, int, List[PointClass]]]) -> str:
     return json.dumps(out, indent=1)
 
 
-def _write_output(output: str, mode: str, text: str = "") -> None:
-    """Write ``text`` to the --output file opened in ``mode``; an OSError
-    becomes the UsageError of an unwritable path."""
-    try:
-        with open(output, mode, encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write --output {output!r}: "
-                         f"{exc.strerror or exc}") from None
+CSV_COLUMNS = ("operator", "p", "z", "status", "a", "b",
+               "alpha", "beta", "chi", "ap", "form")
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if output:
-        _write_output(output, "w", text)
-    else:
-        sys.stdout.write(text)
+def _csv_tables(groups: Sequence[Tuple[str, int, List[PointClass]]]) -> str:
+    """CSV text (header + one line per point, empty fields where N/A,
+    quoted where a field holds a comma or a quote)."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")  # writes None as ""
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([r.operator, r.p, r.z0, r.status, r.a, r.b, r.alpha,
+                      r.beta, r.chi, r.ap, r.form]
+                     for _n, _p, rows in groups for r in rows)
+    return buf.getvalue()
+
+
+# The table formats, by their --format name, in the order of its choices.
+FORMATS = {"markdown": _markdown_tables, "csv": _csv_tables,
+           "json": _json_tables}
+
+
+def _emit(text: str) -> None:
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -214,8 +222,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     ops = [(n, _load_operator(n)) for n in names]  # once each, in order
     primes = _parse_primes(args.primes)
     cache_dir = _cache_dir(args)
-    if args.output:  # appending to probe the path keeps an existing file
-        _write_output(args.output, "a")
+    for _n, op in ops:  # refused before the first row of any operator
+        check_operator(op)
     tasks = [(op, primes, cache_dir) for _n, op in ops]
 
     if args.jobs > 1:
@@ -234,13 +242,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             else:
                 groups.append((name, p, rows))
 
-    if args.format == "markdown":
-        text = _markdown_tables(groups)
-    elif args.format == "json":
-        text = _json_tables(groups)
-    else:
-        text = results_to_csv([r for _n, _p, rows in groups for r in rows])
-    _emit(text, args.output)
+    _emit(FORMATS[args.format](groups))
 
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
@@ -381,11 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "every catalog operator (repeatable; default: all)")
     sp.add_argument("--primes", default="3..17",
                     help="prime range '3..17' or list '3,5,7' (default 3..17)")
-    sp.add_argument("--format", choices=("markdown", "csv", "json"),
-                    default="markdown")
+    sp.add_argument("--format", choices=FORMATS, default="markdown")
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes (output independent of the value)")
-    sp.add_argument("--output", default=None, help="write to file, not stdout")
     _add_cache_flags(sp)
     sp.set_defaults(func=cmd_table)
 

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from frobcy import UsageError
 from frobcy.catalog import CATALOG
+from frobcy.cli import CSV_COLUMNS, _csv_tables
 from frobcy.classify import (
     BUILTIN_FORMS,
-    CSV_COLUMNS,
     FORMS_DIR_ENV,
     PointClass,
     classify_ab,
@@ -30,7 +30,6 @@ from frobcy.classify import (
     eta_expansion,
     match_singular_ap,
     reducible_split,
-    results_to_csv,
     singular_split,
 )
 from frobcy.diffop import ThetaOperator
@@ -480,6 +479,11 @@ def test_rescaling_moves_each_cell_to_k_z0(name, k):
         at = {r.z0: (r.cell(), r.form) for r in original[p]}
         assert [(r.cell(), r.form) for r in rescaled[p]] == \
             [at[k * r.z0 % p] for r in rescaled[p]], (name, k, p)
+
+
+def results_to_csv(rows):
+    """The CSV that ``table --format csv`` prints for the cells ``rows``."""
+    return _csv_tables([("", 0, rows)])
 
 
 class TestResultsToCsv:

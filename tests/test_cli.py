@@ -17,6 +17,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -31,16 +33,16 @@ import inspect
 import pkgutil
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import frobcy
 from frobcy import FrobcyError, UsageError, catalog, classify, cli, wedge
 from frobcy import series as series_module
 from frobcy.catalog import CATALOG
-from frobcy.classify import results_to_csv
 from frobcy.diffop import ThetaOperator, solve_series
 from frobcy.series import CorruptCache, _cache_load, _cache_store
 from frobcy.frobenius import LiftOutOfBound, frobenius_quartic
+from frobcy.polyrat import poly_mul
 from frobcy.wedge import wedge_square
 
 from conftest import classified
@@ -570,9 +572,9 @@ class TestCmdTable:
         code, out, _ = run(["table", "--operator", "C*a", "--primes", "3,5",
                             "--format", "csv", "--no-cache"], capsys)
         assert code == 0
-        op = CATALOG["C*a"]
-        rows = [r for row in classified(op, (3, 5)).values() for r in row]
-        assert out == results_to_csv(rows)
+        rows = classified(CATALOG["C*a"], (3, 5))
+        assert out == cli._csv_tables([("C*a", p, row)
+                                       for p, row in rows.items()])
 
     def test_all_operators_single_prime(self, capsys, corrected_tables):
         code, out, _ = run(["table", "--operator", "all", "--primes", "3",
@@ -590,15 +592,6 @@ class TestCmdTable:
                             "--primes", "3", "--no-cache"], capsys)
         assert code == 0
         assert md_cells(out, str(path), 3) == ["-", "-"]
-
-    def test_output_file(self, capsys, tmp_path):
-        target = tmp_path / "out.md"
-        code, out, _ = run(["table", "--operator", "A*a", "--primes", "3",
-                            "--output", str(target), "--no-cache"], capsys)
-        assert code == 0 and out == ""
-        text = target.read_text(encoding="utf-8")
-        assert text.endswith("\n")
-        assert md_cells(text, "A*a", 3) == ["-", "-"]
 
     def test_undefined_cells_count_as_computed(self, capsys):
         code, _, err = run(["table", "--operator", "A*a", "--primes", "3",
@@ -652,34 +645,6 @@ class TestCmdTable:
         mixed = table("B*a", "all", "A*a", "all")
         assert list(mixed) == ["B*a"] + [n for n in CATALOG if n != "B*a"]
         assert mixed == table("all")
-
-    def test_unwritable_output_fails_before_any_row(self, capsys, monkeypatch,
-                                                    tmp_path):
-        def no_row(*args, **kwargs):
-            raise AssertionError("a row was computed")
-
-        monkeypatch.setattr(cli, "classify_operator", no_row)
-        target = str(tmp_path / "missing" / "out.txt")
-        code, out, err = run(["table", "--operator", "D*g", "--primes", "29",
-                              "--no-cache", "--output", target], capsys)
-        assert (code, out) == (2, "")
-        assert err == (f"error: cannot write --output {target!r}: "
-                       f"No such file or directory\n")
-
-    def test_output_probe_keeps_an_existing_file(self, capsys, monkeypatch,
-                                                 tmp_path):
-        # the path is checked before any row without truncating it, so a
-        # run that fails before its emission leaves the file as it was
-        def failing(*args, **kwargs):
-            raise FrobcyError("synthetic failure before emission")
-
-        monkeypatch.setattr(cli, "classify_operator", failing)
-        target = tmp_path / "out.txt"
-        target.write_text("earlier output\n", encoding="utf-8")
-        code, _, err = run(["table", "--operator", "A*a", "--primes", "3",
-                            "--no-cache", "--output", str(target)], capsys)
-        assert code == 1 and "synthetic failure" in err
-        assert target.read_text(encoding="utf-8") == "earlier output\n"
 
     @pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
     def test_repeated_prime_is_one_row(self, fmt, capsys):
@@ -1240,22 +1205,18 @@ class TestTableCsv:
         code, out, _ = run(["table", "--operator", "A*a", "--primes", "3,5",
                             "--format", "csv", "--no-cache"], capsys)
         assert code == 0
-        op = CATALOG["A*a"]
-        rows = [r for row in classified(op, (3, 5)).values() for r in row]
-        assert out == results_to_csv(rows)
+        rows = classified(CATALOG["A*a"], (3, 5))
+        assert out == cli._csv_tables([("A*a", p, row)
+                                       for p, row in rows.items()])
         header = out.splitlines()[0]
         assert header == "operator,p,z,status,a,b,alpha,beta,chi,ap,form"
 
-    def test_output_file_and_cache_roundtrip(self, capsys, tmp_path):
-        target = tmp_path / "rows.csv"
-        cache = tmp_path / "cache"
+    def test_cache_roundtrip(self, capsys, tmp_path):
         argv = ["table", "--operator", "C*a", "--primes", "5", "--format",
-                "csv", "--cache-dir", str(cache), "--output", str(target)]
-        code, out, _ = run(argv, capsys)
-        assert code == 0 and out == ""
-        cold = target.read_text(encoding="utf-8")
-        run(argv, capsys)
-        assert target.read_text(encoding="utf-8") == cold
+                "csv", "--cache-dir", str(tmp_path / "cache")]
+        code, cold, err = run(argv, capsys)
+        assert code == 0 and err == "" and cold.startswith("operator,")
+        assert run(argv, capsys) == (0, cold, "")
 
     def test_precision_failure_exits_nonzero(self, capsys, monkeypatch):
         def blow_up(op, primes, **kwargs):
@@ -1330,8 +1291,7 @@ def bad_operators(tmp_path):
     exterior square has a non-integral series, three whose name is not a
     string, three with a coefficient and two with an aesz that is a JSON
     number but not an integer, a form fixture directory with such an a_p,
-    an --output path in a directory that does not exist, a directory path
-    that does not exist, and an empty cache directory."""
+    a directory path that does not exist, and an empty cache directory."""
     ops = {
         "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
         # theta^4 - z (theta+1)^3
@@ -1395,7 +1355,6 @@ def bad_operators(tmp_path):
     paths["forms"].mkdir()
     (paths["forms"] / "inf_ap.json").write_text(
         '{"label": "q", "ap": {"7": 1e400}}', encoding="utf-8")
-    paths["unwritable"] = tmp_path / "missing" / "out.txt"
     paths["missing_dir"] = tmp_path / "missing_dir"
     paths["cache"] = tmp_path / "cache"
     return {key: str(path) for key, path in paths.items()}
@@ -1453,8 +1412,6 @@ def bad_operators(tmp_path):
      "coefficient c_2 is not an integer (operator wedge(A*a))"),
     ("congruence --sequence zz --prime 5", 2,
      "error: unknown sequence 'zz'\n"),
-    ("table --operator A*a --primes 3 --no-cache --output {unwritable}", 2,
-     "cannot write --output"),
     ("table --operator A*a --primes 3 --jobs 0", 2,
      "error: --jobs must be >= 1, not 0\n"),
     ("table --operator A*a --primes , --no-cache", 2,
@@ -1589,8 +1546,13 @@ def test_failing_rows_keep_one_line_per_prime(key, line, bad_operators, capsys):
 @pytest.mark.parametrize("key", ["theta_factor_self_dual", "theta4"])
 @pytest.mark.parametrize("command", [
     "table --operator {path} --primes 5,7,11 --no-cache --format json",
-    "frob --operator {path} --prime 7 --point 3 --no-cache"],
-    ids=["table", "frob"])
+    "frob --operator {path} --prime 7 --point 3 --no-cache",
+    # refused before the first row of the operator listed before it
+    "table --operator D*g --operator {path} --primes 29 --no-cache "
+    "--format json",
+    "table --operator D*g --operator {path} --primes 29 --no-cache "
+    "--format json --jobs 2"],
+    ids=["table", "frob", "table_second", "table_second_jobs2"])
 def test_theta_right_factor_is_refused_before_any_series(key, command,
                                                          bad_operators, capsys,
                                                          monkeypatch):
@@ -1694,11 +1656,11 @@ def one_value_replaced(draw, doc):
 
 
 def run_quietly(argv):
-    """(exit code, stderr) of ``main(argv)``, with its output captured."""
+    """(exit code, stdout, stderr) of ``main(argv)``, its streams captured."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -1715,8 +1677,8 @@ def test_malformed_operator_file_fails_in_one_line(data, fuzz_dir):
     path = fuzz_dir / "op.json"
     path.write_text(json.dumps(data.draw(one_value_replaced(entry))),
                     encoding="utf-8")
-    code, err = run_quietly(["frob", "--operator", str(path), "--prime", "5",
-                             "--point", "2", "--no-cache"])
+    code, _, err = run_quietly(["frob", "--operator", str(path), "--prime",
+                                "5", "--point", "2", "--no-cache"])
     assert code in (0, 1, 2) and "Traceback" not in err
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -1732,11 +1694,66 @@ def test_malformed_form_fixture_is_a_usage_error(data, fuzz_dir):
         json.dumps(data.draw(one_value_replaced(fixture))), encoding="utf-8")
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv(classify.FORMS_DIR_ENV, str(forms))
-        code, err = run_quietly(["frob", "--operator", "A*a", "--prime", "7",
-                                 "--point", "4", "--no-cache"])
+        code, _, err = run_quietly(["frob", "--operator", "A*a", "--prime",
+                                    "7", "--point", "4", "--no-cache"])
     assert code in (0, 2) and "Traceback" not in err
     if code:
         assert err.startswith("error: form fixture") and err.count("\n") == 1
+
+
+@st.composite
+def self_dual_p(draw):
+    """The coefficients of a P(theta) with P(theta) = P(-theta-1), in one of
+    two shapes: a constant times two pairs (d theta + a)(d theta + d - a),
+    or alpha (theta^2+theta)^2 + beta (theta^2+theta) + gamma."""
+    if draw(st.booleans()):
+        poly = [draw(st.integers(-4, 4))]
+        for _ in range(2):
+            d = draw(st.integers(1, 4))
+            a = draw(st.integers(0, d))
+            # a factor d or d^2 makes the series of some pairs integral, so
+            # that some tables are emitted
+            k = draw(st.sampled_from((1, d, d * d)))
+            poly = poly_mul(poly, poly_mul([k * a, k * d], [d - a, d]))
+        return poly
+    alpha, beta, gamma = (draw(st.integers(-16, 16)) for _ in range(3))
+    return [gamma, beta, alpha + beta, 2 * alpha, alpha]
+
+
+@seed(14)
+@settings(max_examples=120, deadline=None)
+@given(P=self_dual_p())
+def test_fuzzed_self_dual_operator_file(P, fuzz_dir):
+    # theta^4 - z P(theta): each row and the one frob query succeed or fail
+    # in one line, and P(0) = 0 (theta a right factor) is refused
+    op = ThetaOperator([[0, 0, 0, 0, 1], [-c for c in P]], name="fuzz")
+    path = str(fuzz_dir / "self_dual.json")
+    Path(path).write_text(op.to_json(), encoding="utf-8")
+    table = ["table", "--operator", path, "--primes", "5,7", "--format",
+             "json"]
+    code, out, err = run_quietly(table + ["--no-cache"])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    lines = err.splitlines()
+    assert all(line.startswith("error: ") for line in lines)
+    if code == 2:
+        assert out == "" and len(lines) == 1
+    else:
+        rows = json.loads(out).get(path, {})
+        failed = [p for p in (5, 7) if str(p) not in rows]
+        assert code == (1 if failed else 0)
+        assert [line.split(":")[1] for line in lines] == \
+            [f" fuzz p={p}" for p in failed]
+    if P[0] == 0:
+        assert code == 2 and out == ""
+    cached = run_quietly(table + ["--cache-dir", str(fuzz_dir / "cache")])
+    assert cached[:2] == (code, out)
+    code, out, err = run_quietly(["frob", "--operator", path, "--prime", "7",
+                                  "--point", "2", "--no-cache"])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if P[0] == 0:
+        assert code == 2
 
 
 def test_pool_never_has_more_workers_than_tasks(inline_pool, capsys):
@@ -1789,6 +1806,21 @@ class TestConsoleScript:
         assert done.returncode == 0
         assert md_cells(done.stdout, "A*a", 7) == [
             "(2,-46)", "(-8,2)", "(32,-94)*", "(80,290)*", "(10,50)'", "-"]
+
+    def test_readme_command_lines_parse(self):
+        # every `frobcy ...` line of the README's sh blocks, parsed, not run
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text("utf-8"),
+                            re.M | re.S)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("frobcy ")]
+        assert lines
+        parser = cli.build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {line}")
 
     def test_missing_subcommand_is_usage_error(self):
         done = run_frobcy([])

@@ -5,10 +5,10 @@ are pinned here, not only the cells.
 
 The three tables are built from the session's ``catalog_table`` rows (one
 uncached ``classify_operator`` call per operator, shared with
-``test_full_catalog_reproduces_corrected_tables``) through the emitters that
-``table`` uses, so Tier-1 computes the full table once.  A change that moves
-an output on purpose regenerates its file in the same commit, from the
-repository root:
+``test_full_catalog_reproduces_corrected_tables``) through every emitter of
+``cli.FORMATS``, the table that ``table --format`` reads, so Tier-1
+computes the full table once.  A change that moves an output on purpose
+regenerates its file in the same commit, from the repository root:
 
     export PYTHONPATH=src
     python -m frobcy table --operator all --primes 3..17 --no-cache \\
@@ -19,6 +19,8 @@ repository root:
         > tests/data/full_table.md
     python -m frobcy frob --operator 'A*d' --prime 5 --point 2 --no-cache \\
         > tests/data/frob_Ad_p5_z2.json
+    python -m frobcy frob --operator 'A*a' --prime 7 --point 2 \\
+        --precision 4 --no-cache > tests/data/frob_Aa_p7_z2_s4.json
     python -m frobcy catalog > tests/data/catalog.txt
 """
 
@@ -29,37 +31,29 @@ from pathlib import Path
 import pytest
 
 from frobcy import cli
-from frobcy.classify import results_to_csv
 
 from conftest import TABLE_PRIMES
 
 DATA = Path(__file__).resolve().parent / "data"
 
-EMITTERS = {
-    "json": cli._json_tables,
-    "csv": lambda groups: results_to_csv(
-        [r for _n, _p, rows in groups for r in rows]),
-    "md": cli._markdown_tables,
-}
+SUFFIX = {"markdown": "md", "csv": "csv", "json": "json"}
 
 
-def emitted(text: str, capsys) -> bytes:
-    """The bytes that ``table`` writes to stdout for ``text``."""
-    cli._emit(text, None)
-    return capsys.readouterr().out.encode("utf-8")
-
-
-@pytest.mark.parametrize("suffix", sorted(EMITTERS))
-def test_full_table_matches_golden_file(suffix, catalog_table, capsys):
+@pytest.mark.parametrize("fmt", cli.FORMATS, ids=SUFFIX.get)
+def test_full_table_matches_golden_file(fmt, catalog_table, capsys):
     groups = [(name, p, row) for name, rows in catalog_table["rows"].items()
               for p, row in zip(TABLE_PRIMES, rows)]
     assert not [g for g in groups if isinstance(g[2], Exception)]
-    got = emitted(EMITTERS[suffix](groups), capsys)
-    assert got == (DATA / f"full_table.{suffix}").read_bytes()
+    cli._emit(cli.FORMATS[fmt](groups))
+    got = capsys.readouterr().out.encode("utf-8")
+    assert got == (DATA / f"full_table.{SUFFIX[fmt]}").read_bytes()
 
 
 @pytest.mark.parametrize("argv, name", [
     ("frob --operator A*d --prime 5 --point 2 --no-cache", "frob_Ad_p5_z2.json"),
+    # the worked example: r1 = 582 and rh = 1101 mod 7^4
+    ("frob --operator A*a --prime 7 --point 2 --precision 4 --no-cache",
+     "frob_Aa_p7_z2_s4.json"),
     ("catalog", "catalog.txt"),
 ])
 def test_command_matches_golden_file(argv, name, capsys):
