@@ -166,8 +166,9 @@ def singular_split(a: int, b: int, p: int) -> Optional[Tuple[int, int]]:
 
 
 class PointClass(NamedTuple):
-    """Classification of one (operator, p, z0) cell, built once.
+    """Classification of one cell z0 of a row, built once.
 
+    It holds what varies by cell; the row's group holds its operator and p.
     ``status`` is smooth, reducible, singular, inconsistent or undefined;
     ``escalated`` marks a cell certified only above the row's starting
     precision, ``s`` the precision p^s the cell was settled at, and ``r1``,
@@ -175,8 +176,6 @@ class PointClass(NamedTuple):
     (None when undefined).
     """
 
-    operator: str
-    p: int
     z0: int
     status: str
     at_singular_fiber: bool
@@ -209,7 +208,7 @@ def classify_ab(a: int, b: int, p: int, at_singular_fiber: bool) -> PointClass:
     implies carries a linear coefficient p + p^2 beyond the reducible bound,
     so the pair lands in "inconsistent" via the modulus check instead.
     """
-    pc = PointClass(operator="", p=p, z0=0, status="smooth",
+    pc = PointClass(z0=0, status="smooth",
                     at_singular_fiber=at_singular_fiber, a=a, b=b)
     if at_singular_fiber:
         split = singular_split(a, b, p)
@@ -223,22 +222,21 @@ def classify_ab(a: int, b: int, p: int, at_singular_fiber: bool) -> PointClass:
     return pc if weil_verify(a, b, p) else pc._replace(status="inconsistent")
 
 
-def classify_point(op: ThetaOperator, p: int, z0: int, s: int,
-                   f0: Sequence[int], F0: Sequence[int], fiber: bool,
+def classify_point(p: int, z0: int, s: int, f0: Sequence[int],
+                   F0: Sequence[int], fiber: bool,
                    escalated: bool) -> PointClass:
     """Classify one point at precision s from the residue lists f0 and F0 of
-    the series of the operator and of its exterior square; ``fiber`` tells
+    the series of an operator and of its exterior square; ``fiber`` tells
     whether the leading symbol vanishes at z0 mod p, and ``escalated``
     whether s is above the row's start.  Raises Uncertified when s does not
     yet settle (a, b) (see assemble_frobenius)."""
     try:
         r1, rh = unit_roots(f0, F0, z0, p, s)
     except OutsideUnitDisk:
-        return PointClass(op.name, p, z0, "undefined", fiber,
-                          escalated=escalated, s=s)
+        return PointClass(z0, "undefined", fiber, escalated=escalated, s=s)
     a, b = assemble_frobenius(r1, rh, p, s, at_singular_fiber=fiber)
     return classify_ab(a, b, p, fiber)._replace(
-        operator=op.name, z0=z0, escalated=escalated, s=s, r1=r1, rh=rh)
+        z0=z0, escalated=escalated, s=s, r1=r1, rh=rh)
 
 
 def check_operator(op: ThetaOperator) -> None:
@@ -296,7 +294,7 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
                 for z0 in zs:
                     try:
                         cells[i][z0] = classify_point(
-                            op, p, z0, s, f0, F0, z0 % p in roots[i], escalated)
+                            p, z0, s, f0, F0, z0 % p in roots[i], escalated)
                     except Uncertified:
                         if precision is not None:
                             raise

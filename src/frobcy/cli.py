@@ -18,22 +18,23 @@ its ``--precision s`` alone.  Its series come from ``series.cache_series``
 The cache directory is ``--cache-dir``, else $FROBCY_CACHE_DIR, else the
 platform user cache path.
 
-A table sweep runs one task per operator: one ``classify_operator`` call
-over all its primes, so one ``cache_series`` call for all its rows and one
-more per escalation round.
-``--jobs k`` parallelizes over operators, so a single operator gets no
-speed-up from it.  Each worker keeps its own memos of factor runs and
-fetches an operator's exterior square once per round that misses the cache.
-Results are emitted in task order, so output is byte-identical to a serial
-run for every k.
+A table sweep maps ``classify_operator`` over the operators: one call per
+operator over all its primes, so one ``cache_series`` call for all its rows
+and one more per escalation round.  ``--jobs k`` maps it in a worker pool,
+so a single operator gets no speed-up from it.  Each worker keeps its own
+memos of factor runs, fetches an operator's exterior square once per round
+that misses the cache, and returns its rows pickled, cells and exceptions
+alike.  Results are emitted in ``--operator`` order, so output is
+byte-identical to a serial run for every k.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
 argument, prime above its command's ceiling, operator file, point or form
 fixture, or an operator with theta as a right factor, each refused before
 any row by ``check_operator`` and the argument checks) exits 2 and any
 other ``FrobcyError`` exits 1, each as one ``error: ...`` line on stderr.
-A table row that fails is reported as data: the worker returns its one
-line naming the operator and p in place of its cells, and the run exits 1.
+A table row that fails is reported as data: its exception, in place of its
+cells, becomes one line naming the operator, as given to ``--operator``,
+and p, and the run exits 1.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import FrobcyError, UsageError
 from .catalog import CATALOG, SECOND_ORDER, SPECIAL_POINTS, exterior_square
@@ -117,7 +119,8 @@ def _parse_primes(text: str) -> List[int]:
 
 
 def _load_operator(spec: str) -> ThetaOperator:
-    """Catalog name, or path to a JSON operator file."""
+    """Catalog name, or path to a JSON operator file; a file without a
+    ``name`` takes the path as its name."""
     if spec in CATALOG:
         return CATALOG[spec]
     if not os.path.exists(spec):
@@ -125,11 +128,13 @@ def _load_operator(spec: str) -> ThetaOperator:
             f"unknown operator {spec!r}: not a catalog name and not a file")
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            return ThetaOperator.from_json(fh.read())
+            op = ThetaOperator.from_json(fh.read())
     except KeyError as exc:
         raise UsageError(f"operator file {spec!r} has no field {exc}") from None
     except (OSError, TypeError, ValueError) as exc:
         raise UsageError(f"operator file {spec!r}: {exc}") from None
+    op.name = op.name or spec
+    return op
 
 
 def _cache_dir(args: argparse.Namespace) -> Optional[str]:
@@ -141,18 +146,6 @@ def _cache_dir(args: argparse.Namespace) -> Optional[str]:
         return args.cache_dir
     xdg = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
     return os.environ.get("FROBCY_CACHE_DIR") or os.path.join(xdg, "frobcy")
-
-
-def _table_task(arg: Tuple[ThetaOperator, Sequence[int], Optional[str]]
-                ) -> List[Union[List[PointClass], str]]:
-    """Worker: every row (one per prime) of one operator, from one
-    ``classify_operator`` call; a row that failed is its diagnostic line."""
-    op, primes, cache_dir = arg
-    rows = classify_operator(op, primes, cache_dir=cache_dir)
-    label = op.name or "operator"
-    return [f"{label} p={p}: {type(row).__name__}: {row}"
-            if isinstance(row, Exception) else row
-            for p, row in zip(primes, rows)]
 
 
 def _padic_json(p: int, s: int, residue: int) -> Dict[str, int]:
@@ -194,9 +187,9 @@ def _csv_tables(groups: Sequence[Tuple[str, int, List[PointClass]]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # writes None as ""
     writer.writerow(CSV_COLUMNS)
-    writer.writerows([r.operator, r.p, r.z0, r.status, r.a, r.b, r.alpha,
-                      r.beta, r.chi, r.ap, r.form]
-                     for _n, _p, rows in groups for r in rows)
+    writer.writerows([name, p, r.z0, r.status, r.a, r.b, r.alpha, r.beta,
+                      r.chi, r.ap, r.form]
+                     for name, p, rows in groups for r in rows)
     return buf.getvalue()
 
 
@@ -219,26 +212,27 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise UsageError(f"--jobs must be >= 1, not {args.jobs}")
     names = dict.fromkeys(name for spec in args.operator or ["all"]
                           for name in (CATALOG if spec == "all" else [spec]))
-    ops = [(n, _load_operator(n)) for n in names]  # once each, in order
+    ops = [_load_operator(n) for n in names]  # once each, in order
     primes = _parse_primes(args.primes)
     cache_dir = _cache_dir(args)
-    for _n, op in ops:  # refused before the first row of any operator
+    for op in ops:  # refused before the first row of any operator
         check_operator(op)
-    tasks = [(op, primes, cache_dir) for _n, op in ops]
+    # bound at call time: perfbench's traced run rebinds classify_operator
+    task = partial(classify_operator, primes=primes, cache_dir=cache_dir)
 
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_table_task, tasks))
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(ops))) as pool:
+            outcomes = list(pool.map(task, ops))
     else:
-        outcomes = [_table_task(t) for t in tasks]
+        outcomes = list(map(task, ops))
 
     groups: List[Tuple[str, int, List[PointClass]]] = []
     errors: List[str] = []
-    for (name, _op), task_rows in zip(ops, outcomes):
-        for p, rows in zip(primes, task_rows):
-            if isinstance(rows, str):
-                errors.append(rows)
+    for name, op_rows in zip(names, outcomes):
+        for p, rows in zip(primes, op_rows):
+            if isinstance(rows, Exception):
+                errors.append(f"{name} p={p}: {type(rows).__name__}: {rows}")
             else:
                 groups.append((name, p, rows))
 
@@ -269,7 +263,7 @@ def cmd_frob(args: argparse.Namespace) -> int:
         raise row
     pc, = row
     result: Dict[str, object] = {
-        "operator": op.name or args.operator, "p": p, "z": z0,
+        "operator": args.operator, "p": p, "z": z0,
         "precision": pc.s,
     }
     if pc.status == "undefined":

@@ -265,10 +265,9 @@ class TestClassifyAb:
         pc = classify_ab(32, 62, 5, at_singular_fiber=True)
         assert pickle.loads(pickle.dumps(pc)) == pc
         assert repr(pc) == (
-            "PointClass(operator='', p=5, z0=0, status='singular', "
-            "at_singular_fiber=True, a=32, b=62, alpha=None, beta=None, "
-            "chi=-1, ap=-2, form='8/1', escalated=False, s=None, r1=None, "
-            "rh=None)")
+            "PointClass(z0=0, status='singular', at_singular_fiber=True, "
+            "a=32, b=62, alpha=None, beta=None, chi=-1, ap=-2, form='8/1', "
+            "escalated=False, s=None, r1=None, rh=None)")
 
 
 class TestMatchSingularAp:
@@ -357,7 +356,6 @@ class TestClassifyOperatorRows:
 
     def test_p7_metadata(self, aa_rows):
         assert [r.z0 for r in aa_rows[7]] == [1, 2, 3, 4, 5, 6]
-        assert all(r.operator == "A*a" and r.p == 7 for r in aa_rows[7])
 
     def test_p3_all_undefined(self, aa_rows):
         assert [r.cell() for r in aa_rows[3]] == ["-", "-"]
@@ -495,18 +493,17 @@ class TestResultsToCsv:
         assert text.endswith("\n")
 
     def test_singular_line(self, aa_rows):
-        assert results_to_csv(aa_rows[7]).splitlines()[3] == \
+        assert _csv_tables([("A*a", 7, aa_rows[7])]).splitlines()[3] == \
             "A*a,7,3,singular,32,-94,,,-1,24,8/1"
 
     def test_undefined_line_has_empty_fields(self, aa_rows):
-        assert results_to_csv(aa_rows[7]).splitlines()[6] == \
+        assert _csv_tables([("A*a", 7, aa_rows[7])]).splitlines()[6] == \
             "A*a,7,6,undefined,,,,,,,"
 
     def test_fields_with_commas_and_quotes_are_quoted(self):
-        rows = [PointClass(operator="x,y", p=7, z0=3, status="singular",
-                           at_singular_fiber=True, a=32, b=-94, chi=-1,
-                           ap=24, form='a"b')]
-        text = results_to_csv(rows)
+        rows = [PointClass(z0=3, status="singular", at_singular_fiber=True,
+                           a=32, b=-94, chi=-1, ap=24, form='a"b')]
+        text = _csv_tables([("x,y", 7, rows)])
         parsed = list(csv.reader(text.splitlines()))
         assert [len(fields) for fields in parsed] == [11, 11]
         assert parsed[1] == ["x,y", "7", "3", "singular", "32", "-94", "",

@@ -813,7 +813,7 @@ class TestOneRunPerRole:
         code, _, _ = run(self.TWO + ["--primes", "3,5,7", "--jobs", "8",
                                      "--no-cache"], capsys)
         assert code == 0
-        assert [task[1] for task in inline_pool.tasks] == [[3, 5, 7], [3, 5, 7]]
+        assert inline_pool.tasks == [CATALOG["A*a"], CATALOG["A*b"]]
 
     def test_two_runs_per_operator_cold_none_warm(self, runs, capsys, tmp_path,
                                                   corrected_tables):
@@ -1285,13 +1285,14 @@ def test_every_exception_class_derives_from_frobcy_error():
 
 @pytest.fixture
 def bad_operators(tmp_path):
-    """Operator files without an exterior square, three with theta as a
-    right factor, one that is no JSON object, one without coeffs, three
-    whose coeffs or a row of them is a string or an object, one whose
-    exterior square has a non-integral series, three whose name is not a
-    string, three with a coefficient and two with an aesz that is a JSON
-    number but not an integer, a form fixture directory with such an a_p,
-    a directory path that does not exist, and an empty cache directory."""
+    """Operator files without an exterior square, four with theta as a
+    right factor (one of them unnamed), one that is no JSON object, one
+    without coeffs, three whose coeffs or a row of them is a string or an
+    object, two whose exterior square has a non-integral series (one of
+    them unnamed), three whose name is not a string, three with a
+    coefficient and two with an aesz that is a JSON number but not an
+    integer, a form fixture directory with such an a_p, a directory path
+    that does not exist, and an empty cache directory."""
     ops = {
         "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
         # theta^4 - z (theta+1)^3
@@ -1306,6 +1307,8 @@ def bad_operators(tmp_path):
         "theta_factor_self_dual": ThetaOperator(
             [[0, 0, 0, 0, 1], [0, -16, -80, -128, -64]], name="tfsd"),
         "theta4": ThetaOperator([[0, 0, 0, 0, 1]], name="theta4"),
+        "theta_unnamed": ThetaOperator(
+            [[0, 0, 0, 0, 1], [0, -16, -80, -128, -64]]),
     }
     paths = {}
     for key, op in ops.items():
@@ -1336,6 +1339,9 @@ def bad_operators(tmp_path):
     data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
     paths["wedge_not_integral"] = tmp_path / "wedge_not_integral.json"
     paths["wedge_not_integral"].write_text(json.dumps(data), encoding="utf-8")
+    del data["name"]
+    paths["wedge_unnamed"] = tmp_path / "wedge_unnamed.json"
+    paths["wedge_unnamed"].write_text(json.dumps(data), encoding="utf-8")
     for key, name in (("name_int", 5), ("name_null", None),
                       ("name_list", ["x"])):
         data = json.loads(CATALOG["A*a"].to_json())
@@ -1378,6 +1384,16 @@ def bad_operators(tmp_path):
     ("table --operator {theta_factor} --primes 7 --no-cache", 2,
      "error: theta is a right factor of operator tf, so its series is the "
      "constant 1\n"),
+    # an unnamed file is named by its path
+    ("table --operator {theta_unnamed} --primes 7 --no-cache", 2,
+     "error: theta is a right factor of operator {theta_unnamed}, so its "
+     "series is the constant 1\n"),
+    ("frob --operator {theta_unnamed} --prime 7 --point 2 --no-cache", 2,
+     "error: theta is a right factor of operator {theta_unnamed}, so its "
+     "series is the constant 1\n"),
+    ("table --operator {wedge_unnamed} --primes 7 --no-cache", 1,
+     "error: {wedge_unnamed} p=7: NonIntegralSolution: coefficient c_2 is not "
+     "an integer (operator wedge({wedge_unnamed}))\n"),
     ("frob --operator {not_mum} --prime 7 --point 2 --no-cache", 1,
      "wedge_square expects a MUM operator"),
     ("table --operator {not_mum} --primes 7 --no-cache", 1,
@@ -1499,7 +1515,7 @@ def test_failure_is_one_line_with_its_exit_code(argv, code, message,
         assert time.perf_counter() - started < 1.0
     assert got == code
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
+    assert message.format(**bad_operators) in err
 
 
 @pytest.mark.parametrize("fixture, message", [
@@ -1531,16 +1547,18 @@ def test_malformed_form_fixture_names_the_file(fixture, message, tmp_path,
 
 
 @pytest.mark.parametrize("key, line", [
-    ("order2", "leg16 p={p}: UnsupportedOperator: wedge_square expects a "
+    ("order2", "{path} p={p}: UnsupportedOperator: wedge_square expects a "
                "fourth-order operator"),
-    ("not_self_dual", "nsd p={p}: UnexpectedOrder: theta-iterates span no "
+    ("not_self_dual", "{path} p={p}: UnexpectedOrder: theta-iterates span no "
                       "order-5 relation"),
-])
+], ids=["order2", "not_self_dual"])
 def test_failing_rows_keep_one_line_per_prime(key, line, bad_operators, capsys):
-    code, out, err = run(["table", "--operator", bad_operators[key],
-                          "--primes", "3,5", "--no-cache"], capsys)
+    path = bad_operators[key]
+    code, out, err = run(["table", "--operator", path, "--primes", "3,5",
+                          "--no-cache"], capsys)
     assert (code, out) == (1, "\n")
-    assert err == "".join(f"error: {line.format(p=p)}\n" for p in (3, 5))
+    assert err == "".join(f"error: {line.format(path=path, p=p)}\n"
+                          for p in (3, 5))
 
 
 @pytest.mark.parametrize("key", ["theta_factor_self_dual", "theta4"])
@@ -1571,14 +1589,55 @@ def test_theta_right_factor_is_refused_before_any_series(key, command,
                    f"its series is the constant 1\n")
 
 
-def test_failed_rows_cross_a_pool_as_their_lines(bad_operators, capsys):
-    # a worker returns each failed row as its diagnostic line, and the
-    # parent sorts lines from rows: a pool prints what a serial run prints
-    argv = ["table", "--operator", str(bad_operators["order2"]), "--operator",
-            "A*a", "--primes", "3,5", "--no-cache", "--format", "json"]
+@pytest.mark.parametrize("key", ["order2", "not_self_dual",
+                                 "wedge_not_integral"])
+def test_failed_rows_cross_a_pool_as_exceptions(key, bad_operators, capsys):
+    # a worker returns each failed row as its exception, pickled, and the
+    # parent writes its line: a pool prints what a serial run prints
+    argv = ["table", "--operator", bad_operators[key], "--operator", "A*a",
+            "--primes", "3,5", "--no-cache", "--format", "json"]
     serial = run(argv + ["--jobs", "1"], capsys)
     assert serial[0] == 1 and serial[2].count("\n") == 2
     assert run(argv + ["--jobs", "2"], capsys) == serial
+
+
+def test_operator_file_rows_carry_its_spec_in_every_output(bad_operators,
+                                                           tmp_path, capsys):
+    # A*a with row i times 3^i, saved under the name "A*a": its cells are
+    # A*a's at 3 z0, and its rows and the order2 file's failed rows read the
+    # path given to --operator in every format, serial or pooled
+    op = CATALOG["A*a"]
+    aa3 = str(tmp_path / "aa3.json")
+    Path(aa3).write_text(ThetaOperator(
+        [[c * 3**i for c in row] for i, row in enumerate(op.coeffs)],
+        name="A*a").to_json(), encoding="utf-8")
+    order2 = bad_operators["order2"]
+    argv = ["table", "--operator", "A*a", "--operator", aa3, "--operator",
+            order2, "--primes", "5,7", "--no-cache", "--format"]
+    errors = "".join(f"error: {order2} p={p}: UnsupportedOperator: "
+                     f"wedge_square expects a fourth-order operator\n"
+                     for p in (5, 7))
+    outs = {}
+    for fmt in cli.FORMATS:
+        serial = run(argv + [fmt, "--jobs", "1"], capsys)
+        assert serial[0] == 1 and serial[2] == errors
+        assert run(argv + [fmt, "--jobs", "2"], capsys) == serial
+        outs[fmt] = serial[1]
+    csv_rows = [line.split(",") for line in outs["csv"].splitlines()[1:]]
+    assert [(row[0], row[1]) for row in csv_rows] == \
+        [(name, str(p)) for name in ("A*a", aa3) for p in (5, 7)
+         for _z in range(1, p)]
+    assert [f"## {name}, p = {p}" for name in ("A*a", aa3) for p in (5, 7)] \
+        == [line for line in outs["markdown"].splitlines()
+            if line.startswith("## ")]
+    tables = json.loads(outs["json"])
+    assert list(tables) == ["A*a", aa3]
+    for p in (5, 7):
+        assert tables[aa3][str(p)] == {str(z): tables["A*a"][str(p)][
+            str(3 * z % p)] for z in range(1, p)}
+    code, out, _ = run(["frob", "--operator", aa3, "--prime", "5", "--point",
+                        "2", "--no-cache"], capsys)
+    assert code == 0 and json.loads(out)["operator"] == aa3
 
 
 def test_row_failure_among_succeeding_rows(monkeypatch, capsys):
@@ -1742,7 +1801,7 @@ def test_fuzzed_self_dual_operator_file(P, fuzz_dir):
         failed = [p for p in (5, 7) if str(p) not in rows]
         assert code == (1 if failed else 0)
         assert [line.split(":")[1] for line in lines] == \
-            [f" fuzz p={p}" for p in failed]
+            [f" {path} p={p}" for p in failed]
     if P[0] == 0:
         assert code == 2 and out == ""
     cached = run_quietly(table + ["--cache-dir", str(fuzz_dir / "cache")])
