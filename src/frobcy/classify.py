@@ -26,9 +26,9 @@ built-in eta products, expanded from their factors once per prime,
 
 then the JSON fixtures in FROBCY_FORMS_DIR, read once per process.
 
-``classify_operator``, the one row pipeline, first calls
-``check_operator``, the refusals due before any series, which ``table``
-also calls for every operator before its first row.
+``check_operator`` holds every refusal of an operator, due before any
+series; the command line calls it where it loads an operator.
+``classify_operator``, the one row pipeline, expects an operator it admits.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import UsageError
 from .congruence import OutsideUnitDisk
-from .diffop import ThetaOperator, json_int, symbol_roots_mod_p
+from .diffop import (ThetaOperator, check_mum, is_self_dual, json_int,
+                     symbol_roots_mod_p)
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
                         unit_roots, weil_verify)
 from .padic import is_odd_prime
@@ -240,14 +241,19 @@ def classify_point(p: int, z0: int, s: int, f0: Sequence[int],
 
 
 def check_operator(op: ThetaOperator) -> None:
-    """Raise the UsageError that refuses every row of ``op`` before any
-    series: an operator with no theta^0 term in any row (it is M theta for
-    some M, so its series is the constant 1 and no cell can be right), or
-    a broken form fixture in the directory named by FROBCY_FORMS_DIR."""
+    """Raise the UsageError, naming ``op``, that refuses every row of it
+    before any series: no theta^0 term in any row (L = M theta, so its
+    series is the constant 1 and no cell can be right), an order other than
+    4 or a P_0 other than theta^4, no self-duality (its exterior square
+    would have no order-5 relation), or a broken form fixture in the
+    directory named by FROBCY_FORMS_DIR."""
     if not any(row[0] for row in op.coeffs):
-        raise UsageError(f"theta is a right factor of operator "
-                         f"{op.name or '(unnamed)'}, so its series is the "
-                         f"constant 1")
+        raise UsageError(f"theta is a right factor of operator {op.name}, "
+                         f"so its series is the constant 1")
+    if op.theta_order != 4 or not check_mum(op):
+        raise UsageError(f"operator {op.name} is not fourth-order MUM")
+    if not is_self_dual(op):
+        raise UsageError(f"operator {op.name} is not self-dual")
     _external_forms(os.environ.get(FORMS_DIR_ENV))
 
 
@@ -271,10 +277,9 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
     (``escalated`` marks it), until ``box_precision``, where every balanced
     lift is settled.  With an integer ``precision`` every row
     runs at that s alone, and a point it does not settle makes
-    ``Uncertified`` its row's error.  The call fails, before any series,
-    on what ``check_operator`` refuses.
+    ``Uncertified`` its row's error.  ``op`` is one that ``check_operator``
+    admits.
     """
-    check_operator(op)
     out: list = [None] * len(primes)
     wanted = [list(range(1, p) if points is None else points) for p in primes]
     roots = [set(symbol_roots_mod_p(op, p)) for p in primes]

@@ -7,8 +7,11 @@ from ``catalog.exterior_square``: the stored square of a catalog name, the
 one built by ``wedge_square`` for an operator file), ``congruence``
 (ratio-congruence sweeps for the catalog sequences), ``legendre`` (elliptic
 baseline), and ``catalog`` (operator export).  Every command prints to
-stdout.  The ``classify`` command of earlier versions is gone: ``table
---operator X --format csv`` prints its bytes.
+stdout.
+
+``table``, ``frob`` and ``wedge`` take operators through one admission
+point, ``_load_operator``: a catalog name, or an operator file named by its
+path, refused by ``check_operator`` before any series.
 
 Every cell goes through one row pipeline, ``classify_operator``: a
 ``table`` row classifies the points 1 .. p-1, a ``frob`` query only its
@@ -28,13 +31,12 @@ alike.  Results are emitted in ``--operator`` order, so output is
 byte-identical to a serial run for every k.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
-argument, prime above its command's ceiling, operator file, point or form
-fixture, or an operator with theta as a right factor, each refused before
-any row by ``check_operator`` and the argument checks) exits 2 and any
-other ``FrobcyError`` exits 1, each as one ``error: ...`` line on stderr.
-A table row that fails is reported as data: its exception, in place of its
-cells, becomes one line naming the operator, as given to ``--operator``,
-and p, and the run exits 1.
+argument, prime above its command's ceiling, operator file, point, or an
+operator that ``check_operator`` refuses, each before any row) exits 2 and
+any other ``FrobcyError`` exits 1, each as one ``error: ...`` line on
+stderr.  A table row that fails is reported as data: the exception of its
+own series or cells, in place of its cells, becomes one line naming the
+operator, as given to ``--operator``, and p, and the run exits 1.
 """
 
 from __future__ import annotations
@@ -119,21 +121,24 @@ def _parse_primes(text: str) -> List[int]:
 
 
 def _load_operator(spec: str) -> ThetaOperator:
-    """Catalog name, or path to a JSON operator file; a file without a
-    ``name`` takes the path as its name."""
+    """The operator of a catalog name, or of a JSON operator file named by
+    its path, whatever its ``name`` field, once ``check_operator`` admits it."""
     if spec in CATALOG:
-        return CATALOG[spec]
-    if not os.path.exists(spec):
+        op = CATALOG[spec]
+    elif not os.path.exists(spec):
         raise UsageError(
             f"unknown operator {spec!r}: not a catalog name and not a file")
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            op = ThetaOperator.from_json(fh.read())
-    except KeyError as exc:
-        raise UsageError(f"operator file {spec!r} has no field {exc}") from None
-    except (OSError, TypeError, ValueError) as exc:
-        raise UsageError(f"operator file {spec!r}: {exc}") from None
-    op.name = op.name or spec
+    else:
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                op = ThetaOperator.from_json(fh.read())
+        except KeyError as exc:
+            raise UsageError(
+                f"operator file {spec!r} has no field {exc}") from None
+        except (OSError, TypeError, ValueError) as exc:
+            raise UsageError(f"operator file {spec!r}: {exc}") from None
+        op.name = spec
+    check_operator(op)
     return op
 
 
@@ -215,8 +220,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     ops = [_load_operator(n) for n in names]  # once each, in order
     primes = _parse_primes(args.primes)
     cache_dir = _cache_dir(args)
-    for op in ops:  # refused before the first row of any operator
-        check_operator(op)
     # bound at call time: perfbench's traced run rebinds classify_operator
     task = partial(classify_operator, primes=primes, cache_dir=cache_dir)
 

@@ -17,10 +17,11 @@ wants it only mod prime powers lets the run leave exact integers for
 residues mod a modulus computed before the run, once these are the narrower
 (the residue phase).
 
-The self-duality check ``check_cy5`` never leaves the theta form: the
+The self-duality check ``is_self_dual``, which admits a fourth-order
+operator and is ``check_cy5`` at order 5, never leaves the theta form: the
 operator is compared with its twisted adjoint as coefficient tables in
 Z[z][theta], and row by row when the twist is trivial, as it is for every
-stored catalog wedge (see ``_is_self_dual``).
+catalog product and stored catalog wedge.
 """
 
 from __future__ import annotations
@@ -370,7 +371,7 @@ def solve_series(op: ThetaOperator, N: int, *,
 # -- self-duality over Z[z] ----------------------------------------------------
 
 
-def _is_self_dual(op: ThetaOperator) -> bool:
+def is_self_dual(op: ThetaOperator) -> bool:
     """T^-1 M^+ T == (-1)^n M in Z[z][theta], for M = sum_i z^i P_i(theta).
 
     M^+ = sum_i z^i P_i(-theta - i) is the adjoint for z^+ = z, theta^+ = -theta,
@@ -437,8 +438,8 @@ def check_cy5(op: ThetaOperator) -> bool:
     """Self-duality for order 5 (anti-self-adjoint after conjugation):
     with D^5 + c_3 D^3 + c_2 D^2 + c_1 D + c_0, the two conditions are
     c_2 = (3/2) c_3' and c_0 = (1/2) c_1' - (1/4) c_3'''.
-    Decided over Z[z] by ``_is_self_dual``.
+    Decided over Z[z] by ``is_self_dual``.
     """
     if op.theta_order != 5:
         raise ValueError("check_cy5 expects a fifth-order operator")
-    return _is_self_dual(op)
+    return is_self_dual(op)

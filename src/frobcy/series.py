@@ -86,21 +86,13 @@ def _cache_store(path: str, key: bytes, row: tuple) -> None:
         raise
 
 
-def _solve(op: ThetaOperator, targets: list, wedge: bool) -> list:
-    """One ``operator_series`` batch, an exception shared by every target."""
-    try:
-        return operator_series(op, targets, wedge) if targets else []
-    except Exception as exc:  # noqa: BLE001 - shared by every target
-        return [exc] * len(targets)
-
-
 def cache_series(op: ThetaOperator, targets: Sequence[Tuple[int, int]],
                  cache_dir: Optional[str] = None) -> list:
     """Residues c_0 .. c_N mod p^s, N = p^s - 1, of the normalized solutions
     of the exterior square of ``op`` and of ``op`` itself at every (p, s)
     target: a list aligned with ``targets`` holding each row's (F0, f0) or
-    the exception that its computation raises.  A row whose exterior square
-    fails solves no series of its own.
+    the error of its own series; no exception is shared across rows.  A row
+    whose exterior square's series fails solves no series of its own.
 
     With a ``cache_dir`` the valid files are reloaded without recomputation
     (and without building the exterior square), and each solved row is
@@ -124,15 +116,18 @@ def cache_series(op: ThetaOperator, targets: Sequence[Tuple[int, int]],
                 out[i] = _cache_load(*files[i], p, s)
             except (CorruptCache, OSError):
                 pass  # a miss; a corrupt file is replaced by the fresh write
-    # the wedge first: building it rejects an unusable operator before any
-    # series of its own is solved
+    # the wedge first: a row whose wedge series fails solves none of its own
     misses = [i for i, got in enumerate(out) if got is None]
-    for i, F0 in zip(misses, _solve(op, [targets[i] for i in misses], True)):
-        out[i] = F0
-    misses = [i for i in misses if not isinstance(out[i], Exception)]
-    for i, f0 in zip(misses, _solve(op, [targets[i] for i in misses], False)):
-        out[i] = f0 if isinstance(f0, Exception) else (out[i], f0)
-        if files[i] is not None and not isinstance(f0, Exception):
+    for wedge in (True, False):
+        if not misses:
+            break
+        solved = operator_series(op, [targets[i] for i in misses], wedge)
+        for i, got in zip(misses, solved):
+            out[i] = (got if wedge or isinstance(got, Exception)
+                      else (out[i], got))
+        misses = [i for i in misses if not isinstance(out[i], Exception)]
+    for i in misses:  # solved in both roles
+        if files[i] is not None:
             try:
                 _cache_store(*files[i], out[i])
             except OSError:

@@ -16,7 +16,8 @@ in Z[z]^6 (e = 0, 0, 0, 1, 2, 3 on the catalog), and the relation comes from
 fraction-free elimination on the v_k themselves.
 Each call builds anew; nothing is memoized.  ``catalog.exterior_square``
 calls it for operator files, and loads a catalog product's stored square
-with ``check_wedge``, the same closing checks, instead.
+with ``check_wedge``, the same closing checks, instead.  Its input is an
+operator that ``classify.check_operator`` admits.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class UnexpectedOrder(FrobcyError, ArithmeticError):
     Order below 5 would mean dependent theta-iterates (kernel of the linear
     system); order 6 — no order-5 relation at all — is what actually occurs
     when the input lacks the order-4 self-duality."""
-
-
-class UnsupportedOperator(FrobcyError, ValueError):
-    """The input of ``wedge_square`` is not a fourth-order MUM operator."""
 
 
 # -- differential modules over Z[z] ----------------------------------------------
@@ -114,15 +111,11 @@ def wedge_square(op: ThetaOperator) -> ThetaOperator:
     consistency nor the dimension of its kernel.  The relation
     det Delta^(e_5) theta^5 - sum_k X_k Delta^(e_k) theta^k is divided by
     the primitive gcd of its entries in Z[z] and brought to the canonical
-    integer form (content 1, positive leading constant).  Raises
-    UnsupportedOperator unless ``op`` is a fourth-order MUM operator, and
-    UnexpectedOrder when the iterates are linearly dependent before order 5
-    or span no order-5 relation.
+    integer form (content 1, positive leading constant).  ``op`` is a
+    fourth-order MUM operator, as ``classify.check_operator`` admits; one
+    that is not self-dual raises UnexpectedOrder, since its iterates span
+    no order-5 relation (or are dependent before order 5).
     """
-    if op.theta_order != 4:
-        raise UnsupportedOperator("wedge_square expects a fourth-order operator")
-    if not check_mum(op):
-        raise UnsupportedOperator("wedge_square expects a MUM operator")
     delta, action = _module_action(op)
     waction, pairs = _wedge_action(action)
     # theta^k eta = iterates[k] / Delta^exps[k], in lowest Delta-terms

@@ -18,10 +18,12 @@ from importlib import resources
 from math import comb, factorial
 
 import pytest
+from hypothesis import strategies as st
 
 from frobcy.catalog import CATALOG, SECOND_ORDER
 from frobcy.classify import classify_operator
-from frobcy.diffop import NonIntegralSolution, solve_series
+from frobcy.diffop import NonIntegralSolution, ThetaOperator, solve_series
+from frobcy.polyrat import poly_mul
 from frobcy.wedge import wedge_square
 
 ACCEPTANCE_OPERATORS = ("A*a", "B*a", "C*c", "D*g")
@@ -134,6 +136,52 @@ def acceptance_timings():
     """Wall-clock seconds of the shared expensive computations, for the
     criteria that state a runtime budget."""
     return {}
+
+
+# operators that a command must refuse or whose rows must fail, written to
+# files by test_cli's ``bad_operators`` fixture under their keys
+BAD_OPERATORS = {
+    "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
+    # theta^4 - z (theta+1)^3
+    "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [-1, -3, -3, -1]],
+                                   name="nsd"),
+    "not_mum": ThetaOperator([[0, 0, 0, 1, 1], [-1]], name="nmum"),
+    # theta^4 - z theta (theta+1)^3, not self-dual either
+    "theta_factor": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
+                                  name="tf"),
+    # theta^4 - 16 z theta (theta+1) (2 theta+1)^2: self-dual, with an
+    # order-5 exterior square and integral series, yet L 1 = 0
+    "theta_factor_self_dual": ThetaOperator(
+        [[0, 0, 0, 0, 1], [0, -16, -80, -128, -64]], name="tfsd"),
+    "theta4": ThetaOperator([[0, 0, 0, 0, 1]], name="theta4"),
+    "theta_unnamed": ThetaOperator(
+        [[0, 0, 0, 0, 1], [0, -16, -80, -128, -64]]),
+    # A*a with its z theta^0 coefficient raised by 1, under A*a's name: its
+    # exterior square has a non-integral series
+    "wedge_not_integral": ThetaOperator(
+        [[c + ((i, j) == (1, 0)) for j, c in enumerate(row)]
+         for i, row in enumerate(CATALOG["A*a"].coeffs)],
+        name="A*a", aesz=CATALOG["A*a"].aesz),
+}
+
+
+@st.composite
+def self_dual_p(draw):
+    """The coefficients of a P(theta) with P(theta) = P(-theta-1), in one of
+    two shapes: a constant times two pairs (d theta + a)(d theta + d - a),
+    or alpha (theta^2+theta)^2 + beta (theta^2+theta) + gamma."""
+    if draw(st.booleans()):
+        poly = [draw(st.integers(-4, 4))]
+        for _ in range(2):
+            d = draw(st.integers(1, 4))
+            a = draw(st.integers(0, d))
+            # a factor d or d^2 makes the series of some pairs integral, so
+            # that some tables are emitted
+            k = draw(st.sampled_from((1, d, d * d)))
+            poly = poly_mul(poly, poly_mul([k * a, k * d], [d - a, d]))
+        return poly
+    alpha, beta, gamma = (draw(st.integers(-16, 16)) for _ in range(3))
+    return [gamma, beta, alpha + beta, 2 * alpha, alpha]
 
 
 def classified(op, primes, **kwargs):

@@ -8,7 +8,7 @@ those objects that the test suite checks:
   the rewriting theta^k = sum_j S(k, j) z^j D^j, where the S(k, j) are the
   Stirling numbers of the second kind (``stirling_table``)
 * ``check_cy4`` is order-4 self-duality, decided over Z[z] by the same
-  ``diffop._is_self_dual`` that ``check_cy5`` uses
+  ``diffop.is_self_dual`` that ``check_cy5`` uses
 * ``f0_wedge_via_wronskian`` rebuilds the normalized solution of the
   exterior square Q as w = f0^2 + z (f0 g' - f0' g), where f0 + (f0 log z + g)
   is the Frobenius pair of solutions at 0
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from frobcy.diffop import ThetaOperator, _is_self_dual, check_mum, solve_series
+from frobcy.diffop import ThetaOperator, check_mum, is_self_dual, solve_series
 from frobcy.polyrat import (IntPoly, poly_add, poly_exact_div, poly_gcd,
                             poly_mul, poly_pow, poly_scale, poly_sub,
                             rational_roots)
@@ -96,11 +96,11 @@ def check_cy4(op: ThetaOperator) -> bool:
 
     Equivalently, in terms of the monic coefficients,
     a_1 = (1/2) a_2 a_3 - (1/8) a_3^3 + a_2' - (3/4) a_3 a_3' - (1/2) a_3''.
-    Decided over Z[z] by ``diffop._is_self_dual``.
+    Decided over Z[z] by ``diffop.is_self_dual``.
     """
     if op.theta_order != 4:
         raise ValueError("check_cy4 expects a fourth-order operator")
-    return _is_self_dual(op)
+    return is_self_dual(op)
 
 
 # -- the Wronskian route to the exterior square's solution -----------------------

@@ -42,10 +42,9 @@ from frobcy.catalog import CATALOG
 from frobcy.diffop import ThetaOperator, solve_series
 from frobcy.series import CorruptCache, _cache_load, _cache_store
 from frobcy.frobenius import LiftOutOfBound, frobenius_quartic
-from frobcy.polyrat import poly_mul
 from frobcy.wedge import wedge_square
 
-from conftest import classified
+from conftest import BAD_OPERATORS, classified, self_dual_p
 
 
 def md_cells(text: str, name: str, p: int) -> list:
@@ -105,7 +104,7 @@ class TestLoadOperator:
         path = tmp_path / "myop.json"
         path.write_text(CATALOG["C*a"].to_json(), encoding="utf-8")
         op = cli._load_operator(str(path))
-        assert op.to_json() == CATALOG["C*a"].to_json()
+        assert op == CATALOG["C*a"] and op.name == str(path)
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown operator"):
@@ -115,7 +114,7 @@ class TestLoadOperator:
     def test_zero_theta5_column_is_trimmed(self, name, tmp_path, capsys):
         # A*a's file with a zero theta^5 coefficient in every row and
         # theta_order 4: the same cells and the same exterior square, by the
-        # catalog's route under its own name and by the exact one under another
+        # exact route, whatever the file's name field
         data = json.loads(ThetaOperator(CATALOG["A*a"].coeffs,
                                         name=name).to_json())
         plain, padded = tmp_path / "plain.json", tmp_path / "padded.json"
@@ -129,7 +128,9 @@ class TestLoadOperator:
         assert code == 0 and tables[str(padded)] == tables[str(plain)]
         wedges = [run(["wedge", "--operator", str(path)], capsys)
                   for path in (plain, padded)]
-        assert wedges[0] == wedges[1] and wedges[0][0] == 0
+        coeffs = [json.loads(out)["coeffs"] for _, out, _ in wedges]
+        assert [code for code, _, _ in wedges] == [0, 0]
+        assert coeffs[0] == coeffs[1]
 
 
 # -- series cache ---------------------------------------------------------------------
@@ -746,7 +747,7 @@ class TestWedgeMemo:
         code, out, _ = run(["table", "--operator", str(path), "--primes",
                             "3,5,7", "--format", "json", *flags], capsys)
         assert code == 0
-        assert closing_checks["built"] == ["mine"]
+        assert closing_checks["built"] == [str(path)]
         assert len(closing_checks["checked"]) == 1
         assert json.loads(out)[str(path)] == {
             str(p): corrected_tables["A*b"][str(p)] for p in (3, 5, 7)}
@@ -865,14 +866,13 @@ class TestOneRunPerRole:
 
     def test_failed_wedge_stores_nothing_and_runs_no_series(self, runs, capsys,
                                                             bad_operators):
-        # an operator file whose exterior square cannot be built: its rows
-        # fail before any series run, and the cache directory stays empty
-        cache = bad_operators["cache"]
-        code, _, err = run(["table", "--operator",
-                            bad_operators["not_self_dual"], "--primes", "3,5",
+        # an operator file whose exterior square has no order-5 relation is
+        # refused at load: no series runs, and the cache directory stays empty
+        cache, path = bad_operators["cache"], bad_operators["not_self_dual"]
+        code, _, err = run(["table", "--operator", path, "--primes", "3,5",
                             "--cache-dir", cache], capsys)
-        assert code == 1 and err.count("no order-5 relation") == 2
-        assert runs == [] and os.listdir(cache) == []
+        assert code == 2 and err == f"error: operator {path} is not self-dual\n"
+        assert runs == [] and not os.path.exists(cache)
 
     def test_escalation_goes_through_the_cache(self, runs, capsys, tmp_path):
         # A*d at p = 5 starts at s = 3, where z = 2 fits two pairs: that cell
@@ -1285,36 +1285,20 @@ def test_every_exception_class_derives_from_frobcy_error():
 
 @pytest.fixture
 def bad_operators(tmp_path):
-    """Operator files without an exterior square, four with theta as a
-    right factor (one of them unnamed), one that is no JSON object, one
-    without coeffs, three whose coeffs or a row of them is a string or an
-    object, two whose exterior square has a non-integral series (one of
-    them unnamed), three whose name is not a string, three with a
+    """The files of ``BAD_OPERATORS`` under their keys: three that are no
+    self-dual fourth-order MUM operator, four with theta as a right factor
+    (one of them unnamed) and one whose exterior square has a non-integral
+    series.  Then one more of that last kind, unnamed, one that is no JSON
+    object, one without coeffs, three whose coeffs or a row of them is a
+    string or an object, three whose name is not a string, three with a
     coefficient and two with an aesz that is a JSON number but not an
     integer, a form fixture directory with such an a_p, a directory path
     that does not exist, and an empty cache directory."""
-    ops = {
-        "order2": ThetaOperator([[0, 0, 1], [-4, -16, -16]], name="leg16"),
-        # theta^4 - z (theta+1)^3
-        "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [-1, -3, -3, -1]],
-                                       name="nsd"),
-        "not_mum": ThetaOperator([[0, 0, 0, 1, 1], [-1]], name="nmum"),
-        # theta^4 - z theta (theta+1)^3, not self-dual either
-        "theta_factor": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
-                                      name="tf"),
-        # theta^4 - 16 z theta (theta+1) (2 theta+1)^2: self-dual, with an
-        # order-5 exterior square and integral series, yet L 1 = 0
-        "theta_factor_self_dual": ThetaOperator(
-            [[0, 0, 0, 0, 1], [0, -16, -80, -128, -64]], name="tfsd"),
-        "theta4": ThetaOperator([[0, 0, 0, 0, 1]], name="theta4"),
-        "theta_unnamed": ThetaOperator(
-            [[0, 0, 0, 0, 1], [0, -16, -80, -128, -64]]),
-    }
     paths = {}
-    for key, op in ops.items():
+    for key, op in BAD_OPERATORS.items():
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(op.to_json(), encoding="utf-8")
-    data = json.loads(ops["order2"].to_json())
+    data = json.loads(BAD_OPERATORS["order2"].to_json())
     del data["coeffs"]
     paths["no_coeffs"] = tmp_path / "no_coeffs.json"
     paths["no_coeffs"].write_text(json.dumps(data), encoding="utf-8")
@@ -1334,11 +1318,7 @@ def bad_operators(tmp_path):
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(data).replace('"@"', number),
                               encoding="utf-8")
-    # A*a with its z theta^0 coefficient raised by 1
-    data = json.loads(CATALOG["A*a"].to_json())
-    data["coeffs"][1][0] = str(int(data["coeffs"][1][0]) + 1)
-    paths["wedge_not_integral"] = tmp_path / "wedge_not_integral.json"
-    paths["wedge_not_integral"].write_text(json.dumps(data), encoding="utf-8")
+    data = json.loads(BAD_OPERATORS["wedge_not_integral"].to_json())
     del data["name"]
     paths["wedge_unnamed"] = tmp_path / "wedge_unnamed.json"
     paths["wedge_unnamed"].write_text(json.dumps(data), encoding="utf-8")
@@ -1367,24 +1347,27 @@ def bad_operators(tmp_path):
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    ("frob --operator {order2} --prime 7 --point 2 --no-cache", 1,
-     "fourth-order operator"),
-    ("table --operator {order2} --primes 7 --no-cache --format csv", 1,
-     "fourth-order operator"),
-    ("wedge --operator {order2}", 1, "fourth-order operator"),
-    ("frob --operator {not_self_dual} --prime 7 --point 2 --no-cache", 1,
-     "no order-5 relation"),
-    ("table --operator {not_self_dual} --primes 7 --no-cache --format csv", 1,
-     "no order-5 relation"),
-    ("wedge --operator {not_self_dual}", 1, "no order-5 relation"),
-    # theta as a right factor: the series is 1, so no cell can be right
+    # an operator without an order-5 exterior square is refused at load
+    ("frob --operator {order2} --prime 7 --point 2 --no-cache", 2,
+     "error: operator {order2} is not fourth-order MUM\n"),
+    ("table --operator {order2} --primes 7 --no-cache --format csv", 2,
+     "error: operator {order2} is not fourth-order MUM\n"),
+    ("wedge --operator {order2}", 2,
+     "error: operator {order2} is not fourth-order MUM\n"),
+    ("frob --operator {not_self_dual} --prime 7 --point 2 --no-cache", 2,
+     "error: operator {not_self_dual} is not self-dual\n"),
+    ("table --operator {not_self_dual} --primes 7 --no-cache --format csv", 2,
+     "error: operator {not_self_dual} is not self-dual\n"),
+    ("wedge --operator {not_self_dual}", 2,
+     "error: operator {not_self_dual} is not self-dual\n"),
+    # theta as a right factor: the series is 1, so no cell can be right; a
+    # file is named by its path, named or not
     ("frob --operator {theta_factor} --prime 7 --point 2 --no-cache", 2,
-     "error: theta is a right factor of operator tf, so its series is the "
-     "constant 1\n"),
+     "error: theta is a right factor of operator {theta_factor}, so its "
+     "series is the constant 1\n"),
     ("table --operator {theta_factor} --primes 7 --no-cache", 2,
-     "error: theta is a right factor of operator tf, so its series is the "
-     "constant 1\n"),
-    # an unnamed file is named by its path
+     "error: theta is a right factor of operator {theta_factor}, so its "
+     "series is the constant 1\n"),
     ("table --operator {theta_unnamed} --primes 7 --no-cache", 2,
      "error: theta is a right factor of operator {theta_unnamed}, so its "
      "series is the constant 1\n"),
@@ -1394,15 +1377,18 @@ def bad_operators(tmp_path):
     ("table --operator {wedge_unnamed} --primes 7 --no-cache", 1,
      "error: {wedge_unnamed} p=7: NonIntegralSolution: coefficient c_2 is not "
      "an integer (operator wedge({wedge_unnamed}))\n"),
-    ("frob --operator {not_mum} --prime 7 --point 2 --no-cache", 1,
-     "wedge_square expects a MUM operator"),
-    ("table --operator {not_mum} --primes 7 --no-cache", 1,
-     "wedge_square expects a MUM operator"),
-    ("wedge --operator {not_mum}", 1, "wedge_square expects a MUM operator"),
+    ("frob --operator {not_mum} --prime 7 --point 2 --no-cache", 2,
+     "error: operator {not_mum} is not fourth-order MUM\n"),
+    ("table --operator {not_mum} --primes 7 --no-cache", 2,
+     "error: operator {not_mum} is not fourth-order MUM\n"),
+    ("wedge --operator {not_mum}", 2,
+     "error: operator {not_mum} is not fourth-order MUM\n"),
     ("frob --operator {wedge_not_integral} --prime 7 --point 2 --no-cache", 1,
-     "coefficient c_2 is not an integer (operator wedge(A*a))"),
+     "coefficient c_2 is not an integer (operator "
+     "wedge({wedge_not_integral}))"),
     ("table --operator {wedge_not_integral} --primes 7 --no-cache", 1,
-     "coefficient c_2 is not an integer (operator wedge(A*a))"),
+     "coefficient c_2 is not an integer (operator "
+     "wedge({wedge_not_integral}))"),
     ("frob --operator {no_coeffs} --prime 7 --point 2 --no-cache", 2,
      "has no field 'coeffs'"),
     ("table --operator {no_coeffs} --primes 7 --no-cache", 2,
@@ -1414,18 +1400,21 @@ def bad_operators(tmp_path):
     ("frob --operator {name_list} --prime 7 --point 2 --no-cache", 2,
      "name must be a string, not ['x']"),
     ("frob --operator {order2} --prime 7 --point 2 --precision 3 --no-cache",
-     1, "fourth-order operator"),
+     2, "error: operator {order2} is not fourth-order MUM\n"),
     ("frob --operator {order2} --prime 7 --point 2 --precision 3 "
-     "--cache-dir {cache}", 1, "fourth-order operator"),
+     "--cache-dir {cache}", 2, "error: operator {order2} is not fourth-order "
+     "MUM\n"),
     ("frob --operator {not_mum} --prime 7 --point 2 --precision 3 --no-cache",
-     1, "wedge_square expects a MUM operator"),
+     2, "error: operator {not_mum} is not fourth-order MUM\n"),
     ("frob --operator {not_mum} --prime 7 --point 2 --precision 3 "
-     "--cache-dir {cache}", 1, "wedge_square expects a MUM operator"),
+     "--cache-dir {cache}", 2, "error: operator {not_mum} is not fourth-order "
+     "MUM\n"),
     ("frob --operator {wedge_not_integral} --prime 7 --point 2 --precision 3 "
-     "--no-cache", 1, "coefficient c_2 is not an integer (operator wedge(A*a))"),
+     "--no-cache", 1, "coefficient c_2 is not an integer (operator "
+     "wedge({wedge_not_integral}))"),
     ("frob --operator {wedge_not_integral} --prime 7 --point 2 --precision 3 "
-     "--cache-dir {cache}", 1,
-     "coefficient c_2 is not an integer (operator wedge(A*a))"),
+     "--cache-dir {cache}", 1, "coefficient c_2 is not an integer (operator "
+     "wedge({wedge_not_integral}))"),
     ("congruence --sequence zz --prime 5", 2,
      "error: unknown sequence 'zz'\n"),
     ("table --operator A*a --primes 3 --jobs 0", 2,
@@ -1546,51 +1535,65 @@ def test_malformed_form_fixture_names_the_file(fixture, message, tmp_path,
     assert err.startswith("error: form fixture") and "broken.json" in err
 
 
-@pytest.mark.parametrize("key, line", [
-    ("order2", "{path} p={p}: UnsupportedOperator: wedge_square expects a "
-               "fourth-order operator"),
-    ("not_self_dual", "{path} p={p}: UnexpectedOrder: theta-iterates span no "
-                      "order-5 relation"),
-], ids=["order2", "not_self_dual"])
-def test_failing_rows_keep_one_line_per_prime(key, line, bad_operators, capsys):
-    path = bad_operators[key]
-    code, out, err = run(["table", "--operator", path, "--primes", "3,5",
-                          "--no-cache"], capsys)
-    assert (code, out) == (1, "\n")
-    assert err == "".join(f"error: {line.format(path=path, p=p)}\n"
-                          for p in (3, 5))
+# check_operator's refusal of each file of BAD_OPERATORS that has no usable
+# exterior square or series, for the file at {path}
+REFUSALS = {
+    "order2": "operator {path} is not fourth-order MUM",
+    "not_mum": "operator {path} is not fourth-order MUM",
+    "not_self_dual": "operator {path} is not self-dual",
+    **{key: "theta is a right factor of operator {path}, so its series is "
+            "the constant 1"
+       for key in ("theta_factor", "theta_factor_self_dual", "theta4",
+                   "theta_unnamed")},
+}
 
-
-@pytest.mark.parametrize("key", ["theta_factor_self_dual", "theta4"])
-@pytest.mark.parametrize("command", [
+REFUSING_COMMANDS = pytest.mark.parametrize("command", [
     "table --operator {path} --primes 5,7,11 --no-cache --format json",
     "frob --operator {path} --prime 7 --point 3 --no-cache",
     # refused before the first row of the operator listed before it
     "table --operator D*g --operator {path} --primes 29 --no-cache "
-    "--format json",
+    "--format json --jobs 1",
     "table --operator D*g --operator {path} --primes 29 --no-cache "
-    "--format json --jobs 2"],
-    ids=["table", "frob", "table_second", "table_second_jobs2"])
+    "--format json --jobs 2",
+    "wedge --operator {path}"],
+    ids=["table", "frob", "table_second", "table_second_jobs2", "wedge"])
+
+
+def assert_refused_at_load(key, command, bad_operators, capsys, monkeypatch):
+    """``command`` on the file of ``key`` exits 2 with empty stdout and one
+    line naming the file and what it lacks, before any series or exterior
+    square."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series or an exterior square was fetched")
+
+    monkeypatch.setattr(classify, "cache_series", refuse)
+    monkeypatch.setattr(cli, "exterior_square", refuse)
+    path = bad_operators[key]
+    code, out, err = run(command.format(path=path).split(), capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {REFUSALS[key].format(path=path)}\n"
+
+
+@pytest.mark.parametrize("key", ["order2", "not_mum", "not_self_dual",
+                                 "theta_factor", "theta_unnamed"])
+@REFUSING_COMMANDS
+def test_unusable_operator_is_refused_at_load(key, command, bad_operators,
+                                              capsys, monkeypatch):
+    assert_refused_at_load(key, command, bad_operators, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("key", ["theta_factor_self_dual", "theta4"])
+@REFUSING_COMMANDS
 def test_theta_right_factor_is_refused_before_any_series(key, command,
                                                          bad_operators, capsys,
                                                          monkeypatch):
     # L = M theta has L 1 = 0, so f0 = 1 and r1 = 1 exactly.  Unrefused,
     # the self-dual one gets 20 certified cells at p = 5, 7, 11, all wrong,
     # and theta^4 fails its rows with a LiftOutOfBound that blames the lift
-    def no_series(*args, **kwargs):
-        raise AssertionError("a series was fetched")
-
-    monkeypatch.setattr(classify, "cache_series", no_series)
-    name = {"theta_factor_self_dual": "tfsd", "theta4": "theta4"}[key]
-    code, out, err = run(command.format(path=bad_operators[key]).split(),
-                         capsys)
-    assert (code, out) == (2, "")
-    assert err == (f"error: theta is a right factor of operator {name}, so "
-                   f"its series is the constant 1\n")
+    assert_refused_at_load(key, command, bad_operators, capsys, monkeypatch)
 
 
-@pytest.mark.parametrize("key", ["order2", "not_self_dual",
-                                 "wedge_not_integral"])
+@pytest.mark.parametrize("key", ["wedge_not_integral"])
 def test_failed_rows_cross_a_pool_as_exceptions(key, bad_operators, capsys):
     # a worker returns each failed row as its exception, pickled, and the
     # parent writes its line: a pool prints what a serial run prints
@@ -1601,21 +1604,36 @@ def test_failed_rows_cross_a_pool_as_exceptions(key, bad_operators, capsys):
     assert run(argv + ["--jobs", "2"], capsys) == serial
 
 
+def test_named_file_is_reported_by_its_spec(bad_operators, capsys):
+    # A*a with one coefficient changed, saved under the name "A*a": its
+    # failed rows and its exterior square read its path, not A*a
+    path = bad_operators["wedge_not_integral"]
+    code, out, err = run(["table", "--operator", "B*c", "--operator", path,
+                          "--primes", "3..7", "--no-cache"], capsys)
+    assert code == 1 and [line for line in out.splitlines()
+                          if line.startswith("## ")] == \
+        [f"## B*c, p = {p}" for p in (3, 5, 7)]
+    assert err == "".join(f"error: {path} p={p}: NonIntegralSolution: "
+                          f"coefficient c_2 is not an integer (operator "
+                          f"wedge({path}))\n" for p in (3, 5, 7))
+
+
 def test_operator_file_rows_carry_its_spec_in_every_output(bad_operators,
                                                            tmp_path, capsys):
     # A*a with row i times 3^i, saved under the name "A*a": its cells are
-    # A*a's at 3 z0, and its rows and the order2 file's failed rows read the
-    # path given to --operator in every format, serial or pooled
+    # A*a's at 3 z0, and its rows and the failed rows of a file with a
+    # non-integral exterior square read the path given to --operator in
+    # every format, serial or pooled
     op = CATALOG["A*a"]
     aa3 = str(tmp_path / "aa3.json")
     Path(aa3).write_text(ThetaOperator(
         [[c * 3**i for c in row] for i, row in enumerate(op.coeffs)],
         name="A*a").to_json(), encoding="utf-8")
-    order2 = bad_operators["order2"]
+    wni = bad_operators["wedge_not_integral"]
     argv = ["table", "--operator", "A*a", "--operator", aa3, "--operator",
-            order2, "--primes", "5,7", "--no-cache", "--format"]
-    errors = "".join(f"error: {order2} p={p}: UnsupportedOperator: "
-                     f"wedge_square expects a fourth-order operator\n"
+            wni, "--primes", "5,7", "--no-cache", "--format"]
+    errors = "".join(f"error: {wni} p={p}: NonIntegralSolution: coefficient "
+                     f"c_2 is not an integer (operator wedge({wni}))\n"
                      for p in (5, 7))
     outs = {}
     for fmt in cli.FORMATS:
@@ -1758,25 +1776,6 @@ def test_malformed_form_fixture_is_a_usage_error(data, fuzz_dir):
     assert code in (0, 2) and "Traceback" not in err
     if code:
         assert err.startswith("error: form fixture") and err.count("\n") == 1
-
-
-@st.composite
-def self_dual_p(draw):
-    """The coefficients of a P(theta) with P(theta) = P(-theta-1), in one of
-    two shapes: a constant times two pairs (d theta + a)(d theta + d - a),
-    or alpha (theta^2+theta)^2 + beta (theta^2+theta) + gamma."""
-    if draw(st.booleans()):
-        poly = [draw(st.integers(-4, 4))]
-        for _ in range(2):
-            d = draw(st.integers(1, 4))
-            a = draw(st.integers(0, d))
-            # a factor d or d^2 makes the series of some pairs integral, so
-            # that some tables are emitted
-            k = draw(st.sampled_from((1, d, d * d)))
-            poly = poly_mul(poly, poly_mul([k * a, k * d], [d - a, d]))
-        return poly
-    alpha, beta, gamma = (draw(st.integers(-16, 16)) for _ in range(3))
-    return [gamma, beta, alpha + beta, 2 * alpha, alpha]
 
 
 @seed(14)

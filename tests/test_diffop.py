@@ -363,8 +363,8 @@ def test_self_duality_verdict_survives_conjugation_by_a_power_of_z(a):
         wedge = exterior_square(CATALOG[name])
         assert not rho_numerator(wedge) and rho_numerator(shifted(wedge, a))
         for op in (wedge, perturbed(wedge, 3, 0, 1), perturbed(wedge, 2, 5, -1)):
-            verdict = diffop._is_self_dual(op)
-            assert diffop._is_self_dual(shifted(op, a)) == verdict
+            verdict = diffop.is_self_dual(op)
+            assert diffop.is_self_dual(shifted(op, a)) == verdict
             verdicts.append(verdict)
     assert set(verdicts) == {True, False}
 
@@ -375,4 +375,4 @@ def test_self_duality_verdict_survives_conjugation_by_a_power_of_z(a):
        a=st.sampled_from(SHIFTS))
 def test_perturbed_wedge_keeps_its_verdict_under_conjugation(name, i, j, delta, a):
     op = perturbed(exterior_square(CATALOG[name]), i, j, delta)
-    assert diffop._is_self_dual(shifted(op, a)) == diffop._is_self_dual(op)
+    assert diffop.is_self_dual(shifted(op, a)) == diffop.is_self_dual(op)

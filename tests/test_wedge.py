@@ -3,19 +3,23 @@ route to its solution, rational exponentials, and horizontal sections."""
 
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from frobcy import wedge
+from frobcy import UsageError, wedge
 from frobcy.catalog import CATALOG, _LEFT, _RIGHT
-from frobcy.diffop import ThetaOperator, check_cy5, check_mum, solve_series
+from frobcy.classify import check_operator
+from frobcy.diffop import (ThetaOperator, check_cy5, check_mum, is_self_dual,
+                           solve_series)
 from frobcy.polyrat import (NoSolution, poly_add, poly_exact_div, poly_gcd,
                             poly_mul, poly_primitive, poly_scale, poly_sub,
                             solve_linear_system)
 from frobcy.wedge import (UnexpectedOrder, _module_action, _theta_step,
                           _wedge_action, wedge_square)
 
+from conftest import BAD_OPERATORS, self_dual_p
 from horizontal import (Laurent, NotRationalY, check_cy4,
                         f0_wedge_via_wronskian, poly_deriv,
                         rational_exp_integral, to_monic, verify_horizontal_u4,
@@ -181,14 +185,17 @@ class TestWedgeSquare:
         scaled = ThetaOperator([[7 * v for v in row] for row in AA.coeffs])
         assert wedge_square(scaled).coeffs == WEDGE_AA_ROWS
 
+    # wedge_square's input is a fourth-order MUM operator: check_operator,
+    # where the command line loads an operator, refuses any other
     def test_rejects_wrong_order(self):
-        with pytest.raises(ValueError):
-            wedge_square(LEG16)
+        with pytest.raises(UsageError, match="legendre16 is not fourth-order"):
+            check_operator(LEG16)
 
     def test_rejects_non_mum_input(self):
-        bumpy = ThetaOperator([[0, 0, 1, 0, 1], [-1, -4, -6, -4, -1]])
-        with pytest.raises(ValueError):
-            wedge_square(bumpy)
+        bumpy = ThetaOperator([[0, 0, 1, 0, 1], [-1, -4, -6, -4, -1]],
+                              name="bumpy")
+        with pytest.raises(UsageError, match="bumpy is not fourth-order MUM"):
+            check_operator(bumpy)
 
     def test_no_order5_relation_raises_unexpected_order(self):
         with pytest.raises(UnexpectedOrder):
@@ -198,6 +205,76 @@ class TestWedgeSquare:
         q = wedge_square(GEOMETRIC4)
         assert q.coeffs == GEOMETRIC4_WEDGE_ROWS
         assert solve_series(q, 6) == [1, 2, 3, 4, 5, 6, 7]
+
+
+# -- self-duality decides whether the exterior square has order 5 ----------------
+
+
+def square_iff_self_dual(op):
+    """``wedge_square(op)`` when ``is_self_dual(op)``, after checking that it
+    returns; otherwise None, after checking that it raises UnexpectedOrder.
+    ``check_operator`` admits a fourth-order MUM operator by this verdict."""
+    if is_self_dual(op):
+        return wedge_square(op)
+    with pytest.raises(UnexpectedOrder):
+        wedge_square(op)
+    return None
+
+
+def left_multiple(g, op):
+    """g(z) L, whose twist rho is L's minus theta(g)/g."""
+    return ThetaOperator([[sum(g[k] * op.coeffs[i - k][j]
+                               for k in range(len(g))
+                               if 0 <= i - k < len(op.coeffs))
+                           for j in range(op.theta_order + 1)]
+                          for i in range(len(op.coeffs) + len(g) - 1)])
+
+
+class TestSelfDualityDecidesTheSquare:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_products(self, name):
+        assert square_iff_self_dual(CATALOG[name]) is not None
+
+    def test_bad_operators(self):
+        ops = {key: op for key, op in BAD_OPERATORS.items()
+               if op.theta_order == 4 and check_mum(op)}
+        verdicts = {key: square_iff_self_dual(op) is not None
+                    for key, op in ops.items()}
+        assert verdicts == {"not_self_dual": False, "theta_factor": False,
+                            "theta_factor_self_dual": True, "theta4": True,
+                            "theta_unnamed": True, "wedge_not_integral": True}
+
+    @seed(7)
+    @settings(max_examples=60, deadline=None)
+    @given(P=st.one_of(self_dual_p(),
+                       st.lists(st.integers(-16, 16), min_size=5,
+                                max_size=5)))
+    def test_fuzzed_operators(self, P):
+        # theta^4 - z P(theta): both symmetric shapes of the operator-file
+        # fuzz, and an arbitrary quartic P, mostly not symmetric
+        square_iff_self_dual(ThetaOperator([[0, 0, 0, 0, 1], [-c for c in P]]))
+
+    @pytest.mark.parametrize("g", [[1, 1], [1, -3, 2], [1, 0, 0, 5]])
+    @pytest.mark.parametrize("name", ["A*a", "B*f", "D*g"])
+    def test_left_multiples_have_the_same_square(self, name, g, wedge_of):
+        # g(0) = 1: a nontrivial twist, the same solutions and so the same
+        # minimal operator of eta
+        square = square_iff_self_dual(left_multiple(g, CATALOG[name]))
+        assert square is not None and square.coeffs == wedge_of(name).coeffs
+
+    def test_pullback_of_aa(self):
+        # A*a along w = z + z^2 (tests/data/aa_pullback.json): its series is
+        # A*a's at w = z + z^2, and its square has z-degree 18
+        op = ThetaOperator.from_json(
+            (Path(__file__).parent / "data" / "aa_pullback.json").read_text())
+        assert (op.theta_order, op.z_degree) == (4, 10) and check_mum(op)
+        square = square_iff_self_dual(op)
+        assert square is not None and square.z_degree == 18
+        w, composed, power = [0, 1, 1], [0] * 9, [1]
+        for c in solve_series(AA, 8):
+            composed = poly_add(composed, poly_scale(power[:9], c))
+            power = poly_mul(power, w)
+        assert solve_series(op, 8) == composed
 
 
 def wedge_over_delta5(op):
