@@ -27,8 +27,9 @@ catalog, so they ship as data (``data/catalog_wedges.json``):
 checks, and builds any other operator's, anew on every call.  Both series
 of a catalog product are known to be integral, so its runs may leave exact
 integers for residues mod a shrinking product of target prime powers
-(``solve_series(..., integral=True)``); operator files keep the fully
-checked exact run.
+(``solve_series(..., integral=True)``); other operators keep the fully
+checked exact run.  A product is known by its coefficients, whatever its
+name, so an operator file holding one takes both of its routes.
 """
 
 from __future__ import annotations
@@ -125,6 +126,10 @@ CATALOG: Dict[str, ThetaOperator] = {
     for left in "ABCD"
 }
 
+# operator -> its catalog name: a product is recognised by its coefficients
+# (``ThetaOperator`` hashes and compares by them), whatever its own name
+_PRODUCT_NAMES: Dict[ThetaOperator, str] = {op: name for name, op in CATALOG.items()}
+
 
 # -- the integer sequences --------------------------------------------------------
 
@@ -172,13 +177,14 @@ def _stored_wedges() -> Dict[str, list]:
 
 
 def exterior_square(op: ThetaOperator) -> ThetaOperator:
-    """``wedge_square(op)``: for a catalog product (same name and
-    coefficients) its stored square, loaded with the same closing checks
+    """``wedge_square(op)``: for a catalog product (same coefficients,
+    whatever its name) its stored square, loaded with the same closing checks
     (``check_wedge``), so a damaged entry raises UnexpectedOrder; for any
     other operator built.  Not memoized: each call loads or builds anew."""
-    if CATALOG.get(op.name) != op:
+    product = _PRODUCT_NAMES.get(op)
+    if product is None:
         return wedge_square(op)
-    return check_wedge(ThetaOperator(_stored_wedges()[op.name],
+    return check_wedge(ThetaOperator(_stored_wedges()[product],
                                      name=f"wedge({op.name})", aesz=None))
 
 
@@ -188,9 +194,9 @@ def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:
     (p, K) target: one ``solve_series`` batch, a list aligned with
     ``targets`` of residue lists (or the NonIntegralSolution of a target).
 
-    A catalog product (same name and coefficients) has an integer series:
-    the Hadamard product of its factors' integer sequences, solved through
-    its factors; the runs of both roles, of itself and of its
+    A catalog product (same coefficients, whatever its name) has an integer
+    series: the Hadamard product of its factors' integer sequences, solved
+    through its factors; the runs of both roles, of itself and of its
     ``exterior_square``, may leave exact integers (``integral``).  Any other
     operator runs the exact recurrence.  For the exterior square the grant
     is an observation, not a theorem: its series is w = f0^2 theta(q)/q,
@@ -203,11 +209,11 @@ def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:
     NonIntegralSolution is raised for it."""
     full = [(p, K, p**K - 1) for p, K in targets]
     N = max(t[2] for t in full)
-    product = CATALOG.get(op.name) == op
-    if wedge or not product:
+    product = _PRODUCT_NAMES.get(op)
+    if wedge or product is None:
         return solve_series(exterior_square(op) if wedge else op, N,
-                            targets=full, integral=product)
-    left, right = op.name.split("*")
+                            targets=full, integral=product is not None)
+    left, right = product.split("*")
     out = []
     for (p, K), b in zip(targets, _right_factor_run(right, N, tuple(full))):
         a, pK = left_factor_residues(left, p, K), p**K

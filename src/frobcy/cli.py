@@ -3,8 +3,8 @@
 Subcommands: ``table`` (full (a,b) tables per operator and prime, in one
 of the ``FORMATS`` markdown, csv and json, with an optional worker pool),
 ``frob`` (one cell as JSON), ``wedge`` (exterior-square operator as JSON,
-from ``catalog.exterior_square``: the stored square of a catalog name, the
-one built by ``wedge_square`` for an operator file), ``congruence``
+from ``catalog.exterior_square``: the stored square of a catalog product,
+the one built by ``wedge_square`` for any other operator), ``congruence``
 (ratio-congruence sweeps for the catalog sequences), ``legendre`` (elliptic
 baseline), and ``catalog`` (operator export).  Every command prints to
 stdout.
@@ -29,6 +29,11 @@ memos of factor runs, fetches an operator's exterior square once per round
 that misses the cache, and returns its rows pickled, cells and exceptions
 alike.  Results are emitted in ``--operator`` order, so output is
 byte-identical to a serial run for every k.
+
+``main`` builds the argparse parser of the subcommand named first alone,
+from the one ``COMMANDS`` table of (help, filler) that ``build_parser``
+reads; help, a missing or unknown command, and arguments left over are
+parsed by the full parser, so every usage line lists all six commands.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
 argument, prime above its command's ceiling, operator file, point, or an
@@ -366,15 +371,7 @@ def _add_cache_flags(sp: argparse.ArgumentParser) -> None:
                          "user cache path)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="frobcy",
-        description="Degree-four Frobenius polynomials of fourth-order "
-                    "Calabi-Yau operators by the p-adic unit-root method.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("table", help="full (a,b) tables per operator and prime")
+def _fill_table(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--operator", action="append",
                     help="catalog name, operator JSON file, or 'all' for "
                          "every catalog operator (repeatable; default: all)")
@@ -386,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(sp)
     sp.set_defaults(func=cmd_table)
 
-    sp = sub.add_parser("frob", help="one Frobenius cell as JSON")
+
+def _fill_frob(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--operator", required=True)
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--point", type=int, required=True)
@@ -394,11 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(sp)
     sp.set_defaults(func=cmd_frob)
 
-    sp = sub.add_parser("wedge", help="exterior-square operator as JSON")
+
+def _fill_wedge(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--operator", required=True)
     sp.set_defaults(func=cmd_wedge)
 
-    sp = sub.add_parser("congruence", help="ratio-congruence sweep as JSON")
+
+def _fill_congruence(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--sequence", required=True,
                     help="sequence name (A-D, a-j) or catalog operator")
     sp.add_argument("--prime", type=int, required=True)
@@ -406,22 +406,54 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--smax", type=int, default=3)
     sp.set_defaults(func=cmd_congruence)
 
-    sp = sub.add_parser("legendre", help="elliptic baseline a_p as JSON")
+
+def _fill_legendre(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--point", type=int, required=True)
     sp.set_defaults(func=cmd_legendre)
 
-    sp = sub.add_parser("catalog", help="operator catalog")
+
+def _fill_catalog(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--list", action="store_true",
                     help="emit every operator in the JSON interchange format")
     sp.set_defaults(func=cmd_catalog)
 
+
+# The subcommands, in the order of the help: name -> (help, filler).
+COMMANDS = {
+    "table": ("full (a,b) tables per operator and prime", _fill_table),
+    "frob": ("one Frobenius cell as JSON", _fill_frob),
+    "wedge": ("exterior-square operator as JSON", _fill_wedge),
+    "congruence": ("ratio-congruence sweep as JSON", _fill_congruence),
+    "legendre": ("elliptic baseline a_p as JSON", _fill_legendre),
+    "catalog": ("operator catalog", _fill_catalog),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every subcommand when
+    ``command`` is None or not one of ``COMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog="frobcy",
+        description="Degree-four Frobenius polynomials of fourth-order "
+                    "Calabi-Yau operators by the p-adic unit-root method.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fill) in COMMANDS.items():
+        if command not in COMMANDS or name == command:
+            fill(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; the one place where errors become exit codes."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; the one place where errors become exit codes.
+
+    Only the subcommand named first is built.  Arguments it leaves over are
+    reported by the full parser, whose usage line lists every subcommand."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:
+        build_parser().parse_args(argv)  # exits with the error
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -7,8 +7,9 @@ plain lists of residues, for one operator at a batch of (p, s) targets;
 every other module asks it.
 
 Series are memoized on disk, one file per row, written atomically (temp file
-+ rename).  The row's key is the *source* operator's JSON, p, K and the byte
-order; the file is named by the key's sha256 in hex.  It holds the sha256 of
++ rename).  The row's key is the *source* operator's coefficient table, p,
+K and the byte order, so every spec and name of one operator shares its
+rows; the file is named by the key's sha256 in hex.  It holds the sha256 of
 key + body (32 bytes), then the body: c_0 .. c_N of F0 and then of f0, mod
 p^K, N = p^K - 1, as the raw bytes of one ``array("I")``: K <=
 ``box_precision(p, True)``, which is 3 from p = 29 on, keeps p^K below 2^32
@@ -18,7 +19,9 @@ Files of earlier formats are named ``series-*.json`` and read as misses.  A
 damaged or mismatched file is detected (``CorruptCache``), silently
 recomputed, and overwritten.  Computations never depend on cache state, only
 their wall time does.  Without a cache directory every target is solved
-afresh.
+afresh.  The digests come from CPython's built-in ``_sha256`` module, and
+from ``hashlib`` only where that is missing: ``hashlib`` loads OpenSSL's
+libcrypto, a few milliseconds of every process's start-up.
 
 The misses of one call are solved in two ``operator_series`` batches, the
 wedge first and then, for the rows whose wedge succeeded, the operator's own
@@ -26,17 +29,17 @@ series, each to the largest degree among its rows, reduced into each
 target's p^K: one recurrence run, or for a catalog operator's own series one
 run of its second-order right factor times its left factor stepped mod p^K,
 both shared through per-process memos by the operators of a sweep.  A
-catalog product's runs leave exact integers for residues once these are the
-narrower; an operator file's run stays exact and fully checked.  The
+catalog product, known by its coefficients whatever its name, runs leaving
+exact integers for residues once these are the narrower; any other
+operator's run stays exact and fully checked.  The
 exterior square is needed only on a miss, so a query on a warm cache needs
 none.  A call with misses fetches it once, from ``catalog.exterior_square``:
-a catalog product's is loaded from the stored data and checked, an operator
-file's is built by ``wedge_square``, on every such call (no memo).
+a catalog product's is loaded from the stored data and checked, any other
+operator's is built by ``wedge_square``, on every such call (no memo).
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sys
 import tempfile
@@ -46,6 +49,11 @@ from typing import List, Optional, Sequence, Tuple
 from . import FrobcyError
 from .catalog import operator_series
 from .diffop import ThetaOperator
+
+try:  # hashlib loads OpenSSL's libcrypto; the built-in module is lean
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 
 class CorruptCache(FrobcyError):
@@ -58,7 +66,7 @@ def _cache_load(path: str, key: bytes, p: int, K: int) -> tuple:
     with open(path, "rb") as fh:
         raw = fh.read()
     body = raw[32:]
-    if raw[:32] != hashlib.sha256(key + body).digest():
+    if raw[:32] != sha256(key + body).digest():
         raise CorruptCache(f"digest mismatch in {path}")
     pK = p**K
     coeffs = array("I")
@@ -76,7 +84,7 @@ def _cache_store(path: str, key: bytes, row: tuple) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(hashlib.sha256(key + body).digest() + body)
+            fh.write(sha256(key + body).digest() + body)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -107,10 +115,9 @@ def cache_series(op: ThetaOperator, targets: Sequence[Tuple[int, int]],
         except OSError:
             cache_dir = None  # unusable: solve everything, store nothing
     if cache_dir is not None:
-        source = op.to_json()
         for i, (p, s) in enumerate(targets):
-            key = f"{source}:{p}:{s}:{sys.byteorder}".encode("utf-8")
-            files[i] = (os.path.join(cache_dir, hashlib.sha256(key).hexdigest()),
+            key = f"{op.coeffs}:{p}:{s}:{sys.byteorder}".encode("utf-8")
+            files[i] = (os.path.join(cache_dir, sha256(key).hexdigest()),
                         key)
             try:
                 out[i] = _cache_load(*files[i], p, s)

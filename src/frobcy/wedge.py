@@ -15,9 +15,9 @@ lists over powers of the leading symbol Delta, kept in lowest Delta-terms by
 in Z[z]^6 (e = 0, 0, 0, 1, 2, 3 on the catalog), and the relation comes from
 fraction-free elimination on the v_k themselves.
 Each call builds anew; nothing is memoized.  ``catalog.exterior_square``
-calls it for operator files, and loads a catalog product's stored square
-with ``check_wedge``, the same closing checks, instead.  Its input is an
-operator that ``classify.check_operator`` admits.
+calls it for operators that are no catalog product, and loads a product's
+stored square with ``check_wedge``, the same closing checks, instead.  Its
+input is an operator that ``classify.check_operator`` admits.
 """
 
 from __future__ import annotations

@@ -287,15 +287,22 @@ class TestOperatorSeries:
         assert [repr(g) for g in got] == \
             [repr(w) for w in solve_to(op, targets)]
 
-    def test_renamed_copy_takes_the_generic_route(self, runs):
+    def test_renamed_copy_takes_the_factor_route(self, runs, monkeypatch):
+        # a product is recognised by its coefficients, whatever its name: a
+        # renamed copy runs B*c's right factor, and the copy and B*c share it
         op = CATALOG["B*c"]
         copy = ThetaOperator(op.coeffs, name="mine")
         targets = [(7, 3)]
         got, = operator_series(copy, targets)
-        assert runs == [4]
-        want, = operator_series(op, targets)
-        assert runs == [4, 2]
-        assert got == want
+        assert runs == [2]
+        assert operator_series(op, targets) == [got]
+        assert runs == [2]
+        assert [got] == solve_to(op, targets)
+        # and loads B*c's stored square under its own name, building none
+        monkeypatch.setattr(catalog_module, "wedge_square", None)
+        square = exterior_square(copy)
+        assert square.coeffs == exterior_square(op).coeffs
+        assert square.name == "wedge(mine)"
 
     @pytest.fixture
     def grants(self, monkeypatch):

@@ -137,8 +137,9 @@ class TestLoadOperator:
 
 
 def row_key(op, p, K, byteorder=sys.byteorder) -> bytes:
-    """The key of the row (p, K) of ``op``: its JSON, p, K and a byte order."""
-    return f"{op.to_json()}:{p}:{K}:{byteorder}".encode("utf-8")
+    """The key of the row (p, K) of ``op``: its coefficient table, p, K and a
+    byte order."""
+    return f"{op.coeffs}:{p}:{K}:{byteorder}".encode("utf-8")
 
 
 def row_path(cache_dir, op, p, K, byteorder=sys.byteorder) -> Path:
@@ -538,6 +539,30 @@ def test_warm_frob_opens_one_file_and_solves_nothing(capsys, tmp_path, opened,
     assert opened == [str(row_path(tmp_path, CATALOG["A*a"], 7, 3))]
 
 
+def test_every_spec_of_one_operator_shares_its_rows(capsys, tmp_path,
+                                                     monkeypatch):
+    # a row's key holds the coefficient table, not the name: D*g's file named
+    # three ways and by its catalog name reads the one row the first stored
+    path = tmp_path / "dg.json"
+    path.write_text(CATALOG["D*g"].to_json(), encoding="utf-8")
+    cache = tmp_path / "cache"
+    monkeypatch.chdir(tmp_path)
+    def cell(spec):
+        code, out, err = run(["frob", "--operator", spec, "--prime", "7",
+                              "--point", "2", "--cache-dir", str(cache)], capsys)
+        assert (code, err) == (0, "")
+        assert os.listdir(cache) == [row_path(cache, CATALOG["D*g"], 7, 3).name]
+        return {k: v for k, v in json.loads(out).items() if k != "operator"}
+
+    def refuse(*a, **k):
+        raise AssertionError("a stored row must not be solved again")
+
+    first = cell("dg.json")
+    monkeypatch.setattr(catalog, "solve_series", refuse)
+    for spec in ["./dg.json", str(path), "D*g"]:
+        assert cell(spec) == first
+
+
 # -- table subcommand -----------------------------------------------------------------
 
 
@@ -593,6 +618,22 @@ class TestCmdTable:
                             "--primes", "3", "--no-cache"], capsys)
         assert code == 0
         assert md_cells(out, str(path), 3) == ["-", "-"]
+
+    def test_product_file_takes_the_stored_square(self, capsys, tmp_path,
+                                                  monkeypatch, corrected_tables):
+        # a file holding D*g's coefficients is recognised as D*g: its square
+        # is the stored one, so nothing is built
+        def refuse(op):
+            raise AssertionError("a catalog product's square must not be built")
+
+        monkeypatch.setattr(catalog, "wedge_square", refuse)
+        path = tmp_path / "dg.json"
+        path.write_text(CATALOG["D*g"].to_json(), encoding="utf-8")
+        code, out, _ = run(["table", "--operator", str(path), "--primes",
+                            "3,5,7", "--format", "json", "--no-cache"], capsys)
+        assert code == 0
+        assert json.loads(out)[str(path)] == {
+            str(p): corrected_tables["D*g"][str(p)] for p in (3, 5, 7)}
 
     def test_undefined_cells_count_as_computed(self, capsys):
         code, _, err = run(["table", "--operator", "A*a", "--primes", "3",
@@ -738,10 +779,14 @@ class TestWedgeMemo:
     @pytest.mark.parametrize("cached", [True, False])
     def test_cold_table_builds_one_wedge(self, cached, capsys, tmp_path,
                                          closing_checks, corrected_tables):
-        # an operator file builds its exterior square, once for its one round
+        # an operator file that is no catalog product builds its exterior
+        # square, once for its one round: A*b at 2z, whose cell at z is A*b's
+        # at 2z mod p
         path = tmp_path / "mine.json"
-        path.write_text(ThetaOperator(CATALOG["A*b"].coeffs,
-                                      name="mine").to_json(), encoding="utf-8")
+        scaled = [[c * 2**i for c in row]
+                  for i, row in enumerate(CATALOG["A*b"].coeffs)]
+        path.write_text(ThetaOperator(scaled, name="mine").to_json(),
+                        encoding="utf-8")
         flags = ["--cache-dir", str(tmp_path / "cache")] if cached \
             else ["--no-cache"]
         code, out, _ = run(["table", "--operator", str(path), "--primes",
@@ -750,7 +795,8 @@ class TestWedgeMemo:
         assert closing_checks["built"] == [str(path)]
         assert len(closing_checks["checked"]) == 1
         assert json.loads(out)[str(path)] == {
-            str(p): corrected_tables["A*b"][str(p)] for p in (3, 5, 7)}
+            str(p): {str(z): corrected_tables["A*b"][str(p)][str(2 * z % p)]
+                     for z in range(1, p)} for p in (3, 5, 7)}
 
     @pytest.mark.parametrize("cached", [True, False])
     def test_cold_table_loads_one_stored_wedge(self, cached, capsys, tmp_path,
@@ -1818,6 +1864,60 @@ def test_pool_never_has_more_workers_than_tasks(inline_pool, capsys):
     code, _, _ = run(["table", "--operator", "A*a", "--operator", "A*b",
                       "--primes", "3,5", "--jobs", "8", "--no-cache"], capsys)
     assert code == 0 and inline_pool.sizes == [2]
+
+
+# -- start-up: one subparser, no OpenSSL -----------------------------------------------
+
+
+class TestStartUp:
+    def test_import_loads_no_openssl_hashlib(self):
+        # hashlib loads OpenSSL's libcrypto; the cache hashes with _sha256
+        pytest.importorskip("_sha256")
+        script = ("import sys\n"
+                  "import frobcy.cli\n"
+                  "print(*sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == []
+
+    def test_sha256_is_sha256(self):
+        # the FIPS 180-2 test vector of "abc"
+        assert series_module.sha256(b"abc").hexdigest() == (
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+
+    @pytest.fixture
+    def added(self, monkeypatch):
+        """The names of the subparsers that ``cli.main`` builds."""
+        seen = []
+        real = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            seen.append(name)
+            return real(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        return seen
+
+    def test_a_command_builds_its_subparser_alone(self, added, capsys, tmp_path):
+        code, _, _ = run(["frob", "--operator", "A*a", "--prime", "5",
+                          "--point", "2", "--cache-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert added == ["frob"]
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["nope"]],
+                             ids=["help", "none", "unknown"])
+    def test_help_builds_every_subparser(self, added, capsys, argv):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert added == list(cli.COMMANDS)
+
+    def test_left_over_arguments_build_every_subparser(self, added, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["wedge", "--operator", "A*a", "--bogus"])
+        assert added == ["wedge", *cli.COMMANDS]
+        assert "{table,frob,wedge,congruence,legendre,catalog}" in \
+            capsys.readouterr().err
 
 
 # -- console entry point --------------------------------------------------------------

@@ -22,10 +22,17 @@ regenerates its file in the same commit, from the repository root:
     python -m frobcy frob --operator 'A*a' --prime 7 --point 2 \\
         --precision 4 --no-cache > tests/data/frob_Aa_p7_z2_s4.json
     python -m frobcy catalog > tests/data/catalog.txt
+
+``cli_usage.json`` holds, for each argument list in it, the exit code,
+stdout and stderr of ``frobcy`` with ``COLUMNS=80``: the top-level and
+per-command help, and the usage errors that argparse reports itself.  To
+regenerate it, run each of its ``argv`` lists as
+``COLUMNS=80 python -m frobcy ARGV...`` and store the three values.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +68,17 @@ def test_command_matches_golden_file(argv, name, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode("utf-8") == (DATA / name).read_bytes()
+
+
+USAGE = json.loads((DATA / "cli_usage.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[" ".join(c["argv"]) or "(none)"
+                                             for c in USAGE])
+def test_usage_matches_golden_file(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == \
+        (case["exit"], case["stdout"], case["stderr"])
