@@ -57,10 +57,11 @@ print(f"unit roots: r1 = {r1}, rhat = {rhat}  "
       f"(each certified to {s} digits)")
 
 # the two p-adic roots give (a, b) mod p^s; exactly one Weil-shape pair is
-# congruent to those residues, which certifies the integer coefficients
-a, b = assemble_frobenius(r1, rhat, p, s, at_singular_fiber=False)
-print(f"(a, b) = ({a}, {b}), the only admissible pair of its residues "
-      f"mod {p}^{s}: {decode_frobenius(a, b, p, s)}")
+# congruent to those residues, which certifies the integer coefficients; its
+# split tag is None, as for every pair that is not a split pair
+a, b, split = assemble_frobenius(r1, rhat, p, s, at_singular_fiber=False)
+print(f"(a, b, split) = ({a}, {b}, {split}), the only admissible candidate "
+      f"of its residues mod {p}^{s}: {decode_frobenius(a, b, p, s)}")
 
 quartic = frobenius_quartic(a, b, p)
 print("P(T) coefficients [T^0 .. T^4]:", quartic)

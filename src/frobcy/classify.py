@@ -1,20 +1,13 @@
 """Classification of Frobenius quartics over the catalog, and the eta-product
 forms attached to split points.
 
-Every ordinary point yields integers (a, b); the quartic then either
-
-  * stays irreducible with all reciprocal roots of modulus p^(3/2): smooth,
-    cell "(a,b)";
-  * factors as (1 + alpha T + p^3 T^2)(1 + beta T + p^3 T^2) with
-    |alpha|, |beta| <= 2 p^(3/2): reducible, cell "(a,b)'";
-  * splits as (1 - chi p T)(1 - chi p^2 T)(1 - a_p T + p^3 T^2) with
-    chi = +-1 and |a_p| <= 2 p^(3/2): split/singular, cell "(a,b)*" --
-    asserted only where the leading symbol vanishes mod p (the coefficient
-    p + p^2 of the paired linear factors exceeds 2 p^(3/2), so the two
-    factored branches can never be confused);
-  * fits none of those shapes yet fails the modulus pairing: inconsistent,
-    cell "(a,b)!" -- reported rather than silently passed off as smooth;
-  * or the point is outside the unit disk of either series: cell "-".
+Every ordinary point yields integers (a, b) and the split tag of
+``frobenius.decode_frobenius``, whose docstring names the shapes of the
+quartic; ``classify_ab`` reads the tag and the pair as a cell: smooth
+"(a,b)", reducible "(a,b)'", split/singular "(a,b)*", or inconsistent
+"(a,b)!" for a pair of no admissible shape, reported rather than silently
+passed off as smooth.  A point outside the unit disk of either series is
+the cell "-".
 
 Each cell is one immutable ``PointClass``, built once by ``classify_point``.
 
@@ -42,7 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import UsageError
 from .congruence import OutsideUnitDisk
-from .diffop import (ThetaOperator, check_mum, is_self_dual, json_int,
+from .diffop import (ThetaOperator, is_self_dual, json_int,
                      symbol_roots_mod_p)
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
                         unit_roots, weil_verify)
@@ -134,35 +127,6 @@ def match_singular_ap(p: int, ap: int) -> Optional[str]:
     return next((label for label, c in stored if c == ap), None)
 
 
-# -- quartic splitting --------------------------------------------------------------
-
-
-def reducible_split(a: int, b: int, p: int) -> Optional[Tuple[int, int]]:
-    """(alpha, beta) with P = (1 + alpha T + p^3 T^2)(1 + beta T + p^3 T^2)
-    and |alpha|, |beta| <= 2 p^(3/2), or None."""
-    disc = a * a - 4 * (b * p - 2 * p**3)
-    if disc < 0:
-        return None
-    r = isqrt(disc)
-    if r * r != disc or (a + r) % 2:
-        return None
-    alpha, beta = (a + r) // 2, (a - r) // 2
-    bound_sq = 4 * p**3
-    if alpha * alpha > bound_sq or beta * beta > bound_sq:
-        return None
-    return alpha, beta
-
-
-def singular_split(a: int, b: int, p: int) -> Optional[Tuple[int, int]]:
-    """(chi, a_p) with P = (1 - chi p T)(1 - chi p^2 T)(1 - a_p T + p^3 T^2)
-    and |a_p| <= 2 p^(3/2), or None."""
-    for chi in (1, -1):
-        ap = -a - chi * (p + p * p)
-        if b * p == 2 * p**3 + chi * (p + p * p) * ap and ap * ap <= 4 * p**3:
-            return chi, ap
-    return None
-
-
 # -- point classification -----------------------------------------------------------
 
 
@@ -201,26 +165,27 @@ class PointClass(NamedTuple):
         return f"({self.a},{self.b}){mark}"
 
 
-def classify_ab(a: int, b: int, p: int, at_singular_fiber: bool) -> PointClass:
-    """Classify a computed (a, b) pair (no series work).
-
-    Away from a vanishing leading symbol the pair is never labeled singular:
-    if it satisfies the chi-split identity anyway, the factorization it
-    implies carries a linear coefficient p + p^2 beyond the reducible bound,
-    so the pair lands in "inconsistent" via the modulus check instead.
-    """
+def classify_ab(a: int, b: int, p: int, at_singular_fiber: bool,
+                split: Optional[Tuple[int, int]]) -> PointClass:
+    """Classify a certified pair (a, b) with its split tag (no series work):
+    a tag (chi, a_p) is singular, with its form looked up; an untagged pair
+    that fails ``weil_verify`` is inconsistent; a Weil-shape pair is
+    reducible when a^2 - 4 (b p - 2 p^3) = r^2, with alpha, beta =
+    (a +- r) / 2, and smooth otherwise."""
     pc = PointClass(z0=0, status="smooth",
                     at_singular_fiber=at_singular_fiber, a=a, b=b)
-    if at_singular_fiber:
-        split = singular_split(a, b, p)
-        if split is not None:
-            chi, ap = split
-            return pc._replace(status="singular", chi=chi, ap=ap,
-                               form=match_singular_ap(p, ap))
-    pair = reducible_split(a, b, p)
-    if pair is not None:
-        return pc._replace(status="reducible", alpha=pair[0], beta=pair[1])
-    return pc if weil_verify(a, b, p) else pc._replace(status="inconsistent")
+    if split is not None:
+        chi, ap = split
+        return pc._replace(status="singular", chi=chi, ap=ap,
+                           form=match_singular_ap(p, ap))
+    if not weil_verify(a, b, p):
+        return pc._replace(status="inconsistent")
+    disc = a * a - 4 * (b * p - 2 * p**3)
+    r = isqrt(disc)
+    if r * r == disc:
+        return pc._replace(status="reducible", alpha=(a + r) // 2,
+                           beta=(a - r) // 2)
+    return pc
 
 
 def classify_point(p: int, z0: int, s: int, f0: Sequence[int],
@@ -235,8 +200,8 @@ def classify_point(p: int, z0: int, s: int, f0: Sequence[int],
         r1, rh = unit_roots(f0, F0, z0, p, s)
     except OutsideUnitDisk:
         return PointClass(z0, "undefined", fiber, escalated=escalated, s=s)
-    a, b = assemble_frobenius(r1, rh, p, s, at_singular_fiber=fiber)
-    return classify_ab(a, b, p, fiber)._replace(
+    a, b, split = assemble_frobenius(r1, rh, p, s, at_singular_fiber=fiber)
+    return classify_ab(a, b, p, fiber, split)._replace(
         z0=z0, escalated=escalated, s=s, r1=r1, rh=rh)
 
 
@@ -250,8 +215,12 @@ def check_operator(op: ThetaOperator) -> None:
     if not any(row[0] for row in op.coeffs):
         raise UsageError(f"theta is a right factor of operator {op.name}, "
                          f"so its series is the constant 1")
-    if op.theta_order != 4 or not check_mum(op):
+    p0 = op.coeffs[0]
+    if op.theta_order != 4 or any(p0[:4]):
         raise UsageError(f"operator {op.name} is not fourth-order MUM")
+    if p0[4] != 1:
+        raise UsageError(f"operator {op.name} has P_0 = {p0[4]} theta^4, "
+                         f"not theta^4")
     if not is_self_dual(op):
         raise UsageError(f"operator {op.name} is not self-dual")
     _external_forms(os.environ.get(FORMS_DIR_ENV))

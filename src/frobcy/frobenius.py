@@ -16,16 +16,20 @@ which give a and b modulo p^s when r1 and rh are known mod p^s.  Every
 p-adic value here is a plain integer residue mod p^s, with s passed along.
 
 The pair is then *decoded*: ``decode_frobenius`` lists every admissible pair
-congruent to those residues, and a cell is certified when exactly one fits.
-The admissible pairs are
+congruent to those residues, each as (a, b, split), and a cell is certified
+when exactly one fits.  The admissible pairs are
 
-  * the Weil-shape pairs: x^2 - a x + (b p - 2 p^3) has two real roots in
-    [-2 p^(3/2), 2 p^(3/2)], so that P = (1 + alpha T + p^3 T^2)
-    (1 + beta T + p^3 T^2) has all reciprocal roots of modulus p^(3/2)
-    (``weil_verify``, an exact integer test);
+  * the Weil-shape pairs, split = None: x^2 - a x + (b p - 2 p^3) has two
+    real roots in [-2 p^(3/2), 2 p^(3/2)], so that
+    P = (1 + alpha T + p^3 T^2)(1 + beta T + p^3 T^2) has all reciprocal
+    roots of modulus p^(3/2) (``weil_verify``, an exact integer test); the
+    quartic is reducible, with integer alpha and beta, when the
+    discriminant a^2 - 4 (b p - 2 p^3) is a square;
   * where the leading symbol vanishes at z0 mod p, also the split pairs of
     (1 - chi p T)(1 - chi p^2 T)(1 - a_p T + p^3 T^2) with chi = +-1 and
-    a_p^2 <= 4 p^3.
+    a_p^2 <= 4 p^3, split = (chi, a_p).  Their quadratic factor
+    1 - chi (p + p^2) T + p^3 T^2 has |p + p^2| > 2 p^(3/2), so no split
+    pair is of Weil shape: the tag is the pair's shape.
 
 Every precision is the least s with p^s > W, the width of the set of
 integers it tells apart mod p^s.  The coefficient box |a| <= A, |b| <= B
@@ -37,8 +41,8 @@ zero or several pairs (at p = 5, s = 3 a split point can fit (-8, 43) and
 (-8, -82)) raises ``Uncertified`` and escalates to s + 1, up to
 ``box_precision``, which separates the box, W = 2 max(A, B): there the
 balanced lift is the one pair of the box that fits, and an in-box pair
-outside the admissible set is returned as it is, for the classifier to
-report as inconsistent.
+outside the admissible set is returned as it is, untagged, for the
+classifier to report as inconsistent.
 
 ``legendre_frobenius`` runs the same one-dimensional method on the Legendre
 family y^2 = x(x-1)(x-s0), whose trace satisfies |a_p| <= 2 sqrt(p).
@@ -47,7 +51,7 @@ family y^2 = x(x-1)(x-s0), whose trace satisfies |a_p| <= 2 sqrt(p).
 from __future__ import annotations
 
 from math import isqrt
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import FrobcyError, UsageError
 from .catalog import left_factor_residues
@@ -164,15 +168,17 @@ def _balanced_pair(r1: int, rh: int, p: int, s: int) -> Tuple[int, int]:
 
 
 def decode_frobenius(a: int, b: int, p: int, s: int,
-                     at_singular_fiber: bool = False) -> List[Tuple[int, int]]:
+                     at_singular_fiber: bool = False
+                     ) -> List[Tuple[int, int, Optional[Tuple[int, int]]]]:
     """The candidate list: every admissible pair congruent to (a, b) mod p^s,
-    read off the lifts of the residues.  Exactly one candidate certifies the
-    cell.  The Weil-shape pairs come first, by a and then b: each lift x of a
-    in [-A, A] with the lifts of b in ``_weil_b_range(x, p)``.  On a fiber
-    the split pairs follow, chi = 1 before chi = -1: each lift a_p of
+    read off the lifts of the residues, as (a, b, split).  Exactly one
+    candidate certifies the cell.  The Weil-shape pairs come first, by a and
+    then b, with split = None: each lift x of a in [-A, A] with the lifts of
+    b in ``_weil_b_range(x, p)``.  On a fiber the split pairs follow, chi = 1
+    before chi = -1, with split = (chi, a_p): each lift a_p of
     -a - chi (p + p^2) in [-2 p^(3/2), 2 p^(3/2)] whose b fits too."""
     m, amax = p**s, _box(p, False)[0]
-    found = [(x, y) for x in range(-amax + (a + amax) % m, amax + 1, m)
+    found = [(x, y, None) for x in range(-amax + (a + amax) % m, amax + 1, m)
              for lo, hi in [_weil_b_range(x, p)]
              for y in range(lo + (b - lo) % m, hi + 1, m)]
     if at_singular_fiber:
@@ -180,23 +186,24 @@ def decode_frobenius(a: int, b: int, p: int, s: int,
         for chi in (1, -1):
             c = chi * (p + p * p)                   # a = -a_p - c
             aps = range(-bound + (bound - a - c) % m, bound + 1, m)
-            found += [(-ap - c, y) for ap in aps
+            found += [(-ap - c, y, (chi, ap)) for ap in aps
                       for y in [2 * p * p + chi * (1 + p) * ap] if (y - b) % m == 0]
     return found
 
 
 def assemble_frobenius(r1: int, rh: int, p: int, s: int,
-                       at_singular_fiber: bool = False) -> Tuple[int, int]:
-    """(a, b) of P(T) = 1 + aT + bpT^2 + ap^3T^3 + p^6T^4 from the unit roots
-    r1, rh mod p^s.
+                       at_singular_fiber: bool = False
+                       ) -> Tuple[int, int, Optional[Tuple[int, int]]]:
+    """(a, b, split) of P(T) = 1 + aT + bpT^2 + ap^3T^3 + p^6T^4 from the
+    unit roots r1, rh mod p^s, with the split tag of ``decode_frobenius``.
 
     Returns the unique admissible pair that fits the residues mod p^s (split
     pairs count only ``at_singular_fiber``).  When zero or several fit and s
     is below ``box_precision`` it raises Uncertified, so the caller can
     retry at s + 1.  From the box precision on, the balanced lift is the one
     pair of the box |a| <= A, |b| <= B (``_box``) that fits: an in-box pair
-    outside the admissible set is returned as it is, and a lift outside the
-    box raises LiftOutOfBound.
+    outside the admissible set is returned as it is, untagged, and a lift
+    outside the box raises LiftOutOfBound.
     """
     a, b = _balanced_pair(r1, rh, p, s)
     found = decode_frobenius(a, b, p, s, at_singular_fiber)
@@ -209,7 +216,7 @@ def assemble_frobenius(r1: int, rh: int, p: int, s: int,
     if abs(a) > A or abs(b) > B:
         raise LiftOutOfBound(f"(a, b) = ({a}, {b}) lies outside the box "
                              f"|a| <= {A}, |b| <= {B} at p = {p}")
-    return a, b
+    return a, b, None
 
 
 def frobenius_quartic(a: int, b: int, p: int) -> List[int]:
@@ -247,12 +254,10 @@ def legendre_unit_root(p: int, s0: int) -> int:
     test at s0 (OutsideUnitDisk on failure = supersingular point).  Raises
     SingularFiber for s0 in {0, 1} mod p.
     """
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime")
+    s = legendre_precision(p)
     s0 %= p
     if s0 in (0, 1):
         raise SingularFiber(f"the fiber at s0 = {s0} is degenerate")
-    s = legendre_precision(p)
     series = left_factor_residues("A", p, s, pow(16, -1, p**s))
     h = dwork_ratio(series, s0, p, s)
     eps = 1 if (p - 1) // 2 % 2 == 0 else -1

@@ -19,9 +19,10 @@ Files of earlier formats are named ``series-*.json`` and read as misses.  A
 damaged or mismatched file is detected (``CorruptCache``), silently
 recomputed, and overwritten.  Computations never depend on cache state, only
 their wall time does.  Without a cache directory every target is solved
-afresh.  The digests come from CPython's built-in ``_sha256`` module, and
-from ``hashlib`` only where that is missing: ``hashlib`` loads OpenSSL's
-libcrypto, a few milliseconds of every process's start-up.
+afresh.  The digests come from CPython's built-in ``_sha256`` module
+(``_sha2`` from 3.12 on), and from ``hashlib`` only where both are missing:
+``hashlib`` loads OpenSSL's libcrypto, a few milliseconds of every process's
+start-up.
 
 The misses of one call are solved in two ``operator_series`` batches, the
 wedge first and then, for the rows whose wedge succeeded, the operator's own
@@ -50,10 +51,13 @@ from . import FrobcyError
 from .catalog import operator_series
 from .diffop import ThetaOperator
 
-try:  # hashlib loads OpenSSL's libcrypto; the built-in module is lean
+try:  # hashlib loads OpenSSL's libcrypto; the built-in modules are lean
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:  # CPython 3.12 renamed _sha256 to _sha2
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class CorruptCache(FrobcyError):

@@ -146,6 +146,10 @@ BAD_OPERATORS = {
     "not_self_dual": ThetaOperator([[0, 0, 0, 0, 1], [-1, -3, -3, -1]],
                                    name="nsd"),
     "not_mum": ThetaOperator([[0, 0, 0, 1, 1], [-1]], name="nmum"),
+    # 49 theta^4 - z (2 theta+1)^4: self-dual, but its P_0 is not monic, as
+    # when an apparent singularity (7 - k z)^2 is cleared into integer form
+    "p0_not_monic": ThetaOperator(
+        [[0, 0, 0, 0, 49], [-1, -8, -24, -32, -16]], name="p0_49"),
     # theta^4 - z theta (theta+1)^3, not self-dual either
     "theta_factor": ThetaOperator([[0, 0, 0, 0, 1], [0, -1, -3, -3, -1]],
                                   name="tf"),

@@ -12,8 +12,8 @@ import json
 import time
 
 from frobcy.catalog import CATALOG
-from frobcy.classify import (BUILTIN_FORMS, eta_expansion, match_singular_ap,
-                             reducible_split)
+from frobcy.classify import (BUILTIN_FORMS, classify_ab, eta_expansion,
+                             match_singular_ap)
 from frobcy.congruence import OutsideUnitDisk, check_dwork_congruence
 from frobcy.diffop import check_cy5, solve_series
 from frobcy.frobenius import (assemble_frobenius, frobenius_quartic,
@@ -52,8 +52,8 @@ def test_criterion_1(wedge_of):
     r1, rhat = unit_roots(f0, F0, z0, p, s)
     assert (r1, rhat) == (582, 1101)
 
-    a, b = assemble_frobenius(r1, rhat, p, s, at_singular_fiber=False)
-    assert (a, b) == (-8, 2)
+    a, b, split = assemble_frobenius(r1, rhat, p, s, at_singular_fiber=False)
+    assert (a, b, split) == (-8, 2, None)
     assert frobenius_quartic(a, b, p) == [1, -8, 2 * 7, -8 * 7**3, 7**6]
     assert time.monotonic() - t0 < 10
 
@@ -139,7 +139,8 @@ def test_criterion_6():
     a, b, p = 6, -6, 5
     disc = a * a - 4 * (b * p - 2 * p**3)
     assert disc == 1156 and 34 * 34 == disc
-    assert reducible_split(a, b, p) == (20, -14)
+    pc = classify_ab(a, b, p, False, None)
+    assert (pc.status, pc.alpha, pc.beta) == ("reducible", 20, -14)
 
 
 def test_criterion_7():

@@ -29,11 +29,10 @@ from frobcy.classify import (
     classify_operator,
     eta_expansion,
     match_singular_ap,
-    reducible_split,
-    singular_split,
 )
 from frobcy.diffop import ThetaOperator
-from frobcy.frobenius import Uncertified
+from frobcy.frobenius import (Uncertified, box_precision, decode_frobenius,
+                              weil_verify)
 
 from conftest import TABLE_PRIMES as PRIMES, classified
 
@@ -138,49 +137,66 @@ class TestEtaProducts:
 
 
 class TestSplitHelpers:
+    """A pair's shape is its decoder tag: a split pair carries (chi, a_p), a
+    Weil-shape pair None, and ``classify_ab`` reads the reducible factors
+    off a Weil-shape pair."""
+
     def test_reducible_anchor(self):
         # disc = 36 - 4(-280) = 1156 = 34^2
-        assert reducible_split(6, -6, 5) == (20, -14)
+        assert decode_frobenius(6, -6, 5, 4, True) == [(6, -6, None)]
+        pc = classify_ab(6, -6, 5, False, None)
+        assert (pc.status, pc.alpha, pc.beta) == ("reducible", 20, -14)
 
     def test_reducible_rejects_nonsquare_discriminant(self):
-        # disc = 121 + 1320 = 1441, not a square
-        assert reducible_split(11, -16, 5) is None
+        # disc = 4 + 4032 = 4036, not a square: a Weil-shape pair, smooth
+        assert weil_verify(2, -46, 7)
+        assert classify_ab(2, -46, 7, False, None).status == "smooth"
 
     def test_reducible_rejects_factor_out_of_bound(self):
-        # disc = 1764 = 42^2 but beta = -30 exceeds 2 p^(3/2)
-        assert reducible_split(-18, -22, 5) is None
+        # disc = 1764 = 42^2 but beta = -30 exceeds 2 p^(3/2): no Weil
+        # shape, so no candidate off the fiber and no reducible cell
+        assert decode_frobenius(-18, -22, 5, 4) == []
+        assert classify_ab(-18, -22, 5, False, None).status == "inconsistent"
 
     def test_singular_anchor_negative_chi(self):
-        assert singular_split(32, 62, 5) == (-1, -2)
+        assert decode_frobenius(32, 62, 5, 4, True) == [(32, 62, (-1, -2))]
 
     def test_singular_anchor_positive_chi(self):
-        assert singular_split(-31, 56, 5) == (1, 1)
+        assert decode_frobenius(-31, 56, 5, 4, True) == [(-31, 56, (1, 1))]
 
     def test_singular_rejects_smooth_pair(self):
-        assert singular_split(2, -46, 7) is None
+        assert decode_frobenius(2, -46, 7, 3, True) == [(2, -46, None)]
 
     def test_singular_identity_can_hold_off_fiber(self):
         # The split identity is a property of (a, b, p) alone; whether the
-        # point counts as singular is decided by the caller's fiber flag.
-        assert singular_split(-18, -22, 5) == (1, -12)
+        # decoder lists the split pair is decided by the fiber flag.
+        assert decode_frobenius(-18, -22, 5, 4, True) == \
+            [(-18, -22, (1, -12))]
+        assert decode_frobenius(-18, -22, 5, 4, False) == []
 
     @given(st.sampled_from(PRIMES), st.integers(-600, 600),
-           st.integers(-600, 600))
+           st.integers(-600, 600), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_split_outputs_satisfy_their_identities(self, p, a, b):
-        pair = reducible_split(a, b, p)
-        if pair is not None:
-            alpha, beta = pair
-            assert alpha + beta == a
-            assert alpha * beta == b * p - 2 * p**3
-            assert alpha**2 <= 4 * p**3 and beta**2 <= 4 * p**3
-        split = singular_split(a, b, p)
-        if split is not None:
-            chi, ap = split
-            assert chi in (1, -1)
-            assert ap == -a - chi * (p + p * p)
-            assert b * p == 2 * p**3 + chi * (p + p * p) * ap
-            assert ap * ap <= 4 * p**3
+    def test_split_outputs_satisfy_their_identities(self, p, a, b, data):
+        s = data.draw(st.integers(2, box_precision(p, True)))
+        for x, y, split in decode_frobenius(a, b, p, s, True):
+            assert (x - a) % p**s == 0 and (y - b) % p**s == 0
+            if split is not None:
+                chi, ap = split
+                assert chi in (1, -1)
+                assert ap == -x - chi * (p + p * p)
+                assert y * p == 2 * p**3 + chi * (p + p * p) * ap
+                assert ap * ap <= 4 * p**3
+                assert not weil_verify(x, y, p)
+                continue
+            assert weil_verify(x, y, p)
+            pc = classify_ab(x, y, p, True, split)
+            if pc.status == "reducible":
+                assert pc.alpha + pc.beta == x
+                assert pc.alpha * pc.beta == y * p - 2 * p**3
+                assert pc.alpha**2 <= 4 * p**3 and pc.beta**2 <= 4 * p**3
+            else:
+                assert pc.status == "smooth"
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -191,9 +207,10 @@ class TestSplitHelpers:
         alpha = p * r
         beta = data.draw(st.integers(-isqrt(4 * p**3), isqrt(4 * p**3)))
         a, b = alpha + beta, r * beta + 2 * p * p
-        got = reducible_split(a, b, p)
-        assert got is not None and set(got) == {alpha, beta}
-        assert got[0] >= got[1]
+        assert decode_frobenius(a, b, p, box_precision(p)) == [(a, b, None)]
+        pc = classify_ab(a, b, p, False, None)
+        assert pc.status == "reducible"
+        assert {pc.alpha, pc.beta} == {alpha, beta} and pc.alpha >= pc.beta
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -203,66 +220,67 @@ class TestSplitHelpers:
         ap = data.draw(st.integers(-isqrt(4 * p**3), isqrt(4 * p**3)))
         a = -ap - chi * (p + p * p)
         b = 2 * p * p + chi * (1 + p) * ap
-        assert singular_split(a, b, p) == (chi, ap)
+        assert decode_frobenius(a, b, p, box_precision(p, True), True) == \
+            [(a, b, (chi, ap))]
 
 
 class TestClassifyAb:
     def test_reducible_fields(self):
-        pc = classify_ab(6, -6, 5, at_singular_fiber=False)
+        pc = classify_ab(6, -6, 5, at_singular_fiber=False, split=None)
         assert pc.status == "reducible"
         assert (pc.alpha, pc.beta) == (20, -14)
         assert pc.cell() == "(6,-6)'"
         assert pc.chi is None and pc.ap is None
 
     def test_singular_fields(self):
-        pc = classify_ab(32, 62, 5, at_singular_fiber=True)
+        pc = classify_ab(32, 62, 5, at_singular_fiber=True, split=(-1, -2))
         assert pc.status == "singular"
         assert (pc.chi, pc.ap) == (-1, -2)
         assert pc.form == "8/1"
         assert pc.cell() == "(32,62)*"
 
     def test_smooth_fields(self):
-        pc = classify_ab(-8, 2, 7, at_singular_fiber=False)
+        pc = classify_ab(-8, 2, 7, at_singular_fiber=False, split=None)
         assert pc.status == "smooth"
         assert pc.cell() == "(-8,2)"
         assert pc.alpha is None and pc.chi is None and pc.form is None
 
     def test_split_pair_off_fiber_is_inconsistent(self):
-        # (32,62) satisfies the chi-split identity, so away from a vanishing
-        # symbol it can be neither singular (flag off) nor reducible (the
-        # implied factor p + p^2 breaks the bound) nor smooth (the implied
-        # factorization breaks the modulus pairing).
-        pc = classify_ab(32, 62, 5, at_singular_fiber=False)
+        # (32,62) satisfies the chi-split identity, but away from a vanishing
+        # symbol the decoder never tags it, and untagged it is neither
+        # reducible nor smooth: the implied factor p + p^2 breaks the
+        # modulus pairing, so it fails weil_verify.
+        pc = classify_ab(32, 62, 5, at_singular_fiber=False, split=None)
         assert pc.status == "inconsistent"
         assert pc.cell() == "(32,62)!"
 
     def test_second_split_pair_off_fiber_is_inconsistent(self):
-        pc = classify_ab(-18, -22, 5, at_singular_fiber=False)
+        pc = classify_ab(-18, -22, 5, at_singular_fiber=False, split=None)
         assert pc.status == "inconsistent"
         assert pc.cell() == "(-18,-22)!"
 
     def test_unsplittable_pair_at_fiber_is_inconsistent(self):
-        # Fails the chi-split, has non-square reducible discriminant 1441,
-        # and fails the modulus check: reported, not passed off as smooth.
-        pc = classify_ab(11, -16, 5, at_singular_fiber=True)
+        # No split tag, and it fails the modulus check: reported, not passed
+        # off as smooth.
+        pc = classify_ab(11, -16, 5, at_singular_fiber=True, split=None)
         assert pc.status == "inconsistent"
         assert pc.cell() == "(11,-16)!"
 
     def test_form_lookup_failure_leaves_form_none(self):
-        pc = classify_ab(19, -16, 5, at_singular_fiber=True)
+        pc = classify_ab(19, -16, 5, at_singular_fiber=True, split=(-1, 11))
         assert pc.status == "singular"
         assert (pc.chi, pc.ap) == (-1, 11)
         assert pc.form is None
 
     def test_fields_cannot_be_assigned(self):
         # a record is built once: a changed cell is a new record
-        pc = classify_ab(32, 62, 5, at_singular_fiber=True)
+        pc = classify_ab(32, 62, 5, at_singular_fiber=True, split=(-1, -2))
         with pytest.raises(AttributeError):
             pc.status = "smooth"
         assert pc._replace(z0=4).z0 == 4 and pc.z0 == 0
 
     def test_record_survives_pickle_and_keeps_its_repr(self):
-        pc = classify_ab(32, 62, 5, at_singular_fiber=True)
+        pc = classify_ab(32, 62, 5, at_singular_fiber=True, split=(-1, -2))
         assert pickle.loads(pickle.dumps(pc)) == pc
         assert repr(pc) == (
             "PointClass(z0=0, status='singular', at_singular_fiber=True, "

@@ -996,7 +996,7 @@ class TestCmdFrob:
     def test_inconsistent_cell(self, capsys, monkeypatch):
         # an in-box pair that fits no admissible shape: "!", and no candidate
         monkeypatch.setattr(classify, "assemble_frobenius",
-                            lambda r1, rh, p, s, **kwargs: (0, 294))
+                            lambda r1, rh, p, s, **kwargs: (0, 294, None))
         code, got, _ = self.frob(capsys, "--operator", "A*a", "--prime", "7",
                                  "--point", "1", "--precision", "4")
         assert code == 0
@@ -1331,7 +1331,7 @@ def test_every_exception_class_derives_from_frobcy_error():
 
 @pytest.fixture
 def bad_operators(tmp_path):
-    """The files of ``BAD_OPERATORS`` under their keys: three that are no
+    """The files of ``BAD_OPERATORS`` under their keys: four that are no
     self-dual fourth-order MUM operator, four with theta as a right factor
     (one of them unnamed) and one whose exterior square has a non-integral
     series.  Then one more of that last kind, unnamed, one that is no JSON
@@ -1586,6 +1586,7 @@ def test_malformed_form_fixture_names_the_file(fixture, message, tmp_path,
 REFUSALS = {
     "order2": "operator {path} is not fourth-order MUM",
     "not_mum": "operator {path} is not fourth-order MUM",
+    "p0_not_monic": "operator {path} has P_0 = 49 theta^4, not theta^4",
     "not_self_dual": "operator {path} is not self-dual",
     **{key: "theta is a right factor of operator {path}, so its series is "
             "the constant 1"
@@ -1620,8 +1621,9 @@ def assert_refused_at_load(key, command, bad_operators, capsys, monkeypatch):
     assert err == f"error: {REFUSALS[key].format(path=path)}\n"
 
 
-@pytest.mark.parametrize("key", ["order2", "not_mum", "not_self_dual",
-                                 "theta_factor", "theta_unnamed"])
+@pytest.mark.parametrize("key", ["order2", "not_mum", "p0_not_monic",
+                                 "not_self_dual", "theta_factor",
+                                 "theta_unnamed"])
 @REFUSING_COMMANDS
 def test_unusable_operator_is_refused_at_load(key, command, bad_operators,
                                               capsys, monkeypatch):
@@ -1637,6 +1639,22 @@ def test_theta_right_factor_is_refused_before_any_series(key, command,
     # the self-dual one gets 20 certified cells at p = 5, 7, 11, all wrong,
     # and theta^4 fails its rows with a LiftOutOfBound that blames the lift
     assert_refused_at_load(key, command, bad_operators, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("factor", ["a", "d"])
+def test_right_factor_of_order_two_prints_no_cell(factor, capsys):
+    # L2+ L2 for the catalog right factor a or d (tests/data): fourth-order,
+    # MUM and self-dual, but its series is L2's, of rank 2, so no cell of it
+    # means anything.  Its rows fail today; a refusal at load must keep
+    # every line of this test true.
+    path = str(Path(__file__).parent / "data" / f"adjoint_square_{factor}.json")
+    code, out, err = run(["table", "--operator", path, "--primes", "5,7",
+                          "--no-cache", "--format", "json"], capsys)
+    assert code != 0
+    assert not any(json.loads(out or "{}").values())
+    lines = err.splitlines()
+    assert lines and all(line.startswith("error: ") for line in lines)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key", ["wedge_not_integral"])
@@ -1871,8 +1889,10 @@ def test_pool_never_has_more_workers_than_tasks(inline_pool, capsys):
 
 class TestStartUp:
     def test_import_loads_no_openssl_hashlib(self):
-        # hashlib loads OpenSSL's libcrypto; the cache hashes with _sha256
-        pytest.importorskip("_sha256")
+        # hashlib loads OpenSSL's libcrypto; the cache hashes with _sha256,
+        # or with _sha2 from CPython 3.12 on
+        if not any(map(importlib.util.find_spec, ("_sha256", "_sha2"))):
+            pytest.skip("no built-in sha256 module")
         script = ("import sys\n"
                   "import frobcy.cli\n"
                   "print(*sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
@@ -1880,6 +1900,22 @@ class TestStartUp:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == []
+
+    def test_sha2_is_tried_before_hashlib(self):
+        # CPython 3.12 renamed _sha256 to _sha2: with _sha256 missing, the
+        # cache hashes with a stub _sha2 and hashlib stays unloaded
+        script = ("import sys, types\n"
+                  "sys.modules['_sha256'] = None\n"
+                  "stub = types.ModuleType('_sha2')\n"
+                  "stub.sha256 = lambda data=b'': None\n"
+                  "sys.modules['_sha2'] = stub\n"
+                  "import frobcy.cli, frobcy.series\n"
+                  "print(frobcy.series.sha256 is stub.sha256)\n"
+                  "print(*sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True"]
 
     def test_sha256_is_sha256(self):
         # the FIPS 180-2 test vector of "abc"

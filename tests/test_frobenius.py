@@ -49,25 +49,28 @@ def frobenius_from_operator(op, p: int, z0: int, s: int):
 
 def split_pairs(p: int):
     """The pairs of (1 - chi p T)(1 - chi p^2 T)(1 - a_p T + p^3 T^2), chi = 1
-    and then chi = -1, each by a_p with a_p^2 <= 4 p^3."""
+    and then chi = -1, each by a_p with a_p^2 <= 4 p^3, as (a, b, (chi, a_p))
+    with the decoder's split tag."""
     bound = isqrt(4 * p**3)
     for chi in (1, -1):
         for ap in range(-bound, bound + 1):
-            yield -ap - chi * (p + p * p), 2 * p * p + chi * (1 + p) * ap
+            yield (-ap - chi * (p + p * p), 2 * p * p + chi * (1 + p) * ap,
+                   (chi, ap))
 
 
 def admissible_pairs(p: int, with_split: bool):
-    """Every admissible pair, by filtering an envelope with ``weil_shape``:
-    alpha + beta = a and |alpha|, |beta| <= 2 p^(3/2) confine
-    alpha beta = b p - 2 p^3 to [2 |a| p^(3/2) - 4 p^3, a^2 / 4].  The
-    Weil-shape pairs come by a and then b, then the split pairs."""
+    """Every admissible pair with its split tag, the Weil-shape pairs
+    untagged, by filtering an envelope with ``weil_shape``: alpha + beta = a
+    and |alpha|, |beta| <= 2 p^(3/2) confine alpha beta = b p - 2 p^3 to
+    [2 |a| p^(3/2) - 4 p^3, a^2 / 4].  The Weil-shape pairs come by a and
+    then b, then the split pairs."""
     amax = isqrt(16 * p**3)
     for a in range(-amax, amax + 1):
         lo = -2 * p * p + 2 * abs(a) * isqrt(p) - 1
         hi = 2 * p * p + a * a // (4 * p) + 1
         for b in range(lo, hi + 1):
             if weil_shape(a, b, p):
-                yield a, b
+                yield a, b, None
     if with_split:
         yield from split_pairs(p)
 
@@ -79,10 +82,11 @@ def admissible_list(p: int, with_split: bool):
 
 
 def congruent_pairs(a: int, b: int, p: int, s: int, with_split: bool):
-    """The admissible pairs congruent to (a, b) mod p^s, in the order of
-    ``admissible_pairs``: the decoder's candidate list by enumeration."""
+    """The admissible pairs congruent to (a, b) mod p^s with their tags, in
+    the order of ``admissible_pairs``: the decoder's candidate list by
+    enumeration."""
     m = p**s
-    return [(x, y) for x, y in admissible_list(p, with_split)
+    return [(x, y, tag) for x, y, tag in admissible_list(p, with_split)
             if (x - a) % m == 0 and (y - b) % m == 0]
 
 
@@ -106,7 +110,7 @@ def split_precision(p: int) -> int:
     alone."""
     s = required_precision(p)
     while any(len(decode_frobenius(a, b, p, s, True)) > 1
-              for a, b in split_pairs(p)):
+              for a, b, _ in split_pairs(p)):
         s += 1
     return s
 
@@ -148,7 +152,7 @@ class TestRequiredPrecision:
         assert (43 - -82) % 5**3 == 0
         assert required_precision(5) == 3
         assert decode_frobenius(-8, 43, 5, 3, at_singular_fiber=True) == \
-            [(-8, 43), (-8, -82)]
+            [(-8, 43, None), (-8, -82, (1, -22))]
         assert split_precision(5) == 4
 
     @pytest.mark.parametrize("with_split", [False, True])
@@ -159,7 +163,7 @@ class TestRequiredPrecision:
         s = split_precision(p) if with_split else required_precision(p)
         m, m1 = p**s, p ** (s - 1)
         count, keys, keys1 = 0, set(), set()
-        for a, b in admissible_pairs(p, with_split):
+        for a, b, _ in admissible_pairs(p, with_split):
             count += 1
             keys.add(a % m * m + b % m)
             keys1.add(a % m1 * m1 + b % m1)
@@ -330,36 +334,38 @@ class TestUnitRoots:
 class TestAssembleFrobenius:
     def test_worked_example(self, aa_series):
         r1, rh = unit_roots(*aa_series[7, 4], 2, 7, 4)
-        assert assemble_frobenius(r1, rh, 7, 4) == (-8, 2)
+        assert assemble_frobenius(r1, rh, 7, 4) == (-8, 2, None)
 
     def test_worked_example_quartic(self):
         assert frobenius_quartic(-8, 2, 7) == [1, -8, 14, -2744, 117649]
 
     def test_starred_cell_at_5(self, aa_series):
         r1, rh = unit_roots(*aa_series[5, 4], 4, 5, 4)
-        assert assemble_frobenius(r1, rh, 5, 4, at_singular_fiber=True) == (32, 62)
+        assert assemble_frobenius(r1, rh, 5, 4, at_singular_fiber=True) == \
+            (32, 62, (-1, -2))
 
     def test_split_bound_needed_at_7(self, aa_series):
         # (80, 290): |a| = 80 exceeds 4 * 7^(3/2) ~ 74, but fits the split
         # bound p^2 + p + 2 p^(3/2) ~ 93
         r1, rh = unit_roots(*aa_series[7, 4], 4, 7, 4)
-        assert assemble_frobenius(r1, rh, 7, 4, at_singular_fiber=True) == (80, 290)
+        assert assemble_frobenius(r1, rh, 7, 4, at_singular_fiber=True) == \
+            (80, 290, (-1, -24))
         with pytest.raises(LiftOutOfBound):
             assemble_frobenius(r1, rh, 7, 4)
 
     def test_decoder_finds_one_candidate(self, aa_series):
         for s in (3, 4):
             m = 7**s
-            assert decode_frobenius(-8, 2, 7, s) == [(-8, 2)]
-            assert decode_frobenius(-8 + m, 2 - 5 * m, 7, s) == [(-8, 2)]
+            assert decode_frobenius(-8, 2, 7, s) == [(-8, 2, None)]
+            assert decode_frobenius(-8 + m, 2 - 5 * m, 7, s) == [(-8, 2, None)]
         r1, rh = unit_roots(*aa_series[7, 4], 2, 7, 4)
         cut = [x % 7**3 for x in (r1, rh)]
-        assert assemble_frobenius(*cut, 7, 3) == (-8, 2)
+        assert assemble_frobenius(*cut, 7, 3) == (-8, 2, None)
 
     def test_low_precision_is_uncertified(self, aa_series):
         # two digits leave five Weil-shape pairs, the true one among them
         found = decode_frobenius(-8, 2, 7, 2)
-        assert len(found) == 5 and (-8, 2) in found
+        assert len(found) == 5 and (-8, 2, None) in found
         r1, rh = unit_roots(*aa_series[7, 4], 2, 7, 4)
         cut = [x % 7**2 for x in (r1, rh)]
         with pytest.raises(Uncertified) as info:
@@ -380,7 +386,7 @@ class TestAssembleFrobenius:
         (p, s) for p in (3, 5, 7)
         for s in (1, 2, 3, max(box_precision(p, f) for f in (False, True)) + 1)])
     def test_decoder_matches_enumeration(self, p, s):
-        # the candidate list is the enumeration's, in its order
+        # the candidate list is the enumeration's, tags and all, in its order
         for a, b in [(0, 0), (3, -7), (12, 40), (-8, 43), (31, 1)]:
             for fiber in (False, True):
                 assert decode_frobenius(a, b, p, s, fiber) == \
@@ -393,7 +399,7 @@ class TestAssembleFrobenius:
         # residues drawn at random and as lifts of an admissible pair
         s = data.draw(st.integers(1, box_precision(p, fiber) + 1))
         m = p**s
-        a0, b0 = data.draw(st.sampled_from(admissible_list(p, fiber)))
+        a0, b0, _ = data.draw(st.sampled_from(admissible_list(p, fiber)))
         shift = st.integers(-3, 3).map(lambda k: k * m)
         anywhere = st.integers(-2 * m, 2 * m)
         for a, b in [(a0 + data.draw(shift), b0 + data.draw(shift)),
@@ -418,7 +424,8 @@ class TestAssembleFrobenius:
     @pytest.mark.parametrize("p", PRIMES)
     def test_lift_edges(self, p, fiber, monkeypatch):
         # at the box precision a lift that no admissible pair fits is
-        # returned on the edge of the box and raises one step outside it
+        # returned untagged on the edge of the box and raises one step
+        # outside it
         A, B = _box(p, fiber)
         s = box_precision(p, fiber)
         monkeypatch.setattr(frobenius, "decode_frobenius", lambda *args: [])
@@ -429,7 +436,7 @@ class TestAssembleFrobenius:
             return assemble_frobenius(1, 1, p, s, fiber)
 
         for a, b in [(A, B), (-A, -B), (A, -B), (-A, B)]:
-            assert assemble(a, b) == (a, b)
+            assert assemble(a, b) == (a, b, None)
         for a, b in [(A + 1, B), (-A - 1, 0), (A, B + 1), (0, -B - 1)]:
             with pytest.raises(LiftOutOfBound) as info:
                 assemble(a, b)
@@ -471,8 +478,9 @@ class TestAssembleFrobenius:
                     *unit_roots(f0, F0, z0, 7, 4), 7, 4, at_singular_fiber=True)
             except OutsideUnitDisk:
                 row[z0] = None
-        assert row == {1: (2, -46), 2: (-8, 2), 3: (32, -94), 4: (80, 290),
-                       5: (10, 50), 6: None}
+        assert row == {1: (2, -46, None), 2: (-8, 2, None),
+                       3: (32, -94, (-1, 24)), 4: (80, 290, (-1, -24)),
+                       5: (10, 50, None), 6: None}
 
     def test_stable_under_extra_precision(self, aa_series):
         # recomputing every defined cell one digit deeper changes nothing
@@ -499,7 +507,7 @@ class TestAssembleFrobenius:
 
     def test_convenience_wrapper(self):
         op = CATALOG["A*a"]
-        assert frobenius_from_operator(op, 7, 2, 4) == (-8, 2)
+        assert frobenius_from_operator(op, 7, 2, 4) == (-8, 2, None)
 
 
 # -- archimedean verification -------------------------------------------------------
