@@ -14,22 +14,23 @@ factored-integer form, with its database number; ``SPECIAL_POINTS`` labels
 the modular forms attached to distinguished singular points.  The rational
 roots of a leading symbol are found only by the ``catalog`` listing.
 
-So a product's coefficients are c_n = A_n B_n: ``operator_series`` solves a
-catalog operator's own series mod p^K from one run of its right factor's
-recurrence (divisor n^2, one limb) and A_n stepped as a p-adic valuation and
-a unit (``left_factor_residues``), to degree p^K - 1 at each (p, K) target.
-The 24 products share 6 right and 4 left factors, so both are memoized per
-process: a sweep runs each right factor once per batch of targets, not once
-per operator.  ``operator_series`` is also the one dispatch of the exterior
-square's series.  The exterior squares of the products depend only on the
-catalog, so they ship as data (``data/catalog_wedges.json``):
-``exterior_square`` loads a product's, with ``wedge_square``'s closing
-checks, and builds any other operator's, anew on every call.  Both series
-of a catalog product are known to be integral, so its runs may leave exact
-integers for residues mod a shrinking product of target prime powers
-(``solve_series(..., integral=True)``); other operators keep the fully
-checked exact run.  A product is known by its coefficients, whatever its
-name, so an operator file holding one takes both of its routes.
+So a product's coefficients are c_n = A_n B_n.  ``sequence_residues`` is
+the one route to a catalog sequence mod p^K at (p, K, N) targets, for a
+product's own series (``operator_series``), ``frobcy congruence`` and the
+Legendre period, left factor A: a right factor from one run of its
+recurrence, a left factor stepped as a p-adic valuation and a unit
+(``left_factor_residues``).  The 24 products share 6 right and 4 left
+factors, so one memo per process, a slot per second-order operator, keeps
+them by (factor, targets): a sweep builds each once per batch, in any order.
+``operator_series`` also dispatches the exterior square's series.  The
+products' squares depend only on the catalog, so they ship as data
+(``data/catalog_wedges.json``): ``exterior_square`` loads a product's, with
+``wedge_square``'s closing checks, and builds any other operator's, anew on
+every call.  Both series of a catalog product are known to be integral, so
+its runs may leave exact integers for residues mod a shrinking product of
+target prime powers (``solve_series(..., integral=True)``); other operators
+keep the fully checked exact run.  A product is known by its coefficients,
+whatever its name, so an operator file holding one takes both routes.
 """
 
 from __future__ import annotations
@@ -134,38 +135,43 @@ _PRODUCT_NAMES: Dict[ThetaOperator, str] = {op: name for name, op in CATALOG.ite
 # -- the integer sequences --------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def left_factor_residues(left: str, p: int, K: int, x: int = 1) -> List[int]:
-    """A_n x^n mod p^K for n = 0 .. p^K - 1, of a left factor, n^2 A_n =
-    lam P(n-1) A_(n-1), and a unit x mod p^K: stepped as A_n x^n = p^v u
-    with u a unit mod p^K, so no digit is lost.
-
-    Memoized per process: at most 32 lists, enough for the 4 left factors
-    at the 6 primes of a full sweep and its escalations, the least recently
-    used dropped first.  The list returned is shared, so callers must not
-    change it."""
+def left_factor_residues(left: str, p: int, K: int, N: int) -> List[int]:
+    """A_n mod p^K for n = 0 .. N of a left factor, n^2 A_n = lam P(n-1)
+    A_(n-1): stepped as A_n = p^v u with u a unit mod p^K, so no digit is
+    lost."""
     lam, pair, _ = _LEFT[left]
     pK, out, v, u = p**K, [1], 0, 1
-    for n in range(1, pK):
+    for n in range(1, N + 1):
         num, den = lam * (pair[0] + (n - 1) * (pair[1] + (n - 1) * pair[2])), n * n
         while num % p == 0:
             num, v = num // p, v + 1
         while den % p == 0:
             den, v = den // p, v - 1
-        u = u * num * x * pow(den, -1, pK) % pK
+        u = u * num * pow(den, -1, pK) % pK
         out.append(u * p**v % pK if v < K else 0)
     return out
 
 
-@lru_cache(maxsize=6)
-def _right_factor_run(right: str, N: int, targets: tuple) -> list:
-    """``solve_series`` of a right factor at a tuple of (p, K, N_t) targets,
-    as an integral run.  Memoized per process: at most 6 batches, one per
-    right factor of the catalog, the least recently used dropped first.  So
-    the operators of a sweep that share a right factor and their targets
-    share its run.  The residue lists returned are shared, so callers must
-    not change them."""
-    return solve_series(SECOND_ORDER[right], N, targets=targets, integral=True)
+@lru_cache(maxsize=len(SECOND_ORDER))
+def _factor_residues(name: str, targets: tuple) -> list:
+    """``sequence_residues`` of one factor, memoized per process: one slot
+    per second-order operator, the least recently used dropped first."""
+    if name in _LEFT:
+        return [left_factor_residues(name, *target) for target in targets]
+    return solve_series(SECOND_ORDER[name], max(t[2] for t in targets),
+                        targets=targets, integral=True)
+
+
+def sequence_residues(name: str, targets: tuple) -> list:
+    """c_0 .. c_N mod p^K of the catalog sequence ``name`` at each (p, K, N)
+    target of a tuple: a list aligned with ``targets``.  A left factor is
+    stepped (``left_factor_residues``), a right factor is one integral
+    ``solve_series`` batch, both memoized, so callers must not change their
+    lists; a product, named left*right, multiplies its factors' lists."""
+    if name in SECOND_ORDER:
+        return _factor_residues(name, targets)
+    rows = zip(targets, *(_factor_residues(f, targets) for f in name.split("*")))
+    return [[x * y % p**K for x, y in zip(a, b)] for (p, K, _), a, b in rows]
 
 
 @lru_cache(maxsize=None)
@@ -195,8 +201,8 @@ def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:
     ``targets`` of residue lists (or the NonIntegralSolution of a target).
 
     A catalog product (same coefficients, whatever its name) has an integer
-    series: the Hadamard product of its factors' integer sequences, solved
-    through its factors; the runs of both roles, of itself and of its
+    series: the Hadamard product of its factors' integer sequences, from
+    ``sequence_residues``; the runs of both roles, of itself and of its
     ``exterior_square``, may leave exact integers (``integral``).  Any other
     operator runs the exact recurrence.  For the exterior square the grant
     is an observation, not a theorem: its series is w = f0^2 theta(q)/q,
@@ -207,15 +213,10 @@ def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:
     Beyond the N it reaches, a denominator at a prime that is no target
     goes unchecked: the residues at the targets stay right, but no
     NonIntegralSolution is raised for it."""
-    full = [(p, K, p**K - 1) for p, K in targets]
+    full = tuple((p, K, p**K - 1) for p, K in targets)
     N = max(t[2] for t in full)
     product = _PRODUCT_NAMES.get(op)
     if wedge or product is None:
         return solve_series(exterior_square(op) if wedge else op, N,
                             targets=full, integral=product is not None)
-    left, right = product.split("*")
-    out = []
-    for (p, K), b in zip(targets, _right_factor_run(right, N, tuple(full))):
-        a, pK = left_factor_residues(left, p, K), p**K
-        out.append([x * y % pK for x, y in zip(a, b)])
-    return out
+    return sequence_residues(product, full)

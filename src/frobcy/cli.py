@@ -18,17 +18,17 @@ Every cell goes through one row pipeline, ``classify_operator``: a
 point, from ``required_precision`` with the same per-cell escalation, or at
 its ``--precision s`` alone.  Its series come from ``series.cache_series``
 (re-exported here), through the disk cache unless ``--no-cache`` is given.
-The cache directory is ``--cache-dir``, else $FROBCY_CACHE_DIR, else the
-platform user cache path.
+The cache directory is ``--cache-dir``, else $FROBCY_CACHE_DIR, else
+$XDG_CACHE_HOME/frobcy, else ~/.cache/frobcy.
 
 A table sweep maps ``classify_operator`` over the operators: one call per
 operator over all its primes, so one ``cache_series`` call for all its rows
 and one more per escalation round.  ``--jobs k`` maps it in a worker pool,
 so a single operator gets no speed-up from it.  Each worker keeps its own
-memos of factor runs, fetches an operator's exterior square once per round
-that misses the cache, and returns its rows pickled, cells and exceptions
-alike.  Results are emitted in ``--operator`` order, so output is
-byte-identical to a serial run for every k.
+memo of factor lists (``catalog.sequence_residues``), fetches an operator's
+exterior square once per round that misses the cache, and returns its rows
+pickled, cells and exceptions alike.  Results are emitted in ``--operator``
+order, so output is byte-identical to a serial run for every k.
 
 ``main`` builds the argparse parser of the subcommand named first alone,
 from the one ``COMMANDS`` table of (help, filler) that ``build_parser``
@@ -54,10 +54,11 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import FrobcyError, UsageError
-from .catalog import CATALOG, SECOND_ORDER, SPECIAL_POINTS, exterior_square
+from .catalog import (CATALOG, SECOND_ORDER, SPECIAL_POINTS, exterior_square,
+                      sequence_residues)
 from .classify import PointClass, check_operator, classify_operator
 from .congruence import OutsideUnitDisk, check_dwork_congruence
-from .diffop import ThetaOperator, leading_symbol, solve_series
+from .diffop import ThetaOperator, leading_symbol
 from .frobenius import (box_precision, frobenius_quartic, legendre_frobenius,
                         legendre_precision)
 from .padic import is_odd_prime
@@ -79,7 +80,7 @@ PRIME_CEILING = 61
 LEGENDRE_CEILING = 8_000_009
 # The largest --nmax and --smax that ``congruence`` takes.  Above s = 9 no
 # two n <= NMAX_CEILING < 3^10 share a class mod p^s, so no ratio is checked.
-# D*c, the slowest sequence, took 22 s at --nmax 50 000 --smax 9, p = 3 (72 MB
+# j, the slowest sequence, took 2.4 s at --nmax 50 000 --smax 9, p = 3 (70 MB
 # peak; 2 cores, CPython 3.11).  A prime above --nmax is refused: it leaves
 # every n <= --nmax in a class of its own at every s.
 NMAX_CEILING = 50_000
@@ -310,17 +311,9 @@ def cmd_congruence(args: argparse.Namespace) -> int:
     if p > args.nmax:
         raise UsageError(f"--prime {p} is above --nmax {args.nmax}, so no "
                          f"two n <= {args.nmax} share a class mod p")
-    if name in CATALOG:
-        op = CATALOG[name]
-    elif name in SECOND_ORDER:
-        op = SECOND_ORDER[name]
-    else:
+    if name not in CATALOG and name not in SECOND_ORDER:
         raise UsageError(f"unknown sequence {name!r}")
-    # one residue target mod p^smax: the run keeps only its window exact
-    coeffs, = solve_series(op, args.nmax,
-                           targets=[(p, args.smax, args.nmax)])
-    if isinstance(coeffs, Exception):
-        raise coeffs
+    coeffs, = sequence_residues(name, ((p, args.smax, args.nmax),))
     reports = [check_dwork_congruence(coeffs, p, s, args.nmax)
                for s in range(1, args.smax + 1)]
     payload = {"sequence": name, "prime": p, "n_max": args.nmax,

@@ -131,12 +131,16 @@ class ThetaOperator:
     # -- JSON interchange ------------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps({
-            "name": self.name,
-            "aesz": self.aesz,
-            "theta_order": self.theta_order,
-            "coeffs": [[str(c) for c in row] for row in self.coeffs],
-        }, indent=1)
+        try:  # str() refuses more digits than ``from_json`` reads back
+            return json.dumps({
+                "name": self.name,
+                "aesz": self.aesz,
+                "theta_order": self.theta_order,
+                "coeffs": [[str(c) for c in row] for row in self.coeffs],
+            }, indent=1)
+        except ValueError:
+            raise FrobcyError(f"operator {self.name} has a coefficient too "
+                              f"long to write in decimal") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ThetaOperator":

@@ -54,7 +54,7 @@ from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from . import FrobcyError, UsageError
-from .catalog import left_factor_residues
+from .catalog import sequence_residues
 from .congruence import dwork_ratio
 from .padic import NotAUnit, balanced_residue, is_odd_prime
 
@@ -248,20 +248,19 @@ def legendre_unit_root(p: int, s0: int) -> int:
 
     The series is the normalized period sum_j binom(2j,j)^2 (s/16)^j, whose
     binom(2j,j)^2 is the catalog's left factor A, theta^2 - 4x (2 theta+1)^2:
-    its residues A_j 16^-j mod p^s are stepped as that factor's.  The
-    unit root is eps * h(s0^) with eps = (-1)^((p-1)/2) and h its truncation
-    ratio (``dwork_ratio``), whose (p-1)-truncation mod p is the ordinarity
-    test at s0 (OutsideUnitDisk on failure = supersingular point).  Raises
+    the unit root is eps * h, eps = (-1)^((p-1)/2), h the truncation ratio
+    (``dwork_ratio``) of A's residues mod p^s (``sequence_residues``) at
+    x = s0 16^-1 mod p, whose (p-1)-truncation mod p is the ordinarity test
+    (OutsideUnitDisk on failure = supersingular point).  Raises
     SingularFiber for s0 in {0, 1} mod p.
     """
     s = legendre_precision(p)
     s0 %= p
     if s0 in (0, 1):
         raise SingularFiber(f"the fiber at s0 = {s0} is degenerate")
-    series = left_factor_residues("A", p, s, pow(16, -1, p**s))
-    h = dwork_ratio(series, s0, p, s)
-    eps = 1 if (p - 1) // 2 % 2 == 0 else -1
-    return eps * h % p**s
+    series, = sequence_residues("A", ((p, s, p**s - 1),))
+    eps = (-1) ** ((p - 1) // 2)
+    return eps * dwork_ratio(series, s0 * pow(16, -1, p) % p, p, s) % p**s
 
 
 def legendre_frobenius(p: int, s0: int) -> Tuple[int, int]:

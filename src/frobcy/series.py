@@ -4,7 +4,7 @@ Each cell at a prime p needs the residues mod p^s, to degree p^s - 1, of two
 series of its row (p, s): that of the exterior square's normalized solution,
 F0, and that of the operator's own, f0.  ``cache_series`` returns both, as
 plain lists of residues, for one operator at a batch of (p, s) targets;
-every other module asks it.
+every cell asks it; ``congruence`` and ``legendre`` ask ``sequence_residues``.
 
 Series are memoized on disk, one file per row, written atomically (temp file
 + rename).  The row's key is the *source* operator's coefficient table, p,
@@ -29,7 +29,7 @@ wedge first and then, for the rows whose wedge succeeded, the operator's own
 series, each to the largest degree among its rows, reduced into each
 target's p^K: one recurrence run, or for a catalog operator's own series one
 run of its second-order right factor times its left factor stepped mod p^K,
-both shared through per-process memos by the operators of a sweep.  A
+both shared through one per-process memo by the operators of a sweep.  A
 catalog product, known by its coefficients whatever its name, runs leaving
 exact integers for residues once these are the narrower; any other
 operator's run stays exact and fully checked.  The

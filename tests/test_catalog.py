@@ -2,6 +2,7 @@
 24 fourth-order products, and the auxiliary quintic sequence."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,12 @@ import pytest
 from frobcy import catalog as catalog_module, diffop
 from frobcy.catalog import (CATALOG, SECOND_ORDER, SPECIAL_POINTS,
                             exterior_square, left_factor_residues,
-                            operator_series, product_operator)
+                            operator_series, product_operator,
+                            sequence_residues)
 from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_cy5,
                            check_mum, leading_symbol, solve_series)
 from frobcy.frobenius import required_precision
+from frobcy.padic import is_odd_prime
 from frobcy.polyrat import poly_gcd, rational_roots
 from frobcy.wedge import UnexpectedOrder, wedge_square
 
@@ -245,17 +248,24 @@ class TestOperatorSeries:
     @pytest.mark.parametrize("left", LEFT_NAMES)
     def test_left_factor_residues_match_the_exact_terms(self, left):
         # degrees to p^K - 1 <= 342 span several carries of p-adic valuation
-        # for p = 3, 5, 7; a unit x scales A_n by x^n
+        # for p = 3, 5, 7; a degree beyond p^K - 1 is stepped on as well
         exact = sequence_terms(left, 342)
-        for p, K in [(3, 1), (3, 2), (3, 4), (3, 5), (5, 1), (5, 2), (5, 3),
-                     (7, 1), (7, 2), (7, 3), (11, 1), (11, 2)]:
-            pK = p**K
-            assert left_factor_residues(left, p, K) == \
-                [a % pK for a in exact[:pK]], (p, K)
-            for x in (1, 2, pow(16, -1, pK)):
-                assert left_factor_residues(left, p, K, x) == \
-                    [a * pow(x, n, pK) % pK for n, a in enumerate(exact[:pK])], \
-                    (p, K, x)
+        for p, K, N in [(3, 1, 2), (3, 2, 8), (3, 4, 80), (3, 5, 242),
+                        (5, 1, 4), (5, 2, 24), (5, 3, 124), (7, 1, 6),
+                        (7, 2, 48), (7, 3, 342), (11, 1, 10), (11, 2, 120),
+                        (3, 2, 342), (5, 1, 200)]:
+            assert left_factor_residues(left, p, K, N) == \
+                [a % p**K for a in exact[:N + 1]], (p, K, N)
+
+    @pytest.mark.parametrize("name", list(CATALOG) + list(SECOND_ORDER))
+    def test_sequence_residues_equal_the_exact_run(self, name):
+        # the former congruence route: one exact run of the sequence's own
+        # operator, a product's of fourth order
+        op = CATALOG[name] if name in CATALOG else SECOND_ORDER[name]
+        for p in (3, 5, 7):
+            targets = ((p, 2, 60),)
+            assert sequence_residues(name, targets) == \
+                solve_series(op, 60, targets=list(targets)), (name, p)
 
     def test_full_sweep_factor_route_equals_generic(self, runs):
         ran = []
@@ -433,22 +443,47 @@ class TestSharedFactorRuns:
         shared = {name: operator_series(CATALOG[name], WIDE_TARGETS)
                   for name in WIDE_OPERATORS}
         for name in WIDE_OPERATORS:
-            catalog_module._right_factor_run.cache_clear()
-            catalog_module.left_factor_residues.cache_clear()
+            catalog_module._factor_residues.cache_clear()
             alone = operator_series(CATALOG[name], WIDE_TARGETS)
             assert shared[name] == alone, name
 
-    def test_memos_stay_within_their_bound(self):
-        right, left = catalog_module._right_factor_run, left_factor_residues
+    def test_memo_stays_within_the_catalog_factor_count(self):
+        memo = catalog_module._factor_residues
         for name, op in CATALOG.items():
             targets = full_sweep_targets(name)
             operator_series(op, targets)
-            assert right.cache_info().currsize <= right.cache_info().maxsize == 6
-            assert left.cache_info().currsize <= left.cache_info().maxsize == 32
-        # 24 operators, 7 right-factor batches: each ran once
-        assert (right.cache_info().hits, right.cache_info().misses) == (17, 7)
-        # 4 left factors at 6 primes, and A's at (5, 4), each stepped once
-        assert left.cache_info().misses == 25
+            info = memo.cache_info()
+            assert info.currsize <= info.maxsize == len(SECOND_ORDER)
+        # 24 operators, two factors each, over two batches of targets: the
+        # 6 right and 4 left factors of the common batch, and A and d at
+        # A*d's batch, which adds (5, 4), each built once
+        assert (memo.cache_info().hits, memo.cache_info().misses) == (36, 12)
+
+    @pytest.mark.parametrize("order", ["catalog", "reversed", "shuffled"])
+    def test_wide_sweep_builds_each_factor_batch_once(self, order,
+                                                       monkeypatch):
+        # a sweep past eight primes, p = 3 .. 61 at their starting
+        # precisions, with the stepping and the runs stubbed: every left
+        # factor is stepped once per prime, whatever the operator order
+        stepped, ran = [], []
+        monkeypatch.setattr(catalog_module, "left_factor_residues",
+                            lambda *key: stepped.append(key) or [1])
+        monkeypatch.setattr(
+            catalog_module, "solve_series",
+            lambda op, N, *, targets, integral: ran.append(op.name)
+            or [[1] for _ in targets])
+        names = list(CATALOG)
+        if order == "reversed":
+            names.reverse()
+        elif order == "shuffled":
+            random.Random(47).shuffle(names)
+        primes = [p for p in range(3, 62) if is_odd_prime(p)]
+        targets = [(p, required_precision(p)) for p in primes]
+        for name in names:
+            operator_series(CATALOG[name], targets)
+        assert len(primes) == 17
+        assert len(stepped) == len(set(stepped)) == 4 * 17
+        assert sorted(ran) == list(RIGHT_NAMES)
 
 
 # -- the auxiliary quintic sequence -------------------------------------------------

@@ -1198,12 +1198,13 @@ class TestCmdCongruence:
         assert json.loads(out)["ok"] is True
 
     def test_corrupted_terms_fail_with_exit_one(self, capsys, monkeypatch):
-        def corrupted(op, nmax, *, targets):
-            series, = solve_series(op, nmax, targets=targets)
+        def corrupted(name, targets):
+            series, = catalog.sequence_residues(name, targets)
+            series = list(series)  # the memo's list stays as it is
             series[25] += 1
             return [series]
 
-        monkeypatch.setattr(cli, "solve_series", corrupted)
+        monkeypatch.setattr(cli, "sequence_residues", corrupted)
         code, out, _ = run(["congruence", "--sequence", "c", "--prime", "5",
                             "--nmax", "50", "--smax", "1"], capsys)
         assert code == 1
@@ -1338,8 +1339,10 @@ def bad_operators(tmp_path):
     object, one without coeffs, three whose coeffs or a row of them is a
     string or an object, three whose name is not a string, three with a
     coefficient and two with an aesz that is a JSON number but not an
-    integer, a form fixture directory with such an a_p, a directory path
-    that does not exist, and an empty cache directory."""
+    integer, a self-dual operator theta^4 - c z (2 theta + 1)^4 with c of
+    4000 digits, whose exterior square has coefficients of about 8000, a
+    form fixture directory with such an a_p, a directory path that does not
+    exist, and an empty cache directory."""
     paths = {}
     for key, op in BAD_OPERATORS.items():
         paths[key] = tmp_path / f"{key}.json"
@@ -1382,6 +1385,12 @@ def bad_operators(tmp_path):
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(data).replace('"@"', number),
                               encoding="utf-8")
+    c = int("7" * 4000)
+    paths["huge_coefficient"] = tmp_path / "huge_coefficient.json"
+    paths["huge_coefficient"].write_text(json.dumps({
+        "theta_order": 4, "coeffs": [[0, 0, 0, 0, 1],
+                                     [str(-c * k) for k in (1, 8, 24, 32, 16)]],
+    }), encoding="utf-8")
     # a form fixture directory whose one fixture has a_7 = 1e400
     paths["forms"] = tmp_path / "forms"
     paths["forms"].mkdir()
@@ -1498,6 +1507,10 @@ def bad_operators(tmp_path):
      "aesz_float.json': not an integer: 1.5\n"),
     ("wedge --operator {aesz_bool}", 2,
      "aesz_bool.json': not an integer: True\n"),
+    # admitted, but its square's coefficients are too long to print
+    ("wedge --operator {huge_coefficient}", 1,
+     "error: operator wedge({huge_coefficient}) has a coefficient too long "
+     "to write in decimal\n"),
     ("frob --operator {not_object} --prime 7 --point 2 --no-cache", 2,
      "not_object.json': an operator file holds one JSON object\n"),
     ("frob --operator A*a --prime 5 --point 2 --precision 5", 2,

@@ -5,14 +5,14 @@ import cmath
 import pickle
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcy import frobenius
 from frobcy.catalog import CATALOG
-from frobcy.congruence import OutsideUnitDisk
+from frobcy.congruence import OutsideUnitDisk, dwork_ratio
 from frobcy.diffop import solve_series
 from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
                               _balanced_pair, _box, assemble_frobenius,
@@ -632,6 +632,23 @@ class TestLegendre:
         lifted = (root + 13 * pow(root, -1, ps)) % ps
         lifted -= ps if lifted > ps // 2 else 0
         assert legendre_frobenius(13, 5) == (root, lifted)
+
+    @pytest.mark.parametrize("p", [p for p in range(3, 60) if is_odd_prime(p)])
+    def test_unit_root_equals_the_scaled_series_ratio(self, p):
+        # the former route: A_n 16^-n mod p^s, the period's own coefficients,
+        # and its truncation ratio at s0 itself
+        s = legendre_precision(p)
+        ps, eps = p**s, (-1) ** ((p - 1) // 2)
+        scaled = [comb(2 * n, n) ** 2 * pow(16, -n, ps) % ps
+                  for n in range(ps)]
+        for s0 in range(2, p):
+            try:
+                want = eps * dwork_ratio(scaled, s0, p, s) % ps
+            except OutsideUnitDisk:
+                with pytest.raises(OutsideUnitDisk):
+                    legendre_unit_root(p, s0)
+            else:
+                assert legendre_unit_root(p, s0) == want, (p, s0)
 
     def test_supersingular_set_at_3_is_everything(self):
         # x(x-1)(x-2) == x^3 - x over F_3 vanishes identically
