@@ -24,12 +24,13 @@ factors, so one memo per process, a slot per second-order operator, keeps
 them by (factor, targets): a sweep builds each once per batch, in any order.
 ``operator_series`` also dispatches the exterior square's series.  The
 products' squares depend only on the catalog, so they ship as data
-(``data/catalog_wedges.json``): ``exterior_square`` loads a product's, with
-``wedge_square``'s closing checks, and builds any other operator's, anew on
-every call.  Both series of a catalog product are known to be integral, so
-its runs may leave exact integers for residues mod a shrinking product of
-target prime powers (``solve_series(..., integral=True)``); other operators
-keep the fully checked exact run.  A product is known by its coefficients,
+(``data/catalog_wedges.json``): ``exterior_square`` loads a product's rows
+and builds any other operator's, anew on every call, and ``check_wedge``
+names and checks either kind the same way.  Both series of a catalog
+product are known to be integral, so its runs may leave exact integers for
+residues mod a shrinking product of target prime powers
+(``solve_series(..., integral=True)``); other operators keep the fully
+checked exact run.  A product is known by its coefficients,
 whatever its name, so an operator file holding one takes both routes.
 """
 
@@ -47,12 +48,12 @@ from .wedge import check_wedge, wedge_square
 
 # -- left factors: theta^2 - lam x P(theta), P a product of two linear terms ----
 
-# name -> (lam, P(theta) ascending, P(theta+1) ascending)
-_LEFT: Dict[str, Tuple[int, List[int], List[int]]] = {
-    "A": (4, poly_mul([1, 2], [1, 2]), poly_mul([3, 2], [3, 2])),    # (2t+1)^2
-    "B": (3, poly_mul([1, 3], [2, 3]), poly_mul([4, 3], [5, 3])),    # (3t+1)(3t+2)
-    "C": (4, poly_mul([1, 4], [3, 4]), poly_mul([5, 4], [7, 4])),    # (4t+1)(4t+3)
-    "D": (12, poly_mul([1, 6], [5, 6]), poly_mul([7, 6], [11, 6])),  # (6t+1)(6t+5)
+# name -> (lam, P(theta) ascending); ``product_operator`` derives P(theta+1)
+_LEFT: Dict[str, Tuple[int, List[int]]] = {
+    "A": (4, poly_mul([1, 2], [1, 2])),   # (2t+1)^2
+    "B": (3, poly_mul([1, 3], [2, 3])),   # (3t+1)(3t+2)
+    "C": (4, poly_mul([1, 4], [3, 4])),   # (4t+1)(4t+3)
+    "D": (12, poly_mul([1, 6], [5, 6])),  # (6t+1)(6t+5)
 }
 
 # -- right factors: theta^2 - mu x m(theta) + kappa x^2 (theta+1)^2 --------------
@@ -76,7 +77,7 @@ _SHIFTED_SQUARE = poly_mul([1, 1], [1, 1])  # (theta+1)^2
 
 def _second_order(name: str) -> ThetaOperator:
     if name in _LEFT:
-        lam, pair, _ = _LEFT[name]
+        lam, pair = _LEFT[name]
         return ThetaOperator([[0, 0, 1], [-lam * c for c in pair]], name=name)
     mu, mid, kappa = _RIGHT[name]
     return ThetaOperator(
@@ -94,10 +95,12 @@ SECOND_ORDER: Dict[str, ThetaOperator] = {
 
 def product_operator(left: str, right: str) -> ThetaOperator:
     """Fourth-order annihilator of the Hadamard product, factored-integer form."""
-    lam, pair, pair1 = _LEFT[left]
+    lam, pair = _LEFT[left]
     mu, mid, kappa = _RIGHT[right]
+    c0, c1, c2 = pair
+    shifted = [c0 + c1 + c2, c1 + 2 * c2, c2]  # P(theta+1)
     row1 = [-lam * mu * c for c in poly_mul(pair, mid)]
-    row2 = [kappa * lam * lam * c for c in poly_mul(pair, pair1)]
+    row2 = [kappa * lam * lam * c for c in poly_mul(pair, shifted)]
     name = f"{left}*{right}"
     return ThetaOperator([[0, 0, 0, 0, 1], row1, row2], name=name,
                          aesz=_AESZ.get(name))
@@ -139,7 +142,7 @@ def left_factor_residues(left: str, p: int, K: int, N: int) -> List[int]:
     """A_n mod p^K for n = 0 .. N of a left factor, n^2 A_n = lam P(n-1)
     A_(n-1): stepped as A_n = p^v u with u a unit mod p^K, so no digit is
     lost."""
-    lam, pair, _ = _LEFT[left]
+    lam, pair = _LEFT[left]
     pK, out, v, u = p**K, [1], 0, 1
     for n in range(1, N + 1):
         num, den = lam * (pair[0] + (n - 1) * (pair[1] + (n - 1) * pair[2])), n * n
@@ -184,14 +187,14 @@ def _stored_wedges() -> Dict[str, list]:
 
 def exterior_square(op: ThetaOperator) -> ThetaOperator:
     """``wedge_square(op)``: for a catalog product (same coefficients,
-    whatever its name) its stored square, loaded with the same closing checks
-    (``check_wedge``), so a damaged entry raises UnexpectedOrder; for any
-    other operator built.  Not memoized: each call loads or builds anew."""
+    whatever its name) its stored rows, made into ``op``'s square by
+    ``check_wedge`` as built rows are, so a damaged entry raises
+    UnexpectedOrder; for any other operator built.  Not memoized: each call
+    loads or builds anew."""
     product = _PRODUCT_NAMES.get(op)
     if product is None:
         return wedge_square(op)
-    return check_wedge(ThetaOperator(_stored_wedges()[product],
-                                     name=f"wedge({op.name})", aesz=None))
+    return check_wedge(_stored_wedges()[product], op)
 
 
 def operator_series(op: ThetaOperator, targets, wedge: bool = False) -> list:

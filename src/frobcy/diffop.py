@@ -46,19 +46,6 @@ class NonIntegralSolution(FrobcyError, ArithmeticError):
     """The exact series recurrence produced a non-integer coefficient."""
 
 
-def _int_content_sign(rows: Sequence[Sequence[int]]) -> int:
-    g = 0
-    for row in rows:
-        for c in row:
-            g = gcd(g, abs(c))
-    # sign convention: the lowest nonzero coefficient of the leading symbol
-    # positive; ThetaOperator trims the order, so the theta^order column
-    # has one
-    order = max(len(row) for row in rows) - 1
-    lead = next(row[order] for row in rows if len(row) > order and row[order])
-    return -g if lead < 0 else g
-
-
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
@@ -89,7 +76,12 @@ class ThetaOperator:
         order = max((len(row) - 1) for row in rows)
         while order > 0 and all(len(row) <= order or row[order] == 0 for row in rows):
             order -= 1
-        g = _int_content_sign([row[: order + 1] for row in rows])
+        # the content, every entry past the order being zero; sign
+        # convention: the lowest nonzero coefficient of the leading symbol,
+        # the theta^order column, positive
+        g = gcd(*(c for row in rows for c in row))
+        if next(row[order] for row in rows if len(row) > order and row[order]) < 0:
+            g = -g
         self.coeffs: tuple = tuple(
             tuple((row[j] if j < len(row) else 0) // g for j in range(order + 1))
             for row in rows
@@ -190,7 +182,7 @@ def symbol_roots_mod_p(op: ThetaOperator, p: int) -> List[int]:
 # -- series solutions ---------------------------------------------------------
 
 
-Target = Tuple[Optional[int], Optional[int], int]  # (p, K, N); p = K = None: exact
+Target = Tuple[int, int, int]  # (p, K, N): residues mod p^K to degree N
 
 # an integral run leaves exact integers once a coefficient is SWITCH_MARGIN
 # times as wide as its residue modulus Q (see solve_series)
@@ -255,19 +247,19 @@ def solve_series(op: ThetaOperator, N: int, *,
 
     ``targets`` batches one run for several truncations: a list of
     (p, K, N_t) with N_t <= N, whose coefficients are stored reduced mod p^K
-    while only the trailing window needed by the recurrence stays exact, or
-    (None, None, N_t) for exact coefficients.  The recurrence runs once and
-    reduces each finished coefficient into every target's modulus.  The
-    result is a list aligned with ``targets``: for each, its list of
-    residues (exact integers for a (None, None, N_t) target), or the
-    NonIntegralSolution that a one-target run would give (a target ending
-    below the first non-integral coefficient is still returned).
+    while only the trailing window needed by the recurrence stays exact.
+    The recurrence runs once and reduces each finished coefficient into
+    every target's modulus.  The result is a list aligned with ``targets``:
+    for each, its list of residues, or the NonIntegralSolution that a
+    one-target run would give (a target ending below the first non-integral
+    coefficient is still returned).  The exact list is the call without
+    ``targets``.
 
     ``integral`` is the caller's word that the series has integer
-    coefficients; with it, and no exact target, the run may leave exact
-    integers (the residue phase).  Q is the product, computed once, of the
-    p^M_p over the target primes: M_p = K + order v_p(N_t!), the largest over
-    p's targets, is K and what the divisions by n^order use up.  Once a
+    coefficients; with it, a batch may leave exact integers (the residue
+    phase).  Q is the product, computed once, of the p^M_p over the target
+    primes: M_p = K + order v_p(N_t!), the largest over p's targets, is K
+    and what the divisions by n^order use up.  Once a
     coefficient is SWITCH_MARGIN times as wide as Q in bits (tested at the
     multiples of a target prime), the run computes residues X_n = D_n c_n
     mod Q instead.  A step writes n^order = g u, with g made of the target
@@ -288,9 +280,7 @@ def solve_series(op: ThetaOperator, N: int, *,
     batch = targets is not None
     if not batch:
         targets = [(None, None, N)]
-    for tp, tK, tN in targets:
-        if tp is not None and tK is None:
-            raise ValueError("storage reduction needs both p and K")
+    for _tp, _tK, tN in targets:
         if not 0 <= tN <= N:
             raise ValueError(f"target order {tN} outside 0 .. {N}")
     outs: List[list] = [[1] for _ in targets]
@@ -306,7 +296,7 @@ def solve_series(op: ThetaOperator, N: int, *,
     window = [1] + [0] * (w - 1)  # c_(n-1), ..., c_(n-w)
     Q = 1  # the residue modulus of an integral run of residue targets
     gs: dict = {}  # m -> g, the part of m^order made of the target primes
-    if integral and all(tp is not None for tp, _, _ in targets):
+    if integral and batch:
         for tp in {tp for tp, _, _ in targets}:
             own = [(tK, tN) for p, tK, tN in targets if p == tp]
             last = max(tN for _tK, tN in own)

@@ -69,11 +69,6 @@ class Uncertified(LiftOutOfBound):
     precision at which the balanced lift alone settles the cell."""
 
 
-class SingularFiber(UsageError, ArithmeticError):
-    """The requested fiber of the family is degenerate: a bad point, so a
-    usage error."""
-
-
 # -- the coefficient box and the precision policy ------------------------------------
 
 
@@ -251,13 +246,13 @@ def legendre_unit_root(p: int, s0: int) -> int:
     the unit root is eps * h, eps = (-1)^((p-1)/2), h the truncation ratio
     (``dwork_ratio``) of A's residues mod p^s (``sequence_residues``) at
     x = s0 16^-1 mod p, whose (p-1)-truncation mod p is the ordinarity test
-    (OutsideUnitDisk on failure = supersingular point).  Raises
-    SingularFiber for s0 in {0, 1} mod p.
+    (OutsideUnitDisk on failure = supersingular point).  A degenerate
+    fiber, s0 in {0, 1} mod p, is a bad point: UsageError.
     """
     s = legendre_precision(p)
     s0 %= p
     if s0 in (0, 1):
-        raise SingularFiber(f"the fiber at s0 = {s0} is degenerate")
+        raise UsageError(f"the fiber at s0 = {s0} is degenerate")
     series, = sequence_residues("A", ((p, s, p**s - 1),))
     eps = (-1) ** ((p - 1) // 2)
     return eps * dwork_ratio(series, s0 * pow(16, -1, p) % p, p, s) % p**s

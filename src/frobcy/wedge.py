@@ -16,8 +16,9 @@ in Z[z]^6 (e = 0, 0, 0, 1, 2, 3 on the catalog), and the relation comes from
 fraction-free elimination on the v_k themselves.
 Each call builds anew; nothing is memoized.  ``catalog.exterior_square``
 calls it for operators that are no catalog product, and loads a product's
-stored square with ``check_wedge``, the same closing checks, instead.  Its
-input is an operator that ``classify.check_operator`` admits.
+stored rows instead.  Built and stored rows alike become the square through
+``check_wedge``, which names it and runs the closing checks.  Its input is
+an operator that ``classify.check_operator`` admits.
 """
 
 from __future__ import annotations
@@ -152,13 +153,14 @@ def wedge_square(op: ThetaOperator) -> ThetaOperator:
     z_deg = max(len(c) for c in relation) - 1
     rows = [[c[i] if i < len(c) else 0 for c in relation]
             for i in range(z_deg + 1)]
-    return check_wedge(ThetaOperator(
-        rows, name=f"wedge({op.name})" if op.name else "wedge", aesz=None))
+    return check_wedge(rows, op)
 
 
-def check_wedge(out: ThetaOperator) -> ThetaOperator:
-    """The closing checks of an exterior square: ``out`` itself when it is
-    MUM and passes ``check_cy5``, UnexpectedOrder otherwise."""
+def check_wedge(rows: List[List[int]], op: ThetaOperator) -> ThetaOperator:
+    """The exterior square of ``op`` from its coefficient rows, built or
+    stored: the operator ``wedge(<op.name>)``, returned when it is MUM and
+    passes ``check_cy5``; UnexpectedOrder otherwise."""
+    out = ThetaOperator(rows, name=f"wedge({op.name})" if op.name else "wedge")
     if not check_mum(out) or not check_cy5(out):
         raise UnexpectedOrder("exterior square fails its structural checks")
     return out

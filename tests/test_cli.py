@@ -1326,7 +1326,7 @@ def test_every_exception_class_derives_from_frobcy_error():
                     if issubclass(cls, BaseException)
                     and cls.__module__ == module.__name__]
     names = {cls.__name__ for cls in defined}
-    assert {"CorruptCache", "SingularFiber", "UnexpectedOrder"} <= names
+    assert {"CorruptCache", "Uncertified", "UnexpectedOrder"} <= names
     assert [c for c in defined if not issubclass(c, FrobcyError)] == []
 
 

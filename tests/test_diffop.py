@@ -253,14 +253,12 @@ def test_residue_phase_still_raises_on_a_non_integral_coefficient():
 def test_batched_run_checks_its_targets():
     with pytest.raises(ValueError, match="target order 9 outside 0 .. 8"):
         solve_series(AA, 8, targets=[(5, 1, 9)])
-    with pytest.raises(ValueError, match="needs both p and K"):
-        solve_series(AA, 8, targets=[(5, None, 8)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(CATALOG_NAMES), wedge=st.booleans(),
        integral=st.booleans(), margin=st.sampled_from([0.25, 0.5, 1, 3]),
-       targets=st.lists(st.tuples(st.sampled_from([None, 3, 5, 7, 11]),
+       targets=st.lists(st.tuples(st.sampled_from([3, 5, 7, 11]),
                                   st.integers(1, 4), st.integers(0, 150)),
                         min_size=1, max_size=5))
 def test_batched_run_equals_separate_calls(name, wedge, integral, margin,
@@ -270,7 +268,6 @@ def test_batched_run_equals_separate_calls(name, wedge, integral, margin,
     # must still be the exact run's.
     op = CATALOG[name]
     op = wedge_square(op) if wedge else op
-    targets = [(p, None if p is None else K, N) for p, K, N in targets]
     run_to = max(N for _p, _K, N in targets)
     with mock.patch.object(diffop, "SWITCH_MARGIN", margin):
         batched = solve_series(op, run_to, targets=targets, integral=integral)

@@ -10,11 +10,11 @@ from math import comb, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcy import frobenius
+from frobcy import UsageError, frobenius
 from frobcy.catalog import CATALOG
 from frobcy.congruence import OutsideUnitDisk, dwork_ratio
 from frobcy.diffop import solve_series
-from frobcy.frobenius import (LiftOutOfBound, SingularFiber, Uncertified,
+from frobcy.frobenius import (LiftOutOfBound, Uncertified,
                               _balanced_pair, _box, assemble_frobenius,
                               box_precision, decode_frobenius,
                               frobenius_quartic, legendre_frobenius,
@@ -580,7 +580,7 @@ def legendre_trace_bruteforce(p: int, s0: int) -> int:
     """Character-sum oracle: a_p = -sum_x chi(x (x-1) (x-s0))."""
     s0 %= p
     if s0 in (0, 1):
-        raise SingularFiber(f"the fiber at s0 = {s0} is degenerate")
+        raise UsageError(f"the fiber at s0 = {s0} is degenerate")
     total = 0
     e = (p - 1) // 2
     for x in range(p):
@@ -605,9 +605,9 @@ class TestLegendre:
 
     def test_degenerate_fibers_raise(self):
         for p, s0 in [(5, 0), (5, 1), (5, 10), (7, 8)]:
-            with pytest.raises(SingularFiber):
+            with pytest.raises(UsageError, match="degenerate"):
                 legendre_frobenius(p, s0)
-            with pytest.raises(SingularFiber):
+            with pytest.raises(UsageError, match="degenerate"):
                 legendre_trace_bruteforce(p, s0)
 
     @pytest.mark.parametrize("p", [7, 13])

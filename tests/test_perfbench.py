@@ -26,17 +26,30 @@ def src_env() -> dict:
     return env
 
 
-def test_traced_runner_writes_series_spans(tmp_path):
-    spans_file = tmp_path / "spans.json"
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "runner.py"),
-         "--spans", str(spans_file), "table", "--operator", "A*a",
-         "--primes", "3", "--no-cache"],
-        capture_output=True, text=True, env=src_env(), cwd=tmp_path,
-        timeout=120)
-    assert done.returncode == 0, done.stderr
-    spans = json.loads(spans_file.read_text("utf-8"))["spans"]
-    assert any(span[0] == "diffop.solve_series" for span in spans)
+def test_two_traced_commands_record_every_layer(tmp_path):
+    # a catalog product (stored square, factor route) and an operator file
+    # that is no product (built square, exact runs) between them reach
+    # every layer, so a moved call cannot empty a per-layer metric unseen
+    spec = importlib.util.spec_from_file_location(
+        "spans", ROOT / "perfbench" / "spans.py")
+    spans_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans_module)
+    recorded = set()
+    for i, operator in enumerate(["A*a", str(ROOT / "tests" / "data"
+                                             / "aa_pullback.json")]):
+        spans_file = tmp_path / f"spans{i}.json"
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "runner.py"),
+             "--spans", str(spans_file), "table", "--operator", operator,
+             "--primes", "5", "--no-cache"],
+            capture_output=True, text=True, env=src_env(), cwd=tmp_path,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        recorded |= {span[0] for span in
+                     json.loads(spans_file.read_text("utf-8"))["spans"]}
+    layers = {f"{module}.{name}" for module, name in spans_module.LAYERS}
+    assert "diffop.solve_series" in layers
+    assert layers - recorded == set()
 
 
 def test_environment_probe_runs(tmp_path):

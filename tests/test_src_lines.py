@@ -1,5 +1,5 @@
 """``tools/src_lines.py`` counts physical and code lines; these tests read
-files only, never git."""
+files, and run git only to see a revision it cannot read refused."""
 
 import importlib.util
 from pathlib import Path
@@ -53,3 +53,13 @@ def test_report_totals_and_changes(src_lines):
     assert total["tests"][2:] == ["-4", "-2"]
     assert int(total["src/frobcy"][0]) == sum(
         n for name, (n, _c) in now.items() if name.startswith("src/"))
+
+
+def test_unknown_revision_is_one_error_line(src_lines, capsys):
+    # inside a git checkout git cannot read the revision, outside one it
+    # finds no repository: either way one line, no traceback
+    assert src_lines.main(["--against", "no-such-revision"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --against no-such-revision: ")
+    assert err.count("\n") == 1

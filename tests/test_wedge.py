@@ -351,6 +351,15 @@ def catalog_shape(lam, mu, kappa, pair, mid):
                           [kappa * lam * lam * c for c in poly_mul(pair, shifted)]])
 
 
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_catalog_shape_is_the_catalog_table(name):
+    # the binomial shift above, against ``product_operator``'s P(theta+1)
+    left, right = name.split("*")
+    lam, pair = _LEFT[left]
+    mu, mid, kappa = _RIGHT[right]
+    assert catalog_shape(lam, mu, kappa, pair, mid).coeffs == CATALOG[name].coeffs
+
+
 def monic_cy4_identity(op):
     """The closed form in the ``check_cy4`` docstring, over Q(z):
     a_1 = (1/2) a_2 a_3 - (1/8) a_3^3 + a_2' - (3/4) a_3 a_3' - (1/2) a_3''."""
@@ -398,7 +407,7 @@ class TestGeneratedCatalogShapes:
     def test_wedge_series_equals_the_wronskian(self, left, right, scale):
         # integral series: Hadamard products of the catalog's second-order
         # sequences, with z -> scale z
-        lam, pair, _ = _LEFT[left]
+        lam, pair = _LEFT[left]
         mu, mid, kappa = _RIGHT[right]
         op = catalog_shape(scale * lam, mu, kappa, pair, mid)
         assert check_cy4(op) == monic_cy4_identity(op) is True

@@ -10,7 +10,8 @@ standing first in a module, class or function body, found with ``ast``);
 blank lines, comment lines and docstring lines are not code.  With
 ``--against REV`` it also prints the change of both counts since the
 revision, whose files are read with ``git show REV:path``; a file that
-exists on one side only counts 0 lines on the other.
+exists on one side only counts 0 lines on the other.  A revision that git
+cannot read is one ``error:`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import ast
 import io
 import subprocess
+import sys
 import tokenize
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -91,7 +93,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--against", metavar="REV",
                         help="git revision to print the change against")
     args = parser.parse_args(argv)
-    then = revision_counts(args.against) if args.against else None
+    try:
+        then = revision_counts(args.against) if args.against else None
+    except subprocess.CalledProcessError as exc:
+        said = exc.stderr.strip().splitlines()
+        print(f"error: --against {args.against}: "
+              f"{said[-1] if said else 'git failed'}", file=sys.stderr)
+        return 1
     print("\n".join(report(tree_counts(ROOT), then)))
     return 0
 
