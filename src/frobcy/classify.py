@@ -33,7 +33,7 @@ from math import isqrt
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import UsageError
+from . import UsageError, read_input
 from .congruence import OutsideUnitDisk
 from .diffop import (ThetaOperator, is_self_dual, json_int,
                      symbol_roots_mod_p)
@@ -77,34 +77,30 @@ BUILTIN_FORMS: Dict[str, Tuple[Tuple[int, int], ...]] = {
 def _external_forms(directory: Optional[str]
                     ) -> Tuple[Tuple[str, Dict[int, int]], ...]:
     """(label, {p: a_p}) for every JSON fixture in ``directory`` (none when
-    it is unset or empty), in file-name order, read once per directory.  A
-    ``directory`` that is not one is a UsageError naming it.  A fixture
-    holds a non-empty string ``label`` and an object ``ap`` from odd primes
-    to integers; other fields are ignored.  One that cannot be read, or
-    breaks that shape, is a UsageError naming the file and the field."""
+    it is unset or empty), in file-name order, each read once by
+    ``read_input``.  A ``directory`` that is not one is a UsageError naming
+    it.  A fixture holds a non-empty string ``label`` and an object ``ap``
+    from odd primes to integers; other fields are ignored.  One that cannot
+    be read or breaks that shape is a UsageError naming the file."""
     if not directory:
         return ()
     if not os.path.isdir(directory):
         raise UsageError(f"{FORMS_DIR_ENV} {directory!r} is not a directory")
-    out = []
-    for path in sorted(Path(directory).glob("*.json")):
-        try:
-            data = json.loads(path.read_text())
-            label = data["label"]
-            ap = {json_int(k): json_int(v) for k, v in data["ap"].items()}
-            if not isinstance(label, str) or not label:
-                raise ValueError(f"field 'label' must be a non-empty string, "
-                                 f"not {label!r}")
-            for p in ap:
-                if not is_odd_prime(p):
-                    raise ValueError(f"field 'ap' has key {p}, not an odd prime")
-        except KeyError as exc:
-            raise UsageError(
-                f"form fixture {str(path)!r} has no field {exc}") from None
-        except (OSError, ValueError, TypeError, AttributeError) as exc:
-            raise UsageError(f"form fixture {str(path)!r}: {exc}") from None
-        out.append((label, ap))
-    return tuple(out)
+
+    def parse_fixture(text: str) -> Tuple[str, Dict[int, int]]:
+        data = json.loads(text)
+        label = data["label"]
+        ap = {json_int(k): json_int(v) for k, v in data["ap"].items()}
+        if not isinstance(label, str) or not label:
+            raise ValueError(f"field 'label' must be a non-empty string, "
+                             f"not {label!r}")
+        for p in ap:
+            if not is_odd_prime(p):
+                raise ValueError(f"field 'ap' has key {p}, not an odd prime")
+        return label, ap
+
+    return tuple(read_input(path, "form fixture", parse_fixture)
+                 for path in sorted(Path(directory).glob("*.json")))
 
 
 @lru_cache(maxsize=None)
@@ -230,10 +226,10 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
                       points: Optional[Sequence[int]] = None,
                       cache_dir: Optional[str] = None,
                       precision: Optional[int] = None) -> list:
-    """The row pipeline: classify the points z0 in ``points`` (default:
-    1 .. p-1) of one operator at every prime in ``primes``.  Returns a list
-    aligned with ``primes`` holding each row's cells, in the order of
-    ``points``, or the exception that the row raised.
+    """The row pipeline: classify the distinct points z0 in ``points``
+    (default: 1 .. p-1) of one operator at every prime in ``primes``.
+    Returns a list aligned with ``primes`` holding each row's cells, in the
+    order of ``points``, or the exception that the row raised.
 
     With ``precision`` None each row starts at ``required_precision(p)``,
     which settles every point off the singular fibers.  Both series of
@@ -244,17 +240,15 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
     pairs (split pairs count where the leading symbol vanishes mod p)
     escalates: it is classified again at s + 1 in the next batch
     (``escalated`` marks it), until ``box_precision``, where every balanced
-    lift is settled.  With an integer ``precision`` every row
-    runs at that s alone, and a point it does not settle makes
-    ``Uncertified`` its row's error.  ``op`` is one that ``check_operator``
-    admits.
+    lift is settled.  With an integer ``precision`` every row runs at that s
+    alone, and a point it does not settle makes ``Uncertified`` its row's
+    error.  ``op`` is one that ``check_operator`` admits.
     """
-    out: list = [None] * len(primes)
-    wanted = [list(range(1, p) if points is None else points) for p in primes]
+    out: list = [dict.fromkeys(range(1, p) if points is None else points)
+                 for p in primes]
     roots = [set(symbol_roots_mod_p(op, p)) for p in primes]
-    cells: List[Dict[int, PointClass]] = [{} for _ in primes]
     pending = {i: (required_precision(p) if precision is None else precision,
-                   wanted[i]) for i, p in enumerate(primes)}
+                   out[i]) for i, p in enumerate(primes)}
     escalated = False
     while pending:
         retry = {}
@@ -267,7 +261,7 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
             try:
                 for z0 in zs:
                     try:
-                        cells[i][z0] = classify_point(
+                        out[i][z0] = classify_point(
                             p, z0, s, f0, F0, z0 % p in roots[i], escalated)
                     except Uncertified:
                         if precision is not None:
@@ -279,7 +273,7 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
                 if later:
                     retry[i] = (s + 1, later)
                 else:
-                    out[i] = [cells[i][z0] for z0 in wanted[i]]
+                    out[i] = list(out[i].values())
         pending, escalated = retry, True
     return out
 

@@ -53,7 +53,7 @@ import sys
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import FrobcyError, UsageError
+from . import FrobcyError, UsageError, read_input
 from .catalog import (CATALOG, SECOND_ORDER, SPECIAL_POINTS, exterior_square,
                       sequence_residues)
 from .classify import PointClass, check_operator, classify_operator
@@ -135,14 +135,7 @@ def _load_operator(spec: str) -> ThetaOperator:
         raise UsageError(
             f"unknown operator {spec!r}: not a catalog name and not a file")
     else:
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                op = ThetaOperator.from_json(fh.read())
-        except KeyError as exc:
-            raise UsageError(
-                f"operator file {spec!r} has no field {exc}") from None
-        except (OSError, TypeError, ValueError) as exc:
-            raise UsageError(f"operator file {spec!r}: {exc}") from None
+        op = read_input(spec, "operator file", ThetaOperator.from_json)
         op.name = spec
     check_operator(op)
     return op

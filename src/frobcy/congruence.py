@@ -18,7 +18,7 @@ for prime-field points); ``OutsideUnitDisk`` signals y^(p-1)(z0) == 0 (mod p),
 where no unit root exists.  As alpha^(p-1) == 1 (mod p^s), each truncation
 is read off its (p-1)-fold, one slice sum per residue class r < p - 1:
 y^(N)(alpha) == sum_r alpha^r sum_{n <= N, n == r mod p-1} c_n, evaluated by
-Horner's rule over the classes that hold a term, r <= min(p - 2, N).
+``padic.horner`` over the classes that hold a term, r <= min(p - 2, N).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from . import FrobcyError
-from .padic import teichmueller_residue
+from .padic import horner, teichmueller_residue
 
 
 class OutsideUnitDisk(FrobcyError, ArithmeticError):
@@ -104,10 +104,8 @@ def dwork_ratio(series: Sequence[int], z0: int, p: int, s: int) -> int:
             f"need coefficients through degree {ps - 1}, have {len(series) - 1}")
 
     def truncation_at(N: int, x: int, m: int) -> int:  # x^(p-1) == 1 mod m
-        acc = 0
-        for r in reversed(range(min(p - 1, N + 1))):  # Horner, nonempty classes
-            acc = (acc * x + sum(series[r:N + 1:p - 1])) % m
-        return acc
+        return horner((sum(series[r:N + 1:p - 1])  # the nonempty classes
+                       for r in reversed(range(min(p - 1, N + 1)))), x, m)
 
     if truncation_at(p - 1, z0, p) == 0:
         raise OutsideUnitDisk(

@@ -34,6 +34,7 @@ from operator import mul, sub
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import FrobcyError
+from .padic import horner
 from .polyrat import (IntPoly, poly_add, poly_mul, poly_scale, poly_sub,
                       poly_theta, poly_trim)
 
@@ -168,15 +169,8 @@ def leading_symbol(op: ThetaOperator) -> IntPoly:
 
 def symbol_roots_mod_p(op: ThetaOperator, p: int) -> List[int]:
     """Roots of the leading symbol in F_p^* (by direct scan)."""
-    sym = [c % p for c in leading_symbol(op)]
-    out = []
-    for z0 in range(1, p):
-        acc = 0
-        for c in reversed(sym):
-            acc = (acc * z0 + c) % p
-        if acc == 0:
-            out.append(z0)
-    return out
+    sym = [c % p for c in reversed(leading_symbol(op))]
+    return [z0 for z0 in range(1, p) if horner(sym, z0, p) == 0]
 
 
 # -- series solutions ---------------------------------------------------------
@@ -248,30 +242,30 @@ def solve_series(op: ThetaOperator, N: int, *,
     ``targets`` batches one run for several truncations: a list of
     (p, K, N_t) with N_t <= N, whose coefficients are stored reduced mod p^K
     while only the trailing window needed by the recurrence stays exact.
-    The recurrence runs once and reduces each finished coefficient into
-    every target's modulus.  The result is a list aligned with ``targets``:
-    for each, its list of residues, or the NonIntegralSolution that a
-    one-target run would give (a target ending below the first non-integral
-    coefficient is still returned).  The exact list is the call without
-    ``targets``.
+    One run to N appends each finished c_n mod p^K to the list of every
+    target with n <= N_t, one record (N_t, p^K, list) each.  The result is
+    a list aligned with ``targets``: for each, its list of residues, or the
+    NonIntegralSolution that a one-target run would give (a target ending
+    below the first non-integral coefficient is still returned).  The exact
+    list is the call without ``targets``.
 
     ``integral`` is the caller's word that the series has integer
     coefficients; with it, a batch may leave exact integers (the residue
     phase).  Q is the product, computed once, of the p^M_p over the target
     primes: M_p = K + order v_p(N_t!), the largest over p's targets, is K
-    and what the divisions by n^order use up.  Once a
-    coefficient is SWITCH_MARGIN times as wide as Q in bits (tested at the
-    multiples of a target prime), the run computes residues X_n = D_n c_n
-    mod Q instead.  A step writes n^order = g u, with g made of the target
-    primes up to their last N_t: u, prime to every prime whose targets still
-    run, joins the scale D_n = u D_(n-1) instead of being divided out, and
-    the division by g is exact and checked, so a coefficient that is not
-    p-integral at a target prime still raises NonIntegralSolution
-    (integrality at other primes is not checked there).  The window holds
-    X_(n-i) D_(n-1) / D_(n-i), each older entry taking the step's u, so
-    both phases share the step's sum.  Q then drops the digits of g, and
-    changes in no other way.  Each target's residues are unscaled at the
-    end, with one modular inverse of D_N mod p^K.
+    and what the divisions by n^order use up.  Once a coefficient is
+    SWITCH_MARGIN times as wide as Q in bits (tested at the multiples of a
+    target prime), the run computes residues X_n = D_n c_n mod Q instead.
+    A step writes n^order = g u, with g made of the target primes up to
+    their last N_t: u, prime to every prime whose targets still run, joins
+    the scale D_n = u D_(n-1) instead of being divided out, and the division
+    by g is exact and checked, so a coefficient that is not p-integral at a
+    target prime still raises NonIntegralSolution (integrality at other
+    primes is not checked there).  The window holds X_(n-i) D_(n-1) /
+    D_(n-i), each older entry taking the step's u, so both phases share the
+    step's sum.  Q then drops the digits of g, and changes in no other way.
+    Each target's residues are unscaled at the end, with one modular
+    inverse of D_N mod p^K.
     """
     if not check_mum(op):
         raise ValueError("series solving requires a MUM operator")
@@ -283,12 +277,8 @@ def solve_series(op: ThetaOperator, N: int, *,
     for _tp, _tK, tN in targets:
         if not 0 <= tN <= N:
             raise ValueError(f"target order {tN} outside 0 .. {N}")
-    outs: List[list] = [[1] for _ in targets]
-    # (N_t, modulus or None, coefficient list, p), longest first, so that
-    # the targets finished before degree n are the tail
-    live = sorted(((tN, None if tp is None else tp**tK, out, tp)
-                   for (tp, tK, tN), out in zip(targets, outs)),
-                  key=lambda t: t[0], reverse=True)
+    # (N_t, modulus or None, coefficient list) of each target, in order
+    runs = [(tN, None if tp is None else tp**tK, [1]) for tp, tK, tN in targets]
     w = max(op.z_degree, 1)
     order = op.theta_order
     # P_0(n) and the row (P_1(n-1), ..., P_w(n-w)) of each degree n >= 1
@@ -311,19 +301,16 @@ def solve_series(op: ThetaOperator, N: int, *,
     us: List[int] = []  # u_n of each residue step; D_n is their product
     failure = None
     for n, lead, row in zip(range(1, N + 1), cols[0], zip(*cols[1:])):
-        while live and live[-1][0] < n:
-            live.pop()
-        if not live:
-            break
         s = sum(map(mul, row, window))
         if residues:
             g = gs.get(n, 1)
             if g > 1:
                 s, rem = divmod(s, g)
                 if rem:
-                    bad = next(tp for tp in {t[3] for t in live} if rem % tp ** (
-                        order * (_factorial_valuation(n, tp)
-                                 - _factorial_valuation(n - 1, tp))))
+                    bad = next(tp for tp, _tK, tN in targets if tN >= n
+                               and rem % tp ** (order * (
+                                   _factorial_valuation(n, tp)
+                                   - _factorial_valuation(n - 1, tp))))
                     failure = NonIntegralSolution(
                         f"coefficient c_{n} is not {bad}-integral "
                         f"(operator {op.name or '?'})")
@@ -347,14 +334,14 @@ def solve_series(op: ThetaOperator, N: int, *,
                     window = [c % Q for c in window]
                     cn %= Q
             window = [cn] + window[:-1]
-        for _tN, m, out, _tp in live:
-            out.append(cn % m if m else cn)
+        for tN, m, out in runs:
+            if n <= tN:
+                out.append(cn % m if m else cn)
     if us:
-        for (tp, tK, _tN), out in zip(targets, outs):
-            _unscale(out, us, n0, tp**tK)
+        for _tN, m, out in runs:
+            _unscale(out, us, n0, m)
     # on a failure at degree n, the targets that reach n share it
-    results = [failure if failure and tN >= n else out
-               for (_tp, _tK, tN), out in zip(targets, outs)]
+    results = [failure if failure and tN >= n else out for tN, _m, out in runs]
     if batch:
         return results
     if failure:

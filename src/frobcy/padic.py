@@ -4,11 +4,13 @@ Every p-adic value in frobcy is an ``int`` residue mod p^s, with the
 precision s passed alongside it and chosen by the caller's precision policy
 (``frobenius.required_precision`` and escalation).  A series is the plain
 list of such residues, with p and s passed alongside it the same way.  This
-module holds the one prime check, Teichmueller lifts, and balanced
-representatives.
+module holds the one prime check, Teichmueller lifts, balanced
+representatives, and the one Horner loop.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from . import FrobcyError, UsageError
 
@@ -53,3 +55,12 @@ def balanced_residue(r: int, modulus: int) -> int:
     """The representative m of r modulo an odd modulus with |m| <= modulus/2."""
     r %= modulus
     return r - modulus if 2 * r > modulus else r
+
+
+def horner(coeffs: Iterable[int], x: int, modulus: int) -> int:
+    """sum c_k x^k mod modulus by Horner's rule, for the coefficients given
+    from the highest degree down, as any iterable, read once."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % modulus
+    return acc

@@ -1342,7 +1342,8 @@ def bad_operators(tmp_path):
     integer, a self-dual operator theta^4 - c z (2 theta + 1)^4 with c of
     4000 digits, whose exterior square has coefficients of about 8000, a
     form fixture directory with such an a_p, a directory path that does not
-    exist, and an empty cache directory."""
+    exist, an empty cache directory, and a file whose coeffs are nested
+    past the interpreter's recursion limit."""
     paths = {}
     for key, op in BAD_OPERATORS.items():
         paths[key] = tmp_path / f"{key}.json"
@@ -1398,6 +1399,11 @@ def bad_operators(tmp_path):
         '{"label": "q", "ap": {"7": 1e400}}', encoding="utf-8")
     paths["missing_dir"] = tmp_path / "missing_dir"
     paths["cache"] = tmp_path / "cache"
+    # as text: json.dumps cannot write it
+    paths["deeply_nested"] = tmp_path / "deeply_nested.json"
+    paths["deeply_nested"].write_text(
+        '{"theta_order": 4, "coeffs": ' + "[" * 5000 + "]" * 5000 + "}",
+        encoding="utf-8")
     return {key: str(path) for key, path in paths.items()}
 
 
@@ -1545,6 +1551,16 @@ def bad_operators(tmp_path):
      "--no-cache --jobs 2", 2, "inf_ap.json': not an integer: inf\n"),
     ("FROBCY_FORMS_DIR={forms} table --no-cache --operator B*b --primes 5,7 "
      "--format csv", 2, "inf_ap.json': not an integer: inf\n"),
+    # an operator file nested past the recursion limit is one usage error
+    ("table --operator {deeply_nested} --primes 7 --no-cache", 2,
+     "error: operator file '{deeply_nested}': maximum recursion depth "
+     "exceeded"),
+    ("frob --operator {deeply_nested} --prime 7 --point 2 --no-cache", 2,
+     "error: operator file '{deeply_nested}': maximum recursion depth "
+     "exceeded"),
+    ("wedge --operator {deeply_nested}", 2,
+     "error: operator file '{deeply_nested}': maximum recursion depth "
+     "exceeded"),
     # a path that is no directory, missing or a regular file
     ("FROBCY_FORMS_DIR={missing_dir} frob --operator A*a --prime 7 --point 4 "
      "--no-cache", 2, "missing_dir' is not a directory\n"),
@@ -1577,6 +1593,8 @@ def test_failure_is_one_line_with_its_exit_code(argv, code, message,
      "field 'ap' has key 2"),
     (json.dumps({"label": "x", "ap": {"3317044064679887385961981": 1}}),
      "3317044064679887385961981 is beyond the prime check"),
+    pytest.param('{"label": "x", "ap": ' + "[" * 5000 + "]" * 5000 + "}",
+                 "maximum recursion depth exceeded", id="nested_ap"),
 ])
 def test_malformed_form_fixture_names_the_file(fixture, message, tmp_path,
                                                monkeypatch, capsys):
@@ -1764,17 +1782,17 @@ def test_form_fixtures_are_read_once(tmp_path, monkeypatch, capsys):
         {"label": "t", "ap": {"5": 2, "7": -24, "13": -22}}), encoding="utf-8")
     monkeypatch.setenv(classify.FORMS_DIR_ENV, str(tmp_path))
     reads, labels = [], []
-    read_text, match = Path.read_text, classify.match_singular_ap
+    read_input, match = classify.read_input, classify.match_singular_ap
 
     def counted_read(path, *args, **kwargs):
         reads.append(path)
-        return read_text(path, *args, **kwargs)
+        return read_input(path, *args, **kwargs)
 
     def recorded_match(p, ap):
         labels.append(match(p, ap))
         return labels[-1]
 
-    monkeypatch.setattr(Path, "read_text", counted_read)
+    monkeypatch.setattr(classify, "read_input", counted_read)
     monkeypatch.setattr(classify, "match_singular_ap", recorded_match)
     code, _, _ = run(["table", "--operator", "A*a", "--primes", "5,7,13",
                       "--no-cache"], capsys)

@@ -260,15 +260,17 @@ def test_batched_run_checks_its_targets():
        integral=st.booleans(), margin=st.sampled_from([0.25, 0.5, 1, 3]),
        targets=st.lists(st.tuples(st.sampled_from([3, 5, 7, 11]),
                                   st.integers(1, 4), st.integers(0, 150)),
-                        min_size=1, max_size=5))
+                        min_size=1, max_size=5),
+       beyond=st.integers(0, 5))
 def test_batched_run_equals_separate_calls(name, wedge, integral, margin,
-                                           targets):
+                                           targets, beyond):
     # A low switch margin lets an integral batch of several primes
     # enter the residue phase before its short targets finish; its residues
-    # must still be the exact run's.
+    # must still be the exact run's.  A run past every target's N_t changes
+    # no list.
     op = CATALOG[name]
     op = wedge_square(op) if wedge else op
-    run_to = max(N for _p, _K, N in targets)
+    run_to = max(N for _p, _K, N in targets) + beyond
     with mock.patch.object(diffop, "SWITCH_MARGIN", margin):
         batched = solve_series(op, run_to, targets=targets, integral=integral)
     assert len(batched) == len(targets)

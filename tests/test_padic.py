@@ -1,11 +1,11 @@
 """p-adic helpers on integer residues: the one primality test, Teichmueller
-lifts, and balanced representatives."""
+lifts, balanced representatives, and the one Horner loop."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from frobcy.padic import (MR_BOUND, NotAUnit, balanced_residue, is_odd_prime,
-                          teichmueller_residue)
+from frobcy.padic import (MR_BOUND, NotAUnit, balanced_residue, horner,
+                          is_odd_prime, teichmueller_residue)
 
 PRIMES = (3, 5, 7, 11, 13, 17)
 
@@ -102,3 +102,26 @@ def test_balanced_residue_is_balanced_and_congruent(p, g, r):
     lift = balanced_residue(r, m)
     assert (lift - r) % m == 0
     assert 2 * abs(lift) <= m
+
+
+# -- Horner evaluation --------------------------------------------------------------
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=12), st.integers(),
+       st.integers(1, 10**9))
+def test_horner_is_the_polynomial_mod_m(coeffs, x, m):
+    # coeffs are c_0 .. c_d; horner takes them from the highest degree down
+    assert horner(reversed(coeffs), x, m) == \
+        sum(c * x**k for k, c in enumerate(coeffs)) % m
+
+
+def test_horner_reads_a_generator_once():
+    read = []
+
+    def top_down():
+        for c in (2, 0, 1):
+            read.append(c)
+            yield c
+
+    assert horner(top_down(), 3, 1000) == 2 * 9 + 1
+    assert read == [2, 0, 1]
