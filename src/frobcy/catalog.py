@@ -138,20 +138,37 @@ _PRODUCT_NAMES: Dict[ThetaOperator, str] = {op: name for name, op in CATALOG.ite
 # -- the integer sequences --------------------------------------------------------
 
 
+# terms of ``left_factor_residues`` that share one inverse
+_BLOCK = 4096
+
+
 def left_factor_residues(left: str, p: int, K: int, N: int) -> List[int]:
     """A_n mod p^K for n = 0 .. N of a left factor, n^2 A_n = lam P(n-1)
     A_(n-1): stepped as A_n = p^v u with u a unit mod p^K, so no digit is
-    lost."""
+    lost.  Each block of ``_BLOCK`` terms takes one inverse, that of the
+    product of its p-free denominators, and walks back through the block:
+    times each denominator in turn, it is the inverse of every prefix
+    product.  So the scratch lists hold one block, not N terms."""
     lam, pair = _LEFT[left]
-    pK, out, v, u = p**K, [1], 0, 1
-    for n in range(1, N + 1):
-        num, den = lam * (pair[0] + (n - 1) * (pair[1] + (n - 1) * pair[2])), n * n
-        while num % p == 0:
-            num, v = num // p, v + 1
-        while den % p == 0:
-            den, v = den // p, v - 1
-        u = u * num * pow(den, -1, pK) % pK
-        out.append(u * p**v % pK if v < K else 0)
+    pK, out, v, u = p**K, [1] * (N + 1), 0, 1
+    for start in range(1, N + 1, _BLOCK):
+        # p^v times u before its division, each p-free denominator, and d
+        # the product of the denominators so far
+        terms, dens, d = [], [], 1
+        for n in range(start, min(start + _BLOCK, N + 1)):
+            num, den = lam * (pair[0] + (n - 1) * (pair[1] + (n - 1) * pair[2])), n * n
+            while num % p == 0:
+                num, v = num // p, v + 1
+            while den % p == 0:
+                den, v = den // p, v - 1
+            u, d = u * num % pK, d * den % pK
+            terms.append(u * p**v if v < K else 0)
+            dens.append(den)
+        inv = pow(d, -1, pK)
+        u = u * inv % pK
+        for i in range(len(terms) - 1, -1, -1):
+            out[start + i] = terms[i] * inv % pK
+            inv = inv * dens[i] % pK
     return out
 
 

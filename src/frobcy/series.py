@@ -6,10 +6,13 @@ F0, and that of the operator's own, f0.  ``cache_series`` returns both, as
 plain lists of residues, for one operator at a batch of (p, s) targets;
 every cell asks it; ``congruence`` and ``legendre`` ask ``sequence_residues``.
 
-Series are memoized on disk, one file per row, written atomically (temp file
-+ rename).  The row's key is the *source* operator's coefficient table, p,
-K and the byte order, so every spec and name of one operator shares its
-rows; the file is named by the key's sha256 in hex.  It holds the sha256 of
+Series are memoized on disk, one file per row, written atomically: a temp
+file ``<path>.<pid>.tmp``, created exclusively with mode 0600 (so no
+symlink is followed), then renamed over the row's path.  A temp file left
+behind by an earlier process of the same pid makes that store a skip.  The
+row's key is the *source* operator's coefficient table, p, K and the byte
+order, so every spec and name of one operator shares its rows; the file is
+named by the key's sha256 in hex.  It holds the sha256 of
 key + body (32 bytes), then the body: c_0 .. c_N of F0 and then of f0, mod
 p^K, N = p^K - 1, as the raw bytes of one ``array("I")``: K <=
 ``box_precision(p, True)``, which is 3 from p = 29 on, keeps p^K below 2^32
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import os
 import sys
-import tempfile
 from array import array
 from typing import List, Optional, Sequence, Tuple
 
@@ -83,12 +85,17 @@ def _cache_load(path: str, key: bytes, p: int, K: int) -> tuple:
 
 
 def _cache_store(path: str, key: bytes, row: tuple) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
+    """Atomic write: an exclusive temp file beside ``path``, then rename."""
     body = array("I", row[0] + row[1]).tobytes()
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(sha256(key + body).digest() + body)
+        try:
+            data = memoryview(sha256(key + body).digest() + body)
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -257,6 +257,15 @@ class TestOperatorSeries:
             assert left_factor_residues(left, p, K, N) == \
                 [a % p**K for a in exact[:N + 1]], (p, K, N)
 
+    @pytest.mark.parametrize("block", [1, 2, 7, 100])
+    def test_left_factor_blocks_leave_the_residues(self, block, monkeypatch):
+        # blocks of any length, their ends on and off the carries of the
+        # valuation, give the exact terms' residues
+        monkeypatch.setattr(catalog_module, "_BLOCK", block)
+        for left in LEFT_NAMES:
+            assert left_factor_residues(left, 3, 5, 242) == \
+                [a % 3**5 for a in sequence_terms(left, 242)]
+
     @pytest.mark.parametrize("name", list(CATALOG) + list(SECOND_ORDER))
     def test_sequence_residues_equal_the_exact_run(self, name):
         # the former congruence route: one exact run of the sequence's own

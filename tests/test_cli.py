@@ -20,6 +20,7 @@ import os
 import re
 import shlex
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -309,6 +310,21 @@ class TestCacheSeries:
         got = cli.cache_series(op, targets, str(tmp_path))
         assert got == cli.cache_series(op, targets, None)
         assert os.listdir(tmp_path) == []
+
+    def test_stored_file_is_private(self, tmp_path):
+        # the temp file is created with mode 0600, and the rename keeps it
+        op, _ = self.fresh(tmp_path)
+        assert stat.S_IMODE(self.path(tmp_path, op).stat().st_mode) == 0o600
+
+    def test_leftover_temp_file_skips_the_store(self, tmp_path):
+        # a temp file of this pid left by an earlier process: the store is
+        # skipped, the file is left as it was, and the rows are still right
+        op = CATALOG["A*a"]
+        leftover = Path(f"{self.path(tmp_path, op)}.{os.getpid()}.tmp")
+        leftover.write_bytes(b"earlier")
+        assert self.one(op, str(tmp_path)) == fresh_row(op, self.P, self.K)
+        assert os.listdir(tmp_path) == [leftover.name]
+        assert leftover.read_bytes() == b"earlier"
 
     def test_wedge_series_keyed_by_source_operator(self, tmp_path):
         op, (F0, f0) = self.fresh(tmp_path)
@@ -1985,6 +2001,39 @@ class TestStartUp:
         assert added == ["wedge", *cli.COMMANDS]
         assert "{table,frob,wedge,congruence,legendre,catalog}" in \
             capsys.readouterr().err
+
+
+# -- exit: the heap frozen for the interpreter's teardown ---------------------------
+
+
+class TestExitFreeze:
+    def fresh_interpreter(self, script):
+        done = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_import_registers_no_hook(self):
+        assert self.fresh_interpreter(
+            "import atexit\n"
+            "before = atexit._ncallbacks()\n"
+            "import frobcy.cli\n"
+            "print(atexit._ncallbacks() - before)\n") == ["0"]
+
+    def test_main_registers_one_freeze_at_exit(self):
+        # two runs leave one hook, so the exit functions freeze once; the
+        # heap is frozen only when they run
+        assert self.fresh_interpreter(
+            "import atexit, contextlib, gc, os\n"
+            "import frobcy.cli\n"
+            "real, calls = gc.freeze, []\n"
+            "gc.freeze = lambda: calls.append(1) or real()\n"
+            "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+            "    codes = [frobcy.cli.main(['catalog']) for _ in range(2)]\n"
+            "print(*codes, gc.get_freeze_count())\n"
+            "atexit._run_exitfuncs()\n"
+            "print(len(calls), gc.get_freeze_count() > 0)\n") == [
+                "0", "0", "0", "1", "True"]
 
 
 # -- console entry point --------------------------------------------------------------

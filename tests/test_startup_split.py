@@ -16,6 +16,9 @@ def test_one_round_reports_every_command():
     split = json.loads(done.stdout)["startup_split"]
     tree = split["trees"][str(ROOT)]
     assert tree["revision"] is None
-    for name in ("pass", "stdlib", "import_cli", "warm_frob"):
+    for name in ("pass", "stdlib", "import_cli", "warm_frob",
+                 "warm_frob_teardown"):
         q = tree[name]
         assert 0 < q["q1"] == q["median"] == q["q3"], name
+    # the teardown is a part of the process that runs the same query
+    assert tree["warm_frob_teardown"]["median"] < tree["warm_frob"]["median"]

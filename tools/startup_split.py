@@ -5,22 +5,27 @@
 
 Each tree is a directory (``.`` is the working tree) or a git revision of
 this repository, exported as ``tools/bench_pairs.py`` exports its sides.
-For each tree four commands are timed, each in a fresh interpreter:
+For each tree five measures are taken, each in a fresh interpreter:
 
 - ``pass``: ``python -c pass``, the bare interpreter;
 - ``stdlib``: ``python -c "import argparse, json"``;
 - ``import_cli``: ``python -c "import frobcy.cli"``;
 - ``warm_frob``: one ``frob`` query (``FROB_QUERY``) through the tree's
-  ``perfbench/runner.py``, on a cache that the tree fills first.
+  ``perfbench/runner.py``, on a cache that the tree fills first;
+- ``warm_frob_teardown``: the same query run by ``frobcy.cli.main`` in a
+  ``-c`` wrapper, which writes ``time.monotonic()`` to stderr when ``main``
+  returns; the measure is the time from then to the reap of the process,
+  its exit and teardown, which lie outside every span of perfbench's trace.
 
 The tool and its children are pinned to one CPU.  Each tree gets its own
 pycache, filled by one untimed run of every command.  Then ``--rounds``
 rounds run every command of every tree once, command by command, the order
 of the trees alternating from round to round.  Times are wall seconds of
-the whole process, start-up and teardown included.  The JSON printed holds,
-per tree and command, the median and quartiles
-(``statistics.quantiles(n=4, method="inclusive")``) under the one key
-``startup_split``, so it can be passed to ``bench_pairs.py --extra``.
+the whole process, start-up and teardown included, except for
+``warm_frob_teardown``.  The JSON printed holds, per tree and command, the
+median and quartiles (``statistics.quantiles(n=4, method="inclusive")``)
+under the one key ``startup_split``, so it can be passed to
+``bench_pairs.py --extra``.
 """
 
 from __future__ import annotations
@@ -44,7 +49,14 @@ COMMANDS = {
     "stdlib": ["-c", "import argparse, json"],
     "import_cli": ["-c", "import frobcy.cli"],
     "warm_frob": ["perfbench/runner.py", *FROB_QUERY, "--cache-dir", "{cache}"],
+    "warm_frob_teardown": ["-c", "import sys, time, frobcy.cli\n"
+                           "code = frobcy.cli.main(sys.argv[1:])\n"
+                           "print(time.monotonic(), file=sys.stderr)\n"
+                           "sys.exit(code)",
+                           *FROB_QUERY, "--cache-dir", "{cache}"],
 }
+# the measure whose command stamps the time its work ends on stderr
+TEARDOWN = "warm_frob_teardown"
 
 
 def _env(tree: Path, pycache: Path) -> Dict[str, str]:
@@ -55,16 +67,19 @@ def _env(tree: Path, pycache: Path) -> Dict[str, str]:
     return env
 
 
-def _time(tree: Path, env: Dict[str, str], args: List[str]) -> float:
-    """The wall seconds of one command of ``tree``, which must succeed."""
-    t0 = time.perf_counter()
+def _time(tree: Path, env: Dict[str, str], args: List[str],
+          teardown: bool = False) -> float:
+    """The wall seconds of one command of ``tree``, which must succeed; with
+    ``teardown``, the seconds from the ``time.monotonic()`` that ends its
+    stderr to its reap."""
+    t0 = time.monotonic()
     done = subprocess.run([sys.executable, *args], cwd=tree, env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    elapsed = time.perf_counter() - t0
+    reaped = time.monotonic()
     if done.returncode != 0:
         raise SystemExit(f"startup_split: {args} in {tree} exited "
                          f"{done.returncode}: {done.stderr.decode().strip()}")
-    return elapsed
+    return reaped - (float(done.stderr.split()[-1]) if teardown else t0)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -95,13 +110,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         for r in range(args.rounds):
             for name in COMMANDS:
                 for tree, env, cmds, times in sides[::1 if r % 2 == 0 else -1]:
-                    times[name].append(_time(tree, env, cmds[name]))
+                    times[name].append(_time(tree, env, cmds[name],
+                                             name == TEARDOWN))
 
     out = {
         "protocol": f"{args.rounds} rounds pinned to CPU {cpu}, trees in "
                     "alternating order; wall seconds per process, after one "
                     "untimed run of each command; warm_frob is "
-                    f"'{' '.join(FROB_QUERY)}' through perfbench/runner.py",
+                    f"'{' '.join(FROB_QUERY)}' through perfbench/runner.py, "
+                    "warm_frob_teardown the seconds from the return of "
+                    "frobcy.cli.main on that query to the reap",
         "python": sys.version.split()[0],
         "trees": {},
     }
