@@ -10,7 +10,7 @@ of affine points, which a double loop over F_p counts directly.
 """
 
 from frobcy.congruence import OutsideUnitDisk
-from frobcy.frobenius import legendre_precision, legendre_unit_root
+from frobcy.frobenius import legendre_frobenius, legendre_precision
 from frobcy.padic import balanced_residue
 
 p = 11
@@ -23,7 +23,7 @@ for s0 in range(2, p):
                  if (y * y - x * (x - 1) * (x - s0)) % p == 0)
     brute = p - affine
     try:
-        root = legendre_unit_root(p, s0)
+        root = legendre_frobenius(p, s0)[0]
     except OutsideUnitDisk:
         # no unit root: the fiber is supersingular and a_p is divisible by p
         print(f"{s0:>4} {'supersingular':>14} {'-':>6} {'-':>5} {brute:>6}")

@@ -9,7 +9,7 @@ quartic; ``classify_ab`` reads the tag and the pair as a cell: smooth
 passed off as smooth.  A point outside the unit disk of either series is
 the cell "-".
 
-Each cell is one immutable ``PointClass``, built once by ``classify_point``.
+Each cell is one immutable ``PointClass``, built once by ``classify_operator``.
 
 The a_p at split points are matched against stored forms: first the
 built-in eta products, expanded from their factors once per prime,
@@ -184,23 +184,6 @@ def classify_ab(a: int, b: int, p: int, at_singular_fiber: bool,
     return pc
 
 
-def classify_point(p: int, z0: int, s: int, f0: Sequence[int],
-                   F0: Sequence[int], fiber: bool,
-                   escalated: bool) -> PointClass:
-    """Classify one point at precision s from the residue lists f0 and F0 of
-    the series of an operator and of its exterior square; ``fiber`` tells
-    whether the leading symbol vanishes at z0 mod p, and ``escalated``
-    whether s is above the row's start.  Raises Uncertified when s does not
-    yet settle (a, b) (see assemble_frobenius)."""
-    try:
-        r1, rh = unit_roots(f0, F0, z0, p, s)
-    except OutsideUnitDisk:
-        return PointClass(z0, "undefined", fiber, escalated=escalated, s=s)
-    a, b, split = assemble_frobenius(r1, rh, p, s, at_singular_fiber=fiber)
-    return classify_ab(a, b, p, fiber, split)._replace(
-        z0=z0, escalated=escalated, s=s, r1=r1, rh=rh)
-
-
 def check_operator(op: ThetaOperator) -> None:
     """Raise the UsageError, naming ``op``, that refuses every row of it
     before any series: no theta^0 term in any row (L = M theta, so its
@@ -236,13 +219,16 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
     every pending row, at its (p, s), come from one ``cache_series`` call,
     through the disk cache in ``cache_dir`` or solved afresh when it is
     None, and are shared by the row's points; a row whose series fail takes
-    their error.  A point whose residues fit zero or several admissible
-    pairs (split pairs count where the leading symbol vanishes mod p)
-    escalates: it is classified again at s + 1 in the next batch
-    (``escalated`` marks it), until ``box_precision``, where every balanced
-    lift is settled.  With an integer ``precision`` every row runs at that s
-    alone, and a point it does not settle makes ``Uncertified`` its row's
-    error.  ``op`` is one that ``check_operator`` admits.
+    their error.  Each point z0 takes the method's three steps: the unit
+    roots mod p^s of both series (``unit_roots``; undefined outside the unit
+    disk of either), the pair they decode to (``assemble_frobenius``) and
+    its cell (``classify_ab``).  A point whose residues fit zero or several
+    admissible pairs (split pairs count where the leading symbol vanishes
+    at z0 mod p) escalates: it is classified again at s + 1 in the next
+    batch (``escalated`` marks it), until ``box_precision``, where every
+    balanced lift is settled.  With an integer ``precision`` every row runs
+    at that s alone, and a point it does not settle makes ``Uncertified``
+    its row's error.  ``op`` is one that ``check_operator`` admits.
     """
     out: list = [dict.fromkeys(range(1, p) if points is None else points)
                  for p in primes]
@@ -260,13 +246,21 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
             p, (s, zs), (F0, f0), later = primes[i], pending[i], got, []
             try:
                 for z0 in zs:
+                    fiber = z0 % p in roots[i]
                     try:
-                        out[i][z0] = classify_point(
-                            p, z0, s, f0, F0, z0 % p in roots[i], escalated)
+                        r1, rh = unit_roots(f0, F0, z0, p, s)
+                        a, b, split = assemble_frobenius(
+                            r1, rh, p, s, at_singular_fiber=fiber)
+                    except OutsideUnitDisk:
+                        out[i][z0] = PointClass(z0, "undefined", fiber,
+                                                escalated=escalated, s=s)
                     except Uncertified:
                         if precision is not None:
                             raise
                         later.append(z0)
+                    else:
+                        out[i][z0] = classify_ab(a, b, p, fiber, split)._replace(
+                            z0=z0, escalated=escalated, s=s, r1=r1, rh=rh)
             except Exception as exc:  # noqa: BLE001 - the row's outcome
                 out[i] = exc
             else:

@@ -237,9 +237,10 @@ def legendre_precision(p: int) -> int:
     return _digits(p, 2 * isqrt(4 * p))
 
 
-def legendre_unit_root(p: int, s0: int) -> int:
-    """Unit root pi mod p^s of Frobenius on y^2 = x(x-1)(x-s0) over F_p, with
-    s = legendre_precision(p).
+def legendre_frobenius(p: int, s0: int) -> Tuple[int, int]:
+    """(pi, a_p): the unit root pi mod p^s of Frobenius on
+    y^2 = x(x-1)(x-s0) over F_p, with s = legendre_precision(p), and its
+    trace a_p = balanced(pi + p/pi), |a_p| <= 2 sqrt(p).
 
     The series is the normalized period sum_j binom(2j,j)^2 (s/16)^j, whose
     binom(2j,j)^2 is the catalog's left factor A, theta^2 - 4x (2 theta+1)^2:
@@ -250,19 +251,13 @@ def legendre_unit_root(p: int, s0: int) -> int:
     fiber, s0 in {0, 1} mod p, is a bad point: UsageError.
     """
     s = legendre_precision(p)
+    ps = p**s
     s0 %= p
     if s0 in (0, 1):
         raise UsageError(f"the fiber at s0 = {s0} is degenerate")
-    series, = sequence_residues("A", ((p, s, p**s - 1),))
+    series, = sequence_residues("A", ((p, s, ps - 1),))
     eps = (-1) ** ((p - 1) // 2)
-    return eps * dwork_ratio(series, s0 * pow(16, -1, p) % p, p, s) % p**s
-
-
-def legendre_frobenius(p: int, s0: int) -> Tuple[int, int]:
-    """(pi, a_p): the unit root and the trace of y^2 = x(x-1)(x-s0) over F_p,
-    a_p = balanced(pi + p/pi) with |a_p| <= 2 sqrt(p)."""
-    pi = legendre_unit_root(p, s0)
-    ps = p ** legendre_precision(p)
+    pi = eps * dwork_ratio(series, s0 * pow(16, -1, p) % p, p, s) % ps
     ap = balanced_residue(pi + p * pow(pi, -1, ps), ps)
     if abs(ap) > isqrt(4 * p):
         raise LiftOutOfBound(f"|a_p| = {abs(ap)} exceeds 2 sqrt(p) at p = {p}")

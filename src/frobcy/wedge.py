@@ -158,9 +158,11 @@ def wedge_square(op: ThetaOperator) -> ThetaOperator:
 
 def check_wedge(rows: List[List[int]], op: ThetaOperator) -> ThetaOperator:
     """The exterior square of ``op`` from its coefficient rows, built or
-    stored: the operator ``wedge(<op.name>)``, returned when it is MUM and
-    passes ``check_cy5``; UnexpectedOrder otherwise."""
+    stored: the operator ``wedge(<op.name>)``, returned when it has order 5,
+    is MUM and passes ``check_cy5``; UnexpectedOrder otherwise, so a stored
+    entry of any other order is refused here, not by ``check_cy5``'s
+    precondition."""
     out = ThetaOperator(rows, name=f"wedge({op.name})" if op.name else "wedge")
-    if not check_mum(out) or not check_cy5(out):
+    if out.theta_order != 5 or not check_mum(out) or not check_cy5(out):
         raise UnexpectedOrder("exterior square fails its structural checks")
     return out

@@ -331,9 +331,10 @@ def sequence_terms(name: str, N: int):
     """Terms 0..N by the closed form.
 
     Subexpressions that do not depend on the outer index (g's inner cube sum,
-    the central binomials of c and d, the columns of e, h, i, j) are computed
-    once and shared, and each row's binomials binom(n, k) and binom(n + k, k)
-    are stepped along k by exact integer ratios; the formulas themselves are
+    the central binomials of c and d, f's column (3k)!/k!^3 and powers of 3,
+    the columns of e, h, i, j) are computed once and shared, and each row's
+    binomials binom(n, k), binom(n + k, k) and g's binom(i, j) are stepped
+    along k or j by exact integer ratios; the formulas themselves are
     evaluated literally.
     """
     if name in ("a", "b", "c"):
@@ -352,8 +353,20 @@ def sequence_terms(name: str, N: int):
                     acc += bnk * bnk * (bnkk if name == "b" else central[k])
             out.append(acc)
         return out
+    if name == "f":
+        # (3k)!/k!^3 and the powers of 3, shared by every row
+        column = [factorial(3 * k) // factorial(k) ** 3 for k in range(N // 3 + 1)]
+        pow3 = [3**m for m in range(N + 1)]
+        return [sum((-1) ** k * pow3[n - 3 * k] * comb(n, 3 * k) * column[k]
+                    for k in range(n // 3 + 1)) for n in range(N + 1)]
     if name == "g":
-        inner = [sum(comb(i, j) ** 3 for j in range(i + 1)) for i in range(N + 1)]
+        inner = []
+        for i in range(N + 1):
+            bij = acc = 1  # binom(i, j), stepped along j
+            for j in range(1, i + 1):
+                bij = bij * (i - j + 1) // j
+                acc += bij**3
+            inner.append(acc)
         pow8 = [8 ** m for m in range(N + 1)]
         out = []
         for n in range(N + 1):

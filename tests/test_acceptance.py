@@ -17,7 +17,7 @@ from frobcy.classify import (BUILTIN_FORMS, classify_ab, eta_expansion,
 from frobcy.congruence import OutsideUnitDisk, check_dwork_congruence
 from frobcy.diffop import check_cy5, solve_series
 from frobcy.frobenius import (assemble_frobenius, frobenius_quartic,
-                              legendre_precision, legendre_unit_root,
+                              legendre_frobenius, legendre_precision,
                               unit_roots, weil_verify)
 from frobcy.padic import balanced_residue, teichmueller_residue
 
@@ -160,7 +160,7 @@ def test_criterion_7():
         for s0 in range(2, p):
             brute = -sum(chi(x * (x - 1) * (x - s0), p) for x in range(p))
             try:
-                root = legendre_unit_root(p, s0)
+                root = legendre_frobenius(p, s0)[0]
             except OutsideUnitDisk:
                 assert brute % p == 0, (p, s0)  # supersingular fiber
                 continue

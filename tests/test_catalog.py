@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobcy import catalog as catalog_module, diffop
+from frobcy import catalog as catalog_module, cli, diffop
 from frobcy.catalog import (CATALOG, SECOND_ORDER, SPECIAL_POINTS,
                             exterior_square, left_factor_residues,
                             operator_series, product_operator,
@@ -440,6 +440,20 @@ class TestStoredWedges:
                             lambda: {**stored, "A*a": rows})
         with pytest.raises(UnexpectedOrder):
             operator_series(CATALOG["A*a"], [(7, 2)], wedge=True)
+
+    def test_stored_rows_of_order_four_raise_unexpected_order(self, capsys,
+                                                              monkeypatch):
+        # A*a's own rows stored as its square: MUM, but of order 4, so
+        # check_wedge refuses them before check_cy5's precondition trips
+        stored = catalog_module._stored_wedges()
+        monkeypatch.setattr(catalog_module, "_stored_wedges", lambda: {
+            **stored, "A*a": [list(r) for r in CATALOG["A*a"].coeffs]})
+        with pytest.raises(UnexpectedOrder):
+            operator_series(CATALOG["A*a"], [(7, 2)], wedge=True)
+        code = cli.main(["table", "--operator", "A*a", "--primes", "5",
+                         "--no-cache"])
+        assert code == 1 and capsys.readouterr().err == \
+            "error: exterior square fails its structural checks\n"
 
 
 WIDE_OPERATORS = ("A*a", "A*b", "A*c", "B*a", "B*b", "B*c",

@@ -1549,6 +1549,11 @@ def bad_operators(tmp_path):
      "error: 1000000000 is above the prime ceiling 61\n"),
     ("table --operator A*a --primes 5,67 --no-cache --format csv", 2,
      "error: 67 is above the prime ceiling 61\n"),
+    # primes that are no numbers, in a list and at a range's end
+    ("table --operator A*a --primes abc", 2,
+     "error: not a prime range or list: 'abc'\n"),
+    ("table --operator A*a --primes 3..x", 2,
+     "error: not a prime range or list: '3..x'\n"),
     ("frob --operator A*a --prime 101 --point 2 --no-cache", 2,
      "error: 101 is above the prime ceiling 61\n"),
     ("legendre --prime 8000017 --point 2", 2,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcy import congruence
-from frobcy.catalog import CATALOG
+from frobcy.catalog import CATALOG, exterior_square
 from frobcy.congruence import (OutsideUnitDisk, check_dwork_congruence,
                                dwork_ratio)
 from frobcy.diffop import ThetaOperator, solve_series
@@ -114,6 +114,22 @@ class TestCheckDworkCongruence:
         for report in (good, bad):
             assert report["ok"] == (report["failures"] == [])
         assert good["ok"] and not bad["ok"]
+
+    def test_catalog_wedge_series_pass(self):
+        # the method's hypothesis for the other series of every cell: each
+        # product's exterior square, from one integral batch per operator
+        primes, checked, failed = (5, 7, 11, 13), 0, []
+        for name, op in CATALOG.items():
+            runs = solve_series(exterior_square(op), 700, integral=True,
+                                targets=[(p, 2, 700) for p in primes])
+            for p, series in zip(primes, runs):
+                for s in (1, 2):
+                    report = check_dwork_congruence(series, p, s, 700)
+                    checked += report["checked"]
+                    if not report["ok"]:
+                        failed.append((name, p, s))
+        assert failed == []
+        assert checked == 101502  # a sweep that compares nothing fails
 
 
 # -- truncation ratios -------------------------------------------------------------

@@ -18,7 +18,7 @@ from frobcy.frobenius import (LiftOutOfBound, Uncertified,
                               _balanced_pair, _box, assemble_frobenius,
                               box_precision, decode_frobenius,
                               frobenius_quartic, legendre_frobenius,
-                              legendre_precision, legendre_unit_root,
+                              legendre_precision,
                               required_precision,
                               unit_roots, weil_verify)
 from frobcy.padic import NotAUnit, is_odd_prime
@@ -187,7 +187,7 @@ class TestRequiredPrecision:
                 with pytest.raises(ValueError, match="odd prime"):
                     box_precision(p, fiber)
             with pytest.raises(ValueError, match="odd prime"):
-                legendre_unit_root(p, 2)
+                legendre_frobenius(p, 2)[0]
 
 
 # The closed forms the precisions and the lift checks were once written in,
@@ -597,7 +597,7 @@ class TestLegendre:
 
     def test_unit_root_at_7(self):
         assert legendre_precision(7) == 2
-        assert legendre_unit_root(7, 3) == 39   # mod 7^2 = 49
+        assert legendre_frobenius(7, 3)[0] == 39   # mod 7^2 = 49
 
     def test_trace_at_7_matches_the_point_count(self):
         assert legendre_frobenius(7, 3) == (39, 4)
@@ -627,7 +627,7 @@ class TestLegendre:
             assert ap * ap <= 4 * p
 
     def test_unit_root_reconstructs_the_trace(self):
-        root = legendre_unit_root(13, 5)
+        root = legendre_frobenius(13, 5)[0]
         ps = 13 ** legendre_precision(13)
         lifted = (root + 13 * pow(root, -1, ps)) % ps
         lifted -= ps if lifted > ps // 2 else 0
@@ -646,9 +646,9 @@ class TestLegendre:
                 want = eps * dwork_ratio(scaled, s0, p, s) % ps
             except OutsideUnitDisk:
                 with pytest.raises(OutsideUnitDisk):
-                    legendre_unit_root(p, s0)
+                    legendre_frobenius(p, s0)[0]
             else:
-                assert legendre_unit_root(p, s0) == want, (p, s0)
+                assert legendre_frobenius(p, s0)[0] == want, (p, s0)
 
     def test_supersingular_set_at_3_is_everything(self):
         # x(x-1)(x-2) == x^3 - x over F_3 vanishes identically
