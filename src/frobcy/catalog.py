@@ -8,11 +8,12 @@ fourth-order operator
 
     theta^4 - lam mu x P(theta) m(theta) + kappa lam^2 x^2 P(theta) P(theta+1),
 
-where theta^2 - lam x P(theta) is the left factor.  ``CATALOG`` maps each
-product's name, left factor then right factor, to its operator in this
-factored-integer form, with its database number; ``SPECIAL_POINTS`` labels
-the modular forms attached to distinguished singular points.  The rational
-roots of a leading symbol are found only by the ``catalog`` listing.
+where theta^2 - lam x P(theta), the form above with mu m = lam P and
+kappa = 0, is the left factor.  ``CATALOG`` maps each product's name, left
+factor then right factor, to its operator in this factored-integer form,
+with its database number; ``SPECIAL_POINTS`` labels the modular forms
+attached to distinguished singular points.  The rational roots of a
+leading symbol are found only by the ``catalog`` listing.
 
 So a product's coefficients are c_n = A_n B_n.  ``sequence_residues`` is
 the one route to a catalog sequence mod p^K at (p, K, N) targets, for a
@@ -76,10 +77,7 @@ _SHIFTED_SQUARE = poly_mul([1, 1], [1, 1])  # (theta+1)^2
 
 
 def _second_order(name: str) -> ThetaOperator:
-    if name in _LEFT:
-        lam, pair = _LEFT[name]
-        return ThetaOperator([[0, 0, 1], [-lam * c for c in pair]], name=name)
-    mu, mid, kappa = _RIGHT[name]
+    mu, mid, kappa = _RIGHT[name] if name in _RIGHT else (*_LEFT[name], 0)
     return ThetaOperator(
         [[0, 0, 1],
          [-mu * c for c in mid],

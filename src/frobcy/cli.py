@@ -31,9 +31,10 @@ pickled, cells and exceptions alike.  Results are emitted in ``--operator``
 order, so output is byte-identical to a serial run for every k.
 
 ``main`` builds the argparse parser of the subcommand named first alone,
-from the one ``COMMANDS`` table of (help, filler) that ``build_parser``
-reads; help, a missing or unknown command, and arguments left over are
-parsed by the full parser, so every usage line lists all six commands.
+from the one ``COMMANDS`` table of (help, filler, handler) that
+``build_parser`` reads; help, a missing or unknown command, and arguments
+left over are parsed by the full parser, so every usage line lists all six
+commands.
 
 ``main`` alone turns errors into exit codes: a ``UsageError`` (bad
 argument, prime above its command's ceiling, operator file, point, or an
@@ -383,7 +384,6 @@ def _fill_table(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes (output independent of the value)")
     _add_cache_flags(sp)
-    sp.set_defaults(func=cmd_table)
 
 
 def _fill_frob(sp: argparse.ArgumentParser) -> None:
@@ -392,12 +392,10 @@ def _fill_frob(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--point", type=int, required=True)
     sp.add_argument("--precision", type=int, default=None)
     _add_cache_flags(sp)
-    sp.set_defaults(func=cmd_frob)
 
 
 def _fill_wedge(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--operator", required=True)
-    sp.set_defaults(func=cmd_wedge)
 
 
 def _fill_congruence(sp: argparse.ArgumentParser) -> None:
@@ -406,29 +404,26 @@ def _fill_congruence(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--nmax", type=int, default=2000)
     sp.add_argument("--smax", type=int, default=3)
-    sp.set_defaults(func=cmd_congruence)
 
 
 def _fill_legendre(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--point", type=int, required=True)
-    sp.set_defaults(func=cmd_legendre)
 
 
 def _fill_catalog(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--list", action="store_true",
                     help="emit every operator in the JSON interchange format")
-    sp.set_defaults(func=cmd_catalog)
 
 
-# The subcommands, in the order of the help: name -> (help, filler).
+# The subcommands, in the order of the help: name -> (help, filler, handler).
 COMMANDS = {
-    "table": ("full (a,b) tables per operator and prime", _fill_table),
-    "frob": ("one Frobenius cell as JSON", _fill_frob),
-    "wedge": ("exterior-square operator as JSON", _fill_wedge),
-    "congruence": ("ratio-congruence sweep as JSON", _fill_congruence),
-    "legendre": ("elliptic baseline a_p as JSON", _fill_legendre),
-    "catalog": ("operator catalog", _fill_catalog),
+    "table": ("full (a,b) tables per operator and prime", _fill_table, cmd_table),
+    "frob": ("one Frobenius cell as JSON", _fill_frob, cmd_frob),
+    "wedge": ("exterior-square operator as JSON", _fill_wedge, cmd_wedge),
+    "congruence": ("ratio-congruence sweep as JSON", _fill_congruence, cmd_congruence),
+    "legendre": ("elliptic baseline a_p as JSON", _fill_legendre, cmd_legendre),
+    "catalog": ("operator catalog", _fill_catalog, cmd_catalog),
 }
 
 
@@ -441,9 +436,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                     "Calabi-Yau operators by the p-adic unit-root method.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, fill) in COMMANDS.items():
+    for name, (help_text, fill, handler) in COMMANDS.items():
         if command not in COMMANDS or name == command:
-            fill(sub.add_parser(name, help=help_text))
+            sp = sub.add_parser(name, help=help_text)
+            fill(sp)
+            sp.set_defaults(func=handler)
     return parser
 
 

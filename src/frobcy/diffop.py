@@ -117,10 +117,6 @@ class ThetaOperator:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = self.name or "operator"
-        return f"ThetaOperator({label}, order {self.theta_order}, z-degree {self.z_degree})"
-
     # -- JSON interchange ------------------------------------------------------
 
     def to_json(self) -> str:

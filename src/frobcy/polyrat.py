@@ -117,9 +117,7 @@ def poly_theta(a: IntPoly) -> IntPoly:
 
 def poly_primitive(a: IntPoly) -> IntPoly:
     """a divided by its content, with positive leading coefficient."""
-    g = 0
-    for c in a:
-        g = _int_gcd(g, c)
+    g = _int_gcd(*a)
     if a and a[-1] < 0:
         g = -g
     return [c // g for c in a]

@@ -27,7 +27,7 @@ from frobcy.polyrat import poly_mul
 from frobcy.wedge import wedge_square
 
 ACCEPTANCE_OPERATORS = ("A*a", "B*a", "C*c", "D*g")
-ACCEPTANCE_PRIMES = (3, 5, 7, 11, 13, 17)
+TABLE_PRIMES = (3, 5, 7, 11, 13, 17)
 
 
 @pytest.fixture(scope="session")
@@ -80,16 +80,14 @@ def fresh_catalog_memos():
         memo.cache_clear()
 
 
-TABLE_PRIMES = (3, 5, 7, 11, 13, 17)
-
-
 @pytest.fixture(scope="session")
 def catalog_table():
     """The full table, computed once per session: ``rows`` maps each catalog
     name to the list that one uncached ``classify_operator`` call over
-    TABLE_PRIMES returned, in catalog order, and ``runs`` holds the operator
+    TABLE_PRIMES returned, in catalog order, ``runs`` holds the operator
     name of every ``solve_series`` run that ``catalog`` made for them, in
-    order, counted from empty package memos."""
+    order, counted from empty package memos, and ``seconds`` the wall time
+    of the calls."""
     from frobcy import catalog as catalog_module
 
     runs = []
@@ -103,11 +101,13 @@ def catalog_table():
         memo.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(catalog_module, "solve_series", counted)
+        t0 = time.monotonic()
         rows = {name: classify_operator(op, TABLE_PRIMES)
                 for name, op in CATALOG.items()}
+        seconds = time.monotonic() - t0
     for memo in package_memos():
         memo.cache_clear()
-    return {"rows": rows, "runs": runs}
+    return {"rows": rows, "runs": runs, "seconds": seconds}
 
 
 @pytest.fixture(scope="session")
@@ -119,23 +119,12 @@ def wedge_of():
 
 
 @pytest.fixture(scope="session")
-def acceptance_tables(acceptance_timings):
-    """Computed classification rows for the four acceptance operators at all
-    table primes — the expensive shared input of criteria 2 and 4."""
-    t0 = time.monotonic()
-    out = {}
-    for name in ACCEPTANCE_OPERATORS:
-        rows = classified(CATALOG[name], ACCEPTANCE_PRIMES)
-        out.update(((name, p), row) for p, row in rows.items())
-    acceptance_timings["tables"] = time.monotonic() - t0
-    return out
-
-
-@pytest.fixture(scope="session")
-def acceptance_timings():
-    """Wall-clock seconds of the shared expensive computations, for the
-    criteria that state a runtime budget."""
-    return {}
+def acceptance_tables(catalog_table):
+    """The classification rows of the four acceptance operators at every
+    table prime, by (name, p), from the session's full table: the shared
+    input of criteria 2 and 4."""
+    return {(name, p): row for name in ACCEPTANCE_OPERATORS
+            for p, row in zip(TABLE_PRIMES, catalog_table["rows"][name])}
 
 
 # operators that a command must refuse or whose rows must fail, written to

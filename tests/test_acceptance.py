@@ -21,7 +21,7 @@ from frobcy.frobenius import (assemble_frobenius, frobenius_quartic,
                               unit_roots, weil_verify)
 from frobcy.padic import balanced_residue, teichmueller_residue
 
-from conftest import (ACCEPTANCE_OPERATORS, ACCEPTANCE_PRIMES, classified,
+from conftest import (ACCEPTANCE_OPERATORS, TABLE_PRIMES, classified,
                       hadamard_product, horner_mod, quintic_wedge_coefficients,
                       recurrence_terms, sequence_terms)
 from horizontal import check_cy4, verify_horizontal_u4, verify_horizontal_u5
@@ -58,15 +58,16 @@ def test_criterion_1(wedge_of):
     assert time.monotonic() - t0 < 10
 
 
-def test_criterion_2(acceptance_tables, acceptance_timings, appendix_tables,
+def test_criterion_2(acceptance_tables, catalog_table, appendix_tables,
                      appendix_errata, corrected_tables):
     """The four reference operators reproduce their stored tables cell for
     cell at every prime, with every deviation from the raw stored text being
-    a recorded erratum; total table time stays under ten minutes."""
+    a recorded erratum; the full table of all 24 operators, which holds
+    them, takes under ten minutes."""
     recorded = {(e["operator"], str(e["p"]), str(e["z"])): e
                 for e in appendix_errata}
     for name in ACCEPTANCE_OPERATORS:
-        for p in ACCEPTANCE_PRIMES:
+        for p in TABLE_PRIMES:
             got = {str(r.z0): r.cell() for r in acceptance_tables[name, p]}
             assert got == corrected_tables[name][str(p)], (name, p)
             for z, cell in got.items():
@@ -74,7 +75,7 @@ def test_criterion_2(acceptance_tables, acceptance_timings, appendix_tables,
                 if cell != stored:
                     e = recorded[name, str(p), z]
                     assert (e["stored"], e["corrected"]) == (stored, cell)
-    assert acceptance_timings["tables"] < 600
+    assert catalog_table["seconds"] < 600
 
 
 def test_criterion_3(wedge_of):

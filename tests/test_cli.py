@@ -37,7 +37,8 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import frobcy
-from frobcy import FrobcyError, UsageError, catalog, classify, cli, wedge
+from frobcy import (FrobcyError, UsageError, catalog, classify, cli,
+                    frobenius, wedge)
 from frobcy import series as series_module
 from frobcy.catalog import CATALOG
 from frobcy.diffop import ThetaOperator, solve_series
@@ -310,6 +311,26 @@ class TestCacheSeries:
         got = cli.cache_series(op, targets, str(tmp_path))
         assert got == cli.cache_series(op, targets, None)
         assert os.listdir(tmp_path) == []
+
+    def test_failed_rename_and_cleanup_keep_the_result(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # neither the rename nor the removal of the temp file succeeds: the
+        # temp files stay, and the table equals an uncached one, with no
+        # traceback
+        def refuse(*args):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        argv = ["table", "--operator", "A*a", "--primes", "5,7",
+                "--format", "json"]
+        _, uncached, _ = run(argv + ["--no-cache"], capsys)
+        monkeypatch.setattr(series_module.os, "replace", refuse)
+        monkeypatch.setattr(series_module.os, "unlink", refuse)
+        assert run(argv + ["--cache-dir", str(tmp_path)],
+                   capsys) == (0, uncached, "")
+        op = CATALOG["A*a"]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            f"{row_path(tmp_path, op, p, 3).name}.{os.getpid()}.tmp"
+            for p in (5, 7))
 
     def test_stored_file_is_private(self, tmp_path):
         # the temp file is created with mode 0600, and the rename keeps it
@@ -1329,6 +1350,15 @@ class TestCmdLegendre:
         code, _, err = run(["legendre", "--prime", "15", "--point", "3"],
                            capsys)
         assert code == 2
+
+    def test_trace_beyond_the_hasse_bound_exits_one(self, capsys,
+                                                     monkeypatch):
+        # a ratio of eps = -1 makes pi = 1 and a_p = 8 > 2 sqrt(7)
+        monkeypatch.setattr(frobenius, "dwork_ratio", lambda *args: -1)
+        code, out, err = run(["legendre", "--prime", "7", "--point", "2"],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: |a_p| = 8 exceeds 2 sqrt(p) at p = 7\n"
 
 
 # -- errors: one base, one line, one exit code ---------------------------------------

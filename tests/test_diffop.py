@@ -58,6 +58,11 @@ def test_equality_and_hash_use_normalized_coefficients():
     assert hash(a) == hash(b)
 
 
+def test_an_operator_never_equals_another_type():
+    # ``__eq__`` returns NotImplemented, so Python falls back to identity
+    assert (ThetaOperator([[0, 0, 1]]) == 3) is False
+
+
 def test_json_roundtrip():
     op = CATALOG["B*d"]
     again = ThetaOperator.from_json(op.to_json())
@@ -189,6 +194,11 @@ def test_solution_satisfies_the_recurrence(op, N):
 def test_non_mum_operator_rejected():
     with pytest.raises(ValueError):
         solve_series(ThetaOperator([[0, 1, 1], [1]]), 5)
+
+
+def test_negative_truncation_order_rejected():
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        solve_series(ThetaOperator([[0, 0, 1], [-1]]), -1)
 
 
 def test_non_integral_solution_detected():

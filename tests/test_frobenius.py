@@ -650,6 +650,13 @@ class TestLegendre:
             else:
                 assert legendre_frobenius(p, s0)[0] == want, (p, s0)
 
+    def test_trace_beyond_the_hasse_bound_raises(self, monkeypatch):
+        # a ratio of eps makes pi = eps^2 = 1, so a_p = 1 + 7 = 8 > 2 sqrt(7)
+        monkeypatch.setattr(frobenius, "dwork_ratio",
+                            lambda *args: (-1) ** ((7 - 1) // 2))
+        with pytest.raises(LiftOutOfBound, match=r"\|a_p\| = 8 exceeds"):
+            legendre_frobenius(7, 2)
+
     def test_supersingular_set_at_3_is_everything(self):
         # x(x-1)(x-2) == x^3 - x over F_3 vanishes identically
         with pytest.raises(OutsideUnitDisk):

@@ -252,6 +252,11 @@ def test_overdetermined_consistent_system():
     check_solution(matrix, rhs, numerators, den)
 
 
+def test_empty_system_rejected():
+    with pytest.raises(ValueError, match="empty system"):
+        solve_linear_system([], [])
+
+
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         solve_linear_system([[[1], [1]], [[1]]], [[1], [1]])

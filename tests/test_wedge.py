@@ -201,6 +201,19 @@ class TestWedgeSquare:
         with pytest.raises(UnexpectedOrder):
             wedge_square(NOT_SELF_DUAL)
 
+    def test_a_kernel_raises_unexpected_order(self, monkeypatch):
+        # no operator of the suite has iterates dependent before order 5,
+        # so the kernel is reported by a patched solver
+        real = wedge.solve_linear_system
+
+        def with_kernel(matrix, rhs):
+            numerators, det, _kernel_dim = real(matrix, rhs)
+            return numerators, det, 1
+
+        monkeypatch.setattr(wedge, "solve_linear_system", with_kernel)
+        with pytest.raises(UnexpectedOrder, match="kernel dimension 1"):
+            wedge_square(AA)
+
     def test_degenerate_input_still_has_an_order5_companion(self):
         q = wedge_square(GEOMETRIC4)
         assert q.coeffs == GEOMETRIC4_WEDGE_ROWS
