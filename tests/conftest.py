@@ -1,4 +1,11 @@
-"""Shared fixtures and the acceptance-criteria report.
+"""Shared fixtures, helpers and oracles, and the acceptance-criteria report.
+
+``checkout_env`` and ``python_c`` start a fresh interpreter on the checkout
+under test, ``load_module`` runs a script of the repository as a module, and
+``refuse`` and ``spy`` stand in for a package function that a test forbids or
+watches.  The oracles (Horner's rule, the Legendre trace by its character
+sum, the closed forms of the catalog sequences and others) share no code
+with the package.
 
 The terminal summary prints one PASS/FAIL line per numbered criterion in
 ``test_acceptance.py`` so the verdict is readable at a glance, then the wall
@@ -8,18 +15,23 @@ session fixture counts where it is first built), slowest first.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import frobcy
 from frobcy.catalog import CATALOG, SECOND_ORDER
 from frobcy.classify import classify_operator
 from frobcy.diffop import NonIntegralSolution, ThetaOperator, solve_series
@@ -66,6 +78,54 @@ def package_memos() -> list:
             if callable(getattr(value, "cache_clear", None))]
 
 
+def checkout_env(**extra) -> dict:
+    """This process's environment and ``extra``, with the ``frobcy`` under
+    test first on PYTHONPATH: the environment of every child a test starts."""
+    src = str(Path(frobcy.__file__).resolve().parent.parent)
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def python_c(script: str, *args: str) -> list:
+    """The words that ``python -c script args`` prints in a fresh interpreter
+    on the checkout under test, which must exit 0."""
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          env=checkout_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def load_module(path: Path):
+    """The module that the Python file at ``path`` defines, run afresh."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def refuse(reason: str):
+    """A stand-in for a function that must not be called: any call fails the
+    test with ``reason``."""
+    def refused(*args, **kwargs):
+        raise AssertionError(reason)
+    return refused
+
+
+def spy(monkeypatch, owner, name: str, record) -> list:
+    """Patch ``owner.name`` so that each call appends ``record(*args,
+    **kwargs)`` to the list returned, then runs as before."""
+    seen, real = [], getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return seen
+
+
 @pytest.fixture(autouse=True)
 def fresh_catalog_memos():
     """Every test starts with empty per-process memos of the package (the
@@ -90,17 +150,11 @@ def catalog_table():
     of the calls."""
     from frobcy import catalog as catalog_module
 
-    runs = []
-    real = catalog_module.solve_series
-
-    def counted(*args, **kwargs):
-        runs.append(args[0].name)
-        return real(*args, **kwargs)
-
     for memo in package_memos():
         memo.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(catalog_module, "solve_series", counted)
+        runs = spy(mp, catalog_module, "solve_series",
+                   lambda op, *args, **kwargs: op.name)
         t0 = time.monotonic()
         rows = {name: classify_operator(op, TABLE_PRIMES)
                 for name, op in CATALOG.items()}
@@ -199,25 +253,23 @@ def horner_mod(coeffs, x, modulus):
     return acc
 
 
-class LengthMismatch(ValueError):
-    """An input sequence is shorter than the requested output length."""
+def hadamard_product(xs, ys):
+    """Coefficientwise products x_0 y_0 .. x_N y_N of two sequences of equal
+    length."""
+    assert len(xs) == len(ys), (len(xs), len(ys))
+    return [x * y for x, y in zip(xs, ys)]
 
 
-def hadamard_product(xs, ys, N=None):
-    """Coefficientwise products x_0 y_0 .. x_N y_N.
-
-    When ``N`` is omitted the full common length is used, which then requires
-    the inputs to have equal length.
-    """
-    if N is None:
-        if len(xs) != len(ys):
-            raise LengthMismatch(
-                f"lengths {len(xs)} and {len(ys)} differ and no N was given")
-        N = len(xs) - 1
-    if len(xs) < N + 1 or len(ys) < N + 1:
-        raise LengthMismatch(
-            f"need {N + 1} terms, have {len(xs)} and {len(ys)}")
-    return [xs[n] * ys[n] for n in range(N + 1)]
+def legendre_trace(p: int, s0: int) -> int:
+    """a_p = -sum_x chi(x (x-1) (x-s0)) of the Legendre curve at s0 over F_p,
+    chi the quadratic character, by the character sum."""
+    e = (p - 1) // 2
+    total = 0
+    for x in range(p):
+        v = x * (x - 1) * (x - s0) % p
+        if v:
+            total += 1 if pow(v, e, p) == 1 else -1
+    return -total
 
 
 def quintic_wedge_coefficients(N):
@@ -228,9 +280,7 @@ def quintic_wedge_coefficients(N):
 
     with integrality certified term by term (NonIntegralSolution on failure).
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    top = max(5 * N, N)
+    top = 5 * N
     H = [Fraction(0)] * (top + 1)
     for i in range(1, top + 1):
         H[i] = H[i - 1] + Fraction(1, i)
@@ -307,10 +357,6 @@ _CLOSED_FORMS = {
 
 def sequence_term(name: str, n: int) -> int:
     """n-th term of a catalog sequence by its closed binomial-sum form."""
-    if name not in _CLOSED_FORMS and name not in _CENTRAL_PARAMS:
-        raise KeyError(f"unknown sequence {name!r}")
-    if n < 0:
-        raise ValueError("sequence index must be >= 0")
     if name in _CENTRAL_PARAMS:
         return _central_terms(*_CENTRAL_PARAMS[name], n)[n]
     return _CLOSED_FORMS[name](n)

@@ -7,8 +7,6 @@ those objects that the test suite checks:
 * ``to_monic`` converts a theta-form operator to the monic d/dz form with
   the rewriting theta^k = sum_j S(k, j) z^j D^j, where the S(k, j) are the
   Stirling numbers of the second kind (``stirling_table``)
-* ``check_cy4`` is order-4 self-duality, decided over Z[z] by the same
-  ``diffop.is_self_dual`` that ``check_cy5`` uses
 * ``f0_wedge_via_wronskian`` rebuilds the normalized solution of the
   exterior square Q as w = f0^2 + z (f0 g' - f0' g), where f0 + (f0 log z + g)
   is the Frobenius pair of solutions at 0
@@ -18,7 +16,8 @@ those objects that the test suite checks:
   on truncated (Laurent) series; ``flip_sign`` and ``zero_b1`` break one term
   each, as negative controls
 
-Test modules import it as ``from horizontal import ...``.
+Self-duality itself is ``diffop.is_self_dual``, which the tests call
+directly.  Test modules import this module as ``from horizontal import ...``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from frobcy.diffop import ThetaOperator, check_mum, is_self_dual, solve_series
+from frobcy.diffop import ThetaOperator, check_mum, solve_series
 from frobcy.polyrat import (IntPoly, poly_add, poly_exact_div, poly_gcd,
                             poly_mul, poly_pow, poly_scale, poly_sub,
                             rational_roots)
@@ -88,19 +87,6 @@ def to_monic(op: ThetaOperator) -> Tuple[List[IntPoly], IntPoly]:
             acc = poly_add(acc, poly_scale(q[k], T[k][j]))
         nums.append([0] * j + acc if acc else [])
     return nums, [0] * n + q[n]
-
-
-def check_cy4(op: ThetaOperator) -> bool:
-    """Self-duality for order 4: with b = coefficients of the conjugated
-    operator D^4 + b_2 D^2 + b_1 D + b_0, the condition is b_1 = b_2'.
-
-    Equivalently, in terms of the monic coefficients,
-    a_1 = (1/2) a_2 a_3 - (1/8) a_3^3 + a_2' - (3/4) a_3 a_3' - (1/2) a_3''.
-    Decided over Z[z] by ``diffop.is_self_dual``.
-    """
-    if op.theta_order != 4:
-        raise ValueError("check_cy4 expects a fourth-order operator")
-    return is_self_dual(op)
 
 
 # -- the Wronskian route to the exterior square's solution -----------------------

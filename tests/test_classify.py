@@ -65,23 +65,10 @@ def eta_product_direct(factors, N):
 
 
 @pytest.fixture(scope="module")
-def aa_rows():
-    return classified(CATALOG["A*a"], (3, 5, 7))
-
-
-@pytest.fixture(scope="module")
-def bc5():
-    return classified(CATALOG["B*c"], (5,))[5]
-
-
-@pytest.fixture(scope="module")
-def ba5():
-    return classified(CATALOG["B*a"], (5,))[5]
-
-
-@pytest.fixture(scope="module")
-def dc5():
-    return classified(CATALOG["D*c"], (5,))[5]
+def rows(catalog_table):
+    """The session table's rows by (operator, p)."""
+    return {(name, p): row for name, table in catalog_table["rows"].items()
+            for p, row in zip(PRIMES, table)}
 
 
 class TestEtaProducts:
@@ -353,43 +340,43 @@ class TestMatchSingularAp:
 
 
 class TestClassifyOperatorRows:
-    def test_frozen_row_p7(self, aa_rows):
-        assert [r.cell() for r in aa_rows[7]] == AA_P7_CELLS
+    def test_frozen_row_p7(self, rows):
+        assert [r.cell() for r in rows["A*a", 7]] == AA_P7_CELLS
 
-    def test_p7_statuses_and_fibers(self, aa_rows):
-        assert [r.status for r in aa_rows[7]] == [
+    def test_p7_statuses_and_fibers(self, rows):
+        assert [r.status for r in rows["A*a", 7]] == [
             "smooth", "smooth", "singular", "singular", "reducible",
             "undefined"]
-        assert [r.at_singular_fiber for r in aa_rows[7]] == [
+        assert [r.at_singular_fiber for r in rows["A*a", 7]] == [
             False, False, True, True, False, False]
 
-    def test_p7_singular_details(self, aa_rows):
-        z3, z4 = aa_rows[7][2], aa_rows[7][3]
+    def test_p7_singular_details(self, rows):
+        z3, z4 = rows["A*a", 7][2], rows["A*a", 7][3]
         assert (z3.chi, z3.ap, z3.form) == (-1, 24, "8/1")
         assert (z4.chi, z4.ap, z4.form) == (-1, -24, None)
 
-    def test_p7_reducible_details(self, aa_rows):
-        z5 = aa_rows[7][4]
+    def test_p7_reducible_details(self, rows):
+        z5 = rows["A*a", 7][4]
         assert (z5.alpha, z5.beta) == (24, -14)
 
-    def test_p7_metadata(self, aa_rows):
-        assert [r.z0 for r in aa_rows[7]] == [1, 2, 3, 4, 5, 6]
+    def test_p7_metadata(self, rows):
+        assert [r.z0 for r in rows["A*a", 7]] == [1, 2, 3, 4, 5, 6]
 
-    def test_p3_all_undefined(self, aa_rows):
-        assert [r.cell() for r in aa_rows[3]] == ["-", "-"]
-        assert all(r.a is None and r.b is None for r in aa_rows[3])
+    def test_p3_all_undefined(self, rows):
+        assert [r.cell() for r in rows["A*a", 3]] == ["-", "-"]
+        assert all(r.a is None and r.b is None for r in rows["A*a", 3])
 
-    def test_p5_row(self, aa_rows):
-        assert [r.cell() for r in aa_rows[5]] == AA_P5_CELLS
-        z2, z4 = aa_rows[5][1], aa_rows[5][3]
+    def test_p5_row(self, rows):
+        assert [r.cell() for r in rows["A*a", 5]] == AA_P5_CELLS
+        z2, z4 = rows["A*a", 5][1], rows["A*a", 5][3]
         assert (z2.chi, z2.ap, z2.form) == (-1, 2, None)
         assert (z4.chi, z4.ap, z4.form) == (-1, -2, "8/1")
 
-    def test_classification_stable_at_higher_precision(self, aa_rows):
+    def test_classification_stable_at_higher_precision(self, rows):
         again, = classify_operator(CATALOG["A*a"], [5], precision=5)
         assert [r.s for r in again] == [5] * 4
-        assert [r.cell() for r in again] == [r.cell() for r in aa_rows[5]]
-        assert [r.status for r in again] == [r.status for r in aa_rows[5]]
+        assert [r.cell() for r in again] == [r.cell() for r in rows["A*a", 5]]
+        assert [r.status for r in again] == [r.status for r in rows["A*a", 5]]
 
     def test_escalation_from_one_digit_low(self):
         # At s = 3, where the row starts, the residues of A*d at p = 5,
@@ -409,38 +396,38 @@ class TestClassifyOperatorRows:
         (cell,), = classify_operator(op, [5], points=[2], precision=4)
         assert cell.cell() == "(-8,-82)*" and not cell.escalated
 
-    def test_points_classified_as_in_their_row(self, aa_rows):
+    def test_points_classified_as_in_their_row(self, rows):
         # a frob query is the row restricted to its point: same cell, same
         # precision and unit roots, in the order asked
-        row = aa_rows[7]
+        row = rows["A*a", 7]
         some = classified(CATALOG["A*a"], (7,), points=[5, 3, 6])[7]
         assert some == [row[4], row[2], row[5]]
         assert [r.s for r in some] == [3, 3, 3]
         assert 0 <= some[0].r1 < 7**3 and some[2].r1 is None
 
-    def test_row_with_positive_chi(self, bc5):
-        assert [r.cell() for r in bc5] == [
+    def test_row_with_positive_chi(self, rows):
+        assert [r.cell() for r in rows["B*c", 5]] == [
             "(-9,-4)", "(-27,32)*", "-", "(-3,32)"]
-        z2 = bc5[1]
+        z2 = rows["B*c", 5][1]
         assert (z2.chi, z2.ap, z2.form) == (1, -3, None)
 
-    def test_undefined_cell_at_singular_fiber(self, bc5):
+    def test_undefined_cell_at_singular_fiber(self, rows):
         # The residue of one series vanishes at this fiber, so the point is
         # classified undefined even though the leading symbol vanishes here.
-        z3 = bc5[2]
+        z3 = rows["B*c", 5][2]
         assert z3.status == "undefined"
         assert z3.at_singular_fiber is True
 
-    def test_row_whose_source_lost_its_markers(self, ba5):
+    def test_row_whose_source_lost_its_markers(self, rows):
         # The embedded table prints this row bare; the classification below
         # restores the markers its own legend prescribes (see the errata).
-        assert [r.cell() for r in ba5] == [
+        assert [r.cell() for r in rows["B*a", 5]] == [
             "(-18,-22)*", "-", "(3,-22)", "(6,41)"]
-        z1 = ba5[0]
+        z1 = rows["B*a", 5][0]
         assert (z1.chi, z1.ap, z1.form) == (1, -12, None)
 
-    def test_singular_ap_outside_builtin_forms(self, dc5):
-        z2 = dc5[1]
+    def test_singular_ap_outside_builtin_forms(self, rows):
+        z2 = rows["D*c", 5][1]
         assert z2.status == "singular"
         assert z2.ap == 11 and z2.form is None
         assert match_singular_ap(5, z2.ap) is None
@@ -503,19 +490,19 @@ def results_to_csv(rows):
 
 
 class TestResultsToCsv:
-    def test_header_and_shape(self, aa_rows):
-        text = results_to_csv(aa_rows[7])
+    def test_header_and_shape(self, rows):
+        text = results_to_csv(rows["A*a", 7])
         lines = text.splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 1 + len(aa_rows[7])
+        assert len(lines) == 1 + len(rows["A*a", 7])
         assert text.endswith("\n")
 
-    def test_singular_line(self, aa_rows):
-        assert _csv_tables([("A*a", 7, aa_rows[7])]).splitlines()[3] == \
+    def test_singular_line(self, rows):
+        assert _csv_tables([("A*a", 7, rows["A*a", 7])]).splitlines()[3] == \
             "A*a,7,3,singular,32,-94,,,-1,24,8/1"
 
-    def test_undefined_line_has_empty_fields(self, aa_rows):
-        assert _csv_tables([("A*a", 7, aa_rows[7])]).splitlines()[6] == \
+    def test_undefined_line_has_empty_fields(self, rows):
+        assert _csv_tables([("A*a", 7, rows["A*a", 7])]).splitlines()[6] == \
             "A*a,7,6,undefined,,,,,,,"
 
     def test_fields_with_commas_and_quotes_are_quoted(self):

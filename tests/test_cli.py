@@ -2,10 +2,11 @@
 cache (hit / miss / fault injection / key sensitivity), and the two output
 determinism guarantees (cache vs no-cache, serial vs worker pool).
 
-All invocations go through ``frobcy.cli.main(argv)`` in-process so exit codes
-and streams are observable cheaply; the console-script tests drive the command
-end to end in a fresh process: the installed ``frobcy`` when one is on PATH,
-``python -m frobcy`` otherwise.
+Most invocations go through ``frobcy.cli.main(argv)`` in-process so exit
+codes and streams are observable cheaply.  The import, start-up and exit
+checks run ``python -c`` scripts through conftest's ``python_c``, and the
+console-script tests run the command in a fresh process (the installed
+``frobcy`` when one is on PATH, ``python -m frobcy`` otherwise).
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from frobcy.series import CorruptCache, _cache_load, _cache_store
 from frobcy.frobenius import LiftOutOfBound, frobenius_quartic
 from frobcy.wedge import wedge_square
 
-from conftest import BAD_OPERATORS, classified, self_dual_p
+from conftest import (BAD_OPERATORS, checkout_env, classified, python_c,
+                      refuse, self_dual_p, spy)
 
 
 def md_cells(text: str, name: str, p: int) -> list:
@@ -138,6 +140,9 @@ class TestLoadOperator:
 # -- series cache ---------------------------------------------------------------------
 
 
+OTHER_BYTEORDER = {"little": "big", "big": "little"}[sys.byteorder]
+
+
 def row_key(op, p, K, byteorder=sys.byteorder) -> bytes:
     """The key of the row (p, K) of ``op``: its coefficient table, p, K and a
     byte order."""
@@ -226,11 +231,8 @@ class TestCacheSeries:
 
     def test_hit_skips_recomputation(self, tmp_path, monkeypatch):
         op, row = self.fresh(tmp_path)
-
-        def boom(*a, **k):
-            raise AssertionError("cache hit must not recompute")
-
-        monkeypatch.setattr(series_module, "operator_series", boom)
+        monkeypatch.setattr(series_module, "operator_series",
+                            refuse("cache hit must not recompute"))
         again = self.one(op, str(tmp_path))
         assert again == row
 
@@ -267,8 +269,7 @@ class TestCacheSeries:
         written = self.path(tmp_path, op)
         others = [(op, 5, 3), (op, 7, 2), (CATALOG["B*a"], 5, 2)]
         names = {row_path(tmp_path, *row).name for row in others}
-        names.add(row_path(tmp_path, op, 5, 2, "big" if sys.byteorder ==
-                           "little" else "little").name)
+        names.add(row_path(tmp_path, op, 5, 2, OTHER_BYTEORDER).name)
         assert len(names | {written.name}) == 5
         self.one(op, str(tmp_path))
         for other, p, K in others:
@@ -317,14 +318,14 @@ class TestCacheSeries:
         # neither the rename nor the removal of the temp file succeeds: the
         # temp files stay, and the table equals an uncached one, with no
         # traceback
-        def refuse(*args):
+        def denied(*args):
             raise OSError(errno.EACCES, "Permission denied")
 
         argv = ["table", "--operator", "A*a", "--primes", "5,7",
                 "--format", "json"]
         _, uncached, _ = run(argv + ["--no-cache"], capsys)
-        monkeypatch.setattr(series_module.os, "replace", refuse)
-        monkeypatch.setattr(series_module.os, "unlink", refuse)
+        monkeypatch.setattr(series_module.os, "replace", denied)
+        monkeypatch.setattr(series_module.os, "unlink", denied)
         assert run(argv + ["--cache-dir", str(tmp_path)],
                    capsys) == (0, uncached, "")
         op = CATALOG["A*a"]
@@ -403,9 +404,8 @@ class TestCacheSeries:
         def load():
             return self.load(op, path)
 
-        other_order = {"little": "big", "big": "little"}[sys.byteorder]
         for wrong in (row_key(CATALOG["B*a"], P, K), row_key(op, 7, K),
-                      row_key(op, P, K + 1), row_key(op, P, K, other_order)):
+                      row_key(op, P, K + 1), row_key(op, P, K, OTHER_BYTEORDER)):
             write(F0 + f0, wrong)
             with pytest.raises(CorruptCache, match="digest mismatch"):
                 load()
@@ -438,11 +438,10 @@ class TestCacheSeries:
         op, row = self.fresh(tmp_path)
         path = self.path(tmp_path, op)
         written = path.read_bytes()
-        other = {"little": "big", "big": "little"}[sys.byteorder]
         residues = array("I", row[0] + row[1])
         residues.byteswap()
-        foreign = row_path(tmp_path, op, self.P, self.K, other)
-        kept = row_file(row_key(op, self.P, self.K, other), residues)
+        foreign = row_path(tmp_path, op, self.P, self.K, OTHER_BYTEORDER)
+        kept = row_file(row_key(op, self.P, self.K, OTHER_BYTEORDER), residues)
         foreign.write_bytes(kept)
         path.unlink()
         assert self.one(op, str(tmp_path)) == row
@@ -465,14 +464,13 @@ class TestCacheSeries:
         earlier = (earlier_file(op, self.P, self.K, row[1])[1],
                    json.dumps({"role": "op", "p": self.P, "K": self.K,
                                "coeffs": coeffs}).encode("utf-8"))
-        real = series_module.operator_series
+        solves = spy(monkeypatch, series_module, "operator_series",
+                     lambda op, targets, wedge: wedge)
         for raw in earlier:
             path.write_bytes(raw)
             with pytest.raises(CorruptCache, match="digest mismatch"):
                 self.load(op, path)
-            solves = []
-            monkeypatch.setattr(series_module, "operator_series",
-                                lambda *a: solves.append(a[2]) or real(*a))
+            solves.clear()
             assert self.one(op, str(tmp_path)) == row
             assert solves == [True, False]  # the wedge first
             assert os.listdir(tmp_path) == [path.name]
@@ -567,11 +565,8 @@ def test_warm_frob_opens_one_file_and_solves_nothing(capsys, tmp_path, opened,
     code, cold, _ = run(argv, capsys)
     assert code == 0
     del opened[:]
-
-    def refuse(*a, **k):
-        raise AssertionError("a warm query must not solve a series")
-
-    monkeypatch.setattr(catalog, "solve_series", refuse)
+    monkeypatch.setattr(catalog, "solve_series",
+                        refuse("a warm query must not solve a series"))
     assert run(argv, capsys) == (0, cold, "")
     assert opened == [str(row_path(tmp_path, CATALOG["A*a"], 7, 3))]
 
@@ -591,11 +586,9 @@ def test_every_spec_of_one_operator_shares_its_rows(capsys, tmp_path,
         assert os.listdir(cache) == [row_path(cache, CATALOG["D*g"], 7, 3).name]
         return {k: v for k, v in json.loads(out).items() if k != "operator"}
 
-    def refuse(*a, **k):
-        raise AssertionError("a stored row must not be solved again")
-
     first = cell("dg.json")
-    monkeypatch.setattr(catalog, "solve_series", refuse)
+    monkeypatch.setattr(catalog, "solve_series",
+                        refuse("a stored row must not be solved again"))
     for spec in ["./dg.json", str(path), "D*g"]:
         assert cell(spec) == first
 
@@ -660,10 +653,8 @@ class TestCmdTable:
                                                   monkeypatch, corrected_tables):
         # a file holding D*g's coefficients is recognised as D*g: its square
         # is the stored one, so nothing is built
-        def refuse(op):
-            raise AssertionError("a catalog product's square must not be built")
-
-        monkeypatch.setattr(catalog, "wedge_square", refuse)
+        monkeypatch.setattr(catalog, "wedge_square", refuse(
+            "a catalog product's square must not be built"))
         path = tmp_path / "dg.json"
         path.write_text(CATALOG["D*g"].to_json(), encoding="utf-8")
         code, out, _ = run(["table", "--operator", str(path), "--primes",
@@ -756,11 +747,8 @@ class TestCmdTable:
         run(argv, capsys)
         # one file for the row, holding both F0 and f0
         assert os.listdir(tmp_path) == [row_path(tmp_path, CATALOG["A*a"], 5, 3).name]
-
-        def boom(*a, **k):
-            raise AssertionError("warm run must reuse the cache")
-
-        monkeypatch.setattr(series_module, "operator_series", boom)
+        monkeypatch.setattr(series_module, "operator_series",
+                            refuse("warm run must reuse the cache"))
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert md_cells(out, "A*a", 5) == [
@@ -805,13 +793,9 @@ class TestWedgeMemo:
     def closing_checks(self, monkeypatch):
         """The operators that ``check_wedge`` checks, after a build or a
         load, and the operators that ``exterior_square`` builds."""
-        seen = {"checked": [], "built": []}
-        check, build = wedge.check_cy5, catalog.wedge_square
-        monkeypatch.setattr(wedge, "check_cy5",
-                            lambda q: seen["checked"].append(q) or check(q))
-        monkeypatch.setattr(catalog, "wedge_square",
-                            lambda op: seen["built"].append(op.name) or build(op))
-        return seen
+        return {"checked": spy(monkeypatch, wedge, "check_cy5", lambda q: q),
+                "built": spy(monkeypatch, catalog, "wedge_square",
+                             lambda op: op.name)}
 
     @pytest.mark.parametrize("cached", [True, False])
     def test_cold_table_builds_one_wedge(self, cached, capsys, tmp_path,
@@ -858,13 +842,10 @@ class TestWedgeMemo:
         cold = [run(argv + cache, capsys) for argv in [table]] + \
                [run(argv + ["--no-cache"], capsys) for argv in frobs]
         assert [code for code, _, _ in cold] == [0] * 4
-
-        def refuse(op):
-            raise AssertionError("a warm cache must not build or load a wedge")
-
         for module, name in ((wedge, "wedge_square"), (catalog, "wedge_square"),
                              (catalog, "exterior_square")):
-            monkeypatch.setattr(module, name, refuse)
+            monkeypatch.setattr(module, name, refuse(
+                "a warm cache must not build or load a wedge"))
         warm = [run(argv + cache, capsys) for argv in [table] + frobs]
         assert warm == cold
 
@@ -882,16 +863,9 @@ class TestOneRunPerRole:
         Both roles solve through ``catalog.operator_series``: a wedge in one
         run of its own (order 5), a catalog operator's own series in one run
         of its second-order right factor (order 2)."""
-        seen = []
-        real = catalog.solve_series
-
-        def counted(op, N, **kwargs):
-            seen.append((op.theta_order,
-                         list(kwargs.get("targets", [(None, None, N)]))))
-            return real(op, N, **kwargs)
-
-        monkeypatch.setattr(catalog, "solve_series", counted)
-        return seen
+        return spy(monkeypatch, catalog, "solve_series",
+                   lambda op, N, **kwargs: (op.theta_order, list(
+                       kwargs.get("targets", [(None, None, N)]))))
 
     def test_one_task_per_operator(self, inline_pool, capsys):
         code, _, _ = run(self.TWO + ["--primes", "3,5,7", "--jobs", "8",
@@ -932,10 +906,8 @@ class TestOneRunPerRole:
     def test_table_wide_runs_each_right_factor_once(self, runs, capsys,
                                                     monkeypatch):
         # the table_wide sweep: 12 operators whose right factors interleave
-        def refuse(op):
-            raise AssertionError("a catalog product must not build its wedge")
-
-        monkeypatch.setattr(catalog, "wedge_square", refuse)
+        monkeypatch.setattr(catalog, "wedge_square", refuse(
+            "a catalog product must not build its wedge"))
         names = [name for left in "ABCD" for name in
                  (f"{left}*a", f"{left}*b", f"{left}*c")]
         argv = ["table", "--primes", "3,5,7", "--format", "json", "--no-cache"]
@@ -1135,10 +1107,8 @@ class TestCmdWedge:
     def test_stored_square_prints_as_the_built_one(self, name, wedge_of,
                                                    monkeypatch, capsys):
         # a catalog name prints its stored square, with the built one's bytes
-        def refuse(op):
-            raise AssertionError("a catalog name must not build its wedge")
-
-        monkeypatch.setattr(catalog, "wedge_square", refuse)
+        monkeypatch.setattr(catalog, "wedge_square", refuse(
+            "a catalog name must not build its wedge"))
         code, out, _ = run(["wedge", "--operator", name], capsys)
         assert code == 0 and out == wedge_of(name).to_json() + "\n"
 
@@ -1185,10 +1155,7 @@ class TestCatalogRootsOnDemand:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    frobcy.cli.main(['catalog'])\n"
             "print(imported, len(calls))\n")
-        done = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "24"]
+        assert python_c(script) == ["0", "24"]
 
     def test_computing_commands_load_no_fractions(self, tmp_path):
         # only the catalog listing needs Fraction, so a frob query or a table
@@ -1203,11 +1170,7 @@ class TestCatalogRootsOnDemand:
             "    table = frobcy.cli.main(['table', '--operator', 'A*a',\n"
             "                             '--primes', '3', '--no-cache'])\n"
             "print(frob, table, *sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                              env=checkout_env(), capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "0"]
+        assert python_c(script, str(tmp_path)) == ["0", "0"]
 
     def test_summary_bytes_are_unchanged(self, capsys):
         code, out, _ = run(["catalog"], capsys)
@@ -1391,53 +1354,46 @@ def bad_operators(tmp_path):
     exist, an empty cache directory, and a file whose coeffs are nested
     past the interpreter's recursion limit."""
     paths = {}
-    for key, op in BAD_OPERATORS.items():
+
+    def write(key, text):
         paths[key] = tmp_path / f"{key}.json"
-        paths[key].write_text(op.to_json(), encoding="utf-8")
+        paths[key].write_text(text, encoding="utf-8")
+
+    for key, op in BAD_OPERATORS.items():
+        write(key, op.to_json())
     data = json.loads(BAD_OPERATORS["order2"].to_json())
     del data["coeffs"]
-    paths["no_coeffs"] = tmp_path / "no_coeffs.json"
-    paths["no_coeffs"].write_text(json.dumps(data), encoding="utf-8")
+    write("no_coeffs", json.dumps(data))
     # coeffs whose rows are strings, read digit by digit if let through, or
     # objects, read by their keys
     for key, table in (("coeffs_strings", ["001", "123"]),
                        ("coeffs_object", {"01": 0}),
                        ("row_object", [[0, 0, 1], {"01": 0}])):
-        paths[key] = tmp_path / f"{key}.json"
-        paths[key].write_text(json.dumps({"theta_order": 2, "coeffs": table}),
-                              encoding="utf-8")
-    paths["not_object"] = tmp_path / "not_object.json"
-    paths["not_object"].write_text('[[0, 0, 1]]', encoding="utf-8")
+        write(key, json.dumps({"theta_order": 2, "coeffs": table}))
+    write("not_object", '[[0, 0, 1]]')
     for key, number in (("aesz_float", "1.5"), ("aesz_bool", "true")):
         data = json.loads(CATALOG["A*a"].to_json())
         data["aesz"] = "@"
-        paths[key] = tmp_path / f"{key}.json"
-        paths[key].write_text(json.dumps(data).replace('"@"', number),
-                              encoding="utf-8")
+        write(key, json.dumps(data).replace('"@"', number))
     data = json.loads(BAD_OPERATORS["wedge_not_integral"].to_json())
     del data["name"]
-    paths["wedge_unnamed"] = tmp_path / "wedge_unnamed.json"
-    paths["wedge_unnamed"].write_text(json.dumps(data), encoding="utf-8")
+    write("wedge_unnamed", json.dumps(data))
     for key, name in (("name_int", 5), ("name_null", None),
                       ("name_list", ["x"])):
         data = json.loads(CATALOG["A*a"].to_json())
         data["name"] = name
-        paths[key] = tmp_path / f"{key}.json"
-        paths[key].write_text(json.dumps(data), encoding="utf-8")
+        write(key, json.dumps(data))
     # A*a with its z theta^0 coefficient a JSON number that is not an integer
     for key, number in (("coeff_inf", "1e400"), ("coeff_float", "1.5"),
                         ("coeff_bool", "true")):
         data = json.loads(CATALOG["A*a"].to_json())
         data["coeffs"][1][0] = "@"
-        paths[key] = tmp_path / f"{key}.json"
-        paths[key].write_text(json.dumps(data).replace('"@"', number),
-                              encoding="utf-8")
+        write(key, json.dumps(data).replace('"@"', number))
     c = int("7" * 4000)
-    paths["huge_coefficient"] = tmp_path / "huge_coefficient.json"
-    paths["huge_coefficient"].write_text(json.dumps({
+    write("huge_coefficient", json.dumps({
         "theta_order": 4, "coeffs": [[0, 0, 0, 0, 1],
                                      [str(-c * k) for k in (1, 8, 24, 32, 16)]],
-    }), encoding="utf-8")
+    }))
     # a form fixture directory whose one fixture has a_7 = 1e400
     paths["forms"] = tmp_path / "forms"
     paths["forms"].mkdir()
@@ -1446,10 +1402,8 @@ def bad_operators(tmp_path):
     paths["missing_dir"] = tmp_path / "missing_dir"
     paths["cache"] = tmp_path / "cache"
     # as text: json.dumps cannot write it
-    paths["deeply_nested"] = tmp_path / "deeply_nested.json"
-    paths["deeply_nested"].write_text(
-        '{"theta_order": 4, "coeffs": ' + "[" * 5000 + "]" * 5000 + "}",
-        encoding="utf-8")
+    write("deeply_nested",
+          '{"theta_order": 4, "coeffs": ' + "[" * 5000 + "]" * 5000 + "}")
     return {key: str(path) for key, path in paths.items()}
 
 
@@ -1692,11 +1646,9 @@ def assert_refused_at_load(key, command, bad_operators, capsys, monkeypatch):
     """``command`` on the file of ``key`` exits 2 with empty stdout and one
     line naming the file and what it lacks, before any series or exterior
     square."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a series or an exterior square was fetched")
-
-    monkeypatch.setattr(classify, "cache_series", refuse)
-    monkeypatch.setattr(cli, "exterior_square", refuse)
+    fetched = refuse("a series or an exterior square was fetched")
+    monkeypatch.setattr(classify, "cache_series", fetched)
+    monkeypatch.setattr(cli, "exterior_square", fetched)
     path = bad_operators[key]
     code, out, err = run(command.format(path=path).split(), capsys)
     assert (code, out) == (2, "")
@@ -1832,18 +1784,14 @@ def test_form_fixtures_are_read_once(tmp_path, monkeypatch, capsys):
     fixture.write_text(json.dumps(
         {"label": "t", "ap": {"5": 2, "7": -24, "13": -22}}), encoding="utf-8")
     monkeypatch.setenv(classify.FORMS_DIR_ENV, str(tmp_path))
-    reads, labels = [], []
-    read_input, match = classify.read_input, classify.match_singular_ap
-
-    def counted_read(path, *args, **kwargs):
-        reads.append(path)
-        return read_input(path, *args, **kwargs)
+    reads = spy(monkeypatch, classify, "read_input",
+                lambda path, *args, **kwargs: path)
+    labels, match = [], classify.match_singular_ap
 
     def recorded_match(p, ap):
         labels.append(match(p, ap))
         return labels[-1]
 
-    monkeypatch.setattr(classify, "read_input", counted_read)
     monkeypatch.setattr(classify, "match_singular_ap", recorded_match)
     code, _, _ = run(["table", "--operator", "A*a", "--primes", "5,7,13",
                       "--no-cache"], capsys)
@@ -1978,10 +1926,7 @@ class TestStartUp:
         script = ("import sys\n"
                   "import frobcy.cli\n"
                   "print(*sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
-        done = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == []
+        assert python_c(script) == []
 
     def test_sha2_is_tried_before_hashlib(self):
         # CPython 3.12 renamed _sha256 to _sha2: with _sha256 missing, the
@@ -1994,10 +1939,7 @@ class TestStartUp:
                   "import frobcy.cli, frobcy.series\n"
                   "print(frobcy.series.sha256 is stub.sha256)\n"
                   "print(*sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
-        done = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["True"]
+        assert python_c(script) == ["True"]
 
     def test_sha256_is_sha256(self):
         # the FIPS 180-2 test vector of "abc"
@@ -2007,15 +1949,8 @@ class TestStartUp:
     @pytest.fixture
     def added(self, monkeypatch):
         """The names of the subparsers that ``cli.main`` builds."""
-        seen = []
-        real = argparse._SubParsersAction.add_parser
-
-        def counted(self, name, **kwargs):
-            seen.append(name)
-            return real(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-        return seen
+        return spy(monkeypatch, argparse._SubParsersAction, "add_parser",
+                   lambda action, name, **kwargs: name)
 
     def test_a_command_builds_its_subparser_alone(self, added, capsys, tmp_path):
         code, _, _ = run(["frob", "--operator", "A*a", "--prime", "5",
@@ -2042,14 +1977,8 @@ class TestStartUp:
 
 
 class TestExitFreeze:
-    def fresh_interpreter(self, script):
-        done = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return done.stdout.split()
-
     def test_import_registers_no_hook(self):
-        assert self.fresh_interpreter(
+        assert python_c(
             "import atexit\n"
             "before = atexit._ncallbacks()\n"
             "import frobcy.cli\n"
@@ -2058,7 +1987,7 @@ class TestExitFreeze:
     def test_main_registers_one_freeze_at_exit(self):
         # two runs leave one hook, so the exit functions freeze once; the
         # heap is frozen only when they run
-        assert self.fresh_interpreter(
+        assert python_c(
             "import atexit, contextlib, gc, os\n"
             "import frobcy.cli\n"
             "real, calls = gc.freeze, []\n"
@@ -2072,14 +2001,6 @@ class TestExitFreeze:
 
 
 # -- console entry point --------------------------------------------------------------
-
-
-def checkout_env():
-    """The environment with this process's ``frobcy`` first on PYTHONPATH."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def run_frobcy(args):
@@ -2143,29 +2064,13 @@ class TestConsoleScript:
         # buffered, it is the flush when the subcommand returns
         read_end, write_end = os.pipe()
         os.close(read_end)
-        env = dict(checkout_env(), PYTHONUNBUFFERED=unbuffered)
         try:
             done = subprocess.run([sys.executable, "-m", "frobcy", "catalog"],
                                   stdout=write_end, stderr=subprocess.PIPE,
-                                  text=True, env=env, timeout=120)
+                                  text=True, timeout=120,
+                                  env=checkout_env(PYTHONUNBUFFERED=unbuffered))
         finally:
             os.close(write_end)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert len(done.stderr.splitlines()) <= 1
-
-
-# -- benchmark spans ------------------------------------------------------------------
-
-
-def test_every_benchmark_span_resolves():
-    """perfbench/spans.py wraps functions by name; a renamed or deleted one
-    would make ``perfbench/run.py --trace 1`` fail, so each must exist."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    assert spans.LAYERS
-    for mod_name, fn_name in spans.LAYERS:
-        module = importlib.import_module(f"frobcy.{mod_name}")
-        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"

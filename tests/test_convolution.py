@@ -50,11 +50,9 @@ PACKAGE_ROUTES = [(module, name) for module, names in (
 
 
 def test_every_cell_of_the_full_table_from_p_5(monkeypatch):
-    def refused(*args, **kwargs):
-        raise AssertionError("the oracle took a route of the package")
-
     for module, name in PACKAGE_ROUTES:
-        monkeypatch.setattr(module, name, refused)
+        monkeypatch.setattr(module, name, conftest.refuse(
+            "the oracle took a route of the package"))
     forms = closed_forms("ABCDabcdfg", 17)
     seen, rows, wrong = Counter(), {}, []
     with open(FULL_TABLE, encoding="utf-8", newline="") as fh:

@@ -25,6 +25,8 @@ from frobcy.padic import NotAUnit, is_odd_prime
 from frobcy.series import cache_series
 from frobcy.wedge import wedge_square
 
+from conftest import legendre_trace
+
 PRIMES = (3, 5, 7, 11, 13, 17)
 
 
@@ -576,20 +578,6 @@ class TestWeilVerify:
 # -- the elliptic baseline ----------------------------------------------------------
 
 
-def legendre_trace_bruteforce(p: int, s0: int) -> int:
-    """Character-sum oracle: a_p = -sum_x chi(x (x-1) (x-s0))."""
-    s0 %= p
-    if s0 in (0, 1):
-        raise UsageError(f"the fiber at s0 = {s0} is degenerate")
-    total = 0
-    e = (p - 1) // 2
-    for x in range(p):
-        v = x * (x - 1) % p * (x - s0) % p
-        if v:
-            total += 1 if pow(v, e, p) == 1 else -1
-    return -total
-
-
 class TestLegendre:
     def test_precision_table(self):
         assert {p: legendre_precision(p) for p in PRIMES} == \
@@ -601,19 +589,17 @@ class TestLegendre:
 
     def test_trace_at_7_matches_the_point_count(self):
         assert legendre_frobenius(7, 3) == (39, 4)
-        assert legendre_trace_bruteforce(7, 3) == 4
+        assert legendre_trace(7, 3) == 4
 
     def test_degenerate_fibers_raise(self):
         for p, s0 in [(5, 0), (5, 1), (5, 10), (7, 8)]:
             with pytest.raises(UsageError, match="degenerate"):
                 legendre_frobenius(p, s0)
-            with pytest.raises(UsageError, match="degenerate"):
-                legendre_trace_bruteforce(p, s0)
 
     @pytest.mark.parametrize("p", [7, 13])
     def test_exhaustive_against_the_oracle(self, p):
         for s0 in range(2, p):
-            ap = legendre_trace_bruteforce(p, s0)
+            ap = legendre_trace(p, s0)
             if ap % p == 0:
                 with pytest.raises(OutsideUnitDisk):
                     legendre_frobenius(p, s0)
@@ -623,7 +609,7 @@ class TestLegendre:
     @pytest.mark.parametrize("p", PRIMES)
     def test_hasse_bound_everywhere(self, p):
         for s0 in range(2, p):
-            ap = legendre_trace_bruteforce(p, s0)
+            ap = legendre_trace(p, s0)
             assert ap * ap <= 4 * p
 
     def test_unit_root_reconstructs_the_trace(self):

@@ -3,37 +3,31 @@ probe: a change that breaks the layer spans (for example a layer function no
 longer bound where ``perfbench/spans.py`` looks for it) or a name the probe
 reads fails here, not only in a benchmark run.  Also the record of
 ``tools/bench_pairs.py`` names the trees it measured, states a
-no-regression verdict per metric, and adds an A/A run to a claim."""
+no-regression verdict per metric and adds an A/A run to a claim, and a
+``bench_pairs.py`` stopped by SIGTERM leaves no process or directory
+behind."""
 
 import ast
-import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from conftest import checkout_env, load_module
+
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def src_env() -> dict:
-    """The environment with ``src`` first on PYTHONPATH."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return env
 
 
 def test_two_traced_commands_record_every_layer(tmp_path):
     # a catalog product (stored square, factor route) and an operator file
     # that is no product (built square, exact runs) between them reach
     # every layer, so a moved call cannot empty a per-layer metric unseen
-    spec = importlib.util.spec_from_file_location(
-        "spans", ROOT / "perfbench" / "spans.py")
-    spans_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans_module)
+    spans_module = load_module(ROOT / "perfbench" / "spans.py")
     recorded = set()
     for i, operator in enumerate(["A*a", str(ROOT / "tests" / "data"
                                              / "aa_pullback.json")]):
@@ -42,8 +36,8 @@ def test_two_traced_commands_record_every_layer(tmp_path):
             [sys.executable, str(ROOT / "perfbench" / "runner.py"),
              "--spans", str(spans_file), "table", "--operator", operator,
              "--primes", "5", "--no-cache"],
-            capture_output=True, text=True, env=src_env(), cwd=tmp_path,
-            timeout=120)
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env=checkout_env(PYTHONDONTWRITEBYTECODE="1"))
         assert done.returncode == 0, done.stderr
         recorded |= {span[0] for span in
                      json.loads(spans_file.read_text("utf-8"))["spans"]}
@@ -61,7 +55,8 @@ def test_environment_probe_runs(tmp_path):
               and any(isinstance(target, ast.Name) and target.id == "PROBE"
                       for target in node.targets))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=src_env(), cwd=tmp_path, timeout=60)
+                          text=True, cwd=tmp_path, timeout=60,
+                          env=checkout_env(PYTHONDONTWRITEBYTECODE="1"))
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert Path(report["frobcy_file"]).resolve().parent == ROOT / "src" / "frobcy"
@@ -69,11 +64,7 @@ def test_environment_probe_runs(tmp_path):
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", ROOT / "tools" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module(ROOT / "tools" / "bench_pairs.py")
 
 
 def test_bench_pairs_names_the_trees_it_measured(bench_pairs, tmp_path):
@@ -165,3 +156,50 @@ def test_bench_pairs_claim_adds_an_aa_run(bench_pairs, tmp_path, monkeypatch):
     assert bench_pairs.main(argv) == 0
     record = json.loads((tmp_path / "BENCH_t.json").read_text("utf-8"))
     assert record["aa_run"] is None and max(c[2] for c in calls) == 111
+
+
+def _ended(pid: int) -> bool:
+    """No process has the pid, or a zombie has it."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text("utf-8")
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def test_bench_pairs_stops_cleanly_on_sigterm(tmp_path):
+    # each side's perfbench/run.py starts one sleeping child, writes both
+    # pids and never prints a result, so its run is going when SIGTERM comes
+    sleep = "import time; time.sleep(300)"
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            "import os, pathlib, subprocess, sys\n"
+            f"child = subprocess.Popen([sys.executable, '-c', {sleep!r}])\n"
+            "pathlib.Path('pids.tmp').write_text(f'{os.getpid()} {child.pid}')\n"
+            f"os.replace('pids.tmp', '../pids')\n{sleep}\n", "utf-8")
+    bench = subprocess.Popen(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "--label", "x",
+         "--parent", str(tmp_path / "parent"), "--change",
+         str(tmp_path / "change"), "--seed-base", "0"],
+        env=checkout_env(TMPDIR=str(tmp_path)))
+    pids, pid_file = [], tmp_path / "pids"
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert bench.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        pids = [int(word) for word in pid_file.read_text("utf-8").split()]
+        bench.send_signal(signal.SIGTERM)
+        assert bench.wait(timeout=60) != 0
+        deadline = time.monotonic() + 10
+        while not all(map(_ended, pids)):
+            assert time.monotonic() < deadline, pids
+            time.sleep(0.05)
+        assert list(tmp_path.glob("bench-pairs-*")) == []
+    finally:
+        bench.kill()
+        bench.wait()
+        for pid in pids:
+            if not _ended(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -51,13 +51,6 @@ def _divisors(n: int) -> list:
     return small + large[::-1]
 
 
-def _frac_eval(cs: list, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
 def _frac_divide_root(cs: list, x: Fraction) -> list:
     """cs / (z - x) over Q by synthetic division (x must be a root)."""
     out = [Fraction(0)] * (len(cs) - 1)
@@ -83,7 +76,7 @@ def rational_roots_oracle(ints: list) -> tuple:
             candidates.update((Fraction(num, den), Fraction(-num, den)))
     for cand in sorted(candidates):
         mult = 0
-        while len(work) > 1 and _frac_eval(work, cand) == 0:
+        while len(work) > 1 and poly_eval(work, cand) == 0:
             work = _frac_divide_root(work, cand)
             mult += 1
         if mult:

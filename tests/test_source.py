@@ -1,13 +1,15 @@
 """The package keeps only what it uses: every top-level function and class
 in ``src/frobcy``, and every method other than a dunder, is referenced by
-name somewhere in ``src/frobcy``, and no module imports a name it does not
-use or another module's underscore name.  Code that only tests call lives
-under ``tests/`` (for example ``horizontal.py``)."""
+name somewhere in ``src/frobcy``, and no module imports another module's
+underscore name.  No module of ``src/frobcy`` or ``tests/`` imports a name
+it does not use.  Code that only tests call lives under ``tests/`` (for
+example ``horizontal.py``)."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "frobcy"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "frobcy"
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -46,7 +48,7 @@ def _bound_names(node):
 def test_no_module_imports_a_name_it_does_not_use():
     # a name listed in ``__all__`` is a re-export, so it counts as used
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"), filename=str(path))
         imported, used = set(), set()
         for node in ast.walk(tree):
@@ -60,7 +62,8 @@ def test_no_module_imports_a_name_it_does_not_use():
                   and any(isinstance(t, ast.Name) and t.id == "__all__"
                           for t in node.targets)):
                 used.update(ast.literal_eval(node.value))
-        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+        unused += [f"{path.parent.name}/{path.name}: {name}"
+                   for name in sorted(imported - used)]
     assert unused == []
 
 

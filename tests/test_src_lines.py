@@ -1,10 +1,11 @@
 """``tools/src_lines.py`` counts physical and code lines; these tests read
 files, and run git only to see a revision it cannot read refused."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
+
+from conftest import load_module
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,11 +29,7 @@ class C:
 
 @pytest.fixture(scope="module")
 def src_lines():
-    spec = importlib.util.spec_from_file_location(
-        "src_lines", ROOT / "tools" / "src_lines.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module(ROOT / "tools" / "src_lines.py")
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings(src_lines):

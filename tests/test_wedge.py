@@ -20,10 +20,9 @@ from frobcy.wedge import (UnexpectedOrder, _module_action, _theta_step,
                           _wedge_action, wedge_square)
 
 from conftest import BAD_OPERATORS, self_dual_p
-from horizontal import (Laurent, NotRationalY, check_cy4,
-                        f0_wedge_via_wronskian, poly_deriv,
-                        rational_exp_integral, to_monic, verify_horizontal_u4,
-                        verify_horizontal_u5)
+from horizontal import (Laurent, NotRationalY, f0_wedge_via_wronskian,
+                        poly_deriv, rational_exp_integral, to_monic,
+                        verify_horizontal_u4, verify_horizontal_u5)
 
 AA = CATALOG["A*a"]
 
@@ -374,7 +373,8 @@ def test_catalog_shape_is_the_catalog_table(name):
 
 
 def monic_cy4_identity(op):
-    """The closed form in the ``check_cy4`` docstring, over Q(z):
+    """Order-4 self-duality (b_1 = b_2' for the conjugated operator) in closed
+    form over Q(z), in the monic coefficients a_j:
     a_1 = (1/2) a_2 a_3 - (1/8) a_3^3 + a_2' - (3/4) a_3 a_3' - (1/2) a_3''."""
     nums, den = to_monic(op)
     a0, a1, a2, a3 = [(n, den) for n in nums]
@@ -402,13 +402,13 @@ class TestGeneratedCatalogShapes:
                                                  c, delta):
         pair = poly_mul([v, u], [u - v, u])
         op = catalog_shape(lam, mu, kappa, pair, [c, b, b])
-        assert check_cy4(op) and monic_cy4_identity(op)
+        assert is_self_dual(op) and monic_cy4_identity(op)
         q = wedge_square(op)
         assert check_cy5(q)
         assert q.coeffs == wedge_over_delta5(op).coeffs
 
         bent = catalog_shape(lam, mu, kappa, pair, [c, b + delta, b])
-        assert not check_cy4(bent) and not monic_cy4_identity(bent)
+        assert not is_self_dual(bent) and not monic_cy4_identity(bent)
         with pytest.raises(UnexpectedOrder):
             wedge_square(bent)
         with pytest.raises(UnexpectedOrder):
@@ -423,7 +423,7 @@ class TestGeneratedCatalogShapes:
         lam, pair = _LEFT[left]
         mu, mid, kappa = _RIGHT[right]
         op = catalog_shape(scale * lam, mu, kappa, pair, mid)
-        assert check_cy4(op) == monic_cy4_identity(op) is True
+        assert is_self_dual(op) == monic_cy4_identity(op) is True
         q = wedge_square(op)
         assert check_cy5(q)
         assert q.coeffs == wedge_over_delta5(op).coeffs

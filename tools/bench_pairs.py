@@ -43,13 +43,21 @@ for a directory) and the ``src_sha256`` its runs reported, which must be one
 value per side.  ``--extra``
 merges the top-level keys of a JSON file into it, for measurements taken
 outside perfbench (full-table wall times, in-process layer timings).
+
+Each ``perfbench/run.py`` runs in a session of its own, and its process
+group is killed whenever the run ends, so a run stopped early leaves no
+query behind.  SIGTERM raises ``SystemExit``, so the temporary directory is
+removed too.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -110,16 +118,29 @@ def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> di
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
     elapsed = time.perf_counter() - t0
-    lines = proc.stdout.strip().splitlines()
+    lines = stdout.strip().splitlines()
     try:
         record, result = json.loads(lines[-2]), json.loads(lines[-1])
     except (IndexError, ValueError):
         raise SystemExit(f"bench_pairs: {workload} seed {seed} in {tree} gave no "
-                         f"result (exit {proc.returncode}): {proc.stderr.strip()}")
+                         f"result (exit {proc.returncode}): {stderr.strip()}")
     return {"returncode": proc.returncode, "record": record, "result": result,
             "elapsed_s": elapsed}
+
+
+def exit_on_sigterm() -> None:
+    """Make SIGTERM raise ``SystemExit``, so that ``finally`` blocks and
+    context managers clean up before the process ends."""
+    signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
 
 
 def _quartiles(values: List[float]) -> Dict[str, float]:
@@ -316,4 +337,5 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    exit_on_sigterm()
     sys.exit(main())

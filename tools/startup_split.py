@@ -25,7 +25,8 @@ the whole process, start-up and teardown included, except for
 ``warm_frob_teardown``.  The JSON printed holds, per tree and command, the
 median and quartiles (``statistics.quantiles(n=4, method="inclusive")``)
 under the one key ``startup_split``, so it can be passed to
-``bench_pairs.py --extra``.
+``bench_pairs.py --extra``.  SIGTERM raises ``SystemExit``, so the
+temporary directory is removed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import _quartiles, _revision, _tree  # noqa: E402
+from bench_pairs import (_quartiles, _revision, _tree,  # noqa: E402
+                         exit_on_sigterm)
 
 FROB_QUERY = ["frob", "--operator", "A*a", "--prime", "7", "--point", "2"]
 COMMANDS = {
@@ -132,4 +134,5 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    exit_on_sigterm()
     sys.exit(main())
