@@ -8,7 +8,7 @@
 * the catalog of 24 Hadamard-product operators and their sequences (``catalog``)
 * truncated-ratio congruence checks for coefficient sequences (``congruence``)
 * degree-4 Frobenius polynomials from p-adic unit roots (``frobenius``)
-* the one series fetch, through the disk cache or solved afresh (``series``)
+* the one series fetch and the disk cache of certified rows (``series``)
 * splitting classification, modular-form matching and the one row
   pipeline (``classify``)
 * the ``frobcy`` command line (``cli``)

@@ -9,7 +9,9 @@ quartic; ``classify_ab`` reads the tag and the pair as a cell: smooth
 passed off as smooth.  A point outside the unit disk of either series is
 the cell "-".
 
-Each cell is one immutable ``PointClass``, built once by ``classify_operator``.
+Each cell is one immutable ``PointClass``, built once by ``classify_operator``,
+which reads and writes the rows of the disk cache (``series``): a stored
+cell is read back with its form looked up again.
 
 The a_p at split points are matched against stored forms: first the
 built-in eta products, expanded from their factors once per prime,
@@ -40,7 +42,7 @@ from .diffop import (ThetaOperator, is_self_dual, json_int,
 from .frobenius import (Uncertified, assemble_frobenius, required_precision,
                         unit_roots, weil_verify)
 from .padic import is_odd_prime
-from .series import cache_series
+from .series import cache_series, load_row, row_file, store_row
 
 FORMS_DIR_ENV = "FROBCY_FORMS_DIR"
 
@@ -212,62 +214,87 @@ def classify_operator(op: ThetaOperator, primes: Sequence[int],
     """The row pipeline: classify the distinct points z0 in ``points``
     (default: 1 .. p-1) of one operator at every prime in ``primes``.
     Returns a list aligned with ``primes`` holding each row's cells, in the
-    order of ``points``, or the exception that the row raised.
+    order of ``points``, or the first exception that one of them raised.
+
+    With a ``cache_dir``, a row whose file holds a cell for every point
+    asked for is read from it, its forms looked up again; any other row is
+    a miss, and all its points 1 .. p-1 are classified and its cells
+    stored.  Without one, only the points asked for are classified.
 
     With ``precision`` None each row starts at ``required_precision(p)``,
     which settles every point off the singular fibers.  Both series of
-    every pending row, at its (p, s), come from one ``cache_series`` call,
-    through the disk cache in ``cache_dir`` or solved afresh when it is
-    None, and are shared by the row's points; a row whose series fail takes
-    their error.  Each point z0 takes the method's three steps: the unit
-    roots mod p^s of both series (``unit_roots``; undefined outside the unit
-    disk of either), the pair they decode to (``assemble_frobenius``) and
-    its cell (``classify_ab``).  A point whose residues fit zero or several
-    admissible pairs (split pairs count where the leading symbol vanishes
-    at z0 mod p) escalates: it is classified again at s + 1 in the next
-    batch (``escalated`` marks it), until ``box_precision``, where every
-    balanced lift is settled.  With an integer ``precision`` every row runs
-    at that s alone, and a point it does not settle makes ``Uncertified``
-    its row's error.  ``op`` is one that ``check_operator`` admits.
+    every pending row, at its (p, s), come from one ``cache_series`` call
+    and are shared by the row's points; a row whose series fail gives their
+    error to each of its points.  Each point z0 takes the method's three
+    steps: the unit roots mod p^s of both series (``unit_roots``; undefined
+    outside the unit disk of either), the pair they decode to
+    (``assemble_frobenius``) and its cell (``classify_ab``).  A point whose
+    residues fit zero or several admissible pairs (split pairs count where
+    the leading symbol vanishes at z0 mod p) escalates: it is classified
+    again at s + 1 in the next batch (``escalated`` marks it), until
+    ``box_precision``, where every balanced lift is settled.  With an
+    integer ``precision`` every row runs at that s alone, and a point it
+    does not settle raises ``Uncertified``.  A point that raises keeps its
+    exception and gets no cell.  ``op`` is one that ``check_operator``
+    admits.
     """
-    out: list = [dict.fromkeys(range(1, p) if points is None else points)
-                 for p in primes]
-    roots = [set(symbol_roots_mod_p(op, p)) for p in primes]
-    pending = {i: (required_precision(p) if precision is None else precision,
-                   out[i]) for i, p in enumerate(primes)}
+    asked = [dict.fromkeys(range(1, p) if points is None else points)
+             for p in primes]
+    files = [None if cache_dir is None else row_file(cache_dir, op, p, precision)
+             for p in primes]
+    found: List[dict] = []  # per row, z0 -> its cell or exception, as settled
+    pending = {}
+    for i, p in enumerate(primes):
+        stored = {fields[0]: PointClass(*fields)
+                  for fields in (load_row(*files[i]) if files[i] else ())}
+        if not all(z0 in stored for z0 in asked[i]):
+            stored = {}
+            pending[i] = (
+                required_precision(p) if precision is None else precision,
+                range(1, p) if files[i] else asked[i])
+        found.append({z0: pc._replace(form=match_singular_ap(p, pc.ap))
+                      if pc.status == "singular" else pc
+                      for z0, pc in stored.items()})
+    roots = {i: set(symbol_roots_mod_p(op, primes[i])) for i in pending}
     escalated = False
     while pending:
         retry = {}
         targets = [(primes[i], s) for i, (s, _zs) in pending.items()]
-        for i, got in zip(pending, cache_series(op, targets, cache_dir)):
+        for i, got in zip(pending, cache_series(op, targets)):
+            p, (s, zs), later = primes[i], pending[i], []
             if isinstance(got, Exception):
-                out[i] = got
+                found[i].update(dict.fromkeys(zs, got))
                 continue
-            p, (s, zs), (F0, f0), later = primes[i], pending[i], got, []
-            try:
-                for z0 in zs:
-                    fiber = z0 % p in roots[i]
-                    try:
-                        r1, rh = unit_roots(f0, F0, z0, p, s)
-                        a, b, split = assemble_frobenius(
-                            r1, rh, p, s, at_singular_fiber=fiber)
-                    except OutsideUnitDisk:
-                        out[i][z0] = PointClass(z0, "undefined", fiber,
-                                                escalated=escalated, s=s)
-                    except Uncertified:
-                        if precision is not None:
-                            raise
+            F0, f0 = got
+            for z0 in zs:
+                fiber = z0 % p in roots[i]
+                try:
+                    r1, rh = unit_roots(f0, F0, z0, p, s)
+                    a, b, split = assemble_frobenius(
+                        r1, rh, p, s, at_singular_fiber=fiber)
+                    found[i][z0] = classify_ab(a, b, p, fiber, split)._replace(
+                        z0=z0, escalated=escalated, s=s, r1=r1, rh=rh)
+                except OutsideUnitDisk:
+                    found[i][z0] = PointClass(z0, "undefined", fiber,
+                                              escalated=escalated, s=s)
+                except Uncertified as exc:
+                    if precision is None:
                         later.append(z0)
                     else:
-                        out[i][z0] = classify_ab(a, b, p, fiber, split)._replace(
-                            z0=z0, escalated=escalated, s=s, r1=r1, rh=rh)
-            except Exception as exc:  # noqa: BLE001 - the row's outcome
-                out[i] = exc
-            else:
-                if later:
-                    retry[i] = (s + 1, later)
-                else:
-                    out[i] = list(out[i].values())
+                        found[i][z0] = exc
+                except Exception as exc:  # noqa: BLE001 - the point's outcome
+                    found[i][z0] = exc
+            if later:
+                retry[i] = (s + 1, later)
         pending, escalated = retry, True
+    for i in roots:  # the rows computed here
+        cells = [list(got._replace(form=None)) for got in found[i].values()
+                 if isinstance(got, PointClass)]
+        if files[i] and cells:
+            store_row(*files[i], cells)
+    out: list = []
+    for row, want in zip(found, asked):
+        failed = [got for z0, got in row.items()
+                  if z0 in want and isinstance(got, Exception)]
+        out.append(failed[0] if failed else [row[z0] for z0 in want])
     return out
-

@@ -14,20 +14,21 @@ point, ``_load_operator``: a catalog name, or an operator file named by its
 path, refused by ``check_operator`` before any series.
 
 Every cell goes through one row pipeline, ``classify_operator``: a
-``table`` row classifies the points 1 .. p-1, a ``frob`` query only its
+``table`` row asks for the points 1 .. p-1, a ``frob`` query only for its
 point, from ``required_precision`` with the same per-cell escalation, or at
-its ``--precision s`` alone.  Its series come from ``series.cache_series``
-(re-exported here), through the disk cache unless ``--no-cache`` is given.
-The cache directory is ``--cache-dir``, else $FROBCY_CACHE_DIR, else
+its ``--precision s`` alone.  It reads and writes certified rows in the
+disk cache unless ``--no-cache`` is given, and takes the series of the rows
+it computes from ``series.cache_series`` (re-exported here).  The cache
+directory is ``--cache-dir``, else $FROBCY_CACHE_DIR, else
 $XDG_CACHE_HOME/frobcy, else ~/.cache/frobcy.
 
 A table sweep maps ``classify_operator`` over the operators: one call per
 operator over all its primes, so one ``cache_series`` call for all its rows
-and one more per escalation round.  ``--jobs k`` maps it in a worker pool,
-so a single operator gets no speed-up from it.  Each worker keeps its own
-memo of factor lists (``catalog.sequence_residues``), fetches an operator's
-exterior square once per round that misses the cache, and returns its rows
-pickled, cells and exceptions alike.  Results are emitted in ``--operator``
+that miss the cache and one more per escalation round.  ``--jobs k`` maps
+it in a worker pool, so a single operator gets no speed-up from it.  Each
+worker keeps its own memo of factor lists (``catalog.sequence_residues``),
+fetches an operator's exterior square once per round of rows that miss the
+cache, and returns its rows pickled, cells and exceptions alike.  Results are emitted in ``--operator``
 order, so output is byte-identical to a serial run for every k.
 
 ``main`` builds the argparse parser of the subcommand named first alone,
@@ -53,7 +54,7 @@ by one, and the OS takes the memory back: a warm ``frob`` spent about 11 ms
 from the return of ``main`` to its exit, and now spends 3 (2 cores, CPython
 3.11).  No output byte or exit code changes: CPython does not promise
 ``__del__`` at exit, frobcy has no ``__del__``, weakref or finalizer, a
-cache file is closed and renamed inside ``_cache_store``, and the
+row file is closed and renamed inside ``series.store_row``, and the
 ``--jobs`` pool is shut down by its ``with`` block.  A hook fires only
 at exit, so a caller that runs ``main`` in process keeps a normal collector
 while it runs.
@@ -159,7 +160,7 @@ def _load_operator(spec: str) -> ThetaOperator:
 
 
 def _cache_dir(args: argparse.Namespace) -> Optional[str]:
-    """The series cache directory of a command: None under --no-cache, else
+    """The row cache directory of a command: None under --no-cache, else
     --cache-dir, $FROBCY_CACHE_DIR or $XDG_CACHE_HOME (~/.cache)/frobcy."""
     if args.no_cache:
         return None

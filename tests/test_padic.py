@@ -4,8 +4,8 @@ lifts, balanced representatives, and the one Horner loop."""
 import pytest
 from hypothesis import given, strategies as st
 
-from frobcy.padic import (MR_BOUND, NotAUnit, balanced_residue, horner,
-                          is_odd_prime, teichmueller_residue)
+from frobcy.padic import (MR_BASES, MR_BOUND, NotAUnit, balanced_residue,
+                          horner, is_odd_prime, teichmueller_residue)
 
 PRIMES = (3, 5, 7, 11, 13, 17)
 
@@ -29,6 +29,21 @@ def test_is_odd_prime_decides_large_numbers():
     psi12 = 318_665_857_834_031_151_167_461
     assert psi12 == 399_165_290_221 * 798_330_580_441
     assert not is_odd_prime(psi12)
+
+
+def test_miller_rabin_constants_are_sorenson_websters():
+    # the bases are the first 13 primes, and the bound is psi_13 of
+    # Sorenson and Webster: composite, and a strong pseudoprime to every
+    # one of those bases, so the least number that they cannot decide
+    assert MR_BASES == tuple(n for n in range(2, 42)
+                             if all(n % q for q in range(2, n)))
+    assert MR_BOUND == 3_317_044_064_679_887_385_961_981
+    assert MR_BOUND == 1_287_836_182_261 * 2_575_672_364_521
+    r = ((MR_BOUND - 1) & (1 - MR_BOUND)).bit_length() - 1
+    d = (MR_BOUND - 1) >> r
+    assert all(pow(a, d, MR_BOUND) == 1 or any(
+        pow(a, d << i, MR_BOUND) == MR_BOUND - 1 for i in range(r))
+        for a in MR_BASES)
 
 
 def test_is_odd_prime_raises_from_its_bound_on():
