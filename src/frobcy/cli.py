@@ -256,7 +256,8 @@ def cmd_table(args: argparse.Namespace) -> int:
             else:
                 groups.append((name, p, rows))
 
-    _emit(FORMATS[args.format](groups))
+    if groups:
+        _emit(FORMATS[args.format](groups))
 
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
@@ -369,7 +370,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 def _add_cache_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--no-cache", action="store_true",
-                    help="recompute series without touching the disk cache")
+                    help="compute rows without reading or writing the cache")
     sp.add_argument("--cache-dir", default=None,
                     help="cache directory (default: $FROBCY_CACHE_DIR or the "
                          "user cache path)")

@@ -40,6 +40,8 @@ from frobcy.wedge import wedge_square
 
 ACCEPTANCE_OPERATORS = ("A*a", "B*a", "C*c", "D*g")
 TABLE_PRIMES = (3, 5, 7, 11, 13, 17)
+# the golden files and operator fixtures
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="session")
@@ -147,7 +149,10 @@ def catalog_table():
     TABLE_PRIMES returned, in catalog order, ``runs`` holds the operator
     name of every ``solve_series`` run that ``catalog`` made for them, in
     order, counted from empty package memos, and ``seconds`` the wall time
-    of the calls."""
+    of the calls.  The golden tables of ``test_golden.py`` are emitted from
+    these rows; criteria 2 and 4, ``test_classify.py``'s ``rows`` and the
+    escalation and run checks of
+    ``test_full_catalog_reproduces_corrected_tables`` read them too."""
     from frobcy import catalog as catalog_module
 
     for memo in package_memos():

@@ -2,8 +2,9 @@
 
 Each test is one acceptance criterion; the terminal summary (see conftest)
 prints a PASS/FAIL line per criterion.  Everything here goes through public
-API only and re-asserts values that the per-module suites derive and justify
-in detail.
+API only.  Each criterion holds its facts, and the per-module suites do not
+repeat them: they test the derivations, edge cases and properties behind
+them.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
-"""Golden outputs: the command line's bytes for the full table, one ``frob``
-cell and ``catalog``, compared byte for byte with the files in
+"""Golden outputs: the command line's bytes for the full table, two ``frob``
+cells and ``catalog``, compared byte for byte with the files in
 ``tests/data``.  Marks, escalation, form labels, key order and formatting
 are pinned here, not only the cells.
 
-The three tables are built from the session's ``catalog_table`` rows (one
-uncached ``classify_operator`` call per operator, shared with
-``test_full_catalog_reproduces_corrected_tables``) through every emitter of
-``cli.FORMATS``, the table that ``table --format`` reads, so Tier-1
-computes the full table once.  A change that moves an output on purpose
-regenerates its file in the same commit, from the repository root:
+These files are the one place that pins the catalog's cells and CSV
+fields, the two ``frob`` cells and the ``catalog`` listing; the per-module
+suites do not restate them.  The three tables are built from the session's
+``catalog_table`` rows (one uncached ``classify_operator`` call per
+operator) through every emitter of ``cli.FORMATS``, the table that
+``table --format`` reads, so Tier-1 computes the full table once.  A
+change that moves an output on purpose regenerates its file in the same
+commit, from the repository root:
 
     export PYTHONPATH=src
     python -m frobcy table --operator all --primes 3..17 --no-cache \\
@@ -33,15 +35,12 @@ regenerate it, run each of its ``argv`` lists as
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
 from frobcy import cli
 
-from conftest import TABLE_PRIMES
-
-DATA = Path(__file__).resolve().parent / "data"
+from conftest import DATA, TABLE_PRIMES
 
 SUFFIX = {"markdown": "md", "csv": "csv", "json": "json"}
 
