@@ -8,14 +8,15 @@ from fractions import Fraction
 import pytest
 
 from frobcy import catalog as catalog_module, cli, diffop
-from frobcy.catalog import (CATALOG, SECOND_ORDER, exterior_square,
-                            left_factor_residues, operator_series,
-                            product_operator, sequence_residues)
+from frobcy.catalog import (CATALOG, SECOND_ORDER, SPECIAL_POINTS,
+                            exterior_square, left_factor_residues,
+                            operator_series, product_operator,
+                            sequence_residues)
 from frobcy.diffop import (NonIntegralSolution, ThetaOperator, check_mum,
                            leading_symbol, solve_series)
 from frobcy.frobenius import required_precision
 from frobcy.padic import is_odd_prime
-from frobcy.polyrat import poly_gcd
+from frobcy.polyrat import poly_gcd, rational_roots
 from frobcy.wedge import UnexpectedOrder, wedge_square
 
 from conftest import (hadamard_product, quintic_wedge_coefficients,
@@ -116,7 +117,27 @@ class TestSecondOrderOperators:
 # -- the 24 products ---------------------------------------------------------------
 
 
+def symbol_roots(op):
+    """The rational roots of the leading symbol, ascending."""
+    roots, _ = rational_roots(leading_symbol(op))
+    return sorted(r for r, _m in roots)
+
+
 class TestCatalogEntries:
+    def test_twenty_four_entries_grouped_by_right_factor(self):
+        names = list(CATALOG)
+        assert len(names) == 24
+        assert names[:4] == ["A*a", "B*a", "C*a", "D*a"]
+        assert names[-4:] == ["A*g", "B*g", "C*g", "D*g"]
+
+    def test_database_numbers_are_distinct(self):
+        numbers = [op.aesz for op in CATALOG.values()]
+        assert len(set(numbers)) == 24
+        assert CATALOG["A*a"].aesz == 45
+        assert CATALOG["B*a"].aesz == 15
+        assert CATALOG["C*c"].aesz == 69
+        assert CATALOG["D*g"].aesz == 140
+
     def test_entry_fields_are_consistent(self):
         for op in CATALOG.values():
             assert op.theta_order == 4
@@ -130,6 +151,18 @@ class TestCatalogEntries:
             (-1152, -6144, -11264, -8192, -2048),
         )
         assert op == CATALOG["A*a"]
+
+    def test_singular_points_of_the_first_entry(self):
+        assert symbol_roots(CATALOG["A*a"]) == [Fraction(-1, 16), Fraction(1, 128)]
+
+    def test_annotated_points_lie_on_the_singular_locus(self):
+        annotated = 0
+        for name, points in SPECIAL_POINTS.items():
+            for point in points:
+                assert Fraction(point) in symbol_roots(CATALOG[name])
+                annotated += 1
+        assert annotated == 2
+        assert SPECIAL_POINTS == {"A*a": {"-1/16": "8/1"}, "B*d": {"1/216": "9/1"}}
 
 
 # -- Hadamard products -------------------------------------------------------------
@@ -408,6 +441,9 @@ class TestSharedFactorRuns:
 
 
 class TestQuinticWedgeCoefficients:
+    def test_first_term_is_one(self):
+        assert quintic_wedge_coefficients(0) == [1]
+
     def test_second_term_by_hand(self):
         # (5k)!/k!^5 is 1, 120; the k = 1 weight is
         # 1 + (-5 H_1 + 5 H_0 + 5 H_5 - 5 H_0) = 1 - 5 + 137/12 = 89/12,
@@ -417,3 +453,8 @@ class TestQuinticWedgeCoefficients:
         expected = 120 + int(120 * weight)
         assert quintic_wedge_coefficients(1) == [1, expected]
         assert expected == 1010
+
+    def test_integrality_through_A20(self):
+        values = quintic_wedge_coefficients(20)
+        assert len(values) == 21
+        assert all(isinstance(v, int) for v in values)
